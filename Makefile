@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-gate clean test-faults test-resume test-fabric test-netchaos test-thermal test-batch fuzz-qp check
+.PHONY: all build test race vet bench bench-json bench-gate clean test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench fuzz-qp check
 
 all: build vet test
 
@@ -124,19 +124,28 @@ fuzz-qp:
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=1m ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=1m ./internal/qp/
 
-# Batched-execution suite: the SoA integrator and batched-controller
-# unit tests, the sim-level batch-vs-scalar bit-equivalence properties
-# (controllers × cycles × batch sizes, fault injection, checkpoint/
-# resume on batch boundaries), and the pool's batch planning /
-# sweep-equivalence tests under the race detector.
+# Batched-execution suite: the lane-group controller tests, the fused
+# integrator's RK4 oracle, the sim-level lane-independence properties
+# (lane i of an N-lane batch is bit-identical to the 1-lane run of its
+# config across controllers × cycles × batch sizes, fault injection,
+# and mixed thermal/cabin-only lanes; checkpoint/resume on batch
+# boundaries), and the pool's batch planning / sweep-equivalence tests
+# under the race detector.
 test-batch:
-	$(GO) test -run 'Batch' ./internal/ode/... ./internal/control/... ./internal/sim/...
+	$(GO) test -run 'Batch|IntegrateLanes' ./internal/control/... ./internal/sim/...
 	$(GO) test -race -run 'Batch|PlanUnits' ./internal/runner/...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# ./... from the root never compiles it: vet and test it explicitly so
+# an API change it depends on (sim.NewBatch, control.Batch, ...) fails
+# the gate instead of the next benchmark run.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Pre-merge gate: full build + vet + tests, fault, crash-safety,
 # distributed-fabric, network-chaos, cold-climate thermal, and
-# batched-execution suites, and short fuzz smokes of the QP solver and
-# the journal parser.
-check: all test-faults test-resume test-fabric test-netchaos test-thermal test-batch
+# batched-execution suites, the benchmark module's vet + tests, and
+# short fuzz smokes of the QP solver and the journal parser.
+check: all test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=10s ./internal/qp/

@@ -567,11 +567,11 @@ func BenchmarkSweep16Sequential(b *testing.B) { benchSweep(b, 1, 0) }
 
 func BenchmarkSweep16Parallel(b *testing.B) { benchSweep(b, runtime.NumCPU(), 0) }
 
-// BenchmarkSweepScalar and BenchmarkSweepBatch pin the batched SoA core
-// against the per-job scalar path on the same grid at real core count;
+// BenchmarkSweepScalar and BenchmarkSweepBatch pin 16-lane units
+// against one 1-lane unit per job on the same grid at real core count;
 // their ratio is the many-vehicle batching win. BenchmarkSweepBatch is
 // regression-gated (Makefile bench-gate) so the sweep cannot quietly
-// fall back to scalar throughput.
+// fall back to one-lane throughput.
 func BenchmarkSweepScalar(b *testing.B) { benchSweep(b, runtime.NumCPU(), -1) }
 
 func BenchmarkSweepBatch(b *testing.B) { benchSweep(b, runtime.NumCPU(), runner.DefaultBatchSize) }

@@ -42,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -59,6 +60,9 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// experimentNames are the valid -exp values.
+var experimentNames = []string{"all", "fig1", "fig5", "fig6", "fig7", "fig8", "table1", "ablate", "fleet", "faults", "dist", "cold"}
+
 // run is the testable entrypoint: it parses args, executes the selected
 // experiments, and returns the process exit code — 0 only when every
 // selected experiment (and every job inside it) succeeded, 2 for usage
@@ -71,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	solar := fs.Float64("solar", 400, "solar thermal load (W)")
 	quick := fs.Bool("quick", false, "truncate profiles to 200 s for a fast smoke run")
 	workers := fs.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "lockstep-batch lanes for eligible sweep jobs (0 = default 16, negative = scalar only)")
+	batch := fs.Int("batch", 0, "lockstep-batch lanes for eligible sweep jobs (0 = default 16, negative = one lane per job)")
 	scenarios := fs.String("fault-scenarios", "",
 		"comma-separated fault scenarios for -exp faults (default: all of "+
 			strings.Join(faults.BuiltinNames(), ",")+")")
@@ -113,6 +117,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *callTimeout != 0 && *join == "" {
 		fmt.Fprintln(stderr, "evbench: -call-timeout needs -join")
+		return 2
+	}
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(stderr, "evbench: unknown experiment %q (want one of %s)\n", *exp, strings.Join(experimentNames, ", "))
 		return 2
 	}
 
@@ -347,11 +355,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, experiments.RenderFleet(summary))
 		return nil
 	})
-
-	if !strings.Contains("all fig1 fig5 fig6 fig7 fig8 table1 ablate fleet faults dist cold", *exp) {
-		fmt.Fprintf(stderr, "evbench: unknown experiment %q\n", *exp)
-		return 2
-	}
 
 	if *serve != "" && ctx.Err() == nil {
 		// -serve coordinates the selected distributable sweep; "dist" is

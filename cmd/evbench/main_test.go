@@ -20,6 +20,9 @@ func runCLI(ctx context.Context, args ...string) (int, string, string) {
 func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "nope"},
+		{"-exp", "fig"}, // substrings of valid names are not names
+		{"-exp", "1 fig5"},
+		{"-exp", ""},
 		{"-no-such-flag"},
 		{"-resume"},                           // needs -journal
 		{"-checkpoint-every", "50"},           // needs -journal

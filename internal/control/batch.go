@@ -1,60 +1,25 @@
 package control
 
-import (
-	"encoding/json"
-	"fmt"
+import "evclimate/internal/cabin"
 
-	"evclimate/internal/cabin"
-)
+// This file is the controller side of the simulation core's lockstep
+// lanes: N scalar controllers stepped behind one call per control step.
+// On/off and fuzzy lanes run their pointer decision kernels on the
+// controllers' own state (no by-value StepContext copy); every other
+// controller (the MPC family, supervisors) steps through its Decide.
+// Either way lane i decides exactly what the scalar controller would,
+// because it is the scalar controller.
 
-// This file is the controller side of the batched many-vehicle
-// simulation core: N controller lanes stepped in lockstep behind one
-// API. The cheap baselines (on/off, fuzzy) get structure-of-arrays fast
-// paths whose per-lane arithmetic is the scalar Decide kernel verbatim,
-// so batch and scalar runs are bit-identical; every other controller
-// (the MPC family, supervisors) is grouped behind the same API by
-// ScalarBatch, which steps each lane's scalar Decide in turn.
-
-// BatchController steps N controller lanes in lockstep. Lane i's
-// decision for ctxs[i] must be bit-identical to what a scalar controller
-// configured like lane i would decide given the same context history.
-type BatchController interface {
-	// Lanes returns the lane count.
-	Lanes() int
-	// Lane returns lane i's scalar controller (for Name, telemetry
-	// interfaces, and post-run diagnostics). Batch implementations with
-	// SoA state must SyncLanes before the returned controller's own
-	// state is read.
-	Lane(i int) Controller
-	// Reset resets every lane to its initial state.
-	Reset()
-	// DecideAll writes lane i's decision for ctxs[i] into out[i]; both
-	// slices have Lanes() elements.
-	DecideAll(ctxs []StepContext, out []cabin.Inputs)
+// LaneGroup steps N scalar controllers in lockstep, one lane each.
+// Snapshots go through each lane controller's Snapshotter.
+type LaneGroup struct {
+	lanes []Controller
 }
 
-// BatchSnapshotter is implemented by batch controllers whose lanes can
-// checkpoint. Lane blobs are byte-compatible with the scalar
-// controllers' Snapshotter formats, so a batch checkpoint resumes a
-// scalar run and vice versa.
-type BatchSnapshotter interface {
-	// LaneSnapshot serializes lane i's mutable state.
-	LaneSnapshot(i int) (json.RawMessage, error)
-	// RestoreLane loads lane i's state from a snapshot blob.
-	RestoreLane(i int, raw json.RawMessage) error
-}
-
-// LaneSyncer is implemented by batch controllers that keep lane state in
-// SoA arrays: SyncLanes writes it back into the scalar lane controllers,
-// so Lane(i) reflects the run afterwards.
-type LaneSyncer interface {
-	SyncLanes()
-}
-
-// Batchable reports whether Batch has an SoA fast path for the
-// controller's concrete type — the sweep engine's grouping predicate
-// (batching MPC lanes behind ScalarBatch would serialize work that
-// parallelizes better across jobs).
+// Batchable reports whether the controller's concrete type has a pointer
+// decision kernel — the sweep engine's grouping predicate (grouping MPC
+// lanes into one unit would serialize work that parallelizes better
+// across jobs).
 func Batchable(c Controller) bool {
 	switch c.(type) {
 	case *OnOff, *Fuzzy:
@@ -63,231 +28,35 @@ func Batchable(c Controller) bool {
 	return false
 }
 
-// Batch groups scalar controllers behind the batch API, selecting the
-// SoA fast path when every lane is the same batchable type and falling
-// back to per-lane scalar stepping otherwise.
-func Batch(ctrls []Controller) BatchController {
-	if len(ctrls) > 0 {
-		allOnOff, allFuzzy := true, true
-		for _, c := range ctrls {
-			if _, ok := c.(*OnOff); !ok {
-				allOnOff = false
-			}
-			if _, ok := c.(*Fuzzy); !ok {
-				allFuzzy = false
-			}
-		}
-		if allOnOff {
-			lanes := make([]*OnOff, len(ctrls))
-			for i, c := range ctrls {
-				lanes[i] = c.(*OnOff)
-			}
-			return NewBatchOnOff(lanes)
-		}
-		if allFuzzy {
-			lanes := make([]*Fuzzy, len(ctrls))
-			for i, c := range ctrls {
-				lanes[i] = c.(*Fuzzy)
-			}
-			return NewBatchFuzzy(lanes)
-		}
-	}
-	return NewScalarBatch(ctrls)
+// Batch groups scalar controllers into a lane group; lane i is ctrls[i].
+func Batch(ctrls []Controller) *LaneGroup {
+	return &LaneGroup{lanes: ctrls}
 }
 
-// BatchOnOff is the SoA batch form of the on/off thermostat: the
-// hysteresis and battery-thermostat latches live in per-lane arrays and
-// each lane's decision runs the scalar kernel against them.
-type BatchOnOff struct {
-	lanes []*OnOff
-	on    []bool
-	batt  []batteryThermostat
-}
+// Lanes returns the lane count.
+func (g *LaneGroup) Lanes() int { return len(g.lanes) }
 
-// NewBatchOnOff wraps the given lane controllers (which hold per-lane
-// configuration) into a batch, adopting their current latch state.
-func NewBatchOnOff(lanes []*OnOff) *BatchOnOff {
-	b := &BatchOnOff{lanes: lanes, on: make([]bool, len(lanes)), batt: make([]batteryThermostat, len(lanes))}
-	for i, c := range lanes {
-		b.on[i] = c.on
-		b.batt[i] = c.batt
-	}
-	return b
-}
+// Lane returns lane i's controller.
+func (g *LaneGroup) Lane(i int) Controller { return g.lanes[i] }
 
-// Lanes implements BatchController.
-func (b *BatchOnOff) Lanes() int { return len(b.lanes) }
-
-// Lane implements BatchController.
-func (b *BatchOnOff) Lane(i int) Controller { return b.lanes[i] }
-
-// Reset implements BatchController.
-func (b *BatchOnOff) Reset() {
-	for i := range b.lanes {
-		b.lanes[i].Reset()
-		b.on[i] = false
-		b.batt[i] = batteryThermostat{}
-	}
-}
-
-// DecideAll implements BatchController.
-func (b *BatchOnOff) DecideAll(ctxs []StepContext, out []cabin.Inputs) {
-	for i, c := range b.lanes {
-		out[i] = c.decideLane(&ctxs[i], &b.on[i], &b.batt[i])
-	}
-}
-
-// SyncLanes implements LaneSyncer.
-func (b *BatchOnOff) SyncLanes() {
-	for i, c := range b.lanes {
-		c.on = b.on[i]
-		c.batt = b.batt[i]
-	}
-}
-
-// LaneSnapshot implements BatchSnapshotter, emitting the scalar
-// controller's onOffState JSON.
-func (b *BatchOnOff) LaneSnapshot(i int) (json.RawMessage, error) {
-	return json.Marshal(onOffState{On: b.on[i], BattHeat: b.batt[i].heatOn, BattChill: b.batt[i].chillOn})
-}
-
-// RestoreLane implements BatchSnapshotter.
-func (b *BatchOnOff) RestoreLane(i int, raw json.RawMessage) error {
-	var st onOffState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("control: on/off lane %d state: %w", i, err)
-	}
-	b.on[i] = st.On
-	b.batt[i] = batteryThermostat{heatOn: st.BattHeat, chillOn: st.BattChill}
-	return nil
-}
-
-// BatchFuzzy is the SoA batch form of the fuzzy baseline: derivative
-// memory and battery latches in per-lane arrays, decisions through each
-// lane's compiled rule base.
-type BatchFuzzy struct {
-	lanes   []*Fuzzy
-	prevErr []float64
-	hasPrev []bool
-	batt    []batteryThermostat
-}
-
-// NewBatchFuzzy wraps the given lane controllers into a batch, adopting
-// their current state.
-func NewBatchFuzzy(lanes []*Fuzzy) *BatchFuzzy {
-	b := &BatchFuzzy{
-		lanes:   lanes,
-		prevErr: make([]float64, len(lanes)),
-		hasPrev: make([]bool, len(lanes)),
-		batt:    make([]batteryThermostat, len(lanes)),
-	}
-	for i, c := range lanes {
-		b.prevErr[i] = c.prevErr
-		b.hasPrev[i] = c.hasPrev
-		b.batt[i] = c.batt
-	}
-	return b
-}
-
-// Lanes implements BatchController.
-func (b *BatchFuzzy) Lanes() int { return len(b.lanes) }
-
-// Lane implements BatchController.
-func (b *BatchFuzzy) Lane(i int) Controller { return b.lanes[i] }
-
-// Reset implements BatchController.
-func (b *BatchFuzzy) Reset() {
-	for i := range b.lanes {
-		b.lanes[i].Reset()
-		b.prevErr[i] = 0
-		b.hasPrev[i] = false
-		b.batt[i] = batteryThermostat{}
-	}
-}
-
-// DecideAll implements BatchController.
-func (b *BatchFuzzy) DecideAll(ctxs []StepContext, out []cabin.Inputs) {
-	for i, c := range b.lanes {
-		out[i] = c.decideLane(&ctxs[i], &b.prevErr[i], &b.hasPrev[i], &b.batt[i])
-	}
-}
-
-// SyncLanes implements LaneSyncer.
-func (b *BatchFuzzy) SyncLanes() {
-	for i, c := range b.lanes {
-		c.prevErr = b.prevErr[i]
-		c.hasPrev = b.hasPrev[i]
-		c.batt = b.batt[i]
-	}
-}
-
-// LaneSnapshot implements BatchSnapshotter, emitting the scalar
-// controller's fuzzyState JSON.
-func (b *BatchFuzzy) LaneSnapshot(i int) (json.RawMessage, error) {
-	return json.Marshal(fuzzyState{PrevErr: b.prevErr[i], HasPrev: b.hasPrev[i], BattHeat: b.batt[i].heatOn, BattChill: b.batt[i].chillOn})
-}
-
-// RestoreLane implements BatchSnapshotter.
-func (b *BatchFuzzy) RestoreLane(i int, raw json.RawMessage) error {
-	var st fuzzyState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("control: fuzzy lane %d state: %w", i, err)
-	}
-	b.prevErr[i] = st.PrevErr
-	b.hasPrev[i] = st.HasPrev
-	b.batt[i] = batteryThermostat{heatOn: st.BattHeat, chillOn: st.BattChill}
-	return nil
-}
-
-// ScalarBatch adapts arbitrary scalar controllers to the batch API by
-// stepping each lane's Decide in turn — the MPC path until QP-level
-// batching lands. Decisions are trivially bit-identical to scalar runs;
-// there is no SoA speedup.
-type ScalarBatch struct {
-	lanes []Controller
-}
-
-// NewScalarBatch wraps scalar controllers one-to-one into batch lanes.
-func NewScalarBatch(ctrls []Controller) *ScalarBatch {
-	return &ScalarBatch{lanes: ctrls}
-}
-
-// Lanes implements BatchController.
-func (b *ScalarBatch) Lanes() int { return len(b.lanes) }
-
-// Lane implements BatchController.
-func (b *ScalarBatch) Lane(i int) Controller { return b.lanes[i] }
-
-// Reset implements BatchController.
-func (b *ScalarBatch) Reset() {
-	for _, c := range b.lanes {
+// Reset resets every lane to its initial state.
+func (g *LaneGroup) Reset() {
+	for _, c := range g.lanes {
 		c.Reset()
 	}
 }
 
-// DecideAll implements BatchController.
-func (b *ScalarBatch) DecideAll(ctxs []StepContext, out []cabin.Inputs) {
-	for i, c := range b.lanes {
-		out[i] = c.Decide(ctxs[i])
+// DecideAll writes lane i's decision for ctxs[i] into out[i]; both
+// slices have Lanes() elements.
+func (g *LaneGroup) DecideAll(ctxs []StepContext, out []cabin.Inputs) {
+	for i, c := range g.lanes {
+		switch c := c.(type) {
+		case *OnOff:
+			out[i] = c.decide(&ctxs[i])
+		case *Fuzzy:
+			out[i] = c.decide(&ctxs[i])
+		default:
+			out[i] = c.Decide(ctxs[i])
+		}
 	}
-}
-
-// LaneSnapshot implements BatchSnapshotter when the lane controller is a
-// Snapshotter.
-func (b *ScalarBatch) LaneSnapshot(i int) (json.RawMessage, error) {
-	s, ok := b.lanes[i].(Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("control: lane %d controller %q does not support state snapshots", i, b.lanes[i].Name())
-	}
-	return s.StateSnapshot()
-}
-
-// RestoreLane implements BatchSnapshotter when the lane controller is a
-// Snapshotter.
-func (b *ScalarBatch) RestoreLane(i int, raw json.RawMessage) error {
-	s, ok := b.lanes[i].(Snapshotter)
-	if !ok {
-		return fmt.Errorf("control: lane %d controller %q does not support state snapshots", i, b.lanes[i].Name())
-	}
-	return s.RestoreState(raw)
 }

@@ -22,11 +22,13 @@ func batchCtxAt(lane, step int) StepContext {
 	}
 }
 
-// TestBatchMatchesScalarDecide walks batched on/off and fuzzy lanes
+// TestBatchMatchesScalarDecide walks on/off and fuzzy lane groups
 // through a mixed hot/cold context sequence alongside independent scalar
 // controllers and requires every decision bit-identical — the
-// controller-level half of the batch-vs-scalar contract (the sim
-// package pins the closed-loop version).
+// controller-level half of the lane-independence contract (the sim
+// package pins the closed-loop version). The pointer kernels mutate the
+// lane controllers' own state, so afterwards each lane's next scalar
+// Decide continues the group's trajectory.
 func TestBatchMatchesScalarDecide(t *testing.T) {
 	const lanes, steps = 5, 40
 	builders := map[string]func(m *cabin.Model) Controller{
@@ -42,45 +44,42 @@ func TestBatchMatchesScalarDecide(t *testing.T) {
 				scalar[i] = build(model(t))
 			}
 			b := Batch(batchLanes)
-			if _, isScalar := b.(*ScalarBatch); isScalar {
-				t.Fatalf("Batch(%s) fell back to ScalarBatch; expected SoA fast path", name)
-			}
 			if b.Lanes() != lanes {
 				t.Fatalf("Lanes() = %d, want %d", b.Lanes(), lanes)
 			}
-			ctxs := make([]StepContext, lanes)
-			out := make([]cabin.Inputs, lanes)
-			for step := 0; step < steps; step++ {
-				for i := range ctxs {
-					ctxs[i] = batchCtxAt(i, step)
-				}
-				b.DecideAll(ctxs, out)
-				for i := range scalar {
-					want := scalar[i].Decide(ctxs[i])
-					if out[i] != want {
-						t.Fatalf("step %d lane %d: batch %+v != scalar %+v", step, i, out[i], want)
-					}
-				}
-			}
-			// After SyncLanes the lane controllers carry the batch state:
-			// their next scalar decision continues the batch trajectory.
-			s, ok := b.(LaneSyncer)
-			if !ok {
-				t.Fatalf("%T does not implement LaneSyncer", b)
-			}
-			s.SyncLanes()
+			walkLanes(t, b, scalar, steps)
 			for i := range scalar {
 				ctx := batchCtxAt(i, steps)
 				if got, want := b.Lane(i).Decide(ctx), scalar[i].Decide(ctx); got != want {
-					t.Fatalf("lane %d: post-sync scalar decision diverged: %+v != %+v", i, got, want)
+					t.Fatalf("lane %d: post-run scalar decision diverged: %+v != %+v", i, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchablePredicate pins the sweep engine's grouping predicate: SoA
-// fast paths exist exactly for the on/off and fuzzy baselines.
+// walkLanes steps the group and the scalar twins through steps
+// synthesized contexts, requiring bit-identical decisions.
+func walkLanes(t *testing.T, b *LaneGroup, scalar []Controller, steps int) {
+	t.Helper()
+	ctxs := make([]StepContext, len(scalar))
+	out := make([]cabin.Inputs, len(scalar))
+	for step := 0; step < steps; step++ {
+		for i := range ctxs {
+			ctxs[i] = batchCtxAt(i, step)
+		}
+		b.DecideAll(ctxs, out)
+		for i := range scalar {
+			want := scalar[i].Decide(ctxs[i])
+			if out[i] != want {
+				t.Fatalf("step %d lane %d: lane group %+v != scalar %+v", step, i, out[i], want)
+			}
+		}
+	}
+}
+
+// TestBatchablePredicate pins the sweep engine's grouping predicate:
+// pointer kernels exist exactly for the on/off and fuzzy baselines.
 func TestBatchablePredicate(t *testing.T) {
 	m, err := cabin.New(cabin.Default())
 	if err != nil {
@@ -90,23 +89,21 @@ func TestBatchablePredicate(t *testing.T) {
 		t.Error("on/off and fuzzy must be batchable")
 	}
 	if Batchable(NewPID(m)) {
-		t.Error("PID has no SoA fast path and must not report batchable")
+		t.Error("PID has no pointer kernel and must not report batchable")
 	}
 	if Batchable(&Constant{Model: m}) {
 		t.Error("constant controller must not report batchable")
 	}
 }
 
-// TestBatchMixedFamiliesFallsBack checks that a mixed-family lane set
-// routes through ScalarBatch (per-lane scalar stepping) instead of an
-// SoA path that would misapply one family's kernel to the other.
+// TestBatchMixedFamiliesFallsBack checks that a mixed lane group — the
+// two kernel families next to controllers that step through Decide —
+// gives every lane its own controller's decision, never another
+// family's kernel.
 func TestBatchMixedFamiliesFallsBack(t *testing.T) {
-	m, err := cabin.New(cabin.Default())
-	if err != nil {
-		t.Fatal(err)
+	build := func() []Controller {
+		m := model(t)
+		return []Controller{NewOnOff(m), NewFuzzy(m), NewPID(m), &Constant{Model: m}}
 	}
-	b := Batch([]Controller{NewOnOff(m), NewFuzzy(m)})
-	if _, ok := b.(*ScalarBatch); !ok {
-		t.Fatalf("mixed families: got %T, want *ScalarBatch", b)
-	}
+	walkLanes(t, Batch(build()), build(), 40)
 }

@@ -121,21 +121,19 @@ func (c *Fuzzy) Reset() {
 
 // Decide implements Controller.
 func (c *Fuzzy) Decide(ctx StepContext) cabin.Inputs {
-	return c.decideLane(&ctx, &c.prevErr, &c.hasPrev, &c.batt)
+	return c.decide(&ctx)
 }
 
-// decideLane is the decision kernel shared by the scalar controller and
-// BatchFuzzy lanes: the arithmetic of Decide with the derivative memory
-// and battery latch supplied by the caller, so the batch path's SoA
-// state arrays produce the same bits the scalar fields would.
-func (c *Fuzzy) decideLane(ctx *StepContext, prevErr *float64, hasPrev *bool, batt *batteryThermostat) cabin.Inputs {
+// decide is Decide over a context pointer: LaneGroup calls it directly
+// so a lockstep step does not copy the StepContext per lane.
+func (c *Fuzzy) decide(ctx *StepContext) cabin.Inputs {
 	e := ctx.CabinTempC - ctx.TargetC
 	var de float64
-	if *hasPrev && ctx.Dt > 0 {
-		de = (e - *prevErr) / ctx.Dt
+	if c.hasPrev && ctx.Dt > 0 {
+		de = (e - c.prevErr) / ctx.Dt
 	}
-	*prevErr = e
-	*hasPrev = true
+	c.prevErr = e
+	c.hasPrev = true
 
 	var u float64
 	var err error
@@ -172,6 +170,6 @@ func (c *Fuzzy) decideLane(ctx *StepContext, prevErr *float64, hasPrev *bool, ba
 	c.Model.ClampInputsInPlace(&in, mix)
 	// Thermostatic battery heating/cooling (no-op without the thermal
 	// network) keeps the ladder total in cold-climate simulations.
-	batt.apply(ctx, &in)
+	c.batt.apply(ctx, &in)
 	return in
 }

@@ -57,14 +57,12 @@ func (c *OnOff) Reset() { c.on = false; c.batt.reset() }
 
 // Decide implements Controller.
 func (c *OnOff) Decide(ctx StepContext) cabin.Inputs {
-	return c.decideLane(&ctx, &c.on, &c.batt)
+	return c.decide(&ctx)
 }
 
-// decideLane is the decision kernel shared by the scalar controller and
-// BatchOnOff lanes: the arithmetic of Decide with the latch state
-// supplied by the caller, so the batch path's SoA state arrays produce
-// the same bits the scalar fields would.
-func (c *OnOff) decideLane(ctx *StepContext, on *bool, batt *batteryThermostat) cabin.Inputs {
+// decide is Decide over a context pointer: LaneGroup calls it directly
+// so a lockstep step does not copy the StepContext per lane.
+func (c *OnOff) decide(ctx *StepContext) cabin.Inputs {
 	band := c.HysteresisC
 	if band <= 0 {
 		band = (ctx.ComfortHighC - ctx.ComfortLowC) / 2
@@ -79,15 +77,15 @@ func (c *OnOff) decideLane(ctx *StepContext, on *bool, batt *batteryThermostat) 
 	// trace.
 	if cooling {
 		if ctx.CabinTempC >= ctx.TargetC+band {
-			*on = true
+			c.on = true
 		} else if ctx.CabinTempC <= ctx.TargetC-band*2/3 {
-			*on = false
+			c.on = false
 		}
 	} else {
 		if ctx.CabinTempC <= ctx.TargetC-band {
-			*on = true
+			c.on = true
 		} else if ctx.CabinTempC >= ctx.TargetC+band*2/3 {
-			*on = false
+			c.on = false
 		}
 	}
 
@@ -97,7 +95,7 @@ func (c *OnOff) decideLane(ctx *StepContext, on *bool, batt *batteryThermostat) 
 	}
 	mix := c.Model.MixTemp(ctx.OutsideC, ctx.CabinTempC, dr)
 	var in cabin.Inputs
-	if !*on {
+	if !c.on {
 		// Ventilation only: pass mixed air through at minimum flow.
 		in = cabin.Inputs{
 			SupplyTempC: mix,
@@ -123,6 +121,6 @@ func (c *OnOff) decideLane(ctx *StepContext, on *bool, batt *batteryThermostat) 
 	c.Model.ClampInputsInPlace(&in, mix)
 	// Thermostatic battery heating/cooling (no-op without the thermal
 	// network) keeps the ladder total in cold-climate simulations.
-	batt.apply(ctx, &in)
+	c.batt.apply(ctx, &in)
 	return in
 }

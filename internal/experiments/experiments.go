@@ -42,7 +42,7 @@ type Options struct {
 	Workers int
 	// BatchSize is the lockstep-batch lane count for eligible sweep jobs
 	// (0 = runner.DefaultBatchSize, negative disables batching). Batched
-	// lanes are bit-identical to scalar runs, so this is purely a
+	// lanes are bit-identical to 1-lane runs, so this is purely a
 	// throughput knob.
 	BatchSize int
 	// Cache, when non-nil, reuses simulation results across harnesses

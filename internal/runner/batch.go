@@ -10,11 +10,13 @@ import (
 	"evclimate/internal/telemetry"
 )
 
-// This file is the pool's batched execution path: eligible jobs are
+// This file is the pool's multi-lane execution path: eligible jobs are
 // grouped into sim.BatchRunner units and simulated N vehicles at a
-// time over SoA state. Every lane's result is bit-identical to the
-// scalar path (sim's batch equivalence property), so batching is purely
-// a scheduling decision — and one made from the expansion order alone,
+// time over SoA state. A singleton unit is a 1-lane run of the same
+// step loop (runOne → sim.Runner.RunWith), and lanes never interact
+// (sim's lane-independence property), so every lane's result is
+// bit-identical to its job's singleton run. Batching is purely a
+// scheduling decision — and one made from the expansion order alone,
 // keeping sweep outputs worker-count-deterministic.
 
 // DefaultBatchSize is the lane count per batch when Options.BatchSize
@@ -35,7 +37,7 @@ type batchKey struct {
 // batchingEnabled reports whether this sweep's options allow batched
 // execution at all. Journal, record streaming, retry, and watchdog
 // sweeps need per-job execution control (per-job registries, per-job
-// deadlines, attempt loops), so they keep the scalar path.
+// deadlines, attempt loops), so they run every job as a singleton unit.
 func (pe *poolEnv) batchingEnabled() bool {
 	o := &pe.opts
 	return o.BatchSize >= 0 &&
@@ -48,7 +50,7 @@ func (pe *poolEnv) batchingEnabled() bool {
 // batchKeyFor computes a job's batch group, probing the controller
 // family once (per Label+Key) for an SoA fast path. Jobs that cannot
 // batch — thermal lanes, non-batchable controllers, degenerate grids —
-// report ok=false and run scalar.
+// report ok=false and run as singleton units.
 func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bool) {
 	cfg := &job.Config
 	if cfg.Thermal != nil || cfg.Profile == nil {
@@ -96,7 +98,7 @@ func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bo
 }
 
 // planUnits schedules the not-yet-run jobs into execution units:
-// singleton units for scalar jobs, and batches of up to BatchSize lanes
+// singleton units for ungrouped jobs, and batches of up to BatchSize lanes
 // for groups sharing a batchKey. Grouping walks the expansion order and
 // flushes leftover partial groups in first-seen key order, so the plan
 // is a pure function of the job list — independent of workers and of
@@ -148,8 +150,8 @@ func (pe *poolEnv) planUnits(ran []bool) [][]int {
 // into out. Cache hits leave the batch lane by lane; anything that
 // keeps the batch from running as one — a lane failing construction, a
 // panicking controller, an integration error — falls the surviving
-// lanes back to the scalar runOne path, which attributes errors
-// per job. Lanes left untouched by a context abort stay zero for the
+// lanes back to singleton runOne units, which attribute errors per
+// job. Lanes left untouched by a context abort stay zero for the
 // pool's final ctx.Err fill.
 func (pe *poolEnv) runBatch(ctx context.Context, unit []int, out []JobResult) {
 	opts := &pe.opts
@@ -191,15 +193,15 @@ func (pe *poolEnv) runBatch(ctx context.Context, unit []int, out []JobResult) {
 }
 
 // executeBatch runs the live lanes as one sim.BatchRunner invocation.
-// A nil return means "retry these lanes on the scalar path" — the
-// batched core refuses nothing the scalar path would accept, so a
+// A nil return means "retry these lanes as singleton units" — a
+// multi-lane unit refuses nothing a 1-lane run would accept, so a
 // fallback either reproduces the same per-lane errors with proper
 // attribution or succeeds where a sibling lane poisoned the batch.
 func (pe *poolEnv) executeBatch(ctx context.Context, live []int) (results []JobResult) {
 	opts := &pe.opts
 	defer func() {
 		if recover() != nil {
-			results = nil // a panicking lane re-runs scalar, which captures it
+			results = nil // a panicking lane re-runs alone, which captures it
 		}
 	}()
 	start := time.Now()

@@ -1,10 +1,10 @@
 package runner
 
-// Sweep-level batch-vs-scalar equivalence. The sim package's property
-// tests prove each batched lane bit-identical to a scalar run; these
-// tests pin the pool's half of the contract — unit planning follows the
-// expansion order alone, engages only where eligible, and a batched
-// sweep's results are bit-identical to the scalar pool at any worker
+// Sweep-level lane independence. The sim package's property tests prove
+// each batched lane bit-identical to its 1-lane run; these tests pin the
+// pool's half of the contract — unit planning follows the expansion
+// order alone, engages only where eligible, and a batched sweep's
+// results are bit-identical to the one-lane-per-job pool at any worker
 // count or batch size.
 
 import (
@@ -27,8 +27,8 @@ func batchSweepSpec() Spec {
 	}
 }
 
-// TestBatchSweepMatchesScalar runs the same spec through the scalar pool
-// and through batched pools at several (workers, batch size) points and
+// TestBatchSweepMatchesScalar runs the same spec through the
+// one-lane-per-job pool and through batched pools at several (workers, batch size) points and
 // requires bitwise-identical results job for job.
 func TestBatchSweepMatchesScalar(t *testing.T) {
 	ctx := context.Background()

@@ -71,13 +71,15 @@ type Options struct {
 	// BatchSize groups eligible jobs into lockstep SoA batches
 	// (sim.BatchRunner): jobs sharing a batchable controller family and
 	// a time grid are simulated N vehicles at a time, which is where the
-	// sweep's throughput comes from on few-core machines. 0 uses
-	// DefaultBatchSize; negative disables batching. Grouping follows
-	// expansion order and is independent of Workers, so sweep outputs
-	// stay worker-count-deterministic; each lane's result is bit-identical
-	// to the scalar path. Batching disengages automatically for sweeps
-	// running a journal, record streaming, retries, or a job watchdog —
-	// those paths need per-job execution control.
+	// sweep's throughput comes from on few-core machines. Every other
+	// job runs as a singleton unit, which is a 1-lane run of the same
+	// step loop. 0 uses DefaultBatchSize; negative disables grouping.
+	// Grouping follows expansion order and is independent of Workers, so
+	// sweep outputs stay worker-count-deterministic; each lane's result
+	// is bit-identical to the job's 1-lane run. Grouping disengages
+	// automatically for sweeps running a journal, record streaming,
+	// retries, or a job watchdog — those paths need per-job execution
+	// control.
 	BatchSize int
 }
 
@@ -305,8 +307,9 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		}
 	}
 
-	// Schedule the remaining jobs into units — single jobs, or SoA
-	// batches of jobs sharing a batchable controller and a time grid.
+	// Schedule the remaining jobs into units — single jobs (1-lane
+	// runs), or SoA batches of jobs sharing a batchable controller and a
+	// time grid.
 	// Units are planned from the expansion order alone, so scheduling is
 	// independent of the worker count.
 	units := pe.planUnits(ran)

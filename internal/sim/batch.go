@@ -7,30 +7,28 @@ import (
 	"math"
 	"time"
 
+	"evclimate/internal/battery"
 	"evclimate/internal/bms"
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/faults"
-	"evclimate/internal/ode"
 	"evclimate/internal/telemetry"
+	"evclimate/internal/thermal"
+	"evclimate/internal/units"
 )
 
 // BatchRunner steps N independent vehicles in lockstep over
-// structure-of-arrays plant state: one time loop, one batched RK4
-// integration over the concatenated cabin states, and one batched
-// controller decision per control step. Each lane's trajectory is
-// bit-for-bit identical to what the scalar Runner produces for the same
-// configuration — RK4 on concatenated state is element-wise, the
-// controller kernels are shared with the scalar path, and the per-lane
-// arithmetic preserves the scalar evaluation order — so the batch core
-// is a pure throughput optimization: it amortizes the time loop,
-// eliminates per-step allocations, and keeps the lane states hot in
-// cache, which is where the scalar sweep lost its cycles.
-//
-// Thermal-network lanes are rejected: the cold-climate plant couples a
-// second state and per-step network stepping that the SoA core does not
-// carry; those runs keep the scalar path.
+// structure-of-arrays plant state: one time loop, one fused RK4
+// integration over the concatenated cabin states, and one lane-group
+// controller decision per control step. It is the simulation's only
+// step loop — Runner.RunWith is a 1-lane batch — and lanes never
+// interact: each lane's trajectory is bit-for-bit what the same
+// configuration produces alone, because RK4 on concatenated state is
+// element-wise and every other pass is per lane. Batching amortizes the
+// time loop, eliminates per-step allocations, and keeps the lane states
+// hot in cache. Lanes with a thermal network carry their own
+// thermal.State and a pack-coupled cabin RHS.
 type BatchRunner struct {
 	lanes    []*Runner
 	n        int     // control steps, equal across lanes
@@ -39,11 +37,10 @@ type BatchRunner struct {
 }
 
 // NewBatch validates the lane configurations and builds a lockstep
-// batch. Every lane gets its own scalar Runner (so per-lane physics,
-// drive cycles, targets, faults, and telemetry are free to differ), but
-// the lanes must share a time grid: equal ControlDt, PlantSubSteps, and
-// step count after defaulting. Thermal lanes are rejected — they keep
-// the scalar path.
+// batch. Every lane gets its own Runner (so per-lane physics, drive
+// cycles, targets, faults, thermal networks, and telemetry are free to
+// differ), but the lanes must share a time grid: equal ControlDt,
+// PlantSubSteps, and step count after defaulting.
 func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	if len(cfgs) == 0 {
 		return nil, errors.New("sim: batch with no lanes")
@@ -51,10 +48,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	br := &BatchRunner{lanes: make([]*Runner, len(cfgs))}
 	validated := make(map[*drivecycle.Profile]bool, len(cfgs))
 	for i, cfg := range cfgs {
-		if cfg.Thermal != nil {
-			return nil, fmt.Errorf("sim: batch lane %d has a thermal network; thermal lanes keep the scalar path", i)
-		}
-		r, err := buildRunnerShared(cfg, validated)
+		r, err := buildRunner(cfg, validated)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
@@ -87,12 +81,6 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	return br, nil
 }
 
-// stepCount returns the run's control-step count for the configuration,
-// the same n = ceil(duration/dt) the scalar RunWith computes.
-func (r *Runner) stepCount() int {
-	return int(math.Ceil(r.cfg.Profile.Duration() / r.cfg.ControlDt))
-}
-
 // sharesMotorBasis reports whether lane b's motor power profile is
 // necessarily bit-identical to lane a's: equal powertrain parameters
 // (pointer-equal efficiency map) and profiles with the same grid and the
@@ -120,12 +108,6 @@ func sharesMotorBasis(a, b *Runner) bool {
 	return true
 }
 
-// Lanes returns the lane count.
-func (br *BatchRunner) Lanes() int { return len(br.lanes) }
-
-// Lane returns lane i's scalar Runner.
-func (br *BatchRunner) Lane(i int) *Runner { return br.lanes[i] }
-
 // Steps returns the shared control-step count.
 func (br *BatchRunner) Steps() int { return br.n }
 
@@ -137,10 +119,9 @@ type BatchRunOptions struct {
 	// when OnCheckpoint is set).
 	Context context.Context
 	// CheckpointEvery, with OnCheckpoint, emits one checkpoint per lane
-	// after every CheckpointEvery-th completed control step — the same
-	// boundaries, contents, and JSON bytes the scalar Runner's
-	// checkpoints carry, so a batch checkpoint resumes a scalar run and
-	// vice versa.
+	// after every CheckpointEvery-th completed control step. A lane's
+	// checkpoint resumes that lane in a batch of any width, a 1-lane run
+	// included.
 	CheckpointEvery int
 	// OnCheckpoint receives lane checkpoints in lane order; a non-nil
 	// error aborts the run.
@@ -152,35 +133,54 @@ type BatchRunOptions struct {
 
 // rhsLane is one lane's slice of the batched plant right-hand side: the
 // cabin parameters the derivative reads, the zero-order-held actuator
-// inputs of the current control period, and the lane's environment. One
-// 64-byte struct per lane keeps the integration inner loop to a single
-// indexed load. prof is nil when the environment is constant over the
-// profile (the sweep-grid common case), in which case ambC/solW hold the
-// EnvSampler fast-path values.
+// inputs of the current control period, the lane's environment, and
+// its pack coupling. prof is nil when the environment is constant over
+// the profile (the sweep-grid common case), in which case ambC/solW hold
+// the EnvSampler fast-path values. kbc is zero for lanes without a
+// thermal network.
 type rhsLane struct {
 	ua, cc, cp float64 // shell UA (W/K), capacitance (J/K), air cp (J/(kg·K))
 	fcp, ts    float64 // ṁ·cp (W/K) and supply temp, rewritten every control step
 	ambC, solW float64 // constant-environment fast path
 	prof       *drivecycle.Profile
+	kbc, tb    float64 // pack→cabin UA (W/K) and pack temp, frozen per control step
+}
+
+// NonFiniteLaneError reports which lane's state went non-finite during a
+// batched integration, so the caller can attribute the failure to one
+// scenario and re-run the rest.
+type NonFiniteLaneError struct {
+	// Lane is the index of the offending state slot.
+	Lane int
+	// T is the integration time after the step that produced the
+	// non-finite value.
+	T float64
+}
+
+// Error implements error, matching ode.Integrate's message shape.
+func (e *NonFiniteLaneError) Error() string {
+	return fmt.Sprintf("ode: non-finite state at t=%v (lane %d)", e.T, e.Lane)
 }
 
 // integrateLanes advances the concatenated cabin states from t0 to t1
-// with fixed substep dt: ode.BatchRK4.IntegrateInto with the cabin RHS
-// inlined, each stage's derivative evaluation fused with the state
-// combination that feeds the next stage. The per-lane arithmetic — the
-// stage formulas, the shortened last step, and the post-step non-finite
-// check — mirrors BatchRK4 exactly, so each lane remains bit-identical
-// to a scalar one-lane integration (RK4 on concatenated state is
-// element-wise). k1/k2/k3/tmp are caller-owned workspace of lane length.
+// with fixed substep dt: classical RK4 with the cabin RHS inlined, each
+// stage's derivative evaluation fused with the state combination that
+// feeds the next stage. The time loop — t accumulating by h, the last
+// step shortened to land on t1, the post-step non-finite check — is
+// ode.Integrate's, and the per-lane arithmetic is ode.RK4's, so each
+// lane is bit-identical to integrating that lane alone with
+// ode.Integrate(..., &ode.RK4{}, ...). k1/k2/k3/tmp are caller-owned
+// workspace of lane length.
 //
 // Each stage repeats the derivative body instead of calling a helper:
 // cabin.Model.CabinDerivative over one rhsLane — the same expression
 // tree ((solar + UA·(amb−T)) + (ṁ·cp)·(Ts−T)) / C in the same
-// association, so every intermediate rounds identically to the scalar
-// path; fcp carries the scalar path's ṁ·cp product, which that
-// expression also forms first. (A shared helper exceeds the inlining
-// budget because of the varying-environment EnvAt call, turning the
-// innermost loops into four function calls per lane per substep.)
+// association, so every intermediate rounds identically — plus, on
+// thermal lanes, the pack→cabin conduction kbc·(Tb−T)/C added to it.
+// fcp carries the ṁ·cp product, which that expression also forms
+// first. (A shared helper exceeds the inlining budget because of the
+// varying-environment EnvAt call, turning the innermost loops into four
+// function calls per lane per substep.)
 func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt float64) error {
 	x = x[:len(rhs)]
 	k1 = k1[:len(rhs)]
@@ -206,6 +206,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := x[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if l.kbc != 0 {
+				d += l.kbc * (l.tb - xi) / l.cc
+			}
 			k1[i] = d
 			tmp[i] = xi + h/2*d
 		}
@@ -218,6 +221,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if l.kbc != 0 {
+				d += l.kbc * (l.tb - xi) / l.cc
+			}
 			k2[i] = d
 			tmp[i] = x[i] + h/2*d
 		}
@@ -230,6 +236,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if l.kbc != 0 {
+				d += l.kbc * (l.tb - xi) / l.cc
+			}
 			k3[i] = d
 			tmp[i] = x[i] + h*d
 		}
@@ -242,59 +251,77 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if l.kbc != 0 {
+				d += l.kbc * (l.tb - xi) / l.cc
+			}
 			x[i] = x[i] + h/6*(k1[i]+2*k2[i]+2*k3[i]+d)
 		}
 		t += h
 		for i, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return &ode.NonFiniteLaneError{Lane: i, T: t}
+				return &NonFiniteLaneError{Lane: i, T: t}
 			}
 		}
 	}
 	return nil
 }
 
-// batchLane is one lane's mutable run state: the scalar Runner's
-// runState fields in per-lane form, plus the step scratch the fused
-// loop's passes hand each other.
+// batchLane is one lane's mutable run state plus the step scratch the
+// fused loop's passes hand each other.
 type batchLane struct {
-	r   *Runner
-	b   *bms.BMS
-	inj *faults.Injector
-	res *Result
+	r    *Runner
+	ctrl control.Controller
+	b    *bms.BMS
+	inj  *faults.Injector
+	res  *Result
 
 	hvacJ, motorJ, totalJ              float64
 	comfortViol, comfortCount, trackSq float64
+
+	// Thermal-network plant state and accumulators (nil/zero when the
+	// lane has no thermal network).
+	th                *thermal.State
+	calPct            float64
+	hpSteps, ptcSteps int
+	copSum            float64
 
 	telOn      bool
 	tel        telemetry.Sink
 	telSteps   *telemetry.Counter
 	telLatency *telemetry.Histogram
+	telPack    *telemetry.Gauge
+	telCOP     *telemetry.Gauge
+	telHPSteps *telemetry.Counter
+	telPTC     *telemetry.Counter
 	solver     control.SolveReporter
 	ladder     control.LadderReporter
 
 	// Per-step scratch written by the pre-integration passes and read by
 	// the post-integration pass. prevTz is the pre-step cabin
 	// temperature, saved because the batched integration updates the SoA
-	// state in place.
+	// state in place. hpEff/hpPTC are the heating conversion of a
+	// thermal lane's heating step.
 	amb, sol, pe, socBefore float64
 	prevTz                  float64
 	in                      cabin.Inputs
 	pw                      cabin.Powers
-	hvacW                   float64
+	heaterElecW, hvacW      float64
+	hpEff                   float64
+	hpPTC                   bool
 }
 
-// Run simulates every lane to completion under the batch controller and
-// returns one Result per lane. The controller is Reset before the run.
-func (br *BatchRunner) Run(bc control.BatchController) ([]*Result, error) {
+// Run simulates every lane to completion under the lane group and
+// returns one Result per lane. The controllers are Reset before the run.
+func (br *BatchRunner) Run(bc *control.LaneGroup) ([]*Result, error) {
 	return br.RunWith(bc, BatchRunOptions{})
 }
 
-// RunWith simulates the lanes in lockstep with durability controls,
-// mirroring the scalar Runner.RunWith per lane: each lane's Result,
-// trace, checkpoints, and telemetry are bit-identical to a scalar run
-// of the same configuration and controller.
-func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions) ([]*Result, error) {
+// RunWith simulates the lanes in lockstep with durability controls: a
+// per-step cancellation context (the watchdog hook), periodic per-lane
+// checkpoints, and resumption from a prior checkpoint set. A resumed
+// run's remaining trajectory is bit-for-bit identical to the
+// uninterrupted run's.
+func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*Result, error) {
 	nl := len(br.lanes)
 	if bc.Lanes() != nl {
 		return nil, fmt.Errorf("sim: batch controller has %d lanes, runner has %d", bc.Lanes(), nl)
@@ -313,8 +340,9 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 	for i := range lanes {
 		ln := &lanes[i]
 		r := br.lanes[i]
-		cfg := r.cfg
+		cfg := &r.cfg
 		ln.r = r
+		ln.ctrl = bc.Lane(i)
 		b, err := bms.New(cfg.BMS)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
@@ -324,7 +352,10 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		if cfg.UseAmbientStart {
 			x[i] = cfg.Profile.Samples[0].AmbientC
 		}
-		ln.res = &Result{Controller: bc.Lane(i).Name()}
+		ln.res = &Result{Controller: ln.ctrl.Name()}
+		// The fault injector sits between the plant and the controller:
+		// it corrupts what the controller observes, never what the plant
+		// does.
 		if !cfg.Faults.Empty() {
 			ln.inj = cfg.Faults.New(cfg.FaultSeed)
 		}
@@ -338,14 +369,36 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		rl.ua = cp.ShellUAWK
 		rl.cp = cp.AirCpJKgK
 		rl.cc = cp.ThermalCapacitanceJK
+		if cfg.Thermal != nil {
+			th, err := thermal.NewState(*cfg.Thermal, cfg.Profile.Samples[0].AmbientC)
+			if err != nil {
+				return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
+			}
+			ln.th = th
+			// The pack→cabin conduction enters the cabin ODE with the pack
+			// temperature frozen over the control period (the network
+			// itself steps once per period).
+			rl.kbc = cfg.Thermal.Network.UAPackCabinWK
+		}
+		// Telemetry is resolved once; when the sink is inactive the loop
+		// pays only a boolean test per step.
 		ln.tel = cfg.Telemetry
 		ln.telOn = ln.tel != nil && ln.tel.Active()
 		if ln.telOn {
 			ln.telSteps = ln.tel.Counter("sim_steps_total")
 			ln.telLatency = ln.tel.Histogram("sim_step_latency_seconds", telemetry.LatencyBuckets)
-			ln.solver, _ = bc.Lane(i).(control.SolveReporter)
-			ln.ladder, _ = bc.Lane(i).(control.LadderReporter)
-			if tb, ok := bc.Lane(i).(control.TelemetryBinder); ok {
+			if ln.th != nil {
+				ln.telPack = ln.tel.Gauge("sim_pack_temp_c")
+				ln.telCOP = ln.tel.Gauge("sim_heatpump_cop")
+				ln.telHPSteps = ln.tel.Counter("sim_heatpump_steps_total")
+				ln.telPTC = ln.tel.Counter("sim_ptc_steps_total")
+			}
+			ln.solver, _ = ln.ctrl.(control.SolveReporter)
+			ln.ladder, _ = ln.ctrl.(control.LadderReporter)
+			// Late-bind the run's sink into the controller so solver and
+			// ladder metrics land under this run's labels even when the
+			// controller came from a zero-argument sweep constructor.
+			if tb, ok := ln.ctrl.(control.TelemetryBinder); ok {
 				tb.BindTelemetry(ln.tel)
 			}
 		}
@@ -354,16 +407,17 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 	k := 0 // the shared step index; lanes advance in lockstep
 	if opts.Resume != nil {
 		var err error
-		k, err = br.restore(bc, lanes, x, opts.Resume)
+		k, err = br.restore(lanes, x, opts.Resume)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// Preallocate every lane's trace and SoC trace to the known step
-	// count so the per-step appends never regrow mid-run.
+	// count (after any resume has restored its shorter prefix), so the
+	// per-step appends never regrow mid-run.
 	for i := range lanes {
-		growTrace(&lanes[i].res.Trace, br.n, false)
+		growTrace(&lanes[i].res.Trace, br.n, lanes[i].th != nil)
 		lanes[i].b.Grow(br.n)
 	}
 
@@ -373,6 +427,7 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 	k3 := make([]float64, nl)
 	tmp := make([]float64, nl)
 	sub := br.dt / float64(br.subSteps)
+	cal := battery.DefaultCalendarParams()
 	anyTel := false
 	for i := range lanes {
 		if lanes[i].telOn {
@@ -385,10 +440,11 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		if opts.Context != nil {
 			if cerr := opts.Context.Err(); cerr != nil {
 				// Graceful drain: flush one checkpoint per lane so the
-				// caller can resume the whole batch from this boundary.
+				// caller can resume the whole batch from this boundary;
+				// the context error wins over any checkpoint-sink failure.
 				if opts.OnCheckpoint != nil {
 					for i := range lanes {
-						if ck, snapErr := br.laneCheckpoint(bc, &lanes[i], i, k, x[i]); snapErr == nil {
+						if ck, snapErr := lanes[i].checkpoint(k, x[i]); snapErr == nil {
 							_ = opts.OnCheckpoint(i, ck)
 						}
 					}
@@ -398,8 +454,8 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		}
 
 		// Pass 1: observe — per lane, sample the environment, motor
-		// power, and SoC, and build the (possibly fault-corrupted)
-		// controller context, exactly as the scalar loop does.
+		// power, SoC, and pack temperature, and build the (possibly
+		// fault-corrupted) controller context.
 		for i := range lanes {
 			ln := &lanes[i]
 			cfg := &ln.r.cfg
@@ -426,8 +482,13 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			c.ComfortLowC = cfg.TargetC - cfg.ComfortBandC
 			c.ComfortHighC = cfg.TargetC + cfg.ComfortBandC
 			c.SolverIterBudget = 0
-			c.PackTempC = 0
-			c.PackThermal = false
+			if ln.th != nil {
+				c.PackTempC = ln.th.PackC()
+				c.PackThermal = true
+			} else {
+				c.PackTempC = 0
+				c.PackThermal = false
+			}
 			if cfg.ForecastSteps > 0 {
 				c.Forecast = ln.r.forecast(t, cfg.ForecastSteps)
 			} else {
@@ -438,11 +499,10 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			}
 		}
 
-		// Pass 2: decide — one batched controller step, then per-lane
-		// actuator clamping and power accounting. Controller latency is
-		// wall-clock (non-deterministic, excluded from deterministic
-		// telemetry comparisons); the batch attributes an equal share to
-		// each lane.
+		// Pass 2: decide — one lane-group step, then per-lane actuator
+		// clamping and power accounting. Controller latency is wall-clock
+		// (non-deterministic, excluded from deterministic telemetry
+		// comparisons); the batch attributes an equal share to each lane.
 		var stepStart time.Time
 		if anyTel {
 			stepStart = time.Now()
@@ -450,19 +510,29 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		bc.DecideAll(ctxs, decs)
 		for i := range lanes {
 			ln := &lanes[i]
+			cfg := &ln.r.cfg
 			ln.prevTz = x[i] // integration below overwrites x in place
 			ln.in = decs[i]
 			mix := ln.r.hvac.ClampForEnvironmentInPlace(&ln.in, ln.amb, x[i])
 			// Zero-order-held RHS inputs for this control period, in the
-			// scalar derivative's association: ṁ·cp first, then ·(Ts−T).
+			// derivative's association: ṁ·cp first, then ·(Ts−T).
 			rl := &rhs[i]
 			rl.fcp = ln.in.AirFlowKgS * rl.cp
 			rl.ts = ln.in.SupplyTempC
 			ln.pw = ln.r.hvac.PowersFor(ln.in, mix)
-			// Matches the scalar loop's heater accounting (which the
-			// thermal branch rewrites; batch lanes are never thermal).
-			heaterElecW := ln.pw.HeaterW
-			ln.hvacW = ln.pw.Total() - ln.pw.HeaterW + heaterElecW
+			// Cabin heating runs through the heat pump in thermal runs: the
+			// plant's delivered heat pw.HeaterW·EtaHeat is unchanged, only
+			// the electrical conversion follows the COP at the current
+			// ambient (or the PTC efficiency below the cutoff).
+			ln.heaterElecW = ln.pw.HeaterW
+			if ln.th != nil {
+				rl.tb = ln.th.PackC()
+				if ln.pw.HeaterW > 0 {
+					ln.hpEff, ln.hpPTC = ln.th.Heating(ln.amb)
+					ln.heaterElecW = ln.pw.HeaterW * cfg.Cabin.EtaHeat / ln.hpEff
+				}
+			}
+			ln.hvacW = ln.pw.Total() - ln.pw.HeaterW + ln.heaterElecW
 		}
 		var stepLatency time.Duration
 		if anyTel {
@@ -475,47 +545,43 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			return nil, fmt.Errorf("sim: plant integration failed at t=%v: %w", t, err)
 		}
 
-		// Pass 4: account — per lane, battery step, telemetry, trace, and
-		// metric accumulators, in the scalar loop's exact order. The
-		// pre-step cabin temperature feeds the trace and comfort
-		// statistics; the integrated state lands in ctxs[i].CabinTempC's
-		// successor next iteration.
+		// Pass 4: account — per lane, thermal network and battery step,
+		// telemetry, trace, and metric accumulators. The pre-step cabin
+		// temperature feeds the network, the trace, and the comfort
+		// statistics.
 		for i := range lanes {
 			ln := &lanes[i]
 			cfg := &ln.r.cfg
 			total := ln.pe + ln.hvacW + cfg.Powertrain.AccessoryW
+			if ln.th != nil {
+				// Pack Joule self-heating at the pre-branch current feeds the
+				// thermal network and drains the battery; the (clamped)
+				// battery heater/chiller electrical draw adds on top.
+				iPack := total / cfg.BMS.Pack.NominalVoltageV
+				jouleW := iPack * iPack * ln.th.PackResistanceOhm()
+				fl := ln.th.Step(ln.prevTz, ln.amb, jouleW, ln.in.BattHeatW, ln.in.BattChillW, cfg.ControlDt)
+				total += fl.HeaterElecW + fl.ChillerElecW + jouleW
+			}
 			_, soc := ln.b.Step(total, cfg.ControlDt)
+			if ln.th != nil {
+				// Calendar aging accrues continuously at the pack temperature
+				// and the storage SoC, with the sqrt(t) kernel evaluated at
+				// the pack's running age.
+				age := cal
+				age.AgeDays += t / units.SecondsPerDay
+				ln.calPct += age.LossPercent(ln.th.PackC(), soc, cfg.ControlDt)
+				if ln.pw.HeaterW > 0 {
+					if ln.hpPTC {
+						ln.ptcSteps++
+					} else {
+						ln.hpSteps++
+						ln.copSum += ln.hpEff
+					}
+				}
+			}
 
 			if ln.telOn {
-				ln.telSteps.Inc()
-				ln.telLatency.Observe(stepLatency.Seconds())
-				span := telemetry.StepSpan{
-					Step:         k,
-					TimeS:        t,
-					CabinC:       ln.prevTz,
-					OutsideC:     ln.amb,
-					SoCPct:       soc,
-					SoCDeltaPct:  soc - ln.socBefore,
-					HVACW:        ln.hvacW,
-					SupplyC:      ln.in.SupplyTempC,
-					CoilC:        ln.in.CoilTempC,
-					Recirc:       ln.in.Recirc,
-					AirFlowKgS:   ln.in.AirFlowKgS,
-					Rung:         -1,
-					FaultsActive: ln.inj.ActiveAt(t),
-					LatencyNs:    stepLatency.Nanoseconds(),
-				}
-				if ln.solver != nil {
-					si := ln.solver.LastSolve()
-					span.SolverIters = si.Iterations
-					span.QPIters = si.QPIterations
-					span.SolverStatus = si.Status
-				}
-				if ln.ladder != nil {
-					span.Rung = ln.ladder.Level()
-					span.Stage = ln.ladder.ActiveStage()
-				}
-				ln.tel.Step(&span)
+				ln.recordStep(k, t, soc, stepLatency)
 			}
 
 			tr := &ln.res.Trace
@@ -523,12 +589,15 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			tr.CabinC = append(tr.CabinC, ln.prevTz)
 			tr.OutsideC = append(tr.OutsideC, ln.amb)
 			tr.MotorW = append(tr.MotorW, ln.pe)
-			tr.HeaterW = append(tr.HeaterW, ln.pw.HeaterW)
+			tr.HeaterW = append(tr.HeaterW, ln.heaterElecW)
 			tr.CoolerW = append(tr.CoolerW, ln.pw.CoolerW)
 			tr.FanW = append(tr.FanW, ln.pw.FanW)
 			tr.HVACW = append(tr.HVACW, ln.hvacW)
 			tr.TotalW = append(tr.TotalW, total)
 			tr.SoC = append(tr.SoC, soc)
+			if ln.th != nil {
+				tr.PackC = append(tr.PackC, ln.th.PackC())
+			}
 			tr.Inputs = append(tr.Inputs, ln.in)
 
 			ln.hvacJ += ln.hvacW * cfg.ControlDt
@@ -551,7 +620,7 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 
 		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && k < br.n && k%opts.CheckpointEvery == 0 {
 			for i := range lanes {
-				ck, err := br.laneCheckpoint(bc, &lanes[i], i, k, x[i])
+				ck, err := lanes[i].checkpoint(k, x[i])
 				if err != nil {
 					return nil, fmt.Errorf("sim: checkpoint at step %d: %w", k, err)
 				}
@@ -562,132 +631,107 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		}
 	}
 
-	// Write SoA state back into the lane controllers so Lane(i) reflects
-	// the run, then finalize per-lane results exactly as the scalar path.
-	if ls, ok := bc.(control.LaneSyncer); ok {
-		ls.SyncLanes()
-	}
 	out := make([]*Result, nl)
 	for i := range lanes {
-		ln := &lanes[i]
-		cfg := &ln.r.cfg
-		res := ln.res
-		simT := float64(br.n) * cfg.ControlDt
-		res.AvgHVACW = ln.hvacJ / simT
-		res.AvgMotorW = ln.motorJ / simT
-		res.AvgTotalW = ln.totalJ / simT
-		res.HVACEnergyKWh = ln.hvacJ / 3.6e6
-		res.FinalSoC = ln.b.SoC()
-		res.Events = ln.b.Events()
-		dev, avg, err := ln.b.CycleStats()
+		res, err := lanes[i].finish(br.n)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		res.SoCDev, res.SoCAvg = dev, avg
-		dsoh, err := ln.b.DeltaSoH()
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		res.DeltaSoH = dsoh
-		if ln.comfortCount > 0 {
-			res.ComfortViolationFrac = ln.comfortViol / ln.comfortCount
-			res.RMSTrackingErrC = math.Sqrt(ln.trackSq / ln.comfortCount)
 		}
 		out[i] = res
 	}
 	return out, nil
 }
 
-// laneCheckpoint captures lane i's state at the current step boundary
-// in the scalar Checkpoint format (same fields, same JSON), so batch
-// checkpoints interoperate with scalar resume and vice versa.
-func (br *BatchRunner) laneCheckpoint(bc control.BatchController, ln *batchLane, i, k int, tz float64) (*Checkpoint, error) {
-	snap, ok := bc.(control.BatchSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("sim: controller %q does not support state snapshots", bc.Lane(i).Name())
-	}
-	ctrlState, err := snap.LaneSnapshot(i)
-	if err != nil {
-		return nil, fmt.Errorf("sim: controller snapshot: %w", err)
-	}
-	ck := &Checkpoint{
-		Version:      CheckpointVersion,
-		Controller:   bc.Lane(i).Name(),
+// recordStep emits the lane's telemetry for step k: the step counter,
+// latency histogram, thermal gauges and counters, and one StepSpan.
+func (ln *batchLane) recordStep(k int, t, soc float64, latency time.Duration) {
+	ln.telSteps.Inc()
+	ln.telLatency.Observe(latency.Seconds())
+	span := telemetry.StepSpan{
 		Step:         k,
-		CabinC:       tz,
-		HVACJ:        ln.hvacJ,
-		MotorJ:       ln.motorJ,
-		TotalJ:       ln.totalJ,
-		ComfortViol:  ln.comfortViol,
-		ComfortCount: ln.comfortCount,
-		TrackSq:      ln.trackSq,
-		Trace:        copyTrace(&ln.res.Trace),
-		BMS:          ln.b.State(),
-		CtrlState:    ctrlState,
+		TimeS:        t,
+		CabinC:       ln.prevTz,
+		OutsideC:     ln.amb,
+		SoCPct:       soc,
+		SoCDeltaPct:  soc - ln.socBefore,
+		HVACW:        ln.hvacW,
+		SupplyC:      ln.in.SupplyTempC,
+		CoilC:        ln.in.CoilTempC,
+		Recirc:       ln.in.Recirc,
+		AirFlowKgS:   ln.in.AirFlowKgS,
+		Rung:         -1,
+		FaultsActive: ln.inj.ActiveAt(t),
+		LatencyNs:    latency.Nanoseconds(),
 	}
-	if ln.inj != nil {
-		fs := ln.inj.State()
-		ck.Faults = &fs
+	if ln.solver != nil {
+		si := ln.solver.LastSolve()
+		span.SolverIters = si.Iterations
+		span.QPIters = si.QPIterations
+		span.SolverStatus = si.Status
 	}
-	return ck, nil
+	if ln.ladder != nil {
+		span.Rung = ln.ladder.Level()
+		span.Stage = ln.ladder.ActiveStage()
+	}
+	if ln.th != nil {
+		span.PackC = ln.th.PackC()
+		span.BattHeatW = ln.in.BattHeatW
+		span.BattChillW = ln.in.BattChillW
+		ln.telPack.Set(ln.th.PackC())
+		if ln.pw.HeaterW > 0 {
+			span.COP = ln.hpEff
+			ln.telCOP.Set(ln.hpEff)
+			if ln.hpPTC {
+				ln.telPTC.Inc()
+			} else {
+				ln.telHPSteps.Inc()
+			}
+		}
+	}
+	ln.tel.Step(&span)
 }
 
-// restore loads one checkpoint per lane (all at the same step) into the
-// batch state, mirroring the scalar Runner's restore validation per
-// lane, and returns the resumed step index.
-func (br *BatchRunner) restore(bc control.BatchController, lanes []batchLane, x []float64, cks []*Checkpoint) (int, error) {
-	if len(cks) != len(lanes) {
-		return 0, fmt.Errorf("sim: batch resume has %d checkpoints for %d lanes", len(cks), len(lanes))
+// finish turns the lane's accumulators into its Result after n steps.
+func (ln *batchLane) finish(n int) (*Result, error) {
+	cfg := &ln.r.cfg
+	res := ln.res
+	simT := float64(n) * cfg.ControlDt
+	res.AvgHVACW = ln.hvacJ / simT
+	res.AvgMotorW = ln.motorJ / simT
+	res.AvgTotalW = ln.totalJ / simT
+	res.HVACEnergyKWh = ln.hvacJ / 3.6e6
+	res.FinalSoC = ln.b.SoC()
+	res.Events = ln.b.Events()
+	dev, avg, err := ln.b.CycleStats()
+	if err != nil {
+		return nil, err
 	}
-	snap, ok := bc.(control.BatchSnapshotter)
-	if !ok {
-		return 0, fmt.Errorf("sim: controller %q does not support state snapshots", bc.Lane(0).Name())
+	res.SoCDev, res.SoCAvg = dev, avg
+	dsoh, err := ln.b.DeltaSoH()
+	if err != nil {
+		return nil, err
 	}
-	step := -1
-	for i, ck := range cks {
-		ln := &lanes[i]
-		if ck == nil {
-			return 0, fmt.Errorf("sim: batch resume lane %d: nil checkpoint", i)
+	res.DeltaSoH = dsoh
+	if th := ln.th; th != nil {
+		// Cold (or hot) cycling accelerates cycle fade: scale the cycle term
+		// by the U-shaped pack-temperature stress factor, and report the
+		// calendar (storage) term alongside.
+		res.DeltaSoH = dsoh * battery.CycleStressFactor(th.MeanPackC())
+		res.CalendarDeltaSoH = ln.calPct
+		res.PackMeanC = th.MeanPackC()
+		res.PackMinC = th.MinPackC()
+		res.PackFinalC = th.PackC()
+		res.ThermalEnergyDefectJ = th.EnergyDefectJ()
+		if heatSteps := ln.hpSteps + ln.ptcSteps; heatSteps > 0 {
+			res.HeatPumpFrac = float64(ln.hpSteps) / float64(heatSteps)
 		}
-		if ck.Version != CheckpointVersion {
-			return 0, fmt.Errorf("sim: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+		if ln.hpSteps > 0 {
+			res.AvgCOP = ln.copSum / float64(ln.hpSteps)
 		}
-		if ck.Controller != bc.Lane(i).Name() {
-			return 0, fmt.Errorf("sim: checkpoint from controller %q cannot resume %q", ck.Controller, bc.Lane(i).Name())
-		}
-		if ck.Step < 0 || ck.Step > br.n {
-			return 0, fmt.Errorf("sim: checkpoint step %d outside run of %d steps", ck.Step, br.n)
-		}
-		if step < 0 {
-			step = ck.Step
-		} else if ck.Step != step {
-			return 0, fmt.Errorf("sim: batch resume lane %d at step %d, lane 0 at step %d; lanes must share a boundary", i, ck.Step, step)
-		}
-		if len(ck.Trace.Time) != ck.Step {
-			return 0, fmt.Errorf("sim: checkpoint trace has %d steps, expected %d", len(ck.Trace.Time), ck.Step)
-		}
-		if (ck.Faults != nil) != (ln.inj != nil) {
-			return 0, errors.New("sim: checkpoint fault state does not match the run's fault configuration")
-		}
-		if ck.Thermal != nil {
-			return 0, errors.New("sim: checkpoint thermal state does not match the run's thermal configuration")
-		}
-		if len(ck.CtrlState) == 0 {
-			return 0, errors.New("sim: checkpoint is missing the controller state")
-		}
-		if err := snap.RestoreLane(i, ck.CtrlState); err != nil {
-			return 0, fmt.Errorf("sim: controller restore: %w", err)
-		}
-		if err := ln.b.SetState(ck.BMS); err != nil {
-			return 0, err
-		}
-		if ln.inj != nil {
-			ln.inj.SetState(*ck.Faults)
-		}
-		ln.res.Trace = copyTrace(&ck.Trace)
-		x[i] = ck.CabinC
-		ln.hvacJ, ln.motorJ, ln.totalJ = ck.HVACJ, ck.MotorJ, ck.TotalJ
-		ln.comfortViol, ln.comfortCount, ln.trackSq = ck.ComfortViol, ck.ComfortCount, ck.TrackSq
 	}
-	return step, nil
+	if ln.comfortCount > 0 {
+		res.ComfortViolationFrac = ln.comfortViol / ln.comfortCount
+		res.RMSTrackingErrC = math.Sqrt(ln.trackSq / ln.comfortCount)
+	}
+	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"evclimate/internal/battery"
 	"evclimate/internal/bms"
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
@@ -14,7 +13,7 @@ import (
 	"evclimate/internal/thermal"
 )
 
-// CheckpointVersion is the checkpoint schema version; Restore refuses
+// CheckpointVersion is the checkpoint schema version; a resume refuses
 // checkpoints written by a different schema.
 const CheckpointVersion = 1
 
@@ -93,42 +92,14 @@ type ThermalCheckpoint struct {
 	COPSum      float64          `json:"cop_sum"`
 }
 
-// runState is the mutable loop state of an in-flight run, held on the
-// Runner so Snapshot can capture it mid-run (from an OnCheckpoint hook).
-type runState struct {
-	ctrl control.Controller
-	b    *bms.BMS
-	inj  *faults.Injector
-	res  *Result
-
-	k, n                               int
-	tz                                 float64
-	hvacJ, motorJ, totalJ              float64
-	comfortViol, comfortCount, trackSq float64
-
-	// Thermal-network plant state and accumulators (nil/zero when the run
-	// has no thermal network).
-	th                *thermal.State
-	cal               battery.CalendarParams
-	calPct            float64
-	hpSteps, ptcSteps int
-	copSum            float64
-}
-
-// Snapshot captures the in-flight run's complete simulation state at the
-// current control-step boundary. It is valid only while a run is
-// executing (i.e. called from an OnCheckpoint hook or from code the run
-// loop invokes); outside a run it returns an error. The returned
-// checkpoint shares nothing with the run — it can be serialized or held
-// across the run's end.
-func (r *Runner) Snapshot() (*Checkpoint, error) {
-	st := r.st
-	if st == nil {
-		return nil, errors.New("sim: Snapshot outside a run (no run in flight)")
-	}
-	snap, ok := st.ctrl.(control.Snapshotter)
+// checkpoint captures the lane's complete state at the step-k
+// boundary, with tz the cabin temperature at the start of step k. The
+// returned checkpoint shares nothing with the run — it can be
+// serialized or held across the run's end.
+func (ln *batchLane) checkpoint(k int, tz float64) (*Checkpoint, error) {
+	snap, ok := ln.ctrl.(control.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("sim: controller %q does not support state snapshots", st.ctrl.Name())
+		return nil, fmt.Errorf("sim: controller %q does not support state snapshots", ln.ctrl.Name())
 	}
 	ctrlState, err := snap.StateSnapshot()
 	if err != nil {
@@ -136,101 +107,99 @@ func (r *Runner) Snapshot() (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{
 		Version:      CheckpointVersion,
-		Controller:   st.ctrl.Name(),
-		Step:         st.k,
-		CabinC:       st.tz,
-		HVACJ:        st.hvacJ,
-		MotorJ:       st.motorJ,
-		TotalJ:       st.totalJ,
-		ComfortViol:  st.comfortViol,
-		ComfortCount: st.comfortCount,
-		TrackSq:      st.trackSq,
-		Trace:        copyTrace(&st.res.Trace),
-		BMS:          st.b.State(),
+		Controller:   ln.ctrl.Name(),
+		Step:         k,
+		CabinC:       tz,
+		HVACJ:        ln.hvacJ,
+		MotorJ:       ln.motorJ,
+		TotalJ:       ln.totalJ,
+		ComfortViol:  ln.comfortViol,
+		ComfortCount: ln.comfortCount,
+		TrackSq:      ln.trackSq,
+		Trace:        copyTrace(&ln.res.Trace),
+		BMS:          ln.b.State(),
 		CtrlState:    ctrlState,
 	}
-	if st.inj != nil {
-		fs := st.inj.State()
+	if ln.inj != nil {
+		fs := ln.inj.State()
 		ck.Faults = &fs
 	}
-	if st.th != nil {
+	if ln.th != nil {
 		ck.Thermal = &ThermalCheckpoint{
-			State:       st.th.Snapshot(),
-			CalendarPct: st.calPct,
-			HPSteps:     st.hpSteps,
-			PTCSteps:    st.ptcSteps,
-			COPSum:      st.copSum,
+			State:       ln.th.Snapshot(),
+			CalendarPct: ln.calPct,
+			HPSteps:     ln.hpSteps,
+			PTCSteps:    ln.ptcSteps,
+			COPSum:      ln.copSum,
 		}
 	}
 	return ck, nil
 }
 
-// Restore primes the Runner's next Run/RunWith call to continue from ck,
-// exactly as if RunOptions.Resume had been passed. It cannot be called
-// while a run is in flight.
-func (r *Runner) Restore(ck *Checkpoint) error {
-	if ck == nil {
-		return errors.New("sim: Restore with nil checkpoint")
+// restore validates one checkpoint per lane (all at the same step)
+// against the run being started, loads them into the lane state and the
+// SoA cabin temperatures x, and returns the resumed step index. The
+// controllers have already been Reset and had their telemetry bound.
+func (br *BatchRunner) restore(lanes []batchLane, x []float64, cks []*Checkpoint) (int, error) {
+	if len(cks) != len(lanes) {
+		return 0, fmt.Errorf("sim: batch resume has %d checkpoints for %d lanes", len(cks), len(lanes))
 	}
-	if r.st != nil {
-		return errors.New("sim: Restore while a run is in flight")
-	}
-	r.pendingResume = ck
-	return nil
-}
-
-// restore validates ck against the run being started and loads it into
-// the run state. The controller has already been Reset and had its
-// telemetry bound.
-func (r *Runner) restore(st *runState, ck *Checkpoint) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("sim: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	if ck.Controller != st.ctrl.Name() {
-		return fmt.Errorf("sim: checkpoint from controller %q cannot resume %q", ck.Controller, st.ctrl.Name())
-	}
-	if ck.Step < 0 || ck.Step > st.n {
-		return fmt.Errorf("sim: checkpoint step %d outside run of %d steps", ck.Step, st.n)
-	}
-	if len(ck.Trace.Time) != ck.Step {
-		return fmt.Errorf("sim: checkpoint trace has %d steps, expected %d", len(ck.Trace.Time), ck.Step)
-	}
-	if (ck.Faults != nil) != (st.inj != nil) {
-		return errors.New("sim: checkpoint fault state does not match the run's fault configuration")
-	}
-	if (ck.Thermal != nil) != (st.th != nil) {
-		return errors.New("sim: checkpoint thermal state does not match the run's thermal configuration")
-	}
-	snap, ok := st.ctrl.(control.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: controller %q does not support state snapshots", st.ctrl.Name())
-	}
-	if len(ck.CtrlState) == 0 {
-		return errors.New("sim: checkpoint is missing the controller state")
-	}
-	if err := snap.RestoreState(ck.CtrlState); err != nil {
-		return fmt.Errorf("sim: controller restore: %w", err)
-	}
-	if err := st.b.SetState(ck.BMS); err != nil {
-		return err
-	}
-	if st.inj != nil {
-		st.inj.SetState(*ck.Faults)
-	}
-	if st.th != nil {
-		if err := st.th.Restore(ck.Thermal.State); err != nil {
-			return err
+	for i, ck := range cks {
+		ln := &lanes[i]
+		if ck == nil {
+			return 0, fmt.Errorf("sim: batch resume lane %d: nil checkpoint", i)
 		}
-		st.calPct = ck.Thermal.CalendarPct
-		st.hpSteps, st.ptcSteps = ck.Thermal.HPSteps, ck.Thermal.PTCSteps
-		st.copSum = ck.Thermal.COPSum
+		if ck.Version != CheckpointVersion {
+			return 0, fmt.Errorf("sim: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+		}
+		if ck.Controller != ln.ctrl.Name() {
+			return 0, fmt.Errorf("sim: checkpoint from controller %q cannot resume %q", ck.Controller, ln.ctrl.Name())
+		}
+		if ck.Step < 0 || ck.Step > br.n {
+			return 0, fmt.Errorf("sim: checkpoint step %d outside run of %d steps", ck.Step, br.n)
+		}
+		if ck.Step != cks[0].Step {
+			return 0, fmt.Errorf("sim: batch resume lane %d at step %d, lane 0 at step %d; lanes must share a boundary", i, ck.Step, cks[0].Step)
+		}
+		if len(ck.Trace.Time) != ck.Step {
+			return 0, fmt.Errorf("sim: checkpoint trace has %d steps, expected %d", len(ck.Trace.Time), ck.Step)
+		}
+		if (ck.Faults != nil) != (ln.inj != nil) {
+			return 0, errors.New("sim: checkpoint fault state does not match the run's fault configuration")
+		}
+		if (ck.Thermal != nil) != (ln.th != nil) {
+			return 0, errors.New("sim: checkpoint thermal state does not match the run's thermal configuration")
+		}
+		snap, ok := ln.ctrl.(control.Snapshotter)
+		if !ok {
+			return 0, fmt.Errorf("sim: controller %q does not support state snapshots", ln.ctrl.Name())
+		}
+		if len(ck.CtrlState) == 0 {
+			return 0, errors.New("sim: checkpoint is missing the controller state")
+		}
+		if err := snap.RestoreState(ck.CtrlState); err != nil {
+			return 0, fmt.Errorf("sim: controller restore: %w", err)
+		}
+		if err := ln.b.SetState(ck.BMS); err != nil {
+			return 0, err
+		}
+		if ln.inj != nil {
+			ln.inj.SetState(*ck.Faults)
+		}
+		if ln.th != nil {
+			if err := ln.th.Restore(ck.Thermal.State); err != nil {
+				return 0, err
+			}
+			ln.calPct = ck.Thermal.CalendarPct
+			ln.hpSteps, ln.ptcSteps = ck.Thermal.HPSteps, ck.Thermal.PTCSteps
+			ln.copSum = ck.Thermal.COPSum
+		}
+		ln.res.Trace = copyTrace(&ck.Trace)
+		x[i] = ck.CabinC
+		ln.hvacJ, ln.motorJ, ln.totalJ = ck.HVACJ, ck.MotorJ, ck.TotalJ
+		ln.comfortViol, ln.comfortCount, ln.trackSq = ck.ComfortViol, ck.ComfortCount, ck.TrackSq
 	}
-	st.res.Trace = copyTrace(&ck.Trace)
-	st.k = ck.Step
-	st.tz = ck.CabinC
-	st.hvacJ, st.motorJ, st.totalJ = ck.HVACJ, ck.MotorJ, ck.TotalJ
-	st.comfortViol, st.comfortCount, st.trackSq = ck.ComfortViol, ck.ComfortCount, ck.TrackSq
-	return nil
+	return cks[0].Step, nil
 }
 
 // copyTrace deep-copies a trace so checkpoints and runs never alias.

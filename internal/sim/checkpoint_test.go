@@ -125,9 +125,10 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
-// TestRestorePrimesNextRun covers the explicit Snapshot/Restore API: a
-// checkpoint captured mid-run primes a later RunWith via Restore, and
-// Restore refuses misuse (nil checkpoint, wrong controller, in-flight).
+// TestRestorePrimesNextRun covers restoring through RunOptions.Resume:
+// a checkpoint captured mid-run primes a later RunWith on a fresh
+// Runner, and the resume refuses misuse (a checkpoint from another
+// controller, a trace that does not match the step).
 func TestRestorePrimesNextRun(t *testing.T) {
 	cfg := DefaultConfig(hotProfile().Truncate(200))
 	r, err := New(cfg)
@@ -155,31 +156,24 @@ func TestRestorePrimesNextRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Restore(nil); err == nil {
-		t.Error("Restore(nil) accepted")
-	}
-	if err := r2.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	res, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{})
+	res, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(ref)
 	b, _ := json.Marshal(res)
 	if string(a) != string(b) {
-		t.Error("Restore-primed run diverges from uninterrupted run")
+		t.Error("resumed run diverges from uninterrupted run")
 	}
 
 	// A checkpoint from one controller cannot resume another.
-	r3, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r3.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.RunWith(control.NewFuzzy(hvacModel(t)), RunOptions{}); err == nil {
+	if _, err := r2.RunWith(control.NewFuzzy(hvacModel(t)), RunOptions{Resume: ck}); err == nil {
 		t.Error("On/Off checkpoint resumed a fuzzy controller")
+	}
+	// A checkpoint whose trace disagrees with its step is refused.
+	bad := *ck
+	bad.Step++
+	if _, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: &bad}); err == nil {
+		t.Error("checkpoint with a short trace resumed")
 	}
 }

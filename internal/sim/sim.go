@@ -11,19 +11,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"evclimate/internal/battery"
 	"evclimate/internal/bms"
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/faults"
-	"evclimate/internal/ode"
 	"evclimate/internal/powertrain"
 	"evclimate/internal/telemetry"
 	"evclimate/internal/thermal"
-	"evclimate/internal/units"
 )
 
 // Config assembles one co-simulation run.
@@ -41,11 +37,11 @@ type Config struct {
 	// ComfortBandC is the comfort-zone half-width around TargetC
 	// (constraint C2). Default 3 °C.
 	ComfortBandC float64
-	// InitialCabinC is the cabin temperature at drive start; when NaN or
-	// unset (zero along with UseAmbientStart), the first sample's ambient
-	// temperature is used (a soaked car).
+	// InitialCabinC is the cabin temperature at drive start; it must be
+	// finite, and it is ignored when UseAmbientStart is set.
 	InitialCabinC float64
-	// UseAmbientStart forces InitialCabinC to the initial ambient.
+	// UseAmbientStart starts the cabin at the first sample's ambient
+	// temperature instead of InitialCabinC (a soaked car).
 	UseAmbientStart bool
 	// ControlDt is the controller period in seconds (default Profile.Dt).
 	ControlDt float64
@@ -217,28 +213,12 @@ type Runner struct {
 	// allocate three slices per step (see forecast for the aliasing
 	// contract).
 	fcMotor, fcOutside, fcSolar []float64
-
-	// Plant-integration state reused across steps: the RK4 workspace,
-	// the one-lane state vector, and the per-step values (zero-order-held
-	// inputs, frozen pack temperature) the persistent RHS closure reads.
-	// Rebuilding a closure and integrator per step allocates; these
-	// fields keep the loop's integration allocation-free.
-	integ ode.BatchRK4
-	x1    [1]float64
-	odeIn cabin.Inputs
-	odeTb float64
-
-	// st is the in-flight run's loop state (nil between runs); Snapshot
-	// reads it. pendingResume is a checkpoint primed by Restore for the
-	// next run.
-	st            *runState
-	pendingResume *Checkpoint
 }
 
 // New validates the configuration and precomputes the motor power
 // profile (Algorithm 1, lines 2–5).
 func New(cfg Config) (*Runner, error) {
-	r, err := buildRunner(cfg)
+	r, err := buildRunner(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -246,19 +226,13 @@ func New(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// buildRunner validates the configuration and builds a Runner without the
-// motor power profile. NewBatch uses it to share one profile across
-// lanes that drive the same cycle with the same powertrain instead of
-// recomputing the traction power per lane.
-func buildRunner(cfg Config) (*Runner, error) {
-	return buildRunnerShared(cfg, nil)
-}
-
-// buildRunnerShared is buildRunner with a cross-lane validation memo:
-// batch lanes usually share profile pointers (one per cycle/environment
-// cell), so NewBatch validates each distinct profile once instead of
-// once per lane. A nil memo validates unconditionally.
-func buildRunnerShared(cfg Config, validated map[*drivecycle.Profile]bool) (*Runner, error) {
+// buildRunner validates the configuration and builds a Runner without
+// the motor power profile, so NewBatch can share one profile across
+// lanes that drive the same cycle with the same powertrain. validated is
+// a cross-lane memo: batch lanes usually share profile pointers (one per
+// cycle/environment cell), so each distinct profile is validated once
+// instead of once per lane. A nil memo validates unconditionally.
+func buildRunner(cfg Config, validated map[*drivecycle.Profile]bool) (*Runner, error) {
 	if cfg.Profile == nil {
 		return nil, errors.New("sim: nil profile")
 	}
@@ -268,6 +242,22 @@ func buildRunnerShared(cfg Config, validated map[*drivecycle.Profile]bool) (*Run
 		}
 		if validated != nil {
 			validated[cfg.Profile] = true
+		}
+	}
+	// The defaulting comparisons below are all false for NaN, so a
+	// non-finite value would slip through them into the run.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"TargetC", cfg.TargetC},
+		{"ComfortBandC", cfg.ComfortBandC},
+		{"InitialCabinC", cfg.InitialCabinC},
+		{"SettleS", cfg.SettleS},
+		{"ControlDt", cfg.ControlDt},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("sim: %s must be finite, got %v", f.name, f.v)
 		}
 	}
 	if cfg.ControlDt <= 0 {
@@ -357,354 +347,30 @@ func (r *Runner) Run(ctrl control.Controller) (*Result, error) {
 // checkpoints, and resumption from a prior checkpoint. A resumed run's
 // remaining trajectory is bit-for-bit identical to the uninterrupted
 // run's. The controller is Reset before the run (and then restored, when
-// resuming).
+// resuming). The run is a 1-lane BatchRunner: there is one step loop.
 func (r *Runner) RunWith(ctrl control.Controller, opts RunOptions) (*Result, error) {
-	cfg := r.cfg
-	ctrl.Reset()
-	b, err := bms.New(cfg.BMS)
-	if err != nil {
-		return nil, err
-	}
-
-	tz := cfg.InitialCabinC
-	if cfg.UseAmbientStart {
-		tz = cfg.Profile.Samples[0].AmbientC
-	}
-
-	dur := cfg.Profile.Duration()
-	n := int(math.Ceil(dur / cfg.ControlDt))
+	n := r.stepCount()
 	if n <= 0 {
 		return nil, errors.New("sim: profile too short for one control step")
 	}
-
-	res := &Result{Controller: ctrl.Name()}
-	tr := &res.Trace
-
-	// The fault injector sits between the plant and the controller: it
-	// corrupts what the controller observes, never what the plant does.
-	var inj *faults.Injector
-	if !cfg.Faults.Empty() {
-		inj = cfg.Faults.New(cfg.FaultSeed)
-	}
-
-	// Telemetry is resolved once; when the sink is inactive the loop pays
-	// only a boolean test per step.
-	tel := cfg.Telemetry
-	telOn := tel != nil && tel.Active()
-	var (
-		telSteps   *telemetry.Counter
-		telLatency *telemetry.Histogram
-		telPack    *telemetry.Gauge
-		telCOP     *telemetry.Gauge
-		telHPSteps *telemetry.Counter
-		telPTC     *telemetry.Counter
-		solver     control.SolveReporter
-		ladder     control.LadderReporter
-	)
-	if telOn {
-		telSteps = tel.Counter("sim_steps_total")
-		telLatency = tel.Histogram("sim_step_latency_seconds", telemetry.LatencyBuckets)
-		if cfg.Thermal != nil {
-			telPack = tel.Gauge("sim_pack_temp_c")
-			telCOP = tel.Gauge("sim_heatpump_cop")
-			telHPSteps = tel.Counter("sim_heatpump_steps_total")
-			telPTC = tel.Counter("sim_ptc_steps_total")
-		}
-		solver, _ = ctrl.(control.SolveReporter)
-		ladder, _ = ctrl.(control.LadderReporter)
-		// Late-bind the run's sink into the controller so solver and
-		// ladder metrics land under this run's labels even when the
-		// controller came from a zero-argument sweep constructor.
-		if b, ok := ctrl.(control.TelemetryBinder); ok {
-			b.BindTelemetry(tel)
-		}
-	}
-
-	// The loop state lives on the Runner while the run is in flight so
-	// Snapshot can capture it from an OnCheckpoint hook.
-	st := &runState{ctrl: ctrl, b: b, inj: inj, res: res, n: n, tz: tz}
-	if cfg.Thermal != nil {
-		th, err := thermal.NewState(*cfg.Thermal, cfg.Profile.Samples[0].AmbientC)
-		if err != nil {
-			return nil, err
-		}
-		st.th = th
-		st.cal = battery.DefaultCalendarParams()
-	}
-	r.st = st
-	defer func() { r.st = nil }()
-
-	if opts.Resume == nil && r.pendingResume != nil {
-		opts.Resume = r.pendingResume
-		r.pendingResume = nil
+	br := &BatchRunner{lanes: []*Runner{r}, n: n, dt: r.cfg.ControlDt, subSteps: r.cfg.PlantSubSteps}
+	bopts := BatchRunOptions{Context: opts.Context, CheckpointEvery: opts.CheckpointEvery}
+	if opts.OnCheckpoint != nil {
+		bopts.OnCheckpoint = func(_ int, ck *Checkpoint) error { return opts.OnCheckpoint(ck) }
 	}
 	if opts.Resume != nil {
-		if err := r.restore(st, opts.Resume); err != nil {
-			return nil, err
-		}
+		bopts.Resume = []*Checkpoint{opts.Resume}
 	}
-
-	// The plant RHS closure is built once per run: the per-step state it
-	// reads (the zero-order-held inputs, the frozen pack temperature)
-	// flows through Runner fields, and the environment comes from a
-	// sampler whose constant-field fast path returns the same bits
-	// Profile.At interpolates.
-	env := drivecycle.NewEnvSampler(cfg.Profile)
-	sys := ode.BatchSystem(func(tt float64, x, dxdt []float64) {
-		amb, sol := env.At(tt)
-		dxdt[0] = r.hvac.CabinDerivative(x[0], r.odeIn, amb, sol)
-	})
-	if st.th != nil {
-		// The pack→cabin conduction enters the cabin ODE with the pack
-		// temperature frozen over the control period (the network itself
-		// steps once per period below).
-		kbc := cfg.Thermal.Network.UAPackCabinWK
-		mc := cfg.Cabin.ThermalCapacitanceJK
-		sys = func(tt float64, x, dxdt []float64) {
-			amb, sol := env.At(tt)
-			dxdt[0] = r.hvac.CabinDerivative(x[0], r.odeIn, amb, sol) + kbc*(r.odeTb-x[0])/mc
-		}
-	}
-	sub := cfg.ControlDt / float64(cfg.PlantSubSteps)
-
-	// Preallocate the trace to the known step count (after any resume
-	// has restored its shorter prefix), so the per-step appends below
-	// never regrow a slice mid-run.
-	growTrace(tr, n, st.th != nil)
-	b.Grow(n)
-
-	for st.k < n {
-		k := st.k
-		t := float64(k) * cfg.ControlDt
-		if opts.Context != nil {
-			if cerr := opts.Context.Err(); cerr != nil {
-				// Graceful drain: flush a final checkpoint so the caller
-				// can resume from this exact step; the context error wins
-				// over any checkpoint-sink failure.
-				if opts.OnCheckpoint != nil {
-					if ck, snapErr := r.Snapshot(); snapErr == nil {
-						_ = opts.OnCheckpoint(ck)
-					}
-				}
-				return nil, fmt.Errorf("sim: run aborted at step %d/%d: %w", k, n, cerr)
-			}
-		}
-		amb, sol := env.At(t)
-		pe := r.MotorPower(t)
-		socBefore := b.SoC()
-
-		ctx := control.StepContext{
-			Time:         t,
-			Dt:           cfg.ControlDt,
-			CabinTempC:   st.tz,
-			OutsideC:     amb,
-			SolarW:       sol,
-			MotorPowerW:  pe,
-			SoC:          b.SoC(),
-			TargetC:      cfg.TargetC,
-			ComfortLowC:  cfg.TargetC - cfg.ComfortBandC,
-			ComfortHighC: cfg.TargetC + cfg.ComfortBandC,
-			Forecast:     r.forecast(t, cfg.ForecastSteps),
-		}
-		if st.th != nil {
-			ctx.PackTempC = st.th.PackC()
-			ctx.PackThermal = true
-		}
-		if inj != nil {
-			inj.Apply(k, &ctx)
-		}
-		var stepStart time.Time
-		if telOn {
-			stepStart = time.Now()
-		}
-		in := ctrl.Decide(ctx)
-		mix := r.hvac.ClampForEnvironmentInPlace(&in, amb, st.tz)
-		var stepLatency time.Duration
-		if telOn {
-			stepLatency = time.Since(stepStart)
-		}
-		pw := r.hvac.PowersFor(in, mix)
-
-		// Cabin heating runs through the heat pump in thermal runs: the
-		// plant's delivered heat pw.HeaterW·EtaHeat is unchanged, only the
-		// electrical conversion follows the COP at the current ambient (or
-		// the PTC efficiency below the cutoff).
-		heaterElecW := pw.HeaterW
-		hpEff, hpPTC := 0.0, false
-		if st.th != nil && pw.HeaterW > 0 {
-			hpEff, hpPTC = st.th.Heating(amb)
-			heaterElecW = pw.HeaterW * cfg.Cabin.EtaHeat / hpEff
-		}
-		hvacW := pw.Total() - pw.HeaterW + heaterElecW
-
-		// Integrate the cabin plant over the control period with the
-		// inputs held (zero-order hold), sampling ambient continuously
-		// through the persistent RHS closure built above.
-		r.odeIn = in
-		if st.th != nil {
-			r.odeTb = st.th.PackC()
-		}
-		r.x1[0] = st.tz
-		if err := r.integ.IntegrateInto(sys, r.x1[:], t, t+cfg.ControlDt, sub); err != nil {
-			return nil, fmt.Errorf("sim: plant integration failed at t=%v: %w", t, err)
-		}
-
-		total := pe + hvacW + cfg.Powertrain.AccessoryW
-		if st.th != nil {
-			// Pack Joule self-heating at the pre-branch current feeds the
-			// thermal network and drains the battery; the (clamped) battery
-			// heater/chiller electrical draw adds on top.
-			iPack := total / cfg.BMS.Pack.NominalVoltageV
-			jouleW := iPack * iPack * st.th.PackResistanceOhm()
-			fl := st.th.Step(st.tz, amb, jouleW, in.BattHeatW, in.BattChillW, cfg.ControlDt)
-			total += fl.HeaterElecW + fl.ChillerElecW + jouleW
-		}
-		_, soc := b.Step(total, cfg.ControlDt)
-		if st.th != nil {
-			// Calendar aging accrues continuously at the pack temperature and
-			// the storage SoC, with the sqrt(t) kernel evaluated at the pack's
-			// running age.
-			age := st.cal
-			age.AgeDays += t / units.SecondsPerDay
-			st.calPct += age.LossPercent(st.th.PackC(), soc, cfg.ControlDt)
-			if pw.HeaterW > 0 {
-				if hpPTC {
-					st.ptcSteps++
-				} else {
-					st.hpSteps++
-					st.copSum += hpEff
-				}
-			}
-		}
-
-		if telOn {
-			telSteps.Inc()
-			telLatency.Observe(stepLatency.Seconds())
-			span := telemetry.StepSpan{
-				Step:         k,
-				TimeS:        t,
-				CabinC:       st.tz,
-				OutsideC:     amb,
-				SoCPct:       soc,
-				SoCDeltaPct:  soc - socBefore,
-				HVACW:        hvacW,
-				SupplyC:      in.SupplyTempC,
-				CoilC:        in.CoilTempC,
-				Recirc:       in.Recirc,
-				AirFlowKgS:   in.AirFlowKgS,
-				Rung:         -1,
-				FaultsActive: inj.ActiveAt(t),
-				LatencyNs:    stepLatency.Nanoseconds(),
-			}
-			if solver != nil {
-				si := solver.LastSolve()
-				span.SolverIters = si.Iterations
-				span.QPIters = si.QPIterations
-				span.SolverStatus = si.Status
-			}
-			if ladder != nil {
-				span.Rung = ladder.Level()
-				span.Stage = ladder.ActiveStage()
-			}
-			if st.th != nil {
-				span.PackC = st.th.PackC()
-				span.BattHeatW = in.BattHeatW
-				span.BattChillW = in.BattChillW
-				telPack.Set(st.th.PackC())
-				if pw.HeaterW > 0 {
-					span.COP = hpEff
-					telCOP.Set(hpEff)
-					if hpPTC {
-						telPTC.Inc()
-					} else {
-						telHPSteps.Inc()
-					}
-				}
-			}
-			tel.Step(&span)
-		}
-
-		tr.Time = append(tr.Time, t)
-		tr.CabinC = append(tr.CabinC, st.tz)
-		tr.OutsideC = append(tr.OutsideC, amb)
-		tr.MotorW = append(tr.MotorW, pe)
-		tr.HeaterW = append(tr.HeaterW, heaterElecW)
-		tr.CoolerW = append(tr.CoolerW, pw.CoolerW)
-		tr.FanW = append(tr.FanW, pw.FanW)
-		tr.HVACW = append(tr.HVACW, hvacW)
-		tr.TotalW = append(tr.TotalW, total)
-		tr.SoC = append(tr.SoC, soc)
-		if st.th != nil {
-			tr.PackC = append(tr.PackC, st.th.PackC())
-		}
-		tr.Inputs = append(tr.Inputs, in)
-
-		st.hvacJ += hvacW * cfg.ControlDt
-		st.motorJ += pe * cfg.ControlDt
-		st.totalJ += total * cfg.ControlDt
-
-		if t >= cfg.SettleS {
-			st.comfortCount++
-			err := st.tz - cfg.TargetC
-			st.trackSq += err * err
-			if st.tz < ctx.ComfortLowC || st.tz > ctx.ComfortHighC {
-				st.comfortViol++
-			}
-		}
-
-		st.tz = r.x1[0]
-		st.k++
-
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && st.k < n && st.k%opts.CheckpointEvery == 0 {
-			ck, err := r.Snapshot()
-			if err != nil {
-				return nil, fmt.Errorf("sim: checkpoint at step %d: %w", st.k, err)
-			}
-			if err := opts.OnCheckpoint(ck); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint at step %d: %w", st.k, err)
-			}
-		}
-	}
-
-	simT := float64(n) * cfg.ControlDt
-	res.AvgHVACW = st.hvacJ / simT
-	res.AvgMotorW = st.motorJ / simT
-	res.AvgTotalW = st.totalJ / simT
-	res.HVACEnergyKWh = st.hvacJ / 3.6e6
-	res.FinalSoC = b.SoC()
-	res.Events = b.Events()
-	dev, avg, err := b.CycleStats()
+	rs, err := br.RunWith(control.Batch([]control.Controller{ctrl}), bopts)
 	if err != nil {
 		return nil, err
 	}
-	res.SoCDev, res.SoCAvg = dev, avg
-	dsoh, err := b.DeltaSoH()
-	if err != nil {
-		return nil, err
-	}
-	res.DeltaSoH = dsoh
-	if st.th != nil {
-		// Cold (or hot) cycling accelerates cycle fade: scale the cycle term
-		// by the U-shaped pack-temperature stress factor, and report the
-		// calendar (storage) term alongside.
-		res.DeltaSoH = dsoh * battery.CycleStressFactor(st.th.MeanPackC())
-		res.CalendarDeltaSoH = st.calPct
-		res.PackMeanC = st.th.MeanPackC()
-		res.PackMinC = st.th.MinPackC()
-		res.PackFinalC = st.th.PackC()
-		res.ThermalEnergyDefectJ = st.th.EnergyDefectJ()
-		if heatSteps := st.hpSteps + st.ptcSteps; heatSteps > 0 {
-			res.HeatPumpFrac = float64(st.hpSteps) / float64(heatSteps)
-		}
-		if st.hpSteps > 0 {
-			res.AvgCOP = st.copSum / float64(st.hpSteps)
-		}
-	}
-	if st.comfortCount > 0 {
-		res.ComfortViolationFrac = st.comfortViol / st.comfortCount
-		res.RMSTrackingErrC = math.Sqrt(st.trackSq / st.comfortCount)
-	}
-	return res, nil
+	return rs[0], nil
+}
+
+// stepCount returns the run's control-step count, n = ceil(duration/dt).
+func (r *Runner) stepCount() int {
+	return int(math.Ceil(r.cfg.Profile.Duration() / r.cfg.ControlDt))
 }
 
 // defaultPowertrain is the shared Leaf parameter set DefaultConfig hands

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"evclimate/internal/cabin"
@@ -62,6 +63,28 @@ func TestNewValidation(t *testing.T) {
 	cfg.SettleS = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative settle accepted")
+	}
+	// Non-finite values fail every defaulting comparison, so they must be
+	// rejected by name rather than slip into the run.
+	for _, field := range []string{"TargetC", "ComfortBandC", "InitialCabinC", "SettleS", "ControlDt"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg = DefaultConfig(hotProfile())
+			switch field {
+			case "TargetC":
+				cfg.TargetC = v
+			case "ComfortBandC":
+				cfg.ComfortBandC = v
+			case "InitialCabinC":
+				cfg.InitialCabinC = v
+			case "SettleS":
+				cfg.SettleS = v
+			case "ControlDt":
+				cfg.ControlDt = v
+			}
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %v: got %v, want an error naming the field", field, v, err)
+			}
+		}
 	}
 }
 
