@@ -130,7 +130,9 @@ fuzz-qp:
 # config across controllers × cycles × batch sizes, fault injection,
 # and mixed thermal/cabin-only lanes; checkpoint/resume on batch
 # boundaries), and the pool's batch planning / sweep-equivalence tests
-# under the race detector.
+# under the race detector — plain and under journal, record-streaming,
+# retry, and watchdog options, a failing lane splitting its unit, and a
+# multi-lane drain-and-resume from checkpoints.
 test-batch:
 	$(GO) test -run 'Batch|IntegrateLanes' ./internal/control/... ./internal/sim/...
 	$(GO) test -race -run 'Batch|PlanUnits' ./internal/runner/...

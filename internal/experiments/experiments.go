@@ -41,9 +41,9 @@ type Options struct {
 	// Workers is the scenario-sweep worker-pool size (0 = GOMAXPROCS).
 	Workers int
 	// BatchSize is the lockstep-batch lane count for eligible sweep jobs
-	// (0 = runner.DefaultBatchSize, negative disables batching). Batched
-	// lanes are bit-identical to 1-lane runs, so this is purely a
-	// throughput knob.
+	// (0 = runner.DefaultBatchSize, negative disables batching), with or
+	// without Journal, JobTimeout, and Retry. Batched lanes are
+	// bit-identical to 1-lane runs, so this is purely a throughput knob.
 	BatchSize int
 	// Cache, when non-nil, reuses simulation results across harnesses
 	// keyed by scenario fingerprint (cmd/evbench shares one cache so

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -10,14 +11,17 @@ import (
 	"evclimate/internal/telemetry"
 )
 
-// This file is the pool's multi-lane execution path: eligible jobs are
-// grouped into sim.BatchRunner units and simulated N vehicles at a
-// time over SoA state. A singleton unit is a 1-lane run of the same
-// step loop (runOne → sim.Runner.RunWith), and lanes never interact
-// (sim's lane-independence property), so every lane's result is
-// bit-identical to its job's singleton run. Batching is purely a
-// scheduling decision — and one made from the expansion order alone,
-// keeping sweep outputs worker-count-deterministic.
+// This file is the pool's unit planning and execution. Jobs sharing a
+// batchable controller family and a time grid are grouped into
+// multi-lane units, every other job into a 1-lane unit, and every unit
+// runs as one sim.BatchRunner attempt in which each lane keeps its own
+// cache lookup, telemetry, trace ring, and mid-job checkpoint. Lanes
+// never interact (sim's lane-independence property), so a lane's result
+// is bit-identical to its job's 1-lane run: batching is purely a
+// scheduling decision, made from the expansion order alone, which keeps
+// sweep outputs worker-count-deterministic. A multi-lane attempt that
+// fails splits into 1-lane units, where retry, escalation, and the
+// watchdog apply per job (durability.go).
 
 // DefaultBatchSize is the lane count per batch when Options.BatchSize
 // is zero. Sixteen lanes keep the SoA state well inside L1 while
@@ -34,40 +38,12 @@ type batchKey struct {
 	forecast   int
 }
 
-// batchingEnabled reports whether this sweep's options allow batched
-// execution at all. Journal, record streaming, retry, and watchdog
-// sweeps need per-job execution control (per-job registries, per-job
-// deadlines, attempt loops), so they run every job as a singleton unit.
-func (pe *poolEnv) batchingEnabled() bool {
-	o := &pe.opts
-	return o.BatchSize >= 0 &&
-		o.Journal == nil &&
-		o.OnRecord == nil &&
-		o.Retry.MaxAttempts <= 1 &&
-		o.JobTimeout == 0
-}
-
-// batchKeyFor computes a job's batch group, probing the controller
-// family once (per Label+Key) for an SoA fast path. Jobs that cannot
-// batch — thermal lanes, non-batchable controllers, degenerate grids —
-// report ok=false and run as singleton units.
-func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bool) {
+// batchKeyFor computes a job's batch group from its controller family
+// and time grid. Jobs that cannot share a lockstep grid — thermal lanes,
+// degenerate grids — report ok=false and run as 1-lane units.
+func batchKeyFor(job *Job) (batchKey, bool) {
 	cfg := &job.Config
 	if cfg.Thermal != nil || cfg.Profile == nil {
-		return batchKey{}, false
-	}
-	pk := [2]string{job.Controller.Label, job.Controller.Key}
-	batchable, seen := probe[pk]
-	if !seen {
-		batchable = false
-		if job.Controller.New != nil {
-			if c, err := job.Controller.New(); err == nil {
-				batchable = control.Batchable(c)
-			}
-		}
-		probe[pk] = batchable
-	}
-	if !batchable {
 		return batchKey{}, false
 	}
 	// Mirror sim.New's defaulting so the key matches what NewBatch will
@@ -97,35 +73,65 @@ func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bo
 	}, true
 }
 
+// probeBatchable constructs one controller of a family to see whether
+// it has an SoA decision kernel. A constructor that fails or panics
+// marks the family unbatchable; its jobs then meet the failure in their
+// own 1-lane attempts, where it is attributed and retried.
+func probeBatchable(spec *ControllerSpec) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	if spec.New == nil {
+		return false
+	}
+	c, err := spec.New()
+	return err == nil && control.Batchable(c)
+}
+
 // planUnits schedules the not-yet-run jobs into execution units:
-// singleton units for ungrouped jobs, and batches of up to BatchSize lanes
+// 1-lane units for ungrouped jobs, and batches of up to BatchSize lanes
 // for groups sharing a batchKey. Grouping walks the expansion order and
 // flushes leftover partial groups in first-seen key order, so the plan
 // is a pure function of the job list — independent of workers and of
-// wall-clock.
+// wall-clock. Only a key shared by two or more pending jobs gets its
+// controller family probed, so a lone job never pays for an extra
+// constructor call.
 func (pe *poolEnv) planUnits(ran []bool) [][]int {
 	size := pe.opts.BatchSize
 	if size == 0 {
 		size = DefaultBatchSize
 	}
-	var units [][]int
-	if size <= 1 || !pe.batchingEnabled() {
+	keys := make([]batchKey, len(pe.jobs))
+	count := make(map[batchKey]int)
+	if size > 1 {
 		for i := range pe.jobs {
-			if !ran[i] {
-				units = append(units, []int{i})
+			if key, ok := batchKeyFor(&pe.jobs[i]); ok && !ran[i] {
+				keys[i] = key
+				count[key]++
 			}
 		}
-		return units
 	}
-	probe := make(map[[2]string]bool)
+	probed := make(map[[2]string]bool)
+	batchable := func(spec *ControllerSpec) bool {
+		pk := [2]string{spec.Label, spec.Key}
+		ok, seen := probed[pk]
+		if !seen {
+			ok = probeBatchable(spec)
+			probed[pk] = ok
+		}
+		return ok
+	}
+	var units [][]int
 	groups := make(map[batchKey][]int)
 	var order []batchKey
 	for i := range pe.jobs {
 		if ran[i] {
 			continue
 		}
-		key, ok := pe.batchKeyFor(&pe.jobs[i], probe)
-		if !ok {
+		key := keys[i]
+		if count[key] < 2 || !batchable(&pe.jobs[i].Controller) {
 			units = append(units, []int{i})
 			continue
 		}
@@ -146,122 +152,172 @@ func (pe *poolEnv) planUnits(ran []bool) [][]int {
 	return units
 }
 
-// runBatch executes one multi-job unit, writing each lane's JobResult
-// into out. Cache hits leave the batch lane by lane; anything that
-// keeps the batch from running as one — a lane failing construction, a
-// panicking controller, an integration error — falls the surviving
-// lanes back to singleton runOne units, which attribute errors per
-// job. Lanes left untouched by a context abort stay zero for the
-// pool's final ctx.Err fill.
-func (pe *poolEnv) runBatch(ctx context.Context, unit []int, out []JobResult) {
-	opts := &pe.opts
-	live := make([]int, 0, len(unit))
-	for _, i := range unit {
-		job := &pe.jobs[i]
-		if opts.Cache != nil {
-			if res, saved, ok := opts.Cache.get(job.Fingerprint()); ok {
-				out[i] = JobResult{Job: *job, Result: res, Cached: true, Saved: saved, Attempts: 1}
-				pe.shared.cached.Inc()
-				pe.shared.seconds.Observe(0)
-				continue
+// lane is one job's slot in a unit attempt: the controller spec it runs
+// under, its mid-job checkpoint file ("" when not checkpointing), and
+// what the attempt produced for it — the result, the step-trace ring,
+// and the job-private metric registry.
+type lane struct {
+	i      int // index into poolEnv.jobs
+	spec   *ControllerSpec
+	ckPath string
+	jr     JobResult
+	rec    *telemetry.StepTrace
+	priv   *telemetry.Registry
+}
+
+// newLane makes job i's lane for one attempt under spec.
+func (pe *poolEnv) newLane(i int, spec *ControllerSpec) *lane {
+	ln := &lane{i: i, spec: spec}
+	if pe.jnl != nil && pe.opts.Journal.CheckpointEvery > 0 {
+		ln.ckPath = pe.jnl.checkpointPath(&pe.jobs[i])
+	}
+	return ln
+}
+
+// runUnit executes one planned unit and writes each job's final result
+// into out. A multi-lane unit first runs as one attempt. If that attempt
+// fails while the sweep is still live, the unit splits: every lane
+// reruns as a 1-lane unit through runJob, so failures are attributed,
+// retried, and escalated per job, and the failed attempt leaves nothing
+// behind but the lanes' checkpoints (which resume bit-exactly). Jobs
+// left unstarted by a shutdown keep a zero result for the pool to fill.
+func (pe *poolEnv) runUnit(ctx context.Context, unit []int, out []JobResult) {
+	if len(unit) > 1 {
+		lanes := make([]*lane, len(unit))
+		for k, i := range unit {
+			lanes[k] = pe.newLane(i, &pe.jobs[i].Controller)
+		}
+		if err := pe.attempt(ctx, lanes); err == nil || ctx.Err() != nil {
+			for _, ln := range lanes {
+				ln.jr.Attempts = 1
+				out[ln.i] = pe.finish(ctx, ln)
 			}
+			return
 		}
-		live = append(live, i)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		out[live[0]] = pe.runOne(ctx, live[0])
-		return
-	}
-	if results := pe.executeBatch(ctx, live); results != nil {
-		for k, i := range live {
-			out[i] = results[k]
-		}
-		return
-	}
-	if ctx.Err() != nil {
-		return
-	}
-	for _, i := range live {
+	for _, i := range unit {
 		if ctx.Err() != nil {
 			return
 		}
-		out[i] = pe.runOne(ctx, i)
+		out[i] = pe.runJob(ctx, i)
 	}
 }
 
-// executeBatch runs the live lanes as one sim.BatchRunner invocation.
-// A nil return means "retry these lanes as singleton units" — a
-// multi-lane unit refuses nothing a 1-lane run would accept, so a
-// fallback either reproduces the same per-lane errors with proper
-// attribution or succeeds where a sibling lane poisoned the batch.
-func (pe *poolEnv) executeBatch(ctx context.Context, live []int) (results []JobResult) {
+// attempt runs one attempt of the given lanes as a single
+// sim.BatchRunner run, capturing panics into the returned error. Each
+// lane gets a fresh job-private registry (when the sweep has telemetry)
+// and trace ring, so a failed attempt never leaks into the sweep's
+// metrics; its own cache lookup, answered lanes leaving the run before
+// it starts; and its own checkpoint file. When any simulated lane holds
+// a checkpoint the run resumes from the set, which sim accepts only if
+// every lane has one at the same step — anything else fails the attempt
+// (and so splits a multi-lane unit). The watchdog deadline bounds the
+// whole attempt. On success every lane's jr holds its result; on
+// failure the simulated lanes' jr carry the error.
+func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 	opts := &pe.opts
+	start := time.Now()
+	var live []*lane
 	defer func() {
-		if recover() != nil {
-			results = nil // a panicking lane re-runs alone, which captures it
+		if r := recover(); r != nil {
+			// Only a 1-lane attempt's error reaches a job (a failed
+			// multi-lane unit splits), so lane 0 names the job.
+			j := &pe.jobs[lanes[0].i]
+			err = fmt.Errorf("runner: job %d (%s on %s) %w: %v",
+				j.Index, lanes[0].spec.Label, j.Cycle, ErrJobPanicked, r)
+		}
+		if err != nil {
+			for _, ln := range live {
+				ln.jr.Result, ln.jr.Err, ln.jr.Elapsed = nil, err, time.Since(start)
+			}
 		}
 	}()
-	start := time.Now()
-	nl := len(live)
-	cfgs := make([]sim.Config, nl)
-	recs := make([]*telemetry.StepTrace, nl)
-	for k, i := range live {
-		job := &pe.jobs[i]
-		cfg := job.Config
-		if opts.Telemetry != nil || pe.traces != nil {
-			if pe.traces != nil {
-				recs[k] = telemetry.NewStepTrace(opts.TraceSteps)
-			}
-			cfg.Telemetry = telemetry.NewSink(opts.Telemetry, recs[k], jobLabels(job)...)
+
+	var cfgs []sim.Config
+	var resume []*sim.Checkpoint
+	for _, ln := range lanes {
+		job := &pe.jobs[ln.i]
+		ln.jr, ln.rec, ln.priv = JobResult{Job: *job}, nil, nil
+		if opts.Telemetry != nil {
+			ln.priv = telemetry.NewRegistry()
 		}
-		cfgs[k] = cfg
+		if pe.traces != nil {
+			ln.rec = telemetry.NewStepTrace(opts.TraceSteps)
+		}
+		// Escalated attempts run a different controller than the
+		// fingerprint names, so their results never enter (or come from)
+		// the cache.
+		if opts.Cache != nil && ln.spec == &job.Controller {
+			if res, saved, ok := opts.Cache.get(job.Fingerprint()); ok {
+				ln.jr.Result, ln.jr.Cached, ln.jr.Saved = res, true, saved
+				continue
+			}
+		}
+		live = append(live, ln)
+		resume = append(resume, pe.resumeLane(ln))
+		cfg := job.Config
+		if ln.priv != nil || ln.rec != nil {
+			cfg.Telemetry = telemetry.NewSink(ln.priv, ln.rec, jobLabels(job)...)
+		}
+		cfgs = append(cfgs, cfg)
 	}
+	if len(live) == 0 {
+		return nil
+	}
+
 	br, err := sim.NewBatch(cfgs)
 	if err != nil {
-		return nil
+		return err
 	}
-	ctrls := make([]control.Controller, nl)
-	for k, i := range live {
-		spec := &pe.jobs[i].Controller
-		if spec.New == nil {
-			return nil
+	ctrls := make([]control.Controller, len(live))
+	for k, ln := range live {
+		if ln.spec.New == nil {
+			return fmt.Errorf("runner: controller %q has no constructor", ln.spec.Label)
 		}
-		c, err := spec.New()
-		if err != nil {
-			return nil
+		if ctrls[k], err = ln.spec.New(); err != nil {
+			return err
 		}
-		ctrls[k] = c
+	}
+
+	jctx := ctx
+	if opts.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		jctx, cancel = context.WithTimeout(ctx, opts.JobTimeout)
+		defer cancel()
+	}
+	bo := sim.BatchRunOptions{Context: jctx}
+	for _, ck := range resume {
+		if ck != nil {
+			bo.Resume = resume
+			break
+		}
+	}
+	if live[0].ckPath != "" {
+		bo.CheckpointEvery = opts.Journal.CheckpointEvery
+		bo.OnCheckpoint = func(k int, ck *sim.Checkpoint) error {
+			ln := live[k]
+			pe.telCkpts.Inc()
+			var spans []telemetry.StepSpan
+			if ln.rec != nil {
+				spans = ln.rec.Spans()
+			}
+			return writeJobCheckpoint(ln.ckPath, &pe.jobs[ln.i], ck, spans, ln.priv.Snapshot(nil))
+		}
 	}
 	bc := control.Batch(ctrls)
-	rs, err := br.RunWith(bc, sim.BatchRunOptions{Context: ctx})
+	rs, err := br.RunWith(bc, bo)
 	if err != nil {
-		return nil
+		return err
 	}
 	// Wall-clock is shared equally across lanes: per-lane attribution of
 	// a fused loop is not observable, and these series are excluded from
 	// deterministic comparisons anyway.
-	share := time.Since(start) / time.Duration(nl)
-	results = make([]JobResult, nl)
-	for k, i := range live {
-		job := &pe.jobs[i]
-		if opts.Cache != nil {
-			opts.Cache.put(job.Fingerprint(), rs[k], share)
-		}
-		pe.shared.ok.Inc()
-		pe.shared.seconds.Observe(share.Seconds())
-		if pe.traces != nil {
-			pe.traces[i] = recs[k]
-		}
-		results[k] = JobResult{
-			Job:      *job,
-			Result:   rs[k],
-			Instance: bc.Lane(k),
-			Elapsed:  share,
-			Attempts: 1,
+	share := time.Since(start) / time.Duration(len(live))
+	for k, ln := range live {
+		ln.jr.Result, ln.jr.Instance, ln.jr.Elapsed = rs[k], bc.Lane(k), share
+		if opts.Cache != nil && ln.spec == &pe.jobs[ln.i].Controller {
+			opts.Cache.put(pe.jobs[ln.i].Fingerprint(), rs[k], share)
 		}
 	}
-	return results
+	return nil
 }

@@ -13,10 +13,12 @@ import (
 	"evclimate/internal/telemetry"
 )
 
-// This file is the pool's durability path: per-job execution with
-// journal replay, watchdog deadlines, bounded retry with ladder
-// escalation, and mid-job state checkpoints. The zero-option path in
-// pool.go routes through the same runOne, paying only nil checks.
+// This file is the pool's per-job durability: journal replay, the
+// attempt loop of a 1-lane unit (watchdog deadline, bounded retry with
+// ladder escalation), the finish step every lane of every unit goes
+// through (outcome counters, journal append, record stream, metric
+// merge, checkpoint removal), and mid-job checkpoint files. Sweeps
+// without these options take the same path, paying only nil checks.
 
 // poolEnv carries one RunJobs call's shared execution state into the
 // workers.
@@ -25,12 +27,6 @@ type poolEnv struct {
 	jobs   []Job
 	jnl    *Journal
 	traces []*telemetry.StepTrace
-
-	// shared holds the outcome instruments on the sweep registry. In
-	// journal mode it stays zero: outcomes land on each job's private
-	// registry instead, so a journal record carries the job's complete
-	// metric contribution and replay reconstructs it exactly.
-	shared jobCounters
 
 	// Durability bookkeeping, always on the shared registry under the
 	// "resume_" prefix that DeterministicFilter excludes — how often a
@@ -46,8 +42,7 @@ type jobCounters struct {
 }
 
 // resolveJobCounters registers the pool's outcome instruments on a
-// registry (all four, so journal-mode private registries always merge
-// a complete set).
+// job-private registry (all four, so every job merges a complete set).
 func resolveJobCounters(reg *telemetry.Registry) jobCounters {
 	if reg == nil {
 		return jobCounters{}
@@ -60,25 +55,16 @@ func resolveJobCounters(reg *telemetry.Registry) jobCounters {
 	}
 }
 
-// recordMode reports whether jobs run with private registries and
-// produce journal-form records: journal mode, or an OnRecord stream
-// (the fabric worker path).
-func (pe *poolEnv) recordMode() bool {
-	return pe.opts.Journal != nil || pe.opts.OnRecord != nil
-}
-
-// resolveCounters registers the pool's instruments once, up front.
-// Durability counters register only when their feature is enabled, so
+// resolveCounters registers the durability counters on the sweep
+// registry once, up front — each only when its feature is enabled, so
 // sweeps that never journal or retry keep their metric snapshots
-// unchanged.
+// unchanged. Job outcomes land on the job-private registries instead.
 func (pe *poolEnv) resolveCounters() {
 	reg := pe.opts.Telemetry
 	if reg == nil {
 		return
 	}
-	if !pe.recordMode() {
-		pe.shared = resolveJobCounters(reg)
-	} else {
+	if pe.opts.Journal != nil || pe.opts.OnRecord != nil {
 		pe.telReplayed = reg.Counter("resume_journal_replayed_total")
 		pe.telRecords = reg.Counter("resume_journal_records_total")
 		if pe.opts.Journal != nil && pe.opts.Journal.CheckpointEvery > 0 {
@@ -142,58 +128,55 @@ func (pe *poolEnv) replay(job *Job, i int, rec *JournalRecord) (JobResult, error
 	return jr, nil
 }
 
-// runOne executes one job under the configured durability policy:
-// watchdog deadline, bounded retry with escalation, journal append,
-// and checkpoint-file lifecycle.
-func (pe *poolEnv) runOne(ctx context.Context, i int) JobResult {
+// runJob executes one job as 1-lane units under the retry policy: each
+// attempt runs under the watchdog, a retryable failure (panic or
+// deadline) backs off and retries, escalating through the controller
+// fallback ladder, and only the final attempt reaches finish.
+func (pe *poolEnv) runJob(ctx context.Context, i int) JobResult {
 	job := &pe.jobs[i]
-	opts := &pe.opts
-	maxAttempts := opts.Retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	var ckPath string
-	if pe.jnl != nil && opts.Journal.CheckpointEvery > 0 {
-		ckPath = pe.jnl.checkpointPath(job)
-	}
-
-	var jr JobResult
-	var rec *telemetry.StepTrace
-	var priv *telemetry.Registry
+	maxAttempts := max(pe.opts.Retry.MaxAttempts, 1)
+	var ln *lane
 	var attemptErrs []error
 	spec := &job.Controller
 	for attempt := 1; ; attempt++ {
-		jr, rec, priv = pe.executeAttempt(ctx, job, spec, ckPath)
-		jr.Attempts = attempt
+		ln = pe.newLane(i, spec)
+		err := pe.attempt(ctx, []*lane{ln})
+		ln.jr.Attempts = attempt
 		if spec != &job.Controller {
-			jr.EscalatedTo = spec.Label
+			ln.jr.EscalatedTo = spec.Label
 		}
-		if jr.Err == nil || attempt >= maxAttempts || ctx.Err() != nil || !Retryable(jr.Err) {
+		if err == nil || attempt >= maxAttempts || ctx.Err() != nil || !Retryable(err) {
 			break
 		}
-		attemptErrs = append(attemptErrs, jr.Err)
+		attemptErrs = append(attemptErrs, err)
 		pe.telRetried.Inc()
-		if errors.Is(jr.Err, context.DeadlineExceeded) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			pe.telTimeouts.Inc()
 		}
 		if next := fallbackSpec(&job.Controller, attempt); next != nil {
 			spec = next
 		}
-		if !sleepBackoff(ctx, opts.Retry, job.Seed, attempt) {
+		if !sleepBackoff(ctx, pe.opts.Retry, job.Seed, attempt) {
 			break
 		}
 	}
-	jr.AttemptErrs = attemptErrs
-	if pe.traces != nil {
-		pe.traces[i] = rec
-	}
+	ln.jr.AttemptErrs = attemptErrs
+	return pe.finish(ctx, ln)
+}
 
-	// Outcome accounting lands on the job's registry: the shared one
-	// normally, the job-private one in journal mode.
-	jc := pe.shared
-	if priv != nil {
-		jc = resolveJobCounters(priv)
+// finish books a lane's final attempt as its job's outcome: the trace
+// ring, the outcome counters on the job-private registry, the journal
+// record and OnRecord stream (except for a shutdown-in-progress abort,
+// which resumes from its checkpoint instead of replaying a partial
+// result), the merge of the job's metrics into the sweep registry, and
+// removal of the job's now-needless checkpoint.
+func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
+	jr := ln.jr
+	job := &pe.jobs[ln.i]
+	if pe.traces != nil {
+		pe.traces[ln.i] = ln.rec
 	}
+	jc := resolveJobCounters(ln.priv)
 	switch {
 	case jr.Err != nil:
 		jc.fail.Inc()
@@ -203,13 +186,8 @@ func (pe *poolEnv) runOne(ctx context.Context, i int) JobResult {
 		jc.ok.Inc()
 	}
 	jc.seconds.Observe(jr.Elapsed.Seconds())
+	metrics := ln.priv.Snapshot(nil)
 
-	var metrics telemetry.Snapshot
-	if priv != nil {
-		metrics = priv.Snapshot(nil)
-	}
-	// Journal the outcome — except a shutdown-in-progress abort, which
-	// resumes from its checkpoint instead of replaying a partial result.
 	if (pe.jnl != nil || pe.opts.OnRecord != nil) && ctx.Err() == nil {
 		jrec := &JournalRecord{
 			Kind:        "job",
@@ -223,8 +201,8 @@ func (pe *poolEnv) runOne(ctx context.Context, i int) JobResult {
 			Result:      jr.Result,
 			Metrics:     metrics,
 		}
-		if rec != nil {
-			jrec.Spans = rec.Spans()
+		if ln.rec != nil {
+			jrec.Spans = ln.rec.Spans()
 		}
 		if jr.Err != nil {
 			jrec.Err = jr.Err.Error()
@@ -240,90 +218,39 @@ func (pe *poolEnv) runOne(ctx context.Context, i int) JobResult {
 		}
 		pe.telRecords.Inc()
 	}
-	if priv != nil && opts.Telemetry != nil {
-		if err := opts.Telemetry.Merge(metrics); err != nil && jr.Err == nil {
-			jr.Err = fmt.Errorf("runner: telemetry merge: %w", err)
-		}
+	if err := pe.opts.Telemetry.Merge(metrics); err != nil && jr.Err == nil {
+		jr.Err = fmt.Errorf("runner: telemetry merge: %w", err)
 	}
-	// A finished job needs no mid-run checkpoint anymore.
-	if ckPath != "" && jr.Err == nil {
-		os.Remove(ckPath)
+	if ln.ckPath != "" && jr.Err == nil {
+		os.Remove(ln.ckPath)
 	}
 	return jr
 }
 
-// executeAttempt runs a single attempt of a job: fresh telemetry
-// sinks (so a retried attempt never double-counts the failed one),
-// optional mid-run checkpoint resume, the watchdog deadline, and
-// periodic checkpoint flushes.
-func (pe *poolEnv) executeAttempt(ctx context.Context, job *Job, spec *ControllerSpec, ckPath string) (JobResult, *telemetry.StepTrace, *telemetry.Registry) {
-	opts := &pe.opts
-
-	var resume *jobCheckpoint
-	if ckPath != "" {
-		// A checkpoint from a different controller (an earlier attempt
-		// before escalation) cannot resume this one; start from scratch.
-		if jc, err := readJobCheckpoint(ckPath, job); err == nil && jc != nil && jc.Checkpoint.Controller == spec.Label {
-			resume = jc
+// resumeLane loads the lane's mid-job checkpoint, if it has a usable
+// one, and replays the checkpoint's spans and metrics into the lane's
+// fresh trace ring and registry, so a resumed run emits exactly what an
+// uninterrupted one would. A checkpoint from a different controller (an
+// earlier attempt before escalation) or one whose metrics do not merge
+// is ignored: the lane starts from scratch.
+func (pe *poolEnv) resumeLane(ln *lane) *sim.Checkpoint {
+	if ln.ckPath == "" {
+		return nil
+	}
+	jc, err := readJobCheckpoint(ln.ckPath, &pe.jobs[ln.i])
+	if err != nil || jc == nil || jc.Checkpoint.Controller != ln.spec.Label {
+		return nil
+	}
+	if err := ln.priv.Merge(jc.Metrics); err != nil {
+		ln.priv = telemetry.NewRegistry()
+		return nil
+	}
+	if ln.rec != nil {
+		for k := range jc.Spans {
+			ln.rec.Record(jc.Spans[k])
 		}
 	}
-
-	var rec *telemetry.StepTrace
-	var priv *telemetry.Registry
-	var sink telemetry.Sink
-	if opts.Telemetry != nil || pe.traces != nil {
-		if pe.traces != nil {
-			rec = telemetry.NewStepTrace(opts.TraceSteps)
-		}
-		reg := opts.Telemetry
-		if pe.recordMode() && reg != nil {
-			priv = telemetry.NewRegistry()
-			reg = priv
-		}
-		// Replay the checkpoint's telemetry into this attempt's fresh
-		// sinks, so a mid-run resume emits the same spans and metrics an
-		// uninterrupted execution would.
-		if resume != nil && priv != nil {
-			if err := priv.Merge(resume.Metrics); err != nil {
-				priv = telemetry.NewRegistry()
-				reg = priv
-				resume = nil
-			}
-		}
-		if resume != nil && rec != nil {
-			for k := range resume.Spans {
-				rec.Record(resume.Spans[k])
-			}
-		}
-		sink = telemetry.NewSink(reg, rec, jobLabels(job)...)
-	}
-
-	jctx := ctx
-	if opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, opts.JobTimeout)
-		defer cancel()
-	}
-	ro := sim.RunOptions{Context: jctx}
-	if resume != nil {
-		ro.Resume = resume.Checkpoint
-	}
-	if ckPath != "" {
-		ro.CheckpointEvery = opts.Journal.CheckpointEvery
-		ro.OnCheckpoint = func(ck *sim.Checkpoint) error {
-			pe.telCkpts.Inc()
-			var spans []telemetry.StepSpan
-			if rec != nil {
-				spans = rec.Spans()
-			}
-			var ms telemetry.Snapshot
-			if priv != nil {
-				ms = priv.Snapshot(nil)
-			}
-			return writeJobCheckpoint(ckPath, job, ck, spans, ms)
-		}
-	}
-	return execute(job, spec, opts.Cache, sink, ro), rec, priv
+	return jc.Checkpoint
 }
 
 // jobCheckpoint is the on-disk form of one job's mid-run state: the

@@ -201,6 +201,69 @@ func TestRetryOnPanicThenSuccess(t *testing.T) {
 	}
 }
 
+// panicAtController panics at its at-th Decide while armed is set,
+// clearing it, so exactly one attempt of a retried job dies mid-run
+// after emitting part of its step metrics.
+type panicAtController struct {
+	inner control.Controller
+	armed *atomic.Bool
+	at, n int
+}
+
+func (c *panicAtController) Name() string { return c.inner.Name() }
+func (c *panicAtController) Reset()       { c.inner.Reset() }
+func (c *panicAtController) Decide(sc control.StepContext) cabin.Inputs {
+	c.n++
+	if c.n == c.at && c.armed.CompareAndSwap(true, false) {
+		panic("diverged mid-run")
+	}
+	return c.inner.Decide(sc)
+}
+
+// TestRetryMetricsCountFinalAttemptOnly pins that a retried job
+// contributes only its final attempt to the sweep's metrics and trace:
+// an On/Off job that panics at decide 60 and succeeds on retry must
+// match a clean run, not add the dead attempt's 59 steps on top.
+func TestRetryMetricsCountFinalAttemptOnly(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	flaky := OnOffSpec(1)
+	flaky.New = func() (control.Controller, error) {
+		inner, err := newOnOff()
+		if err != nil {
+			return nil, err
+		}
+		return &panicAtController{inner: inner, armed: &armed, at: 60}, nil
+	}
+	reg := telemetry.NewRegistry()
+	tl := &telemetry.TraceLog{}
+	sw, err := Run(context.Background(), oneJobSpec(flaky), Options{
+		Workers: 1, Telemetry: reg, TraceLog: tl,
+		Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr := &sw.Jobs[0]; jr.Err != nil || jr.Attempts != 2 {
+		t.Fatalf("retried job: err %v, attempts %d", jr.Err, jr.Attempts)
+	}
+
+	refReg := telemetry.NewRegistry()
+	refTl := &telemetry.TraceLog{}
+	ref, err := Run(context.Background(), oneJobSpec(OnOffSpec(1)),
+		Options{Workers: 1, Telemetry: refReg, TraceLog: refTl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalResults(t, "retried vs clean", sw.Jobs[0].Result, ref.Jobs[0].Result)
+	if got, want := deterministicJSON(t, reg), deterministicJSON(t, refReg); !bytes.Equal(got, want) {
+		t.Errorf("retried job's metrics differ from a clean run:\n%s\nvs\n%s", got, want)
+	}
+	if got, want := traceJSONL(t, tl), traceJSONL(t, refTl); !bytes.Equal(got, want) {
+		t.Error("retried job's trace differs from a clean run")
+	}
+}
+
 func TestRetryExhaustionAndNonRetryable(t *testing.T) {
 	dies := ControllerSpec{
 		Label:     "Dies",

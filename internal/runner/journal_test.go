@@ -172,6 +172,10 @@ func TestJournalResumeAfterInterrupt(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	opts, _, _ := journalOpts(dir, false)
+	// One worker: the grid is two 4-lane units, and on two workers both
+	// could finish before the cancel lands, leaving nothing to resume.
+	// Here the first unit completes and the second never starts.
+	opts.Workers = 1
 	opts.Progress = func(done, total int, jr *JobResult) {
 		if done == 3 {
 			cancel()

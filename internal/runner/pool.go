@@ -28,10 +28,12 @@ type Options struct {
 	Progress func(done, total int, jr *JobResult)
 	// Telemetry, when non-nil, is the sweep's shared metric registry:
 	// each job runs under a sink labeled by cycle, controller, and fault
-	// scenario over this registry, and the pool counts job outcomes and
-	// durations on it. Atomic metric updates commute, so the aggregated
-	// deterministic series are worker-count-independent. Note that cache
-	// hits skip the simulation and therefore emit no per-step metrics.
+	// scenario over a job-private registry, which also counts the job's
+	// outcome and duration and merges into this one when the job
+	// finishes — so a retried job contributes only its final attempt.
+	// Merges commute, so the aggregated deterministic series are
+	// worker-count-independent. Note that cache hits skip the simulation
+	// and therefore emit no per-step metrics.
 	Telemetry *telemetry.Registry
 	// TraceLog, when non-nil, collects every job's step spans, stitched
 	// in expansion order after all jobs finish — deterministic at any
@@ -54,9 +56,9 @@ type Options struct {
 	Journal *JournalConfig
 	// OnRecord, when non-nil, receives each completed job's journal-form
 	// record — exactly what journal mode appends — whether or not a disk
-	// journal is configured. Jobs then run with job-private registries as
-	// in journal mode, so each record carries the job's complete metric
-	// contribution (requires Options.Telemetry). The distributed fabric's
+	// journal is configured. Every job runs with a job-private registry,
+	// so each record carries the job's complete metric contribution
+	// (requires Options.Telemetry). The distributed fabric's
 	// workers stream these records back to their coordinator. Calls come
 	// from worker goroutines; the callback must be concurrency-safe.
 	OnRecord func(rec *JournalRecord)
@@ -72,14 +74,15 @@ type Options struct {
 	// (sim.BatchRunner): jobs sharing a batchable controller family and
 	// a time grid are simulated N vehicles at a time, which is where the
 	// sweep's throughput comes from on few-core machines. Every other
-	// job runs as a singleton unit, which is a 1-lane run of the same
-	// step loop. 0 uses DefaultBatchSize; negative disables grouping.
-	// Grouping follows expansion order and is independent of Workers, so
-	// sweep outputs stay worker-count-deterministic; each lane's result
-	// is bit-identical to the job's 1-lane run. Grouping disengages
-	// automatically for sweeps running a journal, record streaming,
-	// retries, or a job watchdog — those paths need per-job execution
-	// control.
+	// job runs as a 1-lane unit of the same step loop. 0 uses
+	// DefaultBatchSize; negative disables grouping. Grouping follows
+	// expansion order and is independent of Workers, so sweep outputs
+	// stay worker-count-deterministic; each lane's result is
+	// bit-identical to the job's 1-lane run. Journal, record-streaming,
+	// retry, and watchdog sweeps group the same way: each lane keeps its
+	// own journal record, checkpoint, and metrics, and a multi-lane unit
+	// that fails splits into 1-lane units, where Retry and JobTimeout
+	// apply per job (JobTimeout also bounds each multi-lane attempt).
 	BatchSize int
 }
 
@@ -307,10 +310,9 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		}
 	}
 
-	// Schedule the remaining jobs into units — single jobs (1-lane
-	// runs), or SoA batches of jobs sharing a batchable controller and a
-	// time grid.
-	// Units are planned from the expansion order alone, so scheduling is
+	// Schedule the remaining jobs into units — SoA batches of jobs
+	// sharing a batchable controller and a time grid, 1-lane units for
+	// the rest — from the expansion order alone, so scheduling is
 	// independent of the worker count.
 	units := pe.planUnits(ran)
 
@@ -346,36 +348,19 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 				if ctx.Err() != nil {
 					return
 				}
-				if len(unit) == 1 {
-					i := unit[0]
-					out[i] = pe.runOne(ctx, i)
-					ran[i] = true
-					if opts.Progress != nil {
-						mu.Lock()
-						done++
-						opts.Progress(done, len(jobs), &out[i])
-						mu.Unlock()
-					}
-					continue
-				}
-				pe.runBatch(ctx, unit, out)
+				pe.runUnit(ctx, unit, out)
+				mu.Lock()
 				for _, i := range unit {
-					if ctx.Err() != nil && out[i].Result == nil && out[i].Err == nil {
-						continue // aborted lane: filled with ctx.Err below
+					if out[i].Attempts == 0 {
+						continue // never started: filled with ctx.Err below
 					}
 					ran[i] = true
-				}
-				if opts.Progress != nil {
-					mu.Lock()
-					for _, i := range unit {
-						if !ran[i] {
-							continue
-						}
-						done++
+					done++
+					if opts.Progress != nil {
 						opts.Progress(done, len(jobs), &out[i])
 					}
-					mu.Unlock()
 				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -408,72 +393,4 @@ func jobLabels(j *Job) []telemetry.Label {
 		ls = append(ls, telemetry.L("scenario", j.Fault.Name))
 	}
 	return ls
-}
-
-// execute runs one attempt of a job under the given controller spec
-// (the job's own, or an escalation fallback), capturing panics into the
-// result error so one diverging scenario cannot kill the sweep. The
-// sink, when non-nil, replaces the job config's Telemetry for this
-// execution (the fingerprint ignores it, so caching is unaffected).
-func execute(job *Job, spec *ControllerSpec, cache *Cache, sink telemetry.Sink, ro sim.RunOptions) (jr JobResult) {
-	jr.Job = *job
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			jr.Result = nil
-			jr.Err = fmt.Errorf("runner: job %d (%s on %s) %w: %v",
-				job.Index, spec.Label, job.Cycle, ErrJobPanicked, r)
-		}
-		// Error and panic paths keep their wall-clock too; only cache
-		// hits report zero (their cost is in Saved).
-		if !jr.Cached && jr.Elapsed == 0 {
-			jr.Elapsed = time.Since(start)
-		}
-	}()
-
-	// Escalated attempts run a different controller than the
-	// fingerprint names, so their results never enter (or come from)
-	// the cache.
-	useCache := cache != nil && spec == &job.Controller
-	var key uint64
-	if useCache {
-		key = job.Fingerprint()
-		if res, saved, ok := cache.get(key); ok {
-			jr.Result = res
-			jr.Cached = true
-			jr.Saved = saved
-			return jr
-		}
-	}
-
-	cfg := job.Config
-	if sink != nil {
-		cfg.Telemetry = sink
-	}
-	r, err := sim.New(cfg)
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	if spec.New == nil {
-		jr.Err = fmt.Errorf("runner: controller %q has no constructor", spec.Label)
-		return jr
-	}
-	ctrl, err := spec.New()
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	res, err := r.RunWith(ctrl, ro)
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	jr.Result = res
-	jr.Instance = ctrl
-	jr.Elapsed = time.Since(start)
-	if useCache {
-		cache.put(key, res, jr.Elapsed)
-	}
-	return jr
 }

@@ -47,10 +47,17 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	}
 	br := &BatchRunner{lanes: make([]*Runner, len(cfgs))}
 	validated := make(map[*drivecycle.Profile]bool, len(cfgs))
+	// A 1-lane batch is a single run; its errors read like one.
+	laneErr := func(i int, err error) error {
+		if len(cfgs) == 1 {
+			return err
+		}
+		return fmt.Errorf("sim: batch lane %d: %w", i, err)
+	}
 	for i, cfg := range cfgs {
 		r, err := buildRunner(cfg, validated)
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
+			return nil, laneErr(i, err)
 		}
 		// Sweep grids vary environment and target over one cycle, so most
 		// lanes drive the same speed trace with the same powertrain; the
@@ -68,7 +75,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 		}
 		n := r.stepCount()
 		if n <= 0 {
-			return nil, fmt.Errorf("sim: batch lane %d: profile too short for one control step", i)
+			return nil, laneErr(i, errors.New("sim: profile too short for one control step"))
 		}
 		if i == 0 {
 			br.n, br.dt, br.subSteps = n, r.cfg.ControlDt, r.cfg.PlantSubSteps
