@@ -73,12 +73,12 @@ test-faults:
 
 # Crash-safety suite under the race detector: journal WAL round-trip,
 # torn-tail tolerance, the SIGKILL kill-and-resume byte-identity proof,
-# watchdog/retry/escalation, mid-job checkpoint resume, the sim-level
+# watchdog/retry, mid-job checkpoint resume, the sim-level
 # checkpoint bit-exactness property, and the evbench exit-code contract —
 # plus a short fuzz smoke of the journal parser (the file a crashed
 # process leaves behind is untrusted input).
 test-resume:
-	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Escalation|Kill' ./internal/runner/...
+	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Kill' ./internal/runner/...
 	$(GO) test -run 'Checkpoint|Restore' ./internal/sim/...
 	$(GO) test ./cmd/evbench/...
 	$(GO) test -fuzz=FuzzParseJournal -fuzztime=10s ./internal/runner/
@@ -105,8 +105,8 @@ test-netchaos:
 	$(GO) test -race -timeout 10m -run 'NetChaos|Complete|FlapBreaker|CallDeadline|SpillStore|MemStore|DuplicateCompletion' ./internal/fabric/
 
 # Cold-climate thermal suite: the battery thermal network and heat-pump
-# unit tests, depot preconditioning, the calendar/cycle-stress aging
-# model, the co-scheduling MPC extension (structured-vs-dense
+# unit tests, depot preconditioning, the Arrhenius, cycle-stress and
+# calendar aging factors, the co-scheduling MPC extension (structured-vs-dense
 # equivalence on the enlarged stage problem), and the sim-level thermal
 # integration — end-to-end cold runs, checkpoint bit-exactness with
 # thermal state, and the bitwise trajectory golden.

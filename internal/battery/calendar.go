@@ -42,14 +42,6 @@ func CycleStressFactor(tempC float64) float64 {
 	return v / ref
 }
 
-// DeltaSoHAtPackTemp evaluates the paper's Eq. 15 cycle degradation and
-// scales it by the U-shaped CycleStressFactor — the cold-climate
-// counterpart of DeltaSoHAtTemp (which is hot-side Arrhenius only and is
-// kept for the original lifetime sensitivity analysis).
-func (p *SoHParams) DeltaSoHAtPackTemp(socDev, socAvg, meanPackC float64) float64 {
-	return p.DeltaSoH(socDev, socAvg) * CycleStressFactor(meanPackC)
-}
-
 // CalendarParams defines the V2G-Sim-style calendar-aging term: capacity
 // fade that accrues with storage time regardless of cycling, Arrhenius
 // in pack temperature and exponential in SoC level, with the √t kernel

@@ -71,20 +71,6 @@ func TestCycleStressFactor(t *testing.T) {
 	}
 }
 
-func TestDeltaSoHAtPackTemp(t *testing.T) {
-	p := DefaultSoHParams()
-	base := p.DeltaSoH(5, 70)
-	if got := p.DeltaSoHAtPackTemp(5, 70, ArrheniusRefC); math.Abs(got-base) > 1e-15 {
-		t.Errorf("reference temperature must not scale ΔSoH: %v vs %v", got, base)
-	}
-	if p.DeltaSoHAtPackTemp(5, 70, -20) <= base {
-		t.Error("cold cycling must accelerate fade (plating proxy)")
-	}
-	if p.DeltaSoHAtPackTemp(5, 70, 45) <= base {
-		t.Error("hot cycling must accelerate fade (Arrhenius)")
-	}
-}
-
 func TestCalendarLoss(t *testing.T) {
 	p := DefaultCalendarParams()
 	if err := p.Validate(); err != nil {
@@ -123,42 +109,5 @@ func TestCalendarLoss(t *testing.T) {
 	bad := CalendarParams{PreExponential: -1, ActivationJMol: 1, GasConstant: 1}
 	if err := bad.Validate(); err == nil {
 		t.Error("negative pre-exponential accepted")
-	}
-}
-
-func TestThermalSinkThreading(t *testing.T) {
-	// LeafThermalAt anchors the sink at the scenario ambient.
-	if p := LeafThermalAt(-20); p.SinkC != -20 {
-		t.Errorf("LeafThermalAt(-20).SinkC = %v", p.SinkC)
-	}
-	if p := LeafThermal(); p.SinkC != 25 {
-		t.Errorf("LeafThermal().SinkC = %v, want the 25 °C calibration default", p.SinkC)
-	}
-	// An idle pack at 25 °C with a −20 °C sink must cool, not hold.
-	s, err := NewThermalState(LeafThermalAt(-20), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 600; i++ {
-		s.Step(0, 10)
-	}
-	if s.TempC >= 24 {
-		t.Errorf("pack held %v °C against a −20 °C sink", s.TempC)
-	}
-	// SetSink retargets mid-run and survives Snapshot/Restore bit-exactly.
-	s.SetSink(5)
-	sn := s.Snapshot()
-	if sn.SinkC != 5 {
-		t.Errorf("snapshot sink = %v, want 5", sn.SinkC)
-	}
-	r, _ := NewThermalState(LeafThermalAt(-20), 25)
-	r.Restore(sn)
-	if r.SinkC() != 5 || r.Snapshot() != sn {
-		t.Errorf("restored snapshot %+v != %+v", r.Snapshot(), sn)
-	}
-	s.Step(10, 10)
-	r.Step(10, 10)
-	if s.TempC != r.TempC {
-		t.Errorf("post-restore step diverged: %v vs %v", s.TempC, r.TempC)
 	}
 }

@@ -1,7 +1,6 @@
 package battery
 
 import (
-	"errors"
 	"math"
 
 	"evclimate/internal/units"
@@ -10,139 +9,11 @@ import (
 // The paper treats battery temperature as constant and folds it into the
 // SoH model's a3 coefficient ("Consideration of the battery temperature
 // for estimating ΔSoH is out of the scope of the paper", Sec. II-D).
-// This file implements the natural extension: a lumped thermal model of
-// the pack (Joule heating against a coolant/ambient sink) and an
-// Arrhenius acceleration factor that scales ΔSoH with the cycle's mean
-// pack temperature. It is optional — nothing in the reproduction path
-// depends on it — and is exercised by the thermal-extension tests and the
-// lifetime example's sensitivity analysis.
-
-// ThermalParams describes the lumped pack thermal model.
-type ThermalParams struct {
-	// MassKg is the pack mass.
-	MassKg float64
-	// CpJKgK is the effective specific heat (≈ 1000 J/(kg·K) for Li-ion
-	// modules with housing).
-	CpJKgK float64
-	// InternalResistanceOhm is the DC resistance used for Joule heating
-	// Q = I²·R.
-	InternalResistanceOhm float64
-	// CoolingUAWK is the conductance to the coolant/ambient sink, W/K.
-	CoolingUAWK float64
-	// SinkC is the coolant/ambient sink temperature, °C.
-	SinkC float64
-}
-
-// LeafThermal returns a plausible thermal parameter set for the 24 kWh
-// pack (air-cooled, ≈ 294 kg including enclosure). The sink defaults to
-// the 25 °C room-temperature calibration point — scenario code should
-// prefer LeafThermalAt, which anchors the sink at the actual ambient.
-func LeafThermal() ThermalParams {
-	return LeafThermalAt(25)
-}
-
-// LeafThermalAt returns the Leaf pack thermal parameters with the
-// coolant/ambient sink at the given scenario ambient. An air-cooled pack
-// rejects heat to outside air, not to a 25 °C laboratory: a cold sweep
-// that keeps the default sink silently simulates a warm garage.
-func LeafThermalAt(ambientC float64) ThermalParams {
-	return ThermalParams{
-		MassKg:                294,
-		CpJKgK:                1000,
-		InternalResistanceOhm: 0.09, // pack-level DC resistance
-		CoolingUAWK:           35,
-		SinkC:                 ambientC,
-	}
-}
-
-// Validate reports invalid parameters.
-func (p *ThermalParams) Validate() error {
-	switch {
-	case p.MassKg <= 0 || p.CpJKgK <= 0:
-		return errors.New("battery: thermal mass parameters must be positive")
-	case p.InternalResistanceOhm < 0:
-		return errors.New("battery: internal resistance must be nonnegative")
-	case p.CoolingUAWK < 0:
-		return errors.New("battery: cooling conductance must be nonnegative")
-	}
-	return nil
-}
-
-// ThermalState tracks the pack temperature during a drive.
-type ThermalState struct {
-	p ThermalParams
-	// TempC is the current lumped pack temperature.
-	TempC float64
-	// sinkC is the live sink temperature. It starts at the parameter
-	// value and follows SetSink as the environment changes — mutable
-	// state, so it rides through Snapshot/Restore rather than being
-	// frozen into the parameters.
-	sinkC float64
-	// heatJ and time accumulate mean-temperature statistics.
-	tempTimeIntegral float64
-	elapsedS         float64
-}
-
-// NewThermalState starts the pack at initialC.
-func NewThermalState(p ThermalParams, initialC float64) (*ThermalState, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &ThermalState{p: p, TempC: initialC, sinkC: p.SinkC}, nil
-}
-
-// SetSink retargets the coolant/ambient sink — the per-scenario (or
-// per-step, for time-varying weather) ambient threading that keeps a
-// cold sweep from silently rejecting heat into a 25 °C laboratory.
-func (s *ThermalState) SetSink(ambientC float64) { s.sinkC = ambientC }
-
-// SinkC returns the live sink temperature.
-func (s *ThermalState) SinkC() float64 { return s.sinkC }
-
-// Step advances the pack temperature by dt seconds under pack current
-// currentA (sign irrelevant: Joule heating is I²R) and returns the new
-// temperature.
-func (s *ThermalState) Step(currentA, dt float64) float64 {
-	q := currentA*currentA*s.p.InternalResistanceOhm - s.p.CoolingUAWK*(s.TempC-s.sinkC)
-	s.TempC += q * dt / (s.p.MassKg * s.p.CpJKgK)
-	s.tempTimeIntegral += s.TempC * dt
-	s.elapsedS += dt
-	return s.TempC
-}
-
-// ThermalSnapshot is the serializable mutable state of a ThermalState:
-// everything Step touches. Parameters are not part of it — a snapshot is
-// restored into a state built from the same ThermalParams.
-type ThermalSnapshot struct {
-	TempC            float64 `json:"temp_c"`
-	SinkC            float64 `json:"sink_c"`
-	TempTimeIntegral float64 `json:"temp_time_integral"`
-	ElapsedS         float64 `json:"elapsed_s"`
-}
-
-// Snapshot captures the thermal state for checkpointing, including the
-// live sink temperature (SetSink retargets are mutable state).
-func (s *ThermalState) Snapshot() ThermalSnapshot {
-	return ThermalSnapshot{TempC: s.TempC, SinkC: s.sinkC, TempTimeIntegral: s.tempTimeIntegral, ElapsedS: s.elapsedS}
-}
-
-// Restore replaces the thermal state with a snapshot taken from a state
-// with the same parameters; Step then continues bit-for-bit.
-func (s *ThermalState) Restore(sn ThermalSnapshot) {
-	s.TempC = sn.TempC
-	s.sinkC = sn.SinkC
-	s.tempTimeIntegral = sn.TempTimeIntegral
-	s.elapsedS = sn.ElapsedS
-}
-
-// MeanC returns the time-averaged pack temperature so far (the initial
-// temperature if no steps have been taken).
-func (s *ThermalState) MeanC() float64 {
-	if s.elapsedS == 0 {
-		return s.TempC
-	}
-	return s.tempTimeIntegral / s.elapsedS
-}
+// This file holds the hot-side extension: an Arrhenius acceleration
+// factor for ΔSoH at the cycle's mean pack temperature. The cold-climate
+// plant tracks that temperature with the coupled network in
+// internal/thermal, and CycleStressFactor (calendar.go) builds on this
+// factor for its above-reference branch.
 
 // ArrheniusRefC is the reference temperature at which the thermal factor
 // is 1 — the constant temperature the paper's calibration assumes.
@@ -161,11 +32,4 @@ func ThermalFactor(tempC float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Exp(ArrheniusActivationK * (1/tRef - 1/t))
-}
-
-// DeltaSoHAtTemp evaluates Eq. 15 and scales it by the Arrhenius thermal
-// factor for the given mean pack temperature — the extension of the
-// paper's constant-temperature assumption.
-func (p *SoHParams) DeltaSoHAtTemp(socDev, socAvg, meanPackC float64) float64 {
-	return p.DeltaSoH(socDev, socAvg) * ThermalFactor(meanPackC)
 }

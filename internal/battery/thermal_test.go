@@ -5,94 +5,6 @@ import (
 	"testing"
 )
 
-func TestThermalParamsValidate(t *testing.T) {
-	p := LeafThermal()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []func(*ThermalParams){
-		func(p *ThermalParams) { p.MassKg = 0 },
-		func(p *ThermalParams) { p.CpJKgK = -1 },
-		func(p *ThermalParams) { p.InternalResistanceOhm = -0.1 },
-		func(p *ThermalParams) { p.CoolingUAWK = -1 },
-	}
-	for i, mutate := range cases {
-		q := LeafThermal()
-		mutate(&q)
-		if q.Validate() == nil {
-			t.Errorf("case %d: invalid params accepted", i)
-		}
-	}
-	if _, err := NewThermalState(ThermalParams{}, 25); err == nil {
-		t.Error("zero params accepted")
-	}
-}
-
-func TestThermalHeatingUnderLoad(t *testing.T) {
-	s, err := NewThermalState(LeafThermal(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sustained 100 A (36 kW at 360 V) heats the pack.
-	for i := 0; i < 600; i++ {
-		s.Step(100, 1)
-	}
-	if s.TempC <= 25 {
-		t.Errorf("pack did not heat under load: %v", s.TempC)
-	}
-	// Joule heating at 100 A: I²R = 900 W against UA·ΔT; equilibrium at
-	// ΔT = 900/35 ≈ 25.7 K. Ten minutes gets partway there.
-	if s.TempC > 51 {
-		t.Errorf("pack heated beyond equilibrium: %v", s.TempC)
-	}
-}
-
-func TestThermalCoolingAtRest(t *testing.T) {
-	s, err := NewThermalState(LeafThermal(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3600; i++ {
-		s.Step(0, 1)
-	}
-	// Relaxes toward the 25 °C sink.
-	if s.TempC >= 40 || s.TempC < 25 {
-		t.Errorf("pack at rest: %v, want between sink and start", s.TempC)
-	}
-}
-
-func TestThermalEquilibrium(t *testing.T) {
-	s, err := NewThermalState(LeafThermal(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run to equilibrium at 50 A: ΔT* = I²R/UA = 225/35 ≈ 6.43 K.
-	for i := 0; i < 200000; i++ {
-		s.Step(50, 1)
-	}
-	want := 25 + 50*50*0.09/35
-	if math.Abs(s.TempC-want) > 0.1 {
-		t.Errorf("equilibrium %v, want %v", s.TempC, want)
-	}
-}
-
-func TestMeanTemperature(t *testing.T) {
-	s, err := NewThermalState(LeafThermal(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MeanC() != 30 {
-		t.Errorf("mean before steps = %v", s.MeanC())
-	}
-	for i := 0; i < 100; i++ {
-		s.Step(0, 1)
-	}
-	// Mean lies between the sink and the start.
-	if s.MeanC() > 30 || s.MeanC() < 25 {
-		t.Errorf("mean = %v", s.MeanC())
-	}
-}
-
 func TestThermalFactor(t *testing.T) {
 	// Unity at the reference temperature.
 	if f := ThermalFactor(ArrheniusRefC); math.Abs(f-1) > 1e-12 {
@@ -110,19 +22,5 @@ func TestThermalFactor(t *testing.T) {
 	// Cold slows degradation in this model regime.
 	if ThermalFactor(10) >= 1 {
 		t.Errorf("cold factor = %v, want < 1", ThermalFactor(10))
-	}
-}
-
-func TestDeltaSoHAtTemp(t *testing.T) {
-	p := DefaultSoHParams()
-	base := p.DeltaSoH(5, 70)
-	if got := p.DeltaSoHAtTemp(5, 70, ArrheniusRefC); math.Abs(got-base) > 1e-15 {
-		t.Errorf("reference-temperature ΔSoH altered: %v vs %v", got, base)
-	}
-	if p.DeltaSoHAtTemp(5, 70, 45) <= base {
-		t.Error("hot pack should degrade faster")
-	}
-	if p.DeltaSoHAtTemp(5, 70, 10) >= base {
-		t.Error("cool pack should degrade slower")
 	}
 }

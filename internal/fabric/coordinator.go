@@ -309,10 +309,10 @@ func (c *Coordinator) unitComplete(u *unit) bool {
 	return true
 }
 
-// publishCache shares a successful, non-escalated record's result under
-// its scenario fingerprint (caller holds mu, or is still constructing).
+// publishCache shares a successful record's result under its scenario
+// fingerprint (caller holds mu, or is still constructing).
 func (c *Coordinator) publishCache(job *runner.Job, rec *runner.JournalRecord) {
-	if c.cfg.Cache == nil || rec.Err != "" || rec.EscalatedTo != "" || rec.Result == nil {
+	if c.cfg.Cache == nil || rec.Err != "" || rec.Result == nil {
 		return
 	}
 	c.cfg.Cache.Put(job.Fingerprint(), rec.Result, time.Duration(rec.ElapsedNs))

@@ -9,9 +9,9 @@
 // /cache). Workers rebuild the identical spec locally from a shared
 // builder registry — function-valued spec fields cannot travel over the
 // wire, so the protocol ships job indexes and fingerprints, never jobs —
-// run their leased units through the ordinary pool (watchdog, retry,
-// ladder escalation included), and stream back journal-form records
-// carrying each job's result, step spans, and private metric snapshot.
+// run their leased units through the ordinary pool (watchdog and retry
+// included), and stream back journal-form records carrying each job's
+// result, step spans, and private metric snapshot.
 //
 // Failure semantics:
 //

@@ -16,20 +16,11 @@ func (c *Cholesky) Reserve(n int) {
 	}
 }
 
-// CholeskyFactorize computes the Cholesky factorization of the symmetric
-// positive definite matrix a. Only the lower triangle of a is read.
-// It returns ErrNotSPD if a pivot is non-positive.
-func CholeskyFactorize(a *Dense) (*Cholesky, error) {
-	ch := &Cholesky{}
-	if err := CholeskyFactorizeInto(ch, a); err != nil {
-		return nil, err
-	}
-	return ch, nil
-}
-
-// CholeskyFactorizeInto computes the Cholesky factorization of a into ch,
-// reusing ch's storage when the dimensions match (allocation-free after
-// the first call with a given size). On error the contents of ch are
+// CholeskyFactorizeInto computes the Cholesky factorization of the
+// symmetric positive definite matrix a into ch, reusing ch's storage when
+// the dimensions match (allocation-free after the first call with a
+// given size). Only the lower triangle of a is read. It returns ErrNotSPD
+// if a pivot is non-positive; on error the contents of ch are
 // unspecified.
 func CholeskyFactorizeInto(ch *Cholesky, a *Dense) error {
 	n, c := a.Dims()
@@ -65,12 +56,6 @@ func CholeskyFactorizeInto(ch *Cholesky, a *Dense) error {
 	return nil
 }
 
-// Solve solves A·x = b using the factorization. b is not modified.
-func (c *Cholesky) Solve(b []float64) []float64 {
-	n, _ := c.l.Dims()
-	return c.SolveInto(b, make([]float64, n))
-}
-
 // SolveInto solves A·x = b into x using the factorization and returns x.
 // The forward substitution runs in place in x, so no intermediate buffer
 // is needed. b is not modified; x must not alias b.
@@ -98,41 +83,4 @@ func (c *Cholesky) SolveInto(b, x []float64) []float64 {
 		x[i] = s / ld[i*n+i]
 	}
 	return x
-}
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l.Clone() }
-
-// SolveSPD solves A·x = b for symmetric positive definite A. If the plain
-// Cholesky factorization fails, a diagonal ridge is added (scaled by the
-// largest diagonal entry) and the factorization retried a few times; this
-// regularized fallback is what the SQP solver relies on when a Hessian
-// approximation drifts to the PSD boundary. It returns ErrNotSPD only if
-// even the ridged matrix cannot be factorized.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	if ch, err := CholeskyFactorize(a); err == nil {
-		return ch.Solve(b), nil
-	}
-	n, _ := a.Dims()
-	var dmax float64
-	for i := 0; i < n; i++ {
-		if v := math.Abs(a.At(i, i)); v > dmax {
-			dmax = v
-		}
-	}
-	if dmax == 0 {
-		dmax = 1
-	}
-	ridge := 1e-10 * dmax
-	for k := 0; k < 12; k++ {
-		reg := a.Clone()
-		for i := 0; i < n; i++ {
-			reg.Add(i, i, ridge)
-		}
-		if ch, err := CholeskyFactorize(reg); err == nil {
-			return ch.Solve(b), nil
-		}
-		ridge *= 10
-	}
-	return nil, ErrNotSPD
 }

@@ -76,57 +76,6 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestLUSolveIntoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	var lu LU
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(20)
-		a := randomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want, err := Solve(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := FactorizeInto(&lu, a); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, n)
-		lu.SolveInto(b, got)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: LU SolveInto differs from Solve", trial)
-		}
-	}
-}
-
-func TestCholeskySolveIntoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var ch Cholesky
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(20)
-		a := randomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		ref, err := CholeskyFactorize(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Solve(b)
-		if err := CholeskyFactorizeInto(&ch, a); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, n)
-		ch.SolveInto(b, got)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: Cholesky SolveInto differs from Solve", trial)
-		}
-	}
-}
-
 // The hot-path contract: once the factor objects are sized, the
 // factorize/solve cycle performs zero allocations.
 func TestLUFactorizeSolveIntoNoAllocs(t *testing.T) {

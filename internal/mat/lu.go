@@ -4,11 +4,10 @@ import "math"
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U,
 // where L is unit lower triangular and U is upper triangular, both packed
-// into lu. It is produced by Factorize.
+// into lu. It is produced by FactorizeInto.
 type LU struct {
-	lu   *Dense
-	piv  []int // row permutation: row i of the factorization came from row piv[i] of A
-	sign int   // +1 or −1, the determinant of the permutation
+	lu  *Dense
+	piv []int // row permutation: row i of the factorization came from row piv[i] of A
 }
 
 // Reserve pre-sizes the factor storage for n×n factorizations so the
@@ -20,20 +19,12 @@ func (f *LU) Reserve(n int) {
 	f.piv = growInts(f.piv, n)
 }
 
-// Factorize computes the LU factorization of the square matrix a with
-// partial (row) pivoting. It returns ErrSingular if a pivot is exactly
-// zero; near-singular systems succeed here but may produce large residuals.
-func Factorize(a *Dense) (*LU, error) {
-	f := &LU{}
-	if err := FactorizeInto(f, a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FactorizeInto computes the LU factorization of a into f, reusing f's
-// storage when the dimensions match (allocation-free after the first call
-// with a given size). On error the contents of f are unspecified.
+// FactorizeInto computes the LU factorization of the square matrix a
+// with partial (row) pivoting into f, reusing f's storage when the
+// dimensions match (allocation-free after the first call with a given
+// size). It returns ErrSingular if a pivot is exactly zero; near-singular
+// systems succeed here but may produce large residuals. On error the
+// contents of f are unspecified.
 func FactorizeInto(f *LU, a *Dense) error {
 	n, c := a.Dims()
 	if n != c {
@@ -48,7 +39,6 @@ func FactorizeInto(f *LU, a *Dense) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	d := lu.data
 	for k := 0; k < n; k++ {
 		// Find the pivot row.
@@ -67,7 +57,6 @@ func FactorizeInto(f *LU, a *Dense) error {
 				d[p*n+j], d[k*n+j] = d[k*n+j], d[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := d[k*n+k]
 		// Row-slice the elimination so the compiler can drop bounds
@@ -85,14 +74,7 @@ func FactorizeInto(f *LU, a *Dense) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
-}
-
-// Solve solves A·x = b using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
-	n, _ := f.lu.Dims()
-	return f.SolveInto(b, make([]float64, n))
 }
 
 // SolveInto solves A·x = b into x using the factorization and returns x.
@@ -120,48 +102,4 @@ func (f *LU) SolveInto(b, x []float64) []float64 {
 		x[i] = s / d[i*n+i]
 	}
 	return x
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	n, _ := f.lu.Dims()
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
-// Solve solves the square linear system a·x = b with LU factorization.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Inverse returns a⁻¹, or ErrSingular.
-func Inverse(a *Dense) (*Dense, error) {
-	n, c := a.Dims()
-	if n != c {
-		panic(ErrShape)
-	}
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.data[i*n+j] = col[i]
-		}
-	}
-	return inv, nil
 }

@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// luSolve is the tests' dense LU oracle: a fresh factorization and
+// solve through the allocation-free API the solvers use.
+func luSolve(a *Dense, b []float64) ([]float64, error) {
+	var f LU
+	if err := FactorizeInto(&f, a); err != nil {
+		return nil, err
+	}
+	return f.SolveInto(b, make([]float64, len(b))), nil
+}
+
+// choleskySolve is luSolve's Cholesky counterpart.
+func choleskySolve(a *Dense, b []float64) ([]float64, error) {
+	var ch Cholesky
+	if err := CholeskyFactorizeInto(&ch, a); err != nil {
+		return nil, err
+	}
+	return ch.SolveInto(b, make([]float64, len(b))), nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{
 		{2, 1, -1},
@@ -13,7 +32,7 @@ func TestLUSolveKnown(t *testing.T) {
 		{-2, 1, 2},
 	})
 	b := []float64{8, -11, -3}
-	x, err := Solve(a, b)
+	x, err := luSolve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +53,7 @@ func TestLUSolveRandomResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := Solve(a, b)
+		x, err := luSolve(a, b)
 		if err != nil {
 			continue // random singular matrix: astronomically unlikely but legal
 		}
@@ -50,43 +69,8 @@ func TestLUSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	})
-	if _, err := Solve(a, []float64{1, 1}); err != ErrSingular {
-		t.Errorf("Solve on singular matrix: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{3, 0}, {0, 2}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-6) > 1e-12 {
-		t.Errorf("Det = %v, want 6", d)
-	}
-	// Permutation sign: swap rows gives negative determinant.
-	b := FromRows([][]float64{{0, 2}, {3, 0}})
-	fb, err := Factorize(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := fb.Det(); math.Abs(d+6) > 1e-12 {
-		t.Errorf("Det = %v, want -6", d)
-	}
-}
-
-func TestInverseProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(10)
-		a := randomSPD(rng, n) // SPD: comfortably invertible
-		inv, err := Inverse(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !a.Mul(inv).EqualApprox(Identity(n), 1e-8) {
-			t.Errorf("trial %d: A·A⁻¹ != I", trial)
-		}
+	if _, err := luSolve(a, []float64{1, 1}); err != ErrSingular {
+		t.Errorf("FactorizeInto on singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -96,8 +80,8 @@ func TestCholeskyKnown(t *testing.T) {
 		{12, 37, -43},
 		{-16, -43, 98},
 	})
-	ch, err := CholeskyFactorize(a)
-	if err != nil {
+	var ch Cholesky
+	if err := CholeskyFactorizeInto(&ch, a); err != nil {
 		t.Fatal(err)
 	}
 	wantL := FromRows([][]float64{
@@ -105,8 +89,8 @@ func TestCholeskyKnown(t *testing.T) {
 		{6, 1, 0},
 		{-8, 5, 3},
 	})
-	if !ch.L().EqualApprox(wantL, 1e-12) {
-		t.Errorf("L =\n%v\nwant\n%v", ch.L(), wantL)
+	if !ch.l.EqualApprox(wantL, 1e-12) {
+		t.Errorf("L =\n%v\nwant\n%v", ch.l, wantL)
 	}
 }
 
@@ -119,12 +103,11 @@ func TestCholeskySolveMatchesLU(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ch, err := CholeskyFactorize(a)
+		xc, err := choleskySolve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		xc := ch.Solve(b)
-		xl, err := Solve(a, b)
+		xl, err := luSolve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -141,101 +124,8 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 		{1, 0},
 		{0, -1},
 	})
-	if _, err := CholeskyFactorize(a); err != ErrNotSPD {
-		t.Errorf("CholeskyFactorize on indefinite: err = %v, want ErrNotSPD", err)
-	}
-}
-
-func TestSolveSPDRegularizes(t *testing.T) {
-	// Positive semidefinite (singular) matrix: plain Cholesky fails, the
-	// ridged fallback must still return a finite solution.
-	a := FromRows([][]float64{
-		{1, 1},
-		{1, 1},
-	})
-	x, err := SolveSPD(a, []float64{2, 2})
-	if err != nil {
-		t.Fatalf("SolveSPD failed: %v", err)
-	}
-	if !AllFinite(x) {
-		t.Errorf("SolveSPD returned non-finite %v", x)
-	}
-	// The ridged solution of [1 1;1 1]x=[2;2] tends to x = [1,1].
-	if math.Abs(x[0]-1) > 1e-3 || math.Abs(x[1]-1) > 1e-3 {
-		t.Errorf("SolveSPD = %v, want approx [1 1]", x)
-	}
-}
-
-func TestQRLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: least squares equals exact solve.
-	a := FromRows([][]float64{
-		{2, 1},
-		{1, 3},
-	})
-	b := []float64{5, 10}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-12 {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestQRLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2t + 1 from noisy-free samples: exact recovery.
-	a := FromRows([][]float64{
-		{0, 1},
-		{1, 1},
-		{2, 1},
-		{3, 1},
-	})
-	b := []float64{1, 3, 5, 7}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
-		t.Errorf("fit = %v, want [2 1]", x)
-	}
-}
-
-func TestQRLeastSquaresNormalEquations(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 20; trial++ {
-		m := 5 + rng.Intn(10)
-		n := 1 + rng.Intn(4)
-		a := randomDense(rng, m, n)
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Residual must be orthogonal to the column space: Aᵀ(Ax−b) = 0.
-		grad := a.MulVecT(SubVec(a.MulVec(x), b))
-		if Norm2(grad) > 1e-9*(1+Norm2(b)) {
-			t.Errorf("trial %d: normal-equation residual %v", trial, Norm2(grad))
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{2, 4},
-		{3, 6},
-	})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err != ErrSingular {
-		t.Errorf("rank-deficient LS: err = %v, want ErrSingular", err)
+	if _, err := choleskySolve(a, []float64{1, 1}); err != ErrNotSPD {
+		t.Errorf("CholeskyFactorizeInto on indefinite: err = %v, want ErrNotSPD", err)
 	}
 }
 
@@ -286,29 +176,8 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func TestLUDetProductProperty(t *testing.T) {
-	// det(A·B) = det(A)·det(B) for random small matrices.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(6)
-		a := randomDense(rng, n, n)
-		b := randomDense(rng, n, n)
-		fa, errA := Factorize(a)
-		fb, errB := Factorize(b)
-		fab, errAB := Factorize(a.Mul(b))
-		if errA != nil || errB != nil || errAB != nil {
-			continue // singular random draw
-		}
-		want := fa.Det() * fb.Det()
-		got := fab.Det()
-		if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
-			t.Errorf("trial %d: det(AB)=%v, det(A)det(B)=%v", trial, got, want)
-		}
-	}
-}
-
 func TestCholeskySolveSPDProperty(t *testing.T) {
-	// A·x = b round-trips for random SPD systems via SolveSPD.
+	// A·x = b round-trips for random SPD systems via Cholesky.
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(12)
@@ -318,7 +187,7 @@ func TestCholeskySolveSPDProperty(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		x, err := SolveSPD(a, b)
+		x, err := choleskySolve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -327,21 +196,5 @@ func TestCholeskySolveSPDProperty(t *testing.T) {
 				t.Errorf("trial %d: x[%d] = %v, want %v", trial, i, x[i], want[i])
 			}
 		}
-	}
-}
-
-func TestInverseOfInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomSPD(rng, 6)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Inverse(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.EqualApprox(a, 1e-7*a.MaxAbs()) {
-		t.Error("(A⁻¹)⁻¹ != A")
 	}
 }

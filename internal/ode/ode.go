@@ -1,12 +1,11 @@
-// Package ode provides fixed-step and adaptive explicit integrators for
-// ordinary differential equations. It plays the role of the Simulink /
+// Package ode provides the fixed-step classical Runge–Kutta integrator
+// for ordinary differential equations. It plays the role of the Simulink /
 // AMESim solver in the paper's co-simulation: the EV plant (power train,
-// cabin thermal model, battery) is integrated with these routines at a
-// finer time step than the model-predictive controller's sample period.
+// cabin thermal model, battery) is integrated with it at a finer time
+// step than the model-predictive controller's sample period.
 package ode
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -21,60 +20,10 @@ type Integrator interface {
 	// Step writes the state at t+dt into next, given state x at time t.
 	// x and next must have equal length and may not alias.
 	Step(sys System, t float64, x, next []float64, dt float64)
-	// Name identifies the method ("euler", "heun", "rk4").
+	// Name identifies the method ("rk4").
 	Name() string
 	// Order is the classical order of accuracy of the method.
 	Order() int
-}
-
-// Euler is the explicit first-order Euler method.
-type Euler struct{ scratch []float64 }
-
-// Name implements Integrator.
-func (*Euler) Name() string { return "euler" }
-
-// Order implements Integrator.
-func (*Euler) Order() int { return 1 }
-
-// Step implements Integrator.
-func (e *Euler) Step(sys System, t float64, x, next []float64, dt float64) {
-	n := len(x)
-	if len(next) != n {
-		panic("ode: state length mismatch")
-	}
-	e.scratch = resize(e.scratch, n)
-	sys(t, x, e.scratch)
-	for i := 0; i < n; i++ {
-		next[i] = x[i] + dt*e.scratch[i]
-	}
-}
-
-// Heun is the explicit second-order trapezoidal (Heun) method.
-type Heun struct{ k1, k2, tmp []float64 }
-
-// Name implements Integrator.
-func (*Heun) Name() string { return "heun" }
-
-// Order implements Integrator.
-func (*Heun) Order() int { return 2 }
-
-// Step implements Integrator.
-func (h *Heun) Step(sys System, t float64, x, next []float64, dt float64) {
-	n := len(x)
-	if len(next) != n {
-		panic("ode: state length mismatch")
-	}
-	h.k1 = resize(h.k1, n)
-	h.k2 = resize(h.k2, n)
-	h.tmp = resize(h.tmp, n)
-	sys(t, x, h.k1)
-	for i := 0; i < n; i++ {
-		h.tmp[i] = x[i] + dt*h.k1[i]
-	}
-	sys(t+dt, h.tmp, h.k2)
-	for i := 0; i < n; i++ {
-		next[i] = x[i] + dt/2*(h.k1[i]+h.k2[i])
-	}
 }
 
 // RK4 is the classical fourth-order Runge–Kutta method.
@@ -164,118 +113,6 @@ func Integrate(sys System, x0 []float64, t0, t1, dt float64, integ Integrator, o
 		}
 		if obs != nil {
 			obs(t, x)
-		}
-	}
-	return x, nil
-}
-
-// ErrStepTooSmall is returned by the adaptive integrator when the error
-// controller drives the step below its minimum.
-var ErrStepTooSmall = errors.New("ode: adaptive step size underflow")
-
-// AdaptiveConfig tunes IntegrateAdaptive.
-type AdaptiveConfig struct {
-	// AbsTol and RelTol define the per-component error tolerance
-	// tol_i = AbsTol + RelTol·|x_i|. Defaults: 1e-8 and 1e-6.
-	AbsTol, RelTol float64
-	// InitialStep is the first attempted step. Default (t1−t0)/100.
-	InitialStep float64
-	// MinStep aborts integration when the controller needs smaller steps.
-	// Default 1e-12·(t1−t0).
-	MinStep float64
-	// MaxStep caps the step size. Default t1−t0.
-	MaxStep float64
-}
-
-// IntegrateAdaptive integrates with the embedded Bogacki–Shampine 3(2)
-// pair (the method behind MATLAB's ode23), adapting the step to the
-// requested tolerance, and returns the final state.
-func IntegrateAdaptive(sys System, x0 []float64, t0, t1 float64, cfg AdaptiveConfig, obs Observer) ([]float64, error) {
-	if t1 < t0 {
-		return nil, fmt.Errorf("ode: t1 %v < t0 %v", t1, t0)
-	}
-	span := t1 - t0
-	if cfg.AbsTol <= 0 {
-		cfg.AbsTol = 1e-8
-	}
-	if cfg.RelTol <= 0 {
-		cfg.RelTol = 1e-6
-	}
-	if cfg.InitialStep <= 0 {
-		cfg.InitialStep = span / 100
-	}
-	if cfg.MinStep <= 0 {
-		cfg.MinStep = 1e-12 * span
-	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = span
-	}
-	n := len(x0)
-	x := make([]float64, n)
-	copy(x, x0)
-	k1 := make([]float64, n)
-	k2 := make([]float64, n)
-	k3 := make([]float64, n)
-	k4 := make([]float64, n)
-	tmp := make([]float64, n)
-	x3 := make([]float64, n)
-
-	t := t0
-	h := cfg.InitialStep
-	if obs != nil {
-		obs(t, x)
-	}
-	sys(t, x, k1) // FSAL: k1 holds f(t, x)
-	for t < t1 {
-		if t+h > t1 {
-			h = t1 - t
-		}
-		// Bogacki–Shampine stages.
-		for i := 0; i < n; i++ {
-			tmp[i] = x[i] + h/2*k1[i]
-		}
-		sys(t+h/2, tmp, k2)
-		for i := 0; i < n; i++ {
-			tmp[i] = x[i] + 3*h/4*k2[i]
-		}
-		sys(t+3*h/4, tmp, k3)
-		for i := 0; i < n; i++ {
-			x3[i] = x[i] + h*(2.0/9*k1[i]+1.0/3*k2[i]+4.0/9*k3[i])
-		}
-		sys(t+h, x3, k4)
-		// Error estimate: difference between 3rd- and 2nd-order solutions.
-		var errNorm float64
-		for i := 0; i < n; i++ {
-			x2i := x[i] + h*(7.0/24*k1[i]+1.0/4*k2[i]+1.0/3*k3[i]+1.0/8*k4[i])
-			tol := cfg.AbsTol + cfg.RelTol*math.Abs(x3[i])
-			e := math.Abs(x3[i]-x2i) / tol
-			if e > errNorm {
-				errNorm = e
-			}
-		}
-		if errNorm <= 1 {
-			// Accept.
-			t += h
-			copy(x, x3)
-			copy(k1, k4) // FSAL
-			for _, v := range x {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("ode: non-finite state at t=%v", t)
-				}
-			}
-			if obs != nil {
-				obs(t, x)
-			}
-		}
-		// Step-size controller (both on accept and reject).
-		fac := 0.9 * math.Pow(math.Max(errNorm, 1e-10), -1.0/3)
-		fac = math.Min(5, math.Max(0.2, fac))
-		h *= fac
-		if h > cfg.MaxStep {
-			h = cfg.MaxStep
-		}
-		if h < cfg.MinStep {
-			return nil, ErrStepTooSmall
 		}
 	}
 	return x, nil

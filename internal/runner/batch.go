@@ -20,8 +20,8 @@ import (
 // is bit-identical to its job's 1-lane run: batching is purely a
 // scheduling decision, made from the expansion order alone, which keeps
 // sweep outputs worker-count-deterministic. A multi-lane attempt that
-// fails splits into 1-lane units, where retry, escalation, and the
-// watchdog apply per job (durability.go).
+// fails splits into 1-lane units, where retry and the watchdog apply
+// per job (durability.go).
 
 // DefaultBatchSize is the lane count per batch when Options.BatchSize
 // is zero. Sixteen lanes keep the SoA state well inside L1 while
@@ -152,22 +152,20 @@ func (pe *poolEnv) planUnits(ran []bool) [][]int {
 	return units
 }
 
-// lane is one job's slot in a unit attempt: the controller spec it runs
-// under, its mid-job checkpoint file ("" when not checkpointing), and
-// what the attempt produced for it — the result, the step-trace ring,
-// and the job-private metric registry.
+// lane is one job's slot in a unit attempt: its mid-job checkpoint file
+// ("" when not checkpointing), and what the attempt produced for it —
+// the result, the step-trace ring, and the job-private metric registry.
 type lane struct {
 	i      int // index into poolEnv.jobs
-	spec   *ControllerSpec
 	ckPath string
 	jr     JobResult
 	rec    *telemetry.StepTrace
 	priv   *telemetry.Registry
 }
 
-// newLane makes job i's lane for one attempt under spec.
-func (pe *poolEnv) newLane(i int, spec *ControllerSpec) *lane {
-	ln := &lane{i: i, spec: spec}
+// newLane makes job i's lane for one attempt.
+func (pe *poolEnv) newLane(i int) *lane {
+	ln := &lane{i: i}
 	if pe.jnl != nil && pe.opts.Journal.CheckpointEvery > 0 {
 		ln.ckPath = pe.jnl.checkpointPath(&pe.jobs[i])
 	}
@@ -177,15 +175,15 @@ func (pe *poolEnv) newLane(i int, spec *ControllerSpec) *lane {
 // runUnit executes one planned unit and writes each job's final result
 // into out. A multi-lane unit first runs as one attempt. If that attempt
 // fails while the sweep is still live, the unit splits: every lane
-// reruns as a 1-lane unit through runJob, so failures are attributed,
-// retried, and escalated per job, and the failed attempt leaves nothing
-// behind but the lanes' checkpoints (which resume bit-exactly). Jobs
-// left unstarted by a shutdown keep a zero result for the pool to fill.
+// reruns as a 1-lane unit through runJob, so failures are attributed
+// and retried per job, and the failed attempt leaves nothing behind but
+// the lanes' checkpoints (which resume bit-exactly). Jobs left
+// unstarted by a shutdown keep a zero result for the pool to fill.
 func (pe *poolEnv) runUnit(ctx context.Context, unit []int, out []JobResult) {
 	if len(unit) > 1 {
 		lanes := make([]*lane, len(unit))
 		for k, i := range unit {
-			lanes[k] = pe.newLane(i, &pe.jobs[i].Controller)
+			lanes[k] = pe.newLane(i)
 		}
 		if err := pe.attempt(ctx, lanes); err == nil || ctx.Err() != nil {
 			for _, ln := range lanes {
@@ -224,7 +222,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 			// multi-lane unit splits), so lane 0 names the job.
 			j := &pe.jobs[lanes[0].i]
 			err = fmt.Errorf("runner: job %d (%s on %s) %w: %v",
-				j.Index, lanes[0].spec.Label, j.Cycle, ErrJobPanicked, r)
+				j.Index, j.Controller.Label, j.Cycle, ErrJobPanicked, r)
 		}
 		if err != nil {
 			for _, ln := range live {
@@ -244,10 +242,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 		if pe.traces != nil {
 			ln.rec = telemetry.NewStepTrace(opts.TraceSteps)
 		}
-		// Escalated attempts run a different controller than the
-		// fingerprint names, so their results never enter (or come from)
-		// the cache.
-		if opts.Cache != nil && ln.spec == &job.Controller {
+		if opts.Cache != nil {
 			if res, saved, ok := opts.Cache.get(job.Fingerprint()); ok {
 				ln.jr.Result, ln.jr.Cached, ln.jr.Saved = res, true, saved
 				continue
@@ -271,10 +266,11 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 	}
 	ctrls := make([]control.Controller, len(live))
 	for k, ln := range live {
-		if ln.spec.New == nil {
-			return fmt.Errorf("runner: controller %q has no constructor", ln.spec.Label)
+		spec := &pe.jobs[ln.i].Controller
+		if spec.New == nil {
+			return fmt.Errorf("runner: controller %q has no constructor", spec.Label)
 		}
-		if ctrls[k], err = ln.spec.New(); err != nil {
+		if ctrls[k], err = spec.New(); err != nil {
 			return err
 		}
 	}
@@ -315,7 +311,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 	share := time.Since(start) / time.Duration(len(live))
 	for k, ln := range live {
 		ln.jr.Result, ln.jr.Instance, ln.jr.Elapsed = rs[k], bc.Lane(k), share
-		if opts.Cache != nil && ln.spec == &pe.jobs[ln.i].Controller {
+		if opts.Cache != nil {
 			opts.Cache.put(pe.jobs[ln.i].Fingerprint(), rs[k], share)
 		}
 	}

@@ -14,11 +14,11 @@ import (
 )
 
 // This file is the pool's per-job durability: journal replay, the
-// attempt loop of a 1-lane unit (watchdog deadline, bounded retry with
-// ladder escalation), the finish step every lane of every unit goes
-// through (outcome counters, journal append, record stream, metric
-// merge, checkpoint removal), and mid-job checkpoint files. Sweeps
-// without these options take the same path, paying only nil checks.
+// attempt loop of a 1-lane unit (watchdog deadline, bounded retry), the
+// finish step every lane of every unit goes through (outcome counters,
+// journal append, record stream, metric merge, checkpoint removal), and
+// mid-job checkpoint files. Sweeps without these options take the same
+// path, paying only nil checks.
 
 // poolEnv carries one RunJobs call's shared execution state into the
 // workers.
@@ -94,13 +94,12 @@ func ReplayRecord(job *Job, rec *JournalRecord) (JobResult, error) {
 		return JobResult{}, fmt.Errorf("runner: journal record for job %d has no result", job.Index)
 	}
 	return JobResult{
-		Job:         *job,
-		Result:      rec.Result,
-		Elapsed:     time.Duration(rec.ElapsedNs),
-		Cached:      rec.Cached,
-		Attempts:    rec.Attempts,
-		EscalatedTo: rec.EscalatedTo,
-		Replayed:    true,
+		Job:      *job,
+		Result:   rec.Result,
+		Elapsed:  time.Duration(rec.ElapsedNs),
+		Cached:   rec.Cached,
+		Attempts: rec.Attempts,
+		Replayed: true,
 	}, nil
 }
 
@@ -130,21 +129,17 @@ func (pe *poolEnv) replay(job *Job, i int, rec *JournalRecord) (JobResult, error
 
 // runJob executes one job as 1-lane units under the retry policy: each
 // attempt runs under the watchdog, a retryable failure (panic or
-// deadline) backs off and retries, escalating through the controller
-// fallback ladder, and only the final attempt reaches finish.
+// deadline) backs off and reruns the job's own controller, and only the
+// final attempt reaches finish.
 func (pe *poolEnv) runJob(ctx context.Context, i int) JobResult {
 	job := &pe.jobs[i]
 	maxAttempts := max(pe.opts.Retry.MaxAttempts, 1)
 	var ln *lane
 	var attemptErrs []error
-	spec := &job.Controller
 	for attempt := 1; ; attempt++ {
-		ln = pe.newLane(i, spec)
+		ln = pe.newLane(i)
 		err := pe.attempt(ctx, []*lane{ln})
 		ln.jr.Attempts = attempt
-		if spec != &job.Controller {
-			ln.jr.EscalatedTo = spec.Label
-		}
 		if err == nil || attempt >= maxAttempts || ctx.Err() != nil || !Retryable(err) {
 			break
 		}
@@ -152,9 +147,6 @@ func (pe *poolEnv) runJob(ctx context.Context, i int) JobResult {
 		pe.telRetried.Inc()
 		if errors.Is(err, context.DeadlineExceeded) {
 			pe.telTimeouts.Inc()
-		}
-		if next := fallbackSpec(&job.Controller, attempt); next != nil {
-			spec = next
 		}
 		if !sleepBackoff(ctx, pe.opts.Retry, job.Seed, attempt) {
 			break
@@ -197,7 +189,6 @@ func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
 			Attempts:    jr.Attempts,
 			Cached:      jr.Cached,
 			ElapsedNs:   jr.Elapsed.Nanoseconds(),
-			EscalatedTo: jr.EscalatedTo,
 			Result:      jr.Result,
 			Metrics:     metrics,
 		}
@@ -230,15 +221,16 @@ func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
 // resumeLane loads the lane's mid-job checkpoint, if it has a usable
 // one, and replays the checkpoint's spans and metrics into the lane's
 // fresh trace ring and registry, so a resumed run emits exactly what an
-// uninterrupted one would. A checkpoint from a different controller (an
-// earlier attempt before escalation) or one whose metrics do not merge
-// is ignored: the lane starts from scratch.
+// uninterrupted one would. A checkpoint written under a different
+// controller label or one whose metrics do not merge is ignored: the
+// lane starts from scratch.
 func (pe *poolEnv) resumeLane(ln *lane) *sim.Checkpoint {
 	if ln.ckPath == "" {
 		return nil
 	}
-	jc, err := readJobCheckpoint(ln.ckPath, &pe.jobs[ln.i])
-	if err != nil || jc == nil || jc.Checkpoint.Controller != ln.spec.Label {
+	job := &pe.jobs[ln.i]
+	jc, err := readJobCheckpoint(ln.ckPath, job)
+	if err != nil || jc == nil || jc.Checkpoint.Controller != job.Controller.Label {
 		return nil
 	}
 	if err := ln.priv.Merge(jc.Metrics); err != nil {

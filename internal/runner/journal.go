@@ -80,16 +80,13 @@ type JournalHeader struct {
 // Failed jobs are journaled too (Err set, Result nil) for diagnostics,
 // but resume re-runs them.
 type JournalRecord struct {
-	Kind        string `json:"kind"` // "job"
-	Index       int    `json:"index"`
-	Fingerprint string `json:"fingerprint"`
-	Seed        int64  `json:"seed"`
-	Attempts    int    `json:"attempts,omitempty"`
-	Cached      bool   `json:"cached,omitempty"`
-	ElapsedNs   int64  `json:"elapsed_ns"`
-	// EscalatedTo is the fallback controller label that produced the
-	// result when retry escalation engaged.
-	EscalatedTo string               `json:"escalated_to,omitempty"`
+	Kind        string               `json:"kind"` // "job"
+	Index       int                  `json:"index"`
+	Fingerprint string               `json:"fingerprint"`
+	Seed        int64                `json:"seed"`
+	Attempts    int                  `json:"attempts,omitempty"`
+	Cached      bool                 `json:"cached,omitempty"`
+	ElapsedNs   int64                `json:"elapsed_ns"`
 	Err         string               `json:"err,omitempty"`
 	Result      *sim.Result          `json:"result,omitempty"`
 	Spans       []telemetry.StepSpan `json:"spans,omitempty"`

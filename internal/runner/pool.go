@@ -66,9 +66,8 @@ type Options struct {
 	// deadline threaded into the simulation and checked every control
 	// step, so a hung or runaway job aborts without stalling the pool.
 	JobTimeout time.Duration
-	// Retry re-runs jobs that panic or exceed the watchdog, with
-	// exponential backoff and optional escalation through the job's
-	// controller fallback ladder (ControllerSpec.Fallbacks).
+	// Retry re-runs jobs that panic or exceed the watchdog on their own
+	// controller, with exponential backoff.
 	Retry RetryPolicy
 	// BatchSize groups eligible jobs into lockstep SoA batches
 	// (sim.BatchRunner): jobs sharing a batchable controller family and
@@ -116,9 +115,6 @@ type JobResult struct {
 	// Replayed reports the result came from a sweep journal instead of
 	// a fresh simulation.
 	Replayed bool
-	// EscalatedTo, when retry escalation engaged, is the label of the
-	// fallback controller that produced the final result.
-	EscalatedTo string
 }
 
 // Sweep is an executed spec: results in expansion (spec) order.

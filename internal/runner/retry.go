@@ -78,18 +78,3 @@ func sleepBackoff(ctx context.Context, p RetryPolicy, seed int64, attempt int) b
 		return false
 	}
 }
-
-// fallbackSpec returns the controller spec for the retry after
-// `failed` failed attempts, escalating through the job's fallback
-// ladder (Fallbacks[0] after the first failure, and so on; the last
-// rung repeats once exhausted). Nil when the job has no fallbacks.
-func fallbackSpec(primary *ControllerSpec, failed int) *ControllerSpec {
-	if len(primary.Fallbacks) == 0 || failed <= 0 {
-		return nil
-	}
-	i := failed - 1
-	if i >= len(primary.Fallbacks) {
-		i = len(primary.Fallbacks) - 1
-	}
-	return &primary.Fallbacks[i]
-}

@@ -76,13 +76,6 @@ type ControllerSpec struct {
 	ForecastSteps int
 	// New builds a fresh controller instance.
 	New func() (control.Controller, error)
-	// Fallbacks, when the pool retries a failed job (Options.Retry),
-	// are tried in order on successive attempts — the degradation
-	// ladder as a retry-escalation policy: full MPC → short-horizon
-	// MPC → fuzzy. The last rung repeats once exhausted. Fallbacks do
-	// not enter the job fingerprint; escalated results are never
-	// cached.
-	Fallbacks []ControllerSpec
 }
 
 // Spec is a declarative sweep: the cross-product of Cycles × Envs ×

@@ -86,30 +86,6 @@ func ThermalMPCSpec(cfg core.Config, controlDt float64) ControllerSpec {
 	return sp
 }
 
-// MPCEscalation is the retry-escalation ladder for an MPC spec: a
-// short-horizon MPC (mirroring core.NewSupervised's fallback rung —
-// horizon max(4, N/3), halved SQP budget), then the fuzzy baseline.
-// Attach it to an MPC ControllerSpec's Fallbacks so a job the watchdog
-// killed retries on progressively cheaper controllers instead of
-// failing outright.
-func MPCEscalation(cfg core.Config, controlDt float64) []ControllerSpec {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = core.DefaultConfig().Horizon
-	}
-	if cfg.Dt <= 0 {
-		cfg.Dt = core.DefaultConfig().Dt
-	}
-	short := cfg
-	short.Horizon = cfg.Horizon / 3
-	if short.Horizon < 4 {
-		short.Horizon = 4
-	}
-	if short.SQP.MaxIter > 1 {
-		short.SQP.MaxIter /= 2
-	}
-	return []ControllerSpec{MPCSpec(short, controlDt), FuzzySpec(controlDt)}
-}
-
 // SupervisedMPCSpec is the battery lifetime-aware MPC wrapped in the full
 // degradation ladder (full MPC → short-horizon MPC → fuzzy → on/off safe
 // mode) behind the control.Supervisor watchdog. This is the controller
