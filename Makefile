@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-gate clean test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench fuzz-qp check
+.PHONY: all build test race vet bench bench-json bench-gate clean test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench fuzz-qp reach check
 
 all: build vet test
 
@@ -143,6 +143,14 @@ test-batch:
 # the gate instead of the next benchmark run.
 test-perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Reachability audit (not part of check): build every binary under cmd/
+# and examples/ plus the perfbench module with inlining off, and log,
+# grouped by package, each function or method under internal/ that no
+# binary links. The list is for review; the target fails only when a
+# build or `go tool nm` call fails.
+reach:
+	$(GO) test -tags reach -run '^TestReach$$' -count=1 -v .
 
 # Pre-merge gate: full build + vet + tests, fault, crash-safety,
 # distributed-fabric, network-chaos, cold-climate thermal, and

@@ -186,12 +186,12 @@ func BenchmarkMPCSolveStepThermal(b *testing.B) {
 	}
 }
 
-// BenchmarkQPInteriorPoint measures the cold solve path: a workspace
-// pre-sized with qp.NewWorkspaceFor, no prior solve — the configuration a
-// controller hits on its very first control step. Pre-sizing moves every
-// buffer acquisition out of Solve, so the allocs/op column must stay at
-// zero (it used to read 24 allocs / 82 KB per solve when this bench let
-// Solve size a fresh arena lazily).
+// BenchmarkQPInteriorPoint measures solves through a workspace pre-sized
+// with qp.NewWorkspaceFor before the first Solve. (core.Controller does
+// not pre-size: its SQP workspace sizes the QP arena lazily on the first
+// control step.) Pre-sizing moves every buffer acquisition out of Solve,
+// so the allocs/op column must stay at zero (it used to read 24 allocs /
+// 82 KB per solve when this bench let Solve size a fresh arena lazily).
 func BenchmarkQPInteriorPoint(b *testing.B) {
 	n := 60
 	h := mat.Identity(n)
@@ -341,7 +341,8 @@ func BenchmarkQPStructured(b *testing.B) {
 
 func BenchmarkQPStructuredDense(b *testing.B) {
 	p := stageBenchQP()
-	opt := qp.Options{Work: qp.NewWorkspaceFor(p), Backend: qp.BackendDense}
+	p.Stages = nil // no declaration: the dense reference path
+	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
 	if _, err := qp.Solve(p, opt); err != nil {
 		b.Fatal(err)
 	}

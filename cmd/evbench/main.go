@@ -125,16 +125,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cache := runner.NewCache()
-	opts := experiments.Options{AmbientC: *ambient, SolarW: *solar, Workers: *workers, BatchSize: *batch, Cache: cache, Ctx: ctx}
+	opts := experiments.Options{AmbientC: *ambient, SolarW: *solar, Ctx: ctx}
+	opts.Run = runner.Options{Workers: *workers, BatchSize: *batch, Cache: cache, JobTimeout: *jobTimeout}
 	if *quick {
 		opts.MaxProfileS = 200
 	}
-	opts.JobTimeout = *jobTimeout
 	if *retries > 0 {
-		opts.Retry = runner.RetryPolicy{MaxAttempts: *retries + 1}
+		opts.Run.Retry = runner.RetryPolicy{MaxAttempts: *retries + 1}
 	}
 	if *journalDir != "" {
-		opts.Journal = &runner.JournalConfig{
+		opts.Run.Journal = &runner.JournalConfig{
 			Dir:             *journalDir,
 			Resume:          *resume,
 			FsyncEvery:      *fsyncEvery,
@@ -155,19 +155,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// collecting metrics — a cache hit skips the simulation, which would
 	// make the emitted series depend on job duplication.
 	if *metricsOut != "" || *manifestOut != "" || *pprofAddr != "" || *traceOut != "" {
-		opts.Telemetry = telemetry.NewRegistry()
-		opts.Cache = nil
+		opts.Run.Telemetry = telemetry.NewRegistry()
+		opts.Run.Cache = nil
 		cache = nil
 	}
 	if *traceOut != "" {
-		opts.TraceLog = &telemetry.TraceLog{}
-		opts.TraceSteps = *traceSteps
+		opts.Run.TraceLog = &telemetry.TraceLog{}
+		opts.Run.TraceSteps = *traceSteps
 	}
 	if *manifestOut != "" {
-		opts.Manifest = telemetry.NewManifest("evbench")
+		opts.Run.Manifest = telemetry.NewManifest("evbench")
 	}
 	if *pprofAddr != "" {
-		dbg, err := telemetry.StartDebugServer(*pprofAddr, opts.Telemetry)
+		dbg, err := telemetry.StartDebugServer(*pprofAddr, opts.Run.Telemetry)
 		if err != nil {
 			fmt.Fprintf(stderr, "evbench: pprof listener: %v\n", err)
 			return 1
@@ -345,10 +345,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	})
 
 	runExplicit("fleet", func() error {
-		summary, err := experiments.RunFleet(experiments.FleetConfig{
-			Trips: 10, Workers: *workers, Ctx: ctx,
-			Journal: opts.Journal, JobTimeout: opts.JobTimeout, Retry: opts.Retry,
-		})
+		summary, err := experiments.RunFleet(opts, experiments.FleetConfig{Trips: 10})
 		if err != nil {
 			return err
 		}
@@ -390,12 +387,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	code := 0
 	if *traceOut != "" {
 		if err := writeFileWith(*traceOut, func(f *os.File) error {
-			return opts.TraceLog.WriteJSONL(f, false)
+			return opts.Run.TraceLog.WriteJSONL(f, false)
 		}); err != nil {
 			fmt.Fprintf(stderr, "evbench: trace: %v\n", err)
 			code = 1
 		} else {
-			fmt.Fprintf(stdout, "[step trace: %d spans written to %s]\n", opts.TraceLog.Len(), *traceOut)
+			fmt.Fprintf(stdout, "[step trace: %d spans written to %s]\n", opts.Run.TraceLog.Len(), *traceOut)
 		}
 	}
 	if *metricsOut != "" {
@@ -403,7 +400,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// any worker count. Wall-clock series stay on the live /metrics
 		// endpoint and in JobResult.Elapsed.
 		if err := writeFileWith(*metricsOut, func(f *os.File) error {
-			return opts.Telemetry.Snapshot(telemetry.DeterministicFilter).WritePrometheus(f)
+			return opts.Run.Telemetry.Snapshot(telemetry.DeterministicFilter).WritePrometheus(f)
 		}); err != nil {
 			fmt.Fprintf(stderr, "evbench: metrics: %v\n", err)
 			code = 1
@@ -412,8 +409,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *manifestOut != "" {
-		opts.Manifest.Finalize(telemetry.GitDescribe(""), opts.Telemetry.Snapshot(telemetry.DeterministicFilter))
-		if err := opts.Manifest.WriteFile(*manifestOut); err != nil {
+		opts.Run.Manifest.Finalize(telemetry.GitDescribe(""), opts.Run.Telemetry.Snapshot(telemetry.DeterministicFilter))
+		if err := opts.Run.Manifest.WriteFile(*manifestOut); err != nil {
 			fmt.Fprintf(stderr, "evbench: manifest: %v\n", err)
 			code = 1
 		} else {
@@ -480,11 +477,11 @@ func serveFabric(ctx context.Context, name, addr string, unitSize int, leaseTTL 
 		UnitSize:   unitSize,
 		LeaseTTL:   leaseTTL,
 		Spill:      spill,
-		Journal:    opts.Journal,
-		Telemetry:  opts.Telemetry,
-		TraceLog:   opts.TraceLog,
-		TraceSteps: opts.TraceSteps,
-		Manifest:   opts.Manifest,
+		Journal:    opts.Run.Journal,
+		Telemetry:  opts.Run.Telemetry,
+		TraceLog:   opts.Run.TraceLog,
+		TraceSteps: opts.Run.TraceSteps,
+		Manifest:   opts.Run.Manifest,
 		Cache:      cache,
 	})
 	if err != nil {
@@ -524,9 +521,9 @@ func joinFabric(ctx context.Context, url string, callTimeout time.Duration, cach
 	w := fabric.NewWorker(fabric.WorkerConfig{
 		URL:         url,
 		Specs:       experiments.FabricSpecs(),
-		Workers:     opts.Workers,
-		JobTimeout:  opts.JobTimeout,
-		Retry:       opts.Retry,
+		Workers:     opts.Run.Workers,
+		JobTimeout:  opts.Run.JobTimeout,
+		Retry:       opts.Run.Retry,
 		CallTimeout: callTimeout,
 		Cache:       cache,
 		Logf: func(format string, args ...any) {

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,6 +59,48 @@ func TestFailedJobsExitNonZero(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "experiment(s) failed") {
 		t.Errorf("stderr missing failure summary: %s", errOut)
+	}
+}
+
+// TestFleetHonorsSweepFlags pins -exp fleet to the shared sweep wiring:
+// -quick truncates its trips, and its sweep lands in the manifest and the
+// metrics dump like every other experiment's.
+func TestFleetHonorsSweepFlags(t *testing.T) {
+	dir := t.TempDir()
+	manifest, metrics := filepath.Join(dir, "manifest.json"), filepath.Join(dir, "metrics.prom")
+	code, _, errOut := runCLI(context.Background(),
+		"-exp", "fleet", "-quick", "-workers", "2", "-manifest", manifest, "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Runs []struct {
+			Label string            `json:"label"`
+			Jobs  []json.RawMessage `json:"jobs"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	fleetJobs := -1
+	for _, r := range man.Runs {
+		if r.Label == "fleet" {
+			fleetJobs = len(r.Jobs)
+		}
+	}
+	if fleetJobs != 20 {
+		t.Errorf("manifest fleet run has %d jobs, want 20 (10 trips × 2 controllers; -1 = no fleet run)", fleetJobs)
+	}
+	prom, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), `cycle="fleet-0"`) {
+		t.Error(`metrics dump has no cycle="fleet-0" series`)
 	}
 }
 

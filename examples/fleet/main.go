@@ -18,7 +18,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (reproducible)")
 	flag.Parse()
 
-	summary, err := experiments.RunFleet(experiments.FleetConfig{
+	summary, err := experiments.RunFleet(experiments.Options{}, experiments.FleetConfig{
 		Trips: *trips,
 		Seed:  *seed,
 	})

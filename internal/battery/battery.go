@@ -85,16 +85,6 @@ func (pk *Pack) Params() Params { return pk.p }
 // SoC returns the state of charge in percent.
 func (pk *Pack) SoC() float64 { return pk.soc }
 
-// SetSoC overwrites the state of charge (percent) — the checkpoint/restore
-// path. Normal operation evolves SoC through Step only.
-func (pk *Pack) SetSoC(soc float64) error {
-	if soc < 0 || soc > 100 {
-		return fmt.Errorf("battery: SoC %v outside [0, 100]", soc)
-	}
-	pk.soc = soc
-	return nil
-}
-
 // Current converts an electrical power draw (W, positive = discharge)
 // into pack current (A).
 func (pk *Pack) Current(powerW float64) float64 {

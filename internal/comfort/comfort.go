@@ -47,13 +47,6 @@ func DriverSummer(airTempC float64) Conditions {
 	}
 }
 
-// DriverWinter is the winter-clothing variant.
-func DriverWinter(airTempC float64) Conditions {
-	c := DriverSummer(airTempC)
-	c.ClothingClo = 1.0
-	return c
-}
-
 // Validate reports out-of-domain conditions.
 func (c *Conditions) Validate() error {
 	switch {
@@ -200,32 +193,4 @@ func ScoreTrace(cabinC []float64, base Conditions) (TraceScore, error) {
 	s.MeanPPD /= n
 	s.DissatisfiedFrac = float64(dissatisfied) / n
 	return s, nil
-}
-
-// NeutralTemperature searches for the cabin temperature giving PMV ≈ 0
-// under the base conditions — useful for picking climate-control targets
-// per season.
-func NeutralTemperature(base Conditions) (float64, error) {
-	lo, hi := 10.0, 40.0
-	cLo := base
-	cLo.AirTempC = lo
-	pLo, err := PMV(cLo)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		c := base
-		c.AirTempC = mid
-		p, err := PMV(c)
-		if err != nil {
-			return 0, err
-		}
-		if (p < 0) == (pLo < 0) {
-			lo, pLo = mid, p
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }

@@ -68,6 +68,15 @@ type Stage struct {
 	Controller Controller
 }
 
+// Output validation: validationTol is the constraint-check tolerance
+// handed to cabin.Model.CheckInputs, and exclusionSlackW the power slack,
+// in watts, on the heater/cooler mutual-exclusion check (mirroring
+// sim.Tolerances.ActuatorSlack).
+const (
+	validationTol   = 1e-6
+	exclusionSlackW = 10
+)
+
 // SupervisorConfig tunes the watchdog.
 type SupervisorConfig struct {
 	// Cabin is the actuator envelope outputs are validated against. The
@@ -79,13 +88,6 @@ type SupervisorConfig struct {
 	// PromoteAfter is the number of consecutive clean steps required
 	// before re-promoting one stage (default 45).
 	PromoteAfter int
-	// ValidationTol is the constraint-check tolerance handed to
-	// cabin.Model.CheckInputs (default 1e-6).
-	ValidationTol float64
-	// ExclusionSlackW is the power slack on the heater/cooler mutual
-	// exclusion check, mirroring sim.Tolerances.ActuatorSlack
-	// (default 10 W).
-	ExclusionSlackW float64
 	// Telemetry, when non-nil and active, receives ladder metrics:
 	// per-stage hard/soft fault counters, demote/promote transition
 	// counters, and the active-level gauge.
@@ -101,12 +103,6 @@ func (c *SupervisorConfig) fill() {
 	}
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 45
-	}
-	if c.ValidationTol <= 0 {
-		c.ValidationTol = 1e-6
-	}
-	if c.ExclusionSlackW <= 0 {
-		c.ExclusionSlackW = 10
 	}
 }
 
@@ -328,11 +324,11 @@ func (s *Supervisor) validate(in cabin.Inputs, ctx *StepContext) error {
 		return fmt.Errorf("control: negative battery thermal command (heat %.1f W, chill %.1f W)", in.BattHeatW, in.BattChillW)
 	}
 	mix := s.model.MixTemp(ctx.OutsideC, ctx.CabinTempC, in.Recirc)
-	if err := s.model.CheckInputs(in, mix, s.cfg.ValidationTol); err != nil {
+	if err := s.model.CheckInputs(in, mix, validationTol); err != nil {
 		return err
 	}
 	pw := s.model.PowersFor(in, mix)
-	if pw.HeaterW > s.cfg.ExclusionSlackW && pw.CoolerW > s.cfg.ExclusionSlackW {
+	if pw.HeaterW > exclusionSlackW && pw.CoolerW > exclusionSlackW {
 		return fmt.Errorf("control: heater (%.1f W) and cooler (%.1f W) simultaneously active", pw.HeaterW, pw.CoolerW)
 	}
 	return nil

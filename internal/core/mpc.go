@@ -76,6 +76,11 @@ func ComfortWeights() Weights {
 	return Weights{Power: 2e-5, SoCDev: 10, Comfort: 10}
 }
 
+// funnelRateKps is the pull-down rate, in K/s, of the comfort funnel: when
+// the cabin starts outside the comfort zone, the comfort constraints relax
+// to the reachable envelope and tighten along the horizon at this rate.
+const funnelRateKps = 0.04
+
 // Config assembles the MPC controller.
 type Config struct {
 	// Cabin is the HVAC plant parameter set the internal model uses.
@@ -97,10 +102,6 @@ type Config struct {
 	// SQP tunes the per-step optimizer (zero value → sensible MPC
 	// defaults: 30 iterations, 1e-4 tolerance).
 	SQP sqp.Options
-	// FunnelRateKps relaxes the comfort constraints into a shrinking
-	// funnel when the cabin starts outside the comfort zone, at this
-	// pull-down rate in K/s (default 0.04).
-	FunnelRateKps float64
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
 	// mpc_qp_iterations). Nil or Nop adds no overhead to Decide.
@@ -201,9 +202,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.BatteryCapacityAh <= 0 || cfg.BatteryVoltageV <= 0 {
 		return nil, fmt.Errorf("core: battery parameters (%v Ah, %v V) must be positive", cfg.BatteryCapacityAh, cfg.BatteryVoltageV)
-	}
-	if cfg.FunnelRateKps <= 0 {
-		cfg.FunnelRateKps = 0.04
 	}
 	if cfg.SQP.MaxIter == 0 {
 		cfg.SQP.MaxIter = 30
@@ -329,9 +327,9 @@ type Stats struct {
 	// remainder hit the iteration cap, which is normal for real-time
 	// MPC).
 	Converged, Stalled, Failed int
-	// BudgetExceeded counts solves cut short by a hard iteration or
-	// wall-clock budget (Options.HardIterCap / MaxTime, including
-	// injected solver-budget faults).
+	// BudgetExceeded counts solves cut short by the hard iteration
+	// budget (sqp.Options.HardIterCap, including injected solver-budget
+	// faults).
 	BudgetExceeded int
 	// AvgSQPIters is the mean SQP iteration count per solve.
 	AvgSQPIters float64
@@ -415,9 +413,9 @@ func (c *Controller) buildHorizon(ctx control.StepContext) *horizonData {
 
 		// Comfort funnel: when the cabin starts outside the zone, the
 		// bound relaxes to the reachable envelope and tightens along the
-		// horizon at FunnelRateKps, keeping the horizon problem feasible
+		// horizon at funnelRateKps, keeping the horizon problem feasible
 		// during pull-down/warm-up.
-		pull := c.cfg.FunnelRateKps * (tk + c.cfg.Dt)
+		pull := funnelRateKps * (tk + c.cfg.Dt)
 		lo, hi := ctx.ComfortLowC, ctx.ComfortHighC
 		if ctx.CabinTempC > hi {
 			hi = math.Max(hi, ctx.CabinTempC+0.2-pull)

@@ -9,13 +9,12 @@ import (
 // SupervisedConfig assembles the canonical degradation ladder around the
 // battery lifetime-aware MPC.
 type SupervisedConfig struct {
-	// MPC configures the top stage (zero value → DefaultConfig).
+	// MPC configures the top stage (zero value → DefaultConfig). The
+	// fallback MPC below it runs a horizon of max(4, N/3) steps and half
+	// the SQP iteration budget: it exists to keep optimizing when the
+	// full problem became too expensive or unstable, not to match the
+	// full controller's quality.
 	MPC Config
-	// ShortHorizon is the fallback MPC's horizon (default max(4, N/3)).
-	// The fallback also halves the SQP iteration budget: it exists to
-	// keep optimizing when the full problem became too expensive or
-	// unstable, not to match the full controller's quality.
-	ShortHorizon int
 	// Supervisor tunes the watchdog; its Cabin parameter set defaults to
 	// the MPC's.
 	Supervisor control.SupervisorConfig
@@ -49,10 +48,7 @@ func NewSupervised(cfg SupervisedConfig) (*control.Supervisor, error) {
 	if tel := cfg.Supervisor.Telemetry; tel != nil {
 		shortCfg.Telemetry = telemetry.WithLabels(tel, telemetry.L("stage", "mpc-short"))
 	}
-	shortCfg.Horizon = cfg.ShortHorizon
-	if shortCfg.Horizon <= 0 {
-		shortCfg.Horizon = cfg.MPC.Horizon / 3
-	}
+	shortCfg.Horizon = cfg.MPC.Horizon / 3
 	if shortCfg.Horizon < 4 {
 		shortCfg.Horizon = 4
 	}

@@ -152,7 +152,9 @@ func TestStructuredVsDenseEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("structured solve: %v", err)
 	}
-	rd, err := qp.Solve(prob, qp.Options{Backend: qp.BackendDense})
+	dense := *prob
+	dense.Stages = nil // no declaration: the dense reference path
+	rd, err := qp.Solve(&dense, qp.Options{})
 	if err != nil {
 		t.Fatalf("dense solve: %v", err)
 	}
@@ -160,7 +162,7 @@ func TestStructuredVsDenseEquivalence(t *testing.T) {
 		t.Fatal("structured backend did not engage on the extended (sv=10) stage problem")
 	}
 	if rd.Structured {
-		t.Fatal("dense-forced solve reported structured")
+		t.Fatal("undeclared solve reported structured")
 	}
 	if rs.Status != qp.Optimal || rd.Status != qp.Optimal {
 		t.Fatalf("statuses: structured %v, dense %v", rs.Status, rd.Status)

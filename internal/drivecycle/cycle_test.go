@@ -213,8 +213,8 @@ func TestProfileAtClampsAndInterpolates(t *testing.T) {
 
 func TestProfileWithHelpers(t *testing.T) {
 	p := ECE15().Profile(1)
-	q := p.WithAmbient(40).WithSolar(250).WithSlopeFunc(func(t float64) float64 { return 2 })
-	if q.Samples[10].AmbientC != 40 || q.Samples[10].SolarW != 250 || q.Samples[10].SlopePercent != 2 {
+	q := p.WithAmbient(40).WithSolar(250)
+	if q.Samples[10].AmbientC != 40 || q.Samples[10].SolarW != 250 {
 		t.Errorf("With helpers did not apply: %+v", q.Samples[10])
 	}
 	// Original untouched.
@@ -224,21 +224,6 @@ func TestProfileWithHelpers(t *testing.T) {
 	r := q.WithAmbientFunc(func(t float64) float64 { return t / 100 })
 	if r.Samples[100].AmbientC != 1 {
 		t.Errorf("WithAmbientFunc wrong: %v", r.Samples[100].AmbientC)
-	}
-}
-
-func TestProfileRepeat(t *testing.T) {
-	p := ECE15().Profile(1)
-	r := p.Repeat(3)
-	if r.Len() != 3*p.Len() {
-		t.Errorf("len = %d, want %d", r.Len(), 3*p.Len())
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s1, s3 := p.Stats(), r.Stats()
-	if math.Abs(s3.DistanceKm-3*s1.DistanceKm) > 0.01 {
-		t.Errorf("repeated distance %v, want %v", s3.DistanceKm, 3*s1.DistanceKm)
 	}
 }
 

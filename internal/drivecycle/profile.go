@@ -205,16 +205,6 @@ func (p *Profile) WithWind(windMs float64) *Profile {
 	return out
 }
 
-// WithSlopeFunc returns a copy whose slope at each sample is slope(t) in
-// percent.
-func (p *Profile) WithSlopeFunc(slope func(t float64) float64) *Profile {
-	out := p.Clone()
-	for i := range out.Samples {
-		out.Samples[i].SlopePercent = slope(out.Samples[i].Time)
-	}
-	return out
-}
-
 // WithAmbientFunc returns a copy whose ambient temperature at each sample
 // is temp(t) in °C.
 func (p *Profile) WithAmbientFunc(temp func(t float64) float64) *Profile {
@@ -238,23 +228,6 @@ func (p *Profile) Truncate(maxS float64) *Profile {
 			break
 		}
 		out.Samples = append(out.Samples, s)
-	}
-	return out
-}
-
-// Repeat returns the profile concatenated n times (n ≥ 1).
-func (p *Profile) Repeat(n int) *Profile {
-	if n < 1 {
-		panic(fmt.Sprintf("drivecycle: Repeat(%d)", n))
-	}
-	out := &Profile{Name: fmt.Sprintf("%s×%d", p.Name, n), Dt: p.Dt}
-	period := p.Duration() + p.Dt
-	for k := 0; k < n; k++ {
-		offset := float64(k) * period
-		for _, s := range p.Samples {
-			s.Time += offset
-			out.Samples = append(out.Samples, s)
-		}
 	}
 	return out
 }

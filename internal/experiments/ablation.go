@@ -82,7 +82,7 @@ func AblateHorizon(opts Options, horizons []int) ([]AblationRow, error) {
 	for _, n := range horizons {
 		mcfg := opts.mpcConfig()
 		mcfg.Horizon = n
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("N=%d", n), mcfg, opts.MPCControlDt))
+		specs = append(specs, opts.mpcSpec(fmt.Sprintf("N=%d", n), mcfg, mpcControlDt))
 	}
 	return opts.runMPCSpecs(specs)
 }
@@ -99,7 +99,7 @@ func AblateSoCDevWeight(opts Options, weights []float64) ([]AblationRow, error) 
 	for _, w2 := range weights {
 		mcfg := opts.mpcConfig()
 		mcfg.Weights.SoCDev = w2
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("w2=%g", w2), mcfg, opts.MPCControlDt))
+		specs = append(specs, opts.mpcSpec(fmt.Sprintf("w2=%g", w2), mcfg, mpcControlDt))
 	}
 	return opts.runMPCSpecs(specs)
 }
@@ -116,7 +116,7 @@ func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {
 	for _, it := range budgets {
 		mcfg := opts.mpcConfig()
 		mcfg.SQP = sqp.Options{MaxIter: it, Tol: 1e-4}
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("sqp=%d", it), mcfg, opts.MPCControlDt))
+		specs = append(specs, opts.mpcSpec(fmt.Sprintf("sqp=%d", it), mcfg, mpcControlDt))
 	}
 	return opts.runMPCSpecs(specs)
 }

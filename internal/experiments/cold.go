@@ -97,7 +97,7 @@ func RunCold(o Options) (*runner.Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw, err := runner.Run(o.ctx(), spec, o.runnerOptions("cold"))
+	sw, err := runner.Run(o.ctx(), spec, o.runOptions("cold"))
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func RunDist(o Options) (*runner.Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runner.Run(o.ctx(), spec, o.runnerOptions("dist"))
+	return runner.Run(o.ctx(), spec, o.runOptions("dist"))
 }
 
 // RenderDist summarizes the distributable sweep per controller: one row

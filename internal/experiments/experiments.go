@@ -9,12 +9,18 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"evclimate/internal/core"
 	"evclimate/internal/runner"
 	"evclimate/internal/sim"
-	"evclimate/internal/telemetry"
+)
+
+// Control periods of the compared methodologies in seconds: the MPC
+// re-optimizes every mpcControlDt, the baselines act every
+// baselineControlDt.
+const (
+	mpcControlDt      = 5.0
+	baselineControlDt = 1.0
 )
 
 // Options configures an experiment run. The zero value reproduces the
@@ -29,66 +35,29 @@ type Options struct {
 	TargetC float64
 	// ComfortBandC is the comfort-zone half width. Default 3 °C.
 	ComfortBandC float64
-	// MPCControlDt is the MPC control period in seconds. Default 5.
-	MPCControlDt float64
-	// BaselineControlDt is the baseline control period. Default 1.
-	BaselineControlDt float64
 	// MPC overrides the MPC configuration. Zero value → core.DefaultConfig.
 	MPC *core.Config
 	// MaxProfileS truncates drive profiles to this many seconds
 	// (0 = full length) — used to keep unit tests fast.
 	MaxProfileS float64
-	// Workers is the scenario-sweep worker-pool size (0 = GOMAXPROCS).
-	Workers int
-	// BatchSize is the lockstep-batch lane count for eligible sweep jobs
-	// (0 = runner.DefaultBatchSize, negative disables batching), with or
-	// without Journal, JobTimeout, and Retry. Batched lanes are
-	// bit-identical to 1-lane runs, so this is purely a throughput knob.
-	BatchSize int
-	// Cache, when non-nil, reuses simulation results across harnesses
-	// keyed by scenario fingerprint (cmd/evbench shares one cache so
-	// e.g. Fig. 5 and Fig. 6 run their common scenarios once).
-	Cache *runner.Cache
-	// Telemetry, when non-nil, is the metric registry shared by every
-	// sweep the harnesses run (cmd/evbench wires it from -metrics).
-	Telemetry *telemetry.Registry
-	// TraceLog, when non-nil, accumulates per-step trace spans across
-	// the harnesses' sweeps, in job order within each sweep.
-	TraceLog *telemetry.TraceLog
-	// TraceSteps caps each job's trace ring (0 = telemetry default).
-	TraceSteps int
-	// Manifest, when non-nil, records every sweep's seeds and scenario
-	// fingerprints for the deterministic run manifest.
-	Manifest *telemetry.Manifest
 	// Ctx, when non-nil, is threaded into every sweep: cancellation
 	// drains the worker pool between jobs (cmd/evbench wires its
 	// SIGINT/SIGTERM handler here).
 	Ctx context.Context
-	// Journal, when non-nil, enables the crash-safe job journal on
-	// every sweep the harnesses run (see runner.JournalConfig).
-	Journal *runner.JournalConfig
-	// JobTimeout is the per-job watchdog deadline (0 = none).
-	JobTimeout time.Duration
-	// Retry bounds re-execution of crashed or timed-out jobs.
-	Retry runner.RetryPolicy
+	// Run is the sweep-engine configuration every harness sweep runs
+	// with: workers, batching, the shared result cache (cmd/evbench
+	// shares one so e.g. Fig. 5 and Fig. 6 run their common scenarios
+	// once), telemetry, trace, manifest, journal, watchdog and retry.
+	// Each sweep runs on a copy that carries its own ManifestLabel.
+	Run runner.Options
 }
 
-// runnerOptions assembles the sweep-engine options for one labeled
-// harness sweep, carrying the shared cache and telemetry wiring.
-func (o *Options) runnerOptions(label string) runner.Options {
-	return runner.Options{
-		Workers:       o.Workers,
-		BatchSize:     o.BatchSize,
-		Cache:         o.Cache,
-		Telemetry:     o.Telemetry,
-		TraceLog:      o.TraceLog,
-		TraceSteps:    o.TraceSteps,
-		Manifest:      o.Manifest,
-		ManifestLabel: label,
-		Journal:       o.Journal,
-		JobTimeout:    o.JobTimeout,
-		Retry:         o.Retry,
-	}
+// runOptions returns the shared sweep-engine options labelled for one
+// harness sweep.
+func (o *Options) runOptions(label string) runner.Options {
+	ro := o.Run
+	ro.ManifestLabel = label
+	return ro
 }
 
 // ctx returns the options' context (Background when unset).
@@ -112,12 +81,6 @@ func (o *Options) fill() {
 	if o.ComfortBandC == 0 {
 		o.ComfortBandC = 3
 	}
-	if o.MPCControlDt == 0 {
-		o.MPCControlDt = 5
-	}
-	if o.BaselineControlDt == 0 {
-		o.BaselineControlDt = 1
-	}
 }
 
 func (o *Options) mpcConfig() core.Config {
@@ -139,9 +102,9 @@ const (
 // with preview enabled.
 func (o *Options) controllerSpecs() []runner.ControllerSpec {
 	return []runner.ControllerSpec{
-		runner.OnOffSpec(o.BaselineControlDt),
-		runner.FuzzySpec(o.BaselineControlDt),
-		runner.MPCSpec(o.mpcConfig(), o.MPCControlDt),
+		runner.OnOffSpec(baselineControlDt),
+		runner.FuzzySpec(baselineControlDt),
+		runner.MPCSpec(o.mpcConfig(), mpcControlDt),
 	}
 }
 
@@ -165,7 +128,7 @@ func (o *Options) sweep(controllers []runner.ControllerSpec, cycles []runner.Cyc
 			label = cycles[0].Name
 		}
 	}
-	sw, err := runner.Run(o.ctx(), spec, o.runnerOptions(label))
+	sw, err := runner.Run(o.ctx(), spec, o.runOptions(label))
 	if err != nil {
 		return nil, err
 	}

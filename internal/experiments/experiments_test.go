@@ -225,8 +225,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.AmbientC != 35 || o.SolarW != 400 || o.TargetC != 24 || o.ComfortBandC != 3 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if o.MPCControlDt != 5 || o.BaselineControlDt != 1 {
-		t.Errorf("control periods wrong: %+v", o)
+	if mpcControlDt != 5 || baselineControlDt != 1 {
+		t.Errorf("control periods wrong: MPC %v s, baselines %v s", mpcControlDt, baselineControlDt)
 	}
 	cfg := o.mpcConfig()
 	if cfg.Horizon != core.DefaultConfig().Horizon {
@@ -237,7 +237,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestRunFleetSmall(t *testing.T) {
 	mcfg := core.DefaultConfig()
 	mcfg.SQP = sqp.Options{MaxIter: 10, Tol: 1e-4}
-	s, err := RunFleet(FleetConfig{Trips: 3, Seed: 7, MaxProfileS: 150, MPC: &mcfg})
+	s, err := RunFleet(Options{MaxProfileS: 150, MPC: &mcfg}, FleetConfig{Trips: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRunFleetSmall(t *testing.T) {
 		t.Errorf("distribution stats inconsistent: %+v", s)
 	}
 	// Deterministic under the same seed.
-	s2, err := RunFleet(FleetConfig{Trips: 3, Seed: 7, MaxProfileS: 150, MPC: &mcfg})
+	s2, err := RunFleet(Options{MaxProfileS: 150, MPC: &mcfg}, FleetConfig{Trips: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ func FaultSweep(opts Options, names []string) ([]FaultRow, error) {
 	}
 
 	controllers := []runner.ControllerSpec{
-		runner.OnOffSpec(opts.BaselineControlDt),
-		runner.FuzzySpec(opts.BaselineControlDt),
-		runner.SupervisedMPCSpec(core.SupervisedConfig{MPC: opts.mpcConfig()}, opts.MPCControlDt),
+		runner.OnOffSpec(baselineControlDt),
+		runner.FuzzySpec(baselineControlDt),
+		runner.SupervisedMPCSpec(core.SupervisedConfig{MPC: opts.mpcConfig()}, mpcControlDt),
 	}
 	spec := runner.Spec{
 		Controllers:  controllers,
@@ -70,7 +70,7 @@ func FaultSweep(opts Options, names []string) ([]FaultRow, error) {
 		MaxProfileS:  opts.MaxProfileS,
 		Faults:       fltSpecs,
 	}
-	sw, err := runner.Run(context.Background(), spec, opts.runnerOptions("faultsweep"))
+	sw, err := runner.Run(context.Background(), spec, opts.runOptions("faultsweep"))
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"evclimate/internal/core"
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/geodata"
 	"evclimate/internal/runner"
@@ -29,28 +26,19 @@ import (
 // seeded from the runner's derived per-cycle seed (no RNG shared between
 // jobs).
 
-// FleetConfig parameterizes the Monte-Carlo sweep.
+// FleetConfig parameterizes the Monte-Carlo sweep. Profile truncation,
+// the MPC configuration, cancellation and the sweep-engine settings come
+// from the harness Options, as for every other experiment.
 type FleetConfig struct {
 	// Trips is the number of synthesized commutes (default 12).
 	Trips int
 	// Seed makes the sweep reproducible (default 1).
 	Seed int64
-	// Zones are the climate zones sampled (default all four).
-	Zones []geodata.ClimateZone
-	// MaxProfileS truncates each trip (0 = full; tests set this).
-	MaxProfileS float64
-	// MPC overrides the controller configuration.
-	MPC *core.Config
-	// Workers sets the sweep parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Ctx, when non-nil, cancels the sweep between jobs.
-	Ctx context.Context
-	// Journal enables the crash-safe job journal for the sweep.
-	Journal *runner.JournalConfig
-	// JobTimeout is the per-job watchdog deadline (0 = none).
-	JobTimeout time.Duration
-	// Retry bounds re-execution of crashed or timed-out jobs.
-	Retry runner.RetryPolicy
+}
+
+// fleetZones are the climate zones trips are sampled from.
+var fleetZones = [...]geodata.ClimateZone{
+	geodata.Temperate, geodata.Desert, geodata.Coastal, geodata.Continental,
 }
 
 // FleetTrip is one sampled commute's outcome.
@@ -96,25 +84,21 @@ func (cfg *FleetConfig) fill() {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if len(cfg.Zones) == 0 {
-		cfg.Zones = []geodata.ClimateZone{
-			geodata.Temperate, geodata.Desert, geodata.Coastal, geodata.Continental,
-		}
-	}
 }
 
 // fleetSpec expands a filled config into the sweep spec and the sampled
-// trip parameters. The builder is pure in the config: equal configs
-// always sample identical trips and expand identical jobs, which lets
-// the fabric registry rebuild the sweep from wire parameters.
-func fleetSpec(cfg FleetConfig) (runner.Spec, []fleetTripParams) {
+// trip parameters, truncating profiles to o.MaxProfileS and running the
+// MPC with o's configuration. The builder is pure in its inputs: equal
+// inputs always sample identical trips and expand identical jobs, which
+// lets the fabric registry rebuild the sweep from wire parameters.
+func fleetSpec(o Options, cfg FleetConfig) (runner.Spec, []fleetTripParams) {
 	// Phase 1: sample every trip's parameters sequentially from the
 	// config seed (cheap and reproducible).
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	trips := make([]fleetTripParams, cfg.Trips)
 	for i := range trips {
 		tp := fleetTripParams{
-			zone:    cfg.Zones[rng.Intn(len(cfg.Zones))],
+			zone:    fleetZones[rng.Intn(len(fleetZones))],
 			month:   1 + rng.Intn(12),
 			hour:    []float64{7.5, 8, 12, 17.5, 22}[rng.Intn(5)],
 			reliefM: 60 + rng.Float64()*180,
@@ -131,11 +115,6 @@ func fleetSpec(cfg FleetConfig) (runner.Spec, []fleetTripParams) {
 			tp.totalKm += tp.wps[j].LengthKm
 		}
 		trips[i] = tp
-	}
-
-	mpcCfg := core.DefaultConfig()
-	if cfg.MPC != nil {
-		mpcCfg = *cfg.MPC
 	}
 
 	// Phase 2: one sweep cycle per trip; the Gen hook plans the route
@@ -163,23 +142,12 @@ func fleetSpec(cfg FleetConfig) (runner.Spec, []fleetTripParams) {
 	return runner.Spec{
 		Controllers: []runner.ControllerSpec{
 			runner.OnOffSpec(0),
-			runner.MPCSpec(mpcCfg, 0),
+			runner.MPCSpec(o.mpcConfig(), 0),
 		},
 		Cycles:      cycles,
-		MaxProfileS: cfg.MaxProfileS,
+		MaxProfileS: o.MaxProfileS,
 		BaseSeed:    cfg.Seed,
 	}, trips
-}
-
-// FleetParams encodes the Monte-Carlo sweep's variability as wire
-// parameters for the fabric (see DistParams).
-func FleetParams(cfg FleetConfig) map[string]string {
-	cfg.fill()
-	return map[string]string{
-		"trips": strconv.Itoa(cfg.Trips),
-		"seed":  strconv.FormatInt(cfg.Seed, 10),
-		"max_s": strconv.FormatFloat(cfg.MaxProfileS, 'g', -1, 64),
-	}
 }
 
 // FleetSpec rebuilds the distributable Monte-Carlo sweep from wire
@@ -198,27 +166,19 @@ func FleetSpec(params map[string]string) (runner.Spec, error) {
 	if err != nil {
 		return runner.Spec{}, fmt.Errorf("experiments: fleet max_s param: %w", err)
 	}
-	cfg := FleetConfig{Trips: trips, Seed: seed, MaxProfileS: maxS}
+	cfg := FleetConfig{Trips: trips, Seed: seed}
 	cfg.fill()
-	spec, _ := fleetSpec(cfg)
+	spec, _ := fleetSpec(Options{MaxProfileS: maxS}, cfg)
 	return spec, nil
 }
 
-// RunFleet executes the Monte-Carlo sweep on the parallel runner.
-func RunFleet(cfg FleetConfig) (*FleetSummary, error) {
+// RunFleet executes the Monte-Carlo sweep on the parallel runner with
+// o's profile truncation, MPC configuration, context and sweep-engine
+// settings.
+func RunFleet(o Options, cfg FleetConfig) (*FleetSummary, error) {
 	cfg.fill()
-	spec, trips := fleetSpec(cfg)
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sw, err := runner.Run(ctx, spec, runner.Options{
-		Workers:       cfg.Workers,
-		Journal:       cfg.Journal,
-		JobTimeout:    cfg.JobTimeout,
-		Retry:         cfg.Retry,
-		ManifestLabel: "fleet",
-	})
+	spec, trips := fleetSpec(o, cfg)
+	sw, err := runner.Run(o.ctx(), spec, o.runOptions("fleet"))
 	if err != nil {
 		return nil, err
 	}

@@ -132,9 +132,6 @@ func (s *System) AddRule(r Rule) *System {
 	return s
 }
 
-// Rules returns the number of registered rules.
-func (s *System) Rules() int { return len(s.rules) }
-
 // ErrNoActivation is returned when no rule fires for the given inputs,
 // which indicates incomplete rule coverage of the input space.
 var ErrNoActivation = errors.New("fuzzy: no rule activated")

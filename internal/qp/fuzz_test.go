@@ -54,7 +54,7 @@ func FuzzSolve(f *testing.F) {
 			}
 		}
 
-		res, err := Solve(p, Options{MaxIter: 30})
+		res, err := Solve(p, Options{})
 		if hasNonFinite && err == nil {
 			t.Fatalf("non-finite problem accepted: %+v", p)
 		}

@@ -66,28 +66,26 @@ type Problem struct {
 	// system with a block-tridiagonal Riccati recursion instead of the
 	// dense reference path, after verifying the declared sparsity against
 	// the matrix data. A structurally inconsistent declaration (counts
-	// not summing to the problem dimensions) is ErrBadProblem; declared
-	// but non-conforming matrix data silently uses the dense path.
+	// not multiplying out to the problem dimensions) is ErrBadProblem;
+	// declared but non-conforming matrix data silently uses the dense
+	// path. Nil selects the dense reference path.
 	Stages *StageStructure
 }
 
+// The interior-point iteration limit and the static diagonal
+// regularization added to the KKT system. The regularization keeps the
+// factorization well-posed when H is only positive semidefinite; both
+// KKT backends use it, so the structured path solves the identical
+// linear system as the dense reference.
+const (
+	maxIter = 60
+	kktReg  = 1e-9
+)
+
 // Options tunes the solver. The zero value selects defaults.
 type Options struct {
-	// MaxIter is the iteration limit (default 60).
-	MaxIter int
 	// Tol is the KKT residual and complementarity tolerance (default 1e-8).
 	Tol float64
-	// Reg is the static diagonal regularization added to the KKT system
-	// (default 1e-9) — it keeps the factorization well-posed when H is
-	// only positive semidefinite. Both KKT backends use the same Reg, so
-	// the structured path solves the identical linear system as the dense
-	// reference.
-	Reg float64
-	// Backend selects the KKT factorization path (default BackendAuto:
-	// structured when the problem declares conforming stage structure,
-	// dense otherwise). BackendDense forces the dense reference path —
-	// equivalence tests solve the same problem both ways.
-	Backend Backend
 	// Work, when non-nil, is a reusable solver workspace: repeated Solve
 	// calls with same-shaped problems perform no allocation, and the
 	// slices in the returned Result alias the workspace (valid until the
@@ -96,14 +94,8 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 60
-	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-8
-	}
-	if o.Reg <= 0 {
-		o.Reg = 1e-9
 	}
 }
 
@@ -125,10 +117,10 @@ type Result struct {
 	PrimalInfeas, DualInfeas float64
 	// Structured reports that every KKT factorization of the solve used
 	// the stage-structured Riccati backend. It is false when no structure
-	// was declared or selected, when the declared structure did not
-	// conform to the matrix data, or when a stage factorization lost
-	// quasi-definiteness mid-solve and the solver demoted to the dense
-	// path for the remaining iterations.
+	// was declared, when the declared structure did not conform to the
+	// matrix data, or when a stage factorization lost quasi-definiteness
+	// mid-solve and the solver demoted to the dense path for the
+	// remaining iterations.
 	Structured bool
 }
 
@@ -210,7 +202,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 
 	// No inequalities: the problem reduces to a single KKT solve.
 	if min == 0 {
-		return solveEquality(p, n, meq, opt, ws)
+		return solveEquality(p, n, meq, ws)
 	}
 
 	// Stage-structured backend selection. banded (constant for the whole
@@ -220,12 +212,12 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 	// factorization loses quasi-definiteness.
 	var st *stageKKT
 	banded := false
-	if p.Stages != nil && opt.Backend != BackendDense {
+	if p.Stages != nil {
 		if ws.stage == nil {
 			ws.stage = &stageKKT{}
 		}
 		st = ws.stage
-		st.ensure(p.Stages, n, meq, min)
+		st.ensure(p.Stages)
 		banded = st.conforms(p)
 	}
 	stageActive := banded
@@ -264,7 +256,11 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 
 	res := &ws.res
 	*res = Result{Status: MaxIterations}
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	// hist holds the (dual residual, μ) pairs of recent iterations, newest
+	// first; once they show a cycle, commonStep stays set for the solve.
+	var hist [2 * cycleMaxPeriod][2]float64
+	commonStep := false
+	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 
 		// Residuals (banded matvecs when the structure conforms: the
@@ -282,8 +278,8 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		if meq > 0 {
 			var aty, aeqx []float64
 			if banded {
-				aty = st.mulAT(p.Aeq, st.eoff, y, ws.tmpN)
-				aeqx = st.mulA(p.Aeq, st.eoff, x, ws.aeqx)
+				aty = st.mulAT(p.Aeq, st.ss.NE, y, ws.tmpN)
+				aeqx = st.mulA(p.Aeq, st.ss.NE, x, ws.aeqx)
 			} else {
 				aty = p.Aeq.MulVecTInto(y, ws.tmpN)
 				aeqx = p.Aeq.MulVecInto(x, ws.aeqx)
@@ -295,8 +291,8 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		}
 		var atz, ainx []float64
 		if banded {
-			atz = st.mulAT(p.Ain, st.ioff, z, ws.tmpN)
-			ainx = st.mulA(p.Ain, st.ioff, x, ws.ax)
+			atz = st.mulAT(p.Ain, st.ss.NI, z, ws.tmpN)
+			ainx = st.mulA(p.Ain, st.ss.NI, x, ws.ax)
 		} else {
 			atz = p.Ain.MulVecTInto(z, ws.tmpN)
 			ainx = p.Ain.MulVecInto(x, ws.ax)
@@ -312,6 +308,12 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		if res.DualInfeas < opt.Tol && res.PrimalInfeas < opt.Tol && mu < opt.Tol {
 			res.Status = Optimal
 			break
+		}
+
+		copy(hist[1:], hist[:len(hist)-1])
+		hist[0] = [2]float64{res.DualInfeas, mu}
+		if !commonStep && iter >= len(hist) {
+			commonStep = cycling(&hist)
 		}
 
 		// The barrier weights d = z/s feed every backend; a nonpositive
@@ -336,7 +338,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		// loses quasi-definiteness demotes this and all later iterations
 		// of the solve to the dense reference path.
 		if stageActive {
-			st.assemble(p, z, s, opt.Reg)
+			st.assemble(p, z, s)
 			if st.factorize() != nil {
 				stageActive = false
 			}
@@ -346,7 +348,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			kBlock := ws.kBlock
 			kBlock.CopyFrom(p.H)
 			for i := 0; i < n; i++ {
-				kBlock.Add(i, i, opt.Reg)
+				kBlock.Add(i, i, kktReg)
 			}
 			for k := 0; k < min; k++ {
 				d := z[k] / s[k]
@@ -368,7 +370,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			// factorization. Fallback: dense LU of the full saddle-point
 			// system when the K-block is not numerically SPD (extreme
 			// barrier weights).
-			if kerr := ws.kf.factorize(kBlock, p.Aeq, opt.Reg); kerr != nil {
+			if kerr := ws.kf.factorize(kBlock, p.Aeq, kktReg); kerr != nil {
 				useLU = true
 				ws.ensureKKT(n + meq)
 				kkt := ws.kkt.Zero()
@@ -382,7 +384,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 						krow[j] = v
 						kkt.Set(j, n+i, v)
 					}
-					krow[n+i] = -opt.Reg
+					krow[n+i] = -kktReg
 				}
 				if ferr := mat.FactorizeInto(&ws.lu, kkt); ferr != nil {
 					res.Status = NumericalFailure
@@ -399,7 +401,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			}
 			var r1 []float64
 			if banded {
-				r1 = st.mulAT(p.Ain, st.ioff, tmp, ws.r1)
+				r1 = st.mulAT(p.Ain, st.ss.NI, tmp, ws.r1)
 			} else {
 				r1 = p.Ain.MulVecTInto(tmp, ws.r1)
 			}
@@ -426,7 +428,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			}
 			var aindx []float64
 			if banded {
-				aindx = st.mulA(p.Ain, st.ioff, dx, ws.aindx)
+				aindx = st.mulA(p.Ain, st.ss.NI, dx, ws.aindx)
 			} else {
 				aindx = p.Ain.MulVecInto(dx, ws.aindx)
 			}
@@ -469,6 +471,10 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		alphaD = 0.995 * maxStep(z, dz)
 		alphaP = math.Min(1, alphaP)
 		alphaD = math.Min(1, alphaD)
+		if commonStep {
+			alphaP = math.Min(alphaP, alphaD)
+			alphaD = alphaP
+		}
 
 		mat.Axpy(alphaP, dx, x)
 		mat.Axpy(alphaP, ds, s)
@@ -489,6 +495,35 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// cycleMaxPeriod is the longest step-length cycle the solver detects.
+// Separate primal and dual step lengths do not shrink the dual residual
+// of a QP with nonzero H, and on some well-posed QPs the two lengths
+// alternate into a period-4 orbit that never meets the tolerance. A
+// detected cycle switches the rest of the solve to one common step
+// length; iterations that never cycle are unaffected.
+const cycleMaxPeriod = 4
+
+// cycling reports a periodic orbit in h, newest first: for some period
+// p ∈ [2, cycleMaxPeriod], each of the last p (rd, μ) pairs lies within
+// 1 % of the pair p iterations before it and more than 10 % away from
+// its predecessor. Converging, stalled and diverging iterations fail
+// one of the two tests.
+func cycling(h *[2 * cycleMaxPeriod][2]float64) bool {
+	near := func(a, b [2]float64, tol float64) bool {
+		return math.Abs(a[0]-b[0]) <= tol*a[0] && math.Abs(a[1]-b[1]) <= tol*a[1]
+	}
+	for p := 2; p <= cycleMaxPeriod; p++ {
+		periodic := true
+		for j := 0; j < p && periodic; j++ {
+			periodic = near(h[j], h[j+p], 0.01) && !near(h[j], h[j+1], 0.1)
+		}
+		if periodic {
+			return true
+		}
+	}
+	return false
+}
+
 // maxStep returns the largest α in (0, 1e30] with v + α·dv ≥ 0 componentwise.
 func maxStep(v, dv []float64) float64 {
 	alpha := 1e30
@@ -506,13 +541,13 @@ func maxStep(v, dv []float64) float64 {
 //
 //	[H    Aeqᵀ] [x]   [−c ]
 //	[Aeq  0   ] [y] = [beq]
-func solveEquality(p *Problem, n, meq int, opt Options, ws *Workspace) (*Result, error) {
+func solveEquality(p *Problem, n, meq int, ws *Workspace) (*Result, error) {
 	dim := n + meq
 	ws.ensureKKT(dim)
 	kkt := ws.kkt.Zero()
 	for i := 0; i < n; i++ {
 		copy(kkt.RawRow(i)[:n], p.H.RawRow(i))
-		kkt.Add(i, i, opt.Reg)
+		kkt.Add(i, i, kktReg)
 	}
 	for i := 0; i < meq; i++ {
 		arow := p.Aeq.RawRow(i)
@@ -521,7 +556,7 @@ func solveEquality(p *Problem, n, meq int, opt Options, ws *Workspace) (*Result,
 			krow[j] = v
 			kkt.Set(j, n+i, v)
 		}
-		krow[n+i] = -opt.Reg
+		krow[n+i] = -kktReg
 	}
 	rhs := ws.rhs
 	for i := 0; i < n; i++ {

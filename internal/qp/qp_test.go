@@ -319,3 +319,29 @@ func TestStatusString(t *testing.T) {
 		t.Error("unknown status renders empty")
 	}
 }
+
+// TestCyclingDetector pins the step-length cycle test on residual
+// histories (newest first): the period-4 orbit of a cycling solve is
+// caught, while converging, stalled and blown-up iterations are not.
+func TestCyclingDetector(t *testing.T) {
+	orbit := [][2]float64{{2.166e-3, 1.075e-4}, {1.185e-2, 5.640e-4}, {2.430e-3, 1.183e-4}, {1.218e-2, 5.934e-4}}
+	var h [2 * cycleMaxPeriod][2]float64
+	for i := range h {
+		h[i] = orbit[i%4]
+	}
+	if !cycling(&h) {
+		t.Error("period-4 orbit not detected")
+	}
+	for i := range h {
+		h[i] = [2]float64{1e-3 * math.Pow(10, float64(i)), 1e-4 * math.Pow(10, float64(i))}
+	}
+	if cycling(&h) {
+		t.Error("converging iteration reported as a cycle")
+	}
+	for i := range h {
+		h[i] = [2]float64{1.219e25, 1.745e8}
+	}
+	if cycling(&h) {
+		t.Error("stalled iteration reported as a cycle")
+	}
+}

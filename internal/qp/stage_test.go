@@ -15,29 +15,22 @@ import (
 // seeds. ridge controls how close the stage Hessian blocks are to
 // singular.
 func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStructure) {
-	ss := &StageStructure{NV: make([]int, nst), NE: make([]int, nst), NI: make([]int, nst)}
-	for k := 0; k < nst; k++ {
-		ss.NV[k] = 1 + rng.Intn(4)
-		ss.NE[k] = rng.Intn(2)
-		ss.NI[k] = 1 + rng.Intn(3)
+	nv, ne, ni := 1+rng.Intn(4), rng.Intn(2), 1+rng.Intn(3)
+	// Stage 0 rows have no previous stage; keep the equality count below
+	// the variable count so its rows stay independent.
+	if ne >= nv {
+		ne = nv - 1
 	}
-	// Stage 0 rows have no previous stage; keep its equality count below
-	// its variable count so the rows stay independent.
-	if ss.NE[0] >= ss.NV[0] {
-		ss.NE[0] = ss.NV[0] - 1
-	}
-	var n, meq, min int
+	ss := UniformStages(nst, nv, ne, ni)
+	n, meq, min := nst*nv, nst*ne, nst*ni
 	voff := make([]int, nst+1)
 	for k := 0; k < nst; k++ {
-		voff[k+1] = voff[k] + ss.NV[k]
-		n += ss.NV[k]
-		meq += ss.NE[k]
-		min += ss.NI[k]
+		voff[k+1] = voff[k] + nv
 	}
 
 	h := mat.NewDense(n, n)
 	for k := 0; k < nst; k++ {
-		nv, vo := ss.NV[k], voff[k]
+		vo := voff[k]
 		// SPD diagonal block GᵀG + ridge·I.
 		g := make([]float64, nv*nv)
 		for i := range g {
@@ -58,9 +51,9 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStruct
 		}
 		// Small symmetric coupling to the previous stage.
 		if k > 0 {
-			nvp, vop := ss.NV[k-1], voff[k-1]
+			vop := voff[k-1]
 			for i := 0; i < nv; i++ {
-				for j := 0; j < nvp; j++ {
+				for j := 0; j < nv; j++ {
 					v := 0.2 * rng.NormFloat64()
 					h.Set(vo+i, vop+j, v)
 					h.Set(vop+j, vo+i, v)
@@ -87,7 +80,7 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStruct
 			if k > 0 {
 				lo = voff[k-1]
 			}
-			for e := 0; e < ss.NE[k]; e++ {
+			for e := 0; e < ne; e++ {
 				var dot float64
 				for j := lo; j < voff[k+1]; j++ {
 					v := rng.NormFloat64()
@@ -108,7 +101,7 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStruct
 		if k > 0 {
 			lo = voff[k-1]
 		}
-		for e := 0; e < ss.NI[k]; e++ {
+		for e := 0; e < ni; e++ {
 			var dot float64
 			for j := lo; j < voff[k+1]; j++ {
 				v := rng.NormFloat64()
@@ -145,7 +138,7 @@ func TestStageBackendMatchesDense(t *testing.T) {
 		}
 		p, _ := randStageQP(rng, nst, ridge)
 
-		dense, err := Solve(p, Options{Backend: BackendDense})
+		dense, err := Solve(denseCopy(p), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense solve failed: %v", trial, err)
 		}
@@ -154,7 +147,7 @@ func TestStageBackendMatchesDense(t *testing.T) {
 			t.Fatalf("trial %d: structured solve failed: %v", trial, err)
 		}
 		if dense.Structured {
-			t.Fatalf("trial %d: BackendDense reported Structured", trial)
+			t.Fatalf("trial %d: undeclared problem reported Structured", trial)
 		}
 		if !str.Structured {
 			t.Fatalf("trial %d: conforming problem did not use structured backend", trial)
@@ -251,11 +244,16 @@ func TestStageStructureCheck(t *testing.T) {
 	if err := ss.Check(7, 3, 12); err == nil {
 		t.Fatal("wrong variable sum accepted")
 	}
-	if err := (&StageStructure{NV: []int{2}, NE: []int{1}}).Check(2, 1, 0); err == nil {
-		t.Fatal("missing NI accepted")
-	}
-	if err := (&StageStructure{NV: []int{0}, NE: []int{0}, NI: []int{0}}).Check(0, 0, 0); err == nil {
-		t.Fatal("zero-variable stage accepted")
+	for _, bad := range []*StageStructure{
+		UniformStages(0, 2, 1, 4),  // no stages
+		UniformStages(3, 0, 1, 4),  // zero-variable stages
+		UniformStages(3, 2, -1, 4), // negative equality count
+		UniformStages(3, 2, 1, -4), // negative inequality count
+	} {
+		n, meq, min := bad.N*bad.NV, bad.N*bad.NE, bad.N*bad.NI
+		if err := bad.Check(n, meq, min); err == nil {
+			t.Errorf("invalid structure %+v accepted", *bad)
+		}
 	}
 	// A bad declaration must surface from Solve as ErrBadProblem.
 	p := &Problem{
@@ -270,8 +268,10 @@ func TestStageStructureCheck(t *testing.T) {
 	}
 }
 
-func TestBackendString(t *testing.T) {
-	if BackendAuto.String() != "auto" || BackendDense.String() != "dense" || BackendStructured.String() != "structured" {
-		t.Fatal("Backend.String mismatch")
-	}
+// denseCopy returns p without its stage declaration: Solve then takes
+// the dense reference path the structured backend is compared against.
+func denseCopy(p *Problem) *Problem {
+	d := *p
+	d.Stages = nil
+	return &d
 }

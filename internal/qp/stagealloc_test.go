@@ -32,8 +32,8 @@ func TestStructuredWarmSolveNoAllocs(t *testing.T) {
 
 // The very first solve through a NewWorkspaceFor-sized workspace is
 // allocation-free: pre-sizing moves every buffer acquisition out of the
-// solve path, so a controller can allocate at construction and then run
-// its first control step on the real-time path. AllocsPerRun burns its
+// solve path. (core.Controller does not pre-size this way; its first
+// control step sizes the QP arena lazily.) AllocsPerRun burns its
 // warm-up call on a fresh workspace too, so every measured call is a
 // true first solve.
 func TestNewWorkspaceForFirstSolveNoAllocs(t *testing.T) {

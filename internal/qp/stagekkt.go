@@ -11,7 +11,7 @@ import "evclimate/internal/mat"
 //
 // but permuted into stage-interleaved order [v_0, e_0, v_1, e_1, …],
 // where it is symmetric block-tridiagonal with superblocks of size
-// NV[k]+NE[k]. The permuted matrix is symmetric quasi-definite (K-block
+// NV+NE. The permuted matrix is symmetric quasi-definite (K-block
 // SPD, −regI dual block), so the unpivoted block LDLᵀ recursion in
 // mat.BlockTriDiag factors it stably with a known pivot sign pattern;
 // a sign violation (numerically lost quasi-definiteness under extreme
@@ -27,12 +27,7 @@ import "evclimate/internal/mat"
 // All storage lives in the struct and is reused across iterations and
 // Solve calls — allocation-free once sized.
 type stageKKT struct {
-	n, meq, min int
-	nst         int
-	nv, ne, ni  []int // per-stage counts (copied from the declaration)
-	voff        []int // variable offset per stage, len nst+1
-	eoff        []int // equality-row offset per stage
-	ioff        []int // inequality-row offset per stage
+	ss StageStructure // the layout the buffers are sized for
 
 	diag  []*mat.Dense // assembled superblocks (lower triangle)
 	sub   []*mat.Dense // sub-diagonal coupling blocks
@@ -43,34 +38,15 @@ type stageKKT struct {
 	prhs, psol []float64
 }
 
-// ensure sizes the backend for the given structure and problem
-// dimensions. It is cheap when the stage dimensions are unchanged.
-func (f *stageKKT) ensure(ss *StageStructure, n, meq, min int) {
-	nst := ss.Stages()
-	if f.n == n && f.meq == meq && f.min == min && f.nst == nst && f.prhs != nil {
-		same := true
-		for k := 0; k < nst; k++ {
-			if f.nv[k] != ss.NV[k] || f.ne[k] != ss.NE[k] || f.ni[k] != ss.NI[k] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+// ensure sizes the backend for the given structure. It is a no-op when
+// the layout is unchanged.
+func (f *stageKKT) ensure(ss *StageStructure) {
+	if f.ss == *ss && f.prhs != nil {
+		return
 	}
-	f.n, f.meq, f.min, f.nst = n, meq, min, nst
-	f.nv = append(f.nv[:0], ss.NV...)
-	f.ne = append(f.ne[:0], ss.NE...)
-	f.ni = append(f.ni[:0], ss.NI...)
-	f.voff = make([]int, nst+1)
-	f.eoff = make([]int, nst+1)
-	f.ioff = make([]int, nst+1)
-	for k := 0; k < nst; k++ {
-		f.voff[k+1] = f.voff[k] + f.nv[k]
-		f.eoff[k+1] = f.eoff[k] + f.ne[k]
-		f.ioff[k+1] = f.ioff[k] + f.ni[k]
-	}
+	f.ss = *ss
+	nst, nv, ne := ss.N, ss.NV, ss.NE
+	n, meq, m := nst*nv, nst*ne, nv+ne
 	f.diag = make([]*mat.Dense, nst)
 	f.sub = make([]*mat.Dense, nst)
 	f.signs = make([]int8, n+meq)
@@ -79,19 +55,18 @@ func (f *stageKKT) ensure(ss *StageStructure, n, meq, min int) {
 	dims := make([]int, nst)
 	p := 0
 	for k := 0; k < nst; k++ {
-		m := f.nv[k] + f.ne[k]
 		dims[k] = m
 		f.diag[k] = mat.NewDense(m, m)
 		if k > 0 {
-			f.sub[k] = mat.NewDense(m, dims[k-1])
+			f.sub[k] = mat.NewDense(m, m)
 		}
-		for i := 0; i < f.nv[k]; i++ {
+		for i := 0; i < nv; i++ {
 			f.signs[p+i] = 1
-			f.pvar[f.voff[k]+i] = p + i
+			f.pvar[k*nv+i] = p + i
 		}
-		for j := 0; j < f.ne[k]; j++ {
-			f.signs[p+f.nv[k]+j] = -1
-			f.peq[f.eoff[k]+j] = p + f.nv[k] + j
+		for j := 0; j < ne; j++ {
+			f.signs[p+nv+j] = -1
+			f.peq[k*ne+j] = p + nv + j
 		}
 		p += m
 	}
@@ -106,38 +81,39 @@ func (f *stageKKT) loV(k int) int {
 	if k == 0 {
 		return 0
 	}
-	return f.voff[k-1]
+	return (k - 1) * f.ss.NV
 }
 
 // hiH returns the upper bound of stage k's Hessian band window (H rows
 // of stage k may additionally touch stage k+1, by symmetry).
 func (f *stageKKT) hiH(k int) int {
-	if k+2 > f.nst {
-		return f.voff[f.nst]
+	if k+2 > f.ss.N {
+		return f.ss.N * f.ss.NV
 	}
-	return f.voff[k+2]
+	return (k + 2) * f.ss.NV
 }
 
 // conforms scans the out-of-band entries of H, Aeq, and Ain and reports
 // whether the declared structural contract actually holds for the
 // problem data. A false return means the caller must use the dense path.
 func (f *stageKKT) conforms(p *Problem) bool {
-	for k := 0; k < f.nst; k++ {
+	nv, ne, ni := f.ss.NV, f.ss.NE, f.ss.NI
+	for k := 0; k < f.ss.N; k++ {
 		lo, hiB := f.loV(k), f.hiH(k)
-		for i := f.voff[k]; i < f.voff[k+1]; i++ {
+		for i := k * nv; i < (k+1)*nv; i++ {
 			row := p.H.RawRow(i)
 			if !allZero(row[:lo]) || !allZero(row[hiB:]) {
 				return false
 			}
 		}
-		hi := f.voff[k+1]
-		for r := f.eoff[k]; r < f.eoff[k+1]; r++ {
+		hi := (k + 1) * nv
+		for r := k * ne; r < (k+1)*ne; r++ {
 			row := p.Aeq.RawRow(r)
 			if !allZero(row[:lo]) || !allZero(row[hi:]) {
 				return false
 			}
 		}
-		for r := f.ioff[k]; r < f.ioff[k+1]; r++ {
+		for r := k * ni; r < (k+1)*ni; r++ {
 			row := p.Ain.RawRow(r)
 			if !allZero(row[:lo]) || !allZero(row[hi:]) {
 				return false
@@ -159,9 +135,10 @@ func allZero(v []float64) bool {
 // assemble fills the superblocks from H, Aeq, and the barrier weights
 // d_r = z[r]/s[r] of the inequality rows. Only the lower triangle of
 // each diagonal block is written (all the factorization reads).
-func (f *stageKKT) assemble(p *Problem, z, s []float64, reg float64) {
-	for k := 0; k < f.nst; k++ {
-		nv, vo := f.nv[k], f.voff[k]
+func (f *stageKKT) assemble(p *Problem, z, s []float64) {
+	nv, ne, ni := f.ss.NV, f.ss.NE, f.ss.NI
+	for k := 0; k < f.ss.N; k++ {
+		vo := k * nv
 		blk := f.diag[k].Zero()
 		// K diagonal block: H[v_k, v_k] + reg·I.
 		for i := 0; i < nv; i++ {
@@ -170,40 +147,40 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64, reg float64) {
 			for j := 0; j <= i; j++ {
 				brow[j] = hrow[vo+j]
 			}
-			brow[i] += reg
+			brow[i] += kktReg
 		}
 		// Equality rows of stage k restricted to stage-k variables, and
 		// the −reg dual diagonal.
-		for e := 0; e < f.ne[k]; e++ {
-			arow := p.Aeq.RawRow(f.eoff[k] + e)
+		for e := 0; e < ne; e++ {
+			arow := p.Aeq.RawRow(k*ne + e)
 			brow := blk.RawRow(nv + e)
 			copy(brow[:nv], arow[vo:vo+nv])
-			brow[nv+e] = -reg
+			brow[nv+e] = -kktReg
 		}
 		if k > 0 {
-			nvp, vop := f.nv[k-1], f.voff[k-1]
+			vop := vo - nv
 			cb := f.sub[k].Zero()
 			// K coupling block H[v_k, v_{k−1}].
 			for i := 0; i < nv; i++ {
 				hrow := p.H.RawRow(vo + i)
-				copy(cb.RawRow(i)[:nvp], hrow[vop:vop+nvp])
+				copy(cb.RawRow(i)[:nv], hrow[vop:vop+nv])
 			}
 			// Equality rows of stage k restricted to stage-(k−1)
 			// variables. (Stage-(k−1) rows cannot touch stage-k
 			// variables under the backward-support contract, so the
 			// dual columns of the coupling block stay zero.)
-			for e := 0; e < f.ne[k]; e++ {
-				arow := p.Aeq.RawRow(f.eoff[k] + e)
-				copy(cb.RawRow(nv + e)[:nvp], arow[vop:vop+nvp])
+			for e := 0; e < ne; e++ {
+				arow := p.Aeq.RawRow(k*ne + e)
+				copy(cb.RawRow(nv + e)[:nv], arow[vop:vop+nv])
 			}
 		}
 	}
 	// Barrier terms: each inequality row r in stage k contributes the
 	// rank-one update d_r·a·aᵀ over its support window, split between
 	// the two diagonal blocks and the coupling block it straddles.
-	for k := 0; k < f.nst; k++ {
-		lo, vo := f.loV(k), f.voff[k]
-		hi := f.voff[k+1]
+	for k := 0; k < f.ss.N; k++ {
+		lo, vo := f.loV(k), k*nv
+		hi := vo + nv
 		var dk, dkp, ck *mat.Dense
 		dk = f.diag[k]
 		if k > 0 {
@@ -211,7 +188,7 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64, reg float64) {
 			ck = f.sub[k]
 		}
 		vop := lo
-		for r := f.ioff[k]; r < f.ioff[k+1]; r++ {
+		for r := k * ni; r < (k+1)*ni; r++ {
 			d := z[r] / s[r]
 			arow := p.Ain.RawRow(r)[lo:hi]
 			for i, ai := range arow {
@@ -266,10 +243,11 @@ func (f *stageKKT) solveInto(r1, r2, dx, dy []float64) {
 
 // mulH computes dst = H·x exploiting the block-tridiagonal band.
 func (f *stageKKT) mulH(h *mat.Dense, x, dst []float64) []float64 {
-	for k := 0; k < f.nst; k++ {
+	nv := f.ss.NV
+	for k := 0; k < f.ss.N; k++ {
 		lo, hi := f.loV(k), f.hiH(k)
 		xw := x[lo:hi]
-		for i := f.voff[k]; i < f.voff[k+1]; i++ {
+		for i := k * nv; i < (k+1)*nv; i++ {
 			row := h.RawRow(i)[lo:hi]
 			var acc float64
 			for j, v := range row {
@@ -281,13 +259,13 @@ func (f *stageKKT) mulH(h *mat.Dense, x, dst []float64) []float64 {
 	return dst
 }
 
-// mulA computes dst = A·x for a stage-partitioned constraint matrix
-// (roff = f.eoff for Aeq, f.ioff for Ain).
-func (f *stageKKT) mulA(a *mat.Dense, roff []int, x, dst []float64) []float64 {
-	for k := 0; k < f.nst; k++ {
-		lo, hi := f.loV(k), f.voff[k+1]
+// mulA computes dst = A·x for a stage-partitioned constraint matrix with
+// rows rows per stage (NE for Aeq, NI for Ain).
+func (f *stageKKT) mulA(a *mat.Dense, rows int, x, dst []float64) []float64 {
+	for k := 0; k < f.ss.N; k++ {
+		lo, hi := f.loV(k), (k+1)*f.ss.NV
 		xw := x[lo:hi]
-		for r := roff[k]; r < roff[k+1]; r++ {
+		for r := k * rows; r < (k+1)*rows; r++ {
 			row := a.RawRow(r)[lo:hi]
 			var acc float64
 			for j, v := range row {
@@ -300,14 +278,14 @@ func (f *stageKKT) mulA(a *mat.Dense, roff []int, x, dst []float64) []float64 {
 }
 
 // mulAT computes dst = Aᵀ·y for a stage-partitioned constraint matrix.
-func (f *stageKKT) mulAT(a *mat.Dense, roff []int, y, dst []float64) []float64 {
+func (f *stageKKT) mulAT(a *mat.Dense, rows int, y, dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for k := 0; k < f.nst; k++ {
-		lo, hi := f.loV(k), f.voff[k+1]
+	for k := 0; k < f.ss.N; k++ {
+		lo, hi := f.loV(k), (k+1)*f.ss.NV
 		dw := dst[lo:hi]
-		for r := roff[k]; r < roff[k+1]; r++ {
+		for r := k * rows; r < (k+1)*rows; r++ {
 			yr := y[r]
 			if yr == 0 {
 				continue

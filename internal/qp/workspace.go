@@ -68,7 +68,7 @@ func NewWorkspaceFor(p *Problem) *Workspace {
 	w.kf.reserve(n, meq)
 	if p.Stages != nil {
 		w.stage = &stageKKT{}
-		w.stage.ensure(p.Stages, n, meq, min)
+		w.stage.ensure(p.Stages)
 	}
 	return w
 }

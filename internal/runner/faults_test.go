@@ -47,21 +47,46 @@ func faultSweepSpec() Spec {
 		},
 		MaxProfileS: 150,
 		BaseSeed:    7,
-		// Start the cabin inside the comfort band so the thermostat
-		// actually switches — a soaked start saturates every controller
-		// full-cool for the whole short profile, masking sensor noise.
-		Mutate: func(cfg *sim.Config, _ *Job) { cfg.InitialCabinC = 24.5 },
 	}
+}
+
+// faultSweepJobs expands faultSweepSpec and starts every cabin inside
+// the comfort band so the thermostat actually switches — a soaked start
+// saturates every controller full-cool for the whole short profile,
+// masking sensor noise.
+func faultSweepJobs(t *testing.T) []Job {
+	t.Helper()
+	jobs, err := Expand(faultSweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		jobs[i].Config.InitialCabinC = 24.5
+	}
+	return jobs
+}
+
+// runFaultSweep runs faultSweepJobs on the given number of workers and
+// fails the test on any job error.
+func runFaultSweep(t *testing.T, workers int) []JobResult {
+	t.Helper()
+	res, err := RunJobs(context.Background(), faultSweepJobs(t), Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if res[i].Err != nil {
+			t.Fatalf("job %d: %v", i, res[i].Err)
+		}
+	}
+	return res
 }
 
 // TestFaultExpansion checks the fault axis threads into jobs: one job per
 // (fault, controller) pair, the faulted jobs carrying the spec and the
 // cell seed into sim.Config, the unfaulted job carrying neither.
 func TestFaultExpansion(t *testing.T) {
-	jobs, err := Expand(faultSweepSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := faultSweepJobs(t)
 	if len(jobs) != 6 {
 		t.Fatalf("jobs = %d, want 6 (2 faults × 3 controllers)", len(jobs))
 	}
@@ -91,40 +116,28 @@ func TestFaultExpansion(t *testing.T) {
 // replay bit-identically whether the sweep runs sequentially or spread
 // over a worker pool.
 func TestFaultReplayAcrossWorkers(t *testing.T) {
-	seq, err := Run(context.Background(), faultSweepSpec(), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.FirstErr(); err != nil {
-		t.Fatal(err)
-	}
+	seq := runFaultSweep(t, 1)
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4
 	}
-	par, err := Run(context.Background(), faultSweepSpec(), Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
+	par := runFaultSweep(t, workers)
+	if len(seq) != len(par) {
+		t.Fatalf("job counts differ: %d vs %d", len(seq), len(par))
 	}
-	if err := par.FirstErr(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Jobs) != len(par.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(seq.Jobs), len(par.Jobs))
-	}
-	for i := range seq.Jobs {
-		tag := fmt.Sprintf("job %d (%s)", i, seq.Jobs[i].Job.Controller.Label)
-		if seq.Jobs[i].Job.Fault != nil {
-			tag += " under " + seq.Jobs[i].Job.Fault.Name
+	for i := range seq {
+		tag := fmt.Sprintf("job %d (%s)", i, seq[i].Job.Controller.Label)
+		if seq[i].Job.Fault != nil {
+			tag += " under " + seq[i].Job.Fault.Name
 		}
-		identicalResults(t, tag, seq.Jobs[i].Result, par.Jobs[i].Result)
+		identicalResults(t, tag, seq[i].Result, par[i].Result)
 	}
 	// The faulted runs must actually differ from the clean ones, or the
 	// injector never fired and the test proves nothing.
 	for i := 0; i < 3; i++ {
-		clean, faulted := seq.Jobs[i].Result, seq.Jobs[i+3].Result
+		clean, faulted := seq[i].Result, seq[i+3].Result
 		if clean.AvgHVACW == faulted.AvgHVACW && clean.ComfortViolationFrac == faulted.ComfortViolationFrac {
-			t.Errorf("%s: faulted run identical to clean run", seq.Jobs[i].Job.Controller.Label)
+			t.Errorf("%s: faulted run identical to clean run", seq[i].Job.Controller.Label)
 		}
 	}
 }

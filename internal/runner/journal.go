@@ -169,7 +169,6 @@ type Journal struct {
 	fsyncEvery int
 	sinceSync  int
 	replay     map[int]*JournalRecord
-	leases     []LeaseRecord
 }
 
 // journalFileName derives the journal file name from the sweep label
@@ -336,7 +335,7 @@ func resumeJournal(path string, want JournalHeader, fsyncEvery int) (*Journal, e
 		return nil, err
 	}
 	return &Journal{path: path, f: f, header: got, fsyncEvery: fsyncEvery,
-		replay: rep.Records, leases: rep.Leases}, nil
+		replay: rep.Records}, nil
 }
 
 // ReadJournal parses a journal file. See ParseJournal.
@@ -457,10 +456,6 @@ func (j *Journal) appendLine(rec any) error {
 
 // Replayed returns the journal's record for a job index, or nil.
 func (j *Journal) Replayed(index int) *JournalRecord { return j.replay[index] }
-
-// ReplayedLeases returns the lease events a resumed journal carried, in
-// append order (nil for a fresh journal).
-func (j *Journal) ReplayedLeases() []LeaseRecord { return j.leases }
 
 // Header returns the journal's header.
 func (j *Journal) Header() JournalHeader { return j.header }

@@ -174,10 +174,12 @@ func TestJournalResumeAfterInterrupt(t *testing.T) {
 	opts, _, _ := journalOpts(dir, false)
 	// One worker: the grid is two 4-lane units, and on two workers both
 	// could finish before the cancel lands, leaving nothing to resume.
-	// Here the first unit completes and the second never starts.
+	// Cancelling on the 4th record, the end of the first unit, lets that
+	// unit complete while the second never starts.
 	opts.Workers = 1
-	opts.Progress = func(done, total int, jr *JobResult) {
-		if done == 3 {
+	var records atomic.Int32
+	opts.OnRecord = func(*JournalRecord) {
+		if records.Add(1) == 4 {
 			cancel()
 		}
 	}
@@ -358,13 +360,16 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Resuming a journal that holds lease events still works.
+	// Resuming a journal that holds lease events still works, and the
+	// lease events never pose as finished jobs.
 	jnl2, err := OpenJournal(&JournalConfig{Dir: dir, Resume: true, Git: "test-build"}, "lease", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(jnl2.ReplayedLeases()); got != len(events) {
-		t.Errorf("resume replayed %d lease events, want %d", got, len(events))
+	for i := range jobs {
+		if rec := jnl2.Replayed(jobs[i].Index); rec != nil {
+			t.Errorf("resume replayed job %d from a journal holding only lease events", jobs[i].Index)
+		}
 	}
 	jnl2.Close()
 }

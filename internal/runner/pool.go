@@ -22,10 +22,6 @@ type Options struct {
 	// Cache, when non-nil, skips jobs whose scenario fingerprint already
 	// holds a result (opt-in; see Cache).
 	Cache *Cache
-	// Progress, when non-nil, is called after each job completes with
-	// the number of finished jobs, the total, and the finished job's
-	// result. Calls are serialized; done is strictly increasing.
-	Progress func(done, total int, jr *JobResult)
 	// Telemetry, when non-nil, is the sweep's shared metric registry:
 	// each job runs under a sink labeled by cycle, controller, and fault
 	// scenario over a job-private registry, which also counts the job's
@@ -324,17 +320,6 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		}
 	}()
 
-	var mu sync.Mutex // serializes progress callbacks and the done count
-	done := 0
-	// Replayed jobs report progress up front, in expansion order.
-	if opts.Progress != nil {
-		for i := range out {
-			if ran[i] {
-				done++
-				opts.Progress(done, len(jobs), &out[i])
-			}
-		}
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -345,18 +330,12 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 					return
 				}
 				pe.runUnit(ctx, unit, out)
-				mu.Lock()
 				for _, i := range unit {
-					if out[i].Attempts == 0 {
-						continue // never started: filled with ctx.Err below
-					}
-					ran[i] = true
-					done++
-					if opts.Progress != nil {
-						opts.Progress(done, len(jobs), &out[i])
-					}
+					// A job that never started is filled with ctx.Err
+					// below. Units are disjoint, so no two workers write
+					// the same flag.
+					ran[i] = out[i].Attempts > 0
 				}
-				mu.Unlock()
 			}
 		}()
 	}

@@ -111,9 +111,6 @@ type Spec struct {
 	// Base optionally overrides the simulation template (powertrain,
 	// cabin, BMS, settle time, sub-steps). Its Profile field is ignored.
 	Base *sim.Config
-	// Mutate, when set, adjusts each job's final sim configuration after
-	// expansion (applied before hashing, so the cache sees the change).
-	Mutate func(cfg *sim.Config, job *Job)
 }
 
 // Job is one fully resolved scenario, ready to execute.
@@ -246,9 +243,6 @@ func Expand(spec Spec) ([]Job, error) {
 							job.Fault = &f
 							job.Config.Faults = &f
 							job.Config.FaultSeed = job.Seed
-						}
-						if spec.Mutate != nil {
-							spec.Mutate(&job.Config, &job)
 						}
 						jobs = append(jobs, job)
 					}

@@ -247,40 +247,6 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-func TestProgress(t *testing.T) {
-	var mu sync.Mutex
-	var dones []int
-	sw, err := Run(context.Background(), quickSpec(), Options{
-		Workers: 4,
-		Progress: func(done, total int, jr *JobResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != 8 {
-				t.Errorf("total = %d, want 8", total)
-			}
-			if jr.Result == nil && jr.Err == nil {
-				t.Error("progress delivered empty result")
-			}
-			dones = append(dones, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.FirstErr(); err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != 8 {
-		t.Fatalf("progress calls = %d, want 8", len(dones))
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Errorf("done sequence %v not strictly increasing", dones)
-			break
-		}
-	}
-}
-
 func TestCells(t *testing.T) {
 	sw, err := Run(context.Background(), quickSpec(), Options{})
 	if err != nil {

@@ -3,7 +3,6 @@ package sqp
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // rosenbrock needs dozens of iterations from a cold start — a good
@@ -44,19 +43,6 @@ func TestHardIterCapAboveMaxIterIsSilent(t *testing.T) {
 	}
 	if res.Status != MaxIterations {
 		t.Fatalf("status = %v, want MaxIterations", res.Status)
-	}
-}
-
-func TestMaxTimeBudget(t *testing.T) {
-	// A deadline already in the past must stop before the first QP
-	// subproblem with the typed error.
-	p := rosenbrockProblem()
-	res, err := Solve(p, []float64{-1.2, 1}, Options{MaxTime: time.Nanosecond})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if res.Status != BudgetExceeded {
-		t.Fatalf("status = %v, want BudgetExceeded", res.Status)
 	}
 }
 

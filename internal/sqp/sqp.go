@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"evclimate/internal/mat"
 	"evclimate/internal/qp"
@@ -38,9 +37,9 @@ const (
 	Stalled
 	// Failed means a subproblem failed irrecoverably.
 	Failed
-	// BudgetExceeded means the wall-clock or hard iteration budget ran
-	// out (Options.MaxTime / Options.HardIterCap); X holds the best
-	// iterate found and Solve additionally returns ErrBudgetExceeded.
+	// BudgetExceeded means the hard iteration budget
+	// (Options.HardIterCap) ran out; X holds the best iterate found and
+	// Solve additionally returns ErrBudgetExceeded.
 	BudgetExceeded
 )
 
@@ -65,11 +64,11 @@ func (s Status) String() string {
 // ErrBadProblem reports a structurally invalid problem definition.
 var ErrBadProblem = errors.New("sqp: invalid problem")
 
-// ErrBudgetExceeded reports that Solve stopped because the wall-clock or
-// hard iteration budget ran out. The accompanying Result still holds the
-// best iterate, so real-time callers can decide whether the partial
-// solution is usable; supervisory layers get a typed watchdog signal
-// instead of inferring overload from Stalled.
+// ErrBudgetExceeded reports that Solve stopped because the hard iteration
+// budget ran out. The accompanying Result still holds the best iterate,
+// so real-time callers can decide whether the partial solution is usable;
+// supervisory layers get a typed watchdog signal instead of inferring
+// overload from Stalled.
 var ErrBudgetExceeded = errors.New("sqp: budget exceeded")
 
 // Problem defines the NLP. Objective is required. Eq/Ineq may be nil when
@@ -106,43 +105,32 @@ type Problem struct {
 	Stages *qp.StageStructure
 }
 
+// Fixed numerics: the finite-difference step scale, the seed of the ℓ₁
+// merit penalty, and the slack penalty of the elastic fallback used when
+// a subproblem is infeasible.
+const (
+	fdStep        = 1e-7
+	penaltyInit   = 1.0
+	elasticWeight = 1e4
+)
+
 // Options tunes the solver; the zero value selects defaults.
 type Options struct {
 	// MaxIter limits major (SQP) iterations. Default 100.
 	MaxIter int
 	// Tol is the KKT tolerance. Default 1e-6.
 	Tol float64
-	// FDStep is the finite-difference step scale. Default 1e-7.
-	FDStep float64
-	// PenaltyInit seeds the ℓ₁ merit penalty. Default 1.
-	PenaltyInit float64
-	// ElasticWeight is the slack penalty used when a subproblem is
-	// infeasible. Default 1e4.
-	ElasticWeight float64
 	// MinMeritDecrease, when positive, stops the iteration early once
 	// the relative merit-function decrease stays below it for two
 	// consecutive accepted steps AND the iterate is feasible to Tol.
 	// Real-time MPC sets this to trade optimality for speed; the default
 	// 0 disables it.
 	MinMeritDecrease float64
-	// MaxTime, when positive, bounds Solve's wall clock. The deadline is
-	// honored mid-iteration (before the QP subproblem and inside the line
-	// search), so a single expensive iteration cannot blow far past the
-	// budget. Exceeding it stops with Status BudgetExceeded and
-	// ErrBudgetExceeded. Wall-clock budgets are inherently
-	// nondeterministic; deterministic replay must use HardIterCap.
-	MaxTime time.Duration
 	// HardIterCap, when positive, is a hard major-iteration budget:
 	// unlike MaxIter (a normal real-time truncation, Status
 	// MaxIterations), exceeding it reports Status BudgetExceeded and
 	// ErrBudgetExceeded. When both are set the tighter one applies.
 	HardIterCap int
-	// Solver is the KKT backend hint passed to the QP subproblems
-	// (default qp.BackendAuto: structured whenever Problem.Stages is
-	// declared and conforming). qp.BackendDense forces the dense
-	// reference path and dense BFGS updates — useful for A/B equivalence
-	// runs against the structured backend.
-	Solver qp.Backend
 	// Work, when non-nil, is a reusable solver workspace: repeated Solve
 	// calls with same-shaped problems perform no per-iteration allocation,
 	// and the slices in the returned Result alias the workspace (valid
@@ -157,15 +145,6 @@ func (o *Options) fill() {
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
-	}
-	if o.FDStep <= 0 {
-		o.FDStep = 1e-7
-	}
-	if o.PenaltyInit <= 0 {
-		o.PenaltyInit = 1
-	}
-	if o.ElasticWeight <= 0 {
-		o.ElasticWeight = 1e4
 	}
 }
 
@@ -197,9 +176,8 @@ type Result struct {
 }
 
 type evaluator struct {
-	p   *Problem
-	opt *Options
-	ws  *Workspace
+	p  *Problem
+	ws *Workspace
 }
 
 // gradientInto writes ∇f(x) into g (a workspace buffer). The buffer is
@@ -217,7 +195,7 @@ func (e *evaluator) gradientInto(x, g []float64) []float64 {
 	xt := e.ws.xt
 	copy(xt, x)
 	for i := range x {
-		h := e.opt.FDStep * (1 + math.Abs(x[i]))
+		h := fdStep * (1 + math.Abs(x[i]))
 		xt[i] = x[i] + h
 		fp := e.p.Objective(xt)
 		xt[i] = x[i] - h
@@ -290,7 +268,7 @@ func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac
 	xt := e.ws.xt
 	copy(xt, x)
 	for j := 0; j < e.p.N; j++ {
-		h := e.opt.FDStep * (1 + math.Abs(x[j]))
+		h := fdStep * (1 + math.Abs(x[j]))
 		xt[j] = x[j] + h
 		fn(xt, pert)
 		xt[j] = x[j]
@@ -365,23 +343,8 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		ws = NewWorkspace()
 	}
 	ws.ensure(p)
-	ev := &evaluator{p: p, opt: &opt, ws: ws}
-
-	// Stage-structured mode: per-stage variable offsets drive the
-	// block-diagonal BFGS updates below.
-	structured := p.Stages != nil && opt.Solver != qp.BackendDense
-	var voff []int
-	if structured {
-		nst := p.Stages.Stages()
-		if cap(ws.voff) < nst+1 {
-			ws.voff = make([]int, nst+1)
-		}
-		voff = ws.voff[:nst+1]
-		voff[0] = 0
-		for k := 0; k < nst; k++ {
-			voff[k+1] = voff[k] + p.Stages.NV[k]
-		}
-	}
+	ev := &evaluator{p: p, ws: ws}
+	structured := p.Stages != nil
 
 	// Double-buffered iterate state: the locals holding the current point
 	// and its derivatives swap with their *New partners on every accepted
@@ -418,13 +381,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	for i := range mu {
 		mu[i] = 0
 	}
-	nu := opt.PenaltyInit
-
-	var deadline time.Time
-	if opt.MaxTime > 0 {
-		deadline = time.Now().Add(opt.MaxTime)
-	}
-	overTime := func() bool { return opt.MaxTime > 0 && time.Now().After(deadline) }
+	nu := penaltyInit
 
 	res := &ws.res
 	// Structured starts true when the stage backend can engage and is
@@ -457,11 +414,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			break
 		}
 
-		if overTime() {
-			res.Status = BudgetExceeded
-			break
-		}
-
 		// QP subproblem: min ½dᵀBd + gᵀd  s.t.  Je·d = −ce, Ji·d ≤ −ci.
 		sub := &ws.sub
 		*sub = qp.Problem{H: b, C: g, Stages: p.Stages}
@@ -481,7 +433,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		if qpTol < 1e-8 {
 			qpTol = 1e-8
 		}
-		qpOpts := qp.Options{Tol: qpTol, Backend: opt.Solver, Work: ws.qpWork}
+		qpOpts := qp.Options{Tol: qpTol, Work: ws.qpWork}
 		qr, err := qp.Solve(sub, qpOpts)
 		if qr != nil {
 			res.QPIterations += qr.Iterations
@@ -491,14 +443,13 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			}
 		}
 		if err != nil || qr.Status == qp.NumericalFailure || !mat.AllFinite(qr.X) {
-			// Elastic fallback: relax constraints with penalized slacks.
-			// The subproblem options (tolerance, iteration budget) are
-			// threaded through: the fallback must respect the same
-			// real-time budget as the primary solve.
+			// Elastic fallback: relax constraints with penalized slacks,
+			// solved to the same subproblem tolerance as the primary
+			// solve.
 			if ws.el == nil {
 				ws.el = &elasticArena{}
 			}
-			qr, err = solveElastic(sub, opt.ElasticWeight, qpOpts, ws.el)
+			qr, err = solveElastic(sub, elasticWeight, qpOpts, ws.el)
 			if qr != nil {
 				res.QPIterations += qr.Iterations
 				if !qr.Structured {
@@ -552,7 +503,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		alpha := 1.0
 		var fNew float64
 		accepted := false
-		timedOut := false
 		for ls := 0; ls < 30; ls++ {
 			mat.ScaleVecInto(xNew, alpha, d)
 			mat.Axpy(1, x, xNew)
@@ -564,17 +514,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 				accepted = true
 				break
 			}
-			// Honor the wall-clock budget mid-iteration: abandoning the
-			// backtracking search keeps the last accepted iterate.
-			if overTime() {
-				timedOut = true
-				break
-			}
 			alpha *= 0.5
-		}
-		if timedOut {
-			res.Status = BudgetExceeded
-			break
 		}
 		if !accepted {
 			res.Status = Stalled
@@ -631,7 +571,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		}
 		sVec := mat.SubVecInto(ws.sVec, xNew, x)
 		if structured {
-			updateBFGSBlocks(b, voff, sVec, yVec, ws.bs, ws.bfgsR)
+			updateBFGSBlocks(b, p.Stages, sVec, yVec, ws.bs, ws.bfgsR)
 		} else {
 			updateBFGS(b, sVec, yVec, ws.bs, ws.bfgsR)
 		}
@@ -694,9 +634,9 @@ func updateBFGS(b *mat.Dense, s, y, bs, r []float64) {
 // between stages is discarded; that costs some BFGS accuracy but keeps
 // the subproblems structured, which is the better trade in the MPC hot
 // path.
-func updateBFGSBlocks(b *mat.Dense, voff []int, s, y, bs, r []float64) {
-	for k := 0; k+1 < len(voff); k++ {
-		lo, hi := voff[k], voff[k+1]
+func updateBFGSBlocks(b *mat.Dense, ss *qp.StageStructure, s, y, bs, r []float64) {
+	for k := 0; k < ss.N; k++ {
+		lo, hi := k*ss.NV, (k+1)*ss.NV
 		updateBFGSBlock(b, lo, hi, s[lo:hi], y[lo:hi], bs[lo:hi], r[lo:hi])
 	}
 }
@@ -745,10 +685,10 @@ func updateBFGSBlock(b *mat.Dense, lo, hi int, s, y, bs, r []float64) {
 // Je·d + sp − sm = beq with sp, sm ≥ 0, inequalities get a slack t ≥ 0,
 // all slacks penalized linearly by weight w. The elastic problem is always
 // feasible, so the SQP step degrades gracefully into a feasibility-
-// restoration direction. The caller's subproblem options (tolerance and
-// iteration budget) apply to the fallback solve too — only the workspace
-// is swapped for the arena's, since the elastic problem has different
-// dimensions than the main subproblem. The returned Result aliases the
+// restoration direction. The caller's subproblem tolerance applies to the
+// fallback solve too — only the workspace is swapped for the arena's,
+// since the elastic problem has different dimensions than the main
+// subproblem. The returned Result aliases the
 // arena and is valid until the next call with it.
 func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena) (*qp.Result, error) {
 	n, _ := sub.H.Dims()

@@ -36,7 +36,6 @@ type Workspace struct {
 	yVec, sVec    []float64
 	bs, bfgsR     []float64 // updateBFGS scratch
 	b             *mat.Dense
-	voff          []int // stage variable offsets (structured mode)
 
 	// Finite-difference / evaluator scratch.
 	xt             []float64

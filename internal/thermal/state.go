@@ -111,9 +111,6 @@ func (s *State) Step(cabinC, ambientC, jouleW, heaterElecW, chillerElecW, dt flo
 // PackC returns the current pack temperature.
 func (s *State) PackC() float64 { return s.packC }
 
-// CoolantC returns the current coolant-loop temperature.
-func (s *State) CoolantC() float64 { return s.coolantC }
-
 // MinPackC and MaxPackC return the pack temperature envelope so far.
 func (s *State) MinPackC() float64 { return s.packMinC }
 func (s *State) MaxPackC() float64 { return s.packMaxC }

@@ -37,18 +37,6 @@ func MsToKmh(ms float64) float64 { return ms * 3.6 }
 // CToK converts degrees Celsius to kelvin.
 func CToK(c float64) float64 { return c + 273.15 }
 
-// KToC converts kelvin to degrees Celsius.
-func KToC(k float64) float64 { return k - 273.15 }
-
-// WhToJ converts watt-hours to joules.
-func WhToJ(wh float64) float64 { return wh * SecondsPerHour }
-
-// JToWh converts joules to watt-hours.
-func JToWh(j float64) float64 { return j / SecondsPerHour }
-
-// KWhToJ converts kilowatt-hours to joules.
-func KWhToJ(kwh float64) float64 { return kwh * 1000 * SecondsPerHour }
-
 // JToKWh converts joules to kilowatt-hours.
 func JToKWh(j float64) float64 { return j / (1000 * SecondsPerHour) }
 
@@ -77,20 +65,6 @@ func Clamp(v, lo, hi float64) float64 {
 // Lerp linearly interpolates between a and b with parameter t in [0, 1].
 // t outside [0, 1] extrapolates.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// ApproxEqual reports whether a and b agree to within tol absolutely or
-// relatively (whichever is looser). tol must be positive.
-func ApproxEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
 
 // IsFinite reports whether v is neither NaN nor ±Inf.
 func IsFinite(v float64) bool {
