@@ -115,11 +115,11 @@ test-thermal:
 	$(GO) test -run 'Thermal|Calendar|CycleStress' ./internal/battery/... ./internal/core/... ./internal/sim/...
 	$(GO) test -run 'Cold' ./internal/experiments/...
 
-# Coverage-guided fuzzing of the QP interior-point solver: the dense
-# 2-variable front door (FuzzSolve) and the stage-structured KKT backend
-# (FuzzStageKKT — ill-conditioned, non-SPD, degenerate, and
-# band-violating stage QPs; go test fuzzes one target per invocation, so
-# the two run back to back).
+# Coverage-guided fuzzing of the QP interior-point solver: one-stage
+# 2-variable problems (FuzzSolve) and the stage-structured KKT backend
+# (FuzzStageKKT — ill-conditioned, non-SPD and degenerate stage QPs,
+# checked against their one-stage form; go test fuzzes one target per
+# invocation, so the two run back to back).
 fuzz-qp:
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=1m ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=1m ./internal/qp/

@@ -199,14 +199,14 @@ func BenchmarkQPInteriorPoint(b *testing.B) {
 	for i := range c {
 		c[i] = -float64(i%7) - 1.5
 	}
-	ain := mat.NewDense(2*n, n)
+	ain := qp.NewStageMatrix(1, n, 2*n)
 	bin := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		ain.Set(i, i, 1)
 		bin[i] = 2
 		ain.Set(n+i, i, -1)
 	}
-	p := &qp.Problem{H: h, C: c, Ain: ain, Bin: bin}
+	p := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: bin}
 	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,14 +227,14 @@ func BenchmarkQPInteriorPointWarm(b *testing.B) {
 	for i := range c {
 		c[i] = -float64(i%7) - 1.5
 	}
-	ain := mat.NewDense(2*n, n)
+	ain := qp.NewStageMatrix(1, n, 2*n)
 	bin := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		ain.Set(i, i, 1)
 		bin[i] = 2
 		ain.Set(n+i, i, -1)
 	}
-	p := &qp.Problem{H: h, C: c, Ain: ain, Bin: bin}
+	p := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: bin}
 	opt := qp.Options{Work: qp.NewWorkspace()}
 	if _, err := qp.Solve(p, opt); err != nil {
 		b.Fatal(err)
@@ -249,14 +249,14 @@ func BenchmarkQPInteriorPointWarm(b *testing.B) {
 
 // stageBenchQP builds a stage QP with the MPC subproblem's exact shape —
 // 12 stages of 7 variables, 3 equality and 14 inequality rows per stage,
-// block-tridiagonal Hessian band — from deterministic pseudo-random
-// data. Used by the structured-vs-dense backend pair below.
+// block-diagonal Hessian — from deterministic pseudo-random data. Used by
+// the structured-vs-dense backend pair below.
 func stageBenchQP() *qp.Problem {
 	const nst, nv, ne, ni = 12, 7, 3, 14
-	n, meq, min := nst*nv, nst*ne, nst*ni
 	val := func(i, j int) float64 { return float64((i*37+j*17)%23)/23 - 0.5 }
-	h := mat.NewDense(n, n)
-	for k := 0; k < nst; k++ {
+	h := make([]*mat.Dense, nst)
+	for k := range h {
+		h[k] = mat.NewDense(nv, nv)
 		o := k * nv
 		for i := 0; i < nv; i++ {
 			for j := 0; j < nv; j++ {
@@ -267,40 +267,25 @@ func stageBenchQP() *qp.Problem {
 				if i == j {
 					acc += 2
 				}
-				h.Set(o+i, o+j, acc)
-			}
-		}
-		if k > 0 {
-			for i := 0; i < nv; i++ {
-				for j := 0; j < nv; j++ {
-					v := 0.1 * val(o+i, o-nv+j)
-					h.Set(o+i, o-nv+j, v)
-					h.Set(o-nv+j, o+i, v)
-				}
+				h[k].Set(i, j, acc)
 			}
 		}
 	}
-	c := make([]float64, n)
+	c := make([]float64, nst*nv)
 	for i := range c {
 		c[i] = val(i, i+1)
 	}
-	aeq := mat.NewDense(meq, n)
-	beq := make([]float64, meq)
-	for k := 0; k < nst; k++ {
-		lo := 0
-		if k > 0 {
-			lo = (k - 1) * nv
+	aeq := qp.NewStageMatrix(nst, nv, ne)
+	beq := make([]float64, nst*ne)
+	for row := range beq {
+		lo, v := aeq.Row(row)
+		for j := range v {
+			v[j] = val(row, lo+j)
 		}
-		for r := 0; r < ne; r++ {
-			row := k*ne + r
-			for j := lo; j < (k+1)*nv; j++ {
-				aeq.Set(row, j, val(row, j))
-			}
-			beq[row] = 0.05 * val(row, 0)
-		}
+		beq[row] = 0.05 * val(row, 0)
 	}
-	ain := mat.NewDense(min, n)
-	bin := make([]float64, min)
+	ain := qp.NewStageMatrix(nst, nv, ni)
+	bin := make([]float64, nst*ni)
 	for k := 0; k < nst; k++ {
 		o := k * nv
 		for i := 0; i < nv; i++ {
@@ -310,16 +295,13 @@ func stageBenchQP() *qp.Problem {
 			bin[k*ni+nv+i] = 2
 		}
 	}
-	return &qp.Problem{
-		H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin,
-		Stages: qp.UniformStages(nst, nv, ne, ni),
-	}
+	return &qp.Problem{H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin}
 }
 
 // BenchmarkQPStructured and BenchmarkQPStructuredDense solve the same
-// MPC-shaped stage QP through the block-tridiagonal Riccati backend and
-// the dense reference path; their ratio is the per-solve win of
-// exploiting the horizon structure (the end-to-end controller win is
+// MPC-shaped stage QP through the block-tridiagonal Riccati backend and,
+// in its one-stage form, the dense path; their ratio is the per-solve win
+// of exploiting the horizon structure (the end-to-end controller win is
 // BenchmarkMPCSolveStep's).
 func BenchmarkQPStructured(b *testing.B) {
 	p := stageBenchQP()
@@ -328,8 +310,8 @@ func BenchmarkQPStructured(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !res.Structured {
-		b.Fatal("bench problem did not take the structured path")
+	if res.Demotions != 0 {
+		b.Fatal("bench problem left the structured path")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -340,8 +322,7 @@ func BenchmarkQPStructured(b *testing.B) {
 }
 
 func BenchmarkQPStructuredDense(b *testing.B) {
-	p := stageBenchQP()
-	p.Stages = nil // no declaration: the dense reference path
+	p := stageBenchQP().OneStage()
 	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
 	if _, err := qp.Solve(p, opt); err != nil {
 		b.Fatal(err)

@@ -64,7 +64,7 @@ func TestWarmStartSurvivesWorkspaceReuse(t *testing.T) {
 	if got, want := a.Decide(ctx), fresh.Decide(ctx); got != want {
 		t.Fatalf("post-Reset decision %+v differs from fresh controller's %+v", got, want)
 	}
-	if a.PredictedPlan() == nil {
-		t.Fatal("PredictedPlan nil after a successful post-Reset Decide")
+	if !a.havePrev {
+		t.Fatal("no warm start kept after a successful post-Reset Decide")
 	}
 }

@@ -104,7 +104,8 @@ type Config struct {
 	SQP sqp.Options
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
-	// mpc_qp_iterations). Nil or Nop adds no overhead to Decide.
+	// mpc_qp_iterations, mpc_kkt_factorizations_total,
+	// mpc_kkt_demotions_total). Nil or Nop adds no overhead to Decide.
 	Telemetry telemetry.Sink
 	// Thermal enables the cold-climate battery-thermal co-scheduling
 	// extension (see ThermalOptions). The zero value keeps the paper's
@@ -163,22 +164,25 @@ type Controller struct {
 	// Diagnostics aggregated over a run.
 	solves, converged, stalled, failed, budget int
 	totalSQPIters                              int
+	kktFactorizations, kktDemotions            int
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
 	lastErr error
 	// lastSolve is the previous Decide's optimizer diagnostics, exposed
-	// through control.SolveReporter for telemetry step spans.
-	lastSolve control.SolveInfo
-	// lastStructured records whether the previous solve stayed on the
-	// stage-structured KKT path end to end.
-	lastStructured bool
+	// through control.SolveReporter for telemetry step spans, and
+	// lastDemotions its count of QP subproblems that left the
+	// stage-structured KKT path.
+	lastSolve     control.SolveInfo
+	lastDemotions int
 
 	// Telemetry instruments, nil unless the config carried an active
 	// sink; nil instruments are no-ops so Decide never branches on them.
 	telSolves  map[string]*telemetry.Counter
 	telIters   *telemetry.Histogram
 	telQPIters *telemetry.Histogram
+	telKKT     *telemetry.Counter // KKT factorizations
+	telDemote  *telemetry.Counter // QP subproblems demoted off the stage path
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -250,11 +254,11 @@ func New(cfg Config) (*Controller, error) {
 		Gradient:  func(z, g []float64) { c.gradient(z, &c.hor, g) },
 		MEq:       c.ne * n,
 		Eq:        func(z, out []float64) { c.equalities(z, &c.hor, out) },
-		EqJac:     func(z []float64, jac *mat.Dense) { c.equalitiesJac(z, &c.hor, jac) },
+		EqJac:     func(z []float64, jac *qp.StageMatrix) { c.equalitiesJac(z, &c.hor, jac) },
 		MIneq:     n * c.ni,
 		Ineq:      func(z, out []float64) { c.inequalities(z, &c.hor, out) },
-		IneqJac:   func(z []float64, jac *mat.Dense) { c.inequalitiesJac(z, &c.hor, jac) },
-		Stages:    c.horizonStructure(),
+		IneqJac:   func(z []float64, jac *qp.StageMatrix) { c.inequalitiesJac(z, &c.hor, jac) },
+		Stages:    n,
 	}
 	c.bindInstruments()
 	return c, nil
@@ -263,7 +267,7 @@ func New(cfg Config) (*Controller, error) {
 // bindInstruments (re)resolves the solver instruments on the config's
 // sink, detaching them when it is nil or inactive.
 func (c *Controller) bindInstruments() {
-	c.telSolves, c.telIters, c.telQPIters, c.telRTF = nil, nil, nil, nil
+	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telDemote, c.telRTF = nil, nil, nil, nil, nil, nil
 	tel := c.cfg.Telemetry
 	if tel == nil || !tel.Active() {
 		return
@@ -275,6 +279,8 @@ func (c *Controller) bindInstruments() {
 	c.telSolves["fallback"] = tel.Counter("mpc_solves_total", telemetry.L("status", "fallback"))
 	c.telIters = tel.Histogram("mpc_sqp_iterations", telemetry.IterationBuckets)
 	c.telQPIters = tel.Histogram("mpc_qp_iterations", telemetry.IterationBuckets)
+	c.telKKT = tel.Counter("mpc_kkt_factorizations_total")
+	c.telDemote = tel.Counter("mpc_kkt_demotions_total")
 	// Wall-clock derived; the "_real_time_factor" suffix keeps it out of
 	// deterministic manifests (telemetry.DeterministicFilter).
 	c.telRTF = tel.Gauge("mpc_real_time_factor")
@@ -295,19 +301,23 @@ func (c *Controller) Name() string {
 	return "Battery Lifetime-aware"
 }
 
-// Structured reports whether the last Decide's SQP solve used the
-// stage-structured (block-tridiagonal) KKT backend on every QP
-// subproblem — false after a dense fallback, a safe-ventilation
-// fallback, or before the first solve.
-func (c *Controller) Structured() bool { return c.lastStructured }
+// Structured reports whether the last Decide's SQP solve kept every QP
+// subproblem on the stage-structured (block-tridiagonal) KKT backend —
+// false after a demotion or elastic fallback, a safe-ventilation
+// fallback, with a one-step horizon, or before the first solve.
+func (c *Controller) Structured() bool {
+	return c.cfg.Horizon > 1 && c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastDemotions == 0
+}
 
 // Reset implements control.Controller.
 func (c *Controller) Reset() {
 	c.havePrev = false
 	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
 	c.totalSQPIters = 0
+	c.kktFactorizations, c.kktDemotions = 0, 0
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
+	c.lastDemotions = 0
 }
 
 // LastSolve implements control.SolveReporter.
@@ -333,11 +343,18 @@ type Stats struct {
 	BudgetExceeded int
 	// AvgSQPIters is the mean SQP iteration count per solve.
 	AvgSQPIters float64
+	// KKTFactorizations sums the interior-point KKT factorizations of
+	// every QP subproblem, and KKTDemotions the subproblems that left the
+	// stage-structured KKT path (sqp.Result.Demotions).
+	KKTFactorizations, KKTDemotions int
 }
 
 // Stats returns the diagnostics.
 func (c *Controller) Stats() Stats {
-	s := Stats{Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget}
+	s := Stats{
+		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
+		KKTFactorizations: c.kktFactorizations, KKTDemotions: c.kktDemotions,
+	}
 	if c.solves > 0 {
 		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
 	}
@@ -443,9 +460,9 @@ func (c *Controller) buildHorizon(ctx control.StepContext) *horizonData {
 //	z[10k+9]     Tb_{k+1}                               next pack temperature
 //
 // so every constraint of stage k touches only the variables of stages
-// k−1 (through x_k, Tb_k) and k. That is exactly the backward-support
-// contract of qp.StageStructure: the SQP subproblems factor
-// block-tridiagonally instead of densely at either stride. (The paper's
+// k−1 (through x_k, Tb_k) and k. That is exactly the row window of a
+// qp.StageMatrix, so the Jacobians are written in stage form and the SQP
+// subproblems factor block-tridiagonally at either stride. (The paper's
 // Eq. 20 z = [x, i, u] grouping is mathematically identical — this is a
 // permutation.)
 func (c *Controller) idxX(k int) int  { return c.sv*(k-1) + c.offX } // x_k, k ≥ 1
@@ -470,14 +487,6 @@ const (
 	stageVars        = 7
 	thermalStageVars = 10
 )
-
-// horizonStructure declares the stage structure of the horizon NLP for
-// the structured QP backend: sv variables, ne equality rows (dynamics,
-// heater power, cooler power, and in thermal mode the pack dynamics) and
-// ni inequality rows per prediction step.
-func (c *Controller) horizonStructure() *qp.StageStructure {
-	return qp.UniformStages(c.cfg.Horizon, c.sv, c.ne, c.ni)
-}
 
 // stateAt returns the cabin temperature at the start of step k and
 // whether it is a decision variable (k ≥ 1).
@@ -668,7 +677,7 @@ func (c *Controller) equalities(z []float64, h *horizonData, out []float64) {
 }
 
 // equalitiesJac writes the Jacobian of the equality constraints.
-func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *mat.Dense) {
+func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *qp.StageMatrix) {
 	p := c.cfg.Cabin
 	ac := p.AirCpJKgK / p.EtaCool
 	net := &c.cfg.Thermal.Network
@@ -799,7 +808,7 @@ func (c *Controller) inequalities(z []float64, h *horizonData, out []float64) {
 	}
 }
 
-func (c *Controller) inequalitiesJac(z []float64, h *horizonData, jac *mat.Dense) {
+func (c *Controller) inequalitiesJac(z []float64, h *horizonData, jac *qp.StageMatrix) {
 	for k := 0; k < h.n; k++ {
 		dr := z[c.idxDr(k)]
 		xhat, xIsVar := c.stateAt(z, h, k)
@@ -912,12 +921,18 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	}
 	c.solves++
 	c.lastSolve = control.SolveInfo{Status: "fallback"}
+	c.lastDemotions = 0
 	if res != nil {
 		c.lastSolve = control.SolveInfo{
 			Iterations:   res.Iterations,
 			QPIterations: res.QPIterations,
 			Status:       res.Status.String(),
 		}
+		c.lastDemotions = res.Demotions
+		c.kktFactorizations += res.Factorizations
+		c.kktDemotions += res.Demotions
+		c.telKKT.Add(float64(res.Factorizations))
+		c.telDemote.Add(float64(res.Demotions))
 		c.totalSQPIters += res.Iterations
 		switch res.Status {
 		case sqp.Converged:
@@ -950,7 +965,6 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		}
 		c.lastErr = fmt.Errorf("core: safe-ventilation fallback: %w", err)
 		c.lastSolve.Status = "fallback"
-		c.lastStructured = false
 		mixFallback := c.model.MixTemp(ctx.OutsideC, ctx.CabinTempC, 0.5)
 		in = cabin.Inputs{SupplyTempC: mixFallback, CoilTempC: mixFallback, Recirc: 0.5, AirFlowKgS: c.cfg.Cabin.MinAirFlowKgS}
 		if c.thermal && ctx.PackThermal {
@@ -981,7 +995,6 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 			in.BattHeatW = 1000 * math.Max(0, res.X[c.idxBh(0)])
 			in.BattChillW = 1000 * math.Max(0, res.X[c.idxBc(0)])
 		}
-		c.lastStructured = res.Structured
 	}
 	if c.telIters != nil {
 		c.telIters.Observe(float64(c.lastSolve.Iterations))
@@ -1015,18 +1028,4 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		out.CoilTempC = math.Min(out.SupplyTempC, mix)
 	}
 	return out
-}
-
-// PredictedPlan exposes the optimizer's current plan (cabin temperatures
-// x_1..x_N) for analysis and the Fig. 6 precool illustration. It returns
-// nil before the first Decide call.
-func (c *Controller) PredictedPlan() []float64 {
-	if !c.havePrev {
-		return nil
-	}
-	plan := make([]float64, c.cfg.Horizon)
-	for k := 1; k <= c.cfg.Horizon; k++ {
-		plan[k-1] = c.prevZ[c.idxX(k)]
-	}
-	return plan
 }

@@ -7,6 +7,7 @@ import (
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
 	"evclimate/internal/mat"
+	"evclimate/internal/qp"
 )
 
 func newController(t *testing.T, mutate func(*Config)) *Controller {
@@ -94,6 +95,16 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 	}
 }
 
+// windowAt reads entry (i, j) of a stage Jacobian, zero outside row i's
+// stage window — so the finite-difference checks below also prove the
+// constraints honor the stage support contract.
+func windowAt(jac *qp.StageMatrix, i, j int) float64 {
+	if lo, v := jac.Row(i); j >= lo && j < lo+len(v) {
+		return v[j-lo]
+	}
+	return 0
+}
+
 func TestEqualitiesJacMatchesFiniteDifferences(t *testing.T) {
 	c := newController(t, func(cfg *Config) { cfg.Horizon = 3 })
 	ctx := hotCtx(26)
@@ -104,7 +115,7 @@ func TestEqualitiesJacMatchesFiniteDifferences(t *testing.T) {
 		z[i] += 0.013 * float64(i%5)
 	}
 	m := 3 * h.n
-	jac := mat.NewDense(m, len(z))
+	jac := qp.NewStageMatrix(h.n, c.sv, 3)
 	c.equalitiesJac(z, h, jac)
 	base := make([]float64, m)
 	pert := make([]float64, m)
@@ -116,8 +127,8 @@ func TestEqualitiesJacMatchesFiniteDifferences(t *testing.T) {
 		c.equalities(zp, h, pert)
 		for i := 0; i < m; i++ {
 			fd := (pert[i] - base[i]) / hstep
-			if math.Abs(fd-jac.At(i, j)) > 1e-3*(1+math.Abs(fd)) {
-				t.Errorf("eqJac[%d][%d] = %v, FD = %v", i, j, jac.At(i, j), fd)
+			if got := windowAt(jac, i, j); math.Abs(fd-got) > 1e-3*(1+math.Abs(fd)) {
+				t.Errorf("eqJac[%d][%d] = %v, FD = %v", i, j, got, fd)
 			}
 		}
 	}
@@ -133,7 +144,7 @@ func TestIneqJacMatchesFiniteDifferences(t *testing.T) {
 		z[i] += 0.017 * float64(i%4)
 	}
 	m := h.n * ineqPerStep
-	jac := mat.NewDense(m, len(z))
+	jac := qp.NewStageMatrix(h.n, c.sv, ineqPerStep)
 	c.inequalitiesJac(z, h, jac)
 	base := make([]float64, m)
 	pert := make([]float64, m)
@@ -145,8 +156,8 @@ func TestIneqJacMatchesFiniteDifferences(t *testing.T) {
 		c.inequalities(zp, h, pert)
 		for i := 0; i < m; i++ {
 			fd := (pert[i] - base[i]) / hstep
-			if math.Abs(fd-jac.At(i, j)) > 1e-3*(1+math.Abs(fd)) {
-				t.Errorf("ineqJac[%d][%d] = %v, FD = %v", i, j, jac.At(i, j), fd)
+			if got := windowAt(jac, i, j); math.Abs(fd-got) > 1e-3*(1+math.Abs(fd)) {
+				t.Errorf("ineqJac[%d][%d] = %v, FD = %v", i, j, got, fd)
 			}
 		}
 	}
@@ -262,11 +273,11 @@ func TestWarmStartReducesIterations(t *testing.T) {
 func TestResetClearsState(t *testing.T) {
 	c := newController(t, nil)
 	c.Decide(hotCtx(25))
-	if c.PredictedPlan() == nil {
+	if !c.havePrev {
 		t.Fatal("no plan after Decide")
 	}
 	c.Reset()
-	if c.PredictedPlan() != nil {
+	if c.havePrev {
 		t.Error("plan survived Reset")
 	}
 	if c.Stats().Solves != 0 {
@@ -278,12 +289,11 @@ func TestPredictedPlanWithinComfortFunnel(t *testing.T) {
 	c := newController(t, nil)
 	ctx := hotCtx(25)
 	c.Decide(ctx)
-	plan := c.PredictedPlan()
-	if plan == nil {
-		t.Fatal("nil plan")
+	if !c.havePrev {
+		t.Fatal("no plan after Decide")
 	}
-	for k, tz := range plan {
-		if tz < ctx.ComfortLowC-0.5 || tz > ctx.ComfortHighC+0.5 {
+	for k := 1; k <= c.cfg.Horizon; k++ {
+		if tz := c.prevZ[c.idxX(k)]; tz < ctx.ComfortLowC-0.5 || tz > ctx.ComfortHighC+0.5 {
 			t.Errorf("planned Tz[%d] = %v outside comfort zone", k, tz)
 		}
 	}

@@ -33,3 +33,34 @@ func TestRealTimeFactorGauge(t *testing.T) {
 		t.Fatal("mpc_real_time_factor not excluded by DeterministicFilter")
 	}
 }
+
+// The KKT counters mirror Stats: every factorization and demotion the
+// solver reports reaches mpc_kkt_factorizations_total and
+// mpc_kkt_demotions_total, and both are deterministic series.
+func TestKKTCountersMatchStats(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := thermalTestConfig()
+	cfg.Telemetry = telemetry.NewSink(reg, nil)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		c.Decide(thermColdCtx(float64(i) * 5))
+	}
+	st := c.Stats()
+	if st.KKTFactorizations == 0 {
+		t.Fatal("no KKT factorizations counted")
+	}
+	for name, want := range map[string]int{
+		"mpc_kkt_factorizations_total": st.KKTFactorizations,
+		"mpc_kkt_demotions_total":      st.KKTDemotions,
+	} {
+		if got := reg.Counter(name).Value(); got != float64(want) {
+			t.Errorf("%s = %v, Stats %d", name, got, want)
+		}
+		if !telemetry.DeterministicFilter(name) {
+			t.Errorf("%s excluded from deterministic snapshots", name)
+		}
+	}
+}

@@ -48,8 +48,8 @@ func TestThermalLayout(t *testing.T) {
 	if c.prob.MEq != 4*n || c.prob.MIneq != thermalIneqPerStep*n {
 		t.Errorf("problem rows MEq=%d MIneq=%d, want %d/%d", c.prob.MEq, c.prob.MIneq, 4*n, thermalIneqPerStep*n)
 	}
-	if c.prob.Stages == nil {
-		t.Fatal("thermal problem lost its stage structure")
+	if c.prob.Stages != n {
+		t.Fatalf("thermal problem has %d stages, want %d", c.prob.Stages, n)
 	}
 	// The legacy layout must be untouched by the thermal code path.
 	legacy, err := New(DefaultConfig())
@@ -128,15 +128,18 @@ func TestStructuredVsDenseEquivalence(t *testing.T) {
 			hScale = math.Abs(v)
 		}
 	}
-	H := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		H.Set(i, i, 1+hScale)
+	H := make([]*mat.Dense, h.n)
+	for k := range H {
+		H[k] = mat.NewDense(c.sv, c.sv)
+		for i := 0; i < c.sv; i++ {
+			H[k].Set(i, i, 1+hScale)
+		}
 	}
-	aeq := mat.NewDense(meq, n)
+	aeq := qp.NewStageMatrix(h.n, c.sv, c.ne)
 	c.equalitiesJac(z0, h, aeq)
 	beq := make([]float64, meq)
 	c.equalities(z0, h, beq)
-	ain := mat.NewDense(min, n)
+	ain := qp.NewStageMatrix(h.n, c.sv, c.ni)
 	c.inequalitiesJac(z0, h, ain)
 	bin := make([]float64, min)
 	c.inequalities(z0, h, bin)
@@ -146,23 +149,18 @@ func TestStructuredVsDenseEquivalence(t *testing.T) {
 	for i := range bin {
 		bin[i] = -bin[i]
 	}
-	prob := &qp.Problem{H: H, C: g, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin, Stages: c.horizonStructure()}
+	prob := &qp.Problem{H: H, C: g, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin}
 
 	rs, err := qp.Solve(prob, qp.Options{})
 	if err != nil {
 		t.Fatalf("structured solve: %v", err)
 	}
-	dense := *prob
-	dense.Stages = nil // no declaration: the dense reference path
-	rd, err := qp.Solve(&dense, qp.Options{})
+	rd, err := qp.Solve(prob.OneStage(), qp.Options{})
 	if err != nil {
 		t.Fatalf("dense solve: %v", err)
 	}
-	if !rs.Structured {
-		t.Fatal("structured backend did not engage on the extended (sv=10) stage problem")
-	}
-	if rd.Structured {
-		t.Fatal("undeclared solve reported structured")
+	if rs.Demotions != 0 {
+		t.Fatal("structured backend demoted on the extended (sv=10) stage problem")
 	}
 	if rs.Status != qp.Optimal || rd.Status != qp.Optimal {
 		t.Fatalf("statuses: structured %v, dense %v", rs.Status, rd.Status)

@@ -126,14 +126,6 @@ func (m *Dense) TInto(dst *Dense) *Dense {
 	return dst
 }
 
-// CopyVec copies src into dst. The lengths must match.
-func CopyVec(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(ErrShape)
-	}
-	copy(dst, src)
-}
-
 // AddVecInto computes x + y into dst and returns dst.
 func AddVecInto(dst, x, y []float64) []float64 {
 	if len(x) != len(y) || len(dst) != len(x) {

@@ -95,9 +95,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Filled returns a vector of length n with every component set to v.
 func Filled(n int, v float64) []float64 {
 	out := make([]float64, n)

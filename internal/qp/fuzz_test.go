@@ -25,16 +25,16 @@ func FuzzSolve(f *testing.F) {
 	f.Add(1e300, 0.0, 1e-300, 1e150, -1e150, 1e10, -1e10, 1e-10, uint8(3))
 
 	f.Fuzz(func(t *testing.T, h00, h01, h11, c0, c1, a0, a1, b0 float64, flags uint8) {
-		p := &Problem{
+		p := denseQP{
 			H: mat.FromRows([][]float64{{h00, h01}, {h01, h11}}),
 			C: []float64{c0, c1},
-		}
+		}.problem()
 		if flags&1 != 0 {
-			p.Aeq = mat.FromRows([][]float64{{a0, a1}})
+			p.Aeq = oneStage(mat.FromRows([][]float64{{a0, a1}}))
 			p.Beq = []float64{b0}
 		}
 		if flags&2 != 0 {
-			p.Ain = mat.FromRows([][]float64{{a1, a0}})
+			p.Ain = oneStage(mat.FromRows([][]float64{{a1, a0}}))
 			p.Bin = []float64{b0}
 		}
 

@@ -36,13 +36,11 @@ type kktFactor struct {
 // errNotSPD signals the caller to fall back to LU.
 var errNotSPD = errors.New("qp: KKT K-block not SPD")
 
-// reserve pre-sizes every factor and scratch buffer for an n-variable
-// problem with meq equality rows so the first factorize call performs no
-// allocation.
+// reserve sizes every factor and scratch buffer for an n-variable
+// problem with meq equality rows, so factorize performs no allocation.
 func (f *kktFactor) reserve(n, meq int) {
 	f.chK.Reserve(n)
-	f.n = n
-	f.mq = meq
+	f.n, f.mq, f.y = n, meq, nil
 	if meq > 0 {
 		f.y = mat.NewDense(n, meq)
 		f.sMat = mat.NewDense(meq, meq)
@@ -50,8 +48,6 @@ func (f *kktFactor) reserve(n, meq int) {
 		f.t = make([]float64, meq)
 		f.yd = make([]float64, n)
 		f.chS.Reserve(meq)
-	} else {
-		f.y = nil
 	}
 }
 
@@ -60,27 +56,20 @@ func (f *kktFactor) reserve(n, meq int) {
 // reusing the receiver's buffers.
 func (f *kktFactor) factorize(k *mat.Dense, aeq *mat.Dense, delta float64) error {
 	n, _ := k.Dims()
+	meq := 0
+	if aeq != nil {
+		meq, _ = aeq.Dims()
+	}
+	if f.n != n || f.mq != meq {
+		f.reserve(n, meq)
+	}
 	if err := mat.CholeskyFactorizeInto(&f.chK, k); err != nil {
 		return errNotSPD
 	}
 	f.delta = delta
 	f.aeq = aeq
-	if f.n != n {
-		f.n = n
-		f.y = nil // meq-dependent buffers resized below
-	}
 	if aeq == nil {
-		f.mq = 0
 		return nil
-	}
-	meq, _ := aeq.Dims()
-	if f.y == nil || f.mq != meq {
-		f.mq = meq
-		f.y = mat.NewDense(n, meq)
-		f.sMat = mat.NewDense(meq, meq)
-		f.col = make([]float64, n)
-		f.t = make([]float64, meq)
-		f.yd = make([]float64, n)
 	}
 	// Y = K⁻¹Aᵀ, one triangular solve pair per equality row.
 	for i := 0; i < meq; i++ {

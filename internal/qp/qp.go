@@ -52,24 +52,23 @@ func (s Status) String() string {
 // (dimension mismatches, missing Hessian, non-finite data).
 var ErrBadProblem = errors.New("qp: invalid problem")
 
-// Problem is a convex QP. H must be symmetric positive semidefinite.
-// Aeq/Beq and Ain/Bin may be nil/empty for unconstrained directions.
+// Problem is a convex QP over N stages of NV variables, the MPC's
+// receding-horizon layout (see StageMatrix): H holds the N NV×NV blocks
+// of the block-diagonal, positive semidefinite Hessian, and Aeq/Ain are
+// stage matrices of the same layout, nil when there are no such rows.
+//
+// With N > 1 the KKT system factors by a block-tridiagonal Riccati
+// recursion, in O(N·m³) instead of O((N·m)³). A one-stage
+// problem is the unstructured QP and factors densely; a multi-stage solve
+// demotes to that dense path when a stage block loses
+// quasi-definiteness.
 type Problem struct {
-	H   *mat.Dense
+	H   []*mat.Dense
 	C   []float64
-	Aeq *mat.Dense
+	Aeq *StageMatrix
 	Beq []float64
-	Ain *mat.Dense
+	Ain *StageMatrix
 	Bin []float64
-	// Stages, when non-nil, declares receding-horizon stage structure
-	// (see StageStructure): Solve then factors the interior-point KKT
-	// system with a block-tridiagonal Riccati recursion instead of the
-	// dense reference path, after verifying the declared sparsity against
-	// the matrix data. A structurally inconsistent declaration (counts
-	// not multiplying out to the problem dimensions) is ErrBadProblem;
-	// declared but non-conforming matrix data silently uses the dense
-	// path. Nil selects the dense reference path.
-	Stages *StageStructure
 }
 
 // The interior-point iteration limit and the static diagonal
@@ -115,76 +114,110 @@ type Result struct {
 	Status Status
 	// PrimalInfeas and DualInfeas are the final scaled residual norms.
 	PrimalInfeas, DualInfeas float64
-	// Structured reports that every KKT factorization of the solve used
-	// the stage-structured Riccati backend. It is false when no structure
-	// was declared, when the declared structure did not conform to the
-	// matrix data, or when a stage factorization lost quasi-definiteness
-	// mid-solve and the solver demoted to the dense path for the
-	// remaining iterations.
-	Structured bool
+	// Factorizations counts the KKT systems factored, one per Newton
+	// step (the equality-only shortcut factors one).
+	Factorizations int
+	// Demotions is 1 when a stage factorization lost quasi-definiteness
+	// and the rest of the solve ran on the dense path, else 0.
+	Demotions int
 }
 
 func (p *Problem) validate() (n, meq, min int, err error) {
-	if p.H == nil {
+	if len(p.H) == 0 || p.H[0] == nil {
 		return 0, 0, 0, fmt.Errorf("%w: nil Hessian", ErrBadProblem)
 	}
-	hr, hc := p.H.Dims()
-	if hr != hc {
-		return 0, 0, 0, fmt.Errorf("%w: Hessian %d×%d not square", ErrBadProblem, hr, hc)
+	nv, _ := p.H[0].Dims()
+	for k, b := range p.H {
+		if b == nil {
+			return 0, 0, 0, fmt.Errorf("%w: nil Hessian block %d", ErrBadProblem, k)
+		}
+		if r, c := b.Dims(); r != nv || c != nv {
+			return 0, 0, 0, fmt.Errorf("%w: Hessian block %d is %d×%d, want %d×%d", ErrBadProblem, k, r, c, nv, nv)
+		}
+		// A NaN in H poisons the KKT factorization and surfaces as a
+		// confusing NumericalFailure deep in the iteration loop.
+		if !b.AllFinite() {
+			return 0, 0, 0, fmt.Errorf("%w: non-finite Hessian", ErrBadProblem)
+		}
 	}
-	n = hr
+	n = len(p.H) * nv
 	if len(p.C) != n {
 		return 0, 0, 0, fmt.Errorf("%w: len(C)=%d, want %d", ErrBadProblem, len(p.C), n)
 	}
-	if p.Aeq != nil {
-		r, c := p.Aeq.Dims()
-		if c != n || len(p.Beq) != r {
-			return 0, 0, 0, fmt.Errorf("%w: equality block %d×%d / %d", ErrBadProblem, r, c, len(p.Beq))
-		}
-		meq = r
-	} else if len(p.Beq) != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: Beq without Aeq", ErrBadProblem)
+	if meq, err = p.Aeq.check("equality", len(p.H), nv, p.Beq); err != nil {
+		return 0, 0, 0, err
 	}
-	if p.Ain != nil {
-		r, c := p.Ain.Dims()
-		if c != n || len(p.Bin) != r {
-			return 0, 0, 0, fmt.Errorf("%w: inequality block %d×%d / %d", ErrBadProblem, r, c, len(p.Bin))
-		}
-		min = r
-	} else if len(p.Bin) != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: Bin without Ain", ErrBadProblem)
+	if min, err = p.Ain.check("inequality", len(p.H), nv, p.Bin); err != nil {
+		return 0, 0, 0, err
 	}
-	if !mat.AllFinite(p.C) || !mat.AllFinite(p.Beq) || !mat.AllFinite(p.Bin) {
+	if !mat.AllFinite(p.C) {
 		return 0, 0, 0, fmt.Errorf("%w: non-finite data", ErrBadProblem)
-	}
-	// Matrix data must be finite too: a NaN in H or a constraint row
-	// poisons the KKT factorization and surfaces as a confusing
-	// NumericalFailure deep in the iteration loop.
-	if !p.H.AllFinite() {
-		return 0, 0, 0, fmt.Errorf("%w: non-finite Hessian", ErrBadProblem)
-	}
-	if p.Aeq != nil && !p.Aeq.AllFinite() {
-		return 0, 0, 0, fmt.Errorf("%w: non-finite equality matrix", ErrBadProblem)
-	}
-	if p.Ain != nil && !p.Ain.AllFinite() {
-		return 0, 0, 0, fmt.Errorf("%w: non-finite inequality matrix", ErrBadProblem)
-	}
-	if p.Stages != nil {
-		if err := p.Stages.Check(n, meq, min); err != nil {
-			return 0, 0, 0, err
-		}
 	}
 	return n, meq, min, nil
 }
 
-// Objective evaluates ½xᵀHx + cᵀx.
-func (p *Problem) objective(x []float64) float64 {
-	return 0.5*mat.Dot(x, p.H.MulVec(x)) + mat.Dot(p.C, x)
+// check validates a constraint block against the Hessian's stage layout
+// and its right-hand side b, returning the row count.
+func (a *StageMatrix) check(kind string, stages, nv int, b []float64) (int, error) {
+	if a == nil {
+		if len(b) != 0 {
+			return 0, fmt.Errorf("%w: %s right-hand side without a matrix", ErrBadProblem, kind)
+		}
+		return 0, nil
+	}
+	if a.n != stages || a.nv != nv {
+		return 0, fmt.Errorf("%w: %s matrix has %d stages of %d variables, Hessian %d of %d", ErrBadProblem, kind, a.n, a.nv, stages, nv)
+	}
+	rows, _ := a.Dims()
+	if len(b) != rows {
+		return 0, fmt.Errorf("%w: %s block has %d rows, right-hand side %d", ErrBadProblem, kind, rows, len(b))
+	}
+	if !mat.AllFinite(a.data) || !mat.AllFinite(b) {
+		return 0, fmt.Errorf("%w: non-finite %s data", ErrBadProblem, kind)
+	}
+	return rows, nil
+}
+
+// mulH computes dst = H·x block by block.
+func (p *Problem) mulH(x, dst []float64) []float64 {
+	o := 0
+	for _, b := range p.H {
+		nv, _ := b.Dims()
+		b.MulVecInto(x[o:o+nv], dst[o:o+nv])
+		o += nv
+	}
+	return dst
 }
 
 // objectiveInto evaluates ½xᵀHx + cᵀx using hx as the H·x scratch buffer.
 func (p *Problem) objectiveInto(x, hx []float64) float64 {
-	return 0.5*mat.Dot(x, p.H.MulVecInto(x, hx)) + mat.Dot(p.C, x)
+	return 0.5*mat.Dot(x, p.mulH(x, hx)) + mat.Dot(p.C, x)
+}
+
+// HessianInto writes the block-diagonal Hessian into the leading n×n
+// block of dst, which may be larger, and zeroes the rest of dst.
+func (p *Problem) HessianInto(dst *mat.Dense) {
+	dst.Zero()
+	o := 0
+	for _, b := range p.H {
+		nv, _ := b.Dims()
+		for i := 0; i < nv; i++ {
+			copy(dst.RawRow(o + i)[o:o+nv], b.RawRow(i))
+		}
+		o += nv
+	}
+}
+
+// OneStage returns p as a one-stage problem over the same data: a single
+// dense Hessian block and full-width constraint rows, which Solve factors
+// on the dense path. Tests and benchmarks use it as the reference the
+// stage backend is checked against.
+func (p *Problem) OneStage() *Problem {
+	nv, _ := p.H[0].Dims()
+	n := len(p.H) * nv
+	h := mat.NewDense(n, n)
+	p.HessianInto(h)
+	return &Problem{H: []*mat.Dense{h}, C: p.C, Aeq: p.Aeq.oneStage(), Beq: p.Beq, Ain: p.Ain.oneStage(), Bin: p.Bin}
 }
 
 // Solve minimizes the QP. See the package comment for the method.
@@ -205,22 +238,20 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		return solveEquality(p, n, meq, ws)
 	}
 
-	// Stage-structured backend selection. banded (constant for the whole
-	// solve) says the declared structure conforms to the matrix data, so
-	// the banded matvecs are valid; stageActive starts equal and is
-	// demoted to false — for the remaining iterations — if a stage
-	// factorization loses quasi-definiteness.
+	// A multi-stage problem starts on the stage backend; st is cleared —
+	// for the remaining iterations — if a stage factorization loses
+	// quasi-definiteness.
 	var st *stageKKT
-	banded := false
-	if p.Stages != nil {
+	if len(p.H) > 1 {
 		if ws.stage == nil {
 			ws.stage = &stageKKT{}
 		}
 		st = ws.stage
-		st.ensure(p.Stages)
-		banded = st.conforms(p)
+		st.ensure(p)
 	}
-	stageActive := banded
+	// aeq is the dense copy of Aeq the dense path factors with, expanded
+	// when that path first runs.
+	var aeq *mat.Dense
 
 	// Interior-point state.
 	x := ws.x
@@ -246,7 +277,11 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		}
 	}
 
-	scale := 1 + mat.NormInf(p.C) + p.H.MaxAbs()
+	hMax := 0.0
+	for _, b := range p.H {
+		hMax = math.Max(hMax, b.MaxAbs())
+	}
+	scale := 1 + mat.NormInf(p.C) + hMax
 	bScale := 1 + mat.NormInf(p.Beq) + mat.NormInf(p.Bin)
 
 	rd := ws.rd
@@ -263,41 +298,20 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 
-		// Residuals (banded matvecs when the structure conforms: the
-		// stage windows skip the zero blocks the dense products wade
-		// through, which matters once the factorization is cheap).
-		var hx []float64
-		if banded {
-			hx = st.mulH(p.H, x, ws.hx)
-		} else {
-			hx = p.H.MulVecInto(x, ws.hx)
-		}
+		// Residuals.
+		hx := p.mulH(x, ws.hx)
 		for i := 0; i < n; i++ {
 			rd[i] = hx[i] + p.C[i]
 		}
 		if meq > 0 {
-			var aty, aeqx []float64
-			if banded {
-				aty = st.mulAT(p.Aeq, st.ss.NE, y, ws.tmpN)
-				aeqx = st.mulA(p.Aeq, st.ss.NE, x, ws.aeqx)
-			} else {
-				aty = p.Aeq.MulVecTInto(y, ws.tmpN)
-				aeqx = p.Aeq.MulVecInto(x, ws.aeqx)
-			}
-			mat.Axpy(1, aty, rd)
+			mat.Axpy(1, p.Aeq.MulVecTInto(y, ws.tmpN), rd)
+			aeqx := p.Aeq.MulVecInto(x, ws.aeqx)
 			for i := 0; i < meq; i++ {
 				rp[i] = aeqx[i] - p.Beq[i]
 			}
 		}
-		var atz, ainx []float64
-		if banded {
-			atz = st.mulAT(p.Ain, st.ss.NI, z, ws.tmpN)
-			ainx = st.mulA(p.Ain, st.ss.NI, x, ws.ax)
-		} else {
-			atz = p.Ain.MulVecTInto(z, ws.tmpN)
-			ainx = p.Ain.MulVecInto(x, ws.ax)
-		}
-		mat.Axpy(1, atz, rd)
+		mat.Axpy(1, p.Ain.MulVecTInto(z, ws.tmpN), rd)
+		ainx := p.Ain.MulVecInto(x, ws.ax)
 		for i := 0; i < min; i++ {
 			rc[i] = ainx[i] + s[i] - p.Bin[i]
 		}
@@ -334,30 +348,36 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		// Assemble and factor the reduced KKT matrix
 		//   [ H + AinᵀD Ain + regI    Aeqᵀ      ] [dx]   [−r1]
 		//   [ Aeq                     −regI     ] [dy] = [−rp]
-		// with D = diag(z/s). Structured path first; a stage block that
+		// with D = diag(z/s). Stage backend first; a stage block that
 		// loses quasi-definiteness demotes this and all later iterations
-		// of the solve to the dense reference path.
-		if stageActive {
+		// of the solve to the dense path.
+		res.Factorizations++
+		if st != nil {
 			st.assemble(p, z, s)
 			if st.factorize() != nil {
-				stageActive = false
+				st = nil
+				res.Demotions = 1
 			}
 		}
 		useLU := false
-		if !stageActive {
+		if st == nil {
+			if aeq == nil && meq > 0 {
+				aeq = ws.aeq
+				p.Aeq.denseInto(aeq)
+			}
 			kBlock := ws.kBlock
-			kBlock.CopyFrom(p.H)
+			p.HessianInto(kBlock)
 			for i := 0; i < n; i++ {
 				kBlock.Add(i, i, kktReg)
 			}
 			for k := 0; k < min; k++ {
 				d := z[k] / s[k]
-				arow := p.Ain.RawRow(k)
+				lo, arow := p.Ain.Row(k)
 				for i, aki := range arow {
 					if aki == 0 {
 						continue
 					}
-					krow := kBlock.RawRow(i)
+					krow := kBlock.RawRow(lo + i)[lo:]
 					for j, akj := range arow {
 						if akj != 0 {
 							krow[j] += d * aki * akj
@@ -366,27 +386,12 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 				}
 			}
 
-			// Preferred dense path: structured Cholesky + Schur
-			// factorization. Fallback: dense LU of the full saddle-point
-			// system when the K-block is not numerically SPD (extreme
-			// barrier weights).
-			if kerr := ws.kf.factorize(kBlock, p.Aeq, kktReg); kerr != nil {
+			// Preferred dense path: Cholesky + Schur factorization.
+			// Fallback: dense LU of the full saddle-point system when the
+			// K-block is not numerically SPD (extreme barrier weights).
+			if kerr := ws.kf.factorize(kBlock, aeq, kktReg); kerr != nil {
 				useLU = true
-				ws.ensureKKT(n + meq)
-				kkt := ws.kkt.Zero()
-				for i := 0; i < n; i++ {
-					copy(kkt.RawRow(i)[:n], kBlock.RawRow(i))
-				}
-				for i := 0; i < meq; i++ {
-					arow := p.Aeq.RawRow(i)
-					krow := kkt.RawRow(n + i)
-					for j, v := range arow {
-						krow[j] = v
-						kkt.Set(j, n+i, v)
-					}
-					krow[n+i] = -kktReg
-				}
-				if ferr := mat.FactorizeInto(&ws.lu, kkt); ferr != nil {
+				if ferr := ws.factorSaddle(kBlock, aeq); ferr != nil {
 					res.Status = NumericalFailure
 					break
 				}
@@ -399,21 +404,16 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			for k := 0; k < min; k++ {
 				tmp[k] = (z[k]*rc[k] - rszLocal[k]) / s[k]
 			}
-			var r1 []float64
-			if banded {
-				r1 = st.mulAT(p.Ain, st.ss.NI, tmp, ws.r1)
-			} else {
-				r1 = p.Ain.MulVecTInto(tmp, ws.r1)
-			}
+			r1 := p.Ain.MulVecTInto(tmp, ws.r1)
 			mat.Axpy(1, rd, r1)
-			if stageActive {
+			if !useLU {
 				rhs1 := mat.ScaleVecInto(ws.rhs1, -1, r1)
 				rhs2 := mat.ScaleVecInto(ws.rhs2, -1, rp)
-				st.solveInto(rhs1, rhs2, dx, dy)
-			} else if !useLU {
-				rhs1 := mat.ScaleVecInto(ws.rhs1, -1, r1)
-				rhs2 := mat.ScaleVecInto(ws.rhs2, -1, rp)
-				ws.kf.solveInto(rhs1, rhs2, dx, dy)
+				if st != nil {
+					st.solveInto(rhs1, rhs2, dx, dy)
+				} else {
+					ws.kf.solveInto(rhs1, rhs2, dx, dy)
+				}
 			} else {
 				rhs := ws.rhs
 				for i := 0; i < n; i++ {
@@ -426,12 +426,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 				copy(dx, ws.sol[:n])
 				copy(dy, ws.sol[n:])
 			}
-			var aindx []float64
-			if banded {
-				aindx = st.mulA(p.Ain, st.ss.NI, dx, ws.aindx)
-			} else {
-				aindx = p.Ain.MulVecInto(dx, ws.aindx)
-			}
+			aindx := p.Ain.MulVecInto(dx, ws.aindx)
 			for k := 0; k < min; k++ {
 				ds[k] = -rc[k] - aindx[k]
 				dz[k] = -(rszLocal[k] + z[k]*ds[k]) / s[k]
@@ -487,7 +482,6 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 	res.X = x
 	res.EqDuals = y
 	res.InDuals = z
-	res.Structured = stageActive
 	res.Objective = p.objectiveInto(x, ws.hx)
 	if res.Status == NumericalFailure {
 		return res, fmt.Errorf("qp: numerical failure after %d iterations", res.Iterations)
@@ -542,21 +536,19 @@ func maxStep(v, dv []float64) float64 {
 //	[H    Aeqᵀ] [x]   [−c ]
 //	[Aeq  0   ] [y] = [beq]
 func solveEquality(p *Problem, n, meq int, ws *Workspace) (*Result, error) {
-	dim := n + meq
-	ws.ensureKKT(dim)
-	kkt := ws.kkt.Zero()
-	for i := 0; i < n; i++ {
-		copy(kkt.RawRow(i)[:n], p.H.RawRow(i))
-		kkt.Add(i, i, kktReg)
+	var aeq *mat.Dense
+	if meq > 0 {
+		aeq = ws.aeq
+		p.Aeq.denseInto(aeq)
 	}
-	for i := 0; i < meq; i++ {
-		arow := p.Aeq.RawRow(i)
-		krow := kkt.RawRow(n + i)
-		for j, v := range arow {
-			krow[j] = v
-			kkt.Set(j, n+i, v)
-		}
-		krow[n+i] = -kktReg
+	p.HessianInto(ws.kBlock)
+	for i := 0; i < n; i++ {
+		ws.kBlock.Add(i, i, kktReg)
+	}
+	res := &ws.res
+	if err := ws.factorSaddle(ws.kBlock, aeq); err != nil {
+		*res = Result{Status: NumericalFailure, Factorizations: 1}
+		return res, fmt.Errorf("qp: singular KKT system: %w", err)
 	}
 	rhs := ws.rhs
 	for i := 0; i < n; i++ {
@@ -565,21 +557,47 @@ func solveEquality(p *Problem, n, meq int, ws *Workspace) (*Result, error) {
 	for i := 0; i < meq; i++ {
 		rhs[n+i] = p.Beq[i]
 	}
-	res := &ws.res
-	if err := mat.FactorizeInto(&ws.lu, kkt); err != nil {
-		*res = Result{Status: NumericalFailure}
-		return res, fmt.Errorf("qp: singular KKT system: %w", err)
-	}
 	sol := ws.lu.SolveInto(rhs, ws.sol)
 	copy(ws.x, sol[:n])
 	copy(ws.y, sol[n:])
 	*res = Result{
-		X:          ws.x,
-		EqDuals:    ws.y,
-		InDuals:    nil,
-		Iterations: 1,
-		Status:     Optimal,
+		X:              ws.x,
+		EqDuals:        ws.y,
+		InDuals:        nil,
+		Iterations:     1,
+		Status:         Optimal,
+		Factorizations: 1,
 	}
 	res.Objective = p.objectiveInto(res.X, ws.hx)
 	return res, nil
+}
+
+// factorSaddle LU-factors the dense saddle-point system
+//
+//	[ K     Aeqᵀ  ]
+//	[ Aeq  −regI  ]
+//
+// assembled in the workspace from the n×n block k and the dense aeq
+// (nil without equalities).
+func (w *Workspace) factorSaddle(k, aeq *mat.Dense) error {
+	n, _ := k.Dims()
+	meq := 0
+	if aeq != nil {
+		meq, _ = aeq.Dims()
+	}
+	w.ensureKKT(n + meq)
+	kkt := w.kkt.Zero()
+	for i := 0; i < n; i++ {
+		copy(kkt.RawRow(i)[:n], k.RawRow(i))
+	}
+	for i := 0; i < meq; i++ {
+		arow := aeq.RawRow(i)
+		krow := kkt.RawRow(n + i)
+		for j, v := range arow {
+			krow[j] = v
+			kkt.Set(j, n+i, v)
+		}
+		krow[n+i] = -kktReg
+	}
+	return mat.FactorizeInto(&w.lu, kkt)
 }

@@ -8,6 +8,36 @@ import (
 	"evclimate/internal/mat"
 )
 
+// denseQP is a one-stage problem written with dense matrices, the form
+// the hand-built tests use; nil matrices are absent blocks.
+type denseQP struct {
+	H, Aeq, Ain *mat.Dense
+	C, Beq, Bin []float64
+}
+
+func (d denseQP) problem() *Problem {
+	p := &Problem{C: d.C, Aeq: oneStage(d.Aeq), Beq: d.Beq, Ain: oneStage(d.Ain), Bin: d.Bin}
+	if d.H != nil {
+		p.H = []*mat.Dense{d.H}
+	}
+	return p
+}
+
+// oneStage copies a dense matrix into a one-stage StageMatrix (nil for
+// nil).
+func oneStage(a *mat.Dense) *StageMatrix {
+	if a == nil {
+		return nil
+	}
+	r, c := a.Dims()
+	s := NewStageMatrix(1, c, r)
+	for i := 0; i < r; i++ {
+		_, v := s.Row(i)
+		copy(v, a.RawRow(i))
+	}
+	return s
+}
+
 func vecApprox(t *testing.T, got, want []float64, tol float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -22,10 +52,10 @@ func vecApprox(t *testing.T, got, want []float64, tol float64, label string) {
 
 func TestUnconstrainedQuadratic(t *testing.T) {
 	// min ½xᵀHx + cᵀx with H = diag(2, 4), c = (−2, −8) → x = (1, 2).
-	p := &Problem{
+	p := denseQP{
 		H: mat.Diag([]float64{2, 4}),
 		C: []float64{-2, -8},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +71,12 @@ func TestUnconstrainedQuadratic(t *testing.T) {
 
 func TestEqualityConstrainedQuadratic(t *testing.T) {
 	// min ½(x₁²+x₂²) s.t. x₁+x₂ = 2 → x = (1, 1), dual y = −1 (for Hx+Aᵀy=0).
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(2),
 		C:   []float64{0, 0},
 		Aeq: mat.FromRows([][]float64{{1, 1}}),
 		Beq: []float64{2},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +90,12 @@ func TestEqualityConstrainedQuadratic(t *testing.T) {
 
 func TestActiveInequality(t *testing.T) {
 	// min ½‖x − (3,3)‖² s.t. x₁ + x₂ ≤ 2 → x = (1, 1).
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(2),
 		C:   []float64{-3, -3},
 		Ain: mat.FromRows([][]float64{{1, 1}}),
 		Bin: []float64{2},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +112,12 @@ func TestActiveInequality(t *testing.T) {
 
 func TestInactiveInequality(t *testing.T) {
 	// Same objective but constraint x₁+x₂ ≤ 100 is slack → unconstrained optimum (3,3).
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(2),
 		C:   []float64{-3, -3},
 		Ain: mat.FromRows([][]float64{{1, 1}}),
 		Bin: []float64{100},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,12 +139,12 @@ func TestBoxConstrainedQP(t *testing.T) {
 		ain.Set(n+i, i, -1) // −x_i ≤ 0
 		bin[n+i] = 0
 	}
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(n),
 		C:   mat.Filled(n, -10),
 		Ain: ain,
 		Bin: bin,
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -125,14 +155,14 @@ func TestBoxConstrainedQP(t *testing.T) {
 func TestMixedEqualityInequality(t *testing.T) {
 	// min ½(x₁² + x₂² + x₃²)  s.t.  x₁ + x₂ + x₃ = 3,  x₁ ≤ 0.5.
 	// Without the inequality: x = (1,1,1). With x₁ ≤ 0.5: x = (0.5, 1.25, 1.25).
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(3),
 		C:   []float64{0, 0, 0},
 		Aeq: mat.FromRows([][]float64{{1, 1, 1}}),
 		Beq: []float64{3},
 		Ain: mat.FromRows([][]float64{{1, 0, 0}}),
 		Bin: []float64{0.5},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +174,14 @@ func TestSemidefiniteHessian(t *testing.T) {
 	// H has a zero eigenvalue along (1,−1); the constraint set still pins
 	// the solution: min ½(x₁+x₂)² − (x₁+x₂) s.t. x₁ − x₂ = 0, 0 ≤ x.
 	h := mat.FromRows([][]float64{{1, 1}, {1, 1}})
-	p := &Problem{
+	p := denseQP{
 		H:   h,
 		C:   []float64{-1, -1},
 		Aeq: mat.FromRows([][]float64{{1, -1}}),
 		Beq: []float64{0},
 		Ain: mat.FromRows([][]float64{{-1, 0}, {0, -1}}),
 		Bin: []float64{0, 0},
-	}
+	}.problem()
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +238,7 @@ func TestKKTResidualsRandomProblems(t *testing.T) {
 			bin[i] += rng.Float64() // strictly feasible margin
 		}
 
-		p := &Problem{H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin}
+		p := denseQP{H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin}.problem()
 		res, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -269,7 +299,7 @@ func TestWarmishLargeProblem(t *testing.T) {
 		ain.Set(n+i, i, -1)
 		bin[n+i] = 0
 	}
-	res, err := Solve(&Problem{H: h, C: c, Ain: ain, Bin: bin}, Options{})
+	res, err := Solve(denseQP{H: h, C: c, Ain: ain, Bin: bin}.problem(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,24 +318,24 @@ func TestWarmishLargeProblem(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Solve(&Problem{H: nil, C: nil}, Options{}); err == nil {
+	if _, err := Solve(&Problem{}, Options{}); err == nil {
 		t.Error("nil Hessian accepted")
 	}
-	if _, err := Solve(&Problem{H: mat.Identity(2), C: []float64{1}}, Options{}); err == nil {
+	if _, err := Solve(denseQP{H: mat.Identity(2), C: []float64{1}}.problem(), Options{}); err == nil {
 		t.Error("mismatched C accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := Solve(denseQP{
 		H: mat.Identity(2), C: []float64{0, 0},
 		Ain: mat.FromRows([][]float64{{1, 1}}), Bin: []float64{1, 2},
-	}, Options{}); err == nil {
+	}.problem(), Options{}); err == nil {
 		t.Error("mismatched Bin accepted")
 	}
-	if _, err := Solve(&Problem{
+	if _, err := Solve(denseQP{
 		H: mat.Identity(2), C: []float64{0, math.NaN()},
-	}, Options{}); err == nil {
+	}.problem(), Options{}); err == nil {
 		t.Error("NaN cost accepted")
 	}
-	if _, err := Solve(&Problem{H: mat.Identity(1), C: []float64{0}, Beq: []float64{1}}, Options{}); err == nil {
+	if _, err := Solve(denseQP{H: mat.Identity(1), C: []float64{0}, Beq: []float64{1}}.problem(), Options{}); err == nil {
 		t.Error("Beq without Aeq accepted")
 	}
 }

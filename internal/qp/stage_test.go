@@ -1,36 +1,34 @@
 package qp
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"evclimate/internal/mat"
 )
 
-// randStageQP builds a random stage-structured QP that satisfies the
-// StageStructure contract: block-tridiagonal SPD-ish Hessian, stage
-// constraint rows supported on stages k−1..k, and a feasible point with a
+// randStageQP builds a random stage-structured QP: block-diagonal SPD-ish
+// Hessian, stage constraint rows supported on stages k−1..k (so the
+// Riccati coupling blocks are exercised), and a feasible point with a
 // tunable mix of tight and slack inequalities so active sets vary across
 // seeds. ridge controls how close the stage Hessian blocks are to
 // singular.
-func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStructure) {
+func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 	nv, ne, ni := 1+rng.Intn(4), rng.Intn(2), 1+rng.Intn(3)
 	// Stage 0 rows have no previous stage; keep the equality count below
 	// the variable count so its rows stay independent.
 	if ne >= nv {
 		ne = nv - 1
 	}
-	ss := UniformStages(nst, nv, ne, ni)
-	n, meq, min := nst*nv, nst*ne, nst*ni
-	voff := make([]int, nst+1)
-	for k := 0; k < nst; k++ {
-		voff[k+1] = voff[k] + nv
-	}
+	n := nst * nv
 
-	h := mat.NewDense(n, n)
-	for k := 0; k < nst; k++ {
-		vo := voff[k]
+	h := make([]*mat.Dense, nst)
+	for k := range h {
+		h[k] = mat.NewDense(nv, nv)
 		// SPD diagonal block GᵀG + ridge·I.
 		g := make([]float64, nv*nv)
 		for i := range g {
@@ -43,21 +41,10 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStruct
 					s += g[r*nv+i] * g[r*nv+j]
 				}
 				if i == j {
-					s += ridge + 2 // diagonal dominance headroom for couplings
+					s += ridge + 2
 				}
-				h.Set(vo+i, vo+j, s)
-				h.Set(vo+j, vo+i, s)
-			}
-		}
-		// Small symmetric coupling to the previous stage.
-		if k > 0 {
-			vop := voff[k-1]
-			for i := 0; i < nv; i++ {
-				for j := 0; j < nv; j++ {
-					v := 0.2 * rng.NormFloat64()
-					h.Set(vo+i, vop+j, v)
-					h.Set(vop+j, vo+i, v)
-				}
+				h[k].Set(i, j, s)
+				h[k].Set(j, i, s)
 			}
 		}
 	}
@@ -69,57 +56,36 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) (*Problem, *StageStruct
 		xf[i] = rng.NormFloat64()
 	}
 
-	var aeq *mat.Dense
-	var beq []float64
-	if meq > 0 {
-		aeq = mat.NewDense(meq, n)
-		beq = make([]float64, meq)
-		r := 0
-		for k := 0; k < nst; k++ {
-			lo := voff[k]
-			if k > 0 {
-				lo = voff[k-1]
+	// randRows fills a stage matrix with rows per stage random rows over
+	// each row's window and returns each row's value at xf, plus a slack
+	// when slack is set.
+	randRows := func(rows int, slack bool) (*StageMatrix, []float64) {
+		a := NewStageMatrix(nst, nv, rows)
+		dots := make([]float64, nst*rows)
+		for r := range dots {
+			lo, v := a.Row(r)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+				dots[r] += v[j] * xf[lo+j]
 			}
-			for e := 0; e < ne; e++ {
-				var dot float64
-				for j := lo; j < voff[k+1]; j++ {
-					v := rng.NormFloat64()
-					aeq.Set(r, j, v)
-					dot += v * xf[j]
+			if slack {
+				// Half the rows are nearly tight at xf, half are slack, so
+				// the optimizer sees varied active sets across seeds.
+				sl := 2 * rng.Float64()
+				if rng.Intn(2) == 0 {
+					sl = 1e-3
 				}
-				beq[r] = dot // xf is equality-feasible
-				r++
+				dots[r] += sl
 			}
 		}
+		return a, dots
 	}
-
-	ain := mat.NewDense(min, n)
-	bin := make([]float64, min)
-	r := 0
-	for k := 0; k < nst; k++ {
-		lo := voff[k]
-		if k > 0 {
-			lo = voff[k-1]
-		}
-		for e := 0; e < ni; e++ {
-			var dot float64
-			for j := lo; j < voff[k+1]; j++ {
-				v := rng.NormFloat64()
-				ain.Set(r, j, v)
-				dot += v * xf[j]
-			}
-			// Half the rows are nearly tight at xf, half are slack, so the
-			// optimizer sees varied active sets across seeds.
-			slack := 2 * rng.Float64()
-			if rng.Intn(2) == 0 {
-				slack = 1e-3
-			}
-			bin[r] = dot + slack
-			r++
-		}
+	p := &Problem{H: h, C: c}
+	if ne > 0 {
+		p.Aeq, p.Beq = randRows(ne, false) // xf is equality-feasible
 	}
-
-	return &Problem{H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin, Stages: ss}, ss
+	p.Ain, p.Bin = randRows(ni, true)
+	return p
 }
 
 // TestStageBackendMatchesDense is the equivalence property suite: over a
@@ -136,9 +102,9 @@ func TestStageBackendMatchesDense(t *testing.T) {
 		if trial%3 == 0 {
 			ridge = 1e-8 // near-singular stage Hessians
 		}
-		p, _ := randStageQP(rng, nst, ridge)
+		p := randStageQP(rng, nst, ridge)
 
-		dense, err := Solve(denseCopy(p), Options{})
+		dense, err := Solve(p.OneStage(), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense solve failed: %v", trial, err)
 		}
@@ -146,11 +112,8 @@ func TestStageBackendMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: structured solve failed: %v", trial, err)
 		}
-		if dense.Structured {
-			t.Fatalf("trial %d: undeclared problem reported Structured", trial)
-		}
-		if !str.Structured {
-			t.Fatalf("trial %d: conforming problem did not use structured backend", trial)
+		if str.Demotions != 0 {
+			t.Fatalf("trial %d: stage problem demoted to the dense path", trial)
 		}
 		if dense.Status != Optimal || str.Status != Optimal {
 			t.Fatalf("trial %d: status dense=%v structured=%v", trial, dense.Status, str.Status)
@@ -176,58 +139,21 @@ func TestStageBackendMatchesDense(t *testing.T) {
 	}
 }
 
-// TestStageBackendNonConforming: declared structure whose matrix data
-// breaks the band contract must silently use the dense path and still
-// solve correctly.
-func TestStageBackendNonConforming(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p, ss := randStageQP(rng, 4, 1e-1)
-	// Poison an out-of-band Hessian entry: stage 0 coupled to the last stage.
-	lastLo := p.H.RawRow(0) // row 0 belongs to stage 0
-	lastLo[len(lastLo)-1] = 0.5
-	last := p.H.RawRow(len(lastLo) - 1)
-	last[0] = 0.5
-
-	res, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatalf("solve failed: %v", err)
-	}
-	if res.Structured {
-		t.Fatal("non-conforming problem reported Structured")
-	}
-	if res.Status != Optimal {
-		t.Fatalf("status = %v", res.Status)
-	}
-	// Reference: same matrices with no declaration.
-	p2 := *p
-	p2.Stages = nil
-	ref, err := Solve(&p2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.X {
-		if math.Abs(res.X[i]-ref.X[i]) > 1e-9*(1+math.Abs(ref.X[i])) {
-			t.Fatalf("X[%d] = %g, want %g", i, res.X[i], ref.X[i])
-		}
-	}
-	_ = ss
-}
-
 // TestStageBackendDemotesOnLostQuasiDefiniteness: an indefinite stage
 // Hessian block defeats the structured factorization's pivot-sign check;
-// the solver must demote to the dense path mid-solve, report
-// Structured=false, and still terminate cleanly.
+// the solver must demote to the dense path mid-solve, count the
+// demotion, and still terminate cleanly.
 func TestStageBackendDemotesOnLostQuasiDefiniteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p, _ := randStageQP(rng, 3, 1e-1)
-	// Make one stage block strongly indefinite while keeping the band.
-	p.H.Set(0, 0, -50)
+	p := randStageQP(rng, 3, 1e-1)
+	// Make one stage block strongly indefinite.
+	p.H[0].Set(0, 0, -50)
 	res, _ := Solve(p, Options{})
 	if res == nil {
 		t.Fatal("nil result")
 	}
-	if res.Structured {
-		t.Fatal("indefinite problem reported Structured")
+	if res.Demotions != 1 {
+		t.Fatalf("indefinite problem counted %d demotions, want 1", res.Demotions)
 	}
 	for _, v := range res.X {
 		if math.IsNaN(v) {
@@ -236,42 +162,182 @@ func TestStageBackendDemotesOnLostQuasiDefiniteness(t *testing.T) {
 	}
 }
 
-func TestStageStructureCheck(t *testing.T) {
-	ss := UniformStages(3, 2, 1, 4)
-	if err := ss.Check(6, 3, 12); err != nil {
-		t.Fatalf("valid structure rejected: %v", err)
-	}
-	if err := ss.Check(7, 3, 12); err == nil {
-		t.Fatal("wrong variable sum accepted")
-	}
-	for _, bad := range []*StageStructure{
-		UniformStages(0, 2, 1, 4),  // no stages
-		UniformStages(3, 0, 1, 4),  // zero-variable stages
-		UniformStages(3, 2, -1, 4), // negative equality count
-		UniformStages(3, 2, 1, -4), // negative inequality count
+// TestStageMatrixRejectsBadDims: a stage matrix needs at least one stage
+// of at least one variable and a nonnegative row count, and Solve
+// rejects constraint blocks whose stage layout disagrees with the
+// Hessian's.
+func TestStageMatrixRejectsBadDims(t *testing.T) {
+	for _, bad := range [][3]int{
+		{0, 2, 1},  // no stages
+		{3, 0, 1},  // zero-variable stages
+		{3, 2, -1}, // negative row count
 	} {
-		n, meq, min := bad.N*bad.NV, bad.N*bad.NE, bad.N*bad.NI
-		if err := bad.Check(n, meq, min); err == nil {
-			t.Errorf("invalid structure %+v accepted", *bad)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewStageMatrix%v accepted", bad)
+				}
+			}()
+			NewStageMatrix(bad[0], bad[1], bad[2])
+		}()
+	}
+	h := []*mat.Dense{mat.Identity(2), mat.Identity(2), mat.Identity(2)}
+	for _, tc := range []struct {
+		name string
+		ain  *StageMatrix
+		bin  []float64
+	}{
+		{"stage count", NewStageMatrix(2, 2, 1), make([]float64, 2)},
+		{"stage width", NewStageMatrix(3, 1, 1), make([]float64, 3)},
+		{"right-hand side", NewStageMatrix(3, 2, 1), make([]float64, 2)},
+	} {
+		p := &Problem{H: h, C: make([]float64, 6), Ain: tc.ain, Bin: tc.bin}
+		if _, err := Solve(p, Options{}); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s mismatch: err = %v, want ErrBadProblem", tc.name, err)
 		}
 	}
-	// A bad declaration must surface from Solve as ErrBadProblem.
-	p := &Problem{
-		H:      mat.NewDense(2, 2),
-		C:      []float64{0, 0},
-		Stages: UniformStages(1, 3, 0, 0),
-	}
-	p.H.Set(0, 0, 1)
-	p.H.Set(1, 1, 1)
-	if _, err := Solve(p, Options{}); err == nil {
-		t.Fatal("Solve accepted inconsistent stage declaration")
+	h[1] = mat.Identity(3)
+	if _, err := Solve(&Problem{H: h, C: make([]float64, 6)}, Options{}); !errors.Is(err, ErrBadProblem) {
+		t.Errorf("ragged Hessian blocks: err = %v, want ErrBadProblem", err)
 	}
 }
 
-// denseCopy returns p without its stage declaration: Solve then takes
-// the dense reference path the structured backend is compared against.
-func denseCopy(p *Problem) *Problem {
-	d := *p
-	d.Stages = nil
-	return &d
+// TestStageMatrixWindow pins the storage contract: entries inside a
+// row's window (stages k−1..k, stage 0 its own) round-trip through
+// Set/At/Row, and Set or At outside it panics, so a band violation
+// cannot be built.
+func TestStageMatrixWindow(t *testing.T) {
+	a := NewStageMatrix(3, 2, 2) // 6×6, rows 2k..2k+1 in stage k
+	if r, c := a.Dims(); r != 6 || c != 6 {
+		t.Fatalf("Dims = %d×%d, want 6×6", r, c)
+	}
+	for _, tc := range []struct{ row, lo, hi int }{{0, 0, 2}, {1, 0, 2}, {2, 0, 4}, {5, 2, 6}} {
+		for j := tc.lo; j < tc.hi; j++ {
+			a.Set(tc.row, j, float64(10*tc.row+j))
+		}
+		lo, v := a.Row(tc.row)
+		if lo != tc.lo || len(v) != tc.hi-tc.lo {
+			t.Errorf("row %d window [%d, %d), want [%d, %d)", tc.row, lo, lo+len(v), tc.lo, tc.hi)
+		}
+		for j := tc.lo; j < tc.hi; j++ {
+			if got := a.At(tc.row, j); got != float64(10*tc.row+j) || v[j-lo] != got {
+				t.Errorf("entry (%d, %d) = %v / %v, want %v", tc.row, j, got, v[j-lo], 10*tc.row+j)
+			}
+		}
+	}
+	for _, ij := range [][2]int{{0, 2}, {1, 5}, {2, 4}, {4, 0}, {5, 1}, {6, 0}, {-1, 0}} {
+		for name, f := range map[string]func(){
+			"Set": func() { a.Set(ij[0], ij[1], 1) },
+			"At":  func() { a.At(ij[0], ij[1]) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d, %d) outside the window did not panic", name, ij[0], ij[1])
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}
+
+// TestStageMatrixProducts checks MulVecInto and MulVecTInto against the
+// dense products of the same entries.
+func TestStageMatrixProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := NewStageMatrix(4, 3, 2)
+	d := mat.NewDense(8, 12)
+	for i := 0; i < 8; i++ {
+		lo, v := a.Row(i)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+			d.Set(i, lo+j, v[j])
+		}
+	}
+	x := make([]float64, 12)
+	y := make([]float64, 8)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for i := range y {
+		y[i] = rng.NormFloat64()
+	}
+	y[3] = 0
+	if got, want := a.MulVecInto(x, make([]float64, 8)), d.MulVec(x); !bits64(got, want) {
+		t.Errorf("A·x = %v, dense %v", got, want)
+	}
+	if got, want := a.MulVecTInto(y, make([]float64, 12)), d.MulVecT(y); !bits64(got, want) {
+		t.Errorf("Aᵀ·y = %v, dense %v", got, want)
+	}
+}
+
+// coldDemotionQP loads testdata/cold_mpc_demotion.json: a real cabin-only
+// MPC subproblem from the soaked deep-cold grid whose block LDLᵀ loses a
+// pivot sign, with the subproblem tolerance SQP solved it to.
+func coldDemotionQP(t *testing.T) (*Problem, float64) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/cold_mpc_demotion.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Stages, NV, NE, NI int
+		Tol                float64
+		H, Aeq, Ain        [][]float64
+		C, Beq, Bin        []float64
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(per int, data [][]float64) *StageMatrix {
+		a := NewStageMatrix(f.Stages, f.NV, per)
+		for i, v := range data {
+			_, row := a.Row(i)
+			copy(row, v)
+		}
+		return a
+	}
+	p := &Problem{C: f.C, Aeq: rows(f.NE, f.Aeq), Beq: f.Beq, Ain: rows(f.NI, f.Ain), Bin: f.Bin}
+	for _, v := range f.H {
+		p.H = append(p.H, mat.NewDenseData(f.NV, f.NV, v))
+	}
+	return p, f.Tol
+}
+
+// TestStageBackendDemotesOnColdMPC: on real MPC data the stage solve
+// demotes mid-solve, counts it, and still ends where the dense path
+// does — same status, X to the equivalence suite's tolerance.
+func TestStageBackendDemotesOnColdMPC(t *testing.T) {
+	p, tol := coldDemotionQP(t)
+	str, err := Solve(p, Options{Tol: tol})
+	if err != nil {
+		t.Fatalf("stage solve: %v", err)
+	}
+	if str.Demotions != 1 {
+		t.Fatalf("Demotions = %d, want 1", str.Demotions)
+	}
+	if str.Factorizations < str.Iterations-1 {
+		t.Fatalf("%d factorizations in %d iterations", str.Factorizations, str.Iterations)
+	}
+	str = cloneResult(str)
+	dense, err := Solve(p.OneStage(), Options{Tol: tol})
+	if err != nil {
+		t.Fatalf("dense solve: %v", err)
+	}
+	if str.Status != dense.Status {
+		t.Fatalf("status stage=%v dense=%v", str.Status, dense.Status)
+	}
+	for i := range dense.X {
+		if d := math.Abs(str.X[i] - dense.X[i]); d > 1e-6*(1+math.Abs(dense.X[i])) {
+			t.Fatalf("X[%d] = %.12g, dense %.12g (Δ %g)", i, str.X[i], dense.X[i], d)
+		}
+	}
+}
+
+// cloneResult copies r out of its workspace.
+func cloneResult(r *Result) *Result {
+	c := *r
+	c.X = append([]float64(nil), r.X...)
+	return &c
 }

@@ -3,8 +3,8 @@ package qp
 import "evclimate/internal/mat"
 
 // stageKKT is the stage-structured interior-point KKT backend. For a
-// problem declaring a conforming StageStructure it solves the same
-// regularized Newton system as the dense kktFactor path,
+// multi-stage problem it solves the same regularized Newton system as the
+// dense kktFactor path,
 //
 //	[ H + AinᵀD Ain + regI    Aeqᵀ  ] [dx]   [r1]
 //	[ Aeq                    −regI  ] [dy] = [r2]
@@ -20,14 +20,10 @@ import "evclimate/internal/mat"
 // regularization is used, the structured and dense paths solve the
 // identical linear system and agree to roundoff.
 //
-// The backend also provides banded matrix-vector products restricted to
-// each stage's support window; without them the dense residual matvecs
-// would dominate once the factorization is cheap.
-//
 // All storage lives in the struct and is reused across iterations and
 // Solve calls — allocation-free once sized.
 type stageKKT struct {
-	ss StageStructure // the layout the buffers are sized for
+	n, nv, ne int // the layout the buffers are sized for
 
 	diag  []*mat.Dense // assembled superblocks (lower triangle)
 	sub   []*mat.Dense // sub-diagonal coupling blocks
@@ -38,14 +34,19 @@ type stageKKT struct {
 	prhs, psol []float64
 }
 
-// ensure sizes the backend for the given structure. It is a no-op when
-// the layout is unchanged.
-func (f *stageKKT) ensure(ss *StageStructure) {
-	if f.ss == *ss && f.prhs != nil {
+// ensure sizes the backend for p's stage layout. It is a no-op when the
+// layout is unchanged.
+func (f *stageKKT) ensure(p *Problem) {
+	nst := len(p.H)
+	nv, _ := p.H[0].Dims()
+	ne := 0
+	if p.Aeq != nil {
+		ne = p.Aeq.rows
+	}
+	if f.n == nst && f.nv == nv && f.ne == ne && f.prhs != nil {
 		return
 	}
-	f.ss = *ss
-	nst, nv, ne := ss.N, ss.NV, ss.NE
+	f.n, f.nv, f.ne = nst, nv, ne
 	n, meq, m := nst*nv, nst*ne, nv+ne
 	f.diag = make([]*mat.Dense, nst)
 	f.sub = make([]*mat.Dense, nst)
@@ -53,7 +54,7 @@ func (f *stageKKT) ensure(ss *StageStructure) {
 	f.pvar = make([]int, n)
 	f.peq = make([]int, meq)
 	dims := make([]int, nst)
-	p := 0
+	q := 0
 	for k := 0; k < nst; k++ {
 		dims[k] = m
 		f.diag[k] = mat.NewDense(m, m)
@@ -61,136 +62,71 @@ func (f *stageKKT) ensure(ss *StageStructure) {
 			f.sub[k] = mat.NewDense(m, m)
 		}
 		for i := 0; i < nv; i++ {
-			f.signs[p+i] = 1
-			f.pvar[k*nv+i] = p + i
+			f.signs[q+i] = 1
+			f.pvar[k*nv+i] = q + i
 		}
 		for j := 0; j < ne; j++ {
-			f.signs[p+nv+j] = -1
-			f.peq[k*ne+j] = p + nv + j
+			f.signs[q+nv+j] = -1
+			f.peq[k*ne+j] = q + nv + j
 		}
-		p += m
+		q += m
 	}
 	f.bt.Reserve(dims)
 	f.prhs = make([]float64, n+meq)
 	f.psol = make([]float64, n+meq)
 }
 
-// loV returns the lower bound of stage k's constraint-support window
-// (stage k rows may touch the variables of stages k−1 and k).
-func (f *stageKKT) loV(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return (k - 1) * f.ss.NV
-}
-
-// hiH returns the upper bound of stage k's Hessian band window (H rows
-// of stage k may additionally touch stage k+1, by symmetry).
-func (f *stageKKT) hiH(k int) int {
-	if k+2 > f.ss.N {
-		return f.ss.N * f.ss.NV
-	}
-	return (k + 2) * f.ss.NV
-}
-
-// conforms scans the out-of-band entries of H, Aeq, and Ain and reports
-// whether the declared structural contract actually holds for the
-// problem data. A false return means the caller must use the dense path.
-func (f *stageKKT) conforms(p *Problem) bool {
-	nv, ne, ni := f.ss.NV, f.ss.NE, f.ss.NI
-	for k := 0; k < f.ss.N; k++ {
-		lo, hiB := f.loV(k), f.hiH(k)
-		for i := k * nv; i < (k+1)*nv; i++ {
-			row := p.H.RawRow(i)
-			if !allZero(row[:lo]) || !allZero(row[hiB:]) {
-				return false
-			}
-		}
-		hi := (k + 1) * nv
-		for r := k * ne; r < (k+1)*ne; r++ {
-			row := p.Aeq.RawRow(r)
-			if !allZero(row[:lo]) || !allZero(row[hi:]) {
-				return false
-			}
-		}
-		for r := k * ni; r < (k+1)*ni; r++ {
-			row := p.Ain.RawRow(r)
-			if !allZero(row[:lo]) || !allZero(row[hi:]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func allZero(v []float64) bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// assemble fills the superblocks from H, Aeq, and the barrier weights
-// d_r = z[r]/s[r] of the inequality rows. Only the lower triangle of
-// each diagonal block is written (all the factorization reads).
+// assemble fills the superblocks from the Hessian blocks, Aeq, and the
+// barrier weights d_r = z[r]/s[r] of the inequality rows. Only the lower
+// triangle of each diagonal block is written (all the factorization
+// reads).
 func (f *stageKKT) assemble(p *Problem, z, s []float64) {
-	nv, ne, ni := f.ss.NV, f.ss.NE, f.ss.NI
-	for k := 0; k < f.ss.N; k++ {
-		vo := k * nv
+	nv, ne := f.nv, f.ne
+	for k := 0; k < f.n; k++ {
+		hk := p.H[k]
 		blk := f.diag[k].Zero()
-		// K diagonal block: H[v_k, v_k] + reg·I.
+		// K diagonal block: H_k + reg·I.
 		for i := 0; i < nv; i++ {
-			hrow := p.H.RawRow(vo + i)
 			brow := blk.RawRow(i)
-			for j := 0; j <= i; j++ {
-				brow[j] = hrow[vo+j]
-			}
+			copy(brow[:i+1], hk.RawRow(i)[:i+1])
 			brow[i] += kktReg
 		}
-		// Equality rows of stage k restricted to stage-k variables, and
-		// the −reg dual diagonal.
+		// Equality rows of stage k restricted to stage-k variables (the
+		// last nv entries of each row window), and the −reg dual
+		// diagonal.
 		for e := 0; e < ne; e++ {
-			arow := p.Aeq.RawRow(k*ne + e)
+			_, arow := p.Aeq.Row(k*ne + e)
 			brow := blk.RawRow(nv + e)
-			copy(brow[:nv], arow[vo:vo+nv])
+			copy(brow[:nv], arow[len(arow)-nv:])
 			brow[nv+e] = -kktReg
 		}
 		if k > 0 {
-			vop := vo - nv
+			// Coupling block: the equality rows of stage k restricted to
+			// stage-(k−1) variables. H has no coupling (block diagonal),
+			// and stage-(k−1) rows cannot touch stage-k variables, so
+			// everything else in it is zero.
 			cb := f.sub[k].Zero()
-			// K coupling block H[v_k, v_{k−1}].
-			for i := 0; i < nv; i++ {
-				hrow := p.H.RawRow(vo + i)
-				copy(cb.RawRow(i)[:nv], hrow[vop:vop+nv])
-			}
-			// Equality rows of stage k restricted to stage-(k−1)
-			// variables. (Stage-(k−1) rows cannot touch stage-k
-			// variables under the backward-support contract, so the
-			// dual columns of the coupling block stay zero.)
 			for e := 0; e < ne; e++ {
-				arow := p.Aeq.RawRow(k*ne + e)
-				copy(cb.RawRow(nv + e)[:nv], arow[vop:vop+nv])
+				_, arow := p.Aeq.Row(k*ne + e)
+				copy(cb.RawRow(nv + e)[:nv], arow[:nv])
 			}
 		}
 	}
 	// Barrier terms: each inequality row r in stage k contributes the
 	// rank-one update d_r·a·aᵀ over its support window, split between
 	// the two diagonal blocks and the coupling block it straddles.
-	for k := 0; k < f.ss.N; k++ {
-		lo, vo := f.loV(k), k*nv
-		hi := vo + nv
+	ni := p.Ain.rows
+	for k := 0; k < f.n; k++ {
+		vo := k * nv
 		var dk, dkp, ck *mat.Dense
 		dk = f.diag[k]
 		if k > 0 {
 			dkp = f.diag[k-1]
 			ck = f.sub[k]
 		}
-		vop := lo
 		for r := k * ni; r < (k+1)*ni; r++ {
 			d := z[r] / s[r]
-			arow := p.Ain.RawRow(r)[lo:hi]
+			lo, arow := p.Ain.Row(r)
 			for i, ai := range arow {
 				if ai == 0 {
 					continue
@@ -206,9 +142,9 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 					case b >= vo:
 						dk.Add(a-vo, b-vo, v)
 					case a >= vo:
-						ck.Add(a-vo, b-vop, v)
+						ck.Add(a-vo, b-lo, v)
 					default:
-						dkp.Add(a-vop, b-vop, v)
+						dkp.Add(a-lo, b-lo, v)
 					}
 				}
 			}
@@ -239,62 +175,4 @@ func (f *stageKKT) solveInto(r1, r2, dx, dy []float64) {
 	for r, p := range f.peq {
 		dy[r] = f.psol[p]
 	}
-}
-
-// mulH computes dst = H·x exploiting the block-tridiagonal band.
-func (f *stageKKT) mulH(h *mat.Dense, x, dst []float64) []float64 {
-	nv := f.ss.NV
-	for k := 0; k < f.ss.N; k++ {
-		lo, hi := f.loV(k), f.hiH(k)
-		xw := x[lo:hi]
-		for i := k * nv; i < (k+1)*nv; i++ {
-			row := h.RawRow(i)[lo:hi]
-			var acc float64
-			for j, v := range row {
-				acc += v * xw[j]
-			}
-			dst[i] = acc
-		}
-	}
-	return dst
-}
-
-// mulA computes dst = A·x for a stage-partitioned constraint matrix with
-// rows rows per stage (NE for Aeq, NI for Ain).
-func (f *stageKKT) mulA(a *mat.Dense, rows int, x, dst []float64) []float64 {
-	for k := 0; k < f.ss.N; k++ {
-		lo, hi := f.loV(k), (k+1)*f.ss.NV
-		xw := x[lo:hi]
-		for r := k * rows; r < (k+1)*rows; r++ {
-			row := a.RawRow(r)[lo:hi]
-			var acc float64
-			for j, v := range row {
-				acc += v * xw[j]
-			}
-			dst[r] = acc
-		}
-	}
-	return dst
-}
-
-// mulAT computes dst = Aᵀ·y for a stage-partitioned constraint matrix.
-func (f *stageKKT) mulAT(a *mat.Dense, rows int, y, dst []float64) []float64 {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k := 0; k < f.ss.N; k++ {
-		lo, hi := f.loV(k), (k+1)*f.ss.NV
-		dw := dst[lo:hi]
-		for r := k * rows; r < (k+1)*rows; r++ {
-			yr := y[r]
-			if yr == 0 {
-				continue
-			}
-			row := a.RawRow(r)[lo:hi]
-			for j, v := range row {
-				dw[j] += v * yr
-			}
-		}
-	}
-	return dst
 }

@@ -3,10 +3,10 @@ package qp
 import "evclimate/internal/mat"
 
 // Workspace holds every buffer the interior-point iteration needs: the
-// iterate and residual vectors, the reduced KKT block, the structured
-// Cholesky/Schur factors (reused across the predictor and corrector
-// solves of one iteration and re-factorized in place across iterations),
-// and the dense LU fallback. Pass it via Options.Work to make repeated
+// iterate and residual vectors, the stage backend, and the dense path —
+// the reduced KKT block with its Cholesky/Schur factors (reused across
+// the predictor and corrector solves of one iteration and re-factorized
+// in place across iterations) and the LU fallback. Pass it via Options.Work to make repeated
 // Solve calls with same-shaped problems allocation-free — the MPC solves
 // an identically-shaped QP subproblem on every SQP iteration of every
 // control step, so the workspace is sized once and reused for the life of
@@ -26,10 +26,11 @@ type Workspace struct {
 	tmpN            []float64
 
 	kBlock *mat.Dense
+	aeq    *mat.Dense // dense Aeq for the dense path; nil when meq == 0
 	kf     kktFactor
 
 	// Dense LU fallback and equality-only path, sized lazily since the
-	// structured Cholesky path normally wins.
+	// Cholesky paths normally win.
 	kkt      *mat.Dense
 	lu       mat.LU
 	rhs, sol []float64
@@ -39,9 +40,9 @@ type Workspace struct {
 	dxA, dyA, dsA, dzA []float64
 	dx, dy, ds, dz     []float64
 
-	// Stage-structured KKT backend, created on first use when the
-	// problem declares a StageStructure. It re-sizes itself when the
-	// stage layout changes, so it survives ensure untouched.
+	// Stage-structured KKT backend, created on the first multi-stage
+	// solve. It re-sizes itself when the stage layout changes, so it
+	// survives ensure untouched.
 	stage *stageKKT
 
 	res Result
@@ -52,10 +53,10 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // NewWorkspaceFor returns a workspace pre-sized for p — including the
-// dense fallback factors and, when p declares stage structure, the
-// block-tridiagonal backend — so even the first Solve performs no
-// allocation. An invalid problem yields an empty workspace that sizes
-// itself lazily like NewWorkspace.
+// dense factors and, for a multi-stage p, the block-tridiagonal
+// backend — so even the first Solve performs no allocation. An invalid
+// problem yields an empty workspace that sizes itself lazily like
+// NewWorkspace.
 func NewWorkspaceFor(p *Problem) *Workspace {
 	w := NewWorkspace()
 	n, meq, min, err := p.validate()
@@ -66,9 +67,9 @@ func NewWorkspaceFor(p *Problem) *Workspace {
 	w.ensureKKT(n + meq)
 	w.lu.Reserve(n + meq)
 	w.kf.reserve(n, meq)
-	if p.Stages != nil {
+	if len(p.H) > 1 {
 		w.stage = &stageKKT{}
-		w.stage.ensure(p.Stages)
+		w.stage.ensure(p)
 	}
 	return w
 }
@@ -94,6 +95,10 @@ func (w *Workspace) ensure(n, meq, min int) {
 	w.aeqx = make([]float64, meq)
 	w.tmpN = make([]float64, n)
 	w.kBlock = mat.NewDense(n, n)
+	w.aeq = nil
+	if meq > 0 {
+		w.aeq = mat.NewDense(meq, n)
+	}
 	w.tmpMin = make([]float64, min)
 	w.r1 = make([]float64, n)
 	w.aindx = make([]float64, min)

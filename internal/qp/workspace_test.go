@@ -33,13 +33,13 @@ func randomQP(rng *rand.Rand, n int, withEq bool) *Problem {
 		ain.Set(n+i, i, -1)
 		bin[n+i] = 2 + rng.Float64()
 	}
-	p := &Problem{H: h, C: c, Ain: ain, Bin: bin}
+	p := denseQP{H: h, C: c, Ain: ain, Bin: bin}.problem()
 	if withEq {
 		row := make([]float64, n)
 		for i := range row {
 			row[i] = 1
 		}
-		p.Aeq = mat.FromRows([][]float64{row})
+		p.Aeq = oneStage(mat.FromRows([][]float64{row}))
 		p.Beq = []float64{0.5}
 	}
 	return p
@@ -113,12 +113,12 @@ func TestWarmSolveNoAllocs(t *testing.T) {
 
 // The equality-only shortcut shares the workspace's dense KKT buffers.
 func TestWarmEqualityOnlySolveNoAllocs(t *testing.T) {
-	p := &Problem{
+	p := denseQP{
 		H:   mat.Identity(4),
 		C:   []float64{1, -1, 2, -2},
 		Aeq: mat.FromRows([][]float64{{1, 1, 1, 1}}),
 		Beq: []float64{1},
-	}
+	}.problem()
 	ws := NewWorkspace()
 	opt := Options{Work: ws}
 	if _, err := Solve(p, opt); err != nil {

@@ -68,4 +68,10 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 		t.Fatalf("MPC/ECE15 trajectory hash = %#016x, golden %#016x (%d steps)",
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
+	// The KKT counts are as deterministic as the trajectory. Two QP
+	// subproblems of the pull-down lose a stage pivot sign and finish on
+	// the dense path, so two of the 39 decides report !Structured().
+	if st := mpc.Stats(); st.KKTFactorizations != 4860 || st.KKTDemotions != 2 {
+		t.Fatalf("KKT counts: %d factorizations, %d demotions; golden 4860 and 2", st.KKTFactorizations, st.KKTDemotions)
+	}
 }

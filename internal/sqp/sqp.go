@@ -73,7 +73,10 @@ var ErrBudgetExceeded = errors.New("sqp: budget exceeded")
 
 // Problem defines the NLP. Objective is required. Eq/Ineq may be nil when
 // MEq/MIneq are zero. Jacobian callbacks are optional; when nil, forward
-// finite differences are used.
+// finite differences are used. Variables and rows divide evenly into
+// Stages receding-horizon stages: the Jacobians are qp.StageMatrix values
+// and the BFGS Hessian stays block diagonal, so every QP subproblem
+// factors block-tridiagonally.
 type Problem struct {
 	// N is the number of decision variables.
 	N int
@@ -86,23 +89,15 @@ type Problem struct {
 	// Eq writes ce(x) into out (length MEq).
 	Eq func(x []float64, out []float64)
 	// EqJac writes the MEq×N Jacobian of Eq into jac. Optional.
-	EqJac func(x []float64, jac *mat.Dense)
+	EqJac func(x []float64, jac *qp.StageMatrix)
 	// MIneq is the number of inequality constraints ci(x) ≤ 0.
 	MIneq int
 	// Ineq writes ci(x) into out (length MIneq).
 	Ineq func(x []float64, out []float64)
 	// IneqJac writes the MIneq×N Jacobian of Ineq into jac. Optional.
-	IneqJac func(x []float64, jac *mat.Dense)
-	// Stages, when non-nil, declares receding-horizon stage structure on
-	// the variables and constraints (see qp.StageStructure). It is
-	// forwarded to every QP subproblem so the interior-point KKT systems
-	// factor block-tridiagonally, and it switches the BFGS Hessian
-	// approximation to per-stage block-diagonal updates — a dense rank-two
-	// update would immediately destroy the band the declaration promises.
-	// The constraint Jacobians must honor the stage support contract;
-	// rows that stray out of band silently demote the subproblems to the
-	// dense path.
-	Stages *qp.StageStructure
+	IneqJac func(x []float64, jac *qp.StageMatrix)
+	// Stages is the stage count; 0 means 1, the unstructured NLP.
+	Stages int
 }
 
 // Fixed numerics: the finite-difference step scale, the seed of the ℓ₁
@@ -162,17 +157,20 @@ type Result struct {
 	// subproblem solved (including elastic fallbacks) — the telemetry
 	// layer's measure of per-solve work below the major-iteration count.
 	QPIterations int
+	// Factorizations sums the KKT factorizations of every QP subproblem
+	// (qp.Result.Factorizations).
+	Factorizations int
+	// Demotions counts the QP subproblems that left the stage-structured
+	// KKT path: a stage factorization that lost quasi-definiteness
+	// (qp.Result.Demotions), or, on a multi-stage problem, an elastic
+	// fallback, whose slack-augmented QP is solved in one-stage form.
+	Demotions int
 	// Status reports the termination condition.
 	Status Status
 	// KKTResidual is the final stationarity residual (∞-norm).
 	KKTResidual float64
 	// MaxViolation is the final constraint violation (∞-norm).
 	MaxViolation float64
-	// Structured reports that every QP subproblem of the solve (elastic
-	// fallbacks included) took the stage-structured KKT path — the
-	// signal MPC-level tests use to prove the block-tridiagonal backend
-	// actually engaged on the declared horizon structure.
-	Structured bool
 }
 
 type evaluator struct {
@@ -234,7 +232,7 @@ func (e *evaluator) ineqInto(x, out []float64) []float64 {
 
 // eqJacInto writes the equality Jacobian into jac (a workspace matrix,
 // zeroed first so sparse callbacks keep their fresh-matrix contract).
-func (e *evaluator) eqJacInto(x []float64, jac *mat.Dense) *mat.Dense {
+func (e *evaluator) eqJacInto(x []float64, jac *qp.StageMatrix) *qp.StageMatrix {
 	if e.p.MEq == 0 {
 		return nil
 	}
@@ -248,7 +246,7 @@ func (e *evaluator) eqJacInto(x []float64, jac *mat.Dense) *mat.Dense {
 }
 
 // ineqJacInto writes the inequality Jacobian into jac.
-func (e *evaluator) ineqJacInto(x []float64, jac *mat.Dense) *mat.Dense {
+func (e *evaluator) ineqJacInto(x []float64, jac *qp.StageMatrix) *qp.StageMatrix {
 	if e.p.MIneq == 0 {
 		return nil
 	}
@@ -261,7 +259,9 @@ func (e *evaluator) ineqJacInto(x []float64, jac *mat.Dense) *mat.Dense {
 	return jac
 }
 
-func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac *mat.Dense) {
+// fdJac fills jac by forward differences, one perturbed variable at a
+// time; entries outside a row's stage window are not formed.
+func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac *qp.StageMatrix) {
 	base := e.ws.fdBase[:m]
 	fn(x, base)
 	pert := e.ws.fdPert[:m]
@@ -273,7 +273,9 @@ func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac
 		fn(xt, pert)
 		xt[j] = x[j]
 		for i := 0; i < m; i++ {
-			jac.Set(i, j, (pert[i]-base[i])/h)
+			if lo, v := jac.Row(i); j >= lo && j < lo+len(v) {
+				v[j-lo] = (pert[i] - base[i]) / h
+			}
 		}
 	}
 }
@@ -305,7 +307,7 @@ func merit(f float64, ce, ci []float64, nu float64) float64 {
 
 // kktResidual computes the ∞-norm of the Lagrangian gradient
 // ∇f + Jeᵀλ + Jiᵀμ using workspace scratch.
-func kktResidual(ws *Workspace, g []float64, je, ji *mat.Dense, lam, mu []float64) float64 {
+func kktResidual(ws *Workspace, g []float64, je, ji *qp.StageMatrix, lam, mu []float64) float64 {
 	copy(ws.lagGrad, g)
 	if je != nil {
 		je.MulVecTInto(lam, ws.tmpN)
@@ -333,18 +335,16 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	if p.MIneq > 0 && p.Ineq == nil {
 		return nil, fmt.Errorf("%w: MIneq=%d but Ineq is nil", ErrBadProblem, p.MIneq)
 	}
-	if p.Stages != nil {
-		if err := p.Stages.Check(p.N, p.MEq, p.MIneq); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
-		}
+	stages := max(p.Stages, 1)
+	if p.N%stages != 0 || p.MEq%stages != 0 || p.MIneq%stages != 0 {
+		return nil, fmt.Errorf("%w: %d stages do not divide N=%d, MEq=%d, MIneq=%d", ErrBadProblem, stages, p.N, p.MEq, p.MIneq)
 	}
 	ws := opt.Work
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.ensure(p)
+	ws.ensure(p.N, p.MEq, p.MIneq, stages)
 	ev := &evaluator{p: p, ws: ws}
-	structured := p.Stages != nil
 
 	// Double-buffered iterate state: the locals holding the current point
 	// and its derivatives swap with their *New partners on every accepted
@@ -365,12 +365,15 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		ciNew = nil
 	}
 
-	// Damped-BFGS Hessian approximation, seeded with a scaled identity.
-	b := ws.b
-	b.Zero()
+	// Damped-BFGS Hessian approximation, one block per stage, seeded
+	// with a scaled identity.
 	hScale := 1 + mat.NormInf(g)
-	for i := 0; i < p.N; i++ {
-		b.Set(i, i, hScale)
+	for _, blk := range ws.b {
+		blk.Zero()
+		nv, _ := blk.Dims()
+		for i := 0; i < nv; i++ {
+			blk.Set(i, i, hScale)
+		}
 	}
 
 	lam, lamNew := ws.lam, ws.lamNV
@@ -384,11 +387,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	nu := penaltyInit
 
 	res := &ws.res
-	// Structured starts true when the stage backend can engage and is
-	// cleared by the first subproblem that solved densely; a solve with
-	// zero QP subproblems reports false.
-	*res = Result{Status: MaxIterations, Structured: structured}
-	qpSolves := 0
+	*res = Result{Status: MaxIterations}
 	stagnant := 0
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if opt.HardIterCap > 0 && iter >= opt.HardIterCap {
@@ -416,7 +415,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 
 		// QP subproblem: min ½dᵀBd + gᵀd  s.t.  Je·d = −ce, Ji·d ≤ −ci.
 		sub := &ws.sub
-		*sub = qp.Problem{H: b, C: g, Stages: p.Stages}
+		*sub = qp.Problem{H: ws.b, C: g}
 		if je != nil {
 			sub.Aeq = je
 			sub.Beq = mat.ScaleVecInto(ws.beqNeg, -1, ce)
@@ -435,13 +434,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		}
 		qpOpts := qp.Options{Tol: qpTol, Work: ws.qpWork}
 		qr, err := qp.Solve(sub, qpOpts)
-		if qr != nil {
-			res.QPIterations += qr.Iterations
-			qpSolves++
-			if !qr.Structured {
-				res.Structured = false
-			}
-		}
+		res.addQP(qr)
 		if err != nil || qr.Status == qp.NumericalFailure || !mat.AllFinite(qr.X) {
 			// Elastic fallback: relax constraints with penalized slacks,
 			// solved to the same subproblem tolerance as the primary
@@ -449,13 +442,11 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			if ws.el == nil {
 				ws.el = &elasticArena{}
 			}
-			qr, err = solveElastic(sub, elasticWeight, qpOpts, ws.el)
-			if qr != nil {
-				res.QPIterations += qr.Iterations
-				if !qr.Structured {
-					res.Structured = false
-				}
+			if stages > 1 {
+				res.Demotions++
 			}
+			qr, err = solveElastic(sub, elasticWeight, qpOpts, ws.el)
+			res.addQP(qr)
 			if err != nil {
 				res.Status = Failed
 				break
@@ -570,11 +561,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			mat.Axpy(-1, ws.tmpN, yVec)
 		}
 		sVec := mat.SubVecInto(ws.sVec, xNew, x)
-		if structured {
-			updateBFGSBlocks(b, p.Stages, sVec, yVec, ws.bs, ws.bfgsR)
-		} else {
-			updateBFGS(b, sVec, yVec, ws.bs, ws.bfgsR)
-		}
+		updateBFGSBlocks(ws.b, sVec, yVec, ws.bs, ws.bfgsR)
 
 		x, xNew = xNew, x
 		f = fNew
@@ -606,9 +593,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	res.EqDuals = lam
 	res.InDuals = mu
 	res.MaxViolation = violation(ce, ci)
-	if qpSolves == 0 {
-		res.Structured = false
-	}
 	if res.Status == Failed {
 		return res, fmt.Errorf("sqp: subproblem failure at iteration %d", res.Iterations)
 	}
@@ -618,37 +602,42 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// updateBFGS applies the damped BFGS update (Powell 1978) to b in place,
-// keeping it positive definite. bs and r are caller scratch (length n).
-func updateBFGS(b *mat.Dense, s, y, bs, r []float64) {
-	n, _ := b.Dims()
-	updateBFGSBlock(b, 0, n, s, y, bs, r)
-}
-
-// updateBFGSBlocks applies the damped update independently to each
-// diagonal stage block of b, leaving off-block entries untouched (zero
-// from the scaled-identity seed). Each block update preserves positive
-// definiteness of its block, so the block-diagonal approximation stays PD
-// and — unlike a dense rank-two update — inside the block-tridiagonal
-// band the stage declaration promises to the QP backend. Curvature
-// between stages is discarded; that costs some BFGS accuracy but keeps
-// the subproblems structured, which is the better trade in the MPC hot
-// path.
-func updateBFGSBlocks(b *mat.Dense, ss *qp.StageStructure, s, y, bs, r []float64) {
-	for k := 0; k < ss.N; k++ {
-		lo, hi := k*ss.NV, (k+1)*ss.NV
-		updateBFGSBlock(b, lo, hi, s[lo:hi], y[lo:hi], bs[lo:hi], r[lo:hi])
+// addQP accumulates one QP subproblem's counts (nil: a rejected
+// problem, nothing to count).
+func (r *Result) addQP(qr *qp.Result) {
+	if qr != nil {
+		r.QPIterations += qr.Iterations
+		r.Factorizations += qr.Factorizations
+		r.Demotions += qr.Demotions
 	}
 }
 
-// updateBFGSBlock runs the damped update on the diagonal sub-block
-// b[lo:hi, lo:hi]; s, y, bs, r are the corresponding slices (length
-// hi−lo). The rank-two update runs on raw row slices so the inner loop
-// carries no per-element bounds-check or method-call overhead.
-func updateBFGSBlock(b *mat.Dense, lo, hi int, s, y, bs, r []float64) {
-	m := hi - lo
+// updateBFGSBlocks applies the damped BFGS update (Powell 1978)
+// independently to each diagonal stage block of b; s, y, bs, r are
+// full-length vectors (bs, r scratch). Each block update keeps its block
+// positive definite, so the block-diagonal approximation stays PD and —
+// unlike a dense rank-two update — leaves the QP subproblems
+// block-tridiagonal. Curvature between stages is discarded; that costs
+// some BFGS accuracy but keeps the subproblems structured, which is the
+// better trade in the MPC hot path.
+func updateBFGSBlocks(b []*mat.Dense, s, y, bs, r []float64) {
+	lo := 0
+	for _, blk := range b {
+		nv, _ := blk.Dims()
+		hi := lo + nv
+		updateBFGSBlock(blk, s[lo:hi], y[lo:hi], bs[lo:hi], r[lo:hi])
+		lo = hi
+	}
+}
+
+// updateBFGSBlock runs the damped update on one block; s, y, bs, r are
+// the corresponding slices. The rank-two update runs on raw row slices
+// so the inner loop carries no per-element bounds-check or method-call
+// overhead.
+func updateBFGSBlock(b *mat.Dense, s, y, bs, r []float64) {
+	m := len(s)
 	for i := 0; i < m; i++ {
-		row := b.RawRow(lo + i)[lo:hi]
+		row := b.RawRow(i)
 		var acc float64
 		for j, v := range row {
 			acc += v * s[j]
@@ -673,7 +662,7 @@ func updateBFGSBlock(b *mat.Dense, lo, hi int, s, y, bs, r []float64) {
 		return
 	}
 	for i := 0; i < m; i++ {
-		row := b.RawRow(lo + i)[lo:hi]
+		row := b.RawRow(i)
 		ri, bi := r[i], bs[i]
 		for j := 0; j < m; j++ {
 			row[j] += ri*r[j]/sr - bi*bs[j]/sBs
@@ -685,13 +674,14 @@ func updateBFGSBlock(b *mat.Dense, lo, hi int, s, y, bs, r []float64) {
 // Je·d + sp − sm = beq with sp, sm ≥ 0, inequalities get a slack t ≥ 0,
 // all slacks penalized linearly by weight w. The elastic problem is always
 // feasible, so the SQP step degrades gracefully into a feasibility-
-// restoration direction. The caller's subproblem tolerance applies to the
-// fallback solve too — only the workspace is swapped for the arena's,
-// since the elastic problem has different dimensions than the main
-// subproblem. The returned Result aliases the
-// arena and is valid until the next call with it.
+// restoration direction. The slacks couple rows across every stage, so
+// the elastic problem is built in one-stage form. The caller's
+// subproblem tolerance applies to the fallback solve too — only the
+// workspace is swapped for the arena's, since the elastic problem has
+// different dimensions than the main subproblem. The returned Result
+// aliases the arena and is valid until the next call with it.
 func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena) (*qp.Result, error) {
-	n, _ := sub.H.Dims()
+	n := len(sub.C)
 	meq, min := 0, 0
 	if sub.Aeq != nil {
 		meq, _ = sub.Aeq.Dims()
@@ -704,10 +694,8 @@ func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena)
 	rows := min + 2*meq + min
 	ar.ensure(nTot, meq, rows)
 
-	h := ar.h
-	for i := 0; i < n; i++ {
-		copy(h.RawRow(i)[:n], sub.H.RawRow(i))
-	}
+	h := ar.h[0]
+	sub.HessianInto(h)
 	// Small quadratic regularization keeps the elastic Hessian PD in the
 	// slack directions.
 	for i := n; i < nTot; i++ {
@@ -719,42 +707,41 @@ func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena)
 		c[i] = w
 	}
 
-	var aeq *mat.Dense
-	var beq []float64
+	ep := &ar.prob
+	*ep = qp.Problem{H: ar.h, C: c}
 	if meq > 0 {
-		aeq = ar.aeq
 		for i := 0; i < meq; i++ {
-			copy(aeq.RawRow(i)[:n], sub.Aeq.RawRow(i))
-			aeq.Set(i, n+2*i, 1)
-			aeq.Set(i, n+2*i+1, -1)
+			lo, v := sub.Aeq.Row(i)
+			_, row := ar.aeq.Row(i)
+			copy(row[lo:], v)
+			row[n+2*i] = 1
+			row[n+2*i+1] = -1
 		}
-		beq = sub.Beq
+		ep.Aeq, ep.Beq = ar.aeq, sub.Beq
 	}
 
-	ain := ar.ain
 	bin := ar.bin
 	r := 0
 	for i := 0; i < min; i++ {
-		copy(ain.RawRow(r)[:n], sub.Ain.RawRow(i))
-		ain.Set(r, n+2*meq+i, -1)
+		lo, v := sub.Ain.Row(i)
+		_, row := ar.ain.Row(r)
+		copy(row[lo:], v)
+		row[n+2*meq+i] = -1
 		bin[r] = sub.Bin[i]
 		r++
 	}
 	for i := 0; i < 2*meq; i++ { // −sp ≤ 0, −sm ≤ 0
-		ain.Set(r, n+i, -1)
+		ar.ain.Set(r, n+i, -1)
 		bin[r] = 0
 		r++
 	}
 	for i := 0; i < min; i++ { // −t ≤ 0
-		ain.Set(r, n+2*meq+i, -1)
+		ar.ain.Set(r, n+2*meq+i, -1)
 		bin[r] = 0
 		r++
 	}
-
-	ep := &qp.Problem{H: h, C: c, Aeq: aeq, Beq: beq}
 	if r > 0 {
-		ep.Ain = ain
-		ep.Bin = bin
+		ep.Ain, ep.Bin = ar.ain, bin
 	}
 	qopt.Work = ar.qpWork
 	er, err := qp.Solve(ep, qopt)
@@ -764,10 +751,12 @@ func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena)
 	// Project the result back to the original variable space.
 	out := &ar.out
 	*out = qp.Result{
-		X:          er.X[:n],
-		EqDuals:    er.EqDuals,
-		Iterations: er.Iterations,
-		Status:     er.Status,
+		X:              er.X[:n],
+		EqDuals:        er.EqDuals,
+		Iterations:     er.Iterations,
+		Status:         er.Status,
+		Factorizations: er.Factorizations,
+		Demotions:      er.Demotions,
 	}
 	if min > 0 {
 		out.InDuals = er.InDuals[:min]

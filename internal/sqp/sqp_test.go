@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"evclimate/internal/mat"
+	"evclimate/internal/qp"
 )
 
 func checkVec(t *testing.T, got, want []float64, tol float64, label string) {
@@ -188,13 +188,13 @@ func TestAnalyticJacobians(t *testing.T) {
 		Gradient:  func(x, g []float64) { g[0], g[1] = 2*x[0], 2*x[1] },
 		MEq:       1,
 		Eq:        func(x, out []float64) { out[0] = x[0] + 2*x[1] - 5 },
-		EqJac: func(x []float64, jac *mat.Dense) {
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, 1)
 			jac.Set(0, 1, 2)
 		},
 		MIneq: 1,
 		Ineq:  func(x, out []float64) { out[0] = -x[0] },
-		IneqJac: func(x []float64, jac *mat.Dense) {
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, -1)
 			jac.Set(0, 1, 0)
 		},
@@ -259,6 +259,13 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Solve(&Problem{N: 1, Objective: func([]float64) float64 { return 0 }, MIneq: 1}, []float64{0}, Options{}); err == nil {
 		t.Error("MIneq without Ineq accepted")
+	}
+	zero := func([]float64, []float64) {}
+	if _, err := Solve(&Problem{N: 4, Objective: func([]float64) float64 { return 0 }, MEq: 3, Eq: zero, Stages: 2}, make([]float64, 4), Options{}); err == nil {
+		t.Error("equality rows not divisible into stages accepted")
+	}
+	if _, err := Solve(&Problem{N: 3, Objective: func([]float64) float64 { return 0 }, Stages: 2}, make([]float64, 3), Options{}); err == nil {
+		t.Error("variables not divisible into stages accepted")
 	}
 }
 

@@ -19,23 +19,23 @@ import (
 // only valid until the next Solve call with that workspace; callers that
 // retain them must copy.
 type Workspace struct {
-	n, meq, min int
+	n, meq, min, stages int
 
 	// Double-buffered iterate state: locals swap on accepted steps.
 	x, xNew    []float64
 	g, gNew    []float64
 	ce, ceNew  []float64
 	ci, ciNew  []float64
-	je, jeNew  *mat.Dense // nil when meq == 0
-	ji, jiNew  *mat.Dense // nil when min == 0
-	lam, lamNV []float64  // multipliers + incoming QP duals
+	je, jeNew  *qp.StageMatrix // nil when meq == 0
+	ji, jiNew  *qp.StageMatrix // nil when min == 0
+	lam, lamNV []float64       // multipliers + incoming QP duals
 	mu, muNV   []float64
 
 	lagGrad, tmpN []float64
 	d             []float64 // QP step copy (stable across the elastic fallback)
 	yVec, sVec    []float64
-	bs, bfgsR     []float64 // updateBFGS scratch
-	b             *mat.Dense
+	bs, bfgsR     []float64    // updateBFGSBlocks scratch
+	b             []*mat.Dense // BFGS Hessian, one block per stage
 
 	// Finite-difference / evaluator scratch.
 	xt             []float64
@@ -58,13 +58,14 @@ type Workspace struct {
 // use and re-sized only when the problem dimensions change.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the workspace for problem p.
-func (w *Workspace) ensure(p *Problem) {
-	n, meq, min := p.N, p.MEq, p.MIneq
-	if w.n == n && w.meq == meq && w.min == min && w.x != nil {
+// ensure sizes the workspace for a problem of n variables, meq equality
+// and min inequality rows over the given number of stages.
+func (w *Workspace) ensure(n, meq, min, stages int) {
+	if w.n == n && w.meq == meq && w.min == min && w.stages == stages && w.x != nil {
 		return
 	}
-	w.n, w.meq, w.min = n, meq, min
+	w.n, w.meq, w.min, w.stages = n, meq, min, stages
+	nv := n / stages
 	w.x = make([]float64, n)
 	w.xNew = make([]float64, n)
 	w.g = make([]float64, n)
@@ -75,13 +76,13 @@ func (w *Workspace) ensure(p *Problem) {
 	w.ciNew = make([]float64, min)
 	w.je, w.jeNew = nil, nil
 	if meq > 0 {
-		w.je = mat.NewDense(meq, n)
-		w.jeNew = mat.NewDense(meq, n)
+		w.je = qp.NewStageMatrix(stages, nv, meq/stages)
+		w.jeNew = qp.NewStageMatrix(stages, nv, meq/stages)
 	}
 	w.ji, w.jiNew = nil, nil
 	if min > 0 {
-		w.ji = mat.NewDense(min, n)
-		w.jiNew = mat.NewDense(min, n)
+		w.ji = qp.NewStageMatrix(stages, nv, min/stages)
+		w.jiNew = qp.NewStageMatrix(stages, nv, min/stages)
 	}
 	w.lam = make([]float64, meq)
 	w.lamNV = make([]float64, meq)
@@ -94,7 +95,10 @@ func (w *Workspace) ensure(p *Problem) {
 	w.sVec = make([]float64, n)
 	w.bs = make([]float64, n)
 	w.bfgsR = make([]float64, n)
-	w.b = mat.NewDense(n, n)
+	w.b = make([]*mat.Dense, stages)
+	for k := range w.b {
+		w.b[k] = mat.NewDense(nv, nv)
+	}
 	w.xt = make([]float64, n)
 	m := meq
 	if min > m {
@@ -112,17 +116,19 @@ func (w *Workspace) ensure(p *Problem) {
 	w.el = nil
 }
 
-// elasticArena holds the slack-augmented fallback QP (see solveElastic):
-// the augmented Hessian, gradient, constraint blocks, and a dedicated QP
-// workspace (the elastic problem has different dimensions than the main
-// subproblem, so it cannot share the main QP workspace).
+// elasticArena holds the slack-augmented fallback QP (see solveElastic)
+// in one-stage form: the augmented Hessian, gradient, constraint blocks,
+// the problem view, and a dedicated QP workspace (the elastic problem has
+// different dimensions than the main subproblem, so it cannot share the
+// main QP workspace).
 type elasticArena struct {
 	nTot, rows int
-	h          *mat.Dense
+	h          []*mat.Dense // one nTot×nTot block
 	c          []float64
-	aeq        *mat.Dense // nil when meq == 0
-	ain        *mat.Dense
+	aeq        *qp.StageMatrix // nil when meq == 0
+	ain        *qp.StageMatrix
 	bin        []float64
+	prob       qp.Problem
 	qpWork     *qp.Workspace
 	out        qp.Result
 }
@@ -130,12 +136,7 @@ type elasticArena struct {
 // ensure sizes the arena for an elastic problem with nTot variables, meq
 // equality rows and rows inequality rows.
 func (a *elasticArena) ensure(nTot, meq, rows int) {
-	ar := rows
-	if ar < 1 {
-		ar = 1
-	}
 	if a.nTot == nTot && a.rows == rows && a.h != nil {
-		a.h.Zero()
 		if a.aeq != nil {
 			a.aeq.Zero()
 		}
@@ -143,14 +144,14 @@ func (a *elasticArena) ensure(nTot, meq, rows int) {
 		return
 	}
 	a.nTot, a.rows = nTot, rows
-	a.h = mat.NewDense(nTot, nTot)
+	a.h = []*mat.Dense{mat.NewDense(nTot, nTot)}
 	a.c = make([]float64, nTot)
 	a.aeq = nil
 	if meq > 0 {
-		a.aeq = mat.NewDense(meq, nTot)
+		a.aeq = qp.NewStageMatrix(1, nTot, meq)
 	}
-	a.ain = mat.NewDense(ar, nTot)
-	a.bin = make([]float64, ar)
+	a.ain = qp.NewStageMatrix(1, nTot, rows)
+	a.bin = make([]float64, rows)
 	if a.qpWork == nil {
 		a.qpWork = qp.NewWorkspace()
 	}

@@ -130,10 +130,10 @@ func TestSolveElasticHonorsTolerance(t *testing.T) {
 	for i := range c {
 		c[i] = 1
 	}
-	ain := mat.NewDense(2, n)
+	ain := qp.NewStageMatrix(1, n, 2)
 	ain.Set(0, 0, 1)
 	ain.Set(1, 0, -1)
-	sub := &qp.Problem{H: h, C: c, Ain: ain, Bin: []float64{-1, -1}}
+	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
 
 	ar := &elasticArena{}
 	tight, err := solveElastic(sub, 100, qp.Options{}, ar)
@@ -156,10 +156,10 @@ func TestSolveElasticArenaReuseBitIdentical(t *testing.T) {
 	n := 4
 	h := mat.Identity(n)
 	c := []float64{1, 1, 1, 1}
-	ain := mat.NewDense(2, n)
+	ain := qp.NewStageMatrix(1, n, 2)
 	ain.Set(0, 0, 1)
 	ain.Set(1, 0, -1)
-	sub := &qp.Problem{H: h, C: c, Ain: ain, Bin: []float64{-1, -1}}
+	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
 
 	ref, err := solveElastic(sub, 100, qp.Options{}, &elasticArena{})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestWarmSolveNoAllocs(t *testing.T) {
 		},
 		MEq: 1,
 		Eq:  func(x, out []float64) { out[0] = x[0] + x[1] + x[2] - 1 },
-		EqJac: func(x []float64, jac *mat.Dense) {
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, 1)
 			jac.Set(0, 1, 1)
 			jac.Set(0, 2, 1)
@@ -203,7 +203,7 @@ func TestWarmSolveNoAllocs(t *testing.T) {
 			out[1] = -x[1]
 			out[2] = -x[2]
 		},
-		IneqJac: func(x []float64, jac *mat.Dense) {
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, -1)
 			jac.Set(1, 1, -1)
 			jac.Set(2, 2, -1)
@@ -250,7 +250,7 @@ func TestWarmStructuredSolveNoAllocs(t *testing.T) {
 			out[0] = x[0] + x[1] - 1
 			out[1] = x[2] + x[3] - 1
 		},
-		EqJac: func(x []float64, jac *mat.Dense) {
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, 1)
 			jac.Set(0, 1, 1)
 			jac.Set(1, 2, 1)
@@ -263,13 +263,13 @@ func TestWarmStructuredSolveNoAllocs(t *testing.T) {
 			out[2] = -x[2]
 			out[3] = -x[3]
 		},
-		IneqJac: func(x []float64, jac *mat.Dense) {
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
 			jac.Set(0, 0, -1)
 			jac.Set(1, 1, -1)
 			jac.Set(2, 2, -1)
 			jac.Set(3, 3, -1)
 		},
-		Stages: qp.UniformStages(2, 2, 1, 2),
+		Stages: 2,
 	}
 	x0 := []float64{0.4, 0.6, 0.5, 0.5}
 	ws := NewWorkspace()
