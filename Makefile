@@ -28,13 +28,14 @@ bench:
 # RunOnOffTelemetry) bounds the observability overhead. The second
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
 # pairs (QPInteriorPoint vs ...Warm, LUSolve120 vs LUSolveInto120) bound
-# the workspace-reuse win, and the -benchmem allocs/op column pins the
-# allocation-free hot path.
+# the workspace-reuse win, QPColdFixture times the pinned deep-cold MPC
+# subproblem on the stage backend, and the -benchmem allocs/op column
+# pins the allocation-free hot path.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|SQPSolveWarm|LUSolve' -benchmem . \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|LUSolve' -benchmem . \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
@@ -53,7 +54,7 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|SQPSolveWarm|LUSolve' -benchmem -benchtime 3s . \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|LUSolve' -benchmem -benchtime 3s . \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
@@ -116,10 +117,11 @@ test-thermal:
 	$(GO) test -run 'Cold' ./internal/experiments/...
 
 # Coverage-guided fuzzing of the QP interior-point solver: one-stage
-# 2-variable problems (FuzzSolve) and the stage-structured KKT backend
-# (FuzzStageKKT — ill-conditioned, non-SPD and degenerate stage QPs,
-# checked against their one-stage form; go test fuzzes one target per
-# invocation, so the two run back to back).
+# 2-variable problems (FuzzSolve) and the stage Riccati KKT backend
+# (FuzzStageKKT — ill-conditioned, non-SPD and degenerate stage QPs: no
+# panic, Optimal only with a finite X, a stage without an equality pivot
+# failing cleanly, and the one-stage form solved alongside; go test
+# fuzzes one target per invocation, so the two run back to back).
 fuzz-qp:
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=1m ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=1m ./internal/qp/

@@ -10,6 +10,8 @@ package evclimate_test
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 
@@ -199,7 +201,7 @@ func BenchmarkQPInteriorPoint(b *testing.B) {
 	for i := range c {
 		c[i] = -float64(i%7) - 1.5
 	}
-	ain := qp.NewStageMatrix(1, n, 2*n)
+	ain := qp.NewStageMatrix(1, n, 0, 2*n)
 	bin := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		ain.Set(i, i, 1)
@@ -227,7 +229,7 @@ func BenchmarkQPInteriorPointWarm(b *testing.B) {
 	for i := range c {
 		c[i] = -float64(i%7) - 1.5
 	}
-	ain := qp.NewStageMatrix(1, n, 2*n)
+	ain := qp.NewStageMatrix(1, n, 0, 2*n)
 	bin := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		ain.Set(i, i, 1)
@@ -247,10 +249,11 @@ func BenchmarkQPInteriorPointWarm(b *testing.B) {
 	}
 }
 
-// stageBenchQP builds a stage QP with the MPC subproblem's exact shape —
-// 12 stages of 7 variables, 3 equality and 14 inequality rows per stage,
-// block-diagonal Hessian — from deterministic pseudo-random data. Used by
-// the structured-vs-dense backend pair below.
+// stageBenchQP builds a stage QP with the MPC subproblem's shape — 12
+// stages of 7 variables, 3 equality and 14 inequality rows per stage,
+// block-diagonal Hessian — from deterministic pseudo-random data, with
+// rows coupling whole stages (state width nx = nv, where the MPC's is 1).
+// Used by the structured-vs-dense backend pair below.
 func stageBenchQP() *qp.Problem {
 	const nst, nv, ne, ni = 12, 7, 3, 14
 	val := func(i, j int) float64 { return float64((i*37+j*17)%23)/23 - 0.5 }
@@ -275,7 +278,7 @@ func stageBenchQP() *qp.Problem {
 	for i := range c {
 		c[i] = val(i, i+1)
 	}
-	aeq := qp.NewStageMatrix(nst, nv, ne)
+	aeq := qp.NewStageMatrix(nst, nv, nv, ne)
 	beq := make([]float64, nst*ne)
 	for row := range beq {
 		lo, v := aeq.Row(row)
@@ -284,7 +287,7 @@ func stageBenchQP() *qp.Problem {
 		}
 		beq[row] = 0.05 * val(row, 0)
 	}
-	ain := qp.NewStageMatrix(nst, nv, ni)
+	ain := qp.NewStageMatrix(nst, nv, nv, ni)
 	bin := make([]float64, nst*ni)
 	for k := 0; k < nst; k++ {
 		o := k * nv
@@ -299,19 +302,15 @@ func stageBenchQP() *qp.Problem {
 }
 
 // BenchmarkQPStructured and BenchmarkQPStructuredDense solve the same
-// MPC-shaped stage QP through the block-tridiagonal Riccati backend and,
-// in its one-stage form, the dense path; their ratio is the per-solve win
-// of exploiting the horizon structure (the end-to-end controller win is
+// MPC-shaped stage QP through the stage Riccati backend and, in its
+// one-stage form, the dense path; their ratio is the per-solve win of
+// exploiting the horizon structure (the end-to-end controller win is
 // BenchmarkMPCSolveStep's).
 func BenchmarkQPStructured(b *testing.B) {
 	p := stageBenchQP()
 	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
-	res, err := qp.Solve(p, opt)
-	if err != nil {
+	if _, err := qp.Solve(p, opt); err != nil {
 		b.Fatal(err)
-	}
-	if res.Demotions != 0 {
-		b.Fatal("bench problem left the structured path")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -324,6 +323,51 @@ func BenchmarkQPStructured(b *testing.B) {
 func BenchmarkQPStructuredDense(b *testing.B) {
 	p := stageBenchQP().OneStage()
 	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
+	if _, err := qp.Solve(p, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := qp.Solve(p, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQPColdFixture solves the pinned deep-cold cabin MPC
+// subproblem (internal/qp/testdata/cold_mpc_demotion.json, one of the
+// soaked cold grid's hardest QPs: it runs all 60 interior-point
+// iterations) through the stage backend, at the state width the cabin
+// MPC declares.
+func BenchmarkQPColdFixture(b *testing.B) {
+	raw, err := os.ReadFile("internal/qp/testdata/cold_mpc_demotion.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f struct {
+		Stages, NV, NE, NI int
+		Tol                float64
+		H, Aeq, Ain        [][]float64
+		C, Beq, Bin        []float64
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		b.Fatal(err)
+	}
+	// The fixture stores rows over all of stages k−1..k; keep the
+	// trailing window of each.
+	rows := func(per int, data [][]float64) *qp.StageMatrix {
+		a := qp.NewStageMatrix(f.Stages, f.NV, 1, per)
+		for i, v := range data {
+			_, row := a.Row(i)
+			copy(row, v[len(v)-len(row):])
+		}
+		return a
+	}
+	p := &qp.Problem{C: f.C, Aeq: rows(f.NE, f.Aeq), Beq: f.Beq, Ain: rows(f.NI, f.Ain), Bin: f.Bin}
+	for _, v := range f.H {
+		p.H = append(p.H, mat.NewDenseData(f.NV, f.NV, v))
+	}
+	opt := qp.Options{Tol: f.Tol, Work: qp.NewWorkspaceFor(p)}
 	if _, err := qp.Solve(p, opt); err != nil {
 		b.Fatal(err)
 	}

@@ -133,15 +133,14 @@ type Controller struct {
 	model *cabin.Model
 
 	// Stage layout: sv variables, ne equality rows, ni inequality rows
-	// per prediction step; offX is the in-stage offset of x_{k+1}. The
-	// cabin-only problem is [Ts,Tc,dr,mz,Ph,Pc | x] (7/3/14); thermal
-	// co-scheduling appends the battery branch and the pack state,
-	// [Ts,Tc,dr,mz,Ph,Pc,Pbh,Pbc | x,Tb] (10/4/18). The values are fixed
-	// in New; with thermal disabled every index expression evaluates
-	// exactly as the original constants did, keeping the cabin-only
-	// trajectory bit-identical.
-	sv, ne, ni, offX int
-	thermal          bool
+	// per prediction step, of which the last nx variables are the state
+	// the next step's rows reach back to. The cabin-only problem is
+	// [Ts,Tc,dr,mz,Ph,Pc | x] (7/3/14, nx 1); thermal co-scheduling
+	// appends the battery branch and the pack state,
+	// [Ts,Tc,dr,mz,Ph,Pc,Pbh,Pbc | x,Tb] (10/4/18, nx 2). The values are
+	// fixed in New.
+	sv, ne, ni, nx int
+	thermal        bool
 	// kabEffWK is the coolant loop folded into an effective pack↔ambient
 	// conductance for the one-state-per-stage pack prediction model.
 	kabEffWK float64
@@ -171,8 +170,8 @@ type Controller struct {
 	lastErr error
 	// lastSolve is the previous Decide's optimizer diagnostics, exposed
 	// through control.SolveReporter for telemetry step spans, and
-	// lastDemotions its count of QP subproblems that left the
-	// stage-structured KKT path.
+	// lastDemotions its count of QP subproblems re-solved by the elastic
+	// fallback.
 	lastSolve     control.SolveInfo
 	lastDemotions int
 
@@ -182,7 +181,7 @@ type Controller struct {
 	telIters   *telemetry.Histogram
 	telQPIters *telemetry.Histogram
 	telKKT     *telemetry.Counter // KKT factorizations
-	telDemote  *telemetry.Counter // QP subproblems demoted off the stage path
+	telDemote  *telemetry.Counter // QP subproblems re-solved by the elastic fallback
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -226,10 +225,10 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{cfg: cfg, model: m}
-	c.sv, c.ne, c.ni, c.offX = stageVars, 3, ineqPerStep, stageVars-1
+	c.sv, c.ne, c.ni, c.nx = stageVars, 3, ineqPerStep, 1
 	if cfg.Thermal.Enabled {
 		c.thermal = true
-		c.sv, c.ne, c.ni, c.offX = thermalStageVars, 4, thermalIneqPerStep, 8
+		c.sv, c.ne, c.ni, c.nx = thermalStageVars, 4, thermalIneqPerStep, 2
 		c.kabEffWK = cfg.Thermal.Network.EffectivePackAmbientUA()
 	}
 	n := cfg.Horizon
@@ -259,6 +258,7 @@ func New(cfg Config) (*Controller, error) {
 		Ineq:      func(z, out []float64) { c.inequalities(z, &c.hor, out) },
 		IneqJac:   func(z []float64, jac *qp.StageMatrix) { c.inequalitiesJac(z, &c.hor, jac) },
 		Stages:    n,
+		NX:        c.nx,
 	}
 	c.bindInstruments()
 	return c, nil
@@ -302,8 +302,8 @@ func (c *Controller) Name() string {
 }
 
 // Structured reports whether the last Decide's SQP solve kept every QP
-// subproblem on the stage-structured (block-tridiagonal) KKT backend —
-// false after a demotion or elastic fallback, a safe-ventilation
+// subproblem on the stage KKT backend (the Riccati recursion over the
+// stage state) — false after an elastic fallback, a safe-ventilation
 // fallback, with a one-step horizon, or before the first solve.
 func (c *Controller) Structured() bool {
 	return c.cfg.Horizon > 1 && c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastDemotions == 0
@@ -344,8 +344,9 @@ type Stats struct {
 	// AvgSQPIters is the mean SQP iteration count per solve.
 	AvgSQPIters float64
 	// KKTFactorizations sums the interior-point KKT factorizations of
-	// every QP subproblem, and KKTDemotions the subproblems that left the
-	// stage-structured KKT path (sqp.Result.Demotions).
+	// every QP subproblem, and KKTDemotions the subproblems that failed
+	// on the stage KKT path and were re-solved by the one-stage elastic
+	// fallback (sqp.Result.Demotions).
 	KKTFactorizations, KKTDemotions int
 }
 
@@ -459,13 +460,15 @@ func (c *Controller) buildHorizon(ctx control.StepContext) *horizonData {
 //	z[10k+8]     x_{k+1}                                next cabin temperature
 //	z[10k+9]     Tb_{k+1}                               next pack temperature
 //
-// so every constraint of stage k touches only the variables of stages
-// k−1 (through x_k, Tb_k) and k. That is exactly the row window of a
-// qp.StageMatrix, so the Jacobians are written in stage form and the SQP
-// subproblems factor block-tridiagonally at either stride. (The paper's
+// so every constraint of stage k touches only the variables of stage k
+// and the state that ends stage k−1 (x_k, and Tb_k in thermal mode): the
+// last nx variables of each stage. That is exactly the row window of a
+// qp.StageMatrix with that state width, so the Jacobians are written in
+// stage form and the SQP subproblems factor by a Riccati recursion over
+// a 1×1 or 2×2 cost-to-go at either stride. (The paper's
 // Eq. 20 z = [x, i, u] grouping is mathematically identical — this is a
 // permutation.)
-func (c *Controller) idxX(k int) int  { return c.sv*(k-1) + c.offX } // x_k, k ≥ 1
+func (c *Controller) idxX(k int) int  { return c.sv*k - c.nx } // x_k, k ≥ 1
 func (c *Controller) idxTs(k int) int { return c.sv * k }
 func (c *Controller) idxTc(k int) int { return c.sv*k + 1 }
 func (c *Controller) idxDr(k int) int { return c.sv*k + 2 }
@@ -476,7 +479,7 @@ func (c *Controller) idxPc(k int) int { return c.sv*k + 5 }
 // Battery-branch and pack-state indices (thermal co-scheduling only).
 func (c *Controller) idxBh(k int) int { return c.sv*k + 6 }
 func (c *Controller) idxBc(k int) int { return c.sv*k + 7 }
-func (c *Controller) idxTb(k int) int { return c.sv*(k-1) + 9 } // Tb_k, k ≥ 1
+func (c *Controller) idxTb(k int) int { return c.sv*k - 1 } // Tb_k, k ≥ 1
 
 // nz returns the decision-vector length.
 func (c *Controller) nz() int { return c.sv * c.cfg.Horizon }

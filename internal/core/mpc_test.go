@@ -115,7 +115,7 @@ func TestEqualitiesJacMatchesFiniteDifferences(t *testing.T) {
 		z[i] += 0.013 * float64(i%5)
 	}
 	m := 3 * h.n
-	jac := qp.NewStageMatrix(h.n, c.sv, 3)
+	jac := qp.NewStageMatrix(h.n, c.sv, c.nx, 3)
 	c.equalitiesJac(z, h, jac)
 	base := make([]float64, m)
 	pert := make([]float64, m)
@@ -144,7 +144,7 @@ func TestIneqJacMatchesFiniteDifferences(t *testing.T) {
 		z[i] += 0.017 * float64(i%4)
 	}
 	m := h.n * ineqPerStep
-	jac := qp.NewStageMatrix(h.n, c.sv, ineqPerStep)
+	jac := qp.NewStageMatrix(h.n, c.sv, c.nx, ineqPerStep)
 	c.inequalitiesJac(z, h, jac)
 	base := make([]float64, m)
 	pert := make([]float64, m)

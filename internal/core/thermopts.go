@@ -11,9 +11,10 @@ import (
 // stage, battery heater/chiller decision channels, a heat-pump-aware
 // heater power model, and a soft pack-temperature comfort band in the
 // cost. The extension preserves the stage structure — each added
-// constraint row touches only adjacent stages — so the block-tridiagonal
-// KKT backend of internal/qp keeps engaging at the enlarged decision
-// stride (the dense path remains the golden reference).
+// constraint row touches only its own stage and the previous stage's
+// state, now (x, Tb) — so the stage KKT backend of internal/qp keeps
+// engaging at the enlarged decision stride (the dense path remains the
+// golden reference).
 //
 // The cost mapping to the deliverable metrics: cabin comfort is the
 // paper's w3 term; ΔSoH is the existing SoC-deviation term (cycle

@@ -159,16 +159,8 @@ func ScaleVecInto(dst []float64, s float64, x []float64) []float64 {
 	return dst
 }
 
-// growVec returns v resized to length n, reusing its backing array when
+// growInts returns v resized to length n, reusing its backing array when
 // the capacity allows. Contents are unspecified.
-func growVec(v []float64, n int) []float64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]float64, n)
-}
-
-// growInts is growVec for int slices.
 func growInts(v []int, n int) []int {
 	if cap(v) >= n {
 		return v[:n]

@@ -55,13 +55,13 @@ var ErrBadProblem = errors.New("qp: invalid problem")
 // Problem is a convex QP over N stages of NV variables, the MPC's
 // receding-horizon layout (see StageMatrix): H holds the N NV×NV blocks
 // of the block-diagonal, positive semidefinite Hessian, and Aeq/Ain are
-// stage matrices of the same layout, nil when there are no such rows.
+// stage matrices of the same layout and state width, nil when there are
+// no such rows.
 //
-// With N > 1 the KKT system factors by a block-tridiagonal Riccati
-// recursion, in O(N·m³) instead of O((N·m)³). A one-stage
-// problem is the unstructured QP and factors densely; a multi-stage solve
-// demotes to that dense path when a stage block loses
-// quasi-definiteness.
+// With N > 1 the KKT system factors by a Riccati recursion over the
+// stage state (stageKKT), in O(N·NV³) instead of O((N·NV)³); every
+// equality row needs a coefficient on its own stage's variables.
+// A one-stage problem is the unstructured QP and factors densely.
 type Problem struct {
 	H   []*mat.Dense
 	C   []float64
@@ -117,9 +117,6 @@ type Result struct {
 	// Factorizations counts the KKT systems factored, one per Newton
 	// step (the equality-only shortcut factors one).
 	Factorizations int
-	// Demotions is 1 when a stage factorization lost quasi-definiteness
-	// and the rest of the solve ran on the dense path, else 0.
-	Demotions int
 }
 
 func (p *Problem) validate() (n, meq, min int, err error) {
@@ -150,6 +147,9 @@ func (p *Problem) validate() (n, meq, min int, err error) {
 	if min, err = p.Ain.check("inequality", len(p.H), nv, p.Bin); err != nil {
 		return 0, 0, 0, err
 	}
+	if p.Aeq != nil && p.Ain != nil && len(p.H) > 1 && p.Aeq.nx != p.Ain.nx {
+		return 0, 0, 0, fmt.Errorf("%w: equality rows reach %d state columns, inequality rows %d", ErrBadProblem, p.Aeq.nx, p.Ain.nx)
+	}
 	if !mat.AllFinite(p.C) {
 		return 0, 0, 0, fmt.Errorf("%w: non-finite data", ErrBadProblem)
 	}
@@ -176,6 +176,18 @@ func (a *StageMatrix) check(kind string, stages, nv int, b []float64) (int, erro
 		return 0, fmt.Errorf("%w: non-finite %s data", ErrBadProblem, kind)
 	}
 	return rows, nil
+}
+
+// stateCols returns the state width nx of the stage layout (0 without
+// constraint rows, whose stages do not couple).
+func (p *Problem) stateCols() int {
+	switch {
+	case p.Aeq != nil:
+		return p.Aeq.nx
+	case p.Ain != nil:
+		return p.Ain.nx
+	}
+	return 0
 }
 
 // mulH computes dst = H·x block by block.
@@ -232,38 +244,25 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		ws = NewWorkspace()
 	}
 	ws.ensure(n, meq, min)
-
-	// No inequalities: the problem reduces to a single KKT solve.
-	if min == 0 {
-		return solveEquality(p, n, meq, ws)
-	}
-
-	// A multi-stage problem starts on the stage backend; st is cleared —
-	// for the remaining iterations — if a stage factorization loses
-	// quasi-definiteness.
-	var st *stageKKT
-	if len(p.H) > 1 {
-		if ws.stage == nil {
-			ws.stage = &stageKKT{}
-		}
-		st = ws.stage
-		st.ensure(p)
-	}
-	// aeq is the dense copy of Aeq the dense path factors with, expanded
-	// when that path first runs.
-	var aeq *mat.Dense
-
-	// Interior-point state.
 	x := ws.x
 	y := ws.y
-	s := ws.s // slacks for Ain·x + s = bin
-	z := ws.z // inequality duals
 	for i := range x {
 		x[i] = 0
 	}
 	for i := range y {
 		y[i] = 0
 	}
+
+	kkt := ws.kkt(p)
+
+	// No inequalities: the problem reduces to a single KKT solve.
+	if min == 0 {
+		return solveEquality(p, kkt, ws)
+	}
+
+	// Interior-point state.
+	s := ws.s // slacks for Ain·x + s = bin
+	z := ws.z // inequality duals
 	for i := range s {
 		s[i] = 1
 		z[i] = 1
@@ -345,57 +344,14 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			break
 		}
 
-		// Assemble and factor the reduced KKT matrix
-		//   [ H + AinᵀD Ain + regI    Aeqᵀ      ] [dx]   [−r1]
-		//   [ Aeq                     −regI     ] [dy] = [−rp]
-		// with D = diag(z/s). Stage backend first; a stage block that
-		// loses quasi-definiteness demotes this and all later iterations
-		// of the solve to the dense path.
+		// Assemble and factor the regularized Newton system
+		//   [ H + AinᵀD Ain + regI    Aeqᵀ  ] [dx]   [−r1]
+		//   [ Aeq                    −regI  ] [dy] = [−rp]
+		// with D = diag(z/s). A failed factorization ends the solve.
 		res.Factorizations++
-		if st != nil {
-			st.assemble(p, z, s)
-			if st.factorize() != nil {
-				st = nil
-				res.Demotions = 1
-			}
-		}
-		useLU := false
-		if st == nil {
-			if aeq == nil && meq > 0 {
-				aeq = ws.aeq
-				p.Aeq.denseInto(aeq)
-			}
-			kBlock := ws.kBlock
-			p.HessianInto(kBlock)
-			for i := 0; i < n; i++ {
-				kBlock.Add(i, i, kktReg)
-			}
-			for k := 0; k < min; k++ {
-				d := z[k] / s[k]
-				lo, arow := p.Ain.Row(k)
-				for i, aki := range arow {
-					if aki == 0 {
-						continue
-					}
-					krow := kBlock.RawRow(lo + i)[lo:]
-					for j, akj := range arow {
-						if akj != 0 {
-							krow[j] += d * aki * akj
-						}
-					}
-				}
-			}
-
-			// Preferred dense path: Cholesky + Schur factorization.
-			// Fallback: dense LU of the full saddle-point system when the
-			// K-block is not numerically SPD (extreme barrier weights).
-			if kerr := ws.kf.factorize(kBlock, aeq, kktReg); kerr != nil {
-				useLU = true
-				if ferr := ws.factorSaddle(kBlock, aeq); ferr != nil {
-					res.Status = NumericalFailure
-					break
-				}
-			}
+		if kkt.factor(p, z, s) != nil {
+			res.Status = NumericalFailure
+			break
 		}
 
 		solveStep := func(rszLocal, dx, dy, ds, dz []float64) {
@@ -406,26 +362,9 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			}
 			r1 := p.Ain.MulVecTInto(tmp, ws.r1)
 			mat.Axpy(1, rd, r1)
-			if !useLU {
-				rhs1 := mat.ScaleVecInto(ws.rhs1, -1, r1)
-				rhs2 := mat.ScaleVecInto(ws.rhs2, -1, rp)
-				if st != nil {
-					st.solveInto(rhs1, rhs2, dx, dy)
-				} else {
-					ws.kf.solveInto(rhs1, rhs2, dx, dy)
-				}
-			} else {
-				rhs := ws.rhs
-				for i := 0; i < n; i++ {
-					rhs[i] = -r1[i]
-				}
-				for i := 0; i < meq; i++ {
-					rhs[n+i] = -rp[i]
-				}
-				ws.lu.SolveInto(rhs, ws.sol)
-				copy(dx, ws.sol[:n])
-				copy(dy, ws.sol[n:])
-			}
+			rhs1 := mat.ScaleVecInto(ws.rhs1, -1, r1)
+			rhs2 := mat.ScaleVecInto(ws.rhs2, -1, rp)
+			kkt.solveInto(rhs1, rhs2, dx, dy)
 			aindx := p.Ain.MulVecInto(dx, ws.aindx)
 			for k := 0; k < min; k++ {
 				ds[k] = -rc[k] - aindx[k]
@@ -533,71 +472,24 @@ func maxStep(v, dv []float64) float64 {
 
 // solveEquality handles the inequality-free case by solving the KKT system
 //
-//	[H    Aeqᵀ] [x]   [−c ]
-//	[Aeq  0   ] [y] = [beq]
-func solveEquality(p *Problem, n, meq int, ws *Workspace) (*Result, error) {
-	var aeq *mat.Dense
-	if meq > 0 {
-		aeq = ws.aeq
-		p.Aeq.denseInto(aeq)
-	}
-	p.HessianInto(ws.kBlock)
-	for i := 0; i < n; i++ {
-		ws.kBlock.Add(i, i, kktReg)
-	}
+//	[H + regI   Aeqᵀ ] [x]   [−c ]
+//	[Aeq       −regI ] [y] = [beq]
+//
+// once, on the backend the problem's stage count selects.
+func solveEquality(p *Problem, kkt kktSystem, ws *Workspace) (*Result, error) {
 	res := &ws.res
-	if err := ws.factorSaddle(ws.kBlock, aeq); err != nil {
-		*res = Result{Status: NumericalFailure, Factorizations: 1}
+	if err := kkt.factor(p, nil, nil); err != nil {
+		*res = Result{X: ws.x, EqDuals: ws.y, Status: NumericalFailure, Factorizations: 1}
 		return res, fmt.Errorf("qp: singular KKT system: %w", err)
 	}
-	rhs := ws.rhs
-	for i := 0; i < n; i++ {
-		rhs[i] = -p.C[i]
-	}
-	for i := 0; i < meq; i++ {
-		rhs[n+i] = p.Beq[i]
-	}
-	sol := ws.lu.SolveInto(rhs, ws.sol)
-	copy(ws.x, sol[:n])
-	copy(ws.y, sol[n:])
+	kkt.solveInto(mat.ScaleVecInto(ws.rhs1, -1, p.C), p.Beq, ws.x, ws.y)
 	*res = Result{
 		X:              ws.x,
 		EqDuals:        ws.y,
-		InDuals:        nil,
 		Iterations:     1,
 		Status:         Optimal,
 		Factorizations: 1,
 	}
 	res.Objective = p.objectiveInto(res.X, ws.hx)
 	return res, nil
-}
-
-// factorSaddle LU-factors the dense saddle-point system
-//
-//	[ K     Aeqᵀ  ]
-//	[ Aeq  −regI  ]
-//
-// assembled in the workspace from the n×n block k and the dense aeq
-// (nil without equalities).
-func (w *Workspace) factorSaddle(k, aeq *mat.Dense) error {
-	n, _ := k.Dims()
-	meq := 0
-	if aeq != nil {
-		meq, _ = aeq.Dims()
-	}
-	w.ensureKKT(n + meq)
-	kkt := w.kkt.Zero()
-	for i := 0; i < n; i++ {
-		copy(kkt.RawRow(i)[:n], k.RawRow(i))
-	}
-	for i := 0; i < meq; i++ {
-		arow := aeq.RawRow(i)
-		krow := kkt.RawRow(n + i)
-		for j, v := range arow {
-			krow[j] = v
-			kkt.Set(j, n+i, v)
-		}
-		krow[n+i] = -kktReg
-	}
-	return mat.FactorizeInto(&w.lu, kkt)
 }

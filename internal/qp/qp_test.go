@@ -30,7 +30,7 @@ func oneStage(a *mat.Dense) *StageMatrix {
 		return nil
 	}
 	r, c := a.Dims()
-	s := NewStageMatrix(1, c, r)
+	s := NewStageMatrix(1, c, 0, r)
 	for i := 0; i < r; i++ {
 		_, v := s.Row(i)
 		copy(v, a.RawRow(i))

@@ -12,8 +12,8 @@ import (
 )
 
 // randStageQP builds a random stage-structured QP: block-diagonal SPD-ish
-// Hessian, stage constraint rows supported on stages k−1..k (so the
-// Riccati coupling blocks are exercised), and a feasible point with a
+// Hessian, stage constraint rows supported on all of stages k−1..k (nx =
+// nv, so the Riccati cost-to-go is a full stage block), and a feasible point with a
 // tunable mix of tight and slack inequalities so active sets vary across
 // seeds. ridge controls how close the stage Hessian blocks are to
 // singular.
@@ -60,7 +60,7 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 	// each row's window and returns each row's value at xf, plus a slack
 	// when slack is set.
 	randRows := func(rows int, slack bool) (*StageMatrix, []float64) {
-		a := NewStageMatrix(nst, nv, rows)
+		a := NewStageMatrix(nst, nv, nv, rows)
 		dots := make([]float64, nst*rows)
 		for r := range dots {
 			lo, v := a.Row(r)
@@ -92,10 +92,17 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 // spread of random stage-structured QPs (varying stage counts and sizes,
 // active sets, and near-singular stage Hessians), the Riccati backend
 // must reproduce the dense reference solution and multipliers to tight
-// tolerance, because both paths solve the identical regularized Newton
-// systems.
+// tolerance. The Newton systems differ only in the dense path's −1e-9
+// dual regularization, which the stage path omits; the worst relative
+// gaps are logged.
 func TestStageBackendMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
+	var worstX, worstEq, worstIn, worstObj float64
+	gap := func(worst *float64, got, want float64) float64 {
+		d := math.Abs(got-want) / (1 + math.Abs(want))
+		*worst = math.Max(*worst, d)
+		return d
+	}
 	for trial := 0; trial < 60; trial++ {
 		nst := 2 + rng.Intn(8)
 		ridge := 1e-1
@@ -112,53 +119,48 @@ func TestStageBackendMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: structured solve failed: %v", trial, err)
 		}
-		if str.Demotions != 0 {
-			t.Fatalf("trial %d: stage problem demoted to the dense path", trial)
-		}
 		if dense.Status != Optimal || str.Status != Optimal {
 			t.Fatalf("trial %d: status dense=%v structured=%v", trial, dense.Status, str.Status)
 		}
 		for i := range dense.X {
-			if d := math.Abs(str.X[i] - dense.X[i]); d > 1e-6*(1+math.Abs(dense.X[i])) {
+			if d := gap(&worstX, str.X[i], dense.X[i]); d > 1e-6 {
 				t.Fatalf("trial %d: X[%d] = %.12g, dense %.12g (Δ %g)", trial, i, str.X[i], dense.X[i], d)
 			}
 		}
 		for i := range dense.EqDuals {
-			if d := math.Abs(str.EqDuals[i] - dense.EqDuals[i]); d > 1e-5*(1+math.Abs(dense.EqDuals[i])) {
+			if d := gap(&worstEq, str.EqDuals[i], dense.EqDuals[i]); d > 1e-5 {
 				t.Fatalf("trial %d: EqDuals[%d] = %.12g, dense %.12g", trial, i, str.EqDuals[i], dense.EqDuals[i])
 			}
 		}
 		for i := range dense.InDuals {
-			if d := math.Abs(str.InDuals[i] - dense.InDuals[i]); d > 1e-5*(1+math.Abs(dense.InDuals[i])) {
+			if d := gap(&worstIn, str.InDuals[i], dense.InDuals[i]); d > 1e-5 {
 				t.Fatalf("trial %d: InDuals[%d] = %.12g, dense %.12g", trial, i, str.InDuals[i], dense.InDuals[i])
 			}
 		}
-		if d := math.Abs(str.Objective - dense.Objective); d > 1e-7*(1+math.Abs(dense.Objective)) {
+		if d := gap(&worstObj, str.Objective, dense.Objective); d > 1e-7 {
 			t.Fatalf("trial %d: objective %.15g vs dense %.15g", trial, str.Objective, dense.Objective)
 		}
 	}
+	t.Logf("worst relative gap to the dense oracle: X %.2g, EqDuals %.2g, InDuals %.2g, objective %.2g", worstX, worstEq, worstIn, worstObj)
 }
 
-// TestStageBackendDemotesOnLostQuasiDefiniteness: an indefinite stage
-// Hessian block defeats the structured factorization's pivot-sign check;
-// the solver must demote to the dense path mid-solve, count the
-// demotion, and still terminate cleanly.
-func TestStageBackendDemotesOnLostQuasiDefiniteness(t *testing.T) {
+// TestStageBackendFailsOnIndefiniteStage: a strongly indefinite stage
+// Hessian block fails the stage Cholesky on the first Newton step, and
+// the solve ends there with NumericalFailure and a finite X — no dense
+// retry, so exactly one factorization.
+func TestStageBackendFailsOnIndefiniteStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randStageQP(rng, 3, 1e-1)
-	// Make one stage block strongly indefinite.
 	p.H[0].Set(0, 0, -50)
-	res, _ := Solve(p, Options{})
-	if res == nil {
-		t.Fatal("nil result")
+	res, err := Solve(p, Options{})
+	if err == nil || res == nil || res.Status != NumericalFailure {
+		t.Fatalf("indefinite stage block: err %v, result %+v; want NumericalFailure", err, res)
 	}
-	if res.Demotions != 1 {
-		t.Fatalf("indefinite problem counted %d demotions, want 1", res.Demotions)
+	if res.Factorizations != 1 {
+		t.Fatalf("%d factorizations, want 1 (no retry)", res.Factorizations)
 	}
-	for _, v := range res.X {
-		if math.IsNaN(v) {
-			t.Fatal("NaN in solution after demotion")
-		}
+	if !mat.AllFinite(res.X) {
+		t.Fatalf("non-finite X = %v", res.X)
 	}
 }
 
@@ -167,10 +169,12 @@ func TestStageBackendDemotesOnLostQuasiDefiniteness(t *testing.T) {
 // rejects constraint blocks whose stage layout disagrees with the
 // Hessian's.
 func TestStageMatrixRejectsBadDims(t *testing.T) {
-	for _, bad := range [][3]int{
-		{0, 2, 1},  // no stages
-		{3, 0, 1},  // zero-variable stages
-		{3, 2, -1}, // negative row count
+	for _, bad := range [][4]int{
+		{0, 2, 0, 1},  // no stages
+		{3, 0, 0, 1},  // zero-variable stages
+		{3, 2, -1, 1}, // negative state width
+		{3, 2, 3, 1},  // state wider than the stage
+		{3, 2, 1, -1}, // negative row count
 	} {
 		func() {
 			defer func() {
@@ -178,7 +182,7 @@ func TestStageMatrixRejectsBadDims(t *testing.T) {
 					t.Errorf("NewStageMatrix%v accepted", bad)
 				}
 			}()
-			NewStageMatrix(bad[0], bad[1], bad[2])
+			NewStageMatrix(bad[0], bad[1], bad[2], bad[3])
 		}()
 	}
 	h := []*mat.Dense{mat.Identity(2), mat.Identity(2), mat.Identity(2)}
@@ -187,14 +191,20 @@ func TestStageMatrixRejectsBadDims(t *testing.T) {
 		ain  *StageMatrix
 		bin  []float64
 	}{
-		{"stage count", NewStageMatrix(2, 2, 1), make([]float64, 2)},
-		{"stage width", NewStageMatrix(3, 1, 1), make([]float64, 3)},
-		{"right-hand side", NewStageMatrix(3, 2, 1), make([]float64, 2)},
+		{"stage count", NewStageMatrix(2, 2, 1, 1), make([]float64, 2)},
+		{"stage width", NewStageMatrix(3, 1, 1, 1), make([]float64, 3)},
+		{"right-hand side", NewStageMatrix(3, 2, 1, 1), make([]float64, 2)},
 	} {
 		p := &Problem{H: h, C: make([]float64, 6), Ain: tc.ain, Bin: tc.bin}
 		if _, err := Solve(p, Options{}); !errors.Is(err, ErrBadProblem) {
 			t.Errorf("%s mismatch: err = %v, want ErrBadProblem", tc.name, err)
 		}
+	}
+	mixed := &Problem{H: h, C: make([]float64, 6),
+		Aeq: NewStageMatrix(3, 2, 1, 1), Beq: make([]float64, 3),
+		Ain: NewStageMatrix(3, 2, 2, 1), Bin: make([]float64, 3)}
+	if _, err := Solve(mixed, Options{}); !errors.Is(err, ErrBadProblem) {
+		t.Errorf("state width mismatch: err = %v, want ErrBadProblem", err)
 	}
 	h[1] = mat.Identity(3)
 	if _, err := Solve(&Problem{H: h, C: make([]float64, 6)}, Options{}); !errors.Is(err, ErrBadProblem) {
@@ -203,15 +213,15 @@ func TestStageMatrixRejectsBadDims(t *testing.T) {
 }
 
 // TestStageMatrixWindow pins the storage contract: entries inside a
-// row's window (stages k−1..k, stage 0 its own) round-trip through
-// Set/At/Row, and Set or At outside it panics, so a band violation
-// cannot be built.
+// row's window (the last nx variables of stage k−1 and all of stage k,
+// stage 0 its own) round-trip through Set/At/Row, and Set or At outside
+// it panics, so a band violation cannot be built.
 func TestStageMatrixWindow(t *testing.T) {
-	a := NewStageMatrix(3, 2, 2) // 6×6, rows 2k..2k+1 in stage k
+	a := NewStageMatrix(3, 2, 1, 2) // 6×6, rows 2k..2k+1 in stage k, one state column
 	if r, c := a.Dims(); r != 6 || c != 6 {
 		t.Fatalf("Dims = %d×%d, want 6×6", r, c)
 	}
-	for _, tc := range []struct{ row, lo, hi int }{{0, 0, 2}, {1, 0, 2}, {2, 0, 4}, {5, 2, 6}} {
+	for _, tc := range []struct{ row, lo, hi int }{{0, 0, 2}, {1, 0, 2}, {2, 1, 4}, {5, 3, 6}} {
 		for j := tc.lo; j < tc.hi; j++ {
 			a.Set(tc.row, j, float64(10*tc.row+j))
 		}
@@ -225,7 +235,7 @@ func TestStageMatrixWindow(t *testing.T) {
 			}
 		}
 	}
-	for _, ij := range [][2]int{{0, 2}, {1, 5}, {2, 4}, {4, 0}, {5, 1}, {6, 0}, {-1, 0}} {
+	for _, ij := range [][2]int{{0, 2}, {1, 5}, {2, 0}, {2, 4}, {4, 0}, {4, 2}, {5, 1}, {6, 0}, {-1, 0}} {
 		for name, f := range map[string]func(){
 			"Set": func() { a.Set(ij[0], ij[1], 1) },
 			"At":  func() { a.At(ij[0], ij[1]) },
@@ -246,7 +256,7 @@ func TestStageMatrixWindow(t *testing.T) {
 // dense products of the same entries.
 func TestStageMatrixProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := NewStageMatrix(4, 3, 2)
+	a := NewStageMatrix(4, 3, 2, 2)
 	d := mat.NewDense(8, 12)
 	for i := 0; i < 8; i++ {
 		lo, v := a.Row(i)
@@ -273,8 +283,12 @@ func TestStageMatrixProducts(t *testing.T) {
 }
 
 // coldDemotionQP loads testdata/cold_mpc_demotion.json: a real cabin-only
-// MPC subproblem from the soaked deep-cold grid whose block LDLᵀ loses a
-// pivot sign, with the subproblem tolerance SQP solved it to.
+// MPC subproblem from the soaked deep-cold grid on which an unpivoted
+// block LDLᵀ of the stage-interleaved KKT matrix loses a pivot sign, with
+// the subproblem
+// tolerance SQP solved it to. The fixture stores each row over all of
+// stages k−1..k; the loader keeps the cabin MPC's windows, whose one
+// state column is x_{k+1}, and checks that the columns it drops are zero.
 func coldDemotionQP(t *testing.T) (*Problem, float64) {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/cold_mpc_demotion.json")
@@ -290,11 +304,18 @@ func coldDemotionQP(t *testing.T) (*Problem, float64) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
+	const nx = 1
 	rows := func(per int, data [][]float64) *StageMatrix {
-		a := NewStageMatrix(f.Stages, f.NV, per)
+		a := NewStageMatrix(f.Stages, f.NV, nx, per)
 		for i, v := range data {
 			_, row := a.Row(i)
-			copy(row, v)
+			drop := len(v) - len(row)
+			for j, x := range v[:drop] {
+				if x != 0 {
+					t.Fatalf("fixture row %d has %g in column %d outside the cabin MPC's window", i, x, j)
+				}
+			}
+			copy(row, v[drop:])
 		}
 		return a
 	}
@@ -305,39 +326,36 @@ func coldDemotionQP(t *testing.T) (*Problem, float64) {
 	return p, f.Tol
 }
 
-// TestStageBackendDemotesOnColdMPC: on real MPC data the stage solve
-// demotes mid-solve, counts it, and still ends where the dense path
-// does — same status, X to the equivalence suite's tolerance.
-func TestStageBackendDemotesOnColdMPC(t *testing.T) {
+// TestStageBackendStaysStructuredOnColdMPC: on the real MPC subproblem
+// that used to demote, every Newton step factors on the stage path (one
+// factorization per step, no failure), and the solve ends with a status
+// and final residuals no worse than its one-stage dense oracle's. A
+// residual counts as worse only above the solve tolerance and beyond
+// roundoff (1e-6 relative) of the oracle's.
+func TestStageBackendStaysStructuredOnColdMPC(t *testing.T) {
 	p, tol := coldDemotionQP(t)
 	str, err := Solve(p, Options{Tol: tol})
 	if err != nil {
 		t.Fatalf("stage solve: %v", err)
 	}
-	if str.Demotions != 1 {
-		t.Fatalf("Demotions = %d, want 1", str.Demotions)
+	steps := str.Iterations
+	if str.Status == Optimal {
+		steps-- // the converged iteration factors nothing
 	}
-	if str.Factorizations < str.Iterations-1 {
-		t.Fatalf("%d factorizations in %d iterations", str.Factorizations, str.Iterations)
+	if str.Factorizations != steps {
+		t.Fatalf("%d factorizations in %d Newton steps", str.Factorizations, steps)
 	}
-	str = cloneResult(str)
 	dense, err := Solve(p.OneStage(), Options{Tol: tol})
 	if err != nil {
 		t.Fatalf("dense solve: %v", err)
 	}
-	if str.Status != dense.Status {
-		t.Fatalf("status stage=%v dense=%v", str.Status, dense.Status)
+	t.Logf("stage: %v after %d iterations, primal %.3g dual %.3g; dense: %v after %d, primal %.3g dual %.3g",
+		str.Status, str.Iterations, str.PrimalInfeas, str.DualInfeas, dense.Status, dense.Iterations, dense.PrimalInfeas, dense.DualInfeas)
+	if str.Status > dense.Status {
+		t.Fatalf("status stage=%v, dense=%v", str.Status, dense.Status)
 	}
-	for i := range dense.X {
-		if d := math.Abs(str.X[i] - dense.X[i]); d > 1e-6*(1+math.Abs(dense.X[i])) {
-			t.Fatalf("X[%d] = %.12g, dense %.12g (Δ %g)", i, str.X[i], dense.X[i], d)
-		}
+	worse := func(got, want float64) bool { return got > tol && got > want*(1+1e-6) }
+	if worse(str.PrimalInfeas, dense.PrimalInfeas) || worse(str.DualInfeas, dense.DualInfeas) {
+		t.Fatalf("final residuals primal %g dual %g, dense oracle %g and %g", str.PrimalInfeas, str.DualInfeas, dense.PrimalInfeas, dense.DualInfeas)
 	}
-}
-
-// cloneResult copies r out of its workspace.
-func cloneResult(r *Result) *Result {
-	c := *r
-	c.X = append([]float64(nil), r.X...)
-	return &c
 }

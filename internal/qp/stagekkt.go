@@ -1,150 +1,153 @@
 package qp
 
-import "evclimate/internal/mat"
+import (
+	"errors"
+	"math"
 
-// stageKKT is the stage-structured interior-point KKT backend. For a
-// multi-stage problem it solves the same regularized Newton system as the
-// dense kktFactor path,
+	"evclimate/internal/mat"
+)
+
+// stageKKT is the stage backend of the interior-point Newton system of a
+// multi-stage problem,
 //
 //	[ H + AinᵀD Ain + regI    Aeqᵀ  ] [dx]   [r1]
-//	[ Aeq                    −regI  ] [dy] = [r2]
+//	[ Aeq                    −regI  ] [dy] = [r2],
 //
-// but permuted into stage-interleaved order [v_0, e_0, v_1, e_1, …],
-// where it is symmetric block-tridiagonal with superblocks of size
-// NV+NE. The permuted matrix is symmetric quasi-definite (K-block
-// SPD, −regI dual block), so the unpivoted block LDLᵀ recursion in
-// mat.BlockTriDiag factors it stably with a known pivot sign pattern;
-// a sign violation (numerically lost quasi-definiteness under extreme
-// barrier weights) surfaces as an error and the caller demotes to the
-// dense path for the remainder of the solve. Because the same static
-// regularization is used, the structured and dense paths solve the
-// identical linear system and agree to roundoff.
+// the regularized system the dense path solves, factored by HPIPM's
+// backward Riccati recursion over the stage state (Frison & Diehl, arXiv
+// 2003.02547). Stage k's unknowns are its own nv variables v_k and its
+// ne multipliers y_k; through its row windows it also sees the nx state
+// variables s_{k−1} that end stage k−1. In window coordinates
+// u = (s_{k−1}, v_k), J_k holds the stage's Hessian block, the
+// regularization and the barrier terms of its inequality rows, and
+// A_k = [A_s A_v] its equality rows.
+//
+// factor runs backward from the last stage; each J_k already carries the
+// cost-to-go P_{k+1} on its trailing state. The stage's own block
+//
+//	[ J_vv   A_vᵀ  ]
+//	[ A_v   −regI  ]
+//
+// is factored through two Cholesky factorizations, J_vv = L·Lᵀ and the
+// ne×ne Schur complement S = A_v J_vv⁻¹ A_vᵀ + regI = L_S·L_Sᵀ, and
+// its Schur complement onto s_{k−1} is the next cost-to-go, in
+// square-root form
+//
+//	P_k = J_ss − QᵀQ + RᵀR,   Q = L⁻¹J_vs,   R = L_S⁻¹(A_v J_vv⁻¹ J_vs − A_s),
+//
+// an nx×nx block added to J_{k−1}. solveInto runs the same recursion on
+// the right-hand side, then a forward sweep recovers each v_k and y_k.
+//
+// Both factored matrices are positive definite whenever H is positive
+// semidefinite — the regularization reaches every own variable and every
+// multiplier — so no pivot has a sign to lose. A pivot that cancellation
+// under extreme barrier weights drives nonpositive is dropped (see
+// cholesky). Two cases end the solve with NumericalFailure: a J_vv pivot
+// that only an indefinite H explains, and a stage equality row without
+// an own-variable coefficient, which has no pivot.
 //
 // All storage lives in the struct and is reused across iterations and
 // Solve calls — allocation-free once sized.
 type stageKKT struct {
-	n, nv, ne int // the layout the buffers are sized for
+	nst, nv, nx, ne int // the layout the buffers are sized for
 
-	diag  []*mat.Dense // assembled superblocks (lower triangle)
-	sub   []*mat.Dense // sub-diagonal coupling blocks
-	signs []int8       // quasi-definite pivot sign pattern
-	bt    mat.BlockTriDiag
+	st  []kktStage
+	aeq *StageMatrix // the factored problem's equality rows
 
-	pvar, peq  []int // dense index → permuted index
-	prhs, psol []float64
+	// Scratch shared by the stages: an nv- and an ne-vector for the stage
+	// solves, a window gradient, the Q, R columns of the cost-to-go, the
+	// factor M of J_ss − QᵀQ, and a Hessian block.
+	a, t, q, qr, m, h []float64
 }
+
+// kktStage is one stage's share of the recursion.
+type kktStage struct {
+	nxk, nu int // state columns (0 for stage 0) and window width nxk+nv
+
+	j  []float64 // nu×nu stage Hessian J_k, both triangles
+	l  []float64 // nv×nv lower Cholesky factor of J_vv
+	w  []float64 // ne×nv: row e is L⁻¹·A_v[e]ᵀ
+	ls []float64 // ne×ne lower Cholesky factor of S
+	p  []float64 // nxk: the cost-to-go gradient p_k handed to stage k−1
+}
+
+// errNoPivot and errIndefinite are the two ways a stage factorization
+// fails: an equality row with no coefficient on its stage's own
+// variables, and a stage block that is not positive definite.
+var (
+	errNoPivot    = errors.New("qp: stage equality row has no own-variable pivot")
+	errIndefinite = errors.New("qp: stage Hessian is not positive definite")
+)
 
 // ensure sizes the backend for p's stage layout. It is a no-op when the
 // layout is unchanged.
 func (f *stageKKT) ensure(p *Problem) {
 	nst := len(p.H)
 	nv, _ := p.H[0].Dims()
-	ne := 0
+	nx, ne := p.stateCols(), 0
 	if p.Aeq != nil {
 		ne = p.Aeq.rows
 	}
-	if f.n == nst && f.nv == nv && f.ne == ne && f.prhs != nil {
+	if f.st != nil && f.nst == nst && f.nv == nv && f.nx == nx && f.ne == ne {
 		return
 	}
-	f.n, f.nv, f.ne = nst, nv, ne
-	n, meq, m := nst*nv, nst*ne, nv+ne
-	f.diag = make([]*mat.Dense, nst)
-	f.sub = make([]*mat.Dense, nst)
-	f.signs = make([]int8, n+meq)
-	f.pvar = make([]int, n)
-	f.peq = make([]int, meq)
-	dims := make([]int, nst)
-	q := 0
-	for k := 0; k < nst; k++ {
-		dims[k] = m
-		f.diag[k] = mat.NewDense(m, m)
+	f.nst, f.nv, f.nx, f.ne = nst, nv, nx, ne
+	f.st = make([]kktStage, nst)
+	for k := range f.st {
+		s := &f.st[k]
 		if k > 0 {
-			f.sub[k] = mat.NewDense(m, m)
+			s.nxk = nx
 		}
-		for i := 0; i < nv; i++ {
-			f.signs[q+i] = 1
-			f.pvar[k*nv+i] = q + i
-		}
-		for j := 0; j < ne; j++ {
-			f.signs[q+nv+j] = -1
-			f.peq[k*ne+j] = q + nv + j
-		}
-		q += m
+		s.nu = s.nxk + nv
+		s.j = make([]float64, s.nu*s.nu)
+		s.l = make([]float64, nv*nv)
+		s.w = make([]float64, ne*nv)
+		s.ls = make([]float64, ne*ne)
+		s.p = make([]float64, s.nxk)
 	}
-	f.bt.Reserve(dims)
-	f.prhs = make([]float64, n+meq)
-	f.psol = make([]float64, n+meq)
+	f.a = make([]float64, nv)
+	f.t = make([]float64, ne)
+	f.q = make([]float64, nx+nv)
+	f.qr = make([]float64, (nv+ne)*nx)
+	f.m = make([]float64, nx*nx)
+	f.h = make([]float64, nv*nv)
 }
 
-// assemble fills the superblocks from the Hessian blocks, Aeq, and the
-// barrier weights d_r = z[r]/s[r] of the inequality rows. Only the lower
-// triangle of each diagonal block is written (all the factorization
-// reads).
+// assemble fills each stage Hessian J_k from its Hessian block, the
+// static regularization and the barrier weights d_r = z[r]/s[r] of its
+// inequality rows (nil z: no inequalities). A single-variable bound row
+// touches one diagonal entry.
 func (f *stageKKT) assemble(p *Problem, z, s []float64) {
-	nv, ne := f.nv, f.ne
-	for k := 0; k < f.n; k++ {
-		hk := p.H[k]
-		blk := f.diag[k].Zero()
-		// K diagonal block: H_k + reg·I.
-		for i := 0; i < nv; i++ {
-			brow := blk.RawRow(i)
-			copy(brow[:i+1], hk.RawRow(i)[:i+1])
-			brow[i] += kktReg
-		}
-		// Equality rows of stage k restricted to stage-k variables (the
-		// last nv entries of each row window), and the −reg dual
-		// diagonal.
-		for e := 0; e < ne; e++ {
-			_, arow := p.Aeq.Row(k*ne + e)
-			brow := blk.RawRow(nv + e)
-			copy(brow[:nv], arow[len(arow)-nv:])
-			brow[nv+e] = -kktReg
-		}
-		if k > 0 {
-			// Coupling block: the equality rows of stage k restricted to
-			// stage-(k−1) variables. H has no coupling (block diagonal),
-			// and stage-(k−1) rows cannot touch stage-k variables, so
-			// everything else in it is zero.
-			cb := f.sub[k].Zero()
-			for e := 0; e < ne; e++ {
-				_, arow := p.Aeq.Row(k*ne + e)
-				copy(cb.RawRow(nv + e)[:nv], arow[:nv])
-			}
-		}
+	nv := f.nv
+	ni := 0
+	if p.Ain != nil {
+		ni = p.Ain.rows
 	}
-	// Barrier terms: each inequality row r in stage k contributes the
-	// rank-one update d_r·a·aᵀ over its support window, split between
-	// the two diagonal blocks and the coupling block it straddles.
-	ni := p.Ain.rows
-	for k := 0; k < f.n; k++ {
-		vo := k * nv
-		var dk, dkp, ck *mat.Dense
-		dk = f.diag[k]
-		if k > 0 {
-			dkp = f.diag[k-1]
-			ck = f.sub[k]
+	for k := range f.st {
+		st := &f.st[k]
+		nu, nxk := st.nu, st.nxk
+		jk := st.j
+		for i := range jk {
+			jk[i] = 0
+		}
+		hk := p.H[k]
+		for i := 0; i < nv; i++ {
+			row := jk[(nxk+i)*nu+nxk : (nxk+i+1)*nu]
+			copy(row, hk.RawRow(i))
+			row[i] += kktReg
 		}
 		for r := k * ni; r < (k+1)*ni; r++ {
 			d := z[r] / s[r]
-			lo, arow := p.Ain.Row(r)
-			for i, ai := range arow {
+			_, a := p.Ain.Row(r)
+			for i, ai := range a {
 				if ai == 0 {
 					continue
 				}
-				a := lo + i
-				for j, aj := range arow[:i+1] {
-					if aj == 0 {
-						continue
-					}
-					b := lo + j
-					v := d * ai * aj
-					switch {
-					case b >= vo:
-						dk.Add(a-vo, b-vo, v)
-					case a >= vo:
-						ck.Add(a-vo, b-lo, v)
-					default:
-						dkp.Add(a-lo, b-lo, v)
+				di := d * ai
+				row := jk[i*nu : (i+1)*nu]
+				for j, aj := range a {
+					if aj != 0 {
+						row[j] += di * aj
 					}
 				}
 			}
@@ -152,27 +155,252 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 	}
 }
 
-// factorize runs the block LDLᵀ recursion on the assembled blocks. A
-// non-nil error means quasi-definiteness was lost numerically; the
-// caller falls back to the dense path.
-func (f *stageKKT) factorize() error {
-	return f.bt.Factorize(f.diag, f.sub, f.signs)
+// factor implements kktSystem: it assembles the stage Hessians and runs
+// the backward recursion, adding each cost-to-go into the previous
+// stage's J.
+func (f *stageKKT) factor(p *Problem, z, s []float64) error {
+	f.assemble(p, z, s)
+	f.aeq = p.Aeq
+	nv, ne := f.nv, f.ne
+	for k := len(f.st) - 1; k >= 0; k-- {
+		st := &f.st[k]
+		nu, nxk := st.nu, st.nxk
+		// J_vv = L·Lᵀ.
+		for i := 0; i < nv; i++ {
+			copy(st.l[i*nv:i*nv+i+1], st.j[(nxk+i)*nu+nxk:])
+		}
+		if cholesky(st.l, nv, true) && !f.semidefinite(p.H[k]) {
+			return errIndefinite
+		}
+		// W = L⁻¹·A_vᵀ, one equality row at a time, and
+		// S = WᵀW + regI = L_S·L_Sᵀ.
+		for e := 0; e < ne; e++ {
+			_, row := p.Aeq.Row(k*ne + e)
+			av := row[nxk:]
+			pivot := false
+			for _, v := range av {
+				if v != 0 {
+					pivot = true
+					break
+				}
+			}
+			if !pivot {
+				return errNoPivot
+			}
+			lsolve(st.l, av, st.w[e*nv:(e+1)*nv])
+		}
+		for i := 0; i < ne; i++ {
+			wi := st.w[i*nv : (i+1)*nv]
+			for j := 0; j <= i; j++ {
+				st.ls[i*ne+j] = mat.Dot(wi, st.w[j*nv:(j+1)*nv])
+			}
+			st.ls[i*ne+i] += kktReg
+		}
+		cholesky(st.ls, ne, true)
+		if nxk == 0 {
+			continue
+		}
+		// Column a of Q = L⁻¹·J_vs and of R = L_S⁻¹·(WᵀQ − A_s), and
+		// J_ss − QᵀQ, the Schur complement of J_vv, factored as M·Mᵀ.
+		m := nv + ne
+		for a := 0; a < nxk; a++ {
+			x := f.a
+			for i := range x {
+				x[i] = st.j[(nxk+i)*nu+a]
+			}
+			qa, ra := f.qr[a*m:a*m+nv], f.qr[a*m+nv:(a+1)*m]
+			lsolve(st.l, x, qa)
+			for e := 0; e < ne; e++ {
+				_, row := p.Aeq.Row(k*ne + e)
+				f.t[e] = mat.Dot(st.w[e*nv:(e+1)*nv], qa) - row[a]
+			}
+			lsolve(st.ls, f.t, ra)
+		}
+		mm := f.m
+		for a := 0; a < nxk; a++ {
+			qa := f.qr[a*m : a*m+nv]
+			for b := 0; b <= a; b++ {
+				mm[a*nxk+b] = st.j[a*nu+b] - mat.Dot(qa, f.qr[b*m:b*m+nv])
+			}
+		}
+		cholesky(mm, nxk, false)
+		// P_k = M·Mᵀ + RᵀR onto the previous stage's trailing state.
+		prev := &f.st[k-1]
+		pu, off := prev.nu, prev.nu-nxk
+		for a := 0; a < nxk; a++ {
+			ra := f.qr[a*m+nv : (a+1)*m]
+			for b := 0; b <= a; b++ {
+				v := mat.Dot(mm[a*nxk:a*nxk+b+1], mm[b*nxk:b*nxk+b+1]) + mat.Dot(ra, f.qr[b*m+nv:(b+1)*m])
+				prev.j[(off+a)*pu+off+b] += v
+				if b != a {
+					prev.j[(off+b)*pu+off+a] += v
+				}
+			}
+		}
+	}
+	return nil
 }
 
-// solveInto solves the KKT system for right-hand sides r1 (length n) and
-// r2 (length meq) into dx, dy, permuting through the stage ordering.
+// pivotTol bounds the cancellation cholesky takes for roundoff: a
+// pivot no further below zero than pivotTol times its diagonal entry.
+const pivotTol = 1e-10
+
+// cholesky overwrites the lower triangle of the m×m matrix l with its
+// Cholesky factor. Every nonpositive pivot is dropped, HPIPM's treatment
+// of pivots lost to cancellation, as when a saturated barrier weight
+// dwarfs the curvature left after elimination: with stiff set its
+// diagonal becomes +Inf, so the triangular solves give that direction no
+// step; without, its column becomes zero, the nearest positive
+// semidefinite factor of a Schur complement that is semidefinite in
+// exact arithmetic. It reports whether a dropped pivot lay further below
+// zero than roundoff explains.
+func cholesky(l []float64, m int, stiff bool) (lost bool) {
+	for j := 0; j < m; j++ {
+		lj := l[j*m : j*m+j]
+		a := l[j*m+j]
+		d := a - mat.Dot(lj, lj)
+		if !(d > 0) {
+			lost = lost || d < -pivotTol*a || a < 0
+			l[j*m+j] = 0
+			if stiff {
+				l[j*m+j] = math.Inf(1)
+			}
+			for i := j + 1; i < m; i++ {
+				l[i*m+j] = 0
+			}
+			continue
+		}
+		ljj := math.Sqrt(d)
+		l[j*m+j] = ljj
+		for i := j + 1; i < m; i++ {
+			l[i*m+j] = (l[i*m+j] - mat.Dot(l[i*m:i*m+j], lj)) / ljj
+		}
+	}
+	return lost
+}
+
+// semidefinite reports whether the Hessian block h, regularized, factors
+// without a pivot that roundoff cannot explain: the test that tells an
+// indefinite H from a stage block whose pivots the barrier weights
+// cancelled away.
+func (f *stageKKT) semidefinite(h *mat.Dense) bool {
+	nv := f.nv
+	for i := 0; i < nv; i++ {
+		copy(f.h[i*nv:i*nv+i+1], h.RawRow(i))
+		f.h[i*nv+i] += kktReg
+	}
+	return !cholesky(f.h, nv, true)
+}
+
+// solveInto implements kktSystem.
 func (f *stageKKT) solveInto(r1, r2, dx, dy []float64) {
-	for i, p := range f.pvar {
-		f.prhs[p] = r1[i]
+	nv, ne, nst := f.nv, f.ne, len(f.st)
+	// Backward sweep: with s_{k−1} = 0 the stage solve gives (v⁰, y⁰),
+	// parked in dx, dy, and the cost-to-go gradient is
+	// p_k = −(J_sv·v⁰ + A_sᵀ·y⁰).
+	for k := nst - 1; k >= 1; k-- {
+		st := &f.st[k]
+		nu, nxk := st.nu, st.nxk
+		vk, yk := dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne]
+		f.stageSolve(k, f.gTilde(k, r1[k*nv:(k+1)*nv]), r2[k*ne:(k+1)*ne], vk, yk)
+		for a := 0; a < nxk; a++ {
+			v := 0.0
+			for i, vi := range vk {
+				v += st.j[(nxk+i)*nu+a] * vi
+			}
+			for e, ye := range yk {
+				_, row := f.aeq.Row(k*ne + e)
+				v += row[a] * ye
+			}
+			st.p[a] = -v
+		}
 	}
-	for r, p := range f.peq {
-		f.prhs[p] = r2[r]
+	// Forward sweep: the stage solve with the right-hand side moved by
+	// the previous stage's state, g̃_v − J_vs·s and b − A_s·s.
+	for k := 0; k < nst; k++ {
+		st := &f.st[k]
+		nu, nxk := st.nu, st.nxk
+		g := f.gTilde(k, r1[k*nv:(k+1)*nv])
+		b := f.t
+		copy(b, r2[k*ne:(k+1)*ne])
+		if nxk > 0 {
+			s := dx[k*nv-nxk : k*nv]
+			for i := 0; i < nv; i++ {
+				g[nxk+i] -= mat.Dot(st.j[(nxk+i)*nu:(nxk+i)*nu+nxk], s)
+			}
+			for e := range b {
+				_, row := f.aeq.Row(k*ne + e)
+				b[e] -= mat.Dot(row[:nxk], s)
+			}
+		}
+		f.stageSolve(k, g, b, dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne])
 	}
-	f.bt.SolveInto(f.prhs, f.psol)
-	for i, p := range f.pvar {
-		dx[i] = f.psol[p]
+}
+
+// stageSolve solves stage k's own block
+//
+//	[ J_vv   A_vᵀ  ] [v]   [g_v]
+//	[ A_v   −regI  ] [y] = [ b ]
+//
+// for the window gradient g (its own part is read) and b into v, y:
+// with a = L⁻¹g_v, y = S⁻¹(Wᵀa − b) and v = L⁻ᵀ(a − W·y).
+func (f *stageKKT) stageSolve(k int, g, b, v, y []float64) {
+	st := &f.st[k]
+	nv := f.nv
+	a := f.a
+	lsolve(st.l, g[st.nxk:], a)
+	for e := range y {
+		y[e] = mat.Dot(st.w[e*nv:(e+1)*nv], a) - b[e]
 	}
-	for r, p := range f.peq {
-		dy[r] = f.psol[p]
+	lsolve(st.ls, y, y)
+	ltsolve(st.ls, y, y)
+	for e, ye := range y {
+		if ye != 0 {
+			for i, wv := range st.w[e*nv : (e+1)*nv] {
+				a[i] -= wv * ye
+			}
+		}
+	}
+	ltsolve(st.l, a, v)
+}
+
+// gTilde writes stage k's window gradient (0, r1_k), with the cost-to-go
+// gradient p_{k+1} added on the trailing state, into the shared scratch
+// and returns it.
+func (f *stageKKT) gTilde(k int, r1k []float64) []float64 {
+	s := &f.st[k]
+	q := f.q[:s.nu]
+	for i := 0; i < s.nxk; i++ {
+		q[i] = 0
+	}
+	copy(q[s.nxk:], r1k)
+	if k+1 < len(f.st) {
+		next := f.st[k+1].p
+		off := s.nu - len(next)
+		for a, v := range next {
+			q[off+a] += v
+		}
+	}
+	return q
+}
+
+// lsolve solves L·x = b by forward substitution for the m×m lower
+// factor l, m = len(b); x may alias b.
+func lsolve(l, b, x []float64) {
+	m := len(b)
+	for i := 0; i < m; i++ {
+		x[i] = (b[i] - mat.Dot(l[i*m:i*m+i], x[:i])) / l[i*m+i]
+	}
+}
+
+// ltsolve solves Lᵀ·x = b by backward substitution; x may alias b.
+func ltsolve(l, b, x []float64) {
+	m := len(b)
+	for i := m - 1; i >= 0; i-- {
+		v := b[i]
+		for c := i + 1; c < m; c++ {
+			v -= l[c*m+i] * x[c]
+		}
+		x[i] = v / l[i*m+i]
 	}
 }

@@ -9,30 +9,34 @@ import (
 // StageMatrix is a constraint Jacobian in receding-horizon stage layout
 // (the OCP-QP layout of HPIPM, Frison & Diehl, arXiv 2003.02547). The
 // columns are N stages of nv variables each, and the rows are N stages
-// of the same number of rows each. A stage-k row couples only the
-// variables of stages k−1 and k (stage 0: its own), which is how a
+// of the same number of rows each. The last nx variables of each stage
+// are its state: a stage-k row couples the variables of stage k with the
+// state of stage k−1 (stage 0: its own variables only), which is how a
 // multiple-shooting transcription writes its dynamics and path
-// constraints. Each row stores just that support window, contiguously,
-// so storage grows as N rather than N².
+// constraints. Each row stores just that support window of nx+nv
+// columns, contiguously, so storage grows as N rather than N². A problem
+// whose rows couple whole stages declares nx = nv.
 //
 // A one-stage matrix is an ordinary dense row-major matrix: every row's
 // window is the full width.
 //
 // Indices are global. Set and At panic outside a row's window, so the
-// backward-support contract the structured KKT backend relies on is
-// enforced when the data is written.
+// backward-support contract the stage KKT backend relies on is enforced
+// when the data is written.
 type StageMatrix struct {
-	n, nv, rows int // stages, variables per stage, rows per stage
-	data        []float64
+	n, nv, nx, rows int // stages, variables and state variables per stage, rows per stage
+	data            []float64
 }
 
 // NewStageMatrix returns a zeroed matrix of stages·rows rows and
-// stages·nv columns. It panics unless stages ≥ 1, nv ≥ 1 and rows ≥ 0.
-func NewStageMatrix(stages, nv, rows int) *StageMatrix {
-	if stages < 1 || nv < 1 || rows < 0 {
-		panic(fmt.Sprintf("qp: NewStageMatrix(%d, %d, %d): need stages ≥ 1, nv ≥ 1, rows ≥ 0", stages, nv, rows))
+// stages·nv columns whose rows reach back to the last nx variables of
+// the previous stage. It panics unless stages ≥ 1, nv ≥ 1, 0 ≤ nx ≤ nv
+// and rows ≥ 0.
+func NewStageMatrix(stages, nv, nx, rows int) *StageMatrix {
+	if stages < 1 || nv < 1 || nx < 0 || nx > nv || rows < 0 {
+		panic(fmt.Sprintf("qp: NewStageMatrix(%d, %d, %d, %d): need stages ≥ 1, nv ≥ 1, 0 ≤ nx ≤ nv, rows ≥ 0", stages, nv, nx, rows))
 	}
-	return &StageMatrix{n: stages, nv: nv, rows: rows, data: make([]float64, rows*nv*(2*stages-1))}
+	return &StageMatrix{n: stages, nv: nv, nx: nx, rows: rows, data: make([]float64, rows*(nv+(stages-1)*(nx+nv)))}
 }
 
 // Dims returns the global row and column counts.
@@ -53,7 +57,7 @@ func (a *StageMatrix) locate(i int) (lo, off, width int) {
 	if i < a.rows {
 		return 0, i * a.nv, a.nv
 	}
-	return (i/a.rows - 1) * a.nv, a.rows*a.nv + (i-a.rows)*2*a.nv, 2 * a.nv
+	return (i/a.rows)*a.nv - a.nx, a.rows*a.nv + (i-a.rows)*(a.nx+a.nv), a.nx + a.nv
 }
 
 // at returns the storage index of (i, j), panicking outside row i's
@@ -128,7 +132,7 @@ func (a *StageMatrix) window(k int) (lo, width int) {
 	if k == 0 {
 		return 0, a.nv
 	}
-	return (k - 1) * a.nv, 2 * a.nv
+	return k*a.nv - a.nx, a.nx + a.nv
 }
 
 // denseInto writes the matrix into the full-width dense dst.
@@ -147,7 +151,7 @@ func (a *StageMatrix) oneStage() *StageMatrix {
 		return nil
 	}
 	rows, cols := a.Dims()
-	d := NewStageMatrix(1, cols, rows)
+	d := NewStageMatrix(1, cols, 0, rows)
 	for i := 0; i < rows; i++ {
 		lo, v := a.Row(i)
 		copy(d.data[i*cols+lo:], v)

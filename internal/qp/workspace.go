@@ -1,16 +1,15 @@
 package qp
 
-import "evclimate/internal/mat"
-
 // Workspace holds every buffer the interior-point iteration needs: the
-// iterate and residual vectors, the stage backend, and the dense path —
-// the reduced KKT block with its Cholesky/Schur factors (reused across
-// the predictor and corrector solves of one iteration and re-factorized
-// in place across iterations) and the LU fallback. Pass it via Options.Work to make repeated
-// Solve calls with same-shaped problems allocation-free — the MPC solves
-// an identically-shaped QP subproblem on every SQP iteration of every
-// control step, so the workspace is sized once and reused for the life of
-// the controller.
+// iterate and residual vectors and the KKT backend the problem's stage
+// count selects — the stage Riccati recursion for a multi-stage problem,
+// the dense Cholesky/Schur factors with their LU fallback for a
+// one-stage one. Factors are reused across the predictor and corrector
+// solves of one iteration and re-factorized in place across iterations.
+// Pass it via Options.Work to make repeated Solve calls with same-shaped
+// problems allocation-free — the MPC solves an identically-shaped QP
+// subproblem on every SQP iteration of every control step, so the
+// workspace is sized once and reused for the life of the controller.
 //
 // A Workspace is not safe for concurrent use. When Options.Work is
 // non-nil, the slices in the returned Result alias the workspace and are
@@ -25,24 +24,15 @@ type Workspace struct {
 	hx, ax, aeqx    []float64
 	tmpN            []float64
 
-	kBlock *mat.Dense
-	aeq    *mat.Dense // dense Aeq for the dense path; nil when meq == 0
-	kf     kktFactor
-
-	// Dense LU fallback and equality-only path, sized lazily since the
-	// Cholesky paths normally win.
-	kkt      *mat.Dense
-	lu       mat.LU
-	rhs, sol []float64
-
 	tmpMin, r1, aindx  []float64
 	rhs1, rhs2         []float64
 	dxA, dyA, dsA, dzA []float64
 	dx, dy, ds, dz     []float64
 
-	// Stage-structured KKT backend, created on the first multi-stage
-	// solve. It re-sizes itself when the stage layout changes, so it
-	// survives ensure untouched.
+	// KKT backends, each created on the first solve of its kind and
+	// re-sized with the problem's layout: dense for one stage, stage for
+	// more.
+	dense *denseKKT
 	stage *stageKKT
 
 	res Result
@@ -52,11 +42,10 @@ type Workspace struct {
 // use and re-sized only when the problem dimensions change.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// NewWorkspaceFor returns a workspace pre-sized for p — including the
-// dense factors and, for a multi-stage p, the block-tridiagonal
-// backend — so even the first Solve performs no allocation. An invalid
-// problem yields an empty workspace that sizes itself lazily like
-// NewWorkspace.
+// NewWorkspaceFor returns a workspace pre-sized for p — including its
+// KKT backend and, for a one-stage p, the dense LU fallback — so even
+// the first Solve performs no allocation. An invalid problem yields an
+// empty workspace that sizes itself lazily like NewWorkspace.
 func NewWorkspaceFor(p *Problem) *Workspace {
 	w := NewWorkspace()
 	n, meq, min, err := p.validate()
@@ -64,14 +53,27 @@ func NewWorkspaceFor(p *Problem) *Workspace {
 		return w
 	}
 	w.ensure(n, meq, min)
-	w.ensureKKT(n + meq)
-	w.lu.Reserve(n + meq)
-	w.kf.reserve(n, meq)
-	if len(p.H) > 1 {
-		w.stage = &stageKKT{}
-		w.stage.ensure(p)
+	w.kkt(p)
+	if w.dense != nil {
+		w.dense.reserveLU()
 	}
 	return w
+}
+
+// kkt returns the backend for p, sized for its layout.
+func (w *Workspace) kkt(p *Problem) kktSystem {
+	if len(p.H) > 1 {
+		if w.stage == nil {
+			w.stage = &stageKKT{}
+		}
+		w.stage.ensure(p)
+		return w.stage
+	}
+	if w.dense == nil {
+		w.dense = &denseKKT{}
+	}
+	w.dense.ensure(w.n, w.meq)
+	return w.dense
 }
 
 // ensure sizes the workspace for an n-variable problem with meq equality
@@ -94,11 +96,6 @@ func (w *Workspace) ensure(n, meq, min int) {
 	w.ax = make([]float64, min)
 	w.aeqx = make([]float64, meq)
 	w.tmpN = make([]float64, n)
-	w.kBlock = mat.NewDense(n, n)
-	w.aeq = nil
-	if meq > 0 {
-		w.aeq = mat.NewDense(meq, n)
-	}
 	w.tmpMin = make([]float64, min)
 	w.r1 = make([]float64, n)
 	w.aindx = make([]float64, min)
@@ -112,18 +109,4 @@ func (w *Workspace) ensure(n, meq, min int) {
 	w.dy = make([]float64, meq)
 	w.ds = make([]float64, min)
 	w.dz = make([]float64, min)
-	w.kkt = nil // lazily re-sized by ensureKKT
-}
-
-// ensureKKT sizes the dense (n+meq)² saddle-point system used by the
-// equality-only path and the LU fallback.
-func (w *Workspace) ensureKKT(dim int) {
-	if w.kkt != nil {
-		if r, _ := w.kkt.Dims(); r == dim {
-			return
-		}
-	}
-	w.kkt = mat.NewDense(dim, dim)
-	w.rhs = make([]float64, dim)
-	w.sol = make([]float64, dim)
 }

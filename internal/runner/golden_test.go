@@ -40,8 +40,15 @@ var goldens = []goldenRow{
 	{"Fuzzy-based", 3953.730325, 0.01028015854, 0.8989473684},
 	// MPC row regenerated for the stage-structured solver backend
 	// (stage-major decision vector, block-diagonal BFGS, exact
-	// heater/cooler complementarity on the emitted move).
-	{"Battery Lifetime-aware", 4855.581178, 0.01172499523, 0.3368421053},
+	// heater/cooler complementarity on the emitted move), and again when
+	// the stage KKT became a Riccati recursion over the stage state: its
+	// Newton steps equal the dense reference's to roundoff, but this
+	// soaked pull-down's QPs stop at their iteration limit, so roundoff
+	// seeds different iterates. Observed: 4855.581178 W → 4870.120976 W,
+	// ΔSoH 0.01172499523 → 0.01168015363 %, comfort violation 0.3368 →
+	// 0.3263 (two steps); the previous solver forced onto its dense path
+	// gives 4848.294207 W, 0.01168314039 % and 0.3263.
+	{"Battery Lifetime-aware", 4870.120976, 0.01168015363, 0.3263157895},
 }
 
 func TestGoldenRegression(t *testing.T) {

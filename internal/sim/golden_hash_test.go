@@ -32,7 +32,18 @@ func fnv1a64(h uint64, vals []float64) uint64 {
 // or model change) rather than loosening — this pin exists to catch
 // *unintended* bit drift in the stage-structured solve path, which the
 // tolerance-based goldens in internal/runner cannot see.
-const mpcTrajectoryHash = 0x70da48337552c5aa
+//
+// Re-pinned when the stage KKT became a Riccati recursion over the stage
+// state (two Cholesky factorizations per stage in place of a block LDLᵀ
+// of the interleaved KKT matrix): the Newton steps agree with the dense
+// reference to roundoff, but every QP of this soaked pull-down stops at
+// its iteration limit, so roundoff seeds visibly different iterates.
+// Observed: inputs differ from the first step (supply/coil temperature
+// by up to 10.4 K where the coil is idle, flow by up to 0.065 kg/s),
+// cabin temperature by at most 0.11 K; AvgHVACW 6047.8 → 6142.7 W and
+// ΔSoH 0.0048926 → 0.0048920 %, against 6142.0 W and 0.0048920 % when
+// the previous solver took the dense path on every QP.
+const mpcTrajectoryHash = 0x7a3a5ec765b3eff9
 
 // TestMPCTrajectoryBitwiseGolden pins the MPC/ECE15 trajectory bitwise.
 func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
@@ -68,10 +79,10 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 		t.Fatalf("MPC/ECE15 trajectory hash = %#016x, golden %#016x (%d steps)",
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
-	// The KKT counts are as deterministic as the trajectory. Two QP
-	// subproblems of the pull-down lose a stage pivot sign and finish on
-	// the dense path, so two of the 39 decides report !Structured().
-	if st := mpc.Stats(); st.KKTFactorizations != 4860 || st.KKTDemotions != 2 {
-		t.Fatalf("KKT counts: %d factorizations, %d demotions; golden 4860 and 2", st.KKTFactorizations, st.KKTDemotions)
+	// The KKT counts are as deterministic as the trajectory. Every QP
+	// subproblem stays on the stage path, so all 39 decides report
+	// Structured().
+	if st := mpc.Stats(); st.KKTFactorizations != 6540 || st.KKTDemotions != 0 {
+		t.Fatalf("KKT counts: %d factorizations, %d demotions; golden 6540 and 0", st.KKTFactorizations, st.KKTDemotions)
 	}
 }

@@ -179,7 +179,15 @@ func TestThermalCheckpointResumeBitExact(t *testing.T) {
 // and the pack temperature. Computed on linux/amd64 (no FMA fusion; see
 // mpcTrajectoryHash). Regenerate with -run TestThermalTrajectoryBitwise
 // -v after an intended solver or model change.
-const thermalTrajectoryHash = 0x15831f80da5710d4
+//
+// Re-pinned with mpcTrajectoryHash, for the same cause (stage KKT as a
+// Riccati recursion over the (x, Tb) state; Newton steps equal the
+// dense reference's to roundoff). Observed: battery heater command by
+// up to 7.4 W and supply temperature by up to 10.6 K where the coil is
+// idle, cabin and pack temperatures by at most 0.0003 K; AvgHVACW
+// 6032.87 → 6033.53 W against 6033.30 W on the previous solver's dense
+// path. The old solve demoted 205 QP subproblems here, the new one none.
+const thermalTrajectoryHash = 0x8aed8bb9de984d51
 
 // TestThermalTrajectoryBitwiseGolden pins the cold co-scheduling
 // trajectory bitwise, the thermal counterpart of the cabin-only pin.

@@ -74,9 +74,11 @@ var ErrBudgetExceeded = errors.New("sqp: budget exceeded")
 // Problem defines the NLP. Objective is required. Eq/Ineq may be nil when
 // MEq/MIneq are zero. Jacobian callbacks are optional; when nil, forward
 // finite differences are used. Variables and rows divide evenly into
-// Stages receding-horizon stages: the Jacobians are qp.StageMatrix values
-// and the BFGS Hessian stays block diagonal, so every QP subproblem
-// factors block-tridiagonally.
+// Stages receding-horizon stages whose last NX variables are the stage
+// state: the Jacobians are qp.StageMatrix values whose stage-k rows
+// reach back only to that state, and the BFGS Hessian stays block
+// diagonal, so every QP subproblem factors by a Riccati recursion over
+// the state.
 type Problem struct {
 	// N is the number of decision variables.
 	N int
@@ -98,6 +100,10 @@ type Problem struct {
 	IneqJac func(x []float64, jac *qp.StageMatrix)
 	// Stages is the stage count; 0 means 1, the unstructured NLP.
 	Stages int
+	// NX is the number of state variables that end each stage, the only
+	// columns of stage k−1 that the rows of stage k may touch (0: the
+	// stages do not couple). It is ignored for one stage.
+	NX int
 }
 
 // Fixed numerics: the finite-difference step scale, the seed of the ℓ₁
@@ -160,10 +166,9 @@ type Result struct {
 	// Factorizations sums the KKT factorizations of every QP subproblem
 	// (qp.Result.Factorizations).
 	Factorizations int
-	// Demotions counts the QP subproblems that left the stage-structured
-	// KKT path: a stage factorization that lost quasi-definiteness
-	// (qp.Result.Demotions), or, on a multi-stage problem, an elastic
-	// fallback, whose slack-augmented QP is solved in one-stage form.
+	// Demotions counts, on a multi-stage problem, the elastic fallbacks:
+	// subproblems that failed on the stage KKT path and were re-solved in
+	// slack-augmented one-stage form.
 	Demotions int
 	// Status reports the termination condition.
 	Status Status
@@ -339,11 +344,18 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	if p.N%stages != 0 || p.MEq%stages != 0 || p.MIneq%stages != 0 {
 		return nil, fmt.Errorf("%w: %d stages do not divide N=%d, MEq=%d, MIneq=%d", ErrBadProblem, stages, p.N, p.MEq, p.MIneq)
 	}
+	nx := 0
+	if stages > 1 {
+		nx = p.NX
+		if nx < 0 || nx > p.N/stages {
+			return nil, fmt.Errorf("%w: NX=%d outside [0, %d]", ErrBadProblem, nx, p.N/stages)
+		}
+	}
 	ws := opt.Work
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.ensure(p.N, p.MEq, p.MIneq, stages)
+	ws.ensure(p.N, p.MEq, p.MIneq, stages, nx)
 	ev := &evaluator{p: p, ws: ws}
 
 	// Double-buffered iterate state: the locals holding the current point
@@ -608,7 +620,6 @@ func (r *Result) addQP(qr *qp.Result) {
 	if qr != nil {
 		r.QPIterations += qr.Iterations
 		r.Factorizations += qr.Factorizations
-		r.Demotions += qr.Demotions
 	}
 }
 
@@ -616,10 +627,10 @@ func (r *Result) addQP(qr *qp.Result) {
 // independently to each diagonal stage block of b; s, y, bs, r are
 // full-length vectors (bs, r scratch). Each block update keeps its block
 // positive definite, so the block-diagonal approximation stays PD and —
-// unlike a dense rank-two update — leaves the QP subproblems
-// block-tridiagonal. Curvature between stages is discarded; that costs
-// some BFGS accuracy but keeps the subproblems structured, which is the
-// better trade in the MPC hot path.
+// unlike a dense rank-two update — leaves the QP subproblems in stage
+// form for the Riccati recursion. Curvature between stages is
+// discarded; that costs some BFGS accuracy but keeps the subproblems
+// structured, which is the better trade in the MPC hot path.
 func updateBFGSBlocks(b []*mat.Dense, s, y, bs, r []float64) {
 	lo := 0
 	for _, blk := range b {
@@ -756,7 +767,6 @@ func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena)
 		Iterations:     er.Iterations,
 		Status:         er.Status,
 		Factorizations: er.Factorizations,
-		Demotions:      er.Demotions,
 	}
 	if min > 0 {
 		out.InDuals = er.InDuals[:min]

@@ -267,6 +267,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Solve(&Problem{N: 3, Objective: func([]float64) float64 { return 0 }, Stages: 2}, make([]float64, 3), Options{}); err == nil {
 		t.Error("variables not divisible into stages accepted")
 	}
+	if _, err := Solve(&Problem{N: 4, Objective: func([]float64) float64 { return 0 }, Stages: 2, NX: 3}, make([]float64, 4), Options{}); err == nil {
+		t.Error("state wider than its stage accepted")
+	}
 }
 
 func TestStatusString(t *testing.T) {

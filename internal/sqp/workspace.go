@@ -19,7 +19,7 @@ import (
 // only valid until the next Solve call with that workspace; callers that
 // retain them must copy.
 type Workspace struct {
-	n, meq, min, stages int
+	n, meq, min, stages, nx int
 
 	// Double-buffered iterate state: locals swap on accepted steps.
 	x, xNew    []float64
@@ -59,12 +59,13 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes the workspace for a problem of n variables, meq equality
-// and min inequality rows over the given number of stages.
-func (w *Workspace) ensure(n, meq, min, stages int) {
-	if w.n == n && w.meq == meq && w.min == min && w.stages == stages && w.x != nil {
+// and min inequality rows over the given number of stages of nx state
+// variables.
+func (w *Workspace) ensure(n, meq, min, stages, nx int) {
+	if w.n == n && w.meq == meq && w.min == min && w.stages == stages && w.nx == nx && w.x != nil {
 		return
 	}
-	w.n, w.meq, w.min, w.stages = n, meq, min, stages
+	w.n, w.meq, w.min, w.stages, w.nx = n, meq, min, stages, nx
 	nv := n / stages
 	w.x = make([]float64, n)
 	w.xNew = make([]float64, n)
@@ -76,13 +77,13 @@ func (w *Workspace) ensure(n, meq, min, stages int) {
 	w.ciNew = make([]float64, min)
 	w.je, w.jeNew = nil, nil
 	if meq > 0 {
-		w.je = qp.NewStageMatrix(stages, nv, meq/stages)
-		w.jeNew = qp.NewStageMatrix(stages, nv, meq/stages)
+		w.je = qp.NewStageMatrix(stages, nv, nx, meq/stages)
+		w.jeNew = qp.NewStageMatrix(stages, nv, nx, meq/stages)
 	}
 	w.ji, w.jiNew = nil, nil
 	if min > 0 {
-		w.ji = qp.NewStageMatrix(stages, nv, min/stages)
-		w.jiNew = qp.NewStageMatrix(stages, nv, min/stages)
+		w.ji = qp.NewStageMatrix(stages, nv, nx, min/stages)
+		w.jiNew = qp.NewStageMatrix(stages, nv, nx, min/stages)
 	}
 	w.lam = make([]float64, meq)
 	w.lamNV = make([]float64, meq)
@@ -148,9 +149,9 @@ func (a *elasticArena) ensure(nTot, meq, rows int) {
 	a.c = make([]float64, nTot)
 	a.aeq = nil
 	if meq > 0 {
-		a.aeq = qp.NewStageMatrix(1, nTot, meq)
+		a.aeq = qp.NewStageMatrix(1, nTot, 0, meq)
 	}
-	a.ain = qp.NewStageMatrix(1, nTot, rows)
+	a.ain = qp.NewStageMatrix(1, nTot, 0, rows)
 	a.bin = make([]float64, rows)
 	if a.qpWork == nil {
 		a.qpWork = qp.NewWorkspace()

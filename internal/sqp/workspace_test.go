@@ -130,7 +130,7 @@ func TestSolveElasticHonorsTolerance(t *testing.T) {
 	for i := range c {
 		c[i] = 1
 	}
-	ain := qp.NewStageMatrix(1, n, 2)
+	ain := qp.NewStageMatrix(1, n, 0, 2)
 	ain.Set(0, 0, 1)
 	ain.Set(1, 0, -1)
 	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
@@ -156,7 +156,7 @@ func TestSolveElasticArenaReuseBitIdentical(t *testing.T) {
 	n := 4
 	h := mat.Identity(n)
 	c := []float64{1, 1, 1, 1}
-	ain := qp.NewStageMatrix(1, n, 2)
+	ain := qp.NewStageMatrix(1, n, 0, 2)
 	ain.Set(0, 0, 1)
 	ain.Set(1, 0, -1)
 	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
