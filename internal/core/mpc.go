@@ -105,7 +105,7 @@ type Config struct {
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
 	// mpc_qp_iterations, mpc_kkt_factorizations_total,
-	// mpc_kkt_demotions_total). Nil or Nop adds no overhead to Decide.
+	// mpc_elastic_fallbacks_total). Nil or Nop adds no overhead to Decide.
 	Telemetry telemetry.Sink
 	// Thermal enables the cold-climate battery-thermal co-scheduling
 	// extension (see ThermalOptions). The zero value keeps the paper's
@@ -163,17 +163,17 @@ type Controller struct {
 	// Diagnostics aggregated over a run.
 	solves, converged, stalled, failed, budget int
 	totalSQPIters                              int
-	kktFactorizations, kktDemotions            int
+	kktFactorizations, elasticFallbacks        int
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
 	lastErr error
 	// lastSolve is the previous Decide's optimizer diagnostics, exposed
 	// through control.SolveReporter for telemetry step spans, and
-	// lastDemotions its count of QP subproblems re-solved by the elastic
+	// lastElastic its count of QP subproblems re-solved by the elastic
 	// fallback.
-	lastSolve     control.SolveInfo
-	lastDemotions int
+	lastSolve   control.SolveInfo
+	lastElastic int
 
 	// Telemetry instruments, nil unless the config carried an active
 	// sink; nil instruments are no-ops so Decide never branches on them.
@@ -181,7 +181,7 @@ type Controller struct {
 	telIters   *telemetry.Histogram
 	telQPIters *telemetry.Histogram
 	telKKT     *telemetry.Counter // KKT factorizations
-	telDemote  *telemetry.Counter // QP subproblems re-solved by the elastic fallback
+	telElastic *telemetry.Counter // QP subproblems re-solved by the elastic fallback
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -267,7 +267,7 @@ func New(cfg Config) (*Controller, error) {
 // bindInstruments (re)resolves the solver instruments on the config's
 // sink, detaching them when it is nil or inactive.
 func (c *Controller) bindInstruments() {
-	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telDemote, c.telRTF = nil, nil, nil, nil, nil, nil
+	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telElastic, c.telRTF = nil, nil, nil, nil, nil, nil
 	tel := c.cfg.Telemetry
 	if tel == nil || !tel.Active() {
 		return
@@ -280,7 +280,7 @@ func (c *Controller) bindInstruments() {
 	c.telIters = tel.Histogram("mpc_sqp_iterations", telemetry.IterationBuckets)
 	c.telQPIters = tel.Histogram("mpc_qp_iterations", telemetry.IterationBuckets)
 	c.telKKT = tel.Counter("mpc_kkt_factorizations_total")
-	c.telDemote = tel.Counter("mpc_kkt_demotions_total")
+	c.telElastic = tel.Counter("mpc_elastic_fallbacks_total")
 	// Wall-clock derived; the "_real_time_factor" suffix keeps it out of
 	// deterministic manifests (telemetry.DeterministicFilter).
 	c.telRTF = tel.Gauge("mpc_real_time_factor")
@@ -301,12 +301,14 @@ func (c *Controller) Name() string {
 	return "Battery Lifetime-aware"
 }
 
-// Structured reports whether the last Decide's SQP solve kept every QP
-// subproblem on the stage KKT backend (the Riccati recursion over the
-// stage state) — false after an elastic fallback, a safe-ventilation
-// fallback, with a one-step horizon, or before the first solve.
+// Structured reports whether the last Decide's SQP solve ran a
+// multi-stage horizon, whose QP subproblems factor by the Riccati
+// recursion over the stage state, and solved every subproblem without
+// an elastic fallback — false after an elastic fallback, a
+// safe-ventilation fallback, with a one-step horizon, or before the
+// first solve.
 func (c *Controller) Structured() bool {
-	return c.cfg.Horizon > 1 && c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastDemotions == 0
+	return c.cfg.Horizon > 1 && c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastElastic == 0
 }
 
 // Reset implements control.Controller.
@@ -314,10 +316,10 @@ func (c *Controller) Reset() {
 	c.havePrev = false
 	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
 	c.totalSQPIters = 0
-	c.kktFactorizations, c.kktDemotions = 0, 0
+	c.kktFactorizations, c.elasticFallbacks = 0, 0
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
-	c.lastDemotions = 0
+	c.lastElastic = 0
 }
 
 // LastSolve implements control.SolveReporter.
@@ -344,17 +346,18 @@ type Stats struct {
 	// AvgSQPIters is the mean SQP iteration count per solve.
 	AvgSQPIters float64
 	// KKTFactorizations sums the interior-point KKT factorizations of
-	// every QP subproblem, and KKTDemotions the subproblems that failed
-	// on the stage KKT path and were re-solved by the one-stage elastic
-	// fallback (sqp.Result.Demotions).
-	KKTFactorizations, KKTDemotions int
+	// every QP subproblem, elastic re-solves included.
+	KKTFactorizations int
+	// ElasticFallbacks counts the QP subproblems that failed and were
+	// re-solved in slack-augmented form (sqp.Result.ElasticFallbacks).
+	ElasticFallbacks int
 }
 
 // Stats returns the diagnostics.
 func (c *Controller) Stats() Stats {
 	s := Stats{
 		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
-		KKTFactorizations: c.kktFactorizations, KKTDemotions: c.kktDemotions,
+		KKTFactorizations: c.kktFactorizations, ElasticFallbacks: c.elasticFallbacks,
 	}
 	if c.solves > 0 {
 		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
@@ -924,18 +927,18 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	}
 	c.solves++
 	c.lastSolve = control.SolveInfo{Status: "fallback"}
-	c.lastDemotions = 0
+	c.lastElastic = 0
 	if res != nil {
 		c.lastSolve = control.SolveInfo{
 			Iterations:   res.Iterations,
 			QPIterations: res.QPIterations,
 			Status:       res.Status.String(),
 		}
-		c.lastDemotions = res.Demotions
+		c.lastElastic = res.ElasticFallbacks
 		c.kktFactorizations += res.Factorizations
-		c.kktDemotions += res.Demotions
+		c.elasticFallbacks += res.ElasticFallbacks
 		c.telKKT.Add(float64(res.Factorizations))
-		c.telDemote.Add(float64(res.Demotions))
+		c.telElastic.Add(float64(res.ElasticFallbacks))
 		c.totalSQPIters += res.Iterations
 		switch res.Status {
 		case sqp.Converged:

@@ -66,16 +66,11 @@ func (d *denseKKT) factor(p *Problem, z, s []float64) error {
 	}
 	for r := range z {
 		dr := z[r] / s[r]
-		_, arow := p.Ain.Row(r)
-		for i, ai := range arow {
-			if ai == 0 {
-				continue
-			}
-			krow := k.RawRow(i)
-			for j, aj := range arow {
-				if aj != 0 {
-					krow[j] += dr * ai * aj
-				}
+		cols, arow := p.Ain.nonzeros(r)
+		for _, i := range cols {
+			krow := k.RawRow(int(i))
+			for _, j := range cols {
+				krow[j] += dr * arow[i] * arow[j]
 			}
 		}
 	}

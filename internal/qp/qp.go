@@ -30,7 +30,9 @@ const (
 	// MaxIterations means the iteration limit was hit; Result.X holds the
 	// best iterate and may still be useful as a warm start.
 	MaxIterations
-	// NumericalFailure means a linear solve failed irrecoverably.
+	// NumericalFailure means a linear solve failed irrecoverably; Solve's
+	// error wraps ErrIndefinite when an indefinite Hessian block caused
+	// it.
 	NumericalFailure
 )
 
@@ -290,6 +292,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 
 	res := &ws.res
 	*res = Result{Status: MaxIterations}
+	var cause error // the factorization error that ended the solve
 	// hist holds the (dual residual, μ) pairs of recent iterations, newest
 	// first; once they show a cycle, commonStep stays set for the solve.
 	var hist [2 * cycleMaxPeriod][2]float64
@@ -349,7 +352,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		//   [ Aeq                    −regI  ] [dy] = [−rp]
 		// with D = diag(z/s). A failed factorization ends the solve.
 		res.Factorizations++
-		if kkt.factor(p, z, s) != nil {
+		if cause = kkt.factor(p, z, s); cause != nil {
 			res.Status = NumericalFailure
 			break
 		}
@@ -423,6 +426,9 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 	res.InDuals = z
 	res.Objective = p.objectiveInto(x, ws.hx)
 	if res.Status == NumericalFailure {
+		if cause != nil {
+			return res, fmt.Errorf("qp: numerical failure after %d iterations: %w", res.Iterations, cause)
+		}
 		return res, fmt.Errorf("qp: numerical failure after %d iterations", res.Iterations)
 	}
 	return res, nil

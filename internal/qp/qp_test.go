@@ -32,8 +32,9 @@ func oneStage(a *mat.Dense) *StageMatrix {
 	r, c := a.Dims()
 	s := NewStageMatrix(1, c, 0, r)
 	for i := 0; i < r; i++ {
-		_, v := s.Row(i)
-		copy(v, a.RawRow(i))
+		for j, v := range a.RawRow(i) {
+			s.Set(i, j, v)
+		}
 	}
 	return s
 }

@@ -65,7 +65,7 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 		for r := range dots {
 			lo, v := a.Row(r)
 			for j := range v {
-				v[j] = rng.NormFloat64()
+				a.Set(r, lo+j, rng.NormFloat64())
 				dots[r] += v[j] * xf[lo+j]
 			}
 			if slack {
@@ -146,15 +146,16 @@ func TestStageBackendMatchesDense(t *testing.T) {
 
 // TestStageBackendFailsOnIndefiniteStage: a strongly indefinite stage
 // Hessian block fails the stage Cholesky on the first Newton step, and
-// the solve ends there with NumericalFailure and a finite X — no dense
-// retry, so exactly one factorization.
+// the solve ends there with NumericalFailure, an error wrapping
+// ErrIndefinite and a finite X — no dense retry, so exactly one
+// factorization.
 func TestStageBackendFailsOnIndefiniteStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randStageQP(rng, 3, 1e-1)
 	p.H[0].Set(0, 0, -50)
 	res, err := Solve(p, Options{})
-	if err == nil || res == nil || res.Status != NumericalFailure {
-		t.Fatalf("indefinite stage block: err %v, result %+v; want NumericalFailure", err, res)
+	if !errors.Is(err, ErrIndefinite) || res == nil || res.Status != NumericalFailure {
+		t.Fatalf("indefinite stage block: err %v, result %+v; want NumericalFailure wrapping ErrIndefinite", err, res)
 	}
 	if res.Factorizations != 1 {
 		t.Fatalf("%d factorizations, want 1 (no retry)", res.Factorizations)
@@ -253,17 +254,17 @@ func TestStageMatrixWindow(t *testing.T) {
 }
 
 // TestStageMatrixProducts checks MulVecInto and MulVecTInto against the
-// dense products of the same entries.
+// dense products of the same entries, bit for bit, while the packed
+// nonzero lists are rebuilt around them: random windows, a write after a
+// product, explicit zeros over nonzeros, Zero, and bound rows with one
+// entry each.
 func TestStageMatrixProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewStageMatrix(4, 3, 2, 2)
 	d := mat.NewDense(8, 12)
-	for i := 0; i < 8; i++ {
-		lo, v := a.Row(i)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-			d.Set(i, lo+j, v[j])
-		}
+	set := func(i, j int, v float64) {
+		a.Set(i, j, v)
+		d.Set(i, j, v)
 	}
 	x := make([]float64, 12)
 	y := make([]float64, 8)
@@ -274,12 +275,38 @@ func TestStageMatrixProducts(t *testing.T) {
 		y[i] = rng.NormFloat64()
 	}
 	y[3] = 0
-	if got, want := a.MulVecInto(x, make([]float64, 8)), d.MulVec(x); !bits64(got, want) {
-		t.Errorf("A·x = %v, dense %v", got, want)
+	check := func(step string) {
+		t.Helper()
+		if got, want := a.MulVecInto(x, make([]float64, 8)), d.MulVec(x); !bits64(got, want) {
+			t.Errorf("%s: A·x = %v, dense %v", step, got, want)
+		}
+		if got, want := a.MulVecTInto(y, make([]float64, 12)), d.MulVecT(y); !bits64(got, want) {
+			t.Errorf("%s: Aᵀ·y = %v, dense %v", step, got, want)
+		}
 	}
-	if got, want := a.MulVecTInto(y, make([]float64, 12)), d.MulVecT(y); !bits64(got, want) {
-		t.Errorf("Aᵀ·y = %v, dense %v", got, want)
+	check("empty")
+	for i := 0; i < 8; i++ {
+		lo, v := a.Row(i)
+		for j := range v {
+			set(i, lo+j, rng.NormFloat64())
+		}
 	}
+	check("full windows")
+	set(5, 4, 7.5) // a write after a product
+	check("rewritten entry")
+	for _, ij := range [][2]int{{0, 1}, {2, 2}, {2, 5}, {7, 10}} {
+		set(ij[0], ij[1], 0) // explicit zeros over nonzeros
+	}
+	check("explicit zeros")
+	a.Zero()
+	d.Zero()
+	check("zeroed")
+	for i := 0; i < 8; i++ { // one bound entry per row, as the MPC's
+		lo, v := a.Row(i)
+		set(i, lo+i%len(v), float64(1-2*(i%2)))
+	}
+	set(6, 8, 0) // row 6 back to empty
+	check("bound rows")
 }
 
 // coldDemotionQP loads testdata/cold_mpc_demotion.json: a real cabin-only
@@ -308,14 +335,16 @@ func coldDemotionQP(t *testing.T) (*Problem, float64) {
 	rows := func(per int, data [][]float64) *StageMatrix {
 		a := NewStageMatrix(f.Stages, f.NV, nx, per)
 		for i, v := range data {
-			_, row := a.Row(i)
+			lo, row := a.Row(i)
 			drop := len(v) - len(row)
 			for j, x := range v[:drop] {
 				if x != 0 {
 					t.Fatalf("fixture row %d has %g in column %d outside the cabin MPC's window", i, x, j)
 				}
 			}
-			copy(row, v[drop:])
+			for j, x := range v[drop:] {
+				a.Set(i, lo+j, x)
+			}
 		}
 		return a
 	}

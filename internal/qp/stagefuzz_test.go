@@ -83,32 +83,35 @@ func buildStageQP(seed uint64, nst int, scale float64, poison uint8) *Problem {
 	aeq := NewStageMatrix(nst, nv, nv, ne)
 	beq := make([]float64, nst*ne)
 	for r := range beq {
-		_, v := aeq.Row(r)
+		lo, v := aeq.Row(r)
 		for j := range v {
-			v[j] = rng.unit()
+			aeq.Set(r, lo+j, rng.unit())
 		}
 		beq[r] = 0.1 * rng.unit()
 	}
 	if poison&pzZeroEqRow != 0 {
-		_, v := aeq.Row(len(beq) - 1)
+		r := len(beq) - 1
+		lo, v := aeq.Row(r)
 		for j := range v {
-			v[j] = 0
+			aeq.Set(r, lo+j, 0)
 		}
 		beq[len(beq)-1] = 0
 	}
 	ain := NewStageMatrix(nst, nv, nv, ni)
 	bin := make([]float64, nst*ni)
 	for r := range bin {
-		_, v := ain.Row(r)
+		lo, v := ain.Row(r)
 		for j := range v {
-			v[j] = rng.unit()
+			ain.Set(r, lo+j, rng.unit())
 		}
 		bin[r] = 1 + rng.unit() // slack at x = 0
 	}
 	if poison&pzDupRow != 0 {
 		_, v0 := ain.Row(0)
-		_, v1 := ain.Row(1)
-		copy(v1, v0)
+		lo1, _ := ain.Row(1)
+		for j, v := range v0 {
+			ain.Set(1, lo1+j, v)
+		}
 		bin[1] = bin[0]
 	}
 	return &Problem{H: h, C: c, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin}

@@ -43,8 +43,8 @@ import (
 // multiplier — so no pivot has a sign to lose. A pivot that cancellation
 // under extreme barrier weights drives nonpositive is dropped (see
 // cholesky). Two cases end the solve with NumericalFailure: a J_vv pivot
-// that only an indefinite H explains, and a stage equality row without
-// an own-variable coefficient, which has no pivot.
+// that only an indefinite H explains (ErrIndefinite), and a stage
+// equality row without an own-variable coefficient, which has no pivot.
 //
 // All storage lives in the struct and is reused across iterations and
 // Solve calls — allocation-free once sized.
@@ -71,12 +71,16 @@ type kktStage struct {
 	p  []float64 // nxk: the cost-to-go gradient p_k handed to stage k−1
 }
 
-// errNoPivot and errIndefinite are the two ways a stage factorization
+// errNoPivot and ErrIndefinite are the two ways a stage factorization
 // fails: an equality row with no coefficient on its stage's own
-// variables, and a stage block that is not positive definite.
+// variables, and a stage Hessian block that is not positive
+// semidefinite. Solve wraps ErrIndefinite in its error, so a caller can
+// tell a Hessian to repair from a problem to relax.
 var (
-	errNoPivot    = errors.New("qp: stage equality row has no own-variable pivot")
-	errIndefinite = errors.New("qp: stage Hessian is not positive definite")
+	errNoPivot = errors.New("qp: stage equality row has no own-variable pivot")
+	// ErrIndefinite reports a stage Hessian block that is not positive
+	// semidefinite.
+	ErrIndefinite = errors.New("qp: stage Hessian is not positive definite")
 )
 
 // ensure sizes the backend for p's stage layout. It is a no-op when the
@@ -115,8 +119,8 @@ func (f *stageKKT) ensure(p *Problem) {
 
 // assemble fills each stage Hessian J_k from its Hessian block, the
 // static regularization and the barrier weights d_r = z[r]/s[r] of its
-// inequality rows (nil z: no inequalities). A single-variable bound row
-// touches one diagonal entry.
+// inequality rows (nil z: no inequalities), walking each row's nonzeros
+// only: a single-variable bound row adds one diagonal term.
 func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 	nv := f.nv
 	ni := 0
@@ -138,17 +142,12 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 		}
 		for r := k * ni; r < (k+1)*ni; r++ {
 			d := z[r] / s[r]
-			_, a := p.Ain.Row(r)
-			for i, ai := range a {
-				if ai == 0 {
-					continue
-				}
-				di := d * ai
-				row := jk[i*nu : (i+1)*nu]
-				for j, aj := range a {
-					if aj != 0 {
-						row[j] += di * aj
-					}
+			cols, a := p.Ain.nonzeros(r)
+			for _, i := range cols {
+				di := d * a[i]
+				row := jk[int(i)*nu : (int(i)+1)*nu]
+				for _, j := range cols {
+					row[j] += di * a[j]
 				}
 			}
 		}
@@ -170,7 +169,7 @@ func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 			copy(st.l[i*nv:i*nv+i+1], st.j[(nxk+i)*nu+nxk:])
 		}
 		if cholesky(st.l, nv, true) && !f.semidefinite(p.H[k]) {
-			return errIndefinite
+			return ErrIndefinite
 		}
 		// W = L⁻¹·A_vᵀ, one equality row at a time, and
 		// S = WᵀW + regI = L_S·L_Sᵀ.

@@ -43,9 +43,10 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // NewWorkspaceFor returns a workspace pre-sized for p — including its
-// KKT backend and, for a one-stage p, the dense LU fallback — so even
-// the first Solve performs no allocation. An invalid problem yields an
-// empty workspace that sizes itself lazily like NewWorkspace.
+// KKT backend and, for a one-stage p, the dense LU fallback — and packs
+// the nonzero lists of p's constraint matrices, so even the first Solve
+// performs no allocation. An invalid problem yields an empty workspace
+// that sizes itself lazily like NewWorkspace.
 func NewWorkspaceFor(p *Problem) *Workspace {
 	w := NewWorkspace()
 	n, meq, min, err := p.validate()
@@ -56,6 +57,11 @@ func NewWorkspaceFor(p *Problem) *Workspace {
 	w.kkt(p)
 	if w.dense != nil {
 		w.dense.reserveLU()
+	}
+	for _, a := range []*StageMatrix{p.Aeq, p.Ain} {
+		if a != nil {
+			a.fresh()
+		}
 	}
 	return w
 }

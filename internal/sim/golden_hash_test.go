@@ -79,10 +79,10 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 		t.Fatalf("MPC/ECE15 trajectory hash = %#016x, golden %#016x (%d steps)",
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
-	// The KKT counts are as deterministic as the trajectory. Every QP
-	// subproblem stays on the stage path, so all 39 decides report
+	// The KKT counts are as deterministic as the trajectory. No QP
+	// subproblem needs the elastic fallback, so all 39 decides report
 	// Structured().
-	if st := mpc.Stats(); st.KKTFactorizations != 6540 || st.KKTDemotions != 0 {
-		t.Fatalf("KKT counts: %d factorizations, %d demotions; golden 6540 and 0", st.KKTFactorizations, st.KKTDemotions)
+	if st := mpc.Stats(); st.KKTFactorizations != 6540 || st.ElasticFallbacks != 0 {
+		t.Fatalf("KKT counts: %d factorizations, %d elastic fallbacks; golden 6540 and 0", st.KKTFactorizations, st.ElasticFallbacks)
 	}
 }

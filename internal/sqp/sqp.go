@@ -166,10 +166,9 @@ type Result struct {
 	// Factorizations sums the KKT factorizations of every QP subproblem
 	// (qp.Result.Factorizations).
 	Factorizations int
-	// Demotions counts, on a multi-stage problem, the elastic fallbacks:
-	// subproblems that failed on the stage KKT path and were re-solved in
-	// slack-augmented one-stage form.
-	Demotions int
+	// ElasticFallbacks counts the QP subproblems that failed and were
+	// re-solved in slack-augmented (elastic) form.
+	ElasticFallbacks int
 	// Status reports the termination condition.
 	Status Status
 	// KKTResidual is the final stationarity residual (∞-norm).
@@ -279,7 +278,7 @@ func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac
 		xt[j] = x[j]
 		for i := 0; i < m; i++ {
 			if lo, v := jac.Row(i); j >= lo && j < lo+len(v) {
-				v[j-lo] = (pert[i] - base[i]) / h
+				jac.Set(i, j, (pert[i]-base[i])/h)
 			}
 		}
 	}
@@ -379,14 +378,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 
 	// Damped-BFGS Hessian approximation, one block per stage, seeded
 	// with a scaled identity.
-	hScale := 1 + mat.NormInf(g)
-	for _, blk := range ws.b {
-		blk.Zero()
-		nv, _ := blk.Dims()
-		for i := 0; i < nv; i++ {
-			blk.Set(i, i, hScale)
-		}
-	}
+	resetBFGS(ws.b, 1+mat.NormInf(g))
 
 	lam, lamNew := ws.lam, ws.lamNV
 	mu, muNew := ws.mu, ws.muNV
@@ -444,25 +436,10 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		if qpTol < 1e-8 {
 			qpTol = 1e-8
 		}
-		qpOpts := qp.Options{Tol: qpTol, Work: ws.qpWork}
-		qr, err := qp.Solve(sub, qpOpts)
-		res.addQP(qr)
-		if err != nil || qr.Status == qp.NumericalFailure || !mat.AllFinite(qr.X) {
-			// Elastic fallback: relax constraints with penalized slacks,
-			// solved to the same subproblem tolerance as the primary
-			// solve.
-			if ws.el == nil {
-				ws.el = &elasticArena{}
-			}
-			if stages > 1 {
-				res.Demotions++
-			}
-			qr, err = solveElastic(sub, elasticWeight, qpOpts, ws.el)
-			res.addQP(qr)
-			if err != nil {
-				res.Status = Failed
-				break
-			}
+		qr, err := solveSubproblem(ws, sub, qp.Options{Tol: qpTol, Work: ws.qpWork}, 1+mat.NormInf(g), res)
+		if err != nil {
+			res.Status = Failed
+			break
 		}
 		// Copy the step and duals out of the QP workspace: qr's slices
 		// alias it and the elastic fallback (or the next iteration's
@@ -614,6 +591,44 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// solveSubproblem solves the QP subproblem sub, whose Hessian is the
+// BFGS approximation ws.b, and adds its counts to res. A BFGS block that
+// lost positive definiteness (qp.ErrIndefinite) is no infeasibility
+// that slacks could repair: the blocks are reset to hScale·I and the
+// subproblem is solved once more. Any other failure goes to the elastic
+// fallback, which relaxes the constraints with penalized slacks and is
+// solved to the same tolerance.
+func solveSubproblem(ws *Workspace, sub *qp.Problem, opt qp.Options, hScale float64, res *Result) (*qp.Result, error) {
+	qr, err := qp.Solve(sub, opt)
+	res.addQP(qr)
+	if errors.Is(err, qp.ErrIndefinite) {
+		resetBFGS(ws.b, hScale)
+		qr, err = qp.Solve(sub, opt)
+		res.addQP(qr)
+	}
+	if err == nil && qr.Status != qp.NumericalFailure && mat.AllFinite(qr.X) {
+		return qr, nil
+	}
+	if ws.el == nil {
+		ws.el = &elasticArena{}
+	}
+	res.ElasticFallbacks++
+	qr, err = solveElastic(sub, elasticWeight, opt, ws.el)
+	res.addQP(qr)
+	return qr, err
+}
+
+// resetBFGS sets every Hessian block to scale·I.
+func resetBFGS(b []*mat.Dense, scale float64) {
+	for _, blk := range b {
+		blk.Zero()
+		nv, _ := blk.Dims()
+		for i := 0; i < nv; i++ {
+			blk.Set(i, i, scale)
+		}
+	}
+}
+
 // addQP accumulates one QP subproblem's counts (nil: a rejected
 // problem, nothing to count).
 func (r *Result) addQP(qr *qp.Result) {
@@ -685,71 +700,96 @@ func updateBFGSBlock(b *mat.Dense, s, y, bs, r []float64) {
 // Je·d + sp − sm = beq with sp, sm ≥ 0, inequalities get a slack t ≥ 0,
 // all slacks penalized linearly by weight w. The elastic problem is always
 // feasible, so the SQP step degrades gracefully into a feasibility-
-// restoration direction. The slacks couple rows across every stage, so
-// the elastic problem is built in one-stage form. The caller's
-// subproblem tolerance applies to the fallback solve too — only the
-// workspace is swapped for the arena's, since the elastic problem has
-// different dimensions than the main subproblem. The returned Result
-// aliases the arena and is valid until the next call with it.
+// restoration direction. Each slack belongs to one row, so the elastic
+// problem keeps the subproblem's stage layout (see elasticArena) and
+// factors by the same Riccati recursion. The caller's subproblem
+// tolerance applies to the fallback solve too — only the workspace is
+// swapped for the arena's, since the elastic problem has different
+// dimensions than the main subproblem. The returned Result aliases the
+// arena and is valid until the next call with it.
 func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena) (*qp.Result, error) {
-	n := len(sub.C)
-	meq, min := 0, 0
+	stages := len(sub.H)
+	nv, _ := sub.H[0].Dims()
+	nx, ne, ni := 0, 0, 0
 	if sub.Aeq != nil {
-		meq, _ = sub.Aeq.Dims()
+		_, _, nx, ne = sub.Aeq.Layout()
 	}
 	if sub.Ain != nil {
-		min, _ = sub.Ain.Dims()
+		_, _, nx, ni = sub.Ain.Layout()
 	}
-	nTot := n + 2*meq + min
-	// Inequalities: Ain·d − t ≤ bin, plus nonnegativity of all slacks.
-	rows := min + 2*meq + min
-	ar.ensure(nTot, meq, rows)
+	ar.ensure(stages, nv, nx, ne, ni)
+	nc, ns := nv-nx, 2*ne+ni
+	nve := nv + ns
+	// col maps a subproblem column to its elastic column: the stage's
+	// controls keep their place, its state moves past the slacks.
+	col := func(j int) int {
+		k, i := j/nv, j%nv
+		if i >= nc {
+			i += ns
+		}
+		return k*nve + i
+	}
 
-	h := ar.h[0]
-	sub.HessianInto(h)
-	// Small quadratic regularization keeps the elastic Hessian PD in the
-	// slack directions.
-	for i := n; i < nTot; i++ {
-		h.Set(i, i, 1e-8*w)
+	for k, hk := range sub.H {
+		h := ar.h[k]
+		for i := 0; i < nv; i++ {
+			row := h.RawRow(col(i))
+			for j, v := range hk.RawRow(i) {
+				row[col(j)] = v
+			}
+		}
+		// Small quadratic regularization keeps the elastic Hessian PD in
+		// the slack directions.
+		for i := nc; i < nc+ns; i++ {
+			h.Set(i, i, 1e-8*w)
+		}
 	}
 	c := ar.c
-	copy(c, sub.C)
-	for i := n; i < nTot; i++ {
-		c[i] = w
+	for j, v := range sub.C {
+		c[col(j)] = v
+	}
+	for k := 0; k < stages; k++ {
+		for i := k*nve + nc; i < k*nve+nc+ns; i++ {
+			c[i] = w
+		}
 	}
 
 	ep := &ar.prob
 	*ep = qp.Problem{H: ar.h, C: c}
-	if meq > 0 {
-		for i := 0; i < meq; i++ {
-			lo, v := sub.Aeq.Row(i)
-			_, row := ar.aeq.Row(i)
-			copy(row[lo:], v)
-			row[n+2*i] = 1
-			row[n+2*i+1] = -1
+	copyRow := func(dst *qp.StageMatrix, r int, src *qp.StageMatrix, i int) {
+		lo, v := src.Row(i)
+		for j, a := range v {
+			if a != 0 {
+				dst.Set(r, col(lo+j), a)
+			}
 		}
+	}
+	for i := 0; i < stages*ne; i++ {
+		sp := i/ne*nve + nc + 2*(i%ne)
+		copyRow(ar.aeq, i, sub.Aeq, i)
+		ar.aeq.Set(i, sp, 1)
+		ar.aeq.Set(i, sp+1, -1)
+	}
+	if ne > 0 {
 		ep.Aeq, ep.Beq = ar.aeq, sub.Beq
 	}
-
+	// Stage k's inequality rows: Ain·d − t ≤ bin, then −sp ≤ 0, −sm ≤ 0
+	// for its equality rows and −t ≤ 0.
 	bin := ar.bin
 	r := 0
-	for i := 0; i < min; i++ {
-		lo, v := sub.Ain.Row(i)
-		_, row := ar.ain.Row(r)
-		copy(row[lo:], v)
-		row[n+2*meq+i] = -1
-		bin[r] = sub.Bin[i]
-		r++
-	}
-	for i := 0; i < 2*meq; i++ { // −sp ≤ 0, −sm ≤ 0
-		ar.ain.Set(r, n+i, -1)
-		bin[r] = 0
-		r++
-	}
-	for i := 0; i < min; i++ { // −t ≤ 0
-		ar.ain.Set(r, n+2*meq+i, -1)
-		bin[r] = 0
-		r++
+	for k := 0; k < stages; k++ {
+		slack := k*nve + nc
+		for i := k * ni; i < (k+1)*ni; i++ {
+			copyRow(ar.ain, r, sub.Ain, i)
+			ar.ain.Set(r, slack+2*ne+i-k*ni, -1)
+			bin[r] = sub.Bin[i]
+			r++
+		}
+		for i := 0; i < ns; i++ {
+			ar.ain.Set(r, slack+i, -1)
+			bin[r] = 0
+			r++
+		}
 	}
 	if r > 0 {
 		ep.Ain, ep.Bin = ar.ain, bin
@@ -760,16 +800,22 @@ func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena)
 		return nil, err
 	}
 	// Project the result back to the original variable space.
+	for j := range ar.x {
+		ar.x[j] = er.X[col(j)]
+	}
+	for k := 0; k < stages; k++ {
+		copy(ar.in[k*ni:(k+1)*ni], er.InDuals[k*(ni+ns):])
+	}
 	out := &ar.out
 	*out = qp.Result{
-		X:              er.X[:n],
+		X:              ar.x,
 		EqDuals:        er.EqDuals,
 		Iterations:     er.Iterations,
 		Status:         er.Status,
 		Factorizations: er.Factorizations,
 	}
-	if min > 0 {
-		out.InDuals = er.InDuals[:min]
+	if ni > 0 {
+		out.InDuals = ar.in
 	}
 	return out, nil
 }

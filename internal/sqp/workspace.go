@@ -118,41 +118,60 @@ func (w *Workspace) ensure(n, meq, min, stages, nx int) {
 }
 
 // elasticArena holds the slack-augmented fallback QP (see solveElastic)
-// in one-stage form: the augmented Hessian, gradient, constraint blocks,
-// the problem view, and a dedicated QP workspace (the elastic problem has
-// different dimensions than the main subproblem, so it cannot share the
-// main QP workspace).
+// in the subproblem's stage layout: stage k holds its controls, then the
+// slacks of its rows (sp, sm per equality row, t per inequality row),
+// then its state, so the coupling state stays the last nx variables of
+// each stage. Its rows are the stage's equality rows, then its
+// inequality rows followed by one nonnegativity row per slack. With one
+// stage this is the plain slack-augmented QP. The arena also holds the
+// problem view, the projected step and duals, and a dedicated QP
+// workspace (the elastic problem has different dimensions than the main
+// subproblem, so it cannot share the main QP workspace).
 type elasticArena struct {
-	nTot, rows int
-	h          []*mat.Dense // one nTot×nTot block
-	c          []float64
-	aeq        *qp.StageMatrix // nil when meq == 0
-	ain        *qp.StageMatrix
-	bin        []float64
-	prob       qp.Problem
-	qpWork     *qp.Workspace
-	out        qp.Result
+	stages, nv, nx, ne, ni int // the subproblem layout the arena is sized for
+
+	h    []*mat.Dense // one (nv+2ne+ni)-square block per stage
+	c    []float64
+	aeq  *qp.StageMatrix // nil when ne == 0
+	ain  *qp.StageMatrix
+	bin  []float64
+	prob qp.Problem
+	x    []float64 // the step in subproblem order
+	in   []float64 // the duals of the subproblem's inequality rows
+
+	qpWork *qp.Workspace
+	out    qp.Result
 }
 
-// ensure sizes the arena for an elastic problem with nTot variables, meq
-// equality rows and rows inequality rows.
-func (a *elasticArena) ensure(nTot, meq, rows int) {
-	if a.nTot == nTot && a.rows == rows && a.h != nil {
+// ensure sizes the arena for a subproblem of the given stages of nv
+// variables, nx of them state, with ne equality and ni inequality rows
+// per stage, and clears the blocks solveElastic fills.
+func (a *elasticArena) ensure(stages, nv, nx, ne, ni int) {
+	if a.h != nil && a.stages == stages && a.nv == nv && a.nx == nx && a.ne == ne && a.ni == ni {
+		for _, h := range a.h {
+			h.Zero()
+		}
 		if a.aeq != nil {
 			a.aeq.Zero()
 		}
 		a.ain.Zero()
 		return
 	}
-	a.nTot, a.rows = nTot, rows
-	a.h = []*mat.Dense{mat.NewDense(nTot, nTot)}
-	a.c = make([]float64, nTot)
-	a.aeq = nil
-	if meq > 0 {
-		a.aeq = qp.NewStageMatrix(1, nTot, 0, meq)
+	a.stages, a.nv, a.nx, a.ne, a.ni = stages, nv, nx, ne, ni
+	nve := nv + 2*ne + ni
+	a.h = make([]*mat.Dense, stages)
+	for k := range a.h {
+		a.h[k] = mat.NewDense(nve, nve)
 	}
-	a.ain = qp.NewStageMatrix(1, nTot, 0, rows)
-	a.bin = make([]float64, rows)
+	a.c = make([]float64, stages*nve)
+	a.aeq = nil
+	if ne > 0 {
+		a.aeq = qp.NewStageMatrix(stages, nve, nx, ne)
+	}
+	a.ain = qp.NewStageMatrix(stages, nve, nx, 2*ni+2*ne)
+	a.bin = make([]float64, stages*(2*ni+2*ne))
+	a.x = make([]float64, stages*nv)
+	a.in = make([]float64, stages*ni)
 	if a.qpWork == nil {
 		a.qpWork = qp.NewWorkspace()
 	}
