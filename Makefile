@@ -27,25 +27,25 @@ bench:
 # so regressions diff across commits. The telemetry pair (RunOnOff vs
 # RunOnOffTelemetry) bounds the observability overhead. The second
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
-# pairs (QPInteriorPoint vs ...Warm, LUSolve120 vs LUSolveInto120) bound
-# the workspace-reuse win, QPColdFixture times the pinned deep-cold MPC
-# subproblem on the stage backend, SQPElasticFallback (internal/sqp) the
-# elastic fallback of a thermal-MPC-shaped infeasible subproblem, the
-# MPCSolveStep pair's elastic/op column shows whether a fallback fell
-# inside the timed window, and the -benchmem allocs/op column pins the
-# allocation-free hot path.
+# pair (QPInteriorPoint vs ...Warm) bounds the workspace-reuse win,
+# QPColdFixture times the pinned deep-cold MPC subproblem on the stage
+# recursion, SQPElasticFallback (internal/sqp) the elastic fallback of a
+# thermal-MPC-shaped infeasible subproblem, the MPCSolveStep pair's
+# elastic/op column shows whether a fallback fell inside the timed
+# window, and the -benchmem allocs/op column pins the allocation-free
+# hot path.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback|LUSolve' -benchmem . ./internal/sqp \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback' -benchmem . ./internal/sqp \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
 # when the ns/op of BenchmarkMPCSolveStep or its co-scheduling
 # counterpart BenchmarkMPCSolveStepThermal regresses more than 15 %
 # against the committed BENCH_solver.json — the backstop that keeps the
-# structured backend's ≥10× win from eroding silently at either decision
+# stage recursion's ≥10× win from eroding silently at either decision
 # stride. On pass, the snapshot is rewritten in place so
 # `git diff BENCH_solver.json` shows the drift. The 3 s benchtime
 # matches how the committed snapshot was produced; short runs are too
@@ -57,7 +57,7 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback|LUSolve' -benchmem -benchtime 3s . ./internal/sqp \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback' -benchmem -benchtime 3s . ./internal/sqp \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
@@ -110,7 +110,7 @@ test-netchaos:
 
 # Cold-climate thermal suite: the battery thermal network and heat-pump
 # unit tests, depot preconditioning, the Arrhenius, cycle-stress and
-# calendar aging factors, the co-scheduling MPC extension (structured-vs-dense
+# calendar aging factors, the co-scheduling MPC extension (stage-vs-one-stage
 # equivalence on the enlarged stage problem), and the sim-level thermal
 # integration — end-to-end cold runs, checkpoint bit-exactness with
 # thermal state, and the bitwise trajectory golden.
@@ -120,11 +120,12 @@ test-thermal:
 	$(GO) test -run 'Cold' ./internal/experiments/...
 
 # Coverage-guided fuzzing of the QP interior-point solver: one-stage
-# 2-variable problems (FuzzSolve) and the stage Riccati KKT backend
-# (FuzzStageKKT — ill-conditioned, non-SPD and degenerate stage QPs: no
-# panic, Optimal only with a finite X, a stage without an equality pivot
-# failing cleanly, and the one-stage form solved alongside; go test
-# fuzzes one target per invocation, so the two run back to back).
+# 2-variable problems (FuzzSolve) and the stage Riccati recursion
+# (FuzzStageKKT — ill-conditioned, non-SPD and degenerate stage QPs, each
+# solved in its stage layout and in its one-stage form: no panic,
+# Optimal only with a finite X, a problem without an equality pivot
+# failing cleanly; go test fuzzes one target per invocation, so the two
+# run back to back).
 fuzz-qp:
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=1m ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=1m ./internal/qp/

@@ -261,7 +261,7 @@ func BenchmarkQPInteriorPointWarm(b *testing.B) {
 // stages of 7 variables, 3 equality and 14 inequality rows per stage,
 // block-diagonal Hessian — from deterministic pseudo-random data, with
 // rows coupling whole stages (state width nx = nv, where the MPC's is 1).
-// Used by the structured-vs-dense backend pair below.
+// Used by the stage-vs-one-stage pair below.
 func stageBenchQP() *qp.Problem {
 	const nst, nv, ne, ni = 12, 7, 3, 14
 	val := func(i, j int) float64 { return float64((i*37+j*17)%23)/23 - 0.5 }
@@ -310,10 +310,10 @@ func stageBenchQP() *qp.Problem {
 }
 
 // BenchmarkQPStructured and BenchmarkQPStructuredDense solve the same
-// MPC-shaped stage QP through the stage Riccati backend and, in its
-// one-stage form, the dense path; their ratio is the per-solve win of
-// exploiting the horizon structure (the end-to-end controller win is
-// BenchmarkMPCSolveStep's).
+// MPC-shaped stage QP in its stage layout and in its one-stage form, a
+// single dense block the recursion factors as one stage; their ratio is
+// the per-solve win of exploiting the horizon structure (the end-to-end
+// controller win is BenchmarkMPCSolveStep's).
 func BenchmarkQPStructured(b *testing.B) {
 	p := stageBenchQP()
 	opt := qp.Options{Work: qp.NewWorkspaceFor(p)}
@@ -421,58 +421,6 @@ func BenchmarkSQPSolveWarm(b *testing.B) {
 		if _, err := sqp.Solve(p, x0, opt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLUSolve120 factorizes and solves into fresh storage every
-// iteration — the cold cost a solver pays without a workspace.
-func BenchmarkLUSolve120(b *testing.B) {
-	n := 120
-	a := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, float64((i*37+j*17)%23)-11)
-		}
-		a.Add(i, i, 100)
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i % 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var lu mat.LU
-		if err := mat.FactorizeInto(&lu, a); err != nil {
-			b.Fatal(err)
-		}
-		lu.SolveInto(rhs, make([]float64, n))
-	}
-}
-
-// BenchmarkLUSolveInto120 is the allocation-free counterpart of
-// BenchmarkLUSolve120: the factor object and solution buffer are reused
-// across iterations.
-func BenchmarkLUSolveInto120(b *testing.B) {
-	n := 120
-	a := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, float64((i*37+j*17)%23)-11)
-		}
-		a.Add(i, i, 100)
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i % 5)
-	}
-	x := make([]float64, n)
-	var lu mat.LU
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := mat.FactorizeInto(&lu, a); err != nil {
-			b.Fatal(err)
-		}
-		lu.SolveInto(rhs, x)
 	}
 }
 

@@ -301,14 +301,12 @@ func (c *Controller) Name() string {
 	return "Battery Lifetime-aware"
 }
 
-// Structured reports whether the last Decide's SQP solve ran a
-// multi-stage horizon, whose QP subproblems factor by the Riccati
-// recursion over the stage state, and solved every subproblem without
-// an elastic fallback — false after an elastic fallback, a
-// safe-ventilation fallback, with a one-step horizon, or before the
-// first solve.
+// Structured reports whether the last Decide's SQP solve factored every
+// QP subproblem by the Riccati recursion over the stage state without an
+// elastic fallback — false after an elastic fallback, a
+// safe-ventilation fallback, or before the first solve.
 func (c *Controller) Structured() bool {
-	return c.cfg.Horizon > 1 && c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastElastic == 0
+	return c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastElastic == 0
 }
 
 // Reset implements control.Controller.

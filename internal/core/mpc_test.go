@@ -178,6 +178,32 @@ func TestDecideReturnsValidInputs(t *testing.T) {
 	}
 }
 
+// TestOneStepHorizonIsStructured: a one-step horizon is a one-stage QP
+// subproblem, which factors on the same stage recursion as a longer
+// horizon, so its solves report Structured like any other.
+func TestOneStepHorizonIsStructured(t *testing.T) {
+	c := newController(t, func(cfg *Config) { cfg.Horizon = 1 })
+	m, err := cabin.New(cabin.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctx := range []control.StepContext{hotCtx(26), coldCtx(20)} {
+		in := c.Decide(ctx)
+		if c.lastErr != nil {
+			t.Fatalf("ctx To=%v: solve fell back: %v", ctx.OutsideC, c.lastErr)
+		}
+		if err := m.CheckInputs(in, m.MixTemp(ctx.OutsideC, ctx.CabinTempC, in.Recirc), 1e-6); err != nil {
+			t.Errorf("ctx To=%v: %v", ctx.OutsideC, err)
+		}
+		if !c.Structured() {
+			t.Errorf("ctx To=%v: one-step solve not reported structured (last solve %+v)", ctx.OutsideC, c.LastSolve())
+		}
+	}
+	if s := c.Stats(); s.KKTFactorizations == 0 || s.ElasticFallbacks != 0 {
+		t.Errorf("stats %+v: want KKT factorizations and no elastic fallback", s)
+	}
+}
+
 // miniLoop runs steps closed-loop Decide/plant iterations from tz0 and
 // returns the final cabin temperature.
 func miniLoop(t *testing.T, c *Controller, mkCtx func(float64) control.StepContext, tz0 float64, steps int) float64 {

@@ -100,8 +100,9 @@ func TestThermalColdSolve(t *testing.T) {
 
 // TestStructuredVsDenseEquivalence is the acceptance check for the
 // enlarged stage stride: the stage KKT backend, with its two-variable
-// state (x, Tb), and the dense reference must solve the extended stage
-// QP subproblem to the same (unique, strictly convex) solution. The comparison is at the QP level because the full
+// state (x, Tb), and the subproblem's one-stage form must solve the
+// extended stage QP subproblem to the same (unique, strictly convex)
+// solution. The comparison is at the QP level because the full
 // cold-climate NLP has a weakly determined optimum (heating now vs one
 // step later costs nearly the same), so near-optimal SQP iterates differ
 // legitimately between backends.

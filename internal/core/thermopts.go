@@ -13,8 +13,7 @@ import (
 // cost. The extension preserves the stage structure — each added
 // constraint row touches only its own stage and the previous stage's
 // state, now (x, Tb) — so the stage KKT backend of internal/qp keeps
-// engaging at the enlarged decision stride (the dense path remains the
-// golden reference).
+// engaging at the enlarged decision stride.
 //
 // The cost mapping to the deliverable metrics: cabin comfort is the
 // paper's w3 term; ΔSoH is the existing SoC-deviation term (cycle

@@ -102,30 +102,6 @@ func TestLUFactorizeSolveIntoNoAllocs(t *testing.T) {
 	}
 }
 
-func TestCholeskyFactorizeSolveIntoNoAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	n := 24
-	a := randomSPD(rng, n)
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	var ch Cholesky
-	if err := CholeskyFactorizeInto(&ch, a); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := CholeskyFactorizeInto(&ch, a); err != nil {
-			t.Fatal(err)
-		}
-		ch.SolveInto(b, x)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Cholesky FactorizeInto+SolveInto allocates %v objects/op, want 0", allocs)
-	}
-}
-
 func TestRawRowAliasesStorage(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	row := a.RawRow(1)

@@ -1,6 +1,6 @@
 // Package mat implements the small dense linear-algebra kernel used by the
-// QP and SQP solvers: a row-major dense matrix type, vector helpers, LU and
-// Cholesky factorizations, and a Householder-QR least-squares solver.
+// QP and SQP solvers: a row-major dense matrix type, vector helpers and an
+// LU factorization with partial pivoting.
 //
 // The package is deliberately scoped to the needs of the model-predictive
 // controller: problems have at most a few hundred variables, so simple
@@ -18,10 +18,6 @@ import (
 // ErrSingular is returned by factorizations and solvers when the matrix is
 // singular (or numerically singular) to working precision.
 var ErrSingular = errors.New("mat: matrix is singular")
-
-// ErrNotSPD is returned by Cholesky when the matrix is not symmetric
-// positive definite.
-var ErrNotSPD = errors.New("mat: matrix is not symmetric positive definite")
 
 // ErrShape is returned when operand dimensions are incompatible.
 var ErrShape = errors.New("mat: dimension mismatch")

@@ -16,15 +16,6 @@ func luSolve(a *Dense, b []float64) ([]float64, error) {
 	return f.SolveInto(b, make([]float64, len(b))), nil
 }
 
-// choleskySolve is luSolve's Cholesky counterpart.
-func choleskySolve(a *Dense, b []float64) ([]float64, error) {
-	var ch Cholesky
-	if err := CholeskyFactorizeInto(&ch, a); err != nil {
-		return nil, err
-	}
-	return ch.SolveInto(b, make([]float64, len(b))), nil
-}
-
 func TestLUSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{
 		{2, 1, -1},
@@ -74,61 +65,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestCholeskyKnown(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
-	var ch Cholesky
-	if err := CholeskyFactorizeInto(&ch, a); err != nil {
-		t.Fatal(err)
-	}
-	wantL := FromRows([][]float64{
-		{2, 0, 0},
-		{6, 1, 0},
-		{-8, 5, 3},
-	})
-	if !ch.l.EqualApprox(wantL, 1e-12) {
-		t.Errorf("L =\n%v\nwant\n%v", ch.l, wantL)
-	}
-}
-
-func TestCholeskySolveMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(15)
-		a := randomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xc, err := choleskySolve(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		xl, err := luSolve(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := range xc {
-			if math.Abs(xc[i]-xl[i]) > 1e-7*(1+math.Abs(xl[i])) {
-				t.Errorf("trial %d: Cholesky/LU mismatch at %d: %v vs %v", trial, i, xc[i], xl[i])
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 0},
-		{0, -1},
-	})
-	if _, err := choleskySolve(a, []float64{1, 1}); err != ErrNotSPD {
-		t.Errorf("CholeskyFactorizeInto on indefinite: err = %v, want ErrNotSPD", err)
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
@@ -173,28 +109,5 @@ func TestNorm2Overflow(t *testing.T) {
 		t.Error("Norm2 overflowed")
 	} else if math.Abs(got-big*math.Sqrt2) > 1e186 {
 		t.Errorf("Norm2 = %v", got)
-	}
-}
-
-func TestCholeskySolveSPDProperty(t *testing.T) {
-	// A·x = b round-trips for random SPD systems via Cholesky.
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		a := randomSPD(rng, n)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(want)
-		x, err := choleskySolve(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := range x {
-			if math.Abs(x[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-				t.Errorf("trial %d: x[%d] = %v, want %v", trial, i, x[i], want[i])
-			}
-		}
 	}
 }

@@ -11,6 +11,8 @@
 // feasible starting point — SQP subproblems are frequently infeasible at
 // the current iterate — and its iteration count is nearly independent of
 // the number of inequality constraints (the MPC has ten per horizon step).
+// Every Newton system factors by one backward Riccati recursion over the
+// problem's stage layout (see Problem).
 package qp
 
 import (
@@ -60,10 +62,11 @@ var ErrBadProblem = errors.New("qp: invalid problem")
 // stage matrices of the same layout and state width, nil when there are
 // no such rows.
 //
-// With N > 1 the KKT system factors by a Riccati recursion over the
-// stage state (stageKKT), in O(N·NV³) instead of O((N·NV)³); every
-// equality row needs a coefficient on its own stage's variables.
-// A one-stage problem is the unstructured QP and factors densely.
+// The KKT system factors by a Riccati recursion over the stage state
+// (stageKKT), in O(N·NV³) instead of O((N·NV)³); every equality row
+// needs a coefficient on its own stage's variables. A one-stage problem
+// is the unstructured QP: the recursion is then a Cholesky factorization
+// of its Hessian block and of the equality rows' Schur complement.
 type Problem struct {
 	H   []*mat.Dense
 	C   []float64
@@ -75,9 +78,9 @@ type Problem struct {
 
 // The interior-point iteration limit and the static diagonal
 // regularization added to the KKT system. The regularization keeps the
-// factorization well-posed when H is only positive semidefinite; both
-// KKT backends use it, so the structured path solves the identical
-// linear system as the dense reference.
+// factorization well-posed when H is only positive semidefinite, and it
+// is the same at every stage count, so a multi-stage problem and its
+// OneStage form solve the identical linear system.
 const (
 	maxIter = 60
 	kktReg  = 1e-9
@@ -208,29 +211,19 @@ func (p *Problem) objectiveInto(x, hx []float64) float64 {
 	return 0.5*mat.Dot(x, p.mulH(x, hx)) + mat.Dot(p.C, x)
 }
 
-// HessianInto writes the block-diagonal Hessian into the leading n×n
-// block of dst, which may be larger, and zeroes the rest of dst.
-func (p *Problem) HessianInto(dst *mat.Dense) {
-	dst.Zero()
-	o := 0
-	for _, b := range p.H {
-		nv, _ := b.Dims()
-		for i := 0; i < nv; i++ {
-			copy(dst.RawRow(o + i)[o:o+nv], b.RawRow(i))
-		}
-		o += nv
-	}
-}
-
-// OneStage returns p as a one-stage problem over the same data: a single
-// dense Hessian block and full-width constraint rows, which Solve factors
-// on the dense path. Tests and benchmarks use it as the reference the
-// stage backend is checked against.
+// OneStage returns p as a one-stage problem over the same data: the
+// block-diagonal Hessian as one dense block and full-width constraint
+// rows, so the recursion sees no stage structure and factors the whole
+// Newton system as stage 0. Tests and benchmarks use it as the
+// reference the multi-stage factorization is checked against.
 func (p *Problem) OneStage() *Problem {
 	nv, _ := p.H[0].Dims()
-	n := len(p.H) * nv
-	h := mat.NewDense(n, n)
-	p.HessianInto(h)
+	h := mat.NewDense(len(p.H)*nv, len(p.H)*nv)
+	for k, b := range p.H {
+		for i := 0; i < nv; i++ {
+			copy(h.RawRow(k*nv + i)[k*nv:], b.RawRow(i))
+		}
+	}
 	return &Problem{H: []*mat.Dense{h}, C: p.C, Aeq: p.Aeq.oneStage(), Beq: p.Beq, Ain: p.Ain.oneStage(), Bin: p.Bin}
 }
 
@@ -255,11 +248,12 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 		y[i] = 0
 	}
 
-	kkt := ws.kkt(p)
+	kkt := &ws.kkt
+	kkt.ensure(p)
 
 	// No inequalities: the problem reduces to a single KKT solve.
 	if min == 0 {
-		return solveEquality(p, kkt, ws)
+		return solveEquality(p, ws)
 	}
 
 	// Interior-point state.
@@ -332,7 +326,7 @@ func Solve(p *Problem, opt Options) (*Result, error) {
 			commonStep = cycling(&hist)
 		}
 
-		// The barrier weights d = z/s feed every backend; a nonpositive
+		// The barrier weights d = z/s feed the KKT factors; a nonpositive
 		// or non-finite ratio means the iterate is beyond repair.
 		badD := false
 		for k := 0; k < min; k++ {
@@ -481,14 +475,14 @@ func maxStep(v, dv []float64) float64 {
 //	[H + regI   Aeqᵀ ] [x]   [−c ]
 //	[Aeq       −regI ] [y] = [beq]
 //
-// once, on the backend the problem's stage count selects.
-func solveEquality(p *Problem, kkt kktSystem, ws *Workspace) (*Result, error) {
+// once.
+func solveEquality(p *Problem, ws *Workspace) (*Result, error) {
 	res := &ws.res
-	if err := kkt.factor(p, nil, nil); err != nil {
+	if err := ws.kkt.factor(p, nil, nil); err != nil {
 		*res = Result{X: ws.x, EqDuals: ws.y, Status: NumericalFailure, Factorizations: 1}
 		return res, fmt.Errorf("qp: singular KKT system: %w", err)
 	}
-	kkt.solveInto(mat.ScaleVecInto(ws.rhs1, -1, p.C), p.Beq, ws.x, ws.y)
+	ws.kkt.solveInto(mat.ScaleVecInto(ws.rhs1, -1, p.C), p.Beq, ws.x, ws.y)
 	*res = Result{
 		X:              ws.x,
 		EqDuals:        ws.y,

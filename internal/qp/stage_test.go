@@ -90,11 +90,11 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 
 // TestStageBackendMatchesDense is the equivalence property suite: over a
 // spread of random stage-structured QPs (varying stage counts and sizes,
-// active sets, and near-singular stage Hessians), the Riccati backend
-// must reproduce the dense reference solution and multipliers to tight
-// tolerance. The Newton systems differ only in the dense path's −1e-9
-// dual regularization, which the stage path omits; the worst relative
-// gaps are logged.
+// active sets, and near-singular stage Hessians), the Riccati recursion
+// over the stages must reproduce the solution and multipliers of the
+// problem's one-stage form, whose whole Newton system factors densely as
+// a single stage, to tight tolerance. Both forms solve the identical
+// regularized system; the worst relative gaps are logged.
 func TestStageBackendMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	var worstX, worstEq, worstIn, worstObj float64
@@ -111,43 +111,43 @@ func TestStageBackendMatchesDense(t *testing.T) {
 		}
 		p := randStageQP(rng, nst, ridge)
 
-		dense, err := Solve(p.OneStage(), Options{})
+		one, err := Solve(p.OneStage(), Options{})
 		if err != nil {
-			t.Fatalf("trial %d: dense solve failed: %v", trial, err)
+			t.Fatalf("trial %d: one-stage solve failed: %v", trial, err)
 		}
 		str, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: structured solve failed: %v", trial, err)
 		}
-		if dense.Status != Optimal || str.Status != Optimal {
-			t.Fatalf("trial %d: status dense=%v structured=%v", trial, dense.Status, str.Status)
+		if one.Status != Optimal || str.Status != Optimal {
+			t.Fatalf("trial %d: status one-stage=%v structured=%v", trial, one.Status, str.Status)
 		}
-		for i := range dense.X {
-			if d := gap(&worstX, str.X[i], dense.X[i]); d > 1e-6 {
-				t.Fatalf("trial %d: X[%d] = %.12g, dense %.12g (Δ %g)", trial, i, str.X[i], dense.X[i], d)
+		for i := range one.X {
+			if d := gap(&worstX, str.X[i], one.X[i]); d > 1e-6 {
+				t.Fatalf("trial %d: X[%d] = %.12g, one-stage %.12g (Δ %g)", trial, i, str.X[i], one.X[i], d)
 			}
 		}
-		for i := range dense.EqDuals {
-			if d := gap(&worstEq, str.EqDuals[i], dense.EqDuals[i]); d > 1e-5 {
-				t.Fatalf("trial %d: EqDuals[%d] = %.12g, dense %.12g", trial, i, str.EqDuals[i], dense.EqDuals[i])
+		for i := range one.EqDuals {
+			if d := gap(&worstEq, str.EqDuals[i], one.EqDuals[i]); d > 1e-5 {
+				t.Fatalf("trial %d: EqDuals[%d] = %.12g, one-stage %.12g", trial, i, str.EqDuals[i], one.EqDuals[i])
 			}
 		}
-		for i := range dense.InDuals {
-			if d := gap(&worstIn, str.InDuals[i], dense.InDuals[i]); d > 1e-5 {
-				t.Fatalf("trial %d: InDuals[%d] = %.12g, dense %.12g", trial, i, str.InDuals[i], dense.InDuals[i])
+		for i := range one.InDuals {
+			if d := gap(&worstIn, str.InDuals[i], one.InDuals[i]); d > 1e-5 {
+				t.Fatalf("trial %d: InDuals[%d] = %.12g, one-stage %.12g", trial, i, str.InDuals[i], one.InDuals[i])
 			}
 		}
-		if d := gap(&worstObj, str.Objective, dense.Objective); d > 1e-7 {
-			t.Fatalf("trial %d: objective %.15g vs dense %.15g", trial, str.Objective, dense.Objective)
+		if d := gap(&worstObj, str.Objective, one.Objective); d > 1e-7 {
+			t.Fatalf("trial %d: objective %.15g vs one-stage %.15g", trial, str.Objective, one.Objective)
 		}
 	}
-	t.Logf("worst relative gap to the dense oracle: X %.2g, EqDuals %.2g, InDuals %.2g, objective %.2g", worstX, worstEq, worstIn, worstObj)
+	t.Logf("worst relative gap to the one-stage form: X %.2g, EqDuals %.2g, InDuals %.2g, objective %.2g", worstX, worstEq, worstIn, worstObj)
 }
 
 // TestStageBackendFailsOnIndefiniteStage: a strongly indefinite stage
 // Hessian block fails the stage Cholesky on the first Newton step, and
 // the solve ends there with NumericalFailure, an error wrapping
-// ErrIndefinite and a finite X — no dense retry, so exactly one
+// ErrIndefinite and a finite X — no retry, so exactly one
 // factorization.
 func TestStageBackendFailsOnIndefiniteStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -358,7 +358,7 @@ func coldDemotionQP(t *testing.T) (*Problem, float64) {
 // TestStageBackendStaysStructuredOnColdMPC: on the real MPC subproblem
 // that used to demote, every Newton step factors on the stage path (one
 // factorization per step, no failure), and the solve ends with a status
-// and final residuals no worse than its one-stage dense oracle's. A
+// and final residuals no worse than its one-stage form's. A
 // residual counts as worse only above the solve tolerance and beyond
 // roundoff (1e-6 relative) of the oracle's.
 func TestStageBackendStaysStructuredOnColdMPC(t *testing.T) {
@@ -374,17 +374,17 @@ func TestStageBackendStaysStructuredOnColdMPC(t *testing.T) {
 	if str.Factorizations != steps {
 		t.Fatalf("%d factorizations in %d Newton steps", str.Factorizations, steps)
 	}
-	dense, err := Solve(p.OneStage(), Options{Tol: tol})
+	one, err := Solve(p.OneStage(), Options{Tol: tol})
 	if err != nil {
-		t.Fatalf("dense solve: %v", err)
+		t.Fatalf("one-stage solve: %v", err)
 	}
-	t.Logf("stage: %v after %d iterations, primal %.3g dual %.3g; dense: %v after %d, primal %.3g dual %.3g",
-		str.Status, str.Iterations, str.PrimalInfeas, str.DualInfeas, dense.Status, dense.Iterations, dense.PrimalInfeas, dense.DualInfeas)
-	if str.Status > dense.Status {
-		t.Fatalf("status stage=%v, dense=%v", str.Status, dense.Status)
+	t.Logf("stage: %v after %d iterations, primal %.3g dual %.3g; one-stage: %v after %d, primal %.3g dual %.3g",
+		str.Status, str.Iterations, str.PrimalInfeas, str.DualInfeas, one.Status, one.Iterations, one.PrimalInfeas, one.DualInfeas)
+	if str.Status > one.Status {
+		t.Fatalf("status stage=%v, one-stage=%v", str.Status, one.Status)
 	}
 	worse := func(got, want float64) bool { return got > tol && got > want*(1+1e-6) }
-	if worse(str.PrimalInfeas, dense.PrimalInfeas) || worse(str.DualInfeas, dense.DualInfeas) {
-		t.Fatalf("final residuals primal %g dual %g, dense oracle %g and %g", str.PrimalInfeas, str.DualInfeas, dense.PrimalInfeas, dense.DualInfeas)
+	if worse(str.PrimalInfeas, one.PrimalInfeas) || worse(str.DualInfeas, one.DualInfeas) {
+		t.Fatalf("final residuals primal %g dual %g, one-stage form %g and %g", str.PrimalInfeas, str.DualInfeas, one.PrimalInfeas, one.DualInfeas)
 	}
 }

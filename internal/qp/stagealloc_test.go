@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Warm solves through the structured backend are allocation-free, same
-// contract as the dense path (TestWarmSolveNoAllocs): every control step
+// Warm solves of a multi-stage problem are allocation-free, same
+// contract as the one-stage solve (TestWarmSolveNoAllocs): every control step
 // the MPC re-solves an identically-shaped stage QP on the same arena.
 func TestStructuredWarmSolveNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -39,7 +39,7 @@ func TestNewWorkspaceForFirstSolveNoAllocs(t *testing.T) {
 		structured bool
 	}{
 		{"structured", true},
-		{"dense", false},
+		{"dense", false}, // the one-stage form: one full-width block
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := randStageQP(rng, 6, 0)

@@ -118,11 +118,13 @@ func buildStageQP(seed uint64, nst int, scale float64, poison uint8) *Problem {
 }
 
 // FuzzStageKKT throws seeded stage-structured QPs — including
-// ill-conditioned, non-SPD and degenerate ones — at the stage backend.
-// Properties: Solve never panics, an Optimal status always carries a
-// finite X, a stage whose equality block has no pivot (pzZeroEqRow)
-// fails cleanly with NumericalFailure and a finite X, and the one-stage
-// form of the same problem also returns without panicking.
+// ill-conditioned, non-SPD and degenerate ones — at the stage backend,
+// in their stage layout and in their one-stage form, which factors on
+// the same recursion as a single stage. Properties, for both forms:
+// Solve never panics, an Optimal status always carries a finite X, and
+// a problem whose equality block has no pivot (pzZeroEqRow: an all-zero
+// row, so no own-variable coefficient in either form) fails cleanly
+// with NumericalFailure and a finite X.
 func FuzzStageKKT(f *testing.F) {
 	f.Add(uint64(1), uint8(3), 1.0, uint8(0))
 	f.Add(uint64(2), uint8(5), 1.0, uint8(pzZeroH))
@@ -146,15 +148,17 @@ func FuzzStageKKT(f *testing.F) {
 			scale *= 1e-150
 		}
 		p := buildStageQP(seed, nst, scale, poison)
-
-		res, err := Solve(p, Options{})
-		if err == nil && res.Status == Optimal && !mat.AllFinite(res.X) {
-			t.Fatalf("Optimal status with non-finite X = %v", res.X)
+		for _, form := range []struct {
+			name string
+			p    *Problem
+		}{{"stage form", p}, {"one-stage form", p.OneStage()}} {
+			res, err := Solve(form.p, Options{})
+			if err == nil && res.Status == Optimal && !mat.AllFinite(res.X) {
+				t.Fatalf("%s: Optimal status with non-finite X = %v", form.name, res.X)
+			}
+			if res != nil && poison&pzZeroEqRow != 0 && (err == nil || res.Status != NumericalFailure || !mat.AllFinite(res.X)) {
+				t.Fatalf("%s without an equality pivot: status %v, err %v, X %v; want a clean NumericalFailure", form.name, res.Status, err, res.X)
+			}
 		}
-		if res != nil && poison&pzZeroEqRow != 0 && (err == nil || res.Status != NumericalFailure || !mat.AllFinite(res.X)) {
-			t.Fatalf("stage without an equality pivot: status %v, err %v, X %v; want a clean NumericalFailure", res.Status, err, res.X)
-		}
-
-		Solve(p.OneStage(), Options{})
 	})
 }

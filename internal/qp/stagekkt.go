@@ -7,17 +7,15 @@ import (
 	"evclimate/internal/mat"
 )
 
-// stageKKT is the stage backend of the interior-point Newton system of a
-// multi-stage problem,
+// stageKKT factors the regularized interior-point Newton system
 //
 //	[ H + AinᵀD Ain + regI    Aeqᵀ  ] [dx]   [r1]
-//	[ Aeq                    −regI  ] [dy] = [r2],
+//	[ Aeq                    −regI  ] [dy] = [r2]
 //
-// the regularized system the dense path solves, factored by HPIPM's
-// backward Riccati recursion over the stage state (Frison & Diehl, arXiv
-// 2003.02547). Stage k's unknowns are its own nv variables v_k and its
-// ne multipliers y_k; through its row windows it also sees the nx state
-// variables s_{k−1} that end stage k−1. In window coordinates
+// by HPIPM's backward Riccati recursion over the stage state (Frison &
+// Diehl, arXiv 2003.02547). Stage k's unknowns are its own nv variables
+// v_k and its ne multipliers y_k; through its row windows it also sees
+// the nx state variables s_{k−1} that end stage k−1. In window coordinates
 // u = (s_{k−1}, v_k), J_k holds the stage's Hessian block, the
 // regularization and the barrier terms of its inequality rows, and
 // A_k = [A_s A_v] its equality rows.
@@ -37,6 +35,8 @@ import (
 //
 // an nx×nx block added to J_{k−1}. solveInto runs the same recursion on
 // the right-hand side, then a forward sweep recovers each v_k and y_k.
+// Stage 0 has no state, so a one-stage problem is just the two Cholesky
+// factorizations of its own block.
 //
 // Both factored matrices are positive definite whenever H is positive
 // semidefinite — the regularization reaches every own variable and every
@@ -154,9 +154,9 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 	}
 }
 
-// factor implements kktSystem: it assembles the stage Hessians and runs
-// the backward recursion, adding each cost-to-go into the previous
-// stage's J.
+// factor factors the Newton matrix for barrier weights z/s (nil: no
+// inequalities): it assembles the stage Hessians and runs the backward
+// recursion, adding each cost-to-go into the previous stage's J.
 func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 	f.assemble(p, z, s)
 	f.aeq = p.Aeq
@@ -291,7 +291,7 @@ func (f *stageKKT) semidefinite(h *mat.Dense) bool {
 	return !cholesky(f.h, nv, true)
 }
 
-// solveInto implements kktSystem.
+// solveInto solves the factored system for r1, r2 into dx, dy.
 func (f *stageKKT) solveInto(r1, r2, dx, dy []float64) {
 	nv, ne, nst := f.nv, f.ne, len(f.st)
 	// Backward sweep: with s_{k−1} = 0 the stage solve gives (v⁰, y⁰),

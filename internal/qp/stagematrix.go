@@ -1,10 +1,6 @@
 package qp
 
-import (
-	"fmt"
-
-	"evclimate/internal/mat"
-)
+import "fmt"
 
 // StageMatrix is a constraint Jacobian in receding-horizon stage layout
 // (the OCP-QP layout of HPIPM, Frison & Diehl, arXiv 2003.02547). The
@@ -211,16 +207,6 @@ func (a *StageMatrix) window(k int) (lo, width int) {
 		return 0, a.nv
 	}
 	return k*a.nv - a.nx, a.nx + a.nv
-}
-
-// denseInto writes the matrix into the full-width dense dst.
-func (a *StageMatrix) denseInto(dst *mat.Dense) {
-	dst.Zero()
-	rows, _ := a.Dims()
-	for i := 0; i < rows; i++ {
-		lo, v := a.Row(i)
-		copy(dst.RawRow(i)[lo:], v)
-	}
 }
 
 // oneStage returns a one-stage copy of the matrix (nil for nil).

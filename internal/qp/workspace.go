@@ -1,11 +1,9 @@
 package qp
 
 // Workspace holds every buffer the interior-point iteration needs: the
-// iterate and residual vectors and the KKT backend the problem's stage
-// count selects — the stage Riccati recursion for a multi-stage problem,
-// the dense Cholesky/Schur factors with their LU fallback for a
-// one-stage one. Factors are reused across the predictor and corrector
-// solves of one iteration and re-factorized in place across iterations.
+// iterate and residual vectors and the stage Riccati factors of the KKT
+// system. Factors are reused across the predictor and corrector solves
+// of one iteration and re-factorized in place across iterations.
 // Pass it via Options.Work to make repeated Solve calls with same-shaped
 // problems allocation-free — the MPC solves an identically-shaped QP
 // subproblem on every SQP iteration of every control step, so the
@@ -29,11 +27,9 @@ type Workspace struct {
 	dxA, dyA, dsA, dzA []float64
 	dx, dy, ds, dz     []float64
 
-	// KKT backends, each created on the first solve of its kind and
-	// re-sized with the problem's layout: dense for one stage, stage for
-	// more.
-	dense *denseKKT
-	stage *stageKKT
+	// kkt factors the Newton system, re-sized with the problem's stage
+	// layout.
+	kkt stageKKT
 
 	res Result
 }
@@ -42,10 +38,9 @@ type Workspace struct {
 // use and re-sized only when the problem dimensions change.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// NewWorkspaceFor returns a workspace pre-sized for p — including its
-// KKT backend and, for a one-stage p, the dense LU fallback — and packs
-// the nonzero lists of p's constraint matrices, so even the first Solve
-// performs no allocation. An invalid problem yields an empty workspace
+// NewWorkspaceFor returns a workspace pre-sized for p, its KKT factors
+// included, and packs the nonzero lists of p's constraint matrices, so
+// even the first Solve performs no allocation. An invalid problem yields an empty workspace
 // that sizes itself lazily like NewWorkspace.
 func NewWorkspaceFor(p *Problem) *Workspace {
 	w := NewWorkspace()
@@ -54,32 +49,13 @@ func NewWorkspaceFor(p *Problem) *Workspace {
 		return w
 	}
 	w.ensure(n, meq, min)
-	w.kkt(p)
-	if w.dense != nil {
-		w.dense.reserveLU()
-	}
+	w.kkt.ensure(p)
 	for _, a := range []*StageMatrix{p.Aeq, p.Ain} {
 		if a != nil {
 			a.fresh()
 		}
 	}
 	return w
-}
-
-// kkt returns the backend for p, sized for its layout.
-func (w *Workspace) kkt(p *Problem) kktSystem {
-	if len(p.H) > 1 {
-		if w.stage == nil {
-			w.stage = &stageKKT{}
-		}
-		w.stage.ensure(p)
-		return w.stage
-	}
-	if w.dense == nil {
-		w.dense = &denseKKT{}
-	}
-	w.dense.ensure(w.n, w.meq)
-	return w.dense
 }
 
 // ensure sizes the workspace for an n-variable problem with meq equality

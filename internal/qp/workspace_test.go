@@ -111,7 +111,7 @@ func TestWarmSolveNoAllocs(t *testing.T) {
 	}
 }
 
-// The equality-only shortcut shares the workspace's dense KKT buffers.
+// The equality-only shortcut shares the workspace's KKT factors.
 func TestWarmEqualityOnlySolveNoAllocs(t *testing.T) {
 	p := denseQP{
 		H:   mat.Identity(4),

@@ -228,9 +228,9 @@ func TestWarmSolveNoAllocs(t *testing.T) {
 }
 
 // Warm solves with a declared stage structure — block-diagonal BFGS plus
-// the structured QP backend — meet the same allocation contract as the
-// dense path. This is the exact configuration the MPC runs every control
-// step.
+// the QP's stage recursion over the declared stages — meet the same
+// allocation contract as the one-stage NLP. This is the exact
+// configuration the MPC runs every control step.
 func TestWarmStructuredSolveNoAllocs(t *testing.T) {
 	// Two stages of two variables; one equality and two bound rows per
 	// stage, every row supported on its own stage (trivially in-band).
