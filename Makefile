@@ -22,9 +22,10 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Machine-readable benchmark snapshot: the sweep-engine scaling benches
-# plus the co-simulation hot-path benches, parsed into BENCH_sweep.json
-# so regressions diff across commits. The telemetry pair (RunOnOff vs
+# Machine-readable benchmark snapshot: the sweep-engine scaling benches,
+# the co-simulation hot-path benches and JournalAppend (one fleet
+# commute's journal record, encoded and written), parsed into
+# BENCH_sweep.json so regressions diff across commits. The telemetry pair (RunOnOff vs
 # RunOnOffTelemetry) bounds the observability overhead. The second
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
 # pair (QPInteriorPoint vs ...Warm) bounds the workspace-reuse win,
@@ -35,7 +36,7 @@ bench:
 # window, and the -benchmem allocs/op column pins the allocation-free
 # hot path.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem . ; \
+	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback' -benchmem . ./internal/sqp \

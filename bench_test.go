@@ -563,3 +563,71 @@ func BenchmarkSweep16Parallel(b *testing.B) { benchSweep(b, runtime.NumCPU(), 0)
 func BenchmarkSweepScalar(b *testing.B) { benchSweep(b, runtime.NumCPU(), -1) }
 
 func BenchmarkSweepBatch(b *testing.B) { benchSweep(b, runtime.NumCPU(), runner.DefaultBatchSize) }
+
+// BenchmarkJournalAppend journals one fleet-commute record per
+// iteration — the On/Off run of the Monte-Carlo fleet's trip fleet-4 at
+// seed 3, 1323 control steps with its full trace, as the pool journals
+// it — through Journal.Append: the record's JSON encoding (the trace in
+// its packed form) and the write. Fsync runs only at close, so the
+// disk's sync latency does not swamp the encoding; MB/s counts journal
+// bytes.
+func BenchmarkJournalAppend(b *testing.B) {
+	spec, err := experiments.FleetSpec(map[string]string{"trips": "12", "seed": "3", "max_s": "0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, err := runner.Expand(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := []runner.Job{jobs[8]}
+	var rec *runner.JournalRecord
+	if _, err := runner.RunJobs(context.Background(), job, runner.Options{
+		Workers:  1,
+		OnRecord: func(r *runner.JournalRecord) { rec = r },
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if rec == nil || rec.Result == nil || len(rec.Result.Trace.Time) != 1323 {
+		b.Fatalf("record %+v is not the 1323-step commute", rec)
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(line) + 1))
+
+	dir := b.TempDir()
+	open := func() *runner.Journal {
+		jnl, err := runner.OpenJournal(&runner.JournalConfig{Dir: dir, FsyncEvery: 1 << 30, Git: "bench"}, "bench", job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return jnl
+	}
+	jnl := open()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%64 == 0 {
+			// Start a fresh file now and then so the run's disk use
+			// stays bounded.
+			b.StopTimer()
+			if err := jnl.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.Remove(jnl.Path()); err != nil {
+				b.Fatal(err)
+			}
+			jnl = open()
+			b.StartTimer()
+		}
+		if err := jnl.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := jnl.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runCLI invokes the testable entrypoint and returns (exit code, stdout,
@@ -183,15 +184,28 @@ func TestServeJoinColdRoundTrip(t *testing.T) {
 		out, errOut string
 	}
 	served := make(chan outcome, 1)
+	sctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	go func() {
-		code, out, errOut := runCLI(context.Background(),
+		code, out, errOut := runCLI(sctx,
 			"-exp", "cold", "-serve", addr, "-quick", "-workers", "2")
 		served <- outcome{code, out, errOut}
 	}()
 
 	code, out, errOut := runCLI(context.Background(), "-join", "http://"+addr, "-workers", "2")
 	if code != 0 {
-		t.Fatalf("worker: exit %d, stderr: %s", code, errOut)
+		// Why the worker lost its coordinator is on the coordinator's
+		// side: report its outcome too, stopping it if it still runs.
+		var sr outcome
+		select {
+		case sr = <-served:
+		case <-time.After(10 * time.Second):
+			stop()
+			sr = <-served
+			sr.errOut += "\n(still running after the worker exited; stopped by the test)"
+		}
+		t.Fatalf("worker: exit %d, stderr: %s\ncoordinator: exit %d, stdout: %s\nstderr: %s",
+			code, errOut, sr.code, sr.out, sr.errOut)
 	}
 	if !strings.Contains(out, "worker done") {
 		t.Errorf("worker stdout missing completion note: %s", out)

@@ -236,6 +236,11 @@ func readCheckpoint(path string) (*sim.Checkpoint, error) {
 	}
 	var ck sim.Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
+		// Unmarshal fills what it can, so an older schema still shows
+		// its version even though its trace does not decode.
+		if ck.Version != 0 && ck.Version != sim.CheckpointVersion {
+			return nil, fmt.Errorf("checkpoint %s: version %d, this build reads version %d", path, ck.Version, sim.CheckpointVersion)
+		}
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return &ck, nil

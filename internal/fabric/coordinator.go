@@ -38,6 +38,9 @@ const (
 	// leasePollWait is the wait hint handed to workers when no unit is
 	// leasable right now.
 	leasePollWait = 250 * time.Millisecond
+	// shutdownGrace bounds how long Close lets in-flight requests
+	// finish before cutting their connections.
+	shutdownGrace = 2 * time.Second
 )
 
 // CoordinatorConfig configures one sweep's coordinator.
@@ -467,10 +470,18 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 
 // Close stops the listener, the reaper, and the journal. Idempotent
 // enough for defer-after-Serve-failure (nil fields are skipped).
+// Requests already being served finish first — the reply to the
+// sweep's final completion among them, which tells its worker the
+// sweep is done — unless they outlast shutdownGrace; the journal
+// closes only after them.
 func (c *Coordinator) Close() error {
 	var errs []error
 	if c.srv != nil {
-		errs = append(errs, c.srv.Close())
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		if err := c.srv.Shutdown(ctx); err != nil {
+			errs = append(errs, c.srv.Close())
+		}
+		cancel()
 		c.srv = nil
 	}
 	select {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +29,39 @@ type chaosScenario struct {
 	wantFaults []netchaos.Fault
 	// wantCounter, when set, is a coordinator counter that must be > 0.
 	wantCounter string
+	// corruptStatus, when set, is the status the coordinator must answer
+	// every corrupted /complete with — one such answer per injected
+	// CorruptRequest fault.
+	corruptStatus int
+}
+
+// statusLog is a RoundTripper under the fault layer that counts the
+// coordinator's answers per path and status code.
+type statusLog struct {
+	mu     sync.Mutex
+	counts map[string]map[int]int
+}
+
+func (l *statusLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		l.mu.Lock()
+		if l.counts == nil {
+			l.counts = make(map[string]map[int]int)
+		}
+		if l.counts[req.URL.Path] == nil {
+			l.counts[req.URL.Path] = make(map[int]int)
+		}
+		l.counts[req.URL.Path][resp.StatusCode]++
+		l.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (l *statusLog) count(path string, status int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.counts[path][status]
 }
 
 // runChaosFabric executes the grid sweep with per-worker fault
@@ -67,9 +102,10 @@ func runChaosFabric(t *testing.T, label string, sc *chaosScenario) (artifacts, *
 	specs := testSpecs(t)
 	n := len(sc.schedules)
 	transports := make([]*netchaos.Transport, n)
+	answers := &statusLog{}
 	errc := make(chan error, n)
 	for w := 0; w < n; w++ {
-		transports[w] = netchaos.NewTransport(sc.schedules[w], nil)
+		transports[w] = netchaos.NewTransport(sc.schedules[w], answers)
 		go func(w int) {
 			wk := NewWorker(WorkerConfig{
 				URL:         "http://" + coord.Addr,
@@ -105,6 +141,16 @@ func runChaosFabric(t *testing.T, label string, sc *chaosScenario) (artifacts, *
 	if sc.wantCounter != "" {
 		if got := reg.Counter(sc.wantCounter).Value(); got <= 0 {
 			t.Errorf("scenario %s: %s = %v, want > 0", sc.name, sc.wantCounter, got)
+		}
+	}
+	if sc.corruptStatus != 0 {
+		fired := 0
+		for _, tr := range transports {
+			fired += tr.Injected()[netchaos.CorruptRequest]
+		}
+		if got := answers.count("/complete", sc.corruptStatus); got != fired {
+			t.Errorf("scenario %s: %d /complete answers with status %d for %d corrupted requests (all answers: %v)",
+				sc.name, got, sc.corruptStatus, fired, answers.counts["/complete"])
 		}
 	}
 	sw, err := coord.Stitch()
@@ -177,17 +223,24 @@ func TestNetChaosMatrix(t *testing.T) {
 			wantCounter: "fabric_complete_replayed_total",
 		},
 		{
-			// A corrupted /complete payload: one flipped byte in transit.
-			// The checksum pass rejects it 422 and the intact retry lands.
+			// A corrupted /complete payload: one flipped byte in transit,
+			// on each worker's first completion, so the fault fires
+			// whichever worker completes. The flip mostly lands in a
+			// packed trace string: the coordinator answers 422 whether
+			// the body fails to decode or the record checksum no longer
+			// matches, and the intact retry lands.
 			name: "corrupt-complete-payload",
 			schedules: []netchaos.Schedule{
 				{Seed: 301, Rules: []netchaos.Rule{
 					{Fault: netchaos.CorruptRequest, Path: "/complete", Rate: 1, From: 0, To: 1},
 				}},
-				{Seed: 302},
+				{Seed: 302, Rules: []netchaos.Rule{
+					{Fault: netchaos.CorruptRequest, Path: "/complete", Rate: 1, From: 0, To: 1},
+				}},
 			},
-			wantFaults:  []netchaos.Fault{netchaos.CorruptRequest},
-			wantCounter: "fabric_complete_corrupt_total",
+			wantFaults:    []netchaos.Fault{netchaos.CorruptRequest},
+			wantCounter:   "fabric_complete_corrupt_total",
+			corruptStatus: http.StatusUnprocessableEntity,
 		},
 		{
 			// Every completion delivered twice, back to back, from both

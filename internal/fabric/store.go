@@ -148,33 +148,30 @@ func (s *spillStore) rotate() error {
 }
 
 func (s *spillStore) Put(i int, rec *runner.JournalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if s.active > 0 && s.active+int64(len(data)) > s.segBytes {
-		if err := s.rotate(); err != nil {
+	return runner.WriteJSONLine(rec, func(data []byte) error {
+		if s.active > 0 && s.active+int64(len(data)) > s.segBytes {
+			if err := s.rotate(); err != nil {
+				return err
+			}
+		}
+		seg := len(s.segs) - 1
+		f := s.segs[seg]
+		off := s.active
+		if _, err := f.WriteAt(data, off); err != nil {
 			return err
 		}
-	}
-	seg := len(s.segs) - 1
-	f := s.segs[seg]
-	off := s.active
-	if _, err := f.WriteAt(data, off); err != nil {
-		return err
-	}
-	s.active += int64(len(data))
-	s.spilled += int64(len(data))
-	if old, ok := s.index[i]; ok && old.failed {
-		s.failed--
-	}
-	e := spillEntry{seg: int32(seg), off: off, length: int32(len(data)), failed: rec.Err != ""}
-	if e.failed {
-		s.failed++
-	}
-	s.index[i] = e
-	return nil
+		s.active += int64(len(data))
+		s.spilled += int64(len(data))
+		if old, ok := s.index[i]; ok && old.failed {
+			s.failed--
+		}
+		e := spillEntry{seg: int32(seg), off: off, length: int32(len(data)), failed: rec.Err != ""}
+		if e.failed {
+			s.failed++
+		}
+		s.index[i] = e
+		return nil
+	})
 }
 
 func (s *spillStore) Get(i int) (*runner.JournalRecord, error) {

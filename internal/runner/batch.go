@@ -167,7 +167,7 @@ type lane struct {
 func (pe *poolEnv) newLane(i int) *lane {
 	ln := &lane{i: i}
 	if pe.jnl != nil && pe.opts.Journal.CheckpointEvery > 0 {
-		ln.ckPath = pe.jnl.checkpointPath(&pe.jobs[i])
+		ln.ckPath = pe.jnl.checkpointPath(pe.fps[i])
 	}
 	return ln
 }
@@ -243,7 +243,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 			ln.rec = telemetry.NewStepTrace(opts.TraceSteps)
 		}
 		if opts.Cache != nil {
-			if res, saved, ok := opts.Cache.get(job.Fingerprint()); ok {
+			if res, saved, ok := opts.Cache.get(pe.fps[ln.i]); ok {
 				ln.jr.Result, ln.jr.Cached, ln.jr.Saved = res, true, saved
 				continue
 			}
@@ -297,7 +297,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 			if ln.rec != nil {
 				spans = ln.rec.Spans()
 			}
-			return writeJobCheckpoint(ln.ckPath, &pe.jobs[ln.i], ck, spans, ln.priv.Snapshot(nil))
+			return writeJobCheckpoint(ln.ckPath, pe.fps[ln.i], ck, spans, ln.priv.Snapshot(nil))
 		}
 	}
 	bc := control.Batch(ctrls)
@@ -312,7 +312,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 	for k, ln := range live {
 		ln.jr.Result, ln.jr.Instance, ln.jr.Elapsed = rs[k], bc.Lane(k), share
 		if opts.Cache != nil {
-			opts.Cache.put(pe.jobs[ln.i].Fingerprint(), rs[k], share)
+			opts.Cache.put(pe.fps[ln.i], rs[k], share)
 		}
 	}
 	return nil

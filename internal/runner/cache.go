@@ -94,8 +94,9 @@ func (c *Cache) Saved() time.Duration {
 }
 
 // cacheFileVersion is the on-disk cache schema; LoadFile discards
-// files written by a different schema.
-const cacheFileVersion = 1
+// files written by a different schema. Version 2 carries each result's
+// trace in its packed wire form (sim.Trace.MarshalText).
+const cacheFileVersion = 2
 
 // cacheFile is the serialized form of a Cache: results keyed by their
 // scenario fingerprint in hex. Invalidation is inherent in the key —

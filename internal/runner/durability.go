@@ -23,8 +23,11 @@ import (
 // poolEnv carries one RunJobs call's shared execution state into the
 // workers.
 type poolEnv struct {
-	opts   Options
-	jobs   []Job
+	opts Options
+	jobs []Job
+	// fps are the jobs' scenario fingerprints, hashed once per RunJobs
+	// (nil when no journal, cache, record stream or manifest needs them).
+	fps    []uint64
 	jnl    *Journal
 	traces []*telemetry.StepTrace
 
@@ -85,7 +88,12 @@ func (pe *poolEnv) resolveCounters() {
 // fabric coordinator's stitch. The caller folds rec.Metrics and
 // rec.Spans into its own registry and trace log.
 func ReplayRecord(job *Job, rec *JournalRecord) (JobResult, error) {
-	fp := telemetry.FormatFingerprint(job.Fingerprint())
+	return replayRecord(job, job.Fingerprint(), rec)
+}
+
+// replayRecord is ReplayRecord given the job's fingerprint.
+func replayRecord(job *Job, jobFp uint64, rec *JournalRecord) (JobResult, error) {
+	fp := telemetry.FormatFingerprint(jobFp)
 	if rec.Fingerprint != fp {
 		return JobResult{}, fmt.Errorf("%w: record for job %d has fingerprint %s, this expansion has %s",
 			ErrJournalMismatch, job.Index, rec.Fingerprint, fp)
@@ -106,8 +114,9 @@ func ReplayRecord(job *Job, rec *JournalRecord) (JobResult, error) {
 // replay reconstructs a finished job from its journal record: the
 // result, the step-trace ring, and the metric contribution, exactly as
 // the live execution produced them.
-func (pe *poolEnv) replay(job *Job, i int, rec *JournalRecord) (JobResult, error) {
-	jr, err := ReplayRecord(job, rec)
+func (pe *poolEnv) replay(i int, rec *JournalRecord) (JobResult, error) {
+	job := &pe.jobs[i]
+	jr, err := replayRecord(job, pe.fps[i], rec)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -184,7 +193,7 @@ func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
 		jrec := &JournalRecord{
 			Kind:        "job",
 			Index:       job.Index,
-			Fingerprint: telemetry.FormatFingerprint(job.Fingerprint()),
+			Fingerprint: telemetry.FormatFingerprint(pe.fps[ln.i]),
 			Seed:        job.Seed,
 			Attempts:    jr.Attempts,
 			Cached:      jr.Cached,
@@ -229,7 +238,7 @@ func (pe *poolEnv) resumeLane(ln *lane) *sim.Checkpoint {
 		return nil
 	}
 	job := &pe.jobs[ln.i]
-	jc, err := readJobCheckpoint(ln.ckPath, job)
+	jc, err := readJobCheckpoint(ln.ckPath, pe.fps[ln.i])
 	if err != nil || jc == nil || jc.Checkpoint.Controller != job.Controller.Label {
 		return nil
 	}
@@ -254,12 +263,12 @@ type jobCheckpoint struct {
 	Metrics     telemetry.Snapshot   `json:"metrics,omitempty"`
 }
 
-// writeJobCheckpoint persists a job checkpoint atomically (write to a
-// temp file, fsync, rename) so a crash never leaves a half-written
-// checkpoint under the real name.
-func writeJobCheckpoint(path string, job *Job, ck *sim.Checkpoint, spans []telemetry.StepSpan, metrics telemetry.Snapshot) error {
+// writeJobCheckpoint persists the checkpoint of the job with
+// fingerprint fp atomically (write to a temp file, fsync, rename) so a
+// crash never leaves a half-written checkpoint under the real name.
+func writeJobCheckpoint(path string, fp uint64, ck *sim.Checkpoint, spans []telemetry.StepSpan, metrics telemetry.Snapshot) error {
 	data, err := json.Marshal(jobCheckpoint{
-		Fingerprint: telemetry.FormatFingerprint(job.Fingerprint()),
+		Fingerprint: telemetry.FormatFingerprint(fp),
 		Checkpoint:  ck,
 		Spans:       spans,
 		Metrics:     metrics,
@@ -286,11 +295,12 @@ func writeJobCheckpoint(path string, job *Job, ck *sim.Checkpoint, spans []telem
 	return os.Rename(tmp, path)
 }
 
-// readJobCheckpoint loads a job's mid-run checkpoint. A missing,
-// unparseable, or mismatched file yields nil: checkpoints accelerate
-// resumption, they are never required for correctness, so anything
-// suspect means "start from scratch".
-func readJobCheckpoint(path string, job *Job) (*jobCheckpoint, error) {
+// readJobCheckpoint loads the mid-run checkpoint of the job with
+// fingerprint fp. A missing, unparseable (an older schema's, say), or
+// mismatched file yields nil: checkpoints accelerate resumption, they
+// are never required for correctness, so anything suspect means "start
+// from scratch".
+func readJobCheckpoint(path string, fp uint64) (*jobCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -302,7 +312,7 @@ func readJobCheckpoint(path string, job *Job) (*jobCheckpoint, error) {
 	if err := json.Unmarshal(data, &jc); err != nil {
 		return nil, nil
 	}
-	if jc.Checkpoint == nil || jc.Fingerprint != telemetry.FormatFingerprint(job.Fingerprint()) {
+	if jc.Checkpoint == nil || jc.Fingerprint != telemetry.FormatFingerprint(fp) {
 		return nil, nil
 	}
 	return &jc, nil

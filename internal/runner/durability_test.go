@@ -414,24 +414,24 @@ func TestCheckpointIgnoredOnFingerprintMismatch(t *testing.T) {
 	job := &jobs[0]
 	path := filepath.Join(t.TempDir(), "ck.json")
 	ck := &sim.Checkpoint{Version: sim.CheckpointVersion, Controller: "On/Off", Step: 3}
-	if err := writeJobCheckpoint(path, job, ck, nil, nil); err != nil {
+	if err := writeJobCheckpoint(path, job.Fingerprint(), ck, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readJobCheckpoint(path, job)
+	got, err := readJobCheckpoint(path, job.Fingerprint())
 	if err != nil || got == nil || got.Checkpoint.Step != 3 {
 		t.Fatalf("round-trip: %+v, %v", got, err)
 	}
 	// A different job (different fingerprint) must not see it.
 	other := *job
 	other.Seed++
-	if got, err := readJobCheckpoint(path, &other); err != nil || got != nil {
+	if got, err := readJobCheckpoint(path, other.Fingerprint()); err != nil || got != nil {
 		t.Errorf("foreign checkpoint accepted: %+v, %v", got, err)
 	}
 	// Corruption degrades to a cold start, never an error.
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := readJobCheckpoint(path, job); err != nil || got != nil {
+	if got, err := readJobCheckpoint(path, job.Fingerprint()); err != nil || got != nil {
 		t.Errorf("corrupt checkpoint: %+v, %v", got, err)
 	}
 }

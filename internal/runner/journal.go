@@ -19,8 +19,10 @@ import (
 )
 
 // JournalVersion is the journal schema version; resuming refuses
-// journals written by a different schema.
-const JournalVersion = 1
+// journals written by a different schema. Version 2 carries each
+// result's trace in sim.Trace's packed wire form (float64 bits in
+// base64) instead of one JSON number per value.
+const JournalVersion = 2
 
 // ErrJournalMismatch reports a journal whose header does not describe
 // the sweep being resumed — a different spec, seed, schema, or build.
@@ -78,7 +80,9 @@ type JournalHeader struct {
 // JournalRecord is one completed job: enough to replay the job's
 // result, step spans, and metric contribution without re-simulating.
 // Failed jobs are journaled too (Err set, Result nil) for diagnostics,
-// but resume re-runs them.
+// but resume re-runs them. The result's trace is one packed string (see
+// sim.Trace), so a record's size is dominated by 8 bytes per trace
+// value, base64-encoded.
 type JournalRecord struct {
 	Kind        string               `json:"kind"` // "job"
 	Index       int                  `json:"index"`
@@ -100,9 +104,11 @@ type JournalRecord struct {
 // JSON form as fixed-width hex — the payload integrity check the
 // fabric's completion protocol runs over the wire. The hash is
 // representation-stable: Go's encoder emits struct fields in
-// declaration order and shortest-round-trip floats, so a decoded
-// record re-marshals to the same bytes the sender hashed, and any
-// in-transit corruption that changed a value changes the sum.
+// declaration order and shortest-round-trip floats, and the packed
+// trace string is canonical (only the encoding of a trace decodes to
+// it), so a decoded record re-marshals to the same bytes the sender
+// hashed, and any in-transit corruption that changed a value changes
+// the sum.
 func ChecksumRecord(rec *JournalRecord) (string, error) {
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -149,10 +155,25 @@ type JournalReplay struct {
 // fingerprint it excludes the base seed as a separate word; the per-job
 // fingerprints already pin the derived seeds.
 func SweepFingerprint(jobs []Job) uint64 {
+	return sweepFingerprint(fingerprints(jobs))
+}
+
+// fingerprints hashes each job's scenario once, in expansion order.
+func fingerprints(jobs []Job) []uint64 {
+	fps := make([]uint64, len(jobs))
+	for i := range jobs {
+		fps[i] = jobs[i].Fingerprint()
+	}
+	return fps
+}
+
+// sweepFingerprint is SweepFingerprint over precomputed job
+// fingerprints.
+func sweepFingerprint(fps []uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for i := range jobs {
-		binary.LittleEndian.PutUint64(buf[:], jobs[i].Fingerprint())
+	for _, fp := range fps {
+		binary.LittleEndian.PutUint64(buf[:], fp)
 		h.Write(buf[:])
 	}
 	return h.Sum64()
@@ -195,16 +216,17 @@ func journalFileName(label string, fp uint64) string {
 // coordinator uses the same format (and therefore the same resume
 // semantics) for its lease/completion log.
 func OpenJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, error) {
-	return openSweepJournal(cfg, label, jobs)
+	return openSweepJournal(cfg, label, fingerprints(jobs))
 }
 
-// openSweepJournal implements OpenJournal.
-func openSweepJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, error) {
+// openSweepJournal implements OpenJournal over the jobs' precomputed
+// fingerprints.
+func openSweepJournal(cfg *JournalConfig, label string, fps []uint64) (*Journal, error) {
 	git := cfg.Git
 	if git == "" {
 		git = telemetry.GitDescribe("")
 	}
-	fp := SweepFingerprint(jobs)
+	fp := sweepFingerprint(fps)
 	h := JournalHeader{
 		Kind:             "header",
 		Version:          JournalVersion,
@@ -212,7 +234,7 @@ func openSweepJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, e
 		SweepFingerprint: telemetry.FormatFingerprint(fp),
 		Git:              git,
 		GoVersion:        runtime.Version(),
-		Jobs:             len(jobs),
+		Jobs:             len(fps),
 	}
 	path := filepath.Join(cfg.Dir, journalFileName(label, fp))
 	if _, err := os.Stat(path); err == nil {
@@ -271,12 +293,10 @@ func createJournal(path string, h JournalHeader, fsyncEvery int) (*Journal, erro
 		return nil, err
 	}
 	j := &Journal{path: path, f: f, header: h, fsyncEvery: fsyncEvery}
-	line, err := json.Marshal(h)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if err := WriteJSONLine(h, func(line []byte) error {
+		_, err := f.Write(line)
+		return err
+	}); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -352,7 +372,9 @@ func ReadJournal(path string) (*JournalReplay, error) {
 // corruption anywhere else is an error, because silently skipping
 // middle records would resurrect lost work as "finished". When the
 // same job index appears more than once (a failed job re-run by an
-// earlier resume), the last record wins.
+// earlier resume), the last record wins. A journal written by another
+// schema version is refused with ErrJournalMismatch before any record
+// is decoded: its records do not parse under this schema.
 func ParseJournal(data []byte) (*JournalReplay, error) {
 	rep := &JournalReplay{Records: make(map[int]*JournalRecord)}
 	pos := 0
@@ -379,6 +401,11 @@ func ParseJournal(data []byte) (*JournalReplay, error) {
 			var h JournalHeader
 			if err := json.Unmarshal(line, &h); err != nil || h.Kind != "header" {
 				return nil, fmt.Errorf("runner: journal line 1 is not a header record")
+			}
+			if h.Version != JournalVersion {
+				return nil, fmt.Errorf("%w: journal schema v%d, this build reads v%d — "+
+					"finish the run with the build that wrote it, or remove the journal to start over",
+					ErrJournalMismatch, h.Version, JournalVersion)
 			}
 			rep.Header = h
 			sawHeader = true
@@ -434,24 +461,41 @@ func (j *Journal) AppendLease(rec *LeaseRecord) error {
 	return j.appendLine(rec)
 }
 
-// appendLine marshals and appends one record of any kind.
+// appendLine encodes one record of any kind outside the lock and
+// appends it under the lock.
 func (j *Journal) appendLine(rec any) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
+	return WriteJSONLine(rec, func(line []byte) error {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if _, err := j.f.Write(line); err != nil {
+			return err
+		}
+		j.sinceSync++
+		if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
+			j.sinceSync = 0
+			return j.f.Sync()
+		}
+		return nil
+	})
+}
+
+// linePool recycles WriteJSONLine's buffers.
+var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// WriteJSONLine encodes v as one JSON line — json.Marshal's bytes plus
+// a newline — into a pooled buffer and hands the line to write, which
+// must not retain it. The record is encoded before write runs, so a
+// write that takes a lock holds it for the copy alone, and the line is
+// never copied on its way out. The journal and the fabric's spill store
+// append their records through it.
+func WriteJSONLine(v any, write func(line []byte) error) error {
+	buf := linePool.Get().(*bytes.Buffer)
+	defer linePool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	j.sinceSync++
-	if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
-		j.sinceSync = 0
-		return j.f.Sync()
-	}
-	return nil
+	return write(buf.Bytes())
 }
 
 // Replayed returns the journal's record for a job index, or nil.
@@ -475,8 +519,8 @@ func (j *Journal) Close() error {
 }
 
 // checkpointPath is the mid-job checkpoint file for a job, beside the
-// journal and keyed by the job's scenario fingerprint.
-func (j *Journal) checkpointPath(job *Job) string {
+// journal and keyed by the job's scenario fingerprint fp.
+func (j *Journal) checkpointPath(fp uint64) string {
 	return filepath.Join(filepath.Dir(j.path),
-		fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(job.Fingerprint())))
+		fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(fp)))
 }

@@ -1,7 +1,12 @@
 package runner
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
+
+	"evclimate/internal/cabin"
+	"evclimate/internal/sim"
 )
 
 // FuzzParseJournal hardens the resume path against arbitrary journal
@@ -10,10 +15,23 @@ import (
 // the valid prefix re-parses cleanly (same records, never torn), which
 // is exactly what resumeJournal relies on when it truncates a torn tail.
 func FuzzParseJournal(f *testing.F) {
-	header := `{"kind":"header","version":1,"label":"x","sweep_fingerprint":"00000000deadbeef","git":"g","go_version":"go1","jobs":2}`
+	header := fmt.Sprintf(`{"kind":"header","version":%d,"label":"x","sweep_fingerprint":"00000000deadbeef","git":"g","go_version":"go1","jobs":2}`, JournalVersion)
 	rec0 := `{"kind":"job","index":0,"fingerprint":"00000000deadbeef","seed":1,"elapsed_ns":5,"result":{"Controller":"On/Off"}}`
 	rec1 := `{"kind":"job","index":1,"fingerprint":"00000000feedface","seed":2,"elapsed_ns":7,"err":"boom"}`
+	// A record as this schema writes it: the trace is one packed string.
+	packed, err := json.Marshal(&JournalRecord{Kind: "job", Index: 1, Fingerprint: "00000000feedface", Seed: 2,
+		Result: &sim.Result{Controller: "On/Off", Trace: sim.Trace{
+			Time: []float64{0, 1}, CabinC: []float64{30, 29.5}, SoC: []float64{},
+			Inputs: []cabin.Inputs{{SupplyTempC: 12, AirFlowKgS: 0.1}, {Recirc: 0.5}},
+		}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1 := `{"kind":"header","version":1,"label":"x","sweep_fingerprint":"00000000deadbeef","git":"g","go_version":"go1","jobs":2}`
 	f.Add([]byte(header + "\n" + rec0 + "\n" + rec1 + "\n"))
+	f.Add([]byte(header + "\n" + rec0 + "\n" + string(packed) + "\n"))
+	f.Add([]byte(header + "\n" + string(packed[:len(packed)/2])))         // torn inside the packed trace
+	f.Add([]byte(v1 + "\n" + rec0 + "\n"))                                // another schema: refused
 	f.Add([]byte(header + "\n" + rec0 + "\n" + `{"kind":"job","ind`))     // crash mid-append
 	f.Add([]byte(header + "\n" + rec0 + "\n" + "garbage\n"))              // corrupt final line
 	f.Add([]byte(header + "\n" + "garbage\n" + rec0 + "\n"))              // corrupt middle line

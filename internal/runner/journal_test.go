@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
@@ -263,7 +266,7 @@ func TestJournalResumeRefusesMismatch(t *testing.T) {
 		want JournalHeader
 		frag string
 	}{
-		{"version", func() JournalHeader { w := h; w.Version = 2; return w }(), "schema"},
+		{"version", func() JournalHeader { w := h; w.Version = JournalVersion + 1; return w }(), "schema"},
 		{"fingerprint", func() JournalHeader { w := h; w.SweepFingerprint = "00000000feedface"; return w }(), "spec or seed changed"},
 		{"git", func() JournalHeader { w := h; w.Git = "g2"; return w }(), "this build is"},
 		{"goversion", func() JournalHeader { w := h; w.GoVersion = "go9.9"; return w }(), "toolchains"},
@@ -437,7 +440,7 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 }
 
 func TestJournalCorruptMiddleErrors(t *testing.T) {
-	header := `{"kind":"header","version":1,"sweep_fingerprint":"00","git":"g","go_version":"go","jobs":2}`
+	header := fmt.Sprintf(`{"kind":"header","version":%d,"sweep_fingerprint":"00","git":"g","go_version":"go","jobs":2}`, JournalVersion)
 	rec := `{"kind":"job","index":0,"fingerprint":"00","seed":1,"elapsed_ns":5}`
 	_, err := ParseJournal([]byte(header + "\n" + "NOT JSON\n" + rec + "\n"))
 	if err == nil || !strings.Contains(err.Error(), "corrupt journal record at line 2") {
@@ -550,5 +553,115 @@ func TestChecksumRecordRoundTrip(t *testing.T) {
 	back.Result.DeltaSoH += 1e-9
 	if got, _ := ChecksumRecord(&back); got == sum {
 		t.Error("checksum unchanged after mutating the result payload")
+	}
+}
+
+// TestJournalLinesReMarshalIdentically: every job line a real sweep
+// journals — full traces in their packed form — decodes and re-marshals
+// to exactly its bytes, which is what ChecksumRecord relies on when the
+// fabric coordinator re-hashes a decoded completion.
+func TestJournalLinesReMarshalIdentically(t *testing.T) {
+	dir := t.TempDir()
+	opts, _, _ := journalOpts(dir, false)
+	if _, err := Run(context.Background(), quickSpec(), opts); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(findJournal(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	jobs := 0
+	for _, line := range lines[1:] {
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Result == nil || len(rec.Result.Trace.Time) == 0 || len(rec.Result.Trace.Inputs) == 0 {
+			t.Fatalf("job %d journaled without a full trace", rec.Index)
+		}
+		again, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, line) {
+			t.Errorf("job %d: re-marshaled record differs from its journal line", rec.Index)
+		}
+		h := fnv.New64a()
+		h.Write(line)
+		if sum, _ := ChecksumRecord(&rec); sum != telemetry.FormatFingerprint(h.Sum64()) {
+			t.Errorf("job %d: checksum %s is not the hash of the journaled bytes", rec.Index, sum)
+		}
+		jobs++
+	}
+	if jobs != 8 {
+		t.Fatalf("%d job records, want 8", jobs)
+	}
+}
+
+// TestJournalRefusesOtherSchema: a journal written by schema v1 (traces
+// as JSON number arrays) is refused with ErrJournalMismatch — by
+// ParseJournal and by a resuming sweep — rather than reported as
+// corrupt or silently re-run.
+func TestJournalRefusesOtherSchema(t *testing.T) {
+	dir := t.TempDir()
+	opts, _, _ := journalOpts(dir, false)
+	if _, err := Run(context.Background(), quickSpec(), opts); err != nil {
+		t.Fatal(err)
+	}
+	path := findJournal(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf(`"version":%d`, JournalVersion)
+	if !bytes.Contains(data, []byte(cur)) {
+		t.Fatalf("journal header lacks %s", cur)
+	}
+	v1 := bytes.Replace(data, []byte(cur), []byte(`"version":1`), 1)
+	// A v1 job line: the trace as an object of number arrays.
+	v1 = append(v1, `{"kind":"job","index":0,"fingerprint":"00","seed":1,"elapsed_ns":5,"result":{"Trace":{"Time":[0,1],"Inputs":null}}}`+"\n"...)
+	if _, err := ParseJournal(v1); !errors.Is(err, ErrJournalMismatch) || !strings.Contains(err.Error(), "schema v1") {
+		t.Errorf("ParseJournal(v1): err = %v, want ErrJournalMismatch naming schema v1", err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ropts, _, _ := journalOpts(dir, true)
+	if _, err := Run(context.Background(), quickSpec(), ropts); !errors.Is(err, ErrJournalMismatch) {
+		t.Errorf("resume of a v1 journal: err = %v, want ErrJournalMismatch", err)
+	}
+}
+
+// TestJournalAppendRefusesNonFiniteTrace: a trace holding NaN cannot be
+// journaled — the packed form refuses it as json.Marshal refuses a NaN
+// float — so the job fails with the append error instead of writing a
+// record that would not replay.
+func TestJournalAppendRefusesNonFiniteTrace(t *testing.T) {
+	jobs, err := Expand(oneJobSpec(OnOffSpec(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache hit hands the pool a result without simulating it.
+	cache := NewCache()
+	cache.Put(jobs[0].Fingerprint(), &sim.Result{Controller: "On/Off",
+		Trace: sim.Trace{Time: []float64{0, 1}, CabinC: []float64{30, math.NaN()}}}, time.Millisecond)
+	dir := t.TempDir()
+	out, err := RunJobs(context.Background(), jobs, Options{
+		Cache: cache, Journal: &JournalConfig{Dir: dir, Git: "test-build"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out[0].Err; err == nil || !strings.Contains(err.Error(), "journal append") ||
+		!strings.Contains(err.Error(), "CabinC[1]") {
+		t.Fatalf("job err = %v, want a journal append error naming CabinC[1]", err)
+	}
+	rep, err := ReadJournal(findJournal(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 0 {
+		t.Errorf("journal holds %d records, want none", len(rep.Records))
 	}
 }

@@ -197,7 +197,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := RunJobs(ctx, jobs, opts)
+	results, fps, err := runJobs(ctx, jobs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Sweep, error) {
 		sw.Metrics = opts.Telemetry.Snapshot(nil)
 	}
 	if opts.Manifest != nil {
-		opts.Manifest.AddRun(ManifestRunInfo(opts.ManifestLabel, spec.BaseSeed, jobs))
+		opts.Manifest.AddRun(manifestRunInfo(opts.ManifestLabel, spec.BaseSeed, jobs, fps))
 	}
 	return sw, nil
 }
@@ -218,6 +218,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Sweep, error) {
 // identical structure, so a fabric manifest is byte-comparable to a
 // single-process one.
 func ManifestRunInfo(label string, baseSeed int64, jobs []Job) telemetry.RunInfo {
+	return manifestRunInfo(label, baseSeed, jobs, fingerprints(jobs))
+}
+
+// manifestRunInfo is ManifestRunInfo over the jobs' precomputed
+// fingerprints.
+func manifestRunInfo(label string, baseSeed int64, jobs []Job, fps []uint64) telemetry.RunInfo {
 	ri := telemetry.RunInfo{Label: label, BaseSeed: baseSeed, Jobs: make([]telemetry.JobInfo, 0, len(jobs))}
 	h := fnv.New64a()
 	var buf [8]byte
@@ -225,7 +231,7 @@ func ManifestRunInfo(label string, baseSeed int64, jobs []Job) telemetry.RunInfo
 	h.Write(buf[:])
 	for i := range jobs {
 		j := &jobs[i]
-		fp := j.Fingerprint()
+		fp := fps[i]
 		binary.LittleEndian.PutUint64(buf[:], fp)
 		h.Write(buf[:])
 		info := telemetry.JobInfo{
@@ -247,6 +253,14 @@ func ManifestRunInfo(label string, baseSeed int64, jobs []Job) telemetry.RunInfo
 // RunJobs executes an explicit job list across the worker pool and
 // returns results in job order.
 func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error) {
+	out, _, err := runJobs(ctx, jobs, opts)
+	return out, err
+}
+
+// runJobs implements RunJobs and also returns the job fingerprints it
+// hashed, once each — nil unless opts asks for anything keyed by them —
+// for Run's manifest.
+func runJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, []uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -267,14 +281,19 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		traces = make([]*telemetry.StepTrace, len(jobs))
 	}
 	pe := &poolEnv{opts: opts, jobs: jobs, traces: traces}
+	// Hash each job's scenario once, and only when something keys on
+	// it: the journal, the cache, the record stream or Run's manifest.
+	if opts.Journal != nil || opts.Cache != nil || opts.OnRecord != nil || opts.Manifest != nil {
+		pe.fps = fingerprints(jobs)
+	}
 	pe.resolveCounters()
 
 	// Journal mode: open (or resume) the write-ahead log and replay the
 	// finished jobs before any worker starts.
 	if opts.Journal != nil {
-		jnl, err := openSweepJournal(opts.Journal, opts.ManifestLabel, jobs)
+		jnl, err := openSweepJournal(opts.Journal, opts.ManifestLabel, pe.fps)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer jnl.Close()
 		pe.jnl = jnl
@@ -284,9 +303,9 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 			if rec == nil || rec.Err != "" {
 				continue // never journaled, or failed: re-run it
 			}
-			jr, err := pe.replay(&jobs[i], i, rec)
+			jr, err := pe.replay(i, rec)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			out[i] = jr
 			ran[i] = true
@@ -358,7 +377,7 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 			opts.TraceLog.Append(spans...)
 		}
 	}
-	return out, nil
+	return out, pe.fps, nil
 }
 
 // jobLabels are the base labels every metric of one job's sink carries.

@@ -14,8 +14,9 @@ import (
 )
 
 // CheckpointVersion is the checkpoint schema version; a resume refuses
-// checkpoints written by a different schema.
-const CheckpointVersion = 1
+// checkpoints written by a different schema. Version 2 carries the
+// trace in its packed wire form (Trace.MarshalText).
+const CheckpointVersion = 2
 
 // RunOptions are the durability controls of one run. The zero value
 // reproduces Run exactly.
@@ -46,8 +47,9 @@ type RunOptions struct {
 // control-step boundary: the next step index, the cabin temperature, the
 // metric accumulators, the trace so far, the BMS state, the fault
 // injector's hold-last buffer, and the controller's opaque state blob.
-// encoding/json round-trips finite float64 values exactly, so a
-// checkpoint that passed through disk resumes the same bits.
+// encoding/json round-trips finite float64 values exactly, and the
+// trace travels as its packed float64 bits, so a checkpoint that passed
+// through disk resumes the same bits.
 type Checkpoint struct {
 	// Version is the checkpoint schema version (CheckpointVersion).
 	Version int `json:"version"`

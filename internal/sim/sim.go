@@ -78,7 +78,11 @@ type Config struct {
 	Telemetry telemetry.Sink
 }
 
-// Trace records the closed-loop trajectories.
+// Trace records the closed-loop trajectories. In JSON it is one string,
+// the packed wire form of MarshalText: every value's float64 bits in
+// base64, so journals, fabric completions, the result cache and
+// checkpoints carry a trace bit-exactly without printing each value as
+// decimal text.
 type Trace struct {
 	// Time holds the control-step timestamps.
 	Time []float64
