@@ -30,16 +30,15 @@ bench:
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
 # pair (QPInteriorPoint vs ...Warm) bounds the workspace-reuse win,
 # QPColdFixture times the pinned deep-cold MPC subproblem on the stage
-# recursion, SQPElasticFallback (internal/sqp) the elastic fallback of a
-# thermal-MPC-shaped infeasible subproblem, the MPCSolveStep pair's
-# elastic/op column shows whether a fallback fell inside the timed
-# window, and the -benchmem allocs/op column pins the allocation-free
-# hot path.
+# recursion, the MPCSolveStep pair's qpiters/op and capped/op columns
+# carry the host-independent work of a decide (interior-point iterations
+# and QPs that ended at their iteration cap), and the -benchmem
+# allocs/op column pins the allocation-free hot path.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback' -benchmem . ./internal/sqp \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem . \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
@@ -58,7 +57,7 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm|SQPElasticFallback' -benchmem -benchtime 3s . ./internal/sqp \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s . \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \

@@ -159,18 +159,23 @@ func BenchmarkMPCSolveStep(b *testing.B) {
 	benchDecide(b, mpc, ctx)
 }
 
-// benchDecide times b.N steady-state decides and reports elastic/op, the
-// elastic fallbacks per decide inside the timed window (core.Stats): a
-// fallback is rare but costs many interior-point iterations, so a reading
-// with a nonzero count is not comparable to one without.
+// benchDecide times b.N steady-state decides and reports two host-free
+// work counts per decide inside the timed window: qpiters/op, the
+// interior-point iterations (control.SolveInfo), and capped/op, the QP
+// subproblems that ended at the iteration cap (core.Stats). A capped QP
+// costs the full iteration budget, so a reading with a nonzero count is
+// not comparable to one without.
 func benchDecide(b *testing.B, mpc *core.Controller, ctx control.StepContext) {
-	before := mpc.Stats().ElasticFallbacks
+	before := mpc.Stats().CappedQPs
+	qpIters := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mpc.Decide(ctx)
+		qpIters += mpc.LastSolve().QPIterations
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(mpc.Stats().ElasticFallbacks-before)/float64(b.N), "elastic/op")
+	b.ReportMetric(float64(mpc.Stats().CappedQPs-before)/float64(b.N), "capped/op")
+	b.ReportMetric(float64(qpIters)/float64(b.N), "qpiters/op")
 }
 
 // BenchmarkMPCSolveStepThermal is the co-scheduling counterpart of
@@ -599,7 +604,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 	dir := b.TempDir()
 	open := func() *runner.Journal {
-		jnl, err := runner.OpenJournal(&runner.JournalConfig{Dir: dir, FsyncEvery: 1 << 30, Git: "bench"}, "bench", job)
+		jnl, err := runner.OpenJournal(&runner.JournalConfig{Dir: dir, FsyncEvery: 1 << 30, Git: "bench"}, "bench", runner.Fingerprints(job))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,10 @@
 // stalling the solver at constraint-violating points. Tm, Pf, Pe, and SoC
 // are eliminated analytically (they are linear or depend only on single
 // inputs), which is mathematically equivalent to the paper's full u
-// vector.
+// vector. C2's comfort bounds are soft: one nonnegative slack per stage,
+// priced linearly in the cost, keeps every SQP subproblem feasible from
+// a soaked start and is exact (zero) whenever the comfort funnel is
+// reachable.
 package core
 
 import (
@@ -81,6 +84,17 @@ func ComfortWeights() Weights {
 // to the reachable envelope and tighten along the horizon at this rate.
 const funnelRateKps = 0.04
 
+// comfortSlackPerK is ρ, the price of one kelvin of C2 violation at one
+// stage, in cost units. Each stage's comfort rows relax by e_k/ρ for a
+// slack e_k ≥ 0 that the cost charges linearly, Σ e_k: an exact ℓ₁
+// penalty (Kerrigan & Maciejowski 2000). Whenever the funnel is
+// reachable the optimum keeps every e_k at zero and equals the
+// hard-constrained one; from a soaked start that the heater cannot
+// follow the subproblems stay feasible and SQP minimizes the violation.
+// The slack is kept in cost units (gradient 1, Jacobian −1/ρ) rather than
+// kelvins so it does not inflate the BFGS seed 1 + ‖∇f‖∞.
+const comfortSlackPerK = 1e3
+
 // Config assembles the MPC controller.
 type Config struct {
 	// Cabin is the HVAC plant parameter set the internal model uses.
@@ -105,7 +119,7 @@ type Config struct {
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
 	// mpc_qp_iterations, mpc_kkt_factorizations_total,
-	// mpc_elastic_fallbacks_total). Nil or Nop adds no overhead to Decide.
+	// mpc_qp_capped_total). Nil or Nop adds no overhead to Decide.
 	Telemetry telemetry.Sink
 	// Thermal enables the cold-climate battery-thermal co-scheduling
 	// extension (see ThermalOptions). The zero value keeps the paper's
@@ -135,10 +149,11 @@ type Controller struct {
 	// Stage layout: sv variables, ne equality rows, ni inequality rows
 	// per prediction step, of which the last nx variables are the state
 	// the next step's rows reach back to. The cabin-only problem is
-	// [Ts,Tc,dr,mz,Ph,Pc | x] (7/3/14, nx 1); thermal co-scheduling
-	// appends the battery branch and the pack state,
-	// [Ts,Tc,dr,mz,Ph,Pc,Pbh,Pbc | x,Tb] (10/4/18, nx 2). The values are
-	// fixed in New.
+	// [Ts,Tc,dr,mz,Ph,Pc,e | x] (8/3/15, nx 1); thermal co-scheduling
+	// adds the battery branch and the pack state,
+	// [Ts,Tc,dr,mz,Ph,Pc,Pbh,Pbc,e | x,Tb] (11/4/19, nx 2). e is the
+	// stage's comfort slack (comfortSlackPerK). The values are fixed in
+	// New.
 	sv, ne, ni, nx int
 	thermal        bool
 	// kabEffWK is the coolant loop folded into an effective pack↔ambient
@@ -163,17 +178,14 @@ type Controller struct {
 	// Diagnostics aggregated over a run.
 	solves, converged, stalled, failed, budget int
 	totalSQPIters                              int
-	kktFactorizations, elasticFallbacks        int
+	kktFactorizations, cappedQPs               int
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
 	lastErr error
 	// lastSolve is the previous Decide's optimizer diagnostics, exposed
-	// through control.SolveReporter for telemetry step spans, and
-	// lastElastic its count of QP subproblems re-solved by the elastic
-	// fallback.
-	lastSolve   control.SolveInfo
-	lastElastic int
+	// through control.SolveReporter for telemetry step spans.
+	lastSolve control.SolveInfo
 
 	// Telemetry instruments, nil unless the config carried an active
 	// sink; nil instruments are no-ops so Decide never branches on them.
@@ -181,7 +193,7 @@ type Controller struct {
 	telIters   *telemetry.Histogram
 	telQPIters *telemetry.Histogram
 	telKKT     *telemetry.Counter // KKT factorizations
-	telElastic *telemetry.Counter // QP subproblems re-solved by the elastic fallback
+	telCapped  *telemetry.Counter // QP subproblems that ended at the iteration cap
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -267,7 +279,7 @@ func New(cfg Config) (*Controller, error) {
 // bindInstruments (re)resolves the solver instruments on the config's
 // sink, detaching them when it is nil or inactive.
 func (c *Controller) bindInstruments() {
-	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telElastic, c.telRTF = nil, nil, nil, nil, nil, nil
+	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telCapped, c.telRTF = nil, nil, nil, nil, nil, nil
 	tel := c.cfg.Telemetry
 	if tel == nil || !tel.Active() {
 		return
@@ -280,7 +292,7 @@ func (c *Controller) bindInstruments() {
 	c.telIters = tel.Histogram("mpc_sqp_iterations", telemetry.IterationBuckets)
 	c.telQPIters = tel.Histogram("mpc_qp_iterations", telemetry.IterationBuckets)
 	c.telKKT = tel.Counter("mpc_kkt_factorizations_total")
-	c.telElastic = tel.Counter("mpc_elastic_fallbacks_total")
+	c.telCapped = tel.Counter("mpc_qp_capped_total")
 	// Wall-clock derived; the "_real_time_factor" suffix keeps it out of
 	// deterministic manifests (telemetry.DeterministicFilter).
 	c.telRTF = tel.Gauge("mpc_real_time_factor")
@@ -301,12 +313,12 @@ func (c *Controller) Name() string {
 	return "Battery Lifetime-aware"
 }
 
-// Structured reports whether the last Decide's SQP solve factored every
-// QP subproblem by the Riccati recursion over the stage state without an
-// elastic fallback — false after an elastic fallback, a
-// safe-ventilation fallback, or before the first solve.
+// Structured reports whether the last Decide returned a solver iterate:
+// every QP subproblem factors by the Riccati recursion over the stage
+// state, so it is false only after a safe-ventilation fallback or before
+// the first solve.
 func (c *Controller) Structured() bool {
-	return c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0 && c.lastElastic == 0
+	return c.lastSolve.Status != "fallback" && c.lastSolve.QPIterations > 0
 }
 
 // Reset implements control.Controller.
@@ -314,10 +326,9 @@ func (c *Controller) Reset() {
 	c.havePrev = false
 	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
 	c.totalSQPIters = 0
-	c.kktFactorizations, c.elasticFallbacks = 0, 0
+	c.kktFactorizations, c.cappedQPs = 0, 0
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
-	c.lastElastic = 0
 }
 
 // LastSolve implements control.SolveReporter.
@@ -344,18 +355,18 @@ type Stats struct {
 	// AvgSQPIters is the mean SQP iteration count per solve.
 	AvgSQPIters float64
 	// KKTFactorizations sums the interior-point KKT factorizations of
-	// every QP subproblem, elastic re-solves included.
+	// every QP subproblem.
 	KKTFactorizations int
-	// ElasticFallbacks counts the QP subproblems that failed and were
-	// re-solved in slack-augmented form (sqp.Result.ElasticFallbacks).
-	ElasticFallbacks int
+	// CappedQPs counts the QP subproblems that ended at the interior
+	// point's iteration cap (sqp.Result.CappedQPs).
+	CappedQPs int
 }
 
 // Stats returns the diagnostics.
 func (c *Controller) Stats() Stats {
 	s := Stats{
 		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
-		KKTFactorizations: c.kktFactorizations, ElasticFallbacks: c.elasticFallbacks,
+		KKTFactorizations: c.kktFactorizations, CappedQPs: c.cappedQPs,
 	}
 	if c.solves > 0 {
 		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
@@ -449,17 +460,19 @@ func (c *Controller) buildHorizon(ctx control.StepContext) *horizonData {
 }
 
 // Variable layout: stage-major (multiple-shooting order). Stage k owns
-// sv contiguous variables; cabin-only (sv = 7)
+// sv contiguous variables; cabin-only (sv = 8)
 //
-//	z[7k+0..5]   [Ts_k, Tc_k, dr_k, mz_k, Ph_k, Pc_k]   inputs + coil powers
-//	z[7k+6]      x_{k+1}                                next cabin temperature
+//	z[8k+0..5]   [Ts_k, Tc_k, dr_k, mz_k, Ph_k, Pc_k]   inputs + coil powers
+//	z[8k+6]      e_k                                    comfort slack, cost units
+//	z[8k+7]      x_{k+1}                                next cabin temperature
 //
-// and thermal co-scheduling (sv = 10)
+// and thermal co-scheduling (sv = 11)
 //
-//	z[10k+0..5]  [Ts_k, Tc_k, dr_k, mz_k, Ph_k, Pc_k]   inputs + coil powers
-//	z[10k+6..7]  [Pbh_k, Pbc_k]                         battery heater/chiller, kW
-//	z[10k+8]     x_{k+1}                                next cabin temperature
-//	z[10k+9]     Tb_{k+1}                               next pack temperature
+//	z[11k+0..5]  [Ts_k, Tc_k, dr_k, mz_k, Ph_k, Pc_k]   inputs + coil powers
+//	z[11k+6..7]  [Pbh_k, Pbc_k]                         battery heater/chiller, kW
+//	z[11k+8]     e_k                                    comfort slack, cost units
+//	z[11k+9]     x_{k+1}                                next cabin temperature
+//	z[11k+10]    Tb_{k+1}                               next pack temperature
 //
 // so every constraint of stage k touches only the variables of stage k
 // and the state that ends stage k−1 (x_k, and Tb_k in thermal mode): the
@@ -482,14 +495,18 @@ func (c *Controller) idxBh(k int) int { return c.sv*k + 6 }
 func (c *Controller) idxBc(k int) int { return c.sv*k + 7 }
 func (c *Controller) idxTb(k int) int { return c.sv*k - 1 } // Tb_k, k ≥ 1
 
+// idxE is stage k's comfort slack e_k, the last variable before the
+// stage state.
+func (c *Controller) idxE(k int) int { return c.sv*(k+1) - c.nx - 1 }
+
 // nz returns the decision-vector length.
 func (c *Controller) nz() int { return c.sv * c.cfg.Horizon }
 
 // stageVars and thermalStageVars are the per-stage variable counts of
 // the two layouts above.
 const (
-	stageVars        = 7
-	thermalStageVars = 10
+	stageVars        = 8
+	thermalStageVars = 11
 )
 
 // stateAt returns the cabin temperature at the start of step k and
@@ -553,6 +570,7 @@ func (c *Controller) objective(z []float64, h *horizonData) float64 {
 		cost += w.SoCDev * e * e
 		d := z[c.idxX(k+1)] - h.targetC
 		cost += w.Comfort * d * d
+		cost += z[c.idxE(k)]
 	}
 	// Terminal comfort cost: without it the receding horizon ratchets the
 	// cabin toward a comfort-zone boundary, since each 60 s window sees a
@@ -617,6 +635,7 @@ func (c *Controller) gradient(z []float64, h *horizonData, grad []float64) {
 		}
 		grad[c.idxMz(k)] += dCdP * 2 * c.cfg.Cabin.FanCoeffW * z[c.idxMz(k)]
 		grad[c.idxX(k+1)] += 2 * w.Comfort * (z[c.idxX(k+1)] - h.targetC)
+		grad[c.idxE(k)] += 1
 	}
 	grad[c.idxX(h.n)] += 2 * w.Comfort * float64(h.n) * (z[c.idxX(h.n)] - h.targetC)
 	if c.thermal {
@@ -753,22 +772,25 @@ func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *qp.StageMat
 	}
 }
 
-// Inequality constraints, 14 per step k:
+// Inequality constraints, 15 per step k:
 //
 //	0: mz ≥ mz_lo          (C1)     1: mz ≤ mz_hi∧fan  (C1/C10)
-//	2: x_{k+1} ≥ lo_k      (C2)     3: x_{k+1} ≤ hi_k  (C2)
+//	2: x_{k+1} ≥ lo_k − e_k/ρ (C2)  3: x_{k+1} ≤ hi_k + e_k/ρ (C2)
 //	4: Tc ≤ Ts             (C3)     5: Tc ≤ Tm         (C4)
 //	6: Tc ≥ floor_k        (C5)     7: Ts ≤ Th_max     (C6)
 //	8: dr ≥ 0              (C7)     9: dr ≤ dr_max     (C7)
 //	10: Ph ≤ Ph_max        (C8)    11: Pc ≤ Pc_max     (C9)
 //	12: Ph ≥ 0                     13: Pc ≥ 0
+//	14: e_k ≥ 0                              (ρ = comfortSlackPerK)
 //
-// Thermal co-scheduling appends 4 battery-branch rows per step:
+// Thermal co-scheduling inserts 4 battery-branch rows before the slack
+// row, which stays last:
 //
 //	14: Pbh ≤ Pbh_max      15: Pbc ≤ Pbc_max
 //	16: Pbh ≥ 0            17: Pbc ≥ 0
+//	18: e_k ≥ 0
 const (
-	ineqPerStep        = 14
+	ineqPerStep        = 15
 	thermalIneqPerStep = ineqPerStep + 4
 )
 
@@ -787,11 +809,12 @@ func (c *Controller) inequalities(z []float64, h *horizonData, out []float64) {
 		mz := z[c.idxMz(k)]
 		xhat, _ := c.stateAt(z, h, k)
 		tm := (1-dr)*h.outsideC[k] + dr*xhat
+		relax := z[c.idxE(k)] / comfortSlackPerK
 		o := out[k*c.ni:]
 		o[0] = p.MinAirFlowKgS - mz
 		o[1] = mz - mzHi
-		o[2] = h.comfortLo[k] - z[c.idxX(k+1)]
-		o[3] = z[c.idxX(k+1)] - h.comfortHi[k]
+		o[2] = h.comfortLo[k] - z[c.idxX(k+1)] - relax
+		o[3] = z[c.idxX(k+1)] - h.comfortHi[k] - relax
 		o[4] = tc - ts
 		o[5] = tc - tm
 		o[6] = h.coilFloorC[k] - tc
@@ -809,6 +832,7 @@ func (c *Controller) inequalities(z []float64, h *horizonData, out []float64) {
 			o[16] = -z[c.idxBh(k)]
 			o[17] = -z[c.idxBc(k)]
 		}
+		o[c.ni-1] = -z[c.idxE(k)]
 	}
 }
 
@@ -820,7 +844,9 @@ func (c *Controller) inequalitiesJac(z []float64, h *horizonData, jac *qp.StageM
 		jac.Set(r+0, c.idxMz(k), -1)
 		jac.Set(r+1, c.idxMz(k), 1)
 		jac.Set(r+2, c.idxX(k+1), -1)
+		jac.Set(r+2, c.idxE(k), -1/comfortSlackPerK)
 		jac.Set(r+3, c.idxX(k+1), 1)
+		jac.Set(r+3, c.idxE(k), -1/comfortSlackPerK)
 		jac.Set(r+4, c.idxTc(k), 1)
 		jac.Set(r+4, c.idxTs(k), -1)
 		jac.Set(r+5, c.idxTc(k), 1)
@@ -842,11 +868,14 @@ func (c *Controller) inequalitiesJac(z []float64, h *horizonData, jac *qp.StageM
 			jac.Set(r+16, c.idxBh(k), -1)
 			jac.Set(r+17, c.idxBc(k), -1)
 		}
+		jac.Set(r+c.ni-1, c.idxE(k), -1)
 	}
 }
 
 // initialGuess builds a feasible-ish starting iterate into z: hold the
-// current temperature and ventilate. Every entry of z is written.
+// current temperature and ventilate, with each stage's comfort slack just
+// large enough to admit the held temperature. Every entry of z is
+// written.
 func (c *Controller) initialGuess(h *horizonData, z []float64) {
 	p := c.cfg.Cabin
 	ac := p.AirCpJKgK / p.EtaCool
@@ -865,6 +894,7 @@ func (c *Controller) initialGuess(h *horizonData, z []float64) {
 		z[c.idxMz(k)] = mz
 		z[c.idxPh(k)] = math.Max(0, h.ah[k]*mz*(ts-tc)/1000)
 		z[c.idxPc(k)] = math.Max(0, ac*mz*(tm-tc)/1000)
+		z[c.idxE(k)] = comfortSlackPerK * math.Max(0, math.Max(h.comfortLo[k]-h.tz0, h.tz0-h.comfortHi[k]))
 	}
 	if c.thermal {
 		// Hold the measured pack temperature and pre-seed the heater when
@@ -886,8 +916,8 @@ func (c *Controller) initialGuess(h *horizonData, z []float64) {
 // shiftWarmStart advances the previous solution by one step into z,
 // which must not alias prev. The stage-major layout makes the shift two
 // block copies: stages 1..n−1 slide down one slot (inputs, coil powers,
-// and the next-state variable all travel together), and the final stage
-// repeats the previous plan's last stage.
+// comfort slack and the next-state variable all travel together), and
+// the final stage repeats the previous plan's last stage.
 func (c *Controller) shiftWarmStart(prev []float64, h *horizonData, z []float64) {
 	last := c.sv * (h.n - 1)
 	copy(z[:last], prev[c.sv:])
@@ -925,18 +955,16 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	}
 	c.solves++
 	c.lastSolve = control.SolveInfo{Status: "fallback"}
-	c.lastElastic = 0
 	if res != nil {
 		c.lastSolve = control.SolveInfo{
 			Iterations:   res.Iterations,
 			QPIterations: res.QPIterations,
 			Status:       res.Status.String(),
 		}
-		c.lastElastic = res.ElasticFallbacks
 		c.kktFactorizations += res.Factorizations
-		c.elasticFallbacks += res.ElasticFallbacks
+		c.cappedQPs += res.CappedQPs
 		c.telKKT.Add(float64(res.Factorizations))
-		c.telElastic.Add(float64(res.ElasticFallbacks))
+		c.telCapped.Add(float64(res.CappedQPs))
 		c.totalSQPIters += res.Iterations
 		switch res.Status {
 		case sqp.Converged:

@@ -199,8 +199,8 @@ func TestOneStepHorizonIsStructured(t *testing.T) {
 			t.Errorf("ctx To=%v: one-step solve not reported structured (last solve %+v)", ctx.OutsideC, c.LastSolve())
 		}
 	}
-	if s := c.Stats(); s.KKTFactorizations == 0 || s.ElasticFallbacks != 0 {
-		t.Errorf("stats %+v: want KKT factorizations and no elastic fallback", s)
+	if s := c.Stats(); s.KKTFactorizations == 0 || s.CappedQPs != 0 {
+		t.Errorf("stats %+v: want KKT factorizations and no capped QP", s)
 	}
 }
 

@@ -34,9 +34,9 @@ func TestRealTimeFactorGauge(t *testing.T) {
 	}
 }
 
-// The KKT counters mirror Stats: every factorization and elastic
-// fallback the solver reports reaches mpc_kkt_factorizations_total and
-// mpc_elastic_fallbacks_total, and both are deterministic series.
+// The KKT counters mirror Stats: every factorization and capped QP the
+// solver reports reaches mpc_kkt_factorizations_total and
+// mpc_qp_capped_total, and both are deterministic series.
 func TestKKTCountersMatchStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := thermalTestConfig()
@@ -54,7 +54,7 @@ func TestKKTCountersMatchStats(t *testing.T) {
 	}
 	for name, want := range map[string]int{
 		"mpc_kkt_factorizations_total": st.KKTFactorizations,
-		"mpc_elastic_fallbacks_total":  st.ElasticFallbacks,
+		"mpc_qp_capped_total":          st.CappedQPs,
 	} {
 		if got := reg.Counter(name).Value(); got != float64(want) {
 			t.Errorf("%s = %v, Stats %d", name, got, want)

@@ -49,15 +49,16 @@ func (c *Controller) StateSnapshot() (json.RawMessage, error) {
 }
 
 // RestoreState implements control.Snapshotter. The snapshot must come
-// from a controller with the same horizon (the warm-start buffer length
-// pins the decision-vector size).
+// from a controller with the same stage layout and horizon: the
+// warm-start buffer holds sv variables per stage for every stage.
 func (c *Controller) RestoreState(raw json.RawMessage) error {
 	var st mpcState
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("core: mpc state: %w", err)
 	}
 	if len(st.PrevZ) != len(c.prevZ) {
-		return fmt.Errorf("core: mpc state has %d warm-start entries, controller expects %d (horizon mismatch)", len(st.PrevZ), len(c.prevZ))
+		return fmt.Errorf("core: mpc state has %d warm-start entries, controller expects %d (%d per stage, horizon %d): stage layout or horizon mismatch",
+			len(st.PrevZ), len(c.prevZ), c.sv, c.cfg.Horizon)
 	}
 	copy(c.prevZ, st.PrevZ)
 	c.havePrev = st.HavePrev

@@ -32,7 +32,7 @@ func TestColdSpecPure(t *testing.T) {
 	if len(ja) != len(jb) || len(ja) == 0 {
 		t.Fatalf("job counts %d vs %d", len(ja), len(jb))
 	}
-	if fa, fb := runner.SweepFingerprint(ja), runner.SweepFingerprint(jb); fa != fb {
+	if fa, fb := runner.SweepFingerprint(runner.Fingerprints(ja)), runner.SweepFingerprint(runner.Fingerprints(jb)); fa != fb {
 		t.Fatalf("sweep fingerprints differ: %x vs %x", fa, fb)
 	}
 	if a.Base == nil || a.Base.Thermal == nil {

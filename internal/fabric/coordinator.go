@@ -142,6 +142,9 @@ type unit struct {
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	jobs []runner.Job
+	// keys are the per-job scenario fingerprints (runner.Fingerprints),
+	// hashed once in NewCoordinator; fps and fp are derived from them.
+	keys []uint64
 	fps  []string // per-job fingerprints, hex, index-aligned
 	fp   string   // sweep fingerprint, hex
 	git  string
@@ -202,11 +205,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 	}
+	keys := runner.Fingerprints(jobs)
 	c := &Coordinator{
 		cfg:      cfg,
 		jobs:     jobs,
+		keys:     keys,
 		fps:      make([]string, len(jobs)),
-		fp:       telemetry.FormatFingerprint(runner.SweepFingerprint(jobs)),
+		fp:       telemetry.FormatFingerprint(runner.SweepFingerprint(keys)),
 		git:      cfg.Git,
 		byLease:  make(map[uint64]*unit),
 		store:    store,
@@ -220,10 +225,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if c.git == "" {
 		c.git = telemetry.GitDescribe("")
 	}
-	for i := range jobs {
-		c.fps[i] = telemetry.FormatFingerprint(jobs[i].Fingerprint())
+	for i, k := range keys {
+		c.fps[i] = telemetry.FormatFingerprint(k)
 	}
-	for id, idxs := range shardUnits(jobs, cfg.UnitSize) {
+	for id, idxs := range shardUnits(keys, cfg.UnitSize) {
 		c.units = append(c.units, &unit{
 			id: id, jobs: idxs, seed: jobs[idxs[0]].Seed,
 			failedOn: make(map[string]bool),
@@ -236,7 +241,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if jc.Git == "" {
 			jc.Git = c.git
 		}
-		jnl, err := runner.OpenJournal(&jc, cfg.Label, jobs)
+		jnl, err := runner.OpenJournal(&jc, cfg.Label, keys)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +263,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 				return nil, err
 			}
 			c.resumed++
-			c.publishCache(&jobs[i], rec)
+			c.publishCache(i, rec)
 		}
 		for _, u := range c.units {
 			if c.unitComplete(u) {
@@ -312,13 +317,13 @@ func (c *Coordinator) unitComplete(u *unit) bool {
 	return true
 }
 
-// publishCache shares a successful record's result under its scenario
-// fingerprint (caller holds mu, or is still constructing).
-func (c *Coordinator) publishCache(job *runner.Job, rec *runner.JournalRecord) {
+// publishCache shares job i's successful record's result under its
+// scenario fingerprint (caller holds mu, or is still constructing).
+func (c *Coordinator) publishCache(i int, rec *runner.JournalRecord) {
 	if c.cfg.Cache == nil || rec.Err != "" || rec.Result == nil {
 		return
 	}
-	c.cfg.Cache.Put(job.Fingerprint(), rec.Result, time.Duration(rec.ElapsedNs))
+	c.cfg.Cache.Put(c.keys[i], rec.Result, time.Duration(rec.ElapsedNs))
 }
 
 // refreshGauges updates the progress gauges (caller holds mu, or is
@@ -625,7 +630,7 @@ func (c *Coordinator) StitchEach(fn func(*runner.JobResult) error) error {
 		}
 	}
 	if c.cfg.Manifest != nil {
-		c.cfg.Manifest.AddRun(runner.ManifestRunInfo(c.cfg.Label, c.cfg.Spec.BaseSeed, c.jobs))
+		c.cfg.Manifest.AddRun(runner.ManifestRunInfo(c.cfg.Label, c.cfg.Spec.BaseSeed, c.jobs, c.keys))
 	}
 	return nil
 }
@@ -871,7 +876,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		rep.Accepted++
 		c.cRecords.Inc()
-		c.publishCache(&c.jobs[rec.Index], rec)
+		c.publishCache(rec.Index, rec)
 		if c.jnl != nil {
 			if err := c.jnl.Append(rec); err != nil {
 				// Journal failure is fatal for crash-safety claims; back

@@ -229,22 +229,23 @@ type Progress struct {
 	Done               bool `json:"done"`
 }
 
-// shardUnits shards job indexes into units by FNV scenario fingerprint:
-// job i lands in unit Fingerprint(i) mod n, with n sized so units hold
-// about unitSize jobs. Sharding is content-addressed — two expansions of
-// the same spec shard identically, whatever machine computes them — and
-// each unit's job list stays sorted in expansion order.
-func shardUnits(jobs []runner.Job, unitSize int) [][]int {
+// shardUnits shards job indexes into units by FNV scenario fingerprint
+// (fps, runner.Fingerprints): job i lands in unit fps[i] mod n, with n
+// sized so units hold about unitSize jobs. Sharding is content-addressed
+// — two expansions of the same spec shard identically, whatever machine
+// computes them — and each unit's job list stays sorted in expansion
+// order.
+func shardUnits(fps []uint64, unitSize int) [][]int {
 	if unitSize <= 0 {
 		unitSize = DefaultUnitSize
 	}
-	n := (len(jobs) + unitSize - 1) / unitSize
+	n := (len(fps) + unitSize - 1) / unitSize
 	if n < 1 {
 		n = 1
 	}
 	units := make([][]int, n)
-	for i := range jobs {
-		u := int(jobs[i].Fingerprint() % uint64(n))
+	for i, fp := range fps {
+		u := int(fp % uint64(n))
 		units[u] = append(units[u], i)
 	}
 	// Drop empty shards (fingerprints are uniform but not perfect) and

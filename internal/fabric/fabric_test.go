@@ -60,7 +60,7 @@ func TestShardUnitsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := shardUnits(jobs, 3)
+	units := shardUnits(runner.Fingerprints(jobs), 3)
 	seen := make(map[int]int)
 	for u, idxs := range units {
 		if len(idxs) == 0 {
@@ -84,12 +84,12 @@ func TestShardUnitsPartition(t *testing.T) {
 		}
 	}
 	// Content-addressed: a second expansion shards identically.
-	again := shardUnits(jobs, 3)
+	again := shardUnits(runner.Fingerprints(jobs), 3)
 	if fmt.Sprint(units) != fmt.Sprint(again) {
 		t.Errorf("sharding not deterministic:\n%v\nvs\n%v", units, again)
 	}
 	// One giant unit still covers everything.
-	if one := shardUnits(jobs, 1000); len(one) != 1 || len(one[0]) != len(jobs) {
+	if one := shardUnits(runner.Fingerprints(jobs), 1000); len(one) != 1 || len(one[0]) != len(jobs) {
 		t.Errorf("oversized unitSize: %v", one)
 	}
 }

@@ -248,7 +248,8 @@ func (w *Worker) join(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fp := telemetry.FormatFingerprint(runner.SweepFingerprint(jobs))
+	keys := runner.Fingerprints(jobs)
+	fp := telemetry.FormatFingerprint(runner.SweepFingerprint(keys))
 	if fp != w.desc.SweepFingerprint {
 		return fmt.Errorf("%w: local expansion %s, coordinator %s", ErrSpecMismatch, fp, w.desc.SweepFingerprint)
 	}
@@ -257,7 +258,7 @@ func (w *Worker) join(ctx context.Context) error {
 	w.fps = make([]string, len(jobs))
 	for i := range jobs {
 		w.byIndex[jobs[i].Index] = i
-		w.fps[i] = telemetry.FormatFingerprint(jobs[i].Fingerprint())
+		w.fps[i] = telemetry.FormatFingerprint(keys[i])
 	}
 	// Caching follows the coordinator's mode: a hit skips the simulation
 	// (no per-step spans or metrics in the record), which is only sound

@@ -150,16 +150,11 @@ type JournalReplay struct {
 	ValidLen int64
 }
 
-// SweepFingerprint hashes every job's scenario fingerprint in expansion
-// order — the identity a journal is keyed by. Unlike the manifest's run
-// fingerprint it excludes the base seed as a separate word; the per-job
-// fingerprints already pin the derived seeds.
-func SweepFingerprint(jobs []Job) uint64 {
-	return sweepFingerprint(fingerprints(jobs))
-}
-
-// fingerprints hashes each job's scenario once, in expansion order.
-func fingerprints(jobs []Job) []uint64 {
+// Fingerprints hashes each job's scenario once, in expansion order. The
+// result is the one per-job key list a sweep needs: SweepFingerprint,
+// OpenJournal, ManifestRunInfo and the result cache all take it, so a
+// caller that holds it never hashes a profile twice.
+func Fingerprints(jobs []Job) []uint64 {
 	fps := make([]uint64, len(jobs))
 	for i := range jobs {
 		fps[i] = jobs[i].Fingerprint()
@@ -167,9 +162,11 @@ func fingerprints(jobs []Job) []uint64 {
 	return fps
 }
 
-// sweepFingerprint is SweepFingerprint over precomputed job
-// fingerprints.
-func sweepFingerprint(fps []uint64) uint64 {
+// SweepFingerprint hashes the job fingerprints fps (see Fingerprints) in
+// expansion order — the identity a journal is keyed by. Unlike the
+// manifest's run fingerprint it excludes the base seed as a separate
+// word; the per-job fingerprints already pin the derived seeds.
+func SweepFingerprint(fps []uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, fp := range fps {
@@ -209,24 +206,18 @@ func journalFileName(label string, fp uint64) string {
 	return fmt.Sprintf("%s-%s.journal", s, telemetry.FormatFingerprint(fp))
 }
 
-// OpenJournal creates the journal for a job list, or resumes an
-// existing one when cfg.Resume is set (refusing on any header
-// mismatch). A pre-existing journal without Resume is an error. The
-// sweep pool opens its journal here; the distributed fabric's
-// coordinator uses the same format (and therefore the same resume
-// semantics) for its lease/completion log.
-func OpenJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, error) {
-	return openSweepJournal(cfg, label, fingerprints(jobs))
-}
-
-// openSweepJournal implements OpenJournal over the jobs' precomputed
-// fingerprints.
-func openSweepJournal(cfg *JournalConfig, label string, fps []uint64) (*Journal, error) {
+// OpenJournal creates the journal for a job list, given as its job
+// fingerprints (Fingerprints), or resumes an existing one when
+// cfg.Resume is set (refusing on any header mismatch). A pre-existing
+// journal without Resume is an error. The sweep pool opens its journal
+// here; the distributed fabric's coordinator uses the same format (and
+// therefore the same resume semantics) for its lease/completion log.
+func OpenJournal(cfg *JournalConfig, label string, fps []uint64) (*Journal, error) {
 	git := cfg.Git
 	if git == "" {
 		git = telemetry.GitDescribe("")
 	}
-	fp := sweepFingerprint(fps)
+	fp := SweepFingerprint(fps)
 	h := JournalHeader{
 		Kind:             "header",
 		Version:          JournalVersion,

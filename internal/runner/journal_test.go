@@ -93,7 +93,7 @@ func TestJournalWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := telemetry.FormatFingerprint(SweepFingerprint(jobs)); h.SweepFingerprint != want {
+	if want := telemetry.FormatFingerprint(SweepFingerprint(Fingerprints(jobs))); h.SweepFingerprint != want {
 		t.Errorf("header fingerprint %s, want %s", h.SweepFingerprint, want)
 	}
 	if len(rep.Records) != 8 {
@@ -326,7 +326,7 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl, err := OpenJournal(&JournalConfig{Dir: dir, Git: "test-build"}, "lease", jobs)
+	jnl, err := OpenJournal(&JournalConfig{Dir: dir, Git: "test-build"}, "lease", Fingerprints(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 
 	// Resuming a journal that holds lease events still works, and the
 	// lease events never pose as finished jobs.
-	jnl2, err := OpenJournal(&JournalConfig{Dir: dir, Resume: true, Git: "test-build"}, "lease", jobs)
+	jnl2, err := OpenJournal(&JournalConfig{Dir: dir, Resume: true, Git: "test-build"}, "lease", Fingerprints(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,5 +156,5 @@ func mustSweepFingerprint(t *testing.T) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SweepFingerprint(jobs)
+	return SweepFingerprint(Fingerprints(jobs))
 }

@@ -206,24 +206,19 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Sweep, error) {
 		sw.Metrics = opts.Telemetry.Snapshot(nil)
 	}
 	if opts.Manifest != nil {
-		opts.Manifest.AddRun(manifestRunInfo(opts.ManifestLabel, spec.BaseSeed, jobs, fps))
+		opts.Manifest.AddRun(ManifestRunInfo(opts.ManifestLabel, spec.BaseSeed, jobs, fps))
 	}
 	return sw, nil
 }
 
-// ManifestRunInfo builds the manifest record of one sweep: every job's
-// seed and fingerprint plus a sweep fingerprint hashing the base seed
-// and the job fingerprints in expansion order. The pool records it for
-// every Run call; the distributed fabric's coordinator records the
-// identical structure, so a fabric manifest is byte-comparable to a
-// single-process one.
-func ManifestRunInfo(label string, baseSeed int64, jobs []Job) telemetry.RunInfo {
-	return manifestRunInfo(label, baseSeed, jobs, fingerprints(jobs))
-}
-
-// manifestRunInfo is ManifestRunInfo over the jobs' precomputed
-// fingerprints.
-func manifestRunInfo(label string, baseSeed int64, jobs []Job, fps []uint64) telemetry.RunInfo {
+// ManifestRunInfo builds the manifest record of one sweep from its jobs
+// and their fingerprints fps (Fingerprints): every job's seed and
+// fingerprint plus a sweep fingerprint hashing the base seed and the job
+// fingerprints in expansion order. The pool records it for every Run
+// call; the distributed fabric's coordinator records the identical
+// structure, so a fabric manifest is byte-comparable to a single-process
+// one.
+func ManifestRunInfo(label string, baseSeed int64, jobs []Job, fps []uint64) telemetry.RunInfo {
 	ri := telemetry.RunInfo{Label: label, BaseSeed: baseSeed, Jobs: make([]telemetry.JobInfo, 0, len(jobs))}
 	h := fnv.New64a()
 	var buf [8]byte
@@ -284,14 +279,14 @@ func runJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, []uint
 	// Hash each job's scenario once, and only when something keys on
 	// it: the journal, the cache, the record stream or Run's manifest.
 	if opts.Journal != nil || opts.Cache != nil || opts.OnRecord != nil || opts.Manifest != nil {
-		pe.fps = fingerprints(jobs)
+		pe.fps = Fingerprints(jobs)
 	}
 	pe.resolveCounters()
 
 	// Journal mode: open (or resume) the write-ahead log and replay the
 	// finished jobs before any worker starts.
 	if opts.Journal != nil {
-		jnl, err := openSweepJournal(opts.Journal, opts.ManifestLabel, pe.fps)
+		jnl, err := OpenJournal(opts.Journal, opts.ManifestLabel, pe.fps)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -164,7 +164,7 @@ func TestGoldenManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri := ManifestRunInfo("golden", 20150601, jobs)
+	ri := ManifestRunInfo("golden", 20150601, jobs, Fingerprints(jobs))
 
 	const wantSweepFP = "c9914d5283a5952a"
 	want := []struct {

@@ -43,7 +43,16 @@ func fnv1a64(h uint64, vals []float64) uint64 {
 // cabin temperature by at most 0.11 K; AvgHVACW 6047.8 → 6142.7 W and
 // ΔSoH 0.0048926 → 0.0048920 %, against 6142.0 W and 0.0048920 % when
 // the previous solver took the dense path on every QP.
-const mpcTrajectoryHash = 0x7a3a5ec765b3eff9
+//
+// Re-pinned when C2's comfort rows became soft (one slack per stage,
+// priced linearly): the stage gains a variable and two rows gain a
+// Jacobian entry, so the BFGS blocks and QP iterates differ from the
+// first decide. With hard rows 38 of the 39 decides stalled; now 38
+// converge and none stalls, and the KKT factorizations fall 6540 → 1168.
+// Observed: supply/coil temperature by up to 7.3 K where the coil is
+// idle, flow by up to 0.061 kg/s, cabin temperature by at most 0.00026 K;
+// AvgHVACW 6142.72 → 6147.15 W (+0.07 %), ΔSoH 0.00489196 → 0.00489194 %.
+const mpcTrajectoryHash = 0xe3878f1d4f773327
 
 // TestMPCTrajectoryBitwiseGolden pins the MPC/ECE15 trajectory bitwise.
 func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
@@ -79,10 +88,9 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 		t.Fatalf("MPC/ECE15 trajectory hash = %#016x, golden %#016x (%d steps)",
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
-	// The KKT counts are as deterministic as the trajectory. No QP
-	// subproblem needs the elastic fallback, so all 39 decides report
-	// Structured().
-	if st := mpc.Stats(); st.KKTFactorizations != 6540 || st.ElasticFallbacks != 0 {
-		t.Fatalf("KKT counts: %d factorizations, %d elastic fallbacks; golden 6540 and 0", st.KKTFactorizations, st.ElasticFallbacks)
+	// The KKT counts are as deterministic as the trajectory, and no QP
+	// subproblem ends at its iteration cap.
+	if st := mpc.Stats(); st.KKTFactorizations != 1168 || st.CappedQPs != 0 {
+		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 1168 and 0", st.KKTFactorizations, st.CappedQPs)
 	}
 }

@@ -187,7 +187,17 @@ func TestThermalCheckpointResumeBitExact(t *testing.T) {
 // idle, cabin and pack temperatures by at most 0.0003 K; AvgHVACW
 // 6032.87 → 6033.53 W against 6033.30 W on the previous solver's dense
 // path. The old solve demoted 205 QP subproblems here, the new one none.
-const thermalTrajectoryHash = 0x8aed8bb9de984d51
+//
+// Re-pinned when C2's comfort rows became soft (see mpcTrajectoryHash).
+// From this −20 °C soak the hard funnel was out of reach: 31 of 39
+// decides stalled on infeasible subproblems and took 11,174 KKT
+// factorizations. With the slack all 39 converge on 786, and the plan is
+// the least-violation one rather than a stalled iterate. Observed:
+// battery heater command by up to 1415 W, supply temperature by up to
+// 36 K and recirculation by up to 0.38 at individual steps, cabin
+// temperature by at most 0.28 K and pack temperature by at most 0.72 K;
+// AvgHVACW 6033.53 → 6021.85 W, cycle ΔSoH 0.0072417 → 0.0070806 %.
+const thermalTrajectoryHash = 0xaeb1cb1e6f180da0
 
 // TestThermalTrajectoryBitwiseGolden pins the cold co-scheduling
 // trajectory bitwise, the thermal counterpart of the cabin-only pin.

@@ -6,12 +6,18 @@
 //	            ci(x) ≤ 0
 //
 // using a damped-BFGS approximation of the Lagrangian Hessian, convex QP
-// subproblems (internal/qp), an ℓ₁ merit function with backtracking line
-// search, and an elastic (slack-penalized) fallback for infeasible
-// subproblems. The paper prescribes exactly this algorithm class for the
+// subproblems (internal/qp) and an ℓ₁ merit function with backtracking
+// line search. The paper prescribes exactly this algorithm class for the
 // MPC step ("the best option might be to apply Sequential Quadratic
 // Programming (SQP) as the optimization algorithm for the MPC in each
 // time step", Sec. III, citing Kelman & Borrelli).
+//
+// Solve assumes every linearized subproblem has a feasible point; a
+// caller whose constraints can become unreachable softens them with
+// priced slacks in the problem itself, as the MPC does for its comfort
+// bounds. A subproblem the QP solver cannot solve ends Solve as Failed.
+// A subproblem that ends at the QP iteration cap is still taken as the
+// step, and Result.CappedQPs counts it.
 package sqp
 
 import (
@@ -106,13 +112,11 @@ type Problem struct {
 	NX int
 }
 
-// Fixed numerics: the finite-difference step scale, the seed of the ℓ₁
-// merit penalty, and the slack penalty of the elastic fallback used when
-// a subproblem is infeasible.
+// Fixed numerics: the finite-difference step scale and the seed of the
+// ℓ₁ merit penalty.
 const (
-	fdStep        = 1e-7
-	penaltyInit   = 1.0
-	elasticWeight = 1e4
+	fdStep      = 1e-7
+	penaltyInit = 1.0
 )
 
 // Options tunes the solver; the zero value selects defaults.
@@ -160,15 +164,16 @@ type Result struct {
 	// Iterations counts major iterations performed.
 	Iterations int
 	// QPIterations accumulates the interior-point iterations of every QP
-	// subproblem solved (including elastic fallbacks) — the telemetry
-	// layer's measure of per-solve work below the major-iteration count.
+	// subproblem solved — the telemetry layer's measure of per-solve work
+	// below the major-iteration count.
 	QPIterations int
 	// Factorizations sums the KKT factorizations of every QP subproblem
 	// (qp.Result.Factorizations).
 	Factorizations int
-	// ElasticFallbacks counts the QP subproblems that failed and were
-	// re-solved in slack-augmented (elastic) form.
-	ElasticFallbacks int
+	// CappedQPs counts the QP subproblems that ended at the interior
+	// point's iteration cap (qp.MaxIterations); their iterates were still
+	// taken as steps.
+	CappedQPs int
 	// Status reports the termination condition.
 	Status Status
 	// KKTResidual is the final stationarity residual (∞-norm).
@@ -392,6 +397,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 
 	res := &ws.res
 	*res = Result{Status: MaxIterations}
+	var subErr error // the subproblem failure that ended the solve
 	stagnant := 0
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if opt.HardIterCap > 0 && iter >= opt.HardIterCap {
@@ -439,11 +445,11 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		qr, err := solveSubproblem(ws, sub, qp.Options{Tol: qpTol, Work: ws.qpWork}, 1+mat.NormInf(g), res)
 		if err != nil {
 			res.Status = Failed
+			subErr = err
 			break
 		}
 		// Copy the step and duals out of the QP workspace: qr's slices
-		// alias it and the elastic fallback (or the next iteration's
-		// solve) would overwrite them.
+		// alias it and the next iteration's solve overwrites them.
 		d := ws.d
 		copy(d, qr.X)
 		for i := range lamNew {
@@ -583,7 +589,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	res.InDuals = mu
 	res.MaxViolation = violation(ce, ci)
 	if res.Status == Failed {
-		return res, fmt.Errorf("sqp: subproblem failure at iteration %d", res.Iterations)
+		return res, fmt.Errorf("sqp: subproblem failure at iteration %d: %w", res.Iterations, subErr)
 	}
 	if res.Status == BudgetExceeded {
 		return res, fmt.Errorf("%w after %d iterations", ErrBudgetExceeded, res.Iterations)
@@ -593,11 +599,9 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 
 // solveSubproblem solves the QP subproblem sub, whose Hessian is the
 // BFGS approximation ws.b, and adds its counts to res. A BFGS block that
-// lost positive definiteness (qp.ErrIndefinite) is no infeasibility
-// that slacks could repair: the blocks are reset to hScale·I and the
-// subproblem is solved once more. Any other failure goes to the elastic
-// fallback, which relaxes the constraints with penalized slacks and is
-// solved to the same tolerance.
+// lost positive definiteness (qp.ErrIndefinite) fails the factorization:
+// the blocks are reset to hScale·I and the subproblem is solved once
+// more. Any other failure, or a non-finite step, is returned as an error.
 func solveSubproblem(ws *Workspace, sub *qp.Problem, opt qp.Options, hScale float64, res *Result) (*qp.Result, error) {
 	qr, err := qp.Solve(sub, opt)
 	res.addQP(qr)
@@ -606,16 +610,13 @@ func solveSubproblem(ws *Workspace, sub *qp.Problem, opt qp.Options, hScale floa
 		qr, err = qp.Solve(sub, opt)
 		res.addQP(qr)
 	}
-	if err == nil && qr.Status != qp.NumericalFailure && mat.AllFinite(qr.X) {
-		return qr, nil
+	if err != nil {
+		return nil, err
 	}
-	if ws.el == nil {
-		ws.el = &elasticArena{}
+	if !mat.AllFinite(qr.X) {
+		return nil, errors.New("sqp: non-finite subproblem step")
 	}
-	res.ElasticFallbacks++
-	qr, err = solveElastic(sub, elasticWeight, opt, ws.el)
-	res.addQP(qr)
-	return qr, err
+	return qr, nil
 }
 
 // resetBFGS sets every Hessian block to scale·I.
@@ -632,9 +633,13 @@ func resetBFGS(b []*mat.Dense, scale float64) {
 // addQP accumulates one QP subproblem's counts (nil: a rejected
 // problem, nothing to count).
 func (r *Result) addQP(qr *qp.Result) {
-	if qr != nil {
-		r.QPIterations += qr.Iterations
-		r.Factorizations += qr.Factorizations
+	if qr == nil {
+		return
+	}
+	r.QPIterations += qr.Iterations
+	r.Factorizations += qr.Factorizations
+	if qr.Status == qp.MaxIterations {
+		r.CappedQPs++
 	}
 }
 
@@ -694,128 +699,4 @@ func updateBFGSBlock(b *mat.Dense, s, y, bs, r []float64) {
 			row[j] += ri*r[j]/sr - bi*bs[j]/sBs
 		}
 	}
-}
-
-// solveElastic relaxes the QP with slacks: equalities become
-// Je·d + sp − sm = beq with sp, sm ≥ 0, inequalities get a slack t ≥ 0,
-// all slacks penalized linearly by weight w. The elastic problem is always
-// feasible, so the SQP step degrades gracefully into a feasibility-
-// restoration direction. Each slack belongs to one row, so the elastic
-// problem keeps the subproblem's stage layout (see elasticArena) and
-// factors by the same Riccati recursion. The caller's subproblem
-// tolerance applies to the fallback solve too — only the workspace is
-// swapped for the arena's, since the elastic problem has different
-// dimensions than the main subproblem. The returned Result aliases the
-// arena and is valid until the next call with it.
-func solveElastic(sub *qp.Problem, w float64, qopt qp.Options, ar *elasticArena) (*qp.Result, error) {
-	stages := len(sub.H)
-	nv, _ := sub.H[0].Dims()
-	nx, ne, ni := 0, 0, 0
-	if sub.Aeq != nil {
-		_, _, nx, ne = sub.Aeq.Layout()
-	}
-	if sub.Ain != nil {
-		_, _, nx, ni = sub.Ain.Layout()
-	}
-	ar.ensure(stages, nv, nx, ne, ni)
-	nc, ns := nv-nx, 2*ne+ni
-	nve := nv + ns
-	// col maps a subproblem column to its elastic column: the stage's
-	// controls keep their place, its state moves past the slacks.
-	col := func(j int) int {
-		k, i := j/nv, j%nv
-		if i >= nc {
-			i += ns
-		}
-		return k*nve + i
-	}
-
-	for k, hk := range sub.H {
-		h := ar.h[k]
-		for i := 0; i < nv; i++ {
-			row := h.RawRow(col(i))
-			for j, v := range hk.RawRow(i) {
-				row[col(j)] = v
-			}
-		}
-		// Small quadratic regularization keeps the elastic Hessian PD in
-		// the slack directions.
-		for i := nc; i < nc+ns; i++ {
-			h.Set(i, i, 1e-8*w)
-		}
-	}
-	c := ar.c
-	for j, v := range sub.C {
-		c[col(j)] = v
-	}
-	for k := 0; k < stages; k++ {
-		for i := k*nve + nc; i < k*nve+nc+ns; i++ {
-			c[i] = w
-		}
-	}
-
-	ep := &ar.prob
-	*ep = qp.Problem{H: ar.h, C: c}
-	copyRow := func(dst *qp.StageMatrix, r int, src *qp.StageMatrix, i int) {
-		lo, v := src.Row(i)
-		for j, a := range v {
-			if a != 0 {
-				dst.Set(r, col(lo+j), a)
-			}
-		}
-	}
-	for i := 0; i < stages*ne; i++ {
-		sp := i/ne*nve + nc + 2*(i%ne)
-		copyRow(ar.aeq, i, sub.Aeq, i)
-		ar.aeq.Set(i, sp, 1)
-		ar.aeq.Set(i, sp+1, -1)
-	}
-	if ne > 0 {
-		ep.Aeq, ep.Beq = ar.aeq, sub.Beq
-	}
-	// Stage k's inequality rows: Ain·d − t ≤ bin, then −sp ≤ 0, −sm ≤ 0
-	// for its equality rows and −t ≤ 0.
-	bin := ar.bin
-	r := 0
-	for k := 0; k < stages; k++ {
-		slack := k*nve + nc
-		for i := k * ni; i < (k+1)*ni; i++ {
-			copyRow(ar.ain, r, sub.Ain, i)
-			ar.ain.Set(r, slack+2*ne+i-k*ni, -1)
-			bin[r] = sub.Bin[i]
-			r++
-		}
-		for i := 0; i < ns; i++ {
-			ar.ain.Set(r, slack+i, -1)
-			bin[r] = 0
-			r++
-		}
-	}
-	if r > 0 {
-		ep.Ain, ep.Bin = ar.ain, bin
-	}
-	qopt.Work = ar.qpWork
-	er, err := qp.Solve(ep, qopt)
-	if err != nil {
-		return nil, err
-	}
-	// Project the result back to the original variable space.
-	for j := range ar.x {
-		ar.x[j] = er.X[col(j)]
-	}
-	for k := 0; k < stages; k++ {
-		copy(ar.in[k*ni:(k+1)*ni], er.InDuals[k*(ni+ns):])
-	}
-	out := &ar.out
-	*out = qp.Result{
-		X:              ar.x,
-		EqDuals:        er.EqDuals,
-		Iterations:     er.Iterations,
-		Status:         er.Status,
-		Factorizations: er.Factorizations,
-	}
-	if ni > 0 {
-		out.InDuals = ar.in
-	}
-	return out, nil
 }

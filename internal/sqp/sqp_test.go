@@ -208,8 +208,9 @@ func TestAnalyticJacobians(t *testing.T) {
 }
 
 func TestInfeasibleStartRecovers(t *testing.T) {
-	// Start far outside the feasible set; elastic mode / merit function
-	// must drag the iterate in.
+	// Start far outside the feasible set; the linearized constraints are
+	// exact, so the first step lands on them and the merit function
+	// accepts it.
 	p := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] },

@@ -9,10 +9,9 @@ import (
 // iteration touches — the Lagrangian gradient scratch, the double-buffered
 // iterate/gradient/constraint/Jacobian pairs that swap on each accepted
 // step, the BFGS Hessian and its update scratch, the line-search trial
-// point, the QP subproblem views, and the (lazily sized) elastic-fallback
-// problem. Pass it via Options.Work to make repeated Solve calls with
-// same-shaped problems allocation-free; the MPC controller owns one per
-// instance and reuses it every control step.
+// point and the QP subproblem views. Pass it via Options.Work to make
+// repeated Solve calls with same-shaped problems allocation-free; the
+// MPC controller owns one per instance and reuses it every control step.
 //
 // A Workspace is not safe for concurrent use. When Options.Work is
 // non-nil, the slices in the returned Result alias the workspace and are
@@ -32,7 +31,7 @@ type Workspace struct {
 	mu, muNV   []float64
 
 	lagGrad, tmpN []float64
-	d             []float64 // QP step copy (stable across the elastic fallback)
+	d             []float64 // QP step copy (stable across the next subproblem solve)
 	yVec, sVec    []float64
 	bs, bfgsR     []float64    // updateBFGSBlocks scratch
 	b             []*mat.Dense // BFGS Hessian, one block per stage
@@ -47,9 +46,6 @@ type Workspace struct {
 	sub            qp.Problem
 	beqNeg, binNeg []float64
 	qpWork         *qp.Workspace
-
-	// Elastic fallback arena, sized on first use.
-	el *elasticArena
 
 	res Result
 }
@@ -113,66 +109,5 @@ func (w *Workspace) ensure(n, meq, min, stages, nx int) {
 	w.binNeg = make([]float64, min)
 	if w.qpWork == nil {
 		w.qpWork = qp.NewWorkspace()
-	}
-	w.el = nil
-}
-
-// elasticArena holds the slack-augmented fallback QP (see solveElastic)
-// in the subproblem's stage layout: stage k holds its controls, then the
-// slacks of its rows (sp, sm per equality row, t per inequality row),
-// then its state, so the coupling state stays the last nx variables of
-// each stage. Its rows are the stage's equality rows, then its
-// inequality rows followed by one nonnegativity row per slack. With one
-// stage this is the plain slack-augmented QP. The arena also holds the
-// problem view, the projected step and duals, and a dedicated QP
-// workspace (the elastic problem has different dimensions than the main
-// subproblem, so it cannot share the main QP workspace).
-type elasticArena struct {
-	stages, nv, nx, ne, ni int // the subproblem layout the arena is sized for
-
-	h    []*mat.Dense // one (nv+2ne+ni)-square block per stage
-	c    []float64
-	aeq  *qp.StageMatrix // nil when ne == 0
-	ain  *qp.StageMatrix
-	bin  []float64
-	prob qp.Problem
-	x    []float64 // the step in subproblem order
-	in   []float64 // the duals of the subproblem's inequality rows
-
-	qpWork *qp.Workspace
-	out    qp.Result
-}
-
-// ensure sizes the arena for a subproblem of the given stages of nv
-// variables, nx of them state, with ne equality and ni inequality rows
-// per stage, and clears the blocks solveElastic fills.
-func (a *elasticArena) ensure(stages, nv, nx, ne, ni int) {
-	if a.h != nil && a.stages == stages && a.nv == nv && a.nx == nx && a.ne == ne && a.ni == ni {
-		for _, h := range a.h {
-			h.Zero()
-		}
-		if a.aeq != nil {
-			a.aeq.Zero()
-		}
-		a.ain.Zero()
-		return
-	}
-	a.stages, a.nv, a.nx, a.ne, a.ni = stages, nv, nx, ne, ni
-	nve := nv + 2*ne + ni
-	a.h = make([]*mat.Dense, stages)
-	for k := range a.h {
-		a.h[k] = mat.NewDense(nve, nve)
-	}
-	a.c = make([]float64, stages*nve)
-	a.aeq = nil
-	if ne > 0 {
-		a.aeq = qp.NewStageMatrix(stages, nve, nx, ne)
-	}
-	a.ain = qp.NewStageMatrix(stages, nve, nx, 2*ni+2*ne)
-	a.bin = make([]float64, stages*(2*ni+2*ne))
-	a.x = make([]float64, stages*nv)
-	a.in = make([]float64, stages*ni)
-	if a.qpWork == nil {
-		a.qpWork = qp.NewWorkspace()
 	}
 }

@@ -117,67 +117,6 @@ func TestWorkspaceResultAliasing(t *testing.T) {
 	_ = res1
 }
 
-// Regression for the elastic-fallback options bug: solveElastic used to
-// call qp.Solve with zero Options, discarding the caller's subproblem
-// tolerance — a real-time MPC step could polish the fallback far past
-// what the primary solve asks for. The tolerance must be honored.
-func TestSolveElasticHonorsTolerance(t *testing.T) {
-	// An infeasible subproblem of MPC-like shape: contradictory bounds
-	// d₀ ≤ −1, −d₀ ≤ −1 force the elastic relaxation to do real work.
-	n := 6
-	h := mat.Identity(n)
-	c := make([]float64, n)
-	for i := range c {
-		c[i] = 1
-	}
-	ain := qp.NewStageMatrix(1, n, 0, 2)
-	ain.Set(0, 0, 1)
-	ain.Set(1, 0, -1)
-	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
-
-	ar := &elasticArena{}
-	tight, err := solveElastic(sub, 100, qp.Options{}, ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tightIters := tight.Iterations
-	loose, err := solveElastic(sub, 100, qp.Options{Tol: 1e-2}, ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Iterations >= tightIters {
-		t.Fatalf("elastic fallback ignored the subproblem tolerance: %d iterations at Tol 1e-2, %d at the default", loose.Iterations, tightIters)
-	}
-}
-
-// The elastic arena is reused across calls: repeated fallbacks with the
-// same shape must produce bit-identical steps.
-func TestSolveElasticArenaReuseBitIdentical(t *testing.T) {
-	n := 4
-	h := mat.Identity(n)
-	c := []float64{1, 1, 1, 1}
-	ain := qp.NewStageMatrix(1, n, 0, 2)
-	ain.Set(0, 0, 1)
-	ain.Set(1, 0, -1)
-	sub := &qp.Problem{H: []*mat.Dense{h}, C: c, Ain: ain, Bin: []float64{-1, -1}}
-
-	ref, err := solveElastic(sub, 100, qp.Options{}, &elasticArena{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mat.CloneVec(ref.X)
-	ar := &elasticArena{}
-	for round := 0; round < 3; round++ {
-		got, err := solveElastic(sub, 100, qp.Options{}, ar)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !bitsSame(got.X, want) {
-			t.Fatalf("round %d: reused arena changed the elastic step", round)
-		}
-	}
-}
-
 // Warm SQP solves with analytic derivatives and a reused workspace are
 // allocation-free (the evaluator, line search, BFGS update, and QP
 // subproblems all run on the arena).
