@@ -164,12 +164,25 @@ func BenchmarkMPCSolveStep(b *testing.B) {
 // interior-point iterations (control.SolveInfo), and capped/op, the QP
 // subproblems that ended at the iteration cap (core.Stats). A capped QP
 // costs the full iteration budget, so a reading with a nonzero count is
-// not comparable to one without.
+// not comparable to one without. Every op is the same decide: the
+// controller's state after the sizing decide is restored, untimed,
+// before each one, so the warm start does not drift with b.N.
 func benchDecide(b *testing.B, mpc *core.Controller, ctx control.StepContext) {
+	snap, err := mpc.StateSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One untimed op grows the buffers sized by the op's own sparsity.
+	mpc.Decide(ctx)
 	before := mpc.Stats().CappedQPs
 	qpIters := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := mpc.RestoreState(snap); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		mpc.Decide(ctx)
 		qpIters += mpc.LastSolve().QPIterations
 	}
@@ -395,17 +408,28 @@ func BenchmarkQPColdFixture(b *testing.B) {
 }
 
 // BenchmarkSQPSolveWarm measures a full warm SQP solve (HS71-style
-// bilinear NLP with analytic-free finite-difference derivatives) through
-// a reused workspace — the shape of work one MPC step performs.
+// bilinear NLP with analytic derivatives) through a reused workspace —
+// the shape of work one MPC step performs.
 func BenchmarkSQPSolveWarm(b *testing.B) {
 	p := &sqp.Problem{
 		N: 4,
 		Objective: func(x []float64) float64 {
 			return x[0]*x[3]*(x[0]+x[1]+x[2]) + x[2]
 		},
+		Gradient: func(x, g []float64) {
+			g[0] = x[3] * (2*x[0] + x[1] + x[2])
+			g[1] = x[0] * x[3]
+			g[2] = x[0]*x[3] + 1
+			g[3] = x[0] * (x[0] + x[1] + x[2])
+		},
 		MEq: 1,
 		Eq: func(x, out []float64) {
 			out[0] = x[0]*x[0] + x[1]*x[1] + x[2]*x[2] + x[3]*x[3] - 40
+		},
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
+			for i := 0; i < 4; i++ {
+				jac.Set(0, i, 2*x[i])
+			}
 		},
 		MIneq: 9,
 		Ineq: func(x, out []float64) {
@@ -413,6 +437,16 @@ func BenchmarkSQPSolveWarm(b *testing.B) {
 			for i := 0; i < 4; i++ {
 				out[1+i] = 1 - x[i]
 				out[5+i] = x[i] - 5
+			}
+		},
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
+			jac.Set(0, 0, -x[1]*x[2]*x[3])
+			jac.Set(0, 1, -x[0]*x[2]*x[3])
+			jac.Set(0, 2, -x[0]*x[1]*x[3])
+			jac.Set(0, 3, -x[0]*x[1]*x[2])
+			for i := 0; i < 4; i++ {
+				jac.Set(1+i, i, -1)
+				jac.Set(5+i, i, 1)
 			}
 		},
 	}

@@ -119,7 +119,8 @@ type Config struct {
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
 	// mpc_qp_iterations, mpc_kkt_factorizations_total,
-	// mpc_qp_capped_total). Nil or Nop adds no overhead to Decide.
+	// mpc_qp_capped_total, mpc_sqp_corrections_total). Nil or Nop adds no
+	// overhead to Decide.
 	Telemetry telemetry.Sink
 	// Thermal enables the cold-climate battery-thermal co-scheduling
 	// extension (see ThermalOptions). The zero value keeps the paper's
@@ -178,7 +179,7 @@ type Controller struct {
 	// Diagnostics aggregated over a run.
 	solves, converged, stalled, failed, budget int
 	totalSQPIters                              int
-	kktFactorizations, cappedQPs               int
+	kktFactorizations, cappedQPs, corrections  int
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
@@ -194,6 +195,7 @@ type Controller struct {
 	telQPIters *telemetry.Histogram
 	telKKT     *telemetry.Counter // KKT factorizations
 	telCapped  *telemetry.Counter // QP subproblems that ended at the iteration cap
+	telCorr    *telemetry.Counter // SQP steps taken through the second-order correction
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -269,6 +271,7 @@ func New(cfg Config) (*Controller, error) {
 		MIneq:     n * c.ni,
 		Ineq:      func(z, out []float64) { c.inequalities(z, &c.hor, out) },
 		IneqJac:   func(z []float64, jac *qp.StageMatrix) { c.inequalitiesJac(z, &c.hor, jac) },
+		Restore:   func(z []float64) { c.restore(z, &c.hor) },
 		Stages:    n,
 		NX:        c.nx,
 	}
@@ -279,7 +282,7 @@ func New(cfg Config) (*Controller, error) {
 // bindInstruments (re)resolves the solver instruments on the config's
 // sink, detaching them when it is nil or inactive.
 func (c *Controller) bindInstruments() {
-	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telCapped, c.telRTF = nil, nil, nil, nil, nil, nil
+	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telCapped, c.telCorr, c.telRTF = nil, nil, nil, nil, nil, nil, nil
 	tel := c.cfg.Telemetry
 	if tel == nil || !tel.Active() {
 		return
@@ -293,6 +296,7 @@ func (c *Controller) bindInstruments() {
 	c.telQPIters = tel.Histogram("mpc_qp_iterations", telemetry.IterationBuckets)
 	c.telKKT = tel.Counter("mpc_kkt_factorizations_total")
 	c.telCapped = tel.Counter("mpc_qp_capped_total")
+	c.telCorr = tel.Counter("mpc_sqp_corrections_total")
 	// Wall-clock derived; the "_real_time_factor" suffix keeps it out of
 	// deterministic manifests (telemetry.DeterministicFilter).
 	c.telRTF = tel.Gauge("mpc_real_time_factor")
@@ -326,7 +330,7 @@ func (c *Controller) Reset() {
 	c.havePrev = false
 	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
 	c.totalSQPIters = 0
-	c.kktFactorizations, c.cappedQPs = 0, 0
+	c.kktFactorizations, c.cappedQPs, c.corrections = 0, 0, 0
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
 }
@@ -360,13 +364,17 @@ type Stats struct {
 	// CappedQPs counts the QP subproblems that ended at the interior
 	// point's iteration cap (sqp.Result.CappedQPs).
 	CappedQPs int
+	// Corrections counts the SQP steps taken through the second-order
+	// correction, the forward simulation of the prediction model
+	// (sqp.Result.Corrections).
+	Corrections int
 }
 
 // Stats returns the diagnostics.
 func (c *Controller) Stats() Stats {
 	s := Stats{
 		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
-		KKTFactorizations: c.kktFactorizations, CappedQPs: c.cappedQPs,
+		KKTFactorizations: c.kktFactorizations, CappedQPs: c.cappedQPs, Corrections: c.corrections,
 	}
 	if c.solves > 0 {
 		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
@@ -665,38 +673,110 @@ func (c *Controller) gradient(z []float64, h *horizonData, grad []float64) {
 //	         kabEffWK) and cabin, the forecast Joule heat, and the battery
 //	         heater/chiller branch (branch variables in kW)
 func (c *Controller) equalities(z []float64, h *horizonData, out []float64) {
-	p := c.cfg.Cabin
-	ac := p.AirCpJKgK / p.EtaCool
-	net := &c.cfg.Thermal.Network
-	kbc := net.UAPackCabinWK
 	for k := 0; k < h.n; k++ {
-		xk, _ := c.stateAt(z, h, k)
-		xk1 := z[c.idxX(k+1)]
-		ts := z[c.idxTs(k)]
-		tc := z[c.idxTc(k)]
-		dr := z[c.idxDr(k)]
-		mz := z[c.idxMz(k)]
-		xbar := (xk + xk1) / 2
-		q := h.solarW[k] + p.ShellUAWK*(h.outsideC[k]-xbar)
 		row := c.ne * k
+		rx, rb := c.dynamics(z, h, k)
+		out[row] = rx
 		if c.thermal {
-			tbk, _ := c.packAt(z, h, k)
-			tbk1 := z[c.idxTb(k+1)]
-			tbbar := (tbk + tbk1) / 2
-			q += kbc * (tbbar - xbar)
-			scale := h.dt / net.PackHeatCapJK
-			qb := h.qjW[k] + c.kabEffWK*(h.outsideC[k]-tbbar) + kbc*(xbar-tbbar) +
-				1000*(net.HeaterEff*z[c.idxBh(k)]-net.ChillerCOP*z[c.idxBc(k)])
-			out[row+3] = (tbk1 - tbk) - scale*qb
+			out[row+3] = rb
 		}
-		supply := mz * p.AirCpJKgK * (ts - xbar)
-		rowScale := h.dt / p.ThermalCapacitanceJK
-		out[row] = (xk1 - xk) - rowScale*(q+supply)
-
-		tm := (1-dr)*h.outsideC[k] + dr*xk
-		out[row+1] = z[c.idxPh(k)] - h.ah[k]*mz*(ts-tc)/1000
-		out[row+2] = z[c.idxPc(k)] - ac*mz*(tm-tc)/1000
+		ph, pc := c.coilPowers(z, h, k)
+		out[row+1] = z[c.idxPh(k)] - ph
+		out[row+2] = z[c.idxPc(k)] - pc
 	}
+}
+
+// dynamics returns the residuals of stage k's trapezoidal rows: the
+// cabin row (+0) and, in thermal mode, the pack row (+3; 0 otherwise).
+func (c *Controller) dynamics(z []float64, h *horizonData, k int) (rx, rb float64) {
+	p := &c.cfg.Cabin
+	xk, _ := c.stateAt(z, h, k)
+	xk1 := z[c.idxX(k+1)]
+	xbar := (xk + xk1) / 2
+	q := h.solarW[k] + p.ShellUAWK*(h.outsideC[k]-xbar)
+	if c.thermal {
+		net := &c.cfg.Thermal.Network
+		kbc := net.UAPackCabinWK
+		tbk, _ := c.packAt(z, h, k)
+		tbk1 := z[c.idxTb(k+1)]
+		tbbar := (tbk + tbk1) / 2
+		q += kbc * (tbbar - xbar)
+		scale := h.dt / net.PackHeatCapJK
+		qb := h.qjW[k] + c.kabEffWK*(h.outsideC[k]-tbbar) + kbc*(xbar-tbbar) +
+			1000*(net.HeaterEff*z[c.idxBh(k)]-net.ChillerCOP*z[c.idxBc(k)])
+		rb = (tbk1 - tbk) - scale*qb
+	}
+	supply := z[c.idxMz(k)] * p.AirCpJKgK * (z[c.idxTs(k)] - xbar)
+	rowScale := h.dt / p.ThermalCapacitanceJK
+	rx = (xk1 - xk) - rowScale*(q+supply)
+	return rx, rb
+}
+
+// coilPowers returns the heater and cooler powers, in kW, that rows +1
+// and +2 of stage k assign to the stage's inputs and start state.
+func (c *Controller) coilPowers(z []float64, h *horizonData, k int) (ph, pc float64) {
+	p := &c.cfg.Cabin
+	ts := z[c.idxTs(k)]
+	tc := z[c.idxTc(k)]
+	dr := z[c.idxDr(k)]
+	mz := z[c.idxMz(k)]
+	xk, _ := c.stateAt(z, h, k)
+	tm := (1-dr)*h.outsideC[k] + dr*xk
+	ph = h.ah[k] * mz * (ts - tc) / 1000
+	pc = p.AirCpJKgK / p.EtaCool * mz * (tm - tc) / 1000
+	return ph, pc
+}
+
+// restore overwrites the dependent variables of z so that every
+// equality row holds: one forward simulation of the prediction model
+// from the planned inputs. Stage by stage, rows +0 and +3 are linear in
+// the next state x_{k+1} (and Tb_{k+1}), so with the coefficients of
+// stateCoeffs the state follows in closed form, a 1×1 (2×2) solve, from
+// the stage's inputs and the state before it; rows +1 and +2 then
+// give Ph_k and Pc_k. The inputs, the battery branch and the comfort
+// slack are left as they are.
+func (c *Controller) restore(z []float64, h *horizonData) {
+	for k := 0; k < h.n; k++ {
+		// With the next state zeroed, the residuals are the rows'
+		// constant terms r0, and the state solves A·s = −r0.
+		ix, ib := c.idxX(k+1), c.idxTb(k+1)
+		z[ix] = 0
+		if c.thermal {
+			z[ib] = 0
+		}
+		rx, rb := c.dynamics(z, h, k)
+		gx, cx, gb, cb := c.stateCoeffs(h, z[c.idxMz(k)])
+		if c.thermal {
+			// A = [1+gx cx; cb 1+gb].
+			det := (1+gx)*(1+gb) - cx*cb
+			z[ix] = -((1+gb)*rx - cx*rb) / det
+			z[ib] = -((1+gx)*rb - cb*rx) / det
+		} else {
+			z[ix] = -rx / (1 + gx)
+		}
+		z[c.idxPh(k)], z[c.idxPc(k)] = c.coilPowers(z, h, k)
+	}
+}
+
+// stateCoeffs returns the coefficients of stage k's trapezoidal rows on
+// the states that end and start the stage, between which x̄ and T̄b
+// split every conductance evenly: row +0 reads ±1 + gx on x and cx on
+// Tb, and in thermal mode row +3 reads ±1 + gb on Tb and cb on x (+ for
+// the next state, − for the start state). mz is the stage's air flow.
+func (c *Controller) stateCoeffs(h *horizonData, mz float64) (gx, cx, gb, cb float64) {
+	p := &c.cfg.Cabin
+	rowScale := h.dt / p.ThermalCapacitanceJK
+	sumHalf := p.ShellUAWK/2 + mz*p.AirCpJKgK/2
+	if c.thermal {
+		net := &c.cfg.Thermal.Network
+		kbc := net.UAPackCabinWK
+		sumHalf += kbc / 2
+		scale := h.dt / net.PackHeatCapJK
+		cx = -rowScale * kbc / 2
+		gb = scale * ((c.kabEffWK + kbc) / 2)
+		cb = -scale * kbc / 2
+	}
+	return rowScale * sumHalf, cx, gb, cb
 }
 
 // equalitiesJac writes the Jacobian of the equality constraints.
@@ -704,7 +784,6 @@ func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *qp.StageMat
 	p := c.cfg.Cabin
 	ac := p.AirCpJKgK / p.EtaCool
 	net := &c.cfg.Thermal.Network
-	kbc := net.UAPackCabinWK
 	for k := 0; k < h.n; k++ {
 		ts := z[c.idxTs(k)]
 		tc := z[c.idxTc(k)]
@@ -714,24 +793,20 @@ func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *qp.StageMat
 		xk1 := z[c.idxX(k+1)]
 		xbar := (xk + xk1) / 2
 
-		// Dynamics row (scaled by Δt/Mc). The trapezoidal x̄ contributes
-		// half of each conductance to both endpoint states.
+		// Dynamics row (scaled by Δt/Mc).
 		rowScale := h.dt / p.ThermalCapacitanceJK
 		row := c.ne * k
-		sumHalf := p.ShellUAWK/2 + mz*p.AirCpJKgK/2
-		if c.thermal {
-			sumHalf += kbc / 2
-		}
-		jac.Set(row, c.idxX(k+1), 1+rowScale*sumHalf)
+		gx, cx, gb, cb := c.stateCoeffs(h, mz)
+		jac.Set(row, c.idxX(k+1), 1+gx)
 		if xIsVar {
-			jac.Set(row, c.idxX(k), -1+rowScale*sumHalf)
+			jac.Set(row, c.idxX(k), -1+gx)
 		}
 		jac.Set(row, c.idxTs(k), -rowScale*mz*p.AirCpJKgK)
 		jac.Set(row, c.idxMz(k), -rowScale*p.AirCpJKgK*(ts-xbar))
 		if c.thermal {
-			jac.Set(row, c.idxTb(k+1), -rowScale*kbc/2)
+			jac.Set(row, c.idxTb(k+1), cx)
 			if k >= 1 {
-				jac.Set(row, c.idxTb(k), -rowScale*kbc/2)
+				jac.Set(row, c.idxTb(k), cx)
 			}
 		}
 
@@ -757,14 +832,13 @@ func (c *Controller) equalitiesJac(z []float64, h *horizonData, jac *qp.StageMat
 		if c.thermal {
 			r = row + 3
 			scale := h.dt / net.PackHeatCapJK
-			half := (c.kabEffWK + kbc) / 2
-			jac.Set(r, c.idxTb(k+1), 1+scale*half)
+			jac.Set(r, c.idxTb(k+1), 1+gb)
 			if k >= 1 {
-				jac.Set(r, c.idxTb(k), -1+scale*half)
+				jac.Set(r, c.idxTb(k), -1+gb)
 			}
-			jac.Set(r, c.idxX(k+1), -scale*kbc/2)
+			jac.Set(r, c.idxX(k+1), cb)
 			if xIsVar {
-				jac.Set(r, c.idxX(k), -scale*kbc/2)
+				jac.Set(r, c.idxX(k), cb)
 			}
 			jac.Set(r, c.idxBh(k), -scale*1000*net.HeaterEff)
 			jac.Set(r, c.idxBc(k), scale*1000*net.ChillerCOP)
@@ -963,8 +1037,10 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		}
 		c.kktFactorizations += res.Factorizations
 		c.cappedQPs += res.CappedQPs
+		c.corrections += res.Corrections
 		c.telKKT.Add(float64(res.Factorizations))
 		c.telCapped.Add(float64(res.CappedQPs))
+		c.telCorr.Add(float64(res.Corrections))
 		c.totalSQPIters += res.Iterations
 		switch res.Status {
 		case sqp.Converged:

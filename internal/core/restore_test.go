@@ -1,0 +1,64 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"evclimate/internal/control"
+	"evclimate/internal/mat"
+)
+
+// TestRestoreSimulatesModel: on perturbed iterates of both stage
+// layouts, restore satisfies every equality row to rounding and writes
+// only the dependent variables — the states and the coil powers — so
+// every input, battery-branch and slack entry keeps its bits.
+func TestRestoreSimulatesModel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ctx  control.StepContext
+	}{
+		{"cabin-only", DefaultConfig(), withForecast(hotCtx(29), []float64{5e3, 20e3, 2e3, 15e3, 0, 30e3})},
+		{"cabin-only-cold", DefaultConfig(), coldCtx(8)},
+		{"thermal", thermalTestConfig(), thermColdCtx(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := c.buildHorizon(tc.ctx)
+			dependent := make(map[int]bool)
+			for k := 0; k < h.n; k++ {
+				dependent[c.idxX(k+1)] = true
+				dependent[c.idxPh(k)] = true
+				dependent[c.idxPc(k)] = true
+				if c.thermal {
+					dependent[c.idxTb(k+1)] = true
+				}
+			}
+			rng := rand.New(rand.NewSource(7))
+			z := make([]float64, c.nz())
+			ce := make([]float64, c.prob.MEq)
+			for trial := 0; trial < 20; trial++ {
+				c.initialGuess(h, z)
+				for i := range z {
+					z[i] += rng.NormFloat64() * (0.05 + math.Abs(z[i])*0.1)
+				}
+				before := mat.CloneVec(z)
+				c.restore(z, h)
+				c.equalities(z, h, ce)
+				if v := mat.NormInf(ce); v > 1e-12 {
+					t.Fatalf("trial %d: equality residual %g after restore", trial, v)
+				}
+				for i := range z {
+					if !dependent[i] && math.Float64bits(z[i]) != math.Float64bits(before[i]) {
+						t.Fatalf("trial %d: restore moved independent variable %d (stage %d, slot %d): %v → %v",
+							trial, i, i/c.sv, i%c.sv, before[i], z[i])
+					}
+				}
+			}
+		})
+	}
+}

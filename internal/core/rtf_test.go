@@ -34,9 +34,10 @@ func TestRealTimeFactorGauge(t *testing.T) {
 	}
 }
 
-// The KKT counters mirror Stats: every factorization and capped QP the
-// solver reports reaches mpc_kkt_factorizations_total and
-// mpc_qp_capped_total, and both are deterministic series.
+// The solver counters mirror Stats: every factorization, capped QP and
+// corrected SQP step the solver reports reaches
+// mpc_kkt_factorizations_total, mpc_qp_capped_total and
+// mpc_sqp_corrections_total, and all three are deterministic series.
 func TestKKTCountersMatchStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := thermalTestConfig()
@@ -49,12 +50,13 @@ func TestKKTCountersMatchStats(t *testing.T) {
 		c.Decide(thermColdCtx(float64(i) * 5))
 	}
 	st := c.Stats()
-	if st.KKTFactorizations == 0 {
-		t.Fatal("no KKT factorizations counted")
+	if st.KKTFactorizations == 0 || st.Corrections == 0 {
+		t.Fatalf("stats %+v: want KKT factorizations and corrected steps counted", st)
 	}
 	for name, want := range map[string]int{
 		"mpc_kkt_factorizations_total": st.KKTFactorizations,
 		"mpc_qp_capped_total":          st.CappedQPs,
+		"mpc_sqp_corrections_total":    st.Corrections,
 	} {
 		if got := reg.Counter(name).Value(); got != float64(want) {
 			t.Errorf("%s = %v, Stats %d", name, got, want)

@@ -48,7 +48,14 @@ var goldens = []goldenRow{
 	// ΔSoH 0.01172499523 → 0.01168015363 %, comfort violation 0.3368 →
 	// 0.3263 (two steps); the previous solver forced onto its dense path
 	// gives 4848.294207 W, 0.01168314039 % and 0.3263.
-	{"Battery Lifetime-aware", 4870.120976, 0.01168015363, 0.3263157895},
+	// Regenerated again when sqp's line search gained the second-order
+	// correction (core's forward simulation of its prediction model):
+	// unit steps are taken where the ℓ₁ merit used to backtrack, so the
+	// decides of this pull-down end at different iterates. Observed,
+	// against the previous solver on this host: 4870.608842 W →
+	// 4880.125186 W (+0.2 %), ΔSoH 0.01168670951 → 0.01167456809 %,
+	// comfort violation unchanged at 0.3263.
+	{"Battery Lifetime-aware", 4880.125186, 0.01167456809, 0.3263157895},
 }
 
 func TestGoldenRegression(t *testing.T) {

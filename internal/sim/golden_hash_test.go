@@ -52,7 +52,21 @@ func fnv1a64(h uint64, vals []float64) uint64 {
 // Observed: supply/coil temperature by up to 7.3 K where the coil is
 // idle, flow by up to 0.061 kg/s, cabin temperature by at most 0.00026 K;
 // AvgHVACW 6142.72 → 6147.15 W (+0.07 %), ΔSoH 0.00489196 → 0.00489194 %.
-const mpcTrajectoryHash = 0xe3878f1d4f773327
+//
+// Re-pinned when sqp gained the second-order correction (core's forward
+// simulation of its prediction model, Problem.Restore). Before it, the
+// warm-started decides of this pull-down stopped after 3 SQP iterations
+// at the merit-stagnation exit with plans costing ≈24,800, most of it
+// comfort slack; now unit steps are taken down to plans costing ≈4,800
+// (11.9 iterations per decide, 34 converged, 4 stalled). The first QP
+// of each such decide ends at the 60-iteration cap: the cooler is
+// saturated, so the shifted last stage can only meet its comfort row
+// through the slack, and the BFGS seed's curvature on the slack puts the
+// QP's multipliers near 1e7. KKT factorizations 1168 → 7123, capped QPs
+// 0 → 33. Observed: supply/coil temperature by up to 5.1 K, flow by up
+// to 0.030 kg/s, cabin temperature by at most 0.00011 K; AvgHVACW
+// 6147.15 → 6145.67 W, ΔSoH 0.00489194 → 0.00489193 %.
+const mpcTrajectoryHash = 0x86cec564ab7c1433
 
 // TestMPCTrajectoryBitwiseGolden pins the MPC/ECE15 trajectory bitwise.
 func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
@@ -88,9 +102,8 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 		t.Fatalf("MPC/ECE15 trajectory hash = %#016x, golden %#016x (%d steps)",
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
-	// The KKT counts are as deterministic as the trajectory, and no QP
-	// subproblem ends at its iteration cap.
-	if st := mpc.Stats(); st.KKTFactorizations != 1168 || st.CappedQPs != 0 {
-		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 1168 and 0", st.KKTFactorizations, st.CappedQPs)
+	// The KKT counts are as deterministic as the trajectory.
+	if st := mpc.Stats(); st.KKTFactorizations != 7123 || st.CappedQPs != 33 {
+		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 7123 and 33", st.KKTFactorizations, st.CappedQPs)
 	}
 }

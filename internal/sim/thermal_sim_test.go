@@ -197,7 +197,16 @@ func TestThermalCheckpointResumeBitExact(t *testing.T) {
 // 36 K and recirculation by up to 0.38 at individual steps, cabin
 // temperature by at most 0.28 K and pack temperature by at most 0.72 K;
 // AvgHVACW 6033.53 → 6021.85 W, cycle ΔSoH 0.0072417 → 0.0070806 %.
-const thermalTrajectoryHash = 0xaeb1cb1e6f180da0
+//
+// Re-pinned with mpcTrajectoryHash, for the same cause (the second-order
+// correction of sqp's line search). All 39 decides still converge, on
+// 3.6 SQP iterations instead of 3.2, 8 of them through the correction;
+// KKT factorizations 786 → 1102. Observed: battery heater command by up
+// to 3084 W and recirculation by up to 0.38 at individual steps, coil
+// temperature by up to 2.6 K, cabin temperature by at most 0.20 K and
+// pack temperature by at most 0.23 K; AvgHVACW 6021.85 → 6080.27 W,
+// cycle ΔSoH 0.0070806 → 0.0070846 %.
+const thermalTrajectoryHash = 0x08f0411f00e219c9
 
 // TestThermalTrajectoryBitwiseGolden pins the cold co-scheduling
 // trajectory bitwise, the thermal counterpart of the cabin-only pin.

@@ -15,6 +15,11 @@ func rosenbrockProblem() *Problem {
 			b := x[1] - x[0]*x[0]
 			return a*a + 100*b*b
 		},
+		Gradient: func(x, g []float64) {
+			b := x[1] - x[0]*x[0]
+			g[0] = -2*(1-x[0]) - 400*x[0]*b
+			g[1] = 200 * b
+		},
 	}
 }
 

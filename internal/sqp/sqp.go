@@ -7,10 +7,12 @@
 //
 // using a damped-BFGS approximation of the Lagrangian Hessian, convex QP
 // subproblems (internal/qp) and an ℓ₁ merit function with backtracking
-// line search. The paper prescribes exactly this algorithm class for the
-// MPC step ("the best option might be to apply Sequential Quadratic
-// Programming (SQP) as the optimization algorithm for the MPC in each
-// time step", Sec. III, citing Kelman & Borrelli).
+// line search, plus a second-order correction through the caller's
+// Problem.Restore when it has one. The caller states every first
+// derivative analytically. The paper prescribes exactly this algorithm
+// class for the MPC step ("the best option might be to apply Sequential
+// Quadratic Programming (SQP) as the optimization algorithm for the MPC
+// in each time step", Sec. III, citing Kelman & Borrelli).
 //
 // Solve assumes every linearized subproblem has a feasible point; a
 // caller whose constraints can become unreachable softens them with
@@ -77,33 +79,41 @@ var ErrBadProblem = errors.New("sqp: invalid problem")
 // overload from Stalled.
 var ErrBudgetExceeded = errors.New("sqp: budget exceeded")
 
-// Problem defines the NLP. Objective is required. Eq/Ineq may be nil when
-// MEq/MIneq are zero. Jacobian callbacks are optional; when nil, forward
-// finite differences are used. Variables and rows divide evenly into
-// Stages receding-horizon stages whose last NX variables are the stage
-// state: the Jacobians are qp.StageMatrix values whose stage-k rows
-// reach back only to that state, and the BFGS Hessian stays block
-// diagonal, so every QP subproblem factors by a Riccati recursion over
-// the state.
+// Problem defines the NLP. Objective and Gradient are required; Eq and
+// EqJac are required when MEq > 0, Ineq and IneqJac when MIneq > 0.
+// Variables and rows divide evenly into Stages receding-horizon stages
+// whose last NX variables are the stage state: the Jacobians are
+// qp.StageMatrix values whose stage-k rows reach back only to that
+// state, and the BFGS Hessian stays block diagonal, so every QP
+// subproblem factors by a Riccati recursion over the state.
 type Problem struct {
 	// N is the number of decision variables.
 	N int
 	// Objective evaluates f(x).
 	Objective func(x []float64) float64
-	// Gradient writes ∇f(x) into grad. Optional.
+	// Gradient writes ∇f(x) into grad.
 	Gradient func(x []float64, grad []float64)
 	// MEq is the number of equality constraints ce(x) = 0.
 	MEq int
 	// Eq writes ce(x) into out (length MEq).
 	Eq func(x []float64, out []float64)
-	// EqJac writes the MEq×N Jacobian of Eq into jac. Optional.
+	// EqJac writes the MEq×N Jacobian of Eq into jac.
 	EqJac func(x []float64, jac *qp.StageMatrix)
 	// MIneq is the number of inequality constraints ci(x) ≤ 0.
 	MIneq int
 	// Ineq writes ci(x) into out (length MIneq).
 	Ineq func(x []float64, out []float64)
-	// IneqJac writes the MIneq×N Jacobian of Ineq into jac. Optional.
+	// IneqJac writes the MIneq×N Jacobian of Ineq into jac.
 	IneqJac func(x []float64, jac *qp.StageMatrix)
+	// Restore, when non-nil, overwrites the dependent variables of x in
+	// place so that Eq(x) = 0, leaving the others as they are; an MPC
+	// does this by simulating its prediction model forward from the
+	// planned inputs. Solve uses it as a second-order correction: a unit
+	// step x + d that fails the line search's merit test is restored and
+	// taken if the restored point passes the same test, which undoes the
+	// curvature error of linearized equality rows (the Maratos effect;
+	// Nocedal & Wright, Numerical Optimization, §15.5–15.6).
+	Restore func(x []float64)
 	// Stages is the stage count; 0 means 1, the unstructured NLP.
 	Stages int
 	// NX is the number of state variables that end each stage, the only
@@ -112,12 +122,8 @@ type Problem struct {
 	NX int
 }
 
-// Fixed numerics: the finite-difference step scale and the seed of the
-// ℓ₁ merit penalty.
-const (
-	fdStep      = 1e-7
-	penaltyInit = 1.0
-)
+// penaltyInit seeds the ℓ₁ merit penalty.
+const penaltyInit = 1.0
 
 // Options tunes the solver; the zero value selects defaults.
 type Options struct {
@@ -174,6 +180,9 @@ type Result struct {
 	// point's iteration cap (qp.MaxIterations); their iterates were still
 	// taken as steps.
 	CappedQPs int
+	// Corrections counts the steps taken through Problem.Restore: unit
+	// steps that failed the merit test and passed it once restored.
+	Corrections int
 	// Status reports the termination condition.
 	Status Status
 	// KKTResidual is the final stationarity residual (∞-norm).
@@ -183,33 +192,16 @@ type Result struct {
 }
 
 type evaluator struct {
-	p  *Problem
-	ws *Workspace
+	p *Problem
 }
 
-// gradientInto writes ∇f(x) into g (a workspace buffer). The buffer is
-// zeroed before a user Gradient callback runs, preserving the original
-// fresh-slice contract.
+// gradientInto writes ∇f(x) into g (a workspace buffer), zeroed before
+// the Gradient callback runs.
 func (e *evaluator) gradientInto(x, g []float64) []float64 {
-	if e.p.Gradient != nil {
-		for i := range g {
-			g[i] = 0
-		}
-		e.p.Gradient(x, g)
-		return g
+	for i := range g {
+		g[i] = 0
 	}
-	// Central differences on the objective.
-	xt := e.ws.xt
-	copy(xt, x)
-	for i := range x {
-		h := fdStep * (1 + math.Abs(x[i]))
-		xt[i] = x[i] + h
-		fp := e.p.Objective(xt)
-		xt[i] = x[i] - h
-		fm := e.p.Objective(xt)
-		xt[i] = x[i]
-		g[i] = (fp - fm) / (2 * h)
-	}
+	e.p.Gradient(x, g)
 	return g
 }
 
@@ -246,11 +238,7 @@ func (e *evaluator) eqJacInto(x []float64, jac *qp.StageMatrix) *qp.StageMatrix 
 		return nil
 	}
 	jac.Zero()
-	if e.p.EqJac != nil {
-		e.p.EqJac(x, jac)
-		return jac
-	}
-	e.fdJac(x, e.p.Eq, e.p.MEq, jac)
+	e.p.EqJac(x, jac)
 	return jac
 }
 
@@ -260,33 +248,8 @@ func (e *evaluator) ineqJacInto(x []float64, jac *qp.StageMatrix) *qp.StageMatri
 		return nil
 	}
 	jac.Zero()
-	if e.p.IneqJac != nil {
-		e.p.IneqJac(x, jac)
-		return jac
-	}
-	e.fdJac(x, e.p.Ineq, e.p.MIneq, jac)
+	e.p.IneqJac(x, jac)
 	return jac
-}
-
-// fdJac fills jac by forward differences, one perturbed variable at a
-// time; entries outside a row's stage window are not formed.
-func (e *evaluator) fdJac(x []float64, fn func([]float64, []float64), m int, jac *qp.StageMatrix) {
-	base := e.ws.fdBase[:m]
-	fn(x, base)
-	pert := e.ws.fdPert[:m]
-	xt := e.ws.xt
-	copy(xt, x)
-	for j := 0; j < e.p.N; j++ {
-		h := fdStep * (1 + math.Abs(x[j]))
-		xt[j] = x[j] + h
-		fn(xt, pert)
-		xt[j] = x[j]
-		for i := 0; i < m; i++ {
-			if lo, v := jac.Row(i); j >= lo && j < lo+len(v) {
-				jac.Set(i, j, (pert[i]-base[i])/h)
-			}
-		}
-	}
 }
 
 // violation returns the ℓ∞ constraint violation.
@@ -314,6 +277,17 @@ func merit(f float64, ce, ci []float64, nu float64) float64 {
 	return f + nu*pen
 }
 
+// sufficient is the Armijo test of a trial merit phi against phi0 with
+// predicted decrease pred (≤ 0), or any relative decrease above rounding.
+func sufficient(phi, phi0, pred float64) bool {
+	return phi <= phi0+1e-4*pred || phi < phi0-1e-12*math.Abs(phi0)
+}
+
+// at evaluates f, ce and ci at x, the constraints into ce and ci.
+func (e *evaluator) at(x, ce, ci []float64) (float64, []float64, []float64) {
+	return e.p.Objective(x), e.eqInto(x, ce), e.ineqInto(x, ci)
+}
+
 // kktResidual computes the ∞-norm of the Lagrangian gradient
 // ∇f + Jeᵀλ + Jiᵀμ using workspace scratch.
 func kktResidual(ws *Workspace, g []float64, je, ji *qp.StageMatrix, lam, mu []float64) float64 {
@@ -332,17 +306,17 @@ func kktResidual(ws *Workspace, g []float64, je, ji *qp.StageMatrix, lam, mu []f
 // Solve runs the SQP iteration from x0.
 func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	opt.fill()
-	if p.N <= 0 || p.Objective == nil {
-		return nil, fmt.Errorf("%w: need N > 0 and an Objective", ErrBadProblem)
+	if p.N <= 0 || p.Objective == nil || p.Gradient == nil {
+		return nil, fmt.Errorf("%w: need N > 0, an Objective and its Gradient", ErrBadProblem)
 	}
 	if len(x0) != p.N {
 		return nil, fmt.Errorf("%w: len(x0)=%d, want %d", ErrBadProblem, len(x0), p.N)
 	}
-	if p.MEq > 0 && p.Eq == nil {
-		return nil, fmt.Errorf("%w: MEq=%d but Eq is nil", ErrBadProblem, p.MEq)
+	if p.MEq > 0 && (p.Eq == nil || p.EqJac == nil) {
+		return nil, fmt.Errorf("%w: MEq=%d needs Eq and EqJac", ErrBadProblem, p.MEq)
 	}
-	if p.MIneq > 0 && p.Ineq == nil {
-		return nil, fmt.Errorf("%w: MIneq=%d but Ineq is nil", ErrBadProblem, p.MIneq)
+	if p.MIneq > 0 && (p.Ineq == nil || p.IneqJac == nil) {
+		return nil, fmt.Errorf("%w: MIneq=%d needs Ineq and IneqJac", ErrBadProblem, p.MIneq)
 	}
 	stages := max(p.Stages, 1)
 	if p.N%stages != 0 || p.MEq%stages != 0 || p.MIneq%stages != 0 {
@@ -360,7 +334,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		ws = NewWorkspace()
 	}
 	ws.ensure(p.N, p.MEq, p.MIneq, stages, nx)
-	ev := &evaluator{p: p, ws: ws}
+	ev := &evaluator{p: p}
 
 	// Double-buffered iterate state: the locals holding the current point
 	// and its derivatives swap with their *New partners on every accepted
@@ -484,7 +458,10 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		}
 		dirDeriv -= nu * pen
 
-		// Backtracking Armijo line search on the merit function.
+		// Backtracking Armijo line search on the merit function. A unit
+		// step that fails the test gets one second-order correction: the
+		// restored point is taken if it passes, and otherwise the search
+		// backtracks along the uncorrected step.
 		phi0 := merit(f, ce, ci, nu)
 		alpha := 1.0
 		var fNew float64
@@ -492,13 +469,19 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		for ls := 0; ls < 30; ls++ {
 			mat.ScaleVecInto(xNew, alpha, d)
 			mat.Axpy(1, x, xNew)
-			fNew = p.Objective(xNew)
-			ceNew = ev.eqInto(xNew, ceNew)
-			ciNew = ev.ineqInto(xNew, ciNew)
-			phi := merit(fNew, ceNew, ciNew, nu)
-			if phi <= phi0+1e-4*alpha*dirDeriv || phi < phi0-1e-12*math.Abs(phi0) {
+			fNew, ceNew, ciNew = ev.at(xNew, ceNew, ciNew)
+			if sufficient(merit(fNew, ceNew, ciNew, nu), phi0, alpha*dirDeriv) {
 				accepted = true
 				break
+			}
+			if ls == 0 && p.Restore != nil {
+				p.Restore(xNew)
+				fNew, ceNew, ciNew = ev.at(xNew, ceNew, ciNew)
+				if sufficient(merit(fNew, ceNew, ciNew, nu), phi0, dirDeriv) {
+					res.Corrections++
+					accepted = true
+					break
+				}
 			}
 			alpha *= 0.5
 		}
@@ -506,7 +489,9 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			res.Status = Stalled
 			break
 		}
-		stepNorm := alpha * mat.Norm2(d)
+		// The displacement actually taken: a corrected step is not α·d.
+		sVec := mat.SubVecInto(ws.sVec, xNew, x)
+		stepNorm := mat.Norm2(sVec)
 
 		// Early exit for real-time callers: two consecutive steps with
 		// negligible merit progress at a feasible iterate mean further
@@ -555,7 +540,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			ji.MulVecTInto(muNew, ws.tmpN)
 			mat.Axpy(-1, ws.tmpN, yVec)
 		}
-		sVec := mat.SubVecInto(ws.sVec, xNew, x)
 		updateBFGSBlocks(ws.b, sVec, yVec, ws.bs, ws.bfgsR)
 
 		x, xNew = xNew, x

@@ -1,6 +1,7 @@
 package sqp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -16,6 +17,20 @@ func checkVec(t *testing.T, got, want []float64, tol float64, label string) {
 	}
 }
 
+// onesJac is the Jacobian of one row x₀ + … + x_{n−1}.
+func onesJac(x []float64, jac *qp.StageMatrix) {
+	for j := range x {
+		jac.Set(0, j, 1)
+	}
+}
+
+// circleJac is the Jacobian of one row ‖x‖² − r².
+func circleJac(x []float64, jac *qp.StageMatrix) {
+	for j, v := range x {
+		jac.Set(0, j, 2*v)
+	}
+}
+
 func TestUnconstrainedQuadratic(t *testing.T) {
 	// min (x−1)² + (y+2)².
 	p := &Problem{
@@ -23,6 +38,7 @@ func TestUnconstrainedQuadratic(t *testing.T) {
 		Objective: func(x []float64) float64 {
 			return (x[0]-1)*(x[0]-1) + (x[1]+2)*(x[1]+2)
 		},
+		Gradient: func(x, g []float64) { g[0], g[1] = 2*(x[0]-1), 2*(x[1]+2) },
 	}
 	res, err := Solve(p, []float64{5, 5}, Options{})
 	if err != nil {
@@ -36,15 +52,7 @@ func TestUnconstrainedQuadratic(t *testing.T) {
 
 func TestRosenbrock(t *testing.T) {
 	// The classic banana function; tests the BFGS machinery.
-	p := &Problem{
-		N: 2,
-		Objective: func(x []float64) float64 {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			return a*a + 100*b*b
-		},
-	}
-	res, err := Solve(p, []float64{-1.2, 1}, Options{MaxIter: 300})
+	res, err := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +64,10 @@ func TestEqualityConstrained(t *testing.T) {
 	p := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] },
+		Gradient:  func(x, g []float64) { g[0], g[1] = 2*x[0], 2*x[1] },
 		MEq:       1,
 		Eq:        func(x, out []float64) { out[0] = x[0] + x[1] - 2 },
+		EqJac:     onesJac,
 	}
 	res, err := Solve(p, []float64{3, -1}, Options{})
 	if err != nil {
@@ -77,8 +87,10 @@ func TestNonlinearEquality(t *testing.T) {
 	p := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return x[0] + x[1] },
+		Gradient:  func(x, g []float64) { g[0], g[1] = 1, 1 },
 		MEq:       1,
 		Eq:        func(x, out []float64) { out[0] = x[0]*x[0] + x[1]*x[1] - 2 },
+		EqJac:     circleJac,
 	}
 	res, err := Solve(p, []float64{1.5, 0.5}, Options{MaxIter: 200})
 	if err != nil {
@@ -94,8 +106,10 @@ func TestInequalityConstrained(t *testing.T) {
 		Objective: func(x []float64) float64 {
 			return (x[0]-3)*(x[0]-3) + (x[1]-3)*(x[1]-3)
 		},
-		MIneq: 1,
-		Ineq:  func(x, out []float64) { out[0] = x[0] + x[1] - 2 },
+		Gradient: func(x, g []float64) { g[0], g[1] = 2*(x[0]-3), 2*(x[1]-3) },
+		MIneq:    1,
+		Ineq:     func(x, out []float64) { out[0] = x[0] + x[1] - 2 },
+		IneqJac:  onesJac,
 	}
 	res, err := Solve(p, []float64{0, 0}, Options{})
 	if err != nil {
@@ -114,8 +128,10 @@ func TestInactiveInequality(t *testing.T) {
 		Objective: func(x []float64) float64 {
 			return (x[0] - 1) * (x[0] - 1)
 		},
-		MIneq: 1,
-		Ineq:  func(x, out []float64) { out[0] = x[0] - 100 },
+		Gradient: func(x, g []float64) { g[0] = 2 * (x[0] - 1) },
+		MIneq:    1,
+		Ineq:     func(x, out []float64) { out[0] = x[0] - 100 },
+		IneqJac:  onesJac,
 	}
 	res, err := Solve(p, []float64{50}, Options{})
 	if err != nil {
@@ -125,29 +141,8 @@ func TestInactiveInequality(t *testing.T) {
 }
 
 func TestHS71StyleProblem(t *testing.T) {
-	// A bilinear problem of the kind the HVAC model produces:
-	// min x₁x₄(x₁+x₂+x₃) + x₃
-	// s.t. x₁x₂x₃x₄ ≥ 25  (as 25 − Πx ≤ 0)
-	//      x₁²+x₂²+x₃²+x₄² = 40, 1 ≤ x ≤ 5.
-	// Known optimum ≈ (1, 4.743, 3.821, 1.379), f* ≈ 17.014.
-	p := &Problem{
-		N: 4,
-		Objective: func(x []float64) float64 {
-			return x[0]*x[3]*(x[0]+x[1]+x[2]) + x[2]
-		},
-		MEq: 1,
-		Eq: func(x, out []float64) {
-			out[0] = x[0]*x[0] + x[1]*x[1] + x[2]*x[2] + x[3]*x[3] - 40
-		},
-		MIneq: 9,
-		Ineq: func(x, out []float64) {
-			out[0] = 25 - x[0]*x[1]*x[2]*x[3]
-			for i := 0; i < 4; i++ {
-				out[1+i] = 1 - x[i] // x ≥ 1
-				out[5+i] = x[i] - 5 // x ≤ 5
-			}
-		},
-	}
+	// A bilinear problem of the kind the HVAC model produces (hs71Problem).
+	p := hs71Problem()
 	res, err := Solve(p, []float64{1, 5, 5, 1}, Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -158,27 +153,6 @@ func TestHS71StyleProblem(t *testing.T) {
 	if res.MaxViolation > 1e-4 {
 		t.Errorf("violation %v", res.MaxViolation)
 	}
-}
-
-func TestAnalyticGradientMatchesFD(t *testing.T) {
-	// Same problem solved with and without analytic derivatives should
-	// agree.
-	obj := func(x []float64) float64 { return x[0]*x[0] + 2*x[1]*x[1] + x[0]*x[1] - x[0] }
-	grad := func(x, g []float64) {
-		g[0] = 2*x[0] + x[1] - 1
-		g[1] = 4*x[1] + x[0]
-	}
-	pFD := &Problem{N: 2, Objective: obj}
-	pAn := &Problem{N: 2, Objective: obj, Gradient: grad}
-	rFD, err := Solve(pFD, []float64{1, 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rAn, err := Solve(pAn, []float64{1, 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkVec(t, rAn.X, rFD.X, 1e-5, "x(analytic) vs x(fd)")
 }
 
 func TestAnalyticJacobians(t *testing.T) {
@@ -214,10 +188,15 @@ func TestInfeasibleStartRecovers(t *testing.T) {
 	p := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] },
+		Gradient:  func(x, g []float64) { g[0], g[1] = 2*x[0], 2*x[1] },
 		MIneq:     2,
 		Ineq: func(x, out []float64) {
 			out[0] = 1 - x[0] // x₀ ≥ 1
 			out[1] = 1 - x[1] // x₁ ≥ 1
+		},
+		IneqJac: func(_ []float64, jac *qp.StageMatrix) {
+			jac.Set(0, 0, -1)
+			jac.Set(1, 1, -1)
 		},
 	}
 	res, err := Solve(p, []float64{-10, -10}, Options{MaxIter: 200})
@@ -228,15 +207,7 @@ func TestInfeasibleStartRecovers(t *testing.T) {
 }
 
 func TestMaxIterationsReported(t *testing.T) {
-	p := &Problem{
-		N: 2,
-		Objective: func(x []float64) float64 {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			return a*a + 100*b*b
-		},
-	}
-	res, err := Solve(p, []float64{-1.2, 1}, Options{MaxIter: 2})
+	res, err := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{MaxIter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,27 +220,29 @@ func TestMaxIterationsReported(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Solve(&Problem{N: 0}, nil, Options{}); err == nil {
-		t.Error("N=0 accepted")
-	}
-	if _, err := Solve(&Problem{N: 2, Objective: func([]float64) float64 { return 0 }}, []float64{1}, Options{}); err == nil {
-		t.Error("short x0 accepted")
-	}
-	if _, err := Solve(&Problem{N: 1, Objective: func([]float64) float64 { return 0 }, MEq: 1}, []float64{0}, Options{}); err == nil {
-		t.Error("MEq without Eq accepted")
-	}
-	if _, err := Solve(&Problem{N: 1, Objective: func([]float64) float64 { return 0 }, MIneq: 1}, []float64{0}, Options{}); err == nil {
-		t.Error("MIneq without Ineq accepted")
-	}
+	obj := func([]float64) float64 { return 0 }
+	grad := func(_, g []float64) {}
 	zero := func([]float64, []float64) {}
-	if _, err := Solve(&Problem{N: 4, Objective: func([]float64) float64 { return 0 }, MEq: 3, Eq: zero, Stages: 2}, make([]float64, 4), Options{}); err == nil {
-		t.Error("equality rows not divisible into stages accepted")
-	}
-	if _, err := Solve(&Problem{N: 3, Objective: func([]float64) float64 { return 0 }, Stages: 2}, make([]float64, 3), Options{}); err == nil {
-		t.Error("variables not divisible into stages accepted")
-	}
-	if _, err := Solve(&Problem{N: 4, Objective: func([]float64) float64 { return 0 }, Stages: 2, NX: 3}, make([]float64, 4), Options{}); err == nil {
-		t.Error("state wider than its stage accepted")
+	jac := func([]float64, *qp.StageMatrix) {}
+	for _, c := range []struct {
+		name string
+		p    *Problem
+		x0   []float64
+	}{
+		{"N=0", &Problem{N: 0}, nil},
+		{"short x0", &Problem{N: 2, Objective: obj, Gradient: grad}, []float64{1}},
+		{"no Gradient", &Problem{N: 1, Objective: obj}, []float64{0}},
+		{"MEq without Eq", &Problem{N: 1, Objective: obj, Gradient: grad, MEq: 1, EqJac: jac}, []float64{0}},
+		{"MEq without EqJac", &Problem{N: 1, Objective: obj, Gradient: grad, MEq: 1, Eq: zero}, []float64{0}},
+		{"MIneq without Ineq", &Problem{N: 1, Objective: obj, Gradient: grad, MIneq: 1, IneqJac: jac}, []float64{0}},
+		{"MIneq without IneqJac", &Problem{N: 1, Objective: obj, Gradient: grad, MIneq: 1, Ineq: zero}, []float64{0}},
+		{"equality rows not divisible into stages", &Problem{N: 4, Objective: obj, Gradient: grad, MEq: 3, Eq: zero, EqJac: jac, Stages: 2}, make([]float64, 4)},
+		{"variables not divisible into stages", &Problem{N: 3, Objective: obj, Gradient: grad, Stages: 2}, make([]float64, 3)},
+		{"state wider than its stage", &Problem{N: 4, Objective: obj, Gradient: grad, Stages: 2, NX: 3}, make([]float64, 4)},
+	} {
+		if _, err := Solve(c.p, c.x0, Options{}); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: err %v, want ErrBadProblem", c.name, err)
+		}
 	}
 }
 
@@ -309,6 +282,14 @@ func TestBilinearMPCShape(t *testing.T) {
 			}
 			return c
 		},
+		Gradient: func(x, g []float64) {
+			for k := 1; k < ns; k++ {
+				g[idxT(k)] = 2 * (x[idxT(k)] - 5)
+			}
+			for k := 0; k < nu; k++ {
+				g[idxU(k)] = 0.02 * x[idxU(k)]
+			}
+		},
 		MEq: ns, // 3 dynamics constraints + initial condition
 		Eq: func(x, out []float64) {
 			out[0] = x[idxT(0)] - 0 // T0 = 0
@@ -316,11 +297,25 @@ func TestBilinearMPCShape(t *testing.T) {
 				out[k+1] = x[idxT(k+1)] - x[idxT(k)] - x[idxU(k)]*(10-x[idxT(k)])*0.5
 			}
 		},
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
+			jac.Set(0, idxT(0), 1)
+			for k := 0; k < nu; k++ {
+				jac.Set(k+1, idxT(k+1), 1)
+				jac.Set(k+1, idxT(k), -1+0.5*x[idxU(k)])
+				jac.Set(k+1, idxU(k), -0.5*(10-x[idxT(k)]))
+			}
+		},
 		MIneq: 2 * nu, // 0 ≤ u ≤ 1
 		Ineq: func(x, out []float64) {
 			for k := 0; k < nu; k++ {
 				out[2*k] = -x[idxU(k)]
 				out[2*k+1] = x[idxU(k)] - 1
+			}
+		},
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
+			for k := 0; k < nu; k++ {
+				jac.Set(2*k, idxU(k), -1)
+				jac.Set(2*k+1, idxU(k), 1)
 			}
 		},
 	}
@@ -353,8 +348,12 @@ func TestMinMeritDecreaseEarlyExit(t *testing.T) {
 			Objective: func(x []float64) float64 {
 				return (x[0]-1)*(x[0]-1) + 2*(x[1]+2)*(x[1]+2) + 0.5*x[2]*x[2]
 			},
-			MIneq: 1,
-			Ineq:  func(x, out []float64) { out[0] = -x[2] }, // x₂ ≥ 0
+			Gradient: func(x, g []float64) {
+				g[0], g[1], g[2] = 2*(x[0]-1), 4*(x[1]+2), x[2]
+			},
+			MIneq:   1,
+			Ineq:    func(x, out []float64) { out[0] = -x[2] }, // x₂ ≥ 0
+			IneqJac: func(_ []float64, jac *qp.StageMatrix) { jac.Set(0, 2, -1) },
 		}
 	}
 	full, err := Solve(mk(), []float64{5, 5, 5}, Options{MaxIter: 200})
@@ -382,8 +381,10 @@ func TestMinMeritDecreaseRespectsFeasibility(t *testing.T) {
 	p := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] },
+		Gradient:  func(x, g []float64) { g[0], g[1] = 2*x[0], 2*x[1] },
 		MEq:       1,
 		Eq:        func(x, out []float64) { out[0] = x[0] + x[1] - 4 },
+		EqJac:     onesJac,
 	}
 	res, err := Solve(p, []float64{-20, -20}, Options{MaxIter: 300, MinMeritDecrease: 1e-4})
 	if err != nil {
@@ -393,4 +394,52 @@ func TestMinMeritDecreaseRespectsFeasibility(t *testing.T) {
 		t.Errorf("stagnation exit left violation %v", res.MaxViolation)
 	}
 	checkVec(t, res.X, []float64{2, 2}, 1e-3, "x")
+}
+
+// TestSecondOrderCorrectionMaratos is Nocedal & Wright's §15.5 example
+// of the Maratos effect: min 2(x₁² + x₂² − 1) − x₁ on the unit circle,
+// solution (1, 0). From a point on the circle the unit SQP step leaves
+// it, and the ℓ₁ merit rejects a step that would converge superlinearly.
+// Restoring the trial point radially onto the circle repairs the
+// constraint's curvature error, so the unit steps are taken.
+func TestSecondOrderCorrectionMaratos(t *testing.T) {
+	mk := func(restore bool) *Problem {
+		p := &Problem{
+			N:         2,
+			Objective: func(x []float64) float64 { return 2*(x[0]*x[0]+x[1]*x[1]-1) - x[0] },
+			Gradient:  func(x, g []float64) { g[0], g[1] = 4*x[0]-1, 4*x[1] },
+			MEq:       1,
+			Eq:        func(x, out []float64) { out[0] = x[0]*x[0] + x[1]*x[1] - 1 },
+			EqJac:     circleJac,
+		}
+		if restore {
+			p.Restore = func(x []float64) {
+				r := math.Hypot(x[0], x[1])
+				x[0], x[1] = x[0]/r, x[1]/r
+			}
+		}
+		return p
+	}
+	x0 := []float64{math.Cos(0.3), math.Sin(0.3)}
+	plain, err := Solve(mk(false), x0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soc, err := Solve(mk(true), x0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Result{plain, soc} {
+		if r.Status != Converged {
+			t.Fatalf("status %v after %d iterations", r.Status, r.Iterations)
+		}
+		checkVec(t, r.X, []float64{1, 0}, 1e-5, "x")
+	}
+	if soc.Corrections == 0 || plain.Corrections != 0 {
+		t.Errorf("corrections: %d with Restore, %d without; want > 0 and 0", soc.Corrections, plain.Corrections)
+	}
+	if soc.Iterations >= plain.Iterations {
+		t.Errorf("%d iterations with Restore, %d without; want fewer", soc.Iterations, plain.Iterations)
+	}
+	t.Logf("iterations: %d plain, %d corrected (%d corrections)", plain.Iterations, soc.Iterations, soc.Corrections)
 }

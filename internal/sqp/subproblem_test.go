@@ -108,59 +108,6 @@ func TestSubproblemResetsIndefiniteBFGS(t *testing.T) {
 	}
 }
 
-// TestFDJacobianProducts: fdJac writes through StageMatrix.Set, and the
-// products of the result equal, bit for bit, those of a dense matrix
-// holding the same forward differences inside each row's window — the
-// Jacobian fdJac built when it wrote the window storage directly.
-func TestFDJacobianProducts(t *testing.T) {
-	const stages, nv, nx, rows = 3, 3, 1, 2
-	p := &Problem{
-		N:      stages * nv,
-		Stages: stages,
-		NX:     nx,
-		MIneq:  stages * rows,
-		Ineq: func(x, out []float64) {
-			for k := 0; k < stages; k++ {
-				v := x[k*nv : (k+1)*nv]
-				prev := 0.0
-				if k > 0 {
-					prev = x[k*nv-1]
-				}
-				out[k*rows] = v[0]*v[1] + math.Sin(prev)
-				out[k*rows+1] = v[2] * v[2] // zero derivative at v[2] = 0
-			}
-		},
-	}
-	ws := NewWorkspace()
-	ws.ensure(p.N, 0, p.MIneq, stages, nx)
-	ev := &evaluator{p: p, ws: ws}
-	x := []float64{0.5, -1, 0, 2, 0.25, 0, -0.75, 1.5, 0}
-	jac := ev.ineqJacInto(x, ws.ji)
-
-	dense := mat.NewDense(p.MIneq, p.N)
-	base, pert := make([]float64, p.MIneq), make([]float64, p.MIneq)
-	p.Ineq(x, base)
-	xt := mat.CloneVec(x)
-	for j := range x {
-		h := fdStep * (1 + math.Abs(x[j]))
-		xt[j] = x[j] + h
-		p.Ineq(xt, pert)
-		xt[j] = x[j]
-		for i := range pert {
-			if lo, v := jac.Row(i); j >= lo && j < lo+len(v) {
-				dense.Set(i, j, (pert[i]-base[i])/h)
-			}
-		}
-	}
-	y := []float64{1, 0, -2, 0.5, 3, -1}
-	if got, want := jac.MulVecInto(x, make([]float64, p.MIneq)), dense.MulVec(x); !bitsSame(got, want) {
-		t.Errorf("J·x = %v, dense %v", got, want)
-	}
-	if got, want := jac.MulVecTInto(y, make([]float64, p.N)), dense.MulVecT(y); !bitsSame(got, want) {
-		t.Errorf("Jᵀ·y = %v, dense %v", got, want)
-	}
-}
-
 // TestInfeasibleSubproblemFails: a subproblem with no feasible point is
 // not repaired. x₀ + x₁ ≥ 1 and x₀ + x₁ ≤ −1 are linear, so every
 // linearization is empty; the interior point breaks down on the first

@@ -36,10 +36,6 @@ type Workspace struct {
 	bs, bfgsR     []float64    // updateBFGSBlocks scratch
 	b             []*mat.Dense // BFGS Hessian, one block per stage
 
-	// Finite-difference / evaluator scratch.
-	xt             []float64
-	fdBase, fdPert []float64
-
 	// QP subproblem: the Problem view is rebuilt each iteration (the
 	// Hessian, gradient and Jacobians swap buffers), the negated
 	// right-hand sides and the inner workspace persist.
@@ -95,15 +91,6 @@ func (w *Workspace) ensure(n, meq, min, stages, nx int) {
 	w.b = make([]*mat.Dense, stages)
 	for k := range w.b {
 		w.b[k] = mat.NewDense(nv, nv)
-	}
-	w.xt = make([]float64, n)
-	m := meq
-	if min > m {
-		m = min
-	}
-	if m > 0 {
-		w.fdBase = make([]float64, m)
-		w.fdPert = make([]float64, m)
 	}
 	w.beqNeg = make([]float64, meq)
 	w.binNeg = make([]float64, min)

@@ -8,16 +8,33 @@ import (
 	"evclimate/internal/qp"
 )
 
-// hs71Problem is the bilinear HS71-style NLP used across the suite.
+// hs71Problem is the bilinear HS71-style NLP used across the suite:
+//
+//	min x₁x₄(x₁+x₂+x₃) + x₃
+//	s.t. x₁x₂x₃x₄ ≥ 25  (as 25 − Πx ≤ 0)
+//	     x₁²+x₂²+x₃²+x₄² = 40, 1 ≤ x ≤ 5,
+//
+// with optimum ≈ (1, 4.743, 3.821, 1.379), f* ≈ 17.014.
 func hs71Problem() *Problem {
 	return &Problem{
 		N: 4,
 		Objective: func(x []float64) float64 {
 			return x[0]*x[3]*(x[0]+x[1]+x[2]) + x[2]
 		},
+		Gradient: func(x, g []float64) {
+			g[0] = x[3] * (2*x[0] + x[1] + x[2])
+			g[1] = x[0] * x[3]
+			g[2] = x[0]*x[3] + 1
+			g[3] = x[0] * (x[0] + x[1] + x[2])
+		},
 		MEq: 1,
 		Eq: func(x, out []float64) {
 			out[0] = x[0]*x[0] + x[1]*x[1] + x[2]*x[2] + x[3]*x[3] - 40
+		},
+		EqJac: func(x []float64, jac *qp.StageMatrix) {
+			for i := 0; i < 4; i++ {
+				jac.Set(0, i, 2*x[i])
+			}
 		},
 		MIneq: 9,
 		Ineq: func(x, out []float64) {
@@ -25,6 +42,16 @@ func hs71Problem() *Problem {
 			for i := 0; i < 4; i++ {
 				out[1+i] = 1 - x[i]
 				out[5+i] = x[i] - 5
+			}
+		},
+		IneqJac: func(x []float64, jac *qp.StageMatrix) {
+			jac.Set(0, 0, -x[1]*x[2]*x[3])
+			jac.Set(0, 1, -x[0]*x[2]*x[3])
+			jac.Set(0, 2, -x[0]*x[1]*x[3])
+			jac.Set(0, 3, -x[0]*x[1]*x[2])
+			for i := 0; i < 4; i++ {
+				jac.Set(1+i, i, -1)
+				jac.Set(5+i, i, 1)
 			}
 		},
 	}
@@ -83,6 +110,10 @@ func TestWorkspaceResizesAcrossShapes(t *testing.T) {
 	small := &Problem{
 		N:         2,
 		Objective: func(x []float64) float64 { return (x[0] - 1) * (x[0] - 1) * (x[1] + 2) * (x[1] + 2) },
+		Gradient: func(x, g []float64) {
+			g[0] = 2 * (x[0] - 1) * (x[1] + 2) * (x[1] + 2)
+			g[1] = 2 * (x[0] - 1) * (x[0] - 1) * (x[1] + 2)
+		},
 	}
 	if _, err := Solve(small, []float64{0, 0}, Options{Work: ws}); err != nil {
 		t.Fatal(err)
