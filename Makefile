@@ -33,12 +33,14 @@ bench:
 # recursion, the MPCSolveStep pair's qpiters/op and capped/op columns
 # carry the host-independent work of a decide (interior-point iterations
 # and QPs that ended at their iteration cap), and the -benchmem
-# allocs/op column pins the allocation-free hot path.
+# allocs/op column pins the allocation-free hot path. The solver benches
+# run single-threaded (-cpu 1): the decide path is, and the committed
+# snapshot is taken at GOMAXPROCS=1.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem . \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 . \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
@@ -46,8 +48,9 @@ bench-json:
 # counterpart BenchmarkMPCSolveStepThermal regresses more than 15 %
 # against the committed BENCH_solver.json — the backstop that keeps the
 # stage recursion's ≥10× win from eroding silently at either decision
-# stride. On pass, the snapshot is rewritten in place so
-# `git diff BENCH_solver.json` shows the drift. The 3 s benchtime
+# stride. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1). On
+# pass, the snapshot is rewritten in place so `git diff
+# BENCH_solver.json` shows the drift. The 3 s benchtime
 # matches how the committed snapshot was produced; short runs are too
 # noisy to gate at 15 % on shared CI hardware.
 #
@@ -57,7 +60,7 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s . \
+	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 . \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
@@ -150,18 +153,19 @@ test-batch:
 test-perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Reachability audit (not part of check): build every binary under cmd/
-# and examples/ plus the perfbench module with inlining off, and log,
-# grouped by package, each function or method under internal/ that no
-# binary links. The list is for review; the target fails only when a
-# build or `go tool nm` call fails.
+# Reachability gate: build every binary under cmd/ and examples/ plus
+# the perfbench module with inlining off, log, grouped by package, each
+# function or method under internal/ that no binary links, and fail on
+# one that reach_test.go's reachAllowed does not name (with the tests
+# that share it), or on an allowlist entry that is linked or gone.
 reach:
 	$(GO) test -tags reach -run '^TestReach$$' -count=1 -v .
 
 # Pre-merge gate: full build + vet + tests, fault, crash-safety,
 # distributed-fabric, network-chaos, cold-climate thermal, and
-# batched-execution suites, the benchmark module's vet + tests, and
-# short fuzz smokes of the QP solver and the journal parser.
-check: all test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench
+# batched-execution suites, the benchmark module's vet + tests, the
+# reachability gate, and short fuzz smokes of the QP solver and the
+# journal parser.
+check: all test-faults test-resume test-fabric test-netchaos test-thermal test-batch test-perfbench reach
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=10s ./internal/qp/

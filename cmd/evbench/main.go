@@ -324,11 +324,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.ColdRows(sw)
+		out, err := renderCold(sw)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.RenderCold(rows))
+		fmt.Fprint(stdout, out)
 		return sweepFailures(sw)
 	})
 
@@ -436,6 +436,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
+// renderCold formats the cold-climate sweep's table followed by the
+// depot-preconditioning table, the wall-powered alternative the cold
+// study compares in-drive co-scheduling against.
+func renderCold(sw *runner.Sweep) (string, error) {
+	rows, err := experiments.ColdRows(sw)
+	if err != nil {
+		return "", err
+	}
+	depot, err := experiments.DepotRows()
+	if err != nil {
+		return "", err
+	}
+	return experiments.RenderCold(rows) + "\n" + experiments.RenderDepot(depot), nil
+}
+
 // serveFabric coordinates a named distributable sweep over the fabric:
 // shard, lease to joining workers, journal completions, and stitch the
 // byte-identical sweep once every unit lands. Shares the caller's
@@ -448,13 +463,7 @@ func serveFabric(ctx context.Context, name, addr string, unitSize int, leaseTTL 
 	switch name {
 	case "cold":
 		params = experiments.ColdParams(opts)
-		render = func(sw *runner.Sweep) (string, error) {
-			rows, err := experiments.ColdRows(sw)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderCold(rows), nil
-		}
+		render = renderCold
 	default:
 		params = experiments.DistParams(opts)
 		render = func(sw *runner.Sweep) (string, error) {

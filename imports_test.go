@@ -15,7 +15,6 @@ import (
 // importer in non-test code, each with the reason it is kept.
 var unimportedAllowed = map[string]string{
 	"internal/netchaos": "the fault-injecting transport and proxy the fabric chaos suites drive",
-	"internal/charging": "depot preconditioning behind EXPERIMENTS.md's table, run by make test-thermal",
 }
 
 // TestEveryInternalPackageImported keeps "no packages that nothing

@@ -79,9 +79,6 @@ func NewPack(p Params, initialSoC float64) (*Pack, error) {
 	return &Pack{p: p, soc: initialSoC}, nil
 }
 
-// Params returns the pack parameters.
-func (pk *Pack) Params() Params { return pk.p }
-
 // SoC returns the state of charge in percent.
 func (pk *Pack) SoC() float64 { return pk.soc }
 
@@ -109,12 +106,4 @@ func (pk *Pack) Step(powerW, dt float64) float64 {
 	pk.soc -= 100 * ieff * dt / (units.SecondsPerHour * pk.p.NominalCapacityAh)
 	pk.soc = units.Clamp(pk.soc, 0, 100)
 	return pk.soc
-}
-
-// Empty reports whether the pack is fully discharged.
-func (pk *Pack) Empty() bool { return pk.soc <= 0 }
-
-// RemainingKWh returns the energy left at nominal voltage.
-func (pk *Pack) RemainingKWh() float64 {
-	return pk.p.EnergyKWh() * pk.soc / 100
 }

@@ -52,7 +52,7 @@ func TestParamsValidation(t *testing.T) {
 
 func TestEffectiveCurrentPeukert(t *testing.T) {
 	pk := newLeaf(t, 100)
-	in := pk.Params().NominalCurrentA
+	in := LeafPack().NominalCurrentA
 	// At the nominal current, I_eff == I exactly.
 	if got := pk.EffectiveCurrent(in); math.Abs(got-in) > 1e-12 {
 		t.Errorf("I_eff at nominal = %v, want %v", got, in)
@@ -91,7 +91,7 @@ func TestStepDischargeBookkeeping(t *testing.T) {
 	pk := newLeaf(t, 100)
 	// Drain at exactly the nominal current for one hour: SoC falls by
 	// 100·I_n/C_n percent.
-	p := pk.Params()
+	p := LeafPack()
 	powerW := p.NominalCurrentA * p.NominalVoltageV
 	for i := 0; i < 3600; i++ {
 		pk.Step(powerW, 1)
@@ -107,7 +107,7 @@ func TestHighRateDischargeCostsMore(t *testing.T) {
 	// (rate-capacity / Peukert effect).
 	slow := newLeaf(t, 100)
 	fast := newLeaf(t, 100)
-	p := slow.Params()
+	p := LeafPack()
 	base := 2 * p.NominalCurrentA * p.NominalVoltageV
 	for i := 0; i < 1000; i++ {
 		slow.Step(base, 1)
@@ -133,20 +133,12 @@ func TestStepChargeAndClamp(t *testing.T) {
 	if pk.SoC() != 100 {
 		t.Errorf("SoC = %v, want clamp at 100", pk.SoC())
 	}
-	// Clamp at 0 and Empty.
+	// Clamp at 0.
 	for i := 0; i < 100000; i++ {
 		pk.Step(500e3, 60)
 	}
-	if pk.SoC() != 0 || !pk.Empty() {
-		t.Errorf("SoC = %v, want 0/empty", pk.SoC())
-	}
-}
-
-func TestRemainingKWh(t *testing.T) {
-	pk := newLeaf(t, 50)
-	want := pk.Params().EnergyKWh() / 2
-	if got := pk.RemainingKWh(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("remaining = %v, want %v", got, want)
+	if pk.SoC() != 0 {
+		t.Errorf("SoC = %v, want 0", pk.SoC())
 	}
 }
 

@@ -1,7 +1,6 @@
 package battery
 
 import (
-	"errors"
 	"math"
 
 	"evclimate/internal/units"
@@ -72,19 +71,6 @@ func DefaultCalendarParams() CalendarParams {
 		SoCRefPct:      50,
 		AgeDays:        365,
 	}
-}
-
-// Validate reports invalid calendar parameters.
-func (p *CalendarParams) Validate() error {
-	switch {
-	case p.PreExponential < 0:
-		return errors.New("battery: calendar pre-exponential must be nonnegative")
-	case p.ActivationJMol <= 0 || p.GasConstant <= 0:
-		return errors.New("battery: calendar Arrhenius parameters must be positive")
-	case p.AgeDays < 0:
-		return errors.New("battery: pack age must be nonnegative")
-	}
-	return nil
 }
 
 // LossPercent returns the calendar capacity fade (percent of nominal)

@@ -73,9 +73,6 @@ func TestCycleStressFactor(t *testing.T) {
 
 func TestCalendarLoss(t *testing.T) {
 	p := DefaultCalendarParams()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	day := p.LossPercent(25, 50, units.SecondsPerDay)
 	// ≈ 0.0116 %/day at 25 °C / 50 % SoC for a one-year-old pack —
 	// the V2G-Sim magnitude (a few percent per year).
@@ -104,10 +101,5 @@ func TestCalendarLoss(t *testing.T) {
 	whole := p.LossPercent(25, 50, 3600)
 	if math.Abs(split-whole) > 1e-12*whole {
 		t.Errorf("sub-interval accumulation %v != whole-interval %v", split, whole)
-	}
-
-	bad := CalendarParams{PreExponential: -1, ActivationJMol: 1, GasConstant: 1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative pre-exponential accepted")
 	}
 }

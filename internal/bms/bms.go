@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"evclimate/internal/battery"
-	"evclimate/internal/units"
 )
 
 // Config assembles a BMS.
@@ -96,9 +95,6 @@ func New(cfg Config) (*BMS, error) {
 	return &BMS{cfg: cfg, pack: pack, trace: []float64{cfg.InitialSoC}}, nil
 }
 
-// Config returns the BMS configuration.
-func (b *BMS) Config() Config { return b.cfg }
-
 // SoC returns the current state of charge in percent.
 func (b *BMS) SoC() float64 { return b.pack.SoC() }
 
@@ -155,12 +151,6 @@ func (b *BMS) Trace() []float64 {
 	return out
 }
 
-// DischargedKWh returns gross discharged energy.
-func (b *BMS) DischargedKWh() float64 { return units.JToKWh(b.dischargeJ) }
-
-// RegeneratedKWh returns gross regenerated energy.
-func (b *BMS) RegeneratedKWh() float64 { return units.JToKWh(b.regenJ) }
-
 // CycleStats returns SoCdev and SoCavg (Eqs. 16–17) over the recorded
 // trace.
 func (b *BMS) CycleStats() (dev, avg float64, err error) {
@@ -215,19 +205,5 @@ func (b *BMS) SetState(st State) error {
 	b.trace = append(b.trace[:0:0], st.Trace...)
 	b.events = st.Events
 	b.dischargeJ, b.regenJ = st.DischargeJ, st.RegenJ
-	return nil
-}
-
-// Reset restores the initial SoC and clears the trace, counters, and
-// throughput, ready for another drive cycle.
-func (b *BMS) Reset() error {
-	pack, err := battery.NewPack(b.cfg.Pack, b.cfg.InitialSoC)
-	if err != nil {
-		return err
-	}
-	b.pack = pack
-	b.trace = []float64{b.cfg.InitialSoC}
-	b.events = Events{}
-	b.dischargeJ, b.regenJ = 0, 0
 	return nil
 }

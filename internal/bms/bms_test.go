@@ -64,8 +64,8 @@ func TestStepRecordsTrace(t *testing.T) {
 func TestDischargePowerClipping(t *testing.T) {
 	b := newBMS(t, nil)
 	applied, _ := b.Step(500e3, 1)
-	if applied != b.Config().MaxDischargeW {
-		t.Errorf("applied = %v, want clip to %v", applied, b.Config().MaxDischargeW)
+	if applied != b.cfg.MaxDischargeW {
+		t.Errorf("applied = %v, want clip to %v", applied, b.cfg.MaxDischargeW)
 	}
 	if b.Events().DischargeClipped != 1 {
 		t.Errorf("clip event not counted: %+v", b.Events())
@@ -75,8 +75,8 @@ func TestDischargePowerClipping(t *testing.T) {
 func TestChargePowerClipping(t *testing.T) {
 	b := newBMS(t, nil)
 	applied, _ := b.Step(-500e3, 1)
-	if applied != -b.Config().MaxChargeW {
-		t.Errorf("applied = %v, want clip to %v", applied, -b.Config().MaxChargeW)
+	if applied != -b.cfg.MaxChargeW {
+		t.Errorf("applied = %v, want clip to %v", applied, -b.cfg.MaxChargeW)
 	}
 	if b.Events().ChargeClipped != 1 {
 		t.Errorf("clip event not counted: %+v", b.Events())
@@ -127,11 +127,11 @@ func TestThroughputAccounting(t *testing.T) {
 	b := newBMS(t, nil)
 	b.Step(36e3, 100) // 1 kWh discharge
 	b.Step(-36e3, 50) // 0.5 kWh regen
-	if got := b.DischargedKWh(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("discharged = %v kWh, want 1", got)
+	if got := b.dischargeJ; math.Abs(got-3.6e6) > 1e-3 {
+		t.Errorf("discharged = %v J, want 3.6e6 (1 kWh)", got)
 	}
-	if got := b.RegeneratedKWh(); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("regenerated = %v kWh, want 0.5", got)
+	if got := b.regenJ; math.Abs(got-1.8e6) > 1e-3 {
+		t.Errorf("regenerated = %v J, want 1.8e6 (0.5 kWh)", got)
 	}
 }
 
@@ -183,26 +183,5 @@ func TestPeakShavingReducesDeltaSoH(t *testing.T) {
 	}
 	if dFlat >= dPeaky {
 		t.Errorf("flat load ΔSoH %v should be below peaky %v", dFlat, dPeaky)
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := newBMS(t, nil)
-	b.Step(50e3, 100)
-	b.Step(500e3, 1)
-	if err := b.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if b.SoC() != 90 {
-		t.Errorf("SoC after reset = %v, want 90", b.SoC())
-	}
-	if len(b.Trace()) != 1 {
-		t.Errorf("trace after reset has %d entries", len(b.Trace()))
-	}
-	if b.Events() != (Events{}) {
-		t.Errorf("events not cleared: %+v", b.Events())
-	}
-	if b.DischargedKWh() != 0 {
-		t.Error("throughput not cleared")
 	}
 }

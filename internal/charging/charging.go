@@ -46,17 +46,6 @@ func Level2() Params {
 	}
 }
 
-// DCFast returns a 45 kW DC fast charger (≈ 125 A pack-side).
-func DCFast() Params {
-	return Params{
-		MaxCurrentA:     125,
-		CVThresholdSoC:  80,
-		TaperTimeConstS: 900,
-		Efficiency:      0.93,
-		TerminationFrac: 0.08,
-	}
-}
-
 // Validate reports invalid parameters.
 func (p *Params) Validate() error {
 	switch {
@@ -136,32 +125,4 @@ func Charge(p Params, pack battery.Params, fromSoC, toSoC, dt float64) (*Result,
 	res.WallEnergyKWh = units.JToKWh(wallJ)
 	res.FinalSoC = soc
 	return res, nil
-}
-
-// FullCycleStats concatenates a drive's SoC trace with the recharge that
-// restores its starting SoC, and returns SoCdev and SoCavg over the whole
-// discharging/charging cycle (Eqs. 16–17 without the paper's fixed-
-// pattern shortcut). driveDt and the charger trace period may differ; the
-// charge trace is resampled onto driveDt.
-func FullCycleStats(driveTrace []float64, driveDt float64, p Params, pack battery.Params) (dev, avg float64, err error) {
-	if len(driveTrace) < 2 {
-		return 0, 0, errors.New("charging: drive trace too short")
-	}
-	if driveDt <= 0 {
-		return 0, 0, errors.New("charging: non-positive drive sample period")
-	}
-	endSoC := driveTrace[len(driveTrace)-1]
-	startSoC := driveTrace[0]
-	if endSoC >= startSoC {
-		// Nothing to recharge (e.g. a downhill run): cycle = drive.
-		return battery.CycleStats(driveTrace)
-	}
-	chg, err := Charge(p, pack, endSoC, startSoC, driveDt)
-	if err != nil {
-		return 0, 0, err
-	}
-	full := make([]float64, 0, len(driveTrace)+len(chg.SoCTrace))
-	full = append(full, driveTrace...)
-	full = append(full, chg.SoCTrace[1:]...) // skip the duplicated seam
-	return battery.CycleStats(full)
 }

@@ -106,32 +106,6 @@ func (c *SupervisorConfig) fill() {
 	}
 }
 
-// HealthState is the Supervisor's coarse health classification.
-type HealthState int
-
-const (
-	// Healthy means the top stage is active.
-	Healthy HealthState = iota
-	// Degraded means an intermediate stage is active.
-	Degraded
-	// SafeMode means the bottom (safest) stage is active.
-	SafeMode
-)
-
-// String implements fmt.Stringer.
-func (h HealthState) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case SafeMode:
-		return "safe-mode"
-	default:
-		return fmt.Sprintf("health(%d)", int(h))
-	}
-}
-
 // Transition records one ladder move.
 type Transition struct {
 	// Step is the control-step index of the move; Time the simulation
@@ -245,18 +219,6 @@ func (s *Supervisor) resetState() {
 	s.haveGood = false
 }
 
-// Health returns the coarse health classification.
-func (s *Supervisor) Health() HealthState {
-	switch {
-	case s.level == 0:
-		return Healthy
-	case s.level == len(s.stages)-1:
-		return SafeMode
-	default:
-		return Degraded
-	}
-}
-
 // Level returns the active stage index (0 = most capable).
 func (s *Supervisor) Level() int { return s.level }
 
@@ -266,13 +228,6 @@ func (s *Supervisor) ActiveStage() string { return s.stages[s.level].Name }
 // Transitions returns the ladder moves since the last Reset. The slice
 // is the Supervisor's own; treat it as read-only.
 func (s *Supervisor) Transitions() []Transition { return s.transitions }
-
-// StageStats returns the per-stage counters since the last Reset.
-func (s *Supervisor) StageStats() []StageStats {
-	out := make([]StageStats, len(s.stats))
-	copy(out, s.stats)
-	return out
-}
 
 // sanitize replaces non-finite observations with the last finite ones
 // (or the target, before any finite reading arrived), so a totally

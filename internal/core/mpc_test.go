@@ -2,11 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
-	"evclimate/internal/mat"
 	"evclimate/internal/qp"
 )
 
@@ -84,8 +84,8 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 	c.gradient(z, h, grad)
 	for i := range z {
 		hstep := 1e-6 * (1 + math.Abs(z[i]))
-		zp := mat.CloneVec(z)
-		zm := mat.CloneVec(z)
+		zp := slices.Clone(z)
+		zm := slices.Clone(z)
 		zp[i] += hstep
 		zm[i] -= hstep
 		fd := (c.objective(zp, h) - c.objective(zm, h)) / (2 * hstep)
@@ -122,7 +122,7 @@ func TestEqualitiesJacMatchesFiniteDifferences(t *testing.T) {
 	c.equalities(z, h, base)
 	for j := range z {
 		hstep := 1e-6 * (1 + math.Abs(z[j]))
-		zp := mat.CloneVec(z)
+		zp := slices.Clone(z)
 		zp[j] += hstep
 		c.equalities(zp, h, pert)
 		for i := 0; i < m; i++ {
@@ -151,7 +151,7 @@ func TestIneqJacMatchesFiniteDifferences(t *testing.T) {
 	c.inequalities(z, h, base)
 	for j := range z {
 		hstep := 1e-6 * (1 + math.Abs(z[j]))
-		zp := mat.CloneVec(z)
+		zp := slices.Clone(z)
 		zp[j] += hstep
 		c.inequalities(zp, h, pert)
 		for i := 0; i < m; i++ {

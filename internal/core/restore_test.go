@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"evclimate/internal/control"
@@ -46,7 +47,7 @@ func TestRestoreSimulatesModel(t *testing.T) {
 				for i := range z {
 					z[i] += rng.NormFloat64() * (0.05 + math.Abs(z[i])*0.1)
 				}
-				before := mat.CloneVec(z)
+				before := slices.Clone(z)
 				c.restore(z, h)
 				c.equalities(z, h, ce)
 				if v := mat.NormInf(ce); v > 1e-12 {

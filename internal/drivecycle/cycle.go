@@ -34,30 +34,13 @@ func (c *Cycle) Duration() float64 {
 	return c.Breakpoints[len(c.Breakpoints)-1].TimeS
 }
 
-// SpeedAt returns the speed in m/s at time t (clamped to the cycle span).
-func (c *Cycle) SpeedAt(t float64) float64 {
-	bp := c.Breakpoints
-	if len(bp) == 0 {
-		return 0
-	}
-	if t <= bp[0].TimeS {
-		return units.KmhToMs(bp[0].SpeedKmh)
-	}
-	for i := 0; i < len(bp)-1; i++ {
-		if t <= bp[i+1].TimeS {
-			w := (t - bp[i].TimeS) / (bp[i+1].TimeS - bp[i].TimeS)
-			return units.KmhToMs(units.Lerp(bp[i].SpeedKmh, bp[i+1].SpeedKmh, w))
-		}
-	}
-	return units.KmhToMs(bp[len(bp)-1].SpeedKmh)
-}
-
-// speedAtFrom is SpeedAt with a resumable segment cursor for monotone
-// query sequences: *idx is the segment index of the previous (smaller)
-// query, so each call only advances forward instead of re-scanning the
-// breakpoint list from the start. The segment chosen — the first i with
-// t ≤ bp[i+1].TimeS — and the interpolation arithmetic are exactly
-// SpeedAt's, so the result is bit-identical.
+// speedAtFrom returns the speed in m/s at time t (clamped to the cycle
+// span), interpolating linearly between breakpoints, with a resumable
+// segment cursor for monotone query sequences: *idx is the segment index
+// of the previous (smaller) query, so each call only advances forward
+// instead of re-scanning the breakpoint list from the start. The segment
+// chosen is the first i with t ≤ bp[i+1].TimeS, so the result is
+// bit-identical to a scan from the start (the tests' SpeedAt).
 func speedAtFrom(bp []Breakpoint, t float64, idx *int) float64 {
 	if t <= bp[0].TimeS {
 		return units.KmhToMs(bp[0].SpeedKmh)
@@ -79,8 +62,8 @@ func speedAtFrom(bp []Breakpoint, t float64, idx *int) float64 {
 // paper Sec. II-A). Slope, ambient, and solar default to zero; use the
 // Profile.With* helpers to set them. Sampling walks the breakpoint list
 // once with two cursors (one per forward-difference endpoint) instead of
-// scanning it per sample; each sample is bit-identical to calling
-// SpeedAt directly (pinned by TestProfileMatchesSpeedAt).
+// scanning it per sample; each sample is bit-identical to a per-sample
+// scan (pinned by TestProfileMatchesSpeedAt).
 func (c *Cycle) Profile(dt float64) *Profile {
 	return c.ProfileSpan(dt, 0)
 }
@@ -120,8 +103,7 @@ func (c *Cycle) ProfileSpan(dt, maxS float64) *Profile {
 	return p
 }
 
-// speedAtCursor dispatches to speedAtFrom, keeping SpeedAt's empty-cycle
-// behavior.
+// speedAtCursor dispatches to speedAtFrom; an empty cycle has speed 0.
 func (c *Cycle) speedAtCursor(t float64, idx *int) float64 {
 	if len(c.Breakpoints) == 0 {
 		return 0
@@ -162,17 +144,6 @@ func (c *Cycle) RepeatCycle(n int) *Cycle {
 	}
 	out.Name = fmt.Sprintf("%s×%d", c.Name, n)
 	return out
-}
-
-// DistanceKm integrates the cycle distance exactly (trapezoids between
-// breakpoints).
-func (c *Cycle) DistanceKm() float64 {
-	var d float64
-	for i := 0; i < len(c.Breakpoints)-1; i++ {
-		a, b := c.Breakpoints[i], c.Breakpoints[i+1]
-		d += (units.KmhToMs(a.SpeedKmh) + units.KmhToMs(b.SpeedKmh)) / 2 * (b.TimeS - a.TimeS)
-	}
-	return d / 1000
 }
 
 // Validate checks monotone time and nonnegative speeds.

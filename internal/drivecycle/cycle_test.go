@@ -7,6 +7,37 @@ import (
 	"evclimate/internal/units"
 )
 
+// SpeedAt is the tests' reference speed lookup: the speed in m/s at time
+// t (clamped to the cycle span), found by scanning the breakpoints from
+// the start. Profile sampling must match it bit for bit.
+func (c *Cycle) SpeedAt(t float64) float64 {
+	bp := c.Breakpoints
+	if len(bp) == 0 {
+		return 0
+	}
+	if t <= bp[0].TimeS {
+		return units.KmhToMs(bp[0].SpeedKmh)
+	}
+	for i := 0; i < len(bp)-1; i++ {
+		if t <= bp[i+1].TimeS {
+			w := (t - bp[i].TimeS) / (bp[i+1].TimeS - bp[i].TimeS)
+			return units.KmhToMs(units.Lerp(bp[i].SpeedKmh, bp[i+1].SpeedKmh, w))
+		}
+	}
+	return units.KmhToMs(bp[len(bp)-1].SpeedKmh)
+}
+
+// DistanceKm is the tests' exact cycle distance (trapezoids between
+// breakpoints), the reference for profile and official statistics.
+func (c *Cycle) DistanceKm() float64 {
+	var d float64
+	for i := 0; i < len(c.Breakpoints)-1; i++ {
+		a, b := c.Breakpoints[i], c.Breakpoints[i+1]
+		d += (units.KmhToMs(a.SpeedKmh) + units.KmhToMs(b.SpeedKmh)) / 2 * (b.TimeS - a.TimeS)
+	}
+	return d / 1000
+}
+
 func TestECE15OfficialStats(t *testing.T) {
 	c := ECE15()
 	if err := c.Validate(); err != nil {

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// TestEnvSamplerMatchesAt pins the bit-equivalence contract: EnvAt and
-// EnvSampler.At return exactly the bits Profile.At reports for the two
-// environment fields, on constant, varying, and non-uniform profiles,
-// including times before, inside (on- and off-sample), and past the span.
+// TestEnvSamplerMatchesAt pins the environment sampling path the plant
+// ODE reads: EnvAt returns exactly the bits Profile.At reports for the
+// two environment fields, on constant, varying, and non-uniform
+// profiles, including times before, inside (on- and off-sample), and
+// past the span; ConstantEnv detects the constant profile and returns
+// those same bits.
 func TestEnvSamplerMatchesAt(t *testing.T) {
 	constant := ECE15().Profile(1).WithAmbient(35).WithSolar(400)
 	varying := ECE15().Profile(1).
@@ -31,9 +33,9 @@ func TestEnvSamplerMatchesAt(t *testing.T) {
 		{"nonuniform", nonUniform, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			es := NewEnvSampler(tc.p)
-			if es.Constant() != tc.wantConstant {
-				t.Errorf("Constant() = %v, want %v", es.Constant(), tc.wantConstant)
+			ambC, solW, ok := tc.p.ConstantEnv()
+			if ok != tc.wantConstant {
+				t.Errorf("ConstantEnv ok = %v, want %v", ok, tc.wantConstant)
 			}
 			dur := tc.p.Duration()
 			times := []float64{-5, 0, 0.25, 1, 1.5, 2.75, dur / 3, dur/2 + 0.125, dur - 0.5, dur, dur + 10}
@@ -42,15 +44,14 @@ func TestEnvSamplerMatchesAt(t *testing.T) {
 			}
 			for _, tt := range times {
 				s := tc.p.At(tt)
-				amb, sol := es.At(tt)
+				amb, sol := tc.p.EnvAt(tt)
 				if amb != s.AmbientC || sol != s.SolarW {
-					t.Fatalf("t=%v: EnvSampler.At = (%v, %v), Profile.At = (%v, %v)",
+					t.Fatalf("t=%v: EnvAt = (%v, %v), Profile.At = (%v, %v)",
 						tt, amb, sol, s.AmbientC, s.SolarW)
 				}
-				amb2, sol2 := tc.p.EnvAt(tt)
-				if amb2 != s.AmbientC || sol2 != s.SolarW {
-					t.Fatalf("t=%v: EnvAt = (%v, %v), Profile.At = (%v, %v)",
-						tt, amb2, sol2, s.AmbientC, s.SolarW)
+				if ok && (ambC != s.AmbientC || solW != s.SolarW) {
+					t.Fatalf("t=%v: ConstantEnv = (%v, %v), Profile.At = (%v, %v)",
+						tt, ambC, solW, s.AmbientC, s.SolarW)
 				}
 			}
 		})

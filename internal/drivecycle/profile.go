@@ -63,28 +63,10 @@ func (p *Profile) At(t float64) Sample {
 	if len(p.Samples) == 0 {
 		return Sample{}
 	}
-	if t <= p.Samples[0].Time {
-		return p.Samples[0]
+	a, b, w := p.bracket(t)
+	if a == b {
+		return *a
 	}
-	last := p.Samples[len(p.Samples)-1]
-	if t >= last.Time {
-		return last
-	}
-	idx := int(math.Floor((t - p.Samples[0].Time) / p.Dt))
-	if idx >= len(p.Samples)-1 {
-		idx = len(p.Samples) - 2
-	}
-	a, b := p.Samples[idx], p.Samples[idx+1]
-	if t < a.Time || t > b.Time {
-		// Non-uniform spacing fallback: scan.
-		for i := 0; i < len(p.Samples)-1; i++ {
-			if p.Samples[i].Time <= t && t <= p.Samples[i+1].Time {
-				a, b = p.Samples[i], p.Samples[i+1]
-				break
-			}
-		}
-	}
-	w := (t - a.Time) / (b.Time - a.Time)
 	return Sample{
 		Time:         t,
 		Speed:        units.Lerp(a.Speed, b.Speed, w),
@@ -94,6 +76,71 @@ func (p *Profile) At(t float64) Sample {
 		SolarW:       units.Lerp(a.SolarW, b.SolarW, w),
 		WindMs:       units.Lerp(a.WindMs, b.WindMs, w),
 	}
+}
+
+// EnvAt returns the ambient temperature and solar load that At(t) would
+// report, without interpolating the four fields the plant's thermal ODE
+// never reads or materializing a Sample. The arithmetic is the same
+// per-field Lerp over the same bracketing pair, so the returned values
+// are bit-identical to At(t).AmbientC / At(t).SolarW.
+func (p *Profile) EnvAt(t float64) (ambientC, solarW float64) {
+	if len(p.Samples) == 0 {
+		return 0, 0
+	}
+	a, b, w := p.bracket(t)
+	if a == b {
+		return a.AmbientC, a.SolarW
+	}
+	return units.Lerp(a.AmbientC, b.AmbientC, w), units.Lerp(a.SolarW, b.SolarW, w)
+}
+
+// bracket locates t in a non-empty profile: it returns the samples a and
+// b whose interval contains t and the interpolation weight between them.
+// A t outside the span returns its clamping endpoint as both a and b.
+func (p *Profile) bracket(t float64) (a, b *Sample, w float64) {
+	s := p.Samples
+	last := len(s) - 1
+	if t <= s[0].Time {
+		return &s[0], &s[0], 0
+	}
+	if t >= s[last].Time {
+		return &s[last], &s[last], 0
+	}
+	idx := int(math.Floor((t - s[0].Time) / p.Dt))
+	if idx >= last {
+		idx = last - 1
+	}
+	a, b = &s[idx], &s[idx+1]
+	if t < a.Time || t > b.Time {
+		// Non-uniform spacing fallback: scan.
+		for i := 0; i < last; i++ {
+			if s[i].Time <= t && t <= s[i+1].Time {
+				a, b = &s[i], &s[i+1]
+				break
+			}
+		}
+	}
+	return a, b, (t - a.Time) / (b.Time - a.Time)
+}
+
+// ConstantEnv reports whether the ambient temperature and solar load are
+// the same in every sample, and if so returns them. Sweep environments
+// are built with WithAmbient/WithSolar, which write one value into every
+// sample, so detecting that once per run turns the per-sub-step EnvAt of
+// the plant ODE's right-hand side into two loads. Lerp(c, c, w) =
+// c + (c−c)·w = c for finite c, so the constant values are the bits
+// EnvAt would return.
+func (p *Profile) ConstantEnv() (ambientC, solarW float64, ok bool) {
+	if len(p.Samples) == 0 {
+		return 0, 0, false
+	}
+	ambientC, solarW = p.Samples[0].AmbientC, p.Samples[0].SolarW
+	for i := range p.Samples {
+		if p.Samples[i].AmbientC != ambientC || p.Samples[i].SolarW != solarW {
+			return 0, 0, false
+		}
+	}
+	return ambientC, solarW, true
 }
 
 // Stats summarizes a profile.
@@ -191,16 +238,6 @@ func (p *Profile) WithSolar(watts float64) *Profile {
 	out := p.Clone()
 	for i := range out.Samples {
 		out.Samples[i].SolarW = watts
-	}
-	return out
-}
-
-// WithWind returns a copy with a constant headwind (m/s; negative =
-// tailwind).
-func (p *Profile) WithWind(windMs float64) *Profile {
-	out := p.Clone()
-	for i := range out.Samples {
-		out.Samples[i].WindMs = windMs
 	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 
+	"evclimate/internal/battery"
+	"evclimate/internal/charging"
 	"evclimate/internal/core"
 	"evclimate/internal/runner"
 	"evclimate/internal/sim"
@@ -206,6 +208,63 @@ func RenderCold(rows []ColdRow) string {
 			r.MPCComfortPct, r.ThermalComfortPct,
 			r.MPCDeltaSoH, r.ThermalDeltaSoH, r.SoHSavingPct,
 			r.MPCRangeKm, r.ThermalRangeKm)
+	}
+	return sb.String()
+}
+
+// depotAmbients are the soak temperatures of the depot-preconditioning
+// table.
+var depotAmbients = []float64{-20, -10, 0}
+
+// DepotRow is one soak of the depot-preconditioning table: a Level-2
+// charge of the Leaf pack from 30 to 90 % SoC, co-simulated with the
+// pack thermal network (charging.Precondition), while the battery heater
+// warms the pack to the 15 °C departure setpoint on wall energy.
+type DepotRow struct {
+	// AmbientC is the depot soak temperature.
+	AmbientC float64
+	// HeaterKWh is the wall energy the battery heater drew; WallKWh the
+	// session's total wall draw, charge plus heater.
+	HeaterKWh, WallKWh float64
+	// ExtraPct is WallKWh over the charge alone, percent.
+	ExtraPct float64
+	// DeparturePackC is the pack temperature at unplug.
+	DeparturePackC float64
+}
+
+// DepotRows runs the depot-preconditioning session at each of
+// depotAmbients.
+func DepotRows() ([]DepotRow, error) {
+	rows := make([]DepotRow, 0, len(depotAmbients))
+	for _, amb := range depotAmbients {
+		p := charging.PreconditionParams{
+			Charger:  charging.Level2(),
+			Thermal:  thermal.DefaultThermal(),
+			AmbientC: amb,
+		}
+		res, err := charging.Precondition(p, battery.LeafPack(), 30, 90)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: depot precondition at %g °C: %w", amb, err)
+		}
+		rows = append(rows, DepotRow{
+			AmbientC:       amb,
+			HeaterKWh:      res.HeaterEnergyKWh,
+			WallKWh:        res.WallEnergyKWh,
+			ExtraPct:       100 * (res.WallEnergyKWh/res.Charge.WallEnergyKWh - 1),
+			DeparturePackC: res.FinalPackC,
+		})
+	}
+	return rows, nil
+}
+
+// RenderDepot formats the depot-preconditioning table.
+func RenderDepot(rows []DepotRow) string {
+	var sb strings.Builder
+	sb.WriteString("Depot preconditioning — Level-2 charge 30→90 % SoC, battery heater to a 15 °C departure pack on wall energy\n")
+	fmt.Fprintf(&sb, "%8s %14s %11s %15s %15s\n", "soak", "heater energy", "total wall", "vs charge-only", "departure pack")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%5.0f °C %10.2f kWh %7.2f kWh %15s %12.1f °C\n",
+			r.AmbientC, r.HeaterKWh, r.WallKWh, fmt.Sprintf("%+.0f %%", r.ExtraPct), r.DeparturePackC)
 	}
 	return sb.String()
 }

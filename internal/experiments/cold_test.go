@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,5 +102,35 @@ func TestRunColdQuick(t *testing.T) {
 	out := RenderCold(rows)
 	if !strings.Contains(out, "ECE15") || !strings.Contains(out, "UDDS") {
 		t.Errorf("render missing cycles:\n%s", out)
+	}
+}
+
+// TestDepotRowsMatchExperiments pins EXPERIMENTS.md's depot-
+// preconditioning table, which `evbench -exp cold` prints after the
+// sweep, at the precision the table prints.
+func TestDepotRowsMatchExperiments(t *testing.T) {
+	rows, err := DepotRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][5]string{
+		{"-20", "4.12", "20.01", "+26", "15.1"},
+		{"-10", "2.98", "18.86", "+19", "15.1"},
+		{"0", "1.79", "17.68", "+11", "15.1"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d depot rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		got := [5]string{
+			fmt.Sprintf("%.0f", r.AmbientC),
+			fmt.Sprintf("%.2f", r.HeaterKWh),
+			fmt.Sprintf("%.2f", r.WallKWh),
+			fmt.Sprintf("%+.0f", r.ExtraPct),
+			fmt.Sprintf("%.1f", r.DeparturePackC),
+		}
+		if got != want[i] {
+			t.Errorf("depot row %d = %v, want %v (soak, heater kWh, wall kWh, %% over charge-only, departure °C)", i, got, want[i])
+		}
 	}
 }

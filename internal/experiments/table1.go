@@ -23,16 +23,6 @@ type Table1Row struct {
 // Table1Ambients are the paper's evaluated outside temperatures.
 var Table1Ambients = []float64{43, 35, 32, 21, 10, 0}
 
-// Table1Params encodes the paper's Table I grid as wire parameters for
-// the fabric (see DistParams).
-func Table1Params(o Options) map[string]string {
-	o.fill()
-	return map[string]string{
-		"seed":  strconv.FormatInt(distSeed, 10),
-		"max_s": strconv.FormatFloat(o.MaxProfileS, 'g', -1, 64),
-	}
-}
-
 // Table1Spec is the paper's Table I grid as a pure, fabric-distributable
 // spec builder: ECE_EUDC × the six evaluated ambients under the three
 // methodologies, seasonal solar (400 W on warm days, none below 15 °C).

@@ -529,9 +529,6 @@ func (c *Coordinator) Drain(timeout time.Duration) {
 // coordinator opened.
 func (c *Coordinator) Resumed() int { return c.resumed }
 
-// SweepFingerprint returns the expansion's identity in hex.
-func (c *Coordinator) SweepFingerprint() string { return c.fp }
-
 // Snapshot returns the live progress (also served at /snapshot).
 func (c *Coordinator) Snapshot() Progress {
 	c.mu.Lock()

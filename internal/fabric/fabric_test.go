@@ -326,7 +326,7 @@ func TestLeaseExpiryQuarantine(t *testing.T) {
 
 	lease := func(worker string) LeaseReply {
 		t.Helper()
-		body, _ := json.Marshal(LeaseRequest{Worker: worker, SweepFingerprint: coord.SweepFingerprint()})
+		body, _ := json.Marshal(LeaseRequest{Worker: worker, SweepFingerprint: coord.fp})
 		resp, err := http.Post("http://"+coord.Addr+"/lease", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

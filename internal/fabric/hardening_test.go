@@ -238,7 +238,7 @@ func TestFlapBreakerBenchesWorker(t *testing.T) {
 	})
 	lease := func(worker string) (int, LeaseReply) {
 		t.Helper()
-		body, _ := json.Marshal(LeaseRequest{Worker: worker, SweepFingerprint: coord.SweepFingerprint()})
+		body, _ := json.Marshal(LeaseRequest{Worker: worker, SweepFingerprint: coord.fp})
 		resp, err := http.Post("http://"+coord.Addr+"/lease", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestFlapBreakerBenchesWorker(t *testing.T) {
 		ConnectAttempts: 3,
 	})
 	err := w.call(context.Background(), "/lease",
-		&LeaseRequest{Worker: "flappy", SweepFingerprint: coord.SweepFingerprint()}, &LeaseReply{})
+		&LeaseRequest{Worker: "flappy", SweepFingerprint: coord.fp}, &LeaseReply{})
 	if !errors.Is(err, ErrWorkerQuarantined) {
 		t.Fatalf("benched lease error = %v, want ErrWorkerQuarantined", err)
 	}

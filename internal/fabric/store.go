@@ -204,10 +204,6 @@ func (s *spillStore) Delete(i int) {
 func (s *spillStore) Len() int    { return len(s.index) }
 func (s *spillStore) Failed() int { return s.failed }
 
-// Segments reports how many spill segments exist and the payload bytes
-// written — the disk side of the O(index) memory claim.
-func (s *spillStore) Segments() (n int, bytes int64) { return len(s.segs), s.spilled }
-
 // Close closes and removes the spill segments (scratch data; the
 // journal is the durable record).
 func (s *spillStore) Close() error {

@@ -103,7 +103,7 @@ func TestSpillStoreOps(t *testing.T) {
 	}
 	defer s.Close()
 	storeOps(t, s)
-	if n, _ := s.Segments(); n < 2 {
+	if n := len(s.segs); n < 2 {
 		t.Errorf("SegmentBytes=4KiB held %d segments, want rotation", n)
 	}
 }
@@ -125,7 +125,7 @@ func TestSpillStoreBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, diskBytes := s.Segments()
+	segs, diskBytes := len(s.segs), s.spilled
 	// The index is the only per-record memory: ~32 bytes of locator per
 	// entry (plus map overhead, counted generously at 4x).
 	indexBytes := int64(s.Len()) * 32 * 4

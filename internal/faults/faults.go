@@ -203,9 +203,6 @@ type Injector struct {
 	have [3]bool
 }
 
-// Spec returns the scenario the injector applies.
-func (inj *Injector) Spec() Spec { return inj.spec }
-
 // ActiveAt counts the scheduled faults whose windows contain simulation
 // time t — the telemetry step span's "faults active" figure. It counts
 // scheduled activity, not effect: a Dropout that happens to pass this

@@ -1,9 +1,8 @@
 // Package fuzzy implements a Mamdani fuzzy inference system — triangular
-// and trapezoidal membership functions, min/max inference, and centroid
-// defuzzification. It is the substrate for the fuzzy-based temperature
-// control baseline the paper compares against ([10], Ibrahim et al.,
-// "Fuzzy-based Temperature and Humidity Control for HVAC of Electric
-// Vehicle").
+// membership functions, min/max inference, and centroid defuzzification.
+// It is the substrate for the fuzzy-based temperature control baseline
+// the paper compares against ([10], Ibrahim et al., "Fuzzy-based
+// Temperature and Humidity Control for HVAC of Electric Vehicle").
 package fuzzy
 
 import (
@@ -39,32 +38,6 @@ func (t Triangle) Degree(x float64) float64 {
 		return (x - t.A) / (t.B - t.A)
 	default:
 		return (t.C - x) / (t.C - t.B)
-	}
-}
-
-// Trapezoid is a trapezoidal membership function with feet at A and D and
-// plateau between B and C (A ≤ B ≤ C ≤ D).
-type Trapezoid struct {
-	A, B, C, D float64
-}
-
-// Degree implements MF.
-func (t Trapezoid) Degree(x float64) float64 {
-	switch {
-	case x < t.A || x > t.D:
-		return 0
-	case x >= t.B && x <= t.C:
-		return 1
-	case x < t.B:
-		if t.B == t.A {
-			return 1
-		}
-		return (x - t.A) / (t.B - t.A)
-	default:
-		if t.D == t.C {
-			return 1
-		}
-		return (t.D - x) / (t.D - t.C)
 	}
 }
 

@@ -37,28 +37,14 @@ func TestTriangleShoulders(t *testing.T) {
 	}
 }
 
-func TestTrapezoidDegrees(t *testing.T) {
-	tr := Trapezoid{0, 2, 8, 10}
-	cases := []struct{ x, want float64 }{
-		{-1, 0}, {0, 0}, {1, 0.5}, {2, 1}, {5, 1}, {8, 1}, {9, 0.5}, {10, 1}, {11, 0},
-	}
-	// Note x=10 with D==10: (D−x)/(D−C) = 0 → actually want 0 there.
-	cases[7].want = 0
-	for _, c := range cases {
-		if got := tr.Degree(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Trapezoid.Degree(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
 func TestMFDegreesInUnitInterval(t *testing.T) {
 	tri := Triangle{-3, 1, 7}
-	trap := Trapezoid{-5, -1, 2, 9}
+	shoulder := Triangle{-5, -5, 2}
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return true
 		}
-		for _, mf := range []MF{tri, trap} {
+		for _, mf := range []MF{tri, shoulder} {
 			d := mf.Degree(x)
 			if d < 0 || d > 1 || math.IsNaN(d) {
 				return false

@@ -21,27 +21,19 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// TestIntoVariantsBitIdentical pins the -Into kernels against their
+// definitions: MulVecInto against the allocating MulVec, SubVecInto and
+// ScaleVecInto against the elementwise x − y and s·x.
 func TestIntoVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		r := 1 + rng.Intn(15)
 		c := 1 + rng.Intn(15)
-		k := 1 + rng.Intn(15)
 		a := randomDense(rng, r, c)
-		b := randomDense(rng, c, k)
 		x := make([]float64, c)
-		xr := make([]float64, r)
+		y := make([]float64, c)
 		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range xr {
-			xr[i] = rng.NormFloat64()
-		}
-
-		got := NewDense(r, k)
-		a.MulInto(b, got)
-		if want := a.Mul(b); !bitsEqual(got.data, want.data) {
-			t.Fatalf("trial %d: MulInto differs from Mul", trial)
+			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
 
 		gv := make([]float64, r)
@@ -50,55 +42,18 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: MulVecInto differs from MulVec", trial)
 		}
 
-		gt := make([]float64, c)
-		a.MulVecTInto(xr, gt)
-		if !bitsEqual(gt, a.MulVecT(xr)) {
-			t.Fatalf("trial %d: MulVecTInto differs from MulVecT", trial)
-		}
-
-		tr := NewDense(c, r)
-		a.TInto(tr)
-		if !bitsEqual(tr.data, a.T().data) {
-			t.Fatalf("trial %d: TInto differs from T", trial)
-		}
-
-		dst := make([]float64, c)
-		if !bitsEqual(AddVecInto(dst, x, x), AddVec(x, x)) {
-			t.Fatalf("trial %d: AddVecInto differs from AddVec", trial)
-		}
-		if !bitsEqual(SubVecInto(dst, x, x), SubVec(x, x)) {
-			t.Fatalf("trial %d: SubVecInto differs from SubVec", trial)
-		}
 		s := rng.NormFloat64()
-		if !bitsEqual(ScaleVecInto(dst, s, x), ScaleVec(s, x)) {
-			t.Fatalf("trial %d: ScaleVecInto differs from ScaleVec", trial)
+		sub, scaled := make([]float64, c), make([]float64, c)
+		for i := range x {
+			sub[i], scaled[i] = x[i]-y[i], s*x[i]
 		}
-	}
-}
-
-// The hot-path contract: once the factor objects are sized, the
-// factorize/solve cycle performs zero allocations.
-func TestLUFactorizeSolveIntoNoAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 24
-	a := randomSPD(rng, n)
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	var lu LU
-	if err := FactorizeInto(&lu, a); err != nil { // size the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := FactorizeInto(&lu, a); err != nil {
-			t.Fatal(err)
+		dst := make([]float64, c)
+		if !bitsEqual(SubVecInto(dst, x, y), sub) {
+			t.Fatalf("trial %d: SubVecInto differs from x − y", trial)
 		}
-		lu.SolveInto(b, x)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm LU FactorizeInto+SolveInto allocates %v objects/op, want 0", allocs)
+		if !bitsEqual(ScaleVecInto(dst, s, x), scaled) {
+			t.Fatalf("trial %d: ScaleVecInto differs from s·x", trial)
+		}
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package mat implements the small dense linear-algebra kernel used by the
-// QP and SQP solvers: a row-major dense matrix type, vector helpers and an
-// LU factorization with partial pivoting.
+// QP and SQP solvers: a row-major dense matrix type and vector helpers.
 //
 // The package is deliberately scoped to the needs of the model-predictive
 // controller: problems have at most a few hundred variables, so simple
@@ -14,10 +13,6 @@ import (
 	"math"
 	"strings"
 )
-
-// ErrSingular is returned by factorizations and solvers when the matrix is
-// singular (or numerically singular) to working precision.
-var ErrSingular = errors.New("mat: matrix is singular")
 
 // ErrShape is returned when operand dimensions are incompatible.
 var ErrShape = errors.New("mat: dimension mismatch")
@@ -73,15 +68,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	m := NewDense(len(d), len(d))
-	for i, v := range d {
-		m.data[i*len(d)+i] = v
-	}
-	return m
-}
-
 // Dims returns the number of rows and columns.
 func (m *Dense) Dims() (rows, cols int) { return m.rows, m.cols }
 
@@ -109,79 +95,13 @@ func (m *Dense) checkIndex(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// SetRow copies r into row i.
-func (m *Dense) SetRow(i int, r []float64) {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	if len(r) != m.cols {
-		panic(ErrShape)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], r)
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: column %d out of range", j))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
-	return m.TInto(NewDense(m.cols, m.rows))
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) *Dense {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// SubMat returns m − b as a new matrix.
-func (m *Dense) SubMat(b *Dense) *Dense {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			out.data[j*m.rows+i] = m.data[i*m.cols+j]
+		}
 	}
 	return out
 }
@@ -191,32 +111,24 @@ func (m *Dense) Mul(b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(ErrShape)
 	}
-	return m.MulInto(b, NewDense(m.rows, b.cols))
+	out := NewDense(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		orow := out.data[i*b.cols : (i+1)*b.cols]
+		for k, mv := range m.data[i*m.cols : (i+1)*m.cols] {
+			if mv == 0 {
+				continue
+			}
+			for j, bv := range b.data[k*b.cols : (k+1)*b.cols] {
+				orow[j] += mv * bv
+			}
+		}
+	}
+	return out
 }
 
 // MulVec returns the matrix-vector product m·x as a new vector.
 func (m *Dense) MulVec(x []float64) []float64 {
 	return m.MulVecInto(x, make([]float64, m.rows))
-}
-
-// MulVecT returns mᵀ·x (x has length rows) without forming the transpose.
-func (m *Dense) MulVecT(x []float64) []float64 {
-	return m.MulVecTInto(x, make([]float64, m.cols))
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.data[i*m.cols+j]-m.data[j*m.cols+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // AllFinite reports whether every element is finite (no NaN or ±Inf).
@@ -238,20 +150,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// EqualApprox reports whether m and b have the same shape and agree
-// elementwise to within tol.
-func (m *Dense) EqualApprox(b *Dense, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

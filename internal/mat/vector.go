@@ -45,46 +45,6 @@ func NormInf(x []float64) float64 {
 	return mx
 }
 
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
-// AddVec returns x + y as a new vector.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
-// SubVec returns x − y as a new vector.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
-// ScaleVec returns s·x as a new vector.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
-	}
-	return out
-}
-
 // Axpy computes y ← a·x + y in place.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -93,15 +53,6 @@ func Axpy(a float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-}
-
-// Filled returns a vector of length n with every component set to v.
-func Filled(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 // AllFinite reports whether every component of x is finite.

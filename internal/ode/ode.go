@@ -22,8 +22,6 @@ type Integrator interface {
 	Step(sys System, t float64, x, next []float64, dt float64)
 	// Name identifies the method ("rk4").
 	Name() string
-	// Order is the classical order of accuracy of the method.
-	Order() int
 }
 
 // RK4 is the classical fourth-order Runge–Kutta method.
@@ -31,9 +29,6 @@ type RK4 struct{ k1, k2, k3, k4, tmp []float64 }
 
 // Name implements Integrator.
 func (*RK4) Name() string { return "rk4" }
-
-// Order implements Integrator.
-func (*RK4) Order() int { return 4 }
 
 // Step implements Integrator.
 func (r *RK4) Step(sys System, t float64, x, next []float64, dt float64) {

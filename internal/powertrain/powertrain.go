@@ -93,9 +93,6 @@ func New(p Params) (*Model, error) {
 	return &Model{p: p}, nil
 }
 
-// Params returns the model parameters.
-func (m *Model) Params() Params { return m.p }
-
 // AeroDrag returns F_aero (Eq. 2) for vehicle speed v and headwind
 // vwind, both m/s.
 func (m *Model) AeroDrag(v, vwind float64) float64 {

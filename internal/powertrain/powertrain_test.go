@@ -116,11 +116,11 @@ func TestElectricalPowerSignsAndLimits(t *testing.T) {
 	if p >= 0 {
 		t.Errorf("braking power = %v, want < 0", p)
 	}
-	if -p > m.Params().MaxRegenPowerW+1e-9 {
-		t.Errorf("regen power %v exceeds limit %v", -p, m.Params().MaxRegenPowerW)
+	if -p > m.p.MaxRegenPowerW+1e-9 {
+		t.Errorf("regen power %v exceeds limit %v", -p, m.p.MaxRegenPowerW)
 	}
 	// Full-throttle uphill cannot exceed the motor rating.
-	if p := m.ElectricalPower(30, 3, 10, 0); p > m.Params().MaxMotorPowerW+1e-9 {
+	if p := m.ElectricalPower(30, 3, 10, 0); p > m.p.MaxMotorPowerW+1e-9 {
 		t.Errorf("motor power %v exceeds rating", p)
 	}
 	// Standstill on flat ground: zero traction power.
@@ -319,17 +319,27 @@ func TestRangeKmDegradesWithAux(t *testing.T) {
 	}
 }
 
+// withWind returns a copy of p with a constant headwind (m/s; negative =
+// tailwind).
+func withWind(p *drivecycle.Profile, windMs float64) *drivecycle.Profile {
+	out := p.Clone()
+	for i := range out.Samples {
+		out.Samples[i].WindMs = windMs
+	}
+	return out
+}
+
 func TestHeadwindRaisesCycleEnergy(t *testing.T) {
 	m := leafModel(t)
 	calm := drivecycle.EUDC().Profile(1)
-	windy := calm.WithWind(8) // stiff headwind
+	windy := withWind(calm, 8) // stiff headwind
 	eCalm := m.Energy(calm)
 	eWindy := m.Energy(windy)
 	if eWindy.TractionKWh <= eCalm.TractionKWh {
 		t.Errorf("headwind did not raise energy: %v vs %v kWh", eWindy.TractionKWh, eCalm.TractionKWh)
 	}
 	// Tailwind helps.
-	tail := calm.WithWind(-8)
+	tail := withWind(calm, -8)
 	if m.Energy(tail).TractionKWh >= eCalm.TractionKWh {
 		t.Error("tailwind did not reduce energy")
 	}

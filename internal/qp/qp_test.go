@@ -39,6 +39,31 @@ func oneStage(a *mat.Dense) *StageMatrix {
 	return s
 }
 
+// mulVecT returns mᵀ·x without forming the transpose, skipping the rows
+// where x is zero.
+func mulVecT(m *mat.Dense, x []float64) []float64 {
+	_, c := m.Dims()
+	out := make([]float64, c)
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		for j, v := range m.RawRow(i) {
+			out[j] += xi * v
+		}
+	}
+	return out
+}
+
+// filled returns a vector of n copies of v.
+func filled(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 func vecApprox(t *testing.T, got, want []float64, tol float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -54,7 +79,7 @@ func vecApprox(t *testing.T, got, want []float64, tol float64, label string) {
 func TestUnconstrainedQuadratic(t *testing.T) {
 	// min ½xᵀHx + cᵀx with H = diag(2, 4), c = (−2, −8) → x = (1, 2).
 	p := denseQP{
-		H: mat.Diag([]float64{2, 4}),
+		H: mat.FromRows([][]float64{{2, 0}, {0, 4}}),
 		C: []float64{-2, -8},
 	}.problem()
 	res, err := Solve(p, Options{})
@@ -142,7 +167,7 @@ func TestBoxConstrainedQP(t *testing.T) {
 	}
 	p := denseQP{
 		H:   mat.Identity(n),
-		C:   mat.Filled(n, -10),
+		C:   filled(n, -10),
 		Ain: ain,
 		Bin: bin,
 	}.problem()
@@ -150,7 +175,7 @@ func TestBoxConstrainedQP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecApprox(t, res.X, mat.Filled(n, 1), 1e-6, "x")
+	vecApprox(t, res.X, filled(n, 1), 1e-6, "x")
 }
 
 func TestMixedEqualityInequality(t *testing.T) {
@@ -250,17 +275,19 @@ func TestKKTResidualsRandomProblems(t *testing.T) {
 		}
 		// KKT checks.
 		// Stationarity.
-		grad := mat.AddVec(h.MulVec(res.X), c)
+		grad := h.MulVec(res.X)
+		mat.Axpy(1, c, grad)
 		if aeq != nil {
-			mat.Axpy(1, aeq.MulVecT(res.EqDuals), grad)
+			mat.Axpy(1, mulVecT(aeq, res.EqDuals), grad)
 		}
-		mat.Axpy(1, ain.MulVecT(res.InDuals), grad)
+		mat.Axpy(1, mulVecT(ain, res.InDuals), grad)
 		if mat.NormInf(grad) > 1e-5*(1+mat.NormInf(c)) {
 			t.Errorf("trial %d: stationarity residual %v", trial, mat.NormInf(grad))
 		}
 		// Primal feasibility.
 		if aeq != nil {
-			r := mat.SubVec(aeq.MulVec(res.X), beq)
+			r := aeq.MulVec(res.X)
+			mat.Axpy(-1, beq, r)
 			if mat.NormInf(r) > 1e-5 {
 				t.Errorf("trial %d: equality violation %v", trial, mat.NormInf(r))
 			}

@@ -213,6 +213,9 @@ func TestStageMatrixRejectsBadDims(t *testing.T) {
 	}
 }
 
+// At returns entry (i, j), panicking outside row i's window.
+func (a *StageMatrix) At(i, j int) float64 { return a.data[a.at(i, j)] }
+
 // TestStageMatrixWindow pins the storage contract: entries inside a
 // row's window (the last nx variables of stage k−1 and all of stage k,
 // stage 0 its own) round-trip through Set/At/Row, and Set or At outside
@@ -280,7 +283,7 @@ func TestStageMatrixProducts(t *testing.T) {
 		if got, want := a.MulVecInto(x, make([]float64, 8)), d.MulVec(x); !bits64(got, want) {
 			t.Errorf("%s: A·x = %v, dense %v", step, got, want)
 		}
-		if got, want := a.MulVecTInto(y, make([]float64, 12)), d.MulVecT(y); !bits64(got, want) {
+		if got, want := a.MulVecTInto(y, make([]float64, 12)), mulVecT(d, y); !bits64(got, want) {
 			t.Errorf("%s: Aᵀ·y = %v, dense %v", step, got, want)
 		}
 	}

@@ -53,11 +53,6 @@ func NewStageMatrix(stages, nv, nx, rows int) *StageMatrix {
 	}
 }
 
-// Layout returns the arguments the matrix was made with: the stage
-// count, the variables and state variables per stage, and the rows per
-// stage.
-func (a *StageMatrix) Layout() (stages, nv, nx, rows int) { return a.n, a.nv, a.nx, a.rows }
-
 // Dims returns the global row and column counts.
 func (a *StageMatrix) Dims() (rows, cols int) { return a.n * a.rows, a.n * a.nv }
 
@@ -89,9 +84,6 @@ func (a *StageMatrix) at(i, j int) int {
 	}
 	return off + j - lo
 }
-
-// At returns entry (i, j).
-func (a *StageMatrix) At(i, j int) float64 { return a.data[a.at(i, j)] }
 
 // Set writes entry (i, j).
 func (a *StageMatrix) Set(i, j int, v float64) {

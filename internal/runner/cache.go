@@ -71,13 +71,6 @@ func (c *Cache) Put(key uint64, res *sim.Result, elapsed time.Duration) {
 	c.put(key, res, elapsed)
 }
 
-// Get returns the cached result for a scenario fingerprint, counting
-// the lookup in the hit/miss statistics.
-func (c *Cache) Get(key uint64) (*sim.Result, bool) {
-	res, _, ok := c.get(key)
-	return res, ok
-}
-
 // Stats returns the hit/miss counters and the number of cached cells.
 func (c *Cache) Stats() (hits, misses, entries int) {
 	c.mu.Lock()

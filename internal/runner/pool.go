@@ -152,18 +152,6 @@ func (s *Sweep) JobErrors() error {
 	return errors.Join(errs...)
 }
 
-// Failed returns the failed jobs' results in expansion order (empty
-// when every job succeeded) — the aggregation CLI exit codes report.
-func (s *Sweep) Failed() []*JobResult {
-	var failed []*JobResult
-	for i := range s.Jobs {
-		if s.Jobs[i].Err != nil {
-			failed = append(failed, &s.Jobs[i])
-		}
-	}
-	return failed
-}
-
 // Cells groups the results into scenario cells: one block per
 // (cycle, env, target, fault) combination holding every controller's
 // result, in expansion order. Controllers are the innermost dimension, so

@@ -143,7 +143,7 @@ type BatchRunOptions struct {
 // inputs of the current control period, the lane's environment, and
 // its pack coupling. prof is nil when the environment is constant over
 // the profile (the sweep-grid common case), in which case ambC/solW hold
-// the EnvSampler fast-path values. kbc is zero for lanes without a
+// the Profile.ConstantEnv values. kbc is zero for lanes without a
 // thermal network.
 type rhsLane struct {
 	ua, cc, cp float64 // shell UA (W/K), capacitance (J/K), air cp (J/(kg·K))
@@ -367,7 +367,7 @@ func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*
 			ln.inj = cfg.Faults.New(cfg.FaultSeed)
 		}
 		rl := &rhs[i]
-		if ambC, solW, ok := drivecycle.NewEnvSampler(cfg.Profile).ConstantEnv(); ok {
+		if ambC, solW, ok := cfg.Profile.ConstantEnv(); ok {
 			rl.ambC, rl.solW = ambC, solW
 		} else {
 			rl.prof = cfg.Profile

@@ -37,7 +37,7 @@ func batchLaneConfigs(t *testing.T, cycle string, n int) []Config {
 		case 1:
 			prof = base.WithAmbient(5)
 		case 2:
-			// Time-varying ambient: the EnvSampler's interpolating path.
+			// Time-varying ambient: the EnvAt interpolating path.
 			phase := float64(i)
 			prof = base.WithAmbientFunc(func(tt float64) float64 {
 				return 20 + 12*math.Sin(tt/60+phase)

@@ -82,7 +82,9 @@ func TestSubproblemResetsIndefiniteBFGS(t *testing.T) {
 	ws := NewWorkspace()
 	ws.ensure(12, 4, 8, 4, 1)
 	for k, b := range ws.b {
-		b.CopyFrom(sub.H[k])
+		for i := 0; i < 3; i++ {
+			copy(b.RawRow(i), sub.H[k].RawRow(i))
+		}
 	}
 	ws.b[2].Set(1, 1, -40)
 	sub.H = ws.b
@@ -102,8 +104,12 @@ func TestSubproblemResetsIndefiniteBFGS(t *testing.T) {
 		t.Fatalf("%d factorizations, want the failed one plus the re-solve's %d", res.Factorizations, qr.Factorizations)
 	}
 	for k, b := range ws.b {
-		if !b.EqualApprox(mat.Identity(3).Scale(3), 0) {
-			t.Fatalf("block %d not reset to 3·I: %v", k, b)
+		for i := 0; i < 3; i++ {
+			for j, v := range b.RawRow(i) {
+				if (i == j && v != 3) || (i != j && v != 0) {
+					t.Fatalf("block %d not reset to 3·I: %v", k, b)
+				}
+			}
 		}
 	}
 }

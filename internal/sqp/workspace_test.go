@@ -2,9 +2,9 @@ package sqp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
-	"evclimate/internal/mat"
 	"evclimate/internal/qp"
 )
 
@@ -136,7 +136,7 @@ func TestWorkspaceResultAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1 := mat.CloneVec(res1.X)
+	x1 := slices.Clone(res1.X)
 	if _, err := Solve(p, []float64{2, 4, 4, 2}, Options{MaxIter: 200, Work: ws}); err != nil {
 		t.Fatal(err)
 	}

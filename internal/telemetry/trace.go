@@ -59,14 +59,12 @@ type StepSpan struct {
 
 // StepTrace is a bounded, concurrency-safe ring buffer of step spans:
 // one per run (or per sweep job), sized so a pathological run cannot
-// exhaust memory. When full, the oldest spans are overwritten and
-// counted in Dropped.
+// exhaust memory. When full, the oldest spans are overwritten.
 type StepTrace struct {
-	mu      sync.Mutex
-	buf     []StepSpan
-	start   int // index of the oldest span
-	n       int // number of valid spans
-	dropped uint64
+	mu    sync.Mutex
+	buf   []StepSpan
+	start int // index of the oldest span
+	n     int // number of valid spans
 }
 
 // DefaultTraceCap is the ring capacity used when NewStepTrace gets a
@@ -92,7 +90,6 @@ func (t *StepTrace) Record(s StepSpan) {
 	} else {
 		t.buf[t.start] = s
 		t.start = (t.start + 1) % cap(t.buf)
-		t.dropped++
 	}
 	t.mu.Unlock()
 }
@@ -108,13 +105,6 @@ func (t *StepTrace) Spans() []StepSpan {
 	return out
 }
 
-// Dropped returns the number of spans overwritten by the ring.
-func (t *StepTrace) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // TraceLog accumulates spans across runs in a deterministic order: the
 // sweep engine appends each job's spans, in job order, after the sweep
 // completes. It is the sweep-level counterpart of the per-run ring.
@@ -128,13 +118,6 @@ func (l *TraceLog) Append(spans ...StepSpan) {
 	l.mu.Lock()
 	l.spans = append(l.spans, spans...)
 	l.mu.Unlock()
-}
-
-// Spans returns a copy of the accumulated spans.
-func (l *TraceLog) Spans() []StepSpan {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]StepSpan{}, l.spans...)
 }
 
 // Len returns the number of accumulated spans.

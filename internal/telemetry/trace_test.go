@@ -19,9 +19,6 @@ func TestStepTraceRing(t *testing.T) {
 			t.Errorf("span %d step = %d, want %d (oldest-first)", i, s.Step, 3+i)
 		}
 	}
-	if tr.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", tr.Dropped())
-	}
 }
 
 func TestWriteJSONLDeterministic(t *testing.T) {
@@ -66,7 +63,7 @@ func TestTraceLogAppendOrder(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("len = %d", l.Len())
 	}
-	s := l.Spans()
+	s := l.spans
 	if s[2].Job != 1 {
 		t.Errorf("append order broken: %+v", s)
 	}

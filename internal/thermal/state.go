@@ -111,9 +111,8 @@ func (s *State) Step(cabinC, ambientC, jouleW, heaterElecW, chillerElecW, dt flo
 // PackC returns the current pack temperature.
 func (s *State) PackC() float64 { return s.packC }
 
-// MinPackC and MaxPackC return the pack temperature envelope so far.
+// MinPackC returns the lowest pack temperature so far.
 func (s *State) MinPackC() float64 { return s.packMinC }
-func (s *State) MaxPackC() float64 { return s.packMaxC }
 
 // MeanPackC returns the time-averaged pack temperature (the initial
 // temperature before any step).
