@@ -32,15 +32,18 @@ bench:
 # QPColdFixture times the pinned deep-cold MPC subproblem on the stage
 # recursion, the MPCSolveStep pair's qpiters/op and capped/op columns
 # carry the host-independent work of a decide (interior-point iterations
-# and QPs that ended at their iteration cap), and the -benchmem
-# allocs/op column pins the allocation-free hot path. The solver benches
-# run single-threaded (-cpu 1): the decide path is, and the committed
-# snapshot is taken at GOMAXPROCS=1.
+# and QPs that ended at their iteration cap), KKTFactor and KKTSolve
+# (internal/qp) split one interior-point iteration's KKT work into the
+# factorization and one Newton-step solve at the cold fixture's final
+# iterate, and the -benchmem allocs/op column pins the allocation-free
+# hot path. The solver benches run single-threaded (-cpu 1): the decide
+# path is, and the committed snapshot is taken at GOMAXPROCS=1.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 . \
+	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 . ; \
+	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -cpu 1 ./internal/qp ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
@@ -50,7 +53,8 @@ bench-json:
 # stage recursion's ≥10× win from eroding silently at either decision
 # stride. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1). On
 # pass, the snapshot is rewritten in place so `git diff
-# BENCH_solver.json` shows the drift. The 3 s benchtime
+# BENCH_solver.json` shows the drift; the KKT layer benches run too, so
+# the rewritten snapshot keeps them. The 3 s benchtime
 # matches how the committed snapshot was produced; short runs are too
 # noisy to gate at 15 % on shared CI hardware.
 #
@@ -60,7 +64,8 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 . \
+	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 . ; \
+	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -benchtime 3s -cpu 1 ./internal/qp ; } \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \

@@ -79,8 +79,6 @@ type BMS struct {
 	pack   *battery.Pack
 	trace  []float64
 	events Events
-	// throughput accounting
-	dischargeJ, regenJ float64
 }
 
 // New builds a BMS and its pack.
@@ -125,11 +123,6 @@ func (b *BMS) Step(requestW, dt float64) (appliedW, soc float64) {
 	}
 	soc = b.pack.Step(applied, dt)
 	b.trace = append(b.trace, soc)
-	if applied > 0 {
-		b.dischargeJ += applied * dt
-	} else {
-		b.regenJ += -applied * dt
-	}
 	return applied, soc
 }
 
@@ -174,20 +167,15 @@ type State struct {
 	Trace []float64 `json:"trace"`
 	// Events are the protection counters.
 	Events Events `json:"events"`
-	// DischargeJ and RegenJ are the gross throughput accumulators.
-	DischargeJ float64 `json:"discharge_j"`
-	RegenJ     float64 `json:"regen_j"`
 }
 
 // State captures the BMS state for checkpointing. The trace is copied;
 // the snapshot does not alias the BMS.
 func (b *BMS) State() State {
 	return State{
-		SoC:        b.pack.SoC(),
-		Trace:      b.Trace(),
-		Events:     b.events,
-		DischargeJ: b.dischargeJ,
-		RegenJ:     b.regenJ,
+		SoC:    b.pack.SoC(),
+		Trace:  b.Trace(),
+		Events: b.events,
 	}
 }
 
@@ -204,6 +192,5 @@ func (b *BMS) SetState(st State) error {
 	b.pack = pack
 	b.trace = append(b.trace[:0:0], st.Trace...)
 	b.events = st.Events
-	b.dischargeJ, b.regenJ = st.DischargeJ, st.RegenJ
 	return nil
 }

@@ -1,7 +1,6 @@
 package bms
 
 import (
-	"math"
 	"testing"
 )
 
@@ -120,18 +119,6 @@ func TestOverchargeProtection(t *testing.T) {
 	}
 	if b.Events().OverchargeBlocked == 0 {
 		t.Error("overcharge events not counted")
-	}
-}
-
-func TestThroughputAccounting(t *testing.T) {
-	b := newBMS(t, nil)
-	b.Step(36e3, 100) // 1 kWh discharge
-	b.Step(-36e3, 50) // 0.5 kWh regen
-	if got := b.dischargeJ; math.Abs(got-3.6e6) > 1e-3 {
-		t.Errorf("discharged = %v J, want 3.6e6 (1 kWh)", got)
-	}
-	if got := b.regenJ; math.Abs(got-1.8e6) > 1e-3 {
-		t.Errorf("regenerated = %v J, want 1.8e6 (0.5 kWh)", got)
 	}
 }
 

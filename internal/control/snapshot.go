@@ -94,17 +94,15 @@ func (c *Constant) RestoreState(raw json.RawMessage) error {
 }
 
 // supervisorState serializes the ladder position, the hysteresis
-// counters, the transition log, the per-stage statistics, the sensor
-// sanitizer's hold-last buffer, and every stage controller's own state —
-// the complete picture the ISSUE's "ladder rung, hysteresis counters,
-// transition log" requirement names.
+// counters, the transition log, the sensor sanitizer's hold-last buffer,
+// and every stage controller's own state: everything a bit-for-bit
+// resume of the ladder needs.
 type supervisorState struct {
 	Level       int               `json:"level"`
 	SoftStreak  int               `json:"soft_streak"`
 	CleanStreak int               `json:"clean_streak"`
 	Step        int               `json:"step"`
 	Transitions []Transition      `json:"transitions,omitempty"`
-	Stats       []StageStats      `json:"stats"`
 	LastGood    [3]float64        `json:"last_good"`
 	HaveGood    bool              `json:"have_good"`
 	Stages      []json.RawMessage `json:"stages"`
@@ -120,7 +118,6 @@ func (s *Supervisor) StateSnapshot() (json.RawMessage, error) {
 		CleanStreak: s.cleanStreak,
 		Step:        s.step,
 		Transitions: append([]Transition(nil), s.transitions...),
-		Stats:       append([]StageStats(nil), s.stats...),
 		LastGood:    s.lastGood,
 		HaveGood:    s.haveGood,
 		Stages:      make([]json.RawMessage, len(s.stages)),
@@ -145,7 +142,7 @@ func (s *Supervisor) RestoreState(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("control: supervisor state: %w", err)
 	}
-	if len(st.Stages) != len(s.stages) || len(st.Stats) != len(s.stages) {
+	if len(st.Stages) != len(s.stages) {
 		return fmt.Errorf("control: supervisor state has %d stages, ladder has %d", len(st.Stages), len(s.stages))
 	}
 	if st.Level < 0 || st.Level >= len(s.stages) {
@@ -165,7 +162,6 @@ func (s *Supervisor) RestoreState(raw json.RawMessage) error {
 	s.cleanStreak = st.CleanStreak
 	s.step = st.Step
 	s.transitions = st.Transitions
-	s.stats = st.Stats
 	s.lastGood = st.LastGood
 	s.haveGood = st.HaveGood
 	// Re-assert the ladder gauge: a restored run whose original demoted

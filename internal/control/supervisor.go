@@ -48,7 +48,6 @@ type Supervisor struct {
 	cleanStreak int
 	step        int
 	transitions []Transition
-	stats       []StageStats
 	lastGood    [3]float64 // last finite CabinTempC, OutsideC, SoC
 	haveGood    bool
 
@@ -117,18 +116,6 @@ type Transition struct {
 	// Reason describes the triggering fault, or "recovered" for a
 	// promotion.
 	Reason string
-}
-
-// StageStats are per-stage counters since the last Reset.
-type StageStats struct {
-	// Name is the stage label.
-	Name string
-	// Steps counts control steps in which this stage produced the
-	// applied output.
-	Steps int
-	// HardFaults counts panics and invalid outputs; SoftFaults counts
-	// unhealthy reports with a valid output.
-	HardFaults, SoftFaults int
 }
 
 // NewSupervisor builds a Supervisor over the given ladder. At least one
@@ -212,10 +199,6 @@ func (s *Supervisor) resetState() {
 	s.cleanStreak = 0
 	s.step = 0
 	s.transitions = nil
-	s.stats = make([]StageStats, len(s.stages))
-	for i := range s.stats {
-		s.stats[i].Name = s.stages[i].Name
-	}
 	s.haveGood = false
 }
 
@@ -337,7 +320,6 @@ func (s *Supervisor) Decide(ctx StepContext) cabin.Inputs {
 			valid = true
 			break
 		}
-		s.stats[s.level].HardFaults++
 		if s.telHard != nil {
 			s.telHard[s.level].Inc()
 		}
@@ -350,9 +332,6 @@ func (s *Supervisor) Decide(ctx StepContext) cabin.Inputs {
 		s.move(s.level+1, &ctx, fmt.Sprintf("hard fault: %v", err))
 	}
 
-	st := &s.stats[s.level]
-	st.Steps++
-
 	// Soft-fault watchdog: the output was applied, but the stage reports
 	// internal trouble.
 	var soft error
@@ -360,7 +339,6 @@ func (s *Supervisor) Decide(ctx StepContext) cabin.Inputs {
 		soft = hr.Healthy()
 	}
 	if soft != nil {
-		st.SoftFaults++
 		if s.telSoft != nil {
 			s.telSoft[s.level].Inc()
 		}

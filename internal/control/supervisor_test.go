@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evclimate/internal/cabin"
+	"evclimate/internal/telemetry"
 )
 
 // fakeCtl is a scriptable stage controller: it emits safe ventilation
@@ -74,7 +75,8 @@ func TestSupervisorHardFaultCascades(t *testing.T) {
 	top := &fakeCtl{name: "top", model: m, bad: func(int) bool { return true }}
 	mid := &fakeCtl{name: "mid", model: m, panics: func(int) bool { return true }}
 	bot := &fakeCtl{name: "bot", model: m}
-	s := newTestSupervisor(t, SupervisorConfig{},
+	reg := telemetry.NewRegistry()
+	s := newTestSupervisor(t, SupervisorConfig{Telemetry: telemetry.NewSink(reg, nil)},
 		Stage{Name: "top", Controller: top},
 		Stage{Name: "mid", Controller: mid},
 		Stage{Name: "bot", Controller: bot},
@@ -91,9 +93,10 @@ func TestSupervisorHardFaultCascades(t *testing.T) {
 	if len(tr) != 2 || tr[0].From != 0 || tr[0].To != 1 || tr[1].From != 1 || tr[1].To != 2 {
 		t.Fatalf("transitions = %+v", tr)
 	}
-	st := s.stats
-	if st[0].HardFaults != 1 || st[1].HardFaults != 1 || st[2].Steps != 1 {
-		t.Fatalf("stats = %+v", st)
+	for _, stage := range []string{"top", "mid"} {
+		if n := reg.Counter("supervisor_hard_faults_total", telemetry.L("stage", stage)).Value(); n != 1 {
+			t.Fatalf("stage %s: %v hard faults, want 1", stage, n)
+		}
 	}
 }
 
@@ -207,7 +210,7 @@ func TestSupervisorResetReturnsToTop(t *testing.T) {
 		t.Fatalf("level = %d, want 1", s.Level())
 	}
 	s.Reset()
-	if s.Level() != 0 || len(s.Transitions()) != 0 || s.stats[1].Steps != 0 {
+	if s.Level() != 0 || len(s.Transitions()) != 0 {
 		t.Fatal("Reset did not clear supervisor state")
 	}
 }

@@ -686,10 +686,15 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 // an over-cap body (ErrBodyTooLarge, 413, terminal for the worker) from
 // bytes that did not parse (ErrCorruptPayload, 422, retryable — the
 // next delivery may arrive intact). corrupt reports which rejection was
-// written when ok is false.
+// written when ok is false. An unknown key counts as corruption: worker
+// and coordinator are one build, so such a key is a flipped byte, and
+// in the key of a zero-valued field it would otherwise decode to the
+// very record that was sent and pass its checksum.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (ok, corrupt bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "%v: limit %d bytes", ErrBodyTooLarge, tooBig.Limit)

@@ -256,8 +256,8 @@ func TestFabricTopologyDeterminism(t *testing.T) {
 }
 
 // TestWorkerSpecMismatchRefused: a worker whose local expansion hashes
-// differently (different seed here — a drifted binary in production)
-// must be refused before it simulates anything.
+// differently (a different profile length here — a drifted binary in
+// production) must be refused before it simulates anything.
 func TestWorkerSpecMismatchRefused(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Spec: mustSpec(t), SpecName: "grid", Params: gridParams,
@@ -271,10 +271,10 @@ func TestWorkerSpecMismatchRefused(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// A registry whose "grid" builder ignores the wire params' seed.
+	// A registry whose "grid" spec ignores the wire params' max_s.
 	specs := NewSpecRegistry()
 	specs.Register("grid", func(params map[string]string) (runner.Spec, error) {
-		p := map[string]string{"seed": "43", "max_s": params["max_s"]}
+		p := map[string]string{"seed": params["seed"], "max_s": "150"}
 		return gridBuilder(p)
 	})
 	wk := NewWorker(WorkerConfig{

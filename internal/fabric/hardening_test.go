@@ -128,8 +128,9 @@ func TestCompleteBodyCap(t *testing.T) {
 }
 
 // TestCompleteChecksumRejectsCorruption: a completion whose payload
-// checksums do not match what arrived is rejected 422 (retryable),
-// counted, and leaves no records behind; the intact re-send lands.
+// checksums do not match what arrived, or that carries a key the
+// protocol does not have, is rejected 422 (retryable), counted, and
+// leaves no records behind; the intact re-send lands.
 func TestCompleteChecksumRejectsCorruption(t *testing.T) {
 	coord, reg := hardenedCoord(t, nil)
 	rec, sum := failedRecord(t, coord, 0, 1)
@@ -159,6 +160,29 @@ func TestCompleteChecksumRejectsCorruption(t *testing.T) {
 	})
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("arity-mismatched completion: status %d, want 422", status)
+	}
+	// A flipped byte in the key of a zero-valued field (job 0's index)
+	// decodes to the record that was sent and passes its checksum; the
+	// unknown key alone marks the completion corrupt.
+	body, err := json.Marshal(&CompleteRequest{
+		Worker: "w", Lease: 1, Unit: 0, RequestID: 77,
+		Records: []*runner.JournalRecord{rec}, Sums: []string{sum},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := bytes.Index(body, []byte(`"index":0,`))
+	if k < 0 {
+		t.Fatalf("no zero index in %s", body)
+	}
+	body[k+1] ^= 0xFF
+	resp, err := http.Post("http://"+coord.Addr+"/complete", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("completion with a corrupted key: status %d, want 422", resp.StatusCode)
 	}
 	// The intact re-send (same RequestID — a retry, not a new
 	// completion) is accepted normally: the rejections never entered the

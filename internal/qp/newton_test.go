@@ -79,10 +79,12 @@ func relGap(v, ref []float64) float64 {
 
 // Tolerances of the Newton-step oracle. stepTol bounds the normwise
 // relative gap between the stage and LU steps where the barrier weights
-// stay within 1e-8…1e12 (worst seen: 5.4e-5); omegaTol bounds the
-// stage step's componentwise backward error (worst seen: 6.9e-10 on the
-// random problems, 7.3e-12 on the cold fixture, against up to 1.5e-6
-// for the LU step itself).
+// stay within 1e-8…1e12 (worst seen: 5.4e-5 on randStageQP's layouts,
+// 9.6e-4 on the thermal layout, where the LU step's backward error is
+// 9.1e-6 and the stage step's 4.7e-15); omegaTol bounds the stage step's
+// componentwise backward error (worst seen: 6.9e-10 on the random
+// problems, 1.1e-12 on the cold fixture, against up to 1.9e-4 for the
+// LU step itself).
 const (
 	stepTol  = 1e-3
 	omegaTol = 1e-8
@@ -93,9 +95,12 @@ const (
 // assembled saddle matrix, on random multi-stage problems and their
 // one-stage forms with barrier weights z/s spread log-uniformly over
 // 1e-8…1e12, and on the cold MPC fixture at the final iterate of its
-// solve. Every step must solve the assembled system to a componentwise
-// backward error of omegaTol; on the random problems it must also lie
-// within stepTol of the LU step. At the cold fixture's final iterate
+// solve. Beside randStageQP's small full-state layouts, the random
+// problems take the MPC's own: the cabin stage (nv 8, ne 3, nx 1) and
+// the co-scheduling thermal stage (nv 11, ne 4, nx 2), whose state is a
+// strict part of the stage. Every step must solve the assembled system
+// to a componentwise backward error of omegaTol; on the random problems
+// it must also lie within stepTol of the LU step. At the cold fixture's final iterate
 // the weights span 1e-26…1e37, where the forward gap says nothing — a
 // 600-bit reference solve puts both double-precision steps O(1) away
 // from the exact one — so the gap there is only logged.
@@ -138,16 +143,19 @@ func TestNewtonStepMatchesLU(t *testing.T) {
 			t.Errorf("%s: stage step differs from the LU step by %.3g relative", name, gap)
 		}
 	}
-	for trial := 0; trial < 40; trial++ {
-		p := randStageQP(rng, 1+rng.Intn(8), 1e-1)
+	random := func(name string, p *Problem) {
+		t.Helper()
 		ni, _ := p.Ain.Dims()
 		z, s := make([]float64, ni), make([]float64, ni)
 		for r := range z {
 			s[r] = math.Pow(10, -6*rng.Float64())
 			z[r] = s[r] * math.Pow(10, -8+20*rng.Float64())
 		}
-		check("random", p, z, s, true)
-		check("random, one-stage form", p.OneStage(), z, s, true)
+		check(name, p, z, s, true)
+		check(name+", one-stage form", p.OneStage(), z, s, true)
+	}
+	for trial := 0; trial < 40; trial++ {
+		random("random", randStageQP(rng, 1+rng.Intn(8), 1e-1))
 	}
 	p, tol := coldDemotionQP(t)
 	ws := NewWorkspace()
@@ -155,5 +163,13 @@ func TestNewtonStepMatchesLU(t *testing.T) {
 		t.Fatalf("cold fixture solve: %v", err)
 	}
 	check("cold fixture", p, ws.z, ws.s, false)
+	for _, sh := range []struct {
+		name       string
+		nv, ne, nx int
+	}{{"cabin layout", 8, 3, 1}, {"thermal layout", 11, 4, 2}} {
+		for trial := 0; trial < 10; trial++ {
+			random(sh.name, shapedStageQP(rng, 1+rng.Intn(8), sh.nv, sh.ne, sh.nx, sh.nv, 1e-1))
+		}
+	}
 	t.Logf("random problems: worst gap to the LU step %.2g; all inputs: worst backward error %.2g", worstGap, worstOmega)
 }

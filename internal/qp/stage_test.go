@@ -24,6 +24,13 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 	if ne >= nv {
 		ne = nv - 1
 	}
+	return shapedStageQP(rng, nst, nv, ne, nv, ni, ridge)
+}
+
+// shapedStageQP is randStageQP at a given layout: nv variables, ne
+// equality and ni inequality rows per stage, rows reaching back to the
+// last nx variables of the previous stage.
+func shapedStageQP(rng *rand.Rand, nst, nv, ne, nx, ni int, ridge float64) *Problem {
 	n := nst * nv
 
 	h := make([]*mat.Dense, nst)
@@ -60,7 +67,7 @@ func randStageQP(rng *rand.Rand, nst int, ridge float64) *Problem {
 	// each row's window and returns each row's value at xf, plus a slack
 	// when slack is set.
 	randRows := func(rows int, slack bool) (*StageMatrix, []float64) {
-		a := NewStageMatrix(nst, nv, nv, rows)
+		a := NewStageMatrix(nst, nv, nx, rows)
 		dots := make([]float64, nst*rows)
 		for r := range dots {
 			lo, v := a.Row(r)
@@ -319,7 +326,7 @@ func TestStageMatrixProducts(t *testing.T) {
 // tolerance SQP solved it to. The fixture stores each row over all of
 // stages k−1..k; the loader keeps the cabin MPC's windows, whose one
 // state column is x_{k+1}, and checks that the columns it drops are zero.
-func coldDemotionQP(t *testing.T) (*Problem, float64) {
+func coldDemotionQP(t testing.TB) (*Problem, float64) {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/cold_mpc_demotion.json")
 	if err != nil {

@@ -33,10 +33,15 @@ import (
 //
 //	P_k = J_ss − QᵀQ + RᵀR,   Q = L⁻¹J_vs,   R = L_S⁻¹(A_v J_vv⁻¹ J_vs − A_s),
 //
-// an nx×nx block added to J_{k−1}. solveInto runs the same recursion on
-// the right-hand side, then a forward sweep recovers each v_k and y_k.
-// Stage 0 has no state, so a one-stage problem is just the two Cholesky
-// factorizations of its own block.
+// an nx×nx block added to J_{k−1}. Each stage keeps its Q and R, so
+// solveInto reuses the factors the way HPIPM's backward pass does: going
+// back, one forward substitution per factor gives a = L⁻¹g̃_v and
+// t = L_S⁻¹(A_v J_vv⁻¹ g̃_v − b) at s_{k−1} = 0 and the cost-to-go
+// gradient p_k = Rᵀt − Qᵀa; going forward, the previous stage's state s
+// moves them to a − Q·s and t − R·s, and one back substitution per factor
+// gives y_k = L_S⁻ᵀt and v_k = L⁻ᵀ(a − L⁻¹A_vᵀ·y_k). Stage 0 has no state,
+// so a one-stage problem is just the two Cholesky factorizations of its
+// own block.
 //
 // Both factored matrices are positive definite whenever H is positive
 // semidefinite — the regularization reaches every own variable and every
@@ -51,13 +56,11 @@ import (
 type stageKKT struct {
 	nst, nv, nx, ne int // the layout the buffers are sized for
 
-	st  []kktStage
-	aeq *StageMatrix // the factored problem's equality rows
+	st []kktStage
 
-	// Scratch shared by the stages: an nv- and an ne-vector for the stage
-	// solves, a window gradient, the Q, R columns of the cost-to-go, the
-	// factor M of J_ss − QᵀQ, and a Hessian block.
-	a, t, q, qr, m, h []float64
+	// factor's work buffers, shared by the stages: an nv- and an
+	// ne-vector, the factor M of J_ss − QᵀQ, and a Hessian block.
+	a, t, m, h []float64
 }
 
 // kktStage is one stage's share of the recursion.
@@ -68,6 +71,7 @@ type kktStage struct {
 	l  []float64 // nv×nv lower Cholesky factor of J_vv
 	w  []float64 // ne×nv: row e is L⁻¹·A_v[e]ᵀ
 	ls []float64 // ne×ne lower Cholesky factor of S
+	qr []float64 // nxk×(nv+ne): column a of Q, then of R, is row a
 	p  []float64 // nxk: the cost-to-go gradient p_k handed to stage k−1
 }
 
@@ -107,12 +111,11 @@ func (f *stageKKT) ensure(p *Problem) {
 		s.l = make([]float64, nv*nv)
 		s.w = make([]float64, ne*nv)
 		s.ls = make([]float64, ne*ne)
+		s.qr = make([]float64, s.nxk*(nv+ne))
 		s.p = make([]float64, s.nxk)
 	}
 	f.a = make([]float64, nv)
 	f.t = make([]float64, ne)
-	f.q = make([]float64, nx+nv)
-	f.qr = make([]float64, (nv+ne)*nx)
 	f.m = make([]float64, nx*nx)
 	f.h = make([]float64, nv*nv)
 }
@@ -159,7 +162,6 @@ func (f *stageKKT) assemble(p *Problem, z, s []float64) {
 // recursion, adding each cost-to-go into the previous stage's J.
 func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 	f.assemble(p, z, s)
-	f.aeq = p.Aeq
 	nv, ne := f.nv, f.ne
 	for k := len(f.st) - 1; k >= 0; k-- {
 		st := &f.st[k]
@@ -207,7 +209,7 @@ func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 			for i := range x {
 				x[i] = st.j[(nxk+i)*nu+a]
 			}
-			qa, ra := f.qr[a*m:a*m+nv], f.qr[a*m+nv:(a+1)*m]
+			qa, ra := st.qr[a*m:a*m+nv], st.qr[a*m+nv:(a+1)*m]
 			lsolve(st.l, x, qa)
 			for e := 0; e < ne; e++ {
 				_, row := p.Aeq.Row(k*ne + e)
@@ -217,9 +219,9 @@ func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 		}
 		mm := f.m
 		for a := 0; a < nxk; a++ {
-			qa := f.qr[a*m : a*m+nv]
+			qa := st.qr[a*m : a*m+nv]
 			for b := 0; b <= a; b++ {
-				mm[a*nxk+b] = st.j[a*nu+b] - mat.Dot(qa, f.qr[b*m:b*m+nv])
+				mm[a*nxk+b] = st.j[a*nu+b] - mat.Dot(qa, st.qr[b*m:b*m+nv])
 			}
 		}
 		cholesky(mm, nxk, false)
@@ -227,9 +229,9 @@ func (f *stageKKT) factor(p *Problem, z, s []float64) error {
 		prev := &f.st[k-1]
 		pu, off := prev.nu, prev.nu-nxk
 		for a := 0; a < nxk; a++ {
-			ra := f.qr[a*m+nv : (a+1)*m]
+			ra := st.qr[a*m+nv : (a+1)*m]
 			for b := 0; b <= a; b++ {
-				v := mat.Dot(mm[a*nxk:a*nxk+b+1], mm[b*nxk:b*nxk+b+1]) + mat.Dot(ra, f.qr[b*m+nv:(b+1)*m])
+				v := mat.Dot(mm[a*nxk:a*nxk+b+1], mm[b*nxk:b*nxk+b+1]) + mat.Dot(ra, st.qr[b*m+nv:(b+1)*m])
 				prev.j[(off+a)*pu+off+b] += v
 				if b != a {
 					prev.j[(off+b)*pu+off+a] += v
@@ -293,94 +295,54 @@ func (f *stageKKT) semidefinite(h *mat.Dense) bool {
 
 // solveInto solves the factored system for r1, r2 into dx, dy.
 func (f *stageKKT) solveInto(r1, r2, dx, dy []float64) {
-	nv, ne, nst := f.nv, f.ne, len(f.st)
-	// Backward sweep: with s_{k−1} = 0 the stage solve gives (v⁰, y⁰),
-	// parked in dx, dy, and the cost-to-go gradient is
-	// p_k = −(J_sv·v⁰ + A_sᵀ·y⁰).
-	for k := nst - 1; k >= 1; k-- {
+	nv, ne, m := f.nv, f.ne, f.nv+f.ne
+	// Backward sweep: a = L⁻¹g̃_v, g̃_v being r1_k with p_{k+1} added on
+	// the trailing state, and t = L_S⁻¹(Wᵀa − b), parked in dx, dy.
+	for k := len(f.st) - 1; k >= 0; k-- {
 		st := &f.st[k]
-		nu, nxk := st.nu, st.nxk
-		vk, yk := dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne]
-		f.stageSolve(k, f.gTilde(k, r1[k*nv:(k+1)*nv]), r2[k*ne:(k+1)*ne], vk, yk)
-		for a := 0; a < nxk; a++ {
-			v := 0.0
-			for i, vi := range vk {
-				v += st.j[(nxk+i)*nu+a] * vi
+		a, t := dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne]
+		copy(a, r1[k*nv:(k+1)*nv])
+		if k+1 < len(f.st) {
+			next := f.st[k+1].p
+			off := nv - len(next)
+			for i, v := range next {
+				a[off+i] += v
 			}
-			for e, ye := range yk {
-				_, row := f.aeq.Row(k*ne + e)
-				v += row[a] * ye
-			}
-			st.p[a] = -v
+		}
+		lsolve(st.l, a, a)
+		for e := range t {
+			t[e] = mat.Dot(st.w[e*nv:(e+1)*nv], a) - r2[k*ne+e]
+		}
+		lsolve(st.ls, t, t)
+		for c := range st.p {
+			col := st.qr[c*m : (c+1)*m]
+			st.p[c] = mat.Dot(col[nv:], t) - mat.Dot(col[:nv], a)
 		}
 	}
-	// Forward sweep: the stage solve with the right-hand side moved by
-	// the previous stage's state, g̃_v − J_vs·s and b − A_s·s.
-	for k := 0; k < nst; k++ {
+	// Forward sweep: a − Q·s and t − R·s for the previous stage's state s,
+	// then y = L_S⁻ᵀt and v = L⁻ᵀ(a − W·y).
+	for k := range f.st {
 		st := &f.st[k]
-		nu, nxk := st.nu, st.nxk
-		g := f.gTilde(k, r1[k*nv:(k+1)*nv])
-		b := f.t
-		copy(b, r2[k*ne:(k+1)*ne])
-		if nxk > 0 {
-			s := dx[k*nv-nxk : k*nv]
-			for i := 0; i < nv; i++ {
-				g[nxk+i] -= mat.Dot(st.j[(nxk+i)*nu:(nxk+i)*nu+nxk], s)
+		v, y := dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne]
+		for c, sc := range dx[k*nv-st.nxk : k*nv] {
+			col := st.qr[c*m : (c+1)*m]
+			for i := range v {
+				v[i] -= col[i] * sc
 			}
-			for e := range b {
-				_, row := f.aeq.Row(k*ne + e)
-				b[e] -= mat.Dot(row[:nxk], s)
+			for e := range y {
+				y[e] -= col[nv+e] * sc
 			}
 		}
-		f.stageSolve(k, g, b, dx[k*nv:(k+1)*nv], dy[k*ne:(k+1)*ne])
-	}
-}
-
-// stageSolve solves stage k's own block
-//
-//	[ J_vv   A_vᵀ  ] [v]   [g_v]
-//	[ A_v   −regI  ] [y] = [ b ]
-//
-// for the window gradient g (its own part is read) and b into v, y:
-// with a = L⁻¹g_v, y = S⁻¹(Wᵀa − b) and v = L⁻ᵀ(a − W·y).
-func (f *stageKKT) stageSolve(k int, g, b, v, y []float64) {
-	st := &f.st[k]
-	nv := f.nv
-	a := f.a
-	lsolve(st.l, g[st.nxk:], a)
-	for e := range y {
-		y[e] = mat.Dot(st.w[e*nv:(e+1)*nv], a) - b[e]
-	}
-	lsolve(st.ls, y, y)
-	ltsolve(st.ls, y, y)
-	for e, ye := range y {
-		if ye != 0 {
-			for i, wv := range st.w[e*nv : (e+1)*nv] {
-				a[i] -= wv * ye
+		ltsolve(st.ls, y, y)
+		for e, ye := range y {
+			if ye != 0 {
+				for i, wv := range st.w[e*nv : (e+1)*nv] {
+					v[i] -= wv * ye
+				}
 			}
 		}
+		ltsolve(st.l, v, v)
 	}
-	ltsolve(st.l, a, v)
-}
-
-// gTilde writes stage k's window gradient (0, r1_k), with the cost-to-go
-// gradient p_{k+1} added on the trailing state, into the shared scratch
-// and returns it.
-func (f *stageKKT) gTilde(k int, r1k []float64) []float64 {
-	s := &f.st[k]
-	q := f.q[:s.nu]
-	for i := 0; i < s.nxk; i++ {
-		q[i] = 0
-	}
-	copy(q[s.nxk:], r1k)
-	if k+1 < len(f.st) {
-		next := f.st[k+1].p
-		off := s.nu - len(next)
-		for a, v := range next {
-			q[off+a] += v
-		}
-	}
-	return q
 }
 
 // lsolve solves L·x = b by forward substitution for the m×m lower

@@ -167,7 +167,7 @@ type lane struct {
 func (pe *poolEnv) newLane(i int) *lane {
 	ln := &lane{i: i}
 	if pe.jnl != nil && pe.opts.Journal.CheckpointEvery > 0 {
-		ln.ckPath = pe.jnl.checkpointPath(pe.fps[i])
+		ln.ckPath = pe.jnl.checkpointPath(i, pe.fps[i])
 	}
 	return ln
 }

@@ -428,7 +428,7 @@ func TestBatchCheckpointDrainResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckPath := func(jr *JobResult) string {
-		return filepath.Join(dir, fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(jr.Job.Fingerprint())))
+		return filepath.Join(dir, fmt.Sprintf("ckpt-%d-%s.json", jr.Job.Index, telemetry.FormatFingerprint(jr.Job.Fingerprint())))
 	}
 	step := -1
 	for i := range first.Jobs {
@@ -499,6 +499,91 @@ func TestBatchCheckpointDrainResume(t *testing.T) {
 	}
 	if got, want := traceJSONL(t, tl), traceJSONL(t, refTl); !bytes.Equal(got, want) {
 		t.Error("resumed trace differs from uninterrupted run")
+	}
+}
+
+// TestDuplicateCycleOwnCheckpointsAndRecords: a cycle listed twice
+// expands to two jobs with one fingerprint. Drained mid-cycle under a
+// checkpointing journal, each job leaves its own checkpoint; the resumed
+// sweep continues both, journals one record per job, and each result
+// equals the uninterrupted run's bit for bit.
+func TestDuplicateCycleOwnCheckpointsAndRecords(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{
+		Controllers: []ControllerSpec{OnOffSpec(1)},
+		Cycles:      []CycleSpec{{Name: "ECE15"}, {Name: "ECE15"}},
+		Envs:        []Env{{AmbientC: 35, SolarW: 400}},
+		MaxProfileS: 150,
+		BaseSeed:    7,
+	}
+	jobs, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].Fingerprint() != jobs[1].Fingerprint() {
+		t.Fatalf("%d jobs; want two sharing one fingerprint", len(jobs))
+	}
+	fp := telemetry.FormatFingerprint(jobs[0].Fingerprint())
+	ckPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("ckpt-%d-%s.json", i, fp)) }
+	journal := func(resume bool) *JournalConfig {
+		return &JournalConfig{Dir: dir, Resume: resume, CheckpointEvery: 25, Git: "test-build"}
+	}
+
+	// The two On/Off lanes run as one unit until the countdown fires
+	// about 80 steps in.
+	ctx := newCountdownCtx(80)
+	defer ctx.cancel()
+	first, err := Run(ctx, spec, Options{Workers: 1, Journal: journal(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Jobs {
+		if first.Jobs[i].Err == nil {
+			t.Fatalf("job %d completed; want both drained", i)
+		}
+		data, err := os.ReadFile(ckPath(i))
+		if err != nil {
+			t.Fatalf("job %d: no checkpoint after drain: %v", i, err)
+		}
+		var jc jobCheckpoint
+		if err := json.Unmarshal(data, &jc); err != nil {
+			t.Fatal(err)
+		}
+		if jc.Checkpoint == nil || jc.Checkpoint.Step <= 25 || jc.Checkpoint.Step >= 150 {
+			t.Fatalf("job %d: checkpoint %v, want a mid-cycle state", i, jc.Checkpoint)
+		}
+	}
+
+	sw, err := Run(context.Background(), spec, Options{Workers: 1, Journal: journal(true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.JobErrors(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(context.Background(), spec, Options{Workers: 1, BatchSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReadJournal(findJournal(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 2 {
+		t.Errorf("journal holds %d records, want one per job", len(rep.Records))
+	}
+	for i := range sw.Jobs {
+		jr := &sw.Jobs[i]
+		if jr.Replayed {
+			t.Errorf("job %d replayed; want it continued from its checkpoint", i)
+		}
+		if rec := rep.Records[i]; rec == nil || rec.Index != i || rec.Fingerprint != fp || rec.Result == nil {
+			t.Errorf("job %d: journal record %+v", i, rec)
+		}
+		identicalResults(t, fmt.Sprintf("job %d", i), jr.Result, ref.Jobs[i].Result)
+		if _, err := os.Stat(ckPath(i)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("job %d: checkpoint not removed after success: %v", i, err)
+		}
 	}
 }
 

@@ -18,11 +18,13 @@ import (
 	"evclimate/internal/sim"
 )
 
-// Cache is an opt-in, concurrency-safe result cache keyed by a hash of
-// the full scenario configuration (controller identity, sim parameters,
-// seed, and profile contents). Repeated sweeps — e.g. re-rendering
-// Table I after a weights change — skip unchanged cells. Cached results
-// are shared pointers and must be treated as read-only.
+// Cache is an opt-in, concurrency-safe result cache keyed by the job
+// fingerprint: a hash of the full scenario (controller identity, sim
+// parameters including the fault seed, and profile contents), not of the
+// job's position in its sweep. Repeated sweeps — e.g. re-rendering
+// Table I after a weights change — skip unchanged cells, and so does a
+// sweep that repeats another's cell at a different index. Cached
+// results are shared pointers and must be treated as read-only.
 type Cache struct {
 	mu           sync.Mutex
 	m            map[uint64]cacheEntry
@@ -176,9 +178,11 @@ func (c *Cache) LoadFile(path string) error {
 }
 
 // Fingerprint hashes everything that determines the job's outcome: the
-// controller label/key, the derived seed, every scalar field of the sim
-// configuration, and the complete profile contents. Two jobs with equal
-// fingerprints simulate identical scenarios.
+// controller label/key, every scalar field of the sim configuration, and
+// the complete profile contents. Two jobs with equal fingerprints
+// simulate identical scenarios. Job.Seed is left out: it reaches the
+// outcome only as Config.FaultSeed, which the configuration covers, so
+// one scenario keeps one fingerprint wherever a sweep places it.
 func (j *Job) Fingerprint() uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, j.Controller.Label)
@@ -198,7 +202,7 @@ func (j *Job) Fingerprint() uint64 {
 	// Telemetry never changes the simulated trajectory, and a sink's %+v
 	// would print pointer addresses — fingerprints must not depend on it.
 	cfg.Telemetry = nil
-	fmt.Fprintf(h, "\x00%d\x00%+v", j.Seed, cfg)
+	fmt.Fprintf(h, "\x00%+v", cfg)
 	if !flt.Empty() {
 		// The fault spec is pure data; its %+v prints the full schedule.
 		fmt.Fprintf(h, "\x00faults:%+v", *flt)

@@ -353,7 +353,7 @@ func TestMidJobCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckPath := filepath.Join(dir, fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(jobs[0].Fingerprint())))
+	ckPath := filepath.Join(dir, fmt.Sprintf("ckpt-0-%s.json", telemetry.FormatFingerprint(jobs[0].Fingerprint())))
 	data, err := os.ReadFile(ckPath)
 	if err != nil {
 		t.Fatalf("no checkpoint after drain: %v", err)
@@ -421,9 +421,10 @@ func TestCheckpointIgnoredOnFingerprintMismatch(t *testing.T) {
 	if err != nil || got == nil || got.Checkpoint.Step != 3 {
 		t.Fatalf("round-trip: %+v, %v", got, err)
 	}
-	// A different job (different fingerprint) must not see it.
+	// A different job (a target that moves its results, so a different
+	// fingerprint) must not see it.
 	other := *job
-	other.Seed++
+	other.Config.TargetC++
 	if got, err := readJobCheckpoint(path, other.Fingerprint()); err != nil || got != nil {
 		t.Errorf("foreign checkpoint accepted: %+v, %v", got, err)
 	}

@@ -509,9 +509,11 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// checkpointPath is the mid-job checkpoint file for a job, beside the
-// journal and keyed by the job's scenario fingerprint fp.
-func (j *Journal) checkpointPath(fp uint64) string {
+// checkpointPath is the mid-job checkpoint file for job i, beside the
+// journal and keyed by the job's index and scenario fingerprint fp: two
+// jobs of one sweep can share a fingerprint (a cycle listed twice), and
+// each writes and removes its own file.
+func (j *Journal) checkpointPath(i int, fp uint64) string {
 	return filepath.Join(filepath.Dir(j.path),
-		fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(fp)))
+		fmt.Sprintf("ckpt-%d-%s.json", i, telemetry.FormatFingerprint(fp)))
 }

@@ -287,7 +287,7 @@ func TestJournalResumeRefusesMismatch(t *testing.T) {
 
 // TestJournalResumeRefusesSilentRerun: resuming into a directory that
 // holds this label's journal under a *different* sweep fingerprint —
-// the spec or seed drifted since the journal was written — must fail
+// the spec drifted since the journal was written — must fail
 // with the typed mismatch error and a remediation hint, not silently
 // open a fresh journal and re-run every finished job.
 func TestJournalResumeRefusesSilentRerun(t *testing.T) {
@@ -298,7 +298,7 @@ func TestJournalResumeRefusesSilentRerun(t *testing.T) {
 	}
 
 	drifted := quickSpec()
-	drifted.BaseSeed++ // new fingerprint, same label
+	drifted.MaxProfileS += 30 // new fingerprint, same label
 	ropts, _, _ := journalOpts(dir, true)
 	_, err := Run(context.Background(), drifted, ropts)
 	if !errors.Is(err, ErrJournalMismatch) {

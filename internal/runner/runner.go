@@ -102,8 +102,11 @@ type Spec struct {
 	ComfortBandC float64
 	// MaxProfileS truncates every profile (0 = full length).
 	MaxProfileS float64
-	// BaseSeed seeds the per-job and per-cycle derived seeds. Two sweeps
-	// with equal specs and seeds are bit-identical.
+	// BaseSeed seeds the per-cycle derived seeds of generated cycles and
+	// the per-job seeds, which drive fault injection (Config.FaultSeed)
+	// and retry jitter. Two sweeps with equal specs and seeds are
+	// bit-identical; a fault-free sweep of fixed cycles gives the same
+	// results, and the same job fingerprints, under any BaseSeed.
 	BaseSeed int64
 	// StartFromAmbient starts each run from a soaked cabin instead of a
 	// cabin preconditioned at the target temperature.

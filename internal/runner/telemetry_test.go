@@ -158,7 +158,9 @@ func TestSweepTelemetryRace(t *testing.T) {
 // seed derivation, spec expansion order, or the fingerprint hash changed
 // — all of which silently invalidate cached results and recorded
 // manifests, so any change must be deliberate (update the goldens in the
-// same commit that changes the scheme).
+// same commit that changes the scheme). The fingerprints were re-pinned
+// when Job.Seed left the hash (it reaches a result only through
+// Config.FaultSeed, which the hash covers); the seeds did not move.
 func TestGoldenManifest(t *testing.T) {
 	jobs, err := Expand(telemetrySpec(t))
 	if err != nil {
@@ -166,16 +168,16 @@ func TestGoldenManifest(t *testing.T) {
 	}
 	ri := ManifestRunInfo("golden", 20150601, jobs, Fingerprints(jobs))
 
-	const wantSweepFP = "c9914d5283a5952a"
+	const wantSweepFP = "c435a9f90a38c059"
 	want := []struct {
 		cycle, controller, scenario string
 		seed                        int64
 		fp                          string
 	}{
-		{"ECE_EUDC", "On/Off", "", -2711457506983803706, "ffca455e0ff0cfc7"},
-		{"ECE_EUDC", "Fuzzy-based", "", 5494506592831746107, "05a787340d42ede3"},
-		{"ECE_EUDC", "On/Off", "stuck", -1735793612705131672, "c1912879e577f43a"},
-		{"ECE_EUDC", "Fuzzy-based", "stuck", -3557642015698659178, "b650281f5f02ec07"},
+		{"ECE_EUDC", "On/Off", "", -2711457506983803706, "74ae7ed6ea6c2596"},
+		{"ECE_EUDC", "Fuzzy-based", "", 5494506592831746107, "79b6f16a0854754d"},
+		{"ECE_EUDC", "On/Off", "stuck", -1735793612705131672, "5da1c767728b657d"},
+		{"ECE_EUDC", "Fuzzy-based", "stuck", -3557642015698659178, "eecee1d7b5927ec1"},
 	}
 
 	if len(ri.Jobs) != len(want) {

@@ -66,7 +66,17 @@ func fnv1a64(h uint64, vals []float64) uint64 {
 // 0 → 33. Observed: supply/coil temperature by up to 5.1 K, flow by up
 // to 0.030 kg/s, cabin temperature by at most 0.00011 K; AvgHVACW
 // 6147.15 → 6145.67 W, ΔSoH 0.00489194 → 0.00489193 %.
-const mpcTrajectoryHash = 0x86cec564ab7c1433
+//
+// Re-pinned when the stage KKT's solve began to reuse the stored Riccati
+// factors Q and R (one triangular sweep per stage and direction instead
+// of two): the same Newton steps in a different arithmetic order. The
+// trajectory moves at roundoff — supply/coil temperature by up to
+// 2.6e-7 K, recirculation by 3.7e-9, flow by 1.4e-9 kg/s, cabin
+// temperature by 1.2e-10 K; AvgHVACW and ΔSoH agree to 10 digits — but
+// the capped first QPs of the saturated decides end at other iterates:
+// 37 decides converge and 1 stalls (was 34 and 4), KKT factorizations
+// 7123 → 7264, capped QPs 33 → 35.
+const mpcTrajectoryHash = 0xd0ed72c281217c01
 
 // TestMPCTrajectoryBitwiseGolden pins the MPC/ECE15 trajectory bitwise.
 func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
@@ -103,7 +113,7 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
 	// The KKT counts are as deterministic as the trajectory.
-	if st := mpc.Stats(); st.KKTFactorizations != 7123 || st.CappedQPs != 33 {
-		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 7123 and 33", st.KKTFactorizations, st.CappedQPs)
+	if st := mpc.Stats(); st.KKTFactorizations != 7264 || st.CappedQPs != 35 {
+		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 7264 and 35", st.KKTFactorizations, st.CappedQPs)
 	}
 }

@@ -20,7 +20,6 @@ type State struct {
 	packTimeIntegral float64
 	elapsedS         float64
 	packMinC         float64
-	packMaxC         float64
 
 	// Energy ledger: boundaryJ integrates every heat flow crossing the
 	// network boundary (Joule heat, heater/chiller branch heat, cabin and
@@ -42,7 +41,7 @@ func NewState(cfg Config, ambientC float64) (*State, error) {
 	if cfg.PackFromAmbient {
 		t0 = ambientC
 	}
-	s := &State{net: cfg.Network, hp: cfg.HeatPump, packC: t0, coolantC: t0, packMinC: t0, packMaxC: t0}
+	s := &State{net: cfg.Network, hp: cfg.HeatPump, packC: t0, coolantC: t0, packMinC: t0}
 	s.storedRefJ = s.storedJ()
 	return s, nil
 }
@@ -102,9 +101,6 @@ func (s *State) Step(cabinC, ambientC, jouleW, heaterElecW, chillerElecW, dt flo
 	if s.packC < s.packMinC {
 		s.packMinC = s.packC
 	}
-	if s.packC > s.packMaxC {
-		s.packMaxC = s.packC
-	}
 	return f
 }
 
@@ -148,7 +144,6 @@ type Snapshot struct {
 	PackTimeIntegral float64 `json:"pack_time_integral"`
 	ElapsedS         float64 `json:"elapsed_s"`
 	PackMinC         float64 `json:"pack_min_c"`
-	PackMaxC         float64 `json:"pack_max_c"`
 	BoundaryJ        float64 `json:"boundary_j"`
 	StoredRefJ       float64 `json:"stored_ref_j"`
 }
@@ -158,8 +153,7 @@ func (s *State) Snapshot() Snapshot {
 	return Snapshot{
 		PackC: s.packC, CoolantC: s.coolantC,
 		PackTimeIntegral: s.packTimeIntegral, ElapsedS: s.elapsedS,
-		PackMinC: s.packMinC, PackMaxC: s.packMaxC,
-		BoundaryJ: s.boundaryJ, StoredRefJ: s.storedRefJ,
+		PackMinC: s.packMinC, BoundaryJ: s.boundaryJ, StoredRefJ: s.storedRefJ,
 	}
 }
 
@@ -174,7 +168,7 @@ func (s *State) Restore(sn Snapshot) error {
 	}
 	s.packC, s.coolantC = sn.PackC, sn.CoolantC
 	s.packTimeIntegral, s.elapsedS = sn.PackTimeIntegral, sn.ElapsedS
-	s.packMinC, s.packMaxC = sn.PackMinC, sn.PackMaxC
+	s.packMinC = sn.PackMinC
 	s.boundaryJ, s.storedRefJ = sn.BoundaryJ, sn.StoredRefJ
 	return nil
 }

@@ -191,7 +191,7 @@ func TestColdSoakEquilibrium(t *testing.T) {
 	if heated.PackC() <= start {
 		t.Errorf("heated pack fell from %v to %v °C", start, heated.PackC())
 	}
-	if heated.MinPackC() > start || heated.packMaxC < heated.PackC() {
-		t.Errorf("envelope [%v, %v] inconsistent", heated.MinPackC(), heated.packMaxC)
+	if heated.MinPackC() > start {
+		t.Errorf("minimum pack temperature %v above the start %v °C", heated.MinPackC(), start)
 	}
 }
