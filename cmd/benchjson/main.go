@@ -47,11 +47,12 @@ type Report struct {
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
-	// MaxProcs and NumCPU record the snapshot machine's parallelism:
-	// GOMAXPROCS and the core count when the snapshot was taken. A
-	// "parallel" benchmark committed from a MaxProcs=1 box measured no
-	// parallelism at all — exactly the shape that hid the non-scaling
-	// sweep — so the snapshot now carries enough context to catch it.
+	// MaxProcs and NumCPU record the snapshot's parallelism: the largest
+	// GOMAXPROCS any benchmark ran at (its -cpu suffix) and the machine's
+	// core count. A "parallel" benchmark committed from a MaxProcs=1 run
+	// measured no parallelism at all — exactly the shape that hid the
+	// non-scaling sweep — so the snapshot carries enough context to
+	// catch it.
 	MaxProcs int `json:"maxprocs,omitempty"`
 	NumCPU   int `json:"numcpu,omitempty"`
 	// Benchmarks are the parsed results in input order.
@@ -119,9 +120,9 @@ func main() {
 // output can be piped in unfiltered.
 func Parse(r io.Reader) (*Report, error) {
 	// benchjson runs in the same pipeline (and on the same machine) as
-	// the benchmark process, so its own runtime view records the
-	// snapshot environment.
-	rep := &Report{MaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	// the benchmark process, so its own core count is the machine's; its
+	// GOMAXPROCS is not the benchmarks' when they ran with -cpu.
+	rep := &Report{NumCPU: runtime.NumCPU()}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -143,6 +144,7 @@ func Parse(r io.Reader) (*Report, error) {
 			}
 			b.Pkg = pkg
 			rep.Benchmarks = append(rep.Benchmarks, b)
+			rep.MaxProcs = max(rep.MaxProcs, b.Procs)
 		}
 	}
 	return rep, sc.Err()

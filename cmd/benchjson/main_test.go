@@ -28,9 +28,9 @@ func TestParse(t *testing.T) {
 	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU != "AMD EPYC 7B13" {
 		t.Errorf("header = (%q, %q, %q)", rep.Goos, rep.Goarch, rep.CPU)
 	}
-	if rep.MaxProcs != runtime.GOMAXPROCS(0) || rep.NumCPU != runtime.NumCPU() {
-		t.Errorf("snapshot parallelism = (%d, %d), want (%d, %d)",
-			rep.MaxProcs, rep.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	if rep.MaxProcs != 8 || rep.NumCPU != runtime.NumCPU() {
+		t.Errorf("snapshot parallelism = (%d, %d), want (8, %d)",
+			rep.MaxProcs, rep.NumCPU, runtime.NumCPU())
 	}
 	if len(rep.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(rep.Benchmarks))
@@ -112,5 +112,27 @@ func TestParseIgnoresNoise(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 0 {
 		t.Errorf("parsed %d benchmarks from noise, want 0", len(rep.Benchmarks))
+	}
+}
+
+// MaxProcs is the benchmarks' GOMAXPROCS, read from their -cpu suffix,
+// not benchjson's own: `go test -cpu 1` piped into a benchjson on a
+// many-core host records 1, and an unsuffixed line counts as 1.
+func TestMaxProcsFromCPUSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+	}{
+		{"BenchmarkMPCSolveStep \t 216 \t 5616704 ns/op\nBenchmarkKKTSolve \t 500000 \t 2600 ns/op\n", 1},
+		{"BenchmarkA-2 \t 10 \t 100 ns/op\nBenchmarkB-4 \t 10 \t 100 ns/op\nBenchmarkC \t 10 \t 100 ns/op\n", 4},
+		{"PASS\n", 0},
+	} {
+		rep, err := Parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.MaxProcs != tc.want {
+			t.Errorf("%q: maxprocs %d, want %d", tc.in, rep.MaxProcs, tc.want)
+		}
 	}
 }

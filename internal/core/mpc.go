@@ -180,6 +180,7 @@ type Controller struct {
 	solves, converged, stalled, failed, budget int
 	totalSQPIters                              int
 	kktFactorizations, cappedQPs, corrections  int
+	warmHessians                               int
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
@@ -196,6 +197,7 @@ type Controller struct {
 	telKKT     *telemetry.Counter // KKT factorizations
 	telCapped  *telemetry.Counter // QP subproblems that ended at the iteration cap
 	telCorr    *telemetry.Counter // SQP steps taken through the second-order correction
+	telWarm    *telemetry.Counter // decides started from the carried BFGS blocks
 	// telRTF is the real-time factor gauge: solve wall time ÷ control
 	// period. Below 1 the controller keeps up with real time; the solve
 	// is only timed when the gauge is bound, so inactive sinks see no
@@ -282,7 +284,7 @@ func New(cfg Config) (*Controller, error) {
 // bindInstruments (re)resolves the solver instruments on the config's
 // sink, detaching them when it is nil or inactive.
 func (c *Controller) bindInstruments() {
-	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telCapped, c.telCorr, c.telRTF = nil, nil, nil, nil, nil, nil, nil
+	c.telSolves, c.telIters, c.telQPIters, c.telKKT, c.telCapped, c.telCorr, c.telWarm, c.telRTF = nil, nil, nil, nil, nil, nil, nil, nil
 	tel := c.cfg.Telemetry
 	if tel == nil || !tel.Active() {
 		return
@@ -297,6 +299,7 @@ func (c *Controller) bindInstruments() {
 	c.telKKT = tel.Counter("mpc_kkt_factorizations_total")
 	c.telCapped = tel.Counter("mpc_qp_capped_total")
 	c.telCorr = tel.Counter("mpc_sqp_corrections_total")
+	c.telWarm = tel.Counter("mpc_warm_hessians_total")
 	// Wall-clock derived; the "_real_time_factor" suffix keeps it out of
 	// deterministic manifests (telemetry.DeterministicFilter).
 	c.telRTF = tel.Gauge("mpc_real_time_factor")
@@ -331,6 +334,7 @@ func (c *Controller) Reset() {
 	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
 	c.totalSQPIters = 0
 	c.kktFactorizations, c.cappedQPs, c.corrections = 0, 0, 0
+	c.warmHessians = 0
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
 }
@@ -368,6 +372,10 @@ type Stats struct {
 	// correction, the forward simulation of the prediction model
 	// (sqp.Result.Corrections).
 	Corrections int
+	// WarmHessians counts the decides whose SQP started from the
+	// previous plan's shifted BFGS blocks instead of the scaled-identity
+	// seed (comfortMet).
+	WarmHessians int
 }
 
 // Stats returns the diagnostics.
@@ -375,6 +383,7 @@ func (c *Controller) Stats() Stats {
 	s := Stats{
 		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
 		KKTFactorizations: c.kktFactorizations, CappedQPs: c.cappedQPs, Corrections: c.corrections,
+		WarmHessians: c.warmHessians,
 	}
 	if c.solves > 0 {
 		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
@@ -998,6 +1007,20 @@ func (c *Controller) shiftWarmStart(prev []float64, h *horizonData, z []float64)
 	copy(z[last:], prev[last:])
 }
 
+// comfortMet reports whether plan z meets the comfort band: every
+// stage's slack is at most the SQP tolerance, in kelvins. Only then does
+// the next decide start from z's shifted BFGS blocks. While a slack is
+// active its multipliers sit at the ρ scale of comfortSlackPerK, and
+// the curvature BFGS learns there misleads the next decide's solve.
+func (c *Controller) comfortMet(z []float64) bool {
+	for k := 0; k < c.cfg.Horizon; k++ {
+		if z[c.idxE(k)]/comfortSlackPerK > c.cfg.SQP.Tol {
+			return false
+		}
+	}
+	return true
+}
+
 // Decide implements control.Controller: it solves the horizon problem and
 // applies the first control move.
 func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
@@ -1006,6 +1029,11 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 
 	z0 := c.z0
 	if c.havePrev {
+		if c.comfortMet(c.prevZ) {
+			c.sqpWork.ShiftHessian()
+			c.warmHessians++
+			c.telWarm.Inc()
+		}
 		c.shiftWarmStart(c.prevZ, h, z0)
 	} else {
 		c.initialGuess(h, z0)

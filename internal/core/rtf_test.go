@@ -37,7 +37,11 @@ func TestRealTimeFactorGauge(t *testing.T) {
 // The solver counters mirror Stats: every factorization, capped QP and
 // corrected SQP step the solver reports reaches
 // mpc_kkt_factorizations_total, mpc_qp_capped_total and
-// mpc_sqp_corrections_total, and all three are deterministic series.
+// mpc_sqp_corrections_total, every decide started from the carried BFGS
+// blocks reaches mpc_warm_hessians_total, and all four are
+// deterministic series. The deep-cold decides lean on their comfort
+// slack and are not carried; of the temperate ones that follow, those
+// after a plan that met the band are.
 func TestKKTCountersMatchStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := thermalTestConfig()
@@ -49,14 +53,27 @@ func TestKKTCountersMatchStats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Decide(thermColdCtx(float64(i) * 5))
 	}
+	if n := c.Stats().WarmHessians; n != 0 {
+		t.Fatalf("%d deep-cold decides carried, want 0", n)
+	}
+	carried := 0
+	for i := 3; i < 7; i++ {
+		if c.comfortMet(c.prevZ) {
+			carried++
+		}
+		ctx := thermColdCtx(float64(i) * 5)
+		ctx.CabinTempC, ctx.OutsideC, ctx.PackTempC = 22, 15, 20
+		c.Decide(ctx)
+	}
 	st := c.Stats()
-	if st.KKTFactorizations == 0 || st.Corrections == 0 {
-		t.Fatalf("stats %+v: want KKT factorizations and corrected steps counted", st)
+	if st.KKTFactorizations == 0 || st.Corrections == 0 || carried == 0 || st.WarmHessians != carried {
+		t.Fatalf("stats %+v: want KKT factorizations and corrected steps counted, and %d > 0 carried decides", st, carried)
 	}
 	for name, want := range map[string]int{
 		"mpc_kkt_factorizations_total": st.KKTFactorizations,
 		"mpc_qp_capped_total":          st.CappedQPs,
 		"mpc_sqp_corrections_total":    st.Corrections,
+		"mpc_warm_hessians_total":      st.WarmHessians,
 	} {
 		if got := reg.Counter(name).Value(); got != float64(want) {
 			t.Errorf("%s = %v, Stats %d", name, got, want)

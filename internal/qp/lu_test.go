@@ -97,13 +97,23 @@ func (f *denseLU) solveInto(b, x []float64) []float64 {
 	return x
 }
 
-// luSolve solves a·x = b through a fresh factorization.
+// luSolve solves a·x = b through a fresh factorization and one step of
+// iterative refinement: the correction solves a·d = b − a·x with the same
+// factors. On the badly scaled saddle matrices of the Newton oracle the
+// unrefined LU step's backward error reaches 1e-4, and the refined step
+// is the reference the stage step is measured against.
 func luSolve(a *mat.Dense, b []float64) ([]float64, error) {
 	var f denseLU
 	if err := f.factorize(a); err != nil {
 		return nil, err
 	}
-	return f.solveInto(b, make([]float64, len(b))), nil
+	x := f.solveInto(b, make([]float64, len(b)))
+	r := a.MulVec(x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	mat.Axpy(1, f.solveInto(r, make([]float64, len(r))), x)
+	return x, nil
 }
 
 func randomDense(rng *rand.Rand, r, c int) *mat.Dense {

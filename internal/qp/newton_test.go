@@ -78,13 +78,14 @@ func relGap(v, ref []float64) float64 {
 }
 
 // Tolerances of the Newton-step oracle. stepTol bounds the normwise
-// relative gap between the stage and LU steps where the barrier weights
-// stay within 1e-8…1e12 (worst seen: 5.4e-5 on randStageQP's layouts,
-// 9.6e-4 on the thermal layout, where the LU step's backward error is
-// 9.1e-6 and the stage step's 4.7e-15); omegaTol bounds the stage step's
-// componentwise backward error (worst seen: 6.9e-10 on the random
-// problems, 1.1e-12 on the cold fixture, against up to 1.9e-4 for the
-// LU step itself).
+// relative gap between the stage step and the refined LU step (luSolve)
+// where the barrier weights stay within 1e-8…1e12 (worst seen: 4.9e-5 on
+// randStageQP's layouts, 1.3e-5 on the thermal layout, 8.0e-6 on the
+// cabin layout; the refined LU step's backward error stays below 5e-10,
+// where the unrefined one reached 1.9e-4 and put a 9.6e-4 gap on the
+// thermal layout); omegaTol bounds the stage step's componentwise
+// backward error (worst seen: 6.9e-10 on the random problems, 1.1e-12
+// on the cold fixture).
 const (
 	stepTol  = 1e-3
 	omegaTol = 1e-8

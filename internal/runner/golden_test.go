@@ -61,7 +61,14 @@ var goldens = []goldenRow{
 	// so the decides of this pull-down move at roundoff. Observed:
 	// 4880.125186 W → 4880.86454 W, ΔSoH 0.01167456809 → 0.01165752941 %,
 	// comfort violation unchanged at 0.3263.
-	{"Battery Lifetime-aware", 4880.86454, 0.01165752941, 0.3263157895},
+	// Regenerated again when a decide whose previous plan met the comfort
+	// band began to start its SQP from that plan's shifted BFGS blocks
+	// instead of the scaled-identity seed: once this pull-down reaches
+	// the band, its decides take fewer iterations and stop at different
+	// iterates within the solver tolerance. Observed: 4880.86454 W →
+	// 4857.375723 W (−0.5 %), ΔSoH 0.01165752941 → 0.01170002895 %,
+	// comfort violation unchanged at 0.3263.
+	{"Battery Lifetime-aware", 4857.375723, 0.01170002895, 0.3263157895},
 }
 
 func TestGoldenRegression(t *testing.T) {

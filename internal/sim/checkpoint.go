@@ -15,8 +15,10 @@ import (
 
 // CheckpointVersion is the checkpoint schema version; a resume refuses
 // checkpoints written by a different schema. Version 2 carries the
-// trace in its packed wire form (Trace.MarshalText).
-const CheckpointVersion = 2
+// trace in its packed wire form (Trace.MarshalText); version 3 adds the
+// MPC's BFGS blocks, which its next decide may start from, so a version 2
+// checkpoint would resume an MPC run inexactly.
+const CheckpointVersion = 3
 
 // RunOptions are the durability controls of one run. The zero value
 // reproduces Run exactly.

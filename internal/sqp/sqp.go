@@ -356,8 +356,12 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	}
 
 	// Damped-BFGS Hessian approximation, one block per stage, seeded
-	// with a scaled identity.
-	resetBFGS(ws.b, 1+mat.NormInf(g))
+	// with a scaled identity unless ShiftHessian carried the previous
+	// solve's blocks into this one.
+	if !ws.shifted {
+		resetBFGS(ws.b, 1+mat.NormInf(g))
+	}
+	ws.shifted = false
 
 	lam, lamNew := ws.lam, ws.lamNV
 	mu, muNew := ws.mu, ws.muNV

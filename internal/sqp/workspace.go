@@ -35,6 +35,7 @@ type Workspace struct {
 	yVec, sVec    []float64
 	bs, bfgsR     []float64    // updateBFGSBlocks scratch
 	b             []*mat.Dense // BFGS Hessian, one block per stage
+	shifted       bool         // ShiftHessian ran: the next Solve starts from b
 
 	// QP subproblem: the Problem view is rebuilt each iteration (the
 	// Hessian, gradient and Jacobians swap buffers), the negated
@@ -58,6 +59,7 @@ func (w *Workspace) ensure(n, meq, min, stages, nx int) {
 		return
 	}
 	w.n, w.meq, w.min, w.stages, w.nx = n, meq, min, stages, nx
+	w.shifted = false
 	nv := n / stages
 	w.x = make([]float64, n)
 	w.xNew = make([]float64, n)
@@ -97,4 +99,38 @@ func (w *Workspace) ensure(n, meq, min, stages, nx int) {
 	if w.qpWork == nil {
 		w.qpWork = qp.NewWorkspace()
 	}
+}
+
+// ShiftHessian carries the BFGS blocks of the last Solve into the next
+// one, shifted one stage the way a receding-horizon caller shifts its
+// plan: block k+1 moves into block k and the last block repeats. Only
+// the next Solve with this workspace starts from the shifted blocks;
+// every other Solve seeds them with the scaled identity. A workspace
+// that has not been sized by a Solve or by Hessian is left alone.
+func (w *Workspace) ShiftHessian() {
+	if len(w.b) == 0 {
+		return
+	}
+	nv, _ := w.b[0].Dims()
+	for k := 1; k < len(w.b); k++ {
+		for i := 0; i < nv; i++ {
+			copy(w.b[k-1].RawRow(i), w.b[k].RawRow(i))
+		}
+	}
+	w.shifted = true
+}
+
+// Hessian sizes the workspace for p, when it is not already, and returns
+// its BFGS blocks, one per stage: after a Solve, the blocks it ended
+// with. The blocks alias the workspace, so a caller that snapshots its
+// solver state reads them and one that restores it writes them; they
+// are valid until the next Solve with this workspace.
+func (w *Workspace) Hessian(p *Problem) []*mat.Dense {
+	stages := max(p.Stages, 1)
+	nx := 0
+	if stages > 1 {
+		nx = p.NX
+	}
+	w.ensure(p.N, p.MEq, p.MIneq, stages, nx)
+	return w.b
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"evclimate/internal/mat"
 	"evclimate/internal/qp"
 )
 
@@ -257,4 +258,76 @@ func TestWarmStructuredSolveNoAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("warm structured sqp.Solve allocates %v objects/op, want ≤ 2", allocs)
 	}
+}
+
+// ShiftHessian slides BFGS block k+1 into block k and repeats the last
+// one; the next Solve takes its first step with the shifted blocks, and
+// the Solve after it takes its first step with the scaled-identity seed
+// again. The problem is ½‖x‖² over three uncoupled stages, so one
+// iteration's step is −B⁻¹x per stage block, up to the QP's 1e-9
+// regularization.
+func TestShiftHessian(t *testing.T) {
+	const stages, nv = 3, 2
+	p := &Problem{
+		N:         stages * nv,
+		Objective: func(x []float64) float64 { return 0.5 * mat.Dot(x, x) },
+		Gradient:  func(x, g []float64) { copy(g, x) },
+		Stages:    stages,
+	}
+	x0 := []float64{1, -2, 0.5, 3, -1, 2}
+	ws := NewWorkspace()
+	ws.ShiftHessian() // nothing solved yet: no blocks to carry
+	seeded := func(label string, res *Result) {
+		t.Helper()
+		s := 1 + 3.0 // 1 + ‖∇f(x0)‖∞
+		for i, v := range x0 {
+			if want := v - v/s; math.Abs(res.X[i]-want) > 1e-8 {
+				t.Fatalf("%s: x[%d] = %v, want %v from the seed %v·I", label, i, res.X[i], want, s)
+			}
+		}
+	}
+	opt := Options{MaxIter: 1, Work: ws}
+	res, err := Solve(p, x0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded("first solve", res)
+
+	blocks := ws.Hessian(p)
+	for k, blk := range blocks {
+		d := float64(k + 2)
+		blk.Set(0, 0, d)
+		blk.Set(0, 1, 0.1*d)
+		blk.Set(1, 0, 0.1*d)
+		blk.Set(1, 1, 2*d)
+	}
+	ws.ShiftHessian()
+	for k, blk := range blocks {
+		d := float64(min(k+3, stages+1))
+		if blk.At(0, 0) != d || blk.At(0, 1) != 0.1*d || blk.At(1, 0) != 0.1*d || blk.At(1, 1) != 2*d {
+			t.Fatalf("block %d after the shift = %v, want block %d's", k, blk, min(k+1, stages-1))
+		}
+	}
+	res, err = Solve(p, x0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < stages; k++ {
+		d := float64(min(k+3, stages+1))
+		a, b, c := d, 0.1*d, 2*d // [[a b] [b c]]⁻¹ = [[c −b] [−b a]]/det
+		det := a*c - b*b
+		u, v := x0[nv*k], x0[nv*k+1]
+		want := []float64{u - (c*u-b*v)/det, v - (a*v-b*u)/det}
+		for i, w := range want {
+			if got := res.X[nv*k+i]; math.Abs(got-w) > 1e-8 {
+				t.Fatalf("carried solve: x[%d] = %v, want %v from the shifted block", nv*k+i, got, w)
+			}
+		}
+	}
+
+	res, err = Solve(p, x0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded("solve after the carried one", res)
 }
