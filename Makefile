@@ -86,12 +86,15 @@ test-faults:
 # Crash-safety suite under the race detector: journal WAL round-trip,
 # torn-tail tolerance, the SIGKILL kill-and-resume byte-identity proof,
 # watchdog/retry, mid-job checkpoint resume, the sim-level
-# checkpoint bit-exactness property, and the evbench exit-code contract —
-# plus a short fuzz smoke of the journal parser (the file a crashed
-# process leaves behind is untrusted input).
+# checkpoint bit-exactness property, the state round trips of the MPC's
+# solver counters, the supervisor's ladder and the BMS's cycle
+# statistics, and the evbench exit-code contract — plus a short fuzz
+# smoke of the journal parser (the file a crashed process leaves behind
+# is untrusted input).
 test-resume:
 	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Kill' ./internal/runner/...
 	$(GO) test -run 'Checkpoint|Restore' ./internal/sim/...
+	$(GO) test -run 'StateRoundTrip' ./internal/core/... ./internal/control/... ./internal/bms/...
 	$(GO) test ./cmd/evbench/...
 	$(GO) test -fuzz=FuzzParseJournal -fuzztime=10s ./internal/runner/
 

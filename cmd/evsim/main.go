@@ -157,11 +157,12 @@ func main() {
 	fmt.Printf("ambient      %.1f °C, solar %.0f W, target %.1f ± %.1f °C\n", *ambient, *solar, *target, *band)
 	fmt.Printf("avg HVAC     %.2f kW   (motor %.2f kW, total %.2f kW)\n", res.AvgHVACW/1000, res.AvgMotorW/1000, res.AvgTotalW/1000)
 	fmt.Printf("HVAC energy  %.3f kWh\n", res.HVACEnergyKWh)
-	fmt.Printf("SoC          %.2f %% → %.2f %%  (dev %.3f, avg %.2f)\n", 90.0, res.FinalSoC, res.SoCDev, res.SoCAvg)
+	fmt.Printf("SoC          %.2f %% → %.2f %%  (dev %.3f, avg %.2f)\n", cfg.BMS.InitialSoC, res.FinalSoC, res.SoCDev, res.SoCAvg)
 	fmt.Printf("ΔSoH         %.5f %% per cycle → ≈ %.0f cycles to end of life\n", res.DeltaSoH, battery.LifetimeCycles(res.DeltaSoH))
 	fmt.Printf("comfort      %.1f %% of time outside zone, RMS error %.2f °C\n", 100*res.ComfortViolationFrac, res.RMSTrackingErrC)
 	if mpc, ok := ctrl.(*core.Controller); ok {
-		fmt.Printf("MPC solver   %+v\n", mpc.Stats())
+		ms := mpc.Stats()
+		fmt.Printf("MPC solver   %+v, %.2f SQP iterations per solve\n", ms, ms.AvgSQPIters())
 	}
 
 	if *csvPath != "" {

@@ -143,24 +143,29 @@ func TestStepChargeAndClamp(t *testing.T) {
 }
 
 func TestCycleStatsKnown(t *testing.T) {
-	// Constant trace: zero deviation.
-	dev, avg, err := CycleStats([]float64{80, 80, 80, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev != 0 || avg != 80 {
-		t.Errorf("constant trace: dev=%v avg=%v", dev, avg)
-	}
-	// Two-level trace 60/80: avg 70, dev 10.
-	dev, avg, err = CycleStats([]float64{60, 80, 60, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(avg-70) > 1e-12 || math.Abs(dev-10) > 1e-12 {
-		t.Errorf("two-level trace: dev=%v avg=%v, want 10/70", dev, avg)
-	}
-	if _, _, err := CycleStats([]float64{80}); err == nil {
-		t.Error("single-sample trace accepted")
+	for name, stats := range map[string]func([]float64) (float64, float64, error){
+		"two-pass": CycleStats,
+		"online":   func(tr []float64) (float64, float64, error) { return accumulate(tr).Stats() },
+	} {
+		// Constant trace: zero deviation.
+		dev, avg, err := stats([]float64{80, 80, 80, 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dev != 0 || avg != 80 {
+			t.Errorf("%s: constant trace: dev=%v avg=%v", name, dev, avg)
+		}
+		// Two-level trace 60/80: avg 70, dev 10.
+		dev, avg, err = stats([]float64{60, 80, 60, 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(avg-70) > 1e-12 || math.Abs(dev-10) > 1e-12 {
+			t.Errorf("%s: two-level trace: dev=%v avg=%v, want 10/70", name, dev, avg)
+		}
+		if _, _, err := stats([]float64{80}); err == nil {
+			t.Errorf("%s: single-sample trace accepted", name)
+		}
 	}
 }
 
@@ -176,17 +181,19 @@ func TestCycleStatsProperties(t *testing.T) {
 			}
 			trace[i] = math.Abs(math.Mod(v, 100))
 		}
-		dev, avg, err := CycleStats(trace)
+		dev, avg, err := accumulate(trace).Stats()
 		if err != nil {
 			return false
 		}
 		// Deviation is nonnegative and bounded by the range; average is
-		// within the sample range.
+		// within the sample range; both agree with the two-pass reference.
 		lo, hi := trace[0], trace[0]
 		for _, v := range trace {
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		return dev >= 0 && dev <= hi-lo+1e-9 && avg >= lo-1e-9 && avg <= hi+1e-9
+		refDev, refAvg, _ := CycleStats(trace)
+		return dev >= 0 && dev <= hi-lo+1e-9 && avg >= lo-1e-9 && avg <= hi+1e-9 &&
+			math.Abs(dev-refDev) <= 1e-9 && math.Abs(avg-refAvg) <= 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -227,18 +234,18 @@ func TestDeltaSoHFromTrace(t *testing.T) {
 	p := DefaultSoHParams()
 	flat := []float64{70, 70, 70, 70}
 	ripple := []float64{60, 80, 60, 80}
-	dFlat, err := p.DeltaSoHFromTrace(flat)
+	dFlat, err := accumulate(flat).DeltaSoH(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dRipple, err := p.DeltaSoHFromTrace(ripple)
+	dRipple, err := accumulate(ripple).DeltaSoH(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dRipple <= dFlat {
 		t.Errorf("rippled SoC (%v) must degrade more than flat (%v)", dRipple, dFlat)
 	}
-	if _, err := p.DeltaSoHFromTrace([]float64{1}); err == nil {
+	if _, err := accumulate([]float64{1}).DeltaSoH(&p); err == nil {
 		t.Error("short trace accepted")
 	}
 }

@@ -54,26 +54,6 @@ func (p *SoHParams) Validate() error {
 	return nil
 }
 
-// CycleStats computes SoCdev and SoCavg (Eqs. 16–17) from a uniformly
-// sampled SoC trace (percent).
-func CycleStats(socTrace []float64) (dev, avg float64, err error) {
-	if len(socTrace) < 2 {
-		return 0, 0, fmt.Errorf("battery: SoC trace needs ≥ 2 samples, got %d", len(socTrace))
-	}
-	var sum float64
-	for _, s := range socTrace {
-		sum += s
-	}
-	avg = sum / float64(len(socTrace))
-	var varSum float64
-	for _, s := range socTrace {
-		d := s - avg
-		varSum += d * d
-	}
-	dev = math.Sqrt(varSum / float64(len(socTrace)))
-	return dev, avg, nil
-}
-
 // DeltaSoH evaluates Eq. 15 for the drive-cycle statistics, folding in
 // the fixed charging part, and returns the SoH loss in percent for one
 // discharging/charging cycle.
@@ -82,10 +62,38 @@ func (p *SoHParams) DeltaSoH(socDev, socAvg float64) float64 {
 	return (p.A1*math.Exp(p.Alpha*dev) + p.A2) * (p.A3 * math.Exp(p.Beta*socAvg))
 }
 
-// DeltaSoHFromTrace computes cycle statistics from a SoC trace and
-// evaluates the degradation model.
-func (p *SoHParams) DeltaSoHFromTrace(socTrace []float64) (float64, error) {
-	dev, avg, err := CycleStats(socTrace)
+// SoCStats accumulates the cycle stress statistics of Eqs. 16–17 online,
+// one SoC sample (percent) at a time, with Welford's update: N samples,
+// their running Mean, and M2, the sum of squared deviations from that
+// mean. Its three fields are its whole state, so a checkpoint carries
+// them and the restored accumulator continues bit for bit.
+type SoCStats struct {
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
+}
+
+// Add folds one SoC sample into the statistics.
+func (s *SoCStats) Add(soc float64) {
+	s.N++
+	d := soc - s.Mean
+	s.Mean += d / float64(s.N)
+	s.M2 += d * (soc - s.Mean)
+}
+
+// Stats returns SoCdev and SoCavg (Eqs. 16–17) over the samples added so
+// far: the population standard deviation and the mean.
+func (s *SoCStats) Stats() (dev, avg float64, err error) {
+	if s.N < 2 {
+		return 0, 0, fmt.Errorf("battery: cycle statistics need ≥ 2 SoC samples, got %d", s.N)
+	}
+	return math.Sqrt(s.M2 / float64(s.N)), s.Mean, nil
+}
+
+// DeltaSoH evaluates the degradation model (Eq. 15) over the statistics
+// accumulated so far — Algorithm 1 line 23.
+func (s *SoCStats) DeltaSoH(p *SoHParams) (float64, error) {
+	dev, avg, err := s.Stats()
 	if err != nil {
 		return 0, err
 	}

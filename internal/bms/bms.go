@@ -1,8 +1,8 @@
 // Package bms implements the Battery Management System: it monitors the
 // pack during a drive, enforces overcharge/overdischarge and power-limit
-// protections (paper Sec. I), records the SoC trajectory, and evaluates
-// the cycle stress statistics (SoCdev, SoCavg) and SoH degradation that
-// the climate controller optimizes against (Algorithm 1, lines 20 and 23).
+// protections (paper Sec. I), accumulates the cycle stress statistics
+// (SoCdev, SoCavg) online, and evaluates the SoH degradation that the
+// climate controller optimizes against (Algorithm 1, lines 20 and 23).
 package bms
 
 import (
@@ -77,7 +77,7 @@ type Events struct {
 type BMS struct {
 	cfg    Config
 	pack   *battery.Pack
-	trace  []float64
+	cycle  battery.SoCStats
 	events Events
 }
 
@@ -90,7 +90,9 @@ func New(cfg Config) (*BMS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BMS{cfg: cfg, pack: pack, trace: []float64{cfg.InitialSoC}}, nil
+	b := &BMS{cfg: cfg, pack: pack}
+	b.cycle.Add(cfg.InitialSoC)
+	return b, nil
 }
 
 // SoC returns the current state of charge in percent.
@@ -102,7 +104,8 @@ func (b *BMS) Events() Events { return b.events }
 // Step applies a power request (W, positive = discharge) for dt seconds.
 // The BMS clips the request to the pack power limits and blocks requests
 // that would violate the SoC protection window, then updates the pack and
-// the SoC trace. It returns the power actually applied and the new SoC.
+// the cycle statistics. It returns the power actually applied and the new
+// SoC.
 func (b *BMS) Step(requestW, dt float64) (appliedW, soc float64) {
 	applied := requestW
 	if applied > b.cfg.MaxDischargeW {
@@ -122,38 +125,20 @@ func (b *BMS) Step(requestW, dt float64) (appliedW, soc float64) {
 		b.events.OverchargeBlocked++
 	}
 	soc = b.pack.Step(applied, dt)
-	b.trace = append(b.trace, soc)
+	b.cycle.Add(soc)
 	return applied, soc
 }
 
-// Grow preallocates capacity for n further Step calls so the per-step
-// trace appends never regrow the slice mid-run.
-func (b *BMS) Grow(n int) {
-	if want := len(b.trace) + n; cap(b.trace) < want {
-		out := make([]float64, len(b.trace), want)
-		copy(out, b.trace)
-		b.trace = out
-	}
-}
-
-// Trace returns a copy of the SoC trajectory recorded so far (percent,
-// one entry per Step plus the initial SoC).
-func (b *BMS) Trace() []float64 {
-	out := make([]float64, len(b.trace))
-	copy(out, b.trace)
-	return out
-}
-
-// CycleStats returns SoCdev and SoCavg (Eqs. 16–17) over the recorded
-// trace.
+// CycleStats returns SoCdev and SoCavg (Eqs. 16–17) over the initial SoC
+// and every SoC Step has reached.
 func (b *BMS) CycleStats() (dev, avg float64, err error) {
-	return battery.CycleStats(b.trace)
+	return b.cycle.Stats()
 }
 
-// DeltaSoH evaluates the degradation model (Eq. 15) over the recorded
-// trace — Algorithm 1 line 23.
+// DeltaSoH evaluates the degradation model (Eq. 15) over the same
+// samples — Algorithm 1 line 23.
 func (b *BMS) DeltaSoH() (float64, error) {
-	return b.cfg.SoH.DeltaSoHFromTrace(b.trace)
+	return b.cycle.DeltaSoH(&b.cfg.SoH)
 }
 
 // State is the BMS's serializable mutable state: everything Step and the
@@ -163,34 +148,29 @@ func (b *BMS) DeltaSoH() (float64, error) {
 type State struct {
 	// SoC is the pack state of charge, percent.
 	SoC float64 `json:"soc"`
-	// Trace is the SoC trajectory recorded so far.
-	Trace []float64 `json:"trace"`
+	// Cycle is the cycle-statistics accumulator.
+	Cycle battery.SoCStats `json:"cycle"`
 	// Events are the protection counters.
 	Events Events `json:"events"`
 }
 
-// State captures the BMS state for checkpointing. The trace is copied;
-// the snapshot does not alias the BMS.
+// State captures the BMS state for checkpointing.
 func (b *BMS) State() State {
-	return State{
-		SoC:    b.pack.SoC(),
-		Trace:  b.Trace(),
-		Events: b.events,
-	}
+	return State{SoC: b.pack.SoC(), Cycle: b.cycle, Events: b.events}
 }
 
 // SetState replaces the BMS state with a snapshot taken from a BMS with
-// the same Config. The trace is copied in.
+// the same Config.
 func (b *BMS) SetState(st State) error {
-	if len(st.Trace) == 0 {
-		return errors.New("bms: state has empty SoC trace")
+	if st.Cycle.N < 1 {
+		return errors.New("bms: state has no SoC samples")
 	}
 	pack, err := battery.NewPack(b.cfg.Pack, st.SoC)
 	if err != nil {
 		return err
 	}
 	b.pack = pack
-	b.trace = append(b.trace[:0:0], st.Trace...)
+	b.cycle = st.Cycle
 	b.events = st.Events
 	return nil
 }

@@ -1,6 +1,8 @@
 package bms
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -35,28 +37,67 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestStepRecordsTrace(t *testing.T) {
+func TestStepAccumulatesCycleStats(t *testing.T) {
 	b := newBMS(t, nil)
+	prev := b.SoC()
 	for i := 0; i < 10; i++ {
-		b.Step(10e3, 1)
+		_, soc := b.Step(10e3, 1)
+		// SoC must be non-increasing under pure discharge.
+		if soc > prev {
+			t.Errorf("SoC rose during discharge at %d: %v → %v", i, prev, soc)
+		}
+		prev = soc
 	}
-	tr := b.Trace()
-	if len(tr) != 11 {
-		t.Fatalf("trace length = %d, want 11", len(tr))
+	// The statistics cover the initial 90 % and one sample per Step.
+	st := b.State().Cycle
+	if st.N != 11 {
+		t.Fatalf("cycle statistics hold %d samples, want 11", st.N)
 	}
-	if tr[0] != 90 {
-		t.Errorf("trace[0] = %v, want initial 90", tr[0])
+	if st.Mean >= 90 || st.Mean <= b.SoC() {
+		t.Errorf("mean SoC %v outside (%v, 90)", st.Mean, b.SoC())
 	}
-	// SoC must be non-increasing under pure discharge.
-	for i := 1; i < len(tr); i++ {
-		if tr[i] > tr[i-1] {
-			t.Errorf("SoC rose during discharge at %d: %v → %v", i, tr[i-1], tr[i])
+}
+
+// TestStateRoundTrip: a BMS restored mid-drive from a JSON round trip of
+// another's State ends the drive with the same SoC, events and cycle
+// statistics, bit for bit, as the BMS that was never interrupted.
+func TestStateRoundTrip(t *testing.T) {
+	load := func(i int) float64 { return 20e3 + 15e3*math.Sin(float64(i)/30) }
+	ref := newBMS(t, nil)
+	var split *BMS
+	for i := 0; i < 1200; i++ {
+		if i == 517 {
+			raw, err := json.Marshal(ref.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st State
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatal(err)
+			}
+			split = newBMS(t, nil)
+			if err := split.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.Step(load(i), 1)
+		if split != nil {
+			split.Step(load(i), 1)
 		}
 	}
-	// Trace returns a copy.
-	tr[0] = 0
-	if b.Trace()[0] != 90 {
-		t.Error("Trace exposed internal storage")
+	if got, want := split.State(), ref.State(); got != want {
+		t.Errorf("restored BMS ends at %+v, uninterrupted at %+v", got, want)
+	}
+	dev, avg, err := split.CycleStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDev, refAvg, _ := ref.CycleStats()
+	if dev != refDev || avg != refAvg {
+		t.Errorf("restored stats %v/%v, uninterrupted %v/%v", dev, avg, refDev, refAvg)
+	}
+	if err := split.SetState(State{SoC: 50}); err == nil {
+		t.Error("state without SoC samples accepted")
 	}
 }
 

@@ -139,14 +139,23 @@ func fullCycleStats(driveTrace []float64, driveDt float64, p Params, pack batter
 	endSoC, startSoC := driveTrace[len(driveTrace)-1], driveTrace[0]
 	if endSoC >= startSoC {
 		// Nothing to recharge (e.g. a downhill run): cycle = drive.
-		return battery.CycleStats(driveTrace)
+		return cycleStats(driveTrace)
 	}
 	chg, err := Charge(p, pack, endSoC, startSoC, driveDt)
 	if err != nil {
 		return 0, 0, err
 	}
 	full := append(append([]float64(nil), driveTrace...), chg.SoCTrace[1:]...) // skip the duplicated seam
-	return battery.CycleStats(full)
+	return cycleStats(full)
+}
+
+// cycleStats returns SoCdev and SoCavg (Eqs. 16–17) of a trace.
+func cycleStats(trace []float64) (dev, avg float64, err error) {
+	var s battery.SoCStats
+	for _, v := range trace {
+		s.Add(v)
+	}
+	return s.Stats()
 }
 
 func TestFullCycleStats(t *testing.T) {
@@ -171,7 +180,7 @@ func TestFullCycleStats(t *testing.T) {
 	// The fixed-pattern shortcut (drive stats + ChargeDevOffset) should
 	// approximate the computed full-cycle deviation within a factor ~2 —
 	// this is the test that grounds the paper's constant.
-	dDev, _, err := battery.CycleStats(drive)
+	dDev, _, err := cycleStats(drive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +198,7 @@ func TestFullCycleStatsNoRecharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDev, wantAvg, err := battery.CycleStats(drive)
+	wantDev, wantAvg, err := cycleStats(drive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,30 +98,15 @@ func (c *Constant) RestoreState(raw json.RawMessage) error {
 // and every stage controller's own state: everything a bit-for-bit
 // resume of the ladder needs.
 type supervisorState struct {
-	Level       int               `json:"level"`
-	SoftStreak  int               `json:"soft_streak"`
-	CleanStreak int               `json:"clean_streak"`
-	Step        int               `json:"step"`
-	Transitions []Transition      `json:"transitions,omitempty"`
-	LastGood    [3]float64        `json:"last_good"`
-	HaveGood    bool              `json:"have_good"`
-	Stages      []json.RawMessage `json:"stages"`
+	ladderState
+	Stages []json.RawMessage `json:"stages"`
 }
 
 // StateSnapshot implements Snapshotter. Every stage controller must
 // itself implement Snapshotter; a ladder with an opaque stage cannot
 // guarantee a bit-for-bit resume.
 func (s *Supervisor) StateSnapshot() (json.RawMessage, error) {
-	st := supervisorState{
-		Level:       s.level,
-		SoftStreak:  s.softStreak,
-		CleanStreak: s.cleanStreak,
-		Step:        s.step,
-		Transitions: append([]Transition(nil), s.transitions...),
-		LastGood:    s.lastGood,
-		HaveGood:    s.haveGood,
-		Stages:      make([]json.RawMessage, len(s.stages)),
-	}
+	st := supervisorState{ladderState: s.st, Stages: make([]json.RawMessage, len(s.stages))}
 	for i := range s.stages {
 		sn, ok := s.stages[i].Controller.(Snapshotter)
 		if !ok {
@@ -157,13 +142,7 @@ func (s *Supervisor) RestoreState(raw json.RawMessage) error {
 			return fmt.Errorf("control: supervisor stage %q: %w", s.stages[i].Name, err)
 		}
 	}
-	s.level = st.Level
-	s.softStreak = st.SoftStreak
-	s.cleanStreak = st.CleanStreak
-	s.step = st.Step
-	s.transitions = st.Transitions
-	s.lastGood = st.LastGood
-	s.haveGood = st.HaveGood
+	s.st = st.ladderState
 	// Re-assert the ladder gauge: a restored run whose original demoted
 	// before the checkpoint would otherwise report level 0 until the next
 	// transition. Instruments are nil-safe when no sink is bound.

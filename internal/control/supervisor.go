@@ -43,13 +43,7 @@ type Supervisor struct {
 	model  *cabin.Model
 	cfg    SupervisorConfig
 
-	level       int
-	softStreak  int
-	cleanStreak int
-	step        int
-	transitions []Transition
-	lastGood    [3]float64 // last finite CabinTempC, OutsideC, SoC
-	haveGood    bool
+	st ladderState
 
 	// Telemetry instruments, resolved once at construction (nil = no-op
 	// when no sink is configured).
@@ -57,6 +51,20 @@ type Supervisor struct {
 	telDemote        *telemetry.Counter
 	telPromote       *telemetry.Counter
 	telLevel         *telemetry.Gauge
+}
+
+// ladderState is the Supervisor's own mutable state: the ladder
+// position, the hysteresis streaks, the step count, the transition log,
+// and the sanitizer's hold-last buffer. StateSnapshot serializes it
+// whole, and Reset zeroes it.
+type ladderState struct {
+	Level       int          `json:"level"`
+	SoftStreak  int          `json:"soft_streak"`
+	CleanStreak int          `json:"clean_streak"`
+	Step        int          `json:"step"`
+	Transitions []Transition `json:"transitions,omitempty"`
+	LastGood    [3]float64   `json:"last_good"` // last finite CabinTempC, OutsideC, SoC
+	HaveGood    bool         `json:"have_good"`
 }
 
 // Stage is one rung of the degradation ladder, most capable first.
@@ -135,7 +143,6 @@ func NewSupervisor(name string, cfg SupervisorConfig, stages ...Stage) (*Supervi
 	}
 	s := &Supervisor{name: name, stages: stages, model: m, cfg: cfg}
 	s.bindInstruments(cfg.Telemetry)
-	s.resetState()
 	return s, nil
 }
 
@@ -175,7 +182,7 @@ func (s *Supervisor) BindTelemetry(tel telemetry.Sink) {
 // LastSolve implements SolveReporter by delegating to the stage that is
 // currently active (the zero value when that stage has no optimizer).
 func (s *Supervisor) LastSolve() SolveInfo {
-	if sr, ok := s.stages[s.level].Controller.(SolveReporter); ok {
+	if sr, ok := s.stages[s.st.Level].Controller.(SolveReporter); ok {
 		return sr.LastSolve()
 	}
 	return SolveInfo{}
@@ -190,27 +197,18 @@ func (s *Supervisor) Reset() {
 	for i := range s.stages {
 		s.stages[i].Controller.Reset()
 	}
-	s.resetState()
-}
-
-func (s *Supervisor) resetState() {
-	s.level = 0
-	s.softStreak = 0
-	s.cleanStreak = 0
-	s.step = 0
-	s.transitions = nil
-	s.haveGood = false
+	s.st = ladderState{}
 }
 
 // Level returns the active stage index (0 = most capable).
-func (s *Supervisor) Level() int { return s.level }
+func (s *Supervisor) Level() int { return s.st.Level }
 
 // ActiveStage returns the active stage's name.
-func (s *Supervisor) ActiveStage() string { return s.stages[s.level].Name }
+func (s *Supervisor) ActiveStage() string { return s.stages[s.st.Level].Name }
 
 // Transitions returns the ladder moves since the last Reset. The slice
 // is the Supervisor's own; treat it as read-only.
-func (s *Supervisor) Transitions() []Transition { return s.transitions }
+func (s *Supervisor) Transitions() []Transition { return s.st.Transitions }
 
 // sanitize replaces non-finite observations with the last finite ones
 // (or the target, before any finite reading arrived), so a totally
@@ -220,8 +218,8 @@ func (s *Supervisor) sanitize(ctx *StepContext) {
 	defaults := [3]float64{ctx.TargetC, ctx.TargetC, 50}
 	for i, v := range vals {
 		if math.IsNaN(*v) || math.IsInf(*v, 0) {
-			if s.haveGood {
-				*v = s.lastGood[i]
+			if s.st.HaveGood {
+				*v = s.st.LastGood[i]
 			} else {
 				*v = defaults[i]
 			}
@@ -235,8 +233,8 @@ func (s *Supervisor) sanitize(ctx *StepContext) {
 			}
 		}
 	}
-	s.lastGood = [3]float64{ctx.CabinTempC, ctx.OutsideC, ctx.SoC}
-	s.haveGood = true
+	s.st.LastGood = [3]float64{ctx.CabinTempC, ctx.OutsideC, ctx.SoC}
+	s.st.HaveGood = true
 }
 
 // validate checks one stage output against the plant envelope: finite
@@ -286,19 +284,19 @@ func (s *Supervisor) try(level int, ctx StepContext) (in cabin.Inputs, err error
 // Promotions cold-restart the target; demotions keep the target's state
 // (it may have been recently active and warm).
 func (s *Supervisor) move(to int, ctx *StepContext, reason string) {
-	s.transitions = append(s.transitions, Transition{
-		Step: s.step, Time: ctx.Time, From: s.level, To: to, Reason: reason,
+	s.st.Transitions = append(s.st.Transitions, Transition{
+		Step: s.st.Step, Time: ctx.Time, From: s.st.Level, To: to, Reason: reason,
 	})
-	if to < s.level {
+	if to < s.st.Level {
 		s.stages[to].Controller.Reset()
 		s.telPromote.Inc()
 	} else {
 		s.telDemote.Inc()
 	}
-	s.level = to
+	s.st.Level = to
 	s.telLevel.Set(float64(to))
-	s.softStreak = 0
-	s.cleanStreak = 0
+	s.st.SoftStreak = 0
+	s.st.CleanStreak = 0
 }
 
 // Decide implements Controller: it consults the active stage, validates
@@ -311,7 +309,7 @@ func (s *Supervisor) Decide(ctx StepContext) cabin.Inputs {
 	var in cabin.Inputs
 	valid := false
 	for {
-		out, err := s.try(s.level, ctx)
+		out, err := s.try(s.st.Level, ctx)
 		if err == nil {
 			err = s.validate(out, &ctx)
 		}
@@ -321,41 +319,41 @@ func (s *Supervisor) Decide(ctx StepContext) cabin.Inputs {
 			break
 		}
 		if s.telHard != nil {
-			s.telHard[s.level].Inc()
+			s.telHard[s.st.Level].Inc()
 		}
-		if s.level == len(s.stages)-1 {
+		if s.st.Level == len(s.stages)-1 {
 			// Bottom of the ladder: clamp its output into the envelope
 			// (or synthesize safe ventilation if it was non-finite).
 			in = s.lastResort(out, &ctx)
 			break
 		}
-		s.move(s.level+1, &ctx, fmt.Sprintf("hard fault: %v", err))
+		s.move(s.st.Level+1, &ctx, fmt.Sprintf("hard fault: %v", err))
 	}
 
 	// Soft-fault watchdog: the output was applied, but the stage reports
 	// internal trouble.
 	var soft error
-	if hr, ok := s.stages[s.level].Controller.(HealthReporter); ok && valid {
+	if hr, ok := s.stages[s.st.Level].Controller.(HealthReporter); ok && valid {
 		soft = hr.Healthy()
 	}
 	if soft != nil {
 		if s.telSoft != nil {
-			s.telSoft[s.level].Inc()
+			s.telSoft[s.st.Level].Inc()
 		}
-		s.softStreak++
-		s.cleanStreak = 0
-		if s.softStreak >= s.cfg.DemoteAfter && s.level < len(s.stages)-1 {
-			s.move(s.level+1, &ctx, fmt.Sprintf("soft faults x%d: %v", s.softStreak, soft))
+		s.st.SoftStreak++
+		s.st.CleanStreak = 0
+		if s.st.SoftStreak >= s.cfg.DemoteAfter && s.st.Level < len(s.stages)-1 {
+			s.move(s.st.Level+1, &ctx, fmt.Sprintf("soft faults x%d: %v", s.st.SoftStreak, soft))
 		}
 	} else if valid {
-		s.softStreak = 0
-		s.cleanStreak++
-		if s.cleanStreak >= s.cfg.PromoteAfter && s.level > 0 {
-			s.move(s.level-1, &ctx, "recovered")
+		s.st.SoftStreak = 0
+		s.st.CleanStreak++
+		if s.st.CleanStreak >= s.cfg.PromoteAfter && s.st.Level > 0 {
+			s.move(s.st.Level-1, &ctx, "recovered")
 		}
 	}
 
-	s.step++
+	s.st.Step++
 	return in
 }
 

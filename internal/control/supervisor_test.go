@@ -1,8 +1,10 @@
 package control
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"evclimate/internal/cabin"
@@ -43,6 +45,11 @@ func (f *fakeCtl) Healthy() error {
 	}
 	return nil
 }
+
+// StateSnapshot and RestoreState make fakeCtl a Snapshotter, so a
+// ladder of fakes can round-trip its state.
+func (f *fakeCtl) StateSnapshot() (json.RawMessage, error) { return json.Marshal(f.step) }
+func (f *fakeCtl) RestoreState(raw json.RawMessage) error  { return json.Unmarshal(raw, &f.step) }
 
 func testModel(t *testing.T) *cabin.Model {
 	t.Helper()
@@ -155,8 +162,8 @@ func TestSupervisorSoftFaultHysteresisAndPromotion(t *testing.T) {
 
 	// The promotion must require a fresh clean streak, not inherit the
 	// old one.
-	if s.cleanStreak != 0 {
-		t.Fatalf("clean streak carried over promotion: %d", s.cleanStreak)
+	if s.st.CleanStreak != 0 {
+		t.Fatalf("clean streak carried over promotion: %d", s.st.CleanStreak)
 	}
 }
 
@@ -212,5 +219,54 @@ func TestSupervisorResetReturnsToTop(t *testing.T) {
 	s.Reset()
 	if s.Level() != 0 || len(s.Transitions()) != 0 {
 		t.Fatal("Reset did not clear supervisor state")
+	}
+}
+
+// TestSupervisorStateRoundTrip: a ladder restored mid-run from another's
+// snapshot holds the same level, streaks, step count, transition log
+// and hold-last buffer, and then walks the rest of the run identically.
+func TestSupervisorStateRoundTrip(t *testing.T) {
+	m := testModel(t)
+	build := func() *Supervisor {
+		top := &fakeCtl{name: "top", model: m, sick: func(step int) bool { return step < 5 || step%13 == 0 }}
+		bot := &fakeCtl{name: "bot", model: m, bad: func(step int) bool { return step == 2 }}
+		return newTestSupervisor(t, SupervisorConfig{DemoteAfter: 3, PromoteAfter: 4},
+			Stage{Name: "top", Controller: top},
+			Stage{Name: "bot", Controller: bot},
+		)
+	}
+	ctx := func(k int) StepContext {
+		c := ctxAt(k)
+		c.CabinTempC += 0.1 * float64(k)
+		if k%5 == 3 {
+			c.CabinTempC = math.NaN()
+		}
+		return c
+	}
+	ref := build()
+	for k := 0; k < 10; k++ {
+		ref.Decide(ctx(k))
+	}
+	if len(ref.Transitions()) < 2 {
+		t.Fatalf("fixture made %d transitions before the snapshot, want ≥ 2", len(ref.Transitions()))
+	}
+	snap, err := ref.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := build()
+	if err := res.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.st, ref.st) {
+		t.Fatalf("restored ladder %+v, snapshot taken at %+v", res.st, ref.st)
+	}
+	for k := 10; k < 40; k++ {
+		if a, b := ref.Decide(ctx(k)), res.Decide(ctx(k)); a != b {
+			t.Fatalf("step %d: restored ladder decided %+v, original %+v", k, b, a)
+		}
+	}
+	if !reflect.DeepEqual(res.st, ref.st) {
+		t.Errorf("restored ladder ends at %+v, original at %+v", res.st, ref.st)
 	}
 }

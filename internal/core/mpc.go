@@ -176,11 +176,8 @@ type Controller struct {
 	prob            sqp.Problem
 	z0              []float64
 	socBuf, sensBuf []float64
-	// Diagnostics aggregated over a run.
-	solves, converged, stalled, failed, budget int
-	totalSQPIters                              int
-	kktFactorizations, cappedQPs, corrections  int
-	warmHessians                               int
+	// stats are the diagnostics aggregated over a run.
+	stats Stats
 	// lastErr is the previous Decide's internal failure (nil when the
 	// solve was healthy), surfaced through Healthy for supervisory
 	// layers.
@@ -331,10 +328,7 @@ func (c *Controller) Structured() bool {
 // Reset implements control.Controller.
 func (c *Controller) Reset() {
 	c.havePrev = false
-	c.solves, c.converged, c.stalled, c.failed, c.budget = 0, 0, 0, 0, 0
-	c.totalSQPIters = 0
-	c.kktFactorizations, c.cappedQPs, c.corrections = 0, 0, 0
-	c.warmHessians = 0
+	c.stats = Stats{}
 	c.lastErr = nil
 	c.lastSolve = control.SolveInfo{}
 }
@@ -348,48 +342,51 @@ func (c *Controller) LastSolve() control.SolveInfo { return c.lastSolve }
 // clamped into a valid range.
 func (c *Controller) Healthy() error { return c.lastErr }
 
-// Stats reports solver diagnostics since the last Reset.
+// Stats reports solver diagnostics since the last Reset. The controller
+// keeps its counters in one Stats value, and its state snapshot carries
+// that value whole.
 type Stats struct {
 	// Solves counts MPC steps.
-	Solves int
+	Solves int `json:"solves"`
 	// Converged, Stalled, Failed count SQP termination kinds (the
 	// remainder hit the iteration cap, which is normal for real-time
 	// MPC).
-	Converged, Stalled, Failed int
+	Converged int `json:"converged"`
+	Stalled   int `json:"stalled"`
+	Failed    int `json:"failed"`
 	// BudgetExceeded counts solves cut short by the hard iteration
 	// budget (sqp.Options.HardIterCap, including injected solver-budget
 	// faults).
-	BudgetExceeded int
-	// AvgSQPIters is the mean SQP iteration count per solve.
-	AvgSQPIters float64
+	BudgetExceeded int `json:"budget"`
+	// SQPIters sums the SQP iterations of every solve.
+	SQPIters int `json:"sqp_iters"`
 	// KKTFactorizations sums the interior-point KKT factorizations of
 	// every QP subproblem.
-	KKTFactorizations int
+	KKTFactorizations int `json:"kkt_factorizations"`
 	// CappedQPs counts the QP subproblems that ended at the interior
 	// point's iteration cap (sqp.Result.CappedQPs).
-	CappedQPs int
+	CappedQPs int `json:"capped_qps"`
 	// Corrections counts the SQP steps taken through the second-order
 	// correction, the forward simulation of the prediction model
 	// (sqp.Result.Corrections).
-	Corrections int
+	Corrections int `json:"corrections"`
 	// WarmHessians counts the decides whose SQP started from the
 	// previous plan's shifted BFGS blocks instead of the scaled-identity
 	// seed (comfortMet).
-	WarmHessians int
+	WarmHessians int `json:"warm_hessians"`
+}
+
+// AvgSQPIters is the mean SQP iteration count per solve (0 before the
+// first solve).
+func (s Stats) AvgSQPIters() float64 {
+	if s.Solves == 0 {
+		return 0
+	}
+	return float64(s.SQPIters) / float64(s.Solves)
 }
 
 // Stats returns the diagnostics.
-func (c *Controller) Stats() Stats {
-	s := Stats{
-		Solves: c.solves, Converged: c.converged, Stalled: c.stalled, Failed: c.failed, BudgetExceeded: c.budget,
-		KKTFactorizations: c.kktFactorizations, CappedQPs: c.cappedQPs, Corrections: c.corrections,
-		WarmHessians: c.warmHessians,
-	}
-	if c.solves > 0 {
-		s.AvgSQPIters = float64(c.totalSQPIters) / float64(c.solves)
-	}
-	return s
-}
+func (c *Controller) Stats() Stats { return c.stats }
 
 // horizonData is the exogenous forecast resampled onto the MPC grid.
 type horizonData struct {
@@ -1031,7 +1028,7 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	if c.havePrev {
 		if c.comfortMet(c.prevZ) {
 			c.sqpWork.ShiftHessian()
-			c.warmHessians++
+			c.stats.WarmHessians++
 			c.telWarm.Inc()
 		}
 		c.shiftWarmStart(c.prevZ, h, z0)
@@ -1055,7 +1052,7 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	if c.telRTF != nil {
 		c.telRTF.Set(time.Since(t0).Seconds() / c.cfg.Dt)
 	}
-	c.solves++
+	c.stats.Solves++
 	c.lastSolve = control.SolveInfo{Status: "fallback"}
 	if res != nil {
 		c.lastSolve = control.SolveInfo{
@@ -1063,22 +1060,23 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 			QPIterations: res.QPIterations,
 			Status:       res.Status.String(),
 		}
-		c.kktFactorizations += res.Factorizations
-		c.cappedQPs += res.CappedQPs
-		c.corrections += res.Corrections
+		st := &c.stats
+		st.KKTFactorizations += res.Factorizations
+		st.CappedQPs += res.CappedQPs
+		st.Corrections += res.Corrections
 		c.telKKT.Add(float64(res.Factorizations))
 		c.telCapped.Add(float64(res.CappedQPs))
 		c.telCorr.Add(float64(res.Corrections))
-		c.totalSQPIters += res.Iterations
+		st.SQPIters += res.Iterations
 		switch res.Status {
 		case sqp.Converged:
-			c.converged++
+			st.Converged++
 		case sqp.Stalled:
-			c.stalled++
+			st.Stalled++
 		case sqp.Failed:
-			c.failed++
+			st.Failed++
 		case sqp.BudgetExceeded:
-			c.budget++
+			st.BudgetExceeded++
 		}
 	}
 
@@ -1093,7 +1091,7 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		// already counted solves that returned a result; only a nil
 		// result (never classified) is counted here.
 		if res == nil {
-			c.failed++
+			c.stats.Failed++
 		}
 		c.havePrev = false
 		if err == nil {

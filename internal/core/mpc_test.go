@@ -280,14 +280,14 @@ func TestWarmStartReducesIterations(t *testing.T) {
 	c := newController(t, nil)
 	ctx := withForecast(hotCtx(25), []float64{10e3, 12e3, 9e3, 11e3, 10e3, 12e3, 9e3, 11e3, 10e3, 12e3, 9e3, 11e3})
 	c.Decide(ctx)
-	first := c.Stats().AvgSQPIters
+	first := c.Stats().AvgSQPIters()
 	// Subsequent solves from the shifted warm start should be cheaper on
 	// average.
 	for i := 0; i < 4; i++ {
 		c.Decide(ctx)
 	}
 	s := c.Stats()
-	avgLater := (float64(s.Solves)*s.AvgSQPIters - first) / float64(s.Solves-1)
+	avgLater := (float64(s.SQPIters) - first) / float64(s.Solves-1)
 	if avgLater > first+1 {
 		t.Errorf("warm start not helping: first %v iters, later avg %v", first, avgLater)
 	}
@@ -390,8 +390,8 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Solves != 3 {
 		t.Errorf("solves = %d, want 3", s.Solves)
 	}
-	if s.AvgSQPIters <= 0 {
-		t.Errorf("avg iters = %v", s.AvgSQPIters)
+	if s.AvgSQPIters() <= 0 {
+		t.Errorf("avg iters = %v", s.AvgSQPIters())
 	}
 }
 

@@ -22,13 +22,7 @@ type mpcState struct {
 	HavePrev bool      `json:"have_prev"`
 	Hessian  []float64 `json:"hessian,omitempty"`
 
-	Solves        int `json:"solves"`
-	Converged     int `json:"converged"`
-	Stalled       int `json:"stalled"`
-	Failed        int `json:"failed"`
-	Budget        int `json:"budget"`
-	TotalSQPIters int `json:"total_sqp_iters"`
-	WarmHessians  int `json:"warm_hessians"`
+	Stats
 
 	LastErr   string            `json:"last_err,omitempty"`
 	LastSolve control.SolveInfo `json:"last_solve"`
@@ -37,16 +31,10 @@ type mpcState struct {
 // StateSnapshot implements control.Snapshotter.
 func (c *Controller) StateSnapshot() (json.RawMessage, error) {
 	st := mpcState{
-		PrevZ:         append([]float64(nil), c.prevZ...),
-		HavePrev:      c.havePrev,
-		Solves:        c.solves,
-		Converged:     c.converged,
-		Stalled:       c.stalled,
-		Failed:        c.failed,
-		Budget:        c.budget,
-		TotalSQPIters: c.totalSQPIters,
-		WarmHessians:  c.warmHessians,
-		LastSolve:     c.lastSolve,
+		PrevZ:     append([]float64(nil), c.prevZ...),
+		HavePrev:  c.havePrev,
+		Stats:     c.stats,
+		LastSolve: c.lastSolve,
 	}
 	if c.havePrev {
 		blocks := c.sqpWork.Hessian(&c.prob)
@@ -91,9 +79,7 @@ func (c *Controller) RestoreState(raw json.RawMessage) error {
 	}
 	copy(c.prevZ, st.PrevZ)
 	c.havePrev = st.HavePrev
-	c.solves, c.converged, c.stalled, c.failed, c.budget = st.Solves, st.Converged, st.Stalled, st.Failed, st.Budget
-	c.totalSQPIters = st.TotalSQPIters
-	c.warmHessians = st.WarmHessians
+	c.stats = st.Stats
 	c.lastErr = nil
 	if st.LastErr != "" {
 		c.lastErr = errors.New(st.LastErr)

@@ -59,7 +59,7 @@ func TestColdDecidesConverge(t *testing.T) {
 			if st.KKTFactorizations > tc.maxKKT {
 				t.Errorf("%d KKT factorizations over 20 decides, want ≤ %d", st.KKTFactorizations, tc.maxKKT)
 			}
-			t.Logf("%d KKT factorizations, %.1f SQP iterations per decide", st.KKTFactorizations, st.AvgSQPIters)
+			t.Logf("%d KKT factorizations, %.1f SQP iterations per decide", st.KKTFactorizations, st.AvgSQPIters())
 		})
 	}
 }

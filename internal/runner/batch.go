@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"evclimate/internal/control"
@@ -46,21 +45,9 @@ func batchKeyFor(job *Job) (batchKey, bool) {
 	if cfg.Thermal != nil || cfg.Profile == nil {
 		return batchKey{}, false
 	}
-	// Mirror sim.New's defaulting so the key matches what NewBatch will
-	// validate.
-	dt := cfg.ControlDt
-	if dt <= 0 {
-		dt = cfg.Profile.Dt
-	}
-	if dt <= 0 {
-		return batchKey{}, false
-	}
-	sub := cfg.PlantSubSteps
-	if sub <= 0 {
-		sub = 5
-	}
-	steps := int(math.Ceil(cfg.Profile.Duration() / dt))
-	if steps <= 0 {
+	// The grid NewBatch will validate.
+	dt, sub, steps := sim.TimeGrid(cfg)
+	if dt <= 0 || steps <= 0 {
 		return batchKey{}, false
 	}
 	return batchKey{

@@ -48,19 +48,7 @@ func FuzzySpec(controlDt float64) ControllerSpec {
 // preview window covers the MPC horizon even when the controller is
 // called more often than it predicts.
 func MPCSpec(cfg core.Config, controlDt float64) ControllerSpec {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = core.DefaultConfig().Horizon
-	}
-	if cfg.Dt <= 0 {
-		cfg.Dt = core.DefaultConfig().Dt
-	}
-	if controlDt <= 0 {
-		controlDt = cfg.Dt
-	}
-	steps := cfg.Horizon * int(cfg.Dt/controlDt+0.5)
-	if steps < cfg.Horizon {
-		steps = cfg.Horizon
-	}
+	controlDt, steps := preview(&cfg, controlDt)
 	return ControllerSpec{
 		Label:         "Battery Lifetime-aware",
 		Key:           fmt.Sprintf("%+v", cfg),
@@ -91,22 +79,10 @@ func ThermalMPCSpec(cfg core.Config, controlDt float64) ControllerSpec {
 // mode) behind the control.Supervisor watchdog. This is the controller
 // fault sweeps exercise: the bare MPC spec has no recovery structure.
 func SupervisedMPCSpec(cfg core.SupervisedConfig, controlDt float64) ControllerSpec {
-	// Mirror the defaulting core.New applies, without mutating cfg (a
-	// zero cfg.MPC means "use core.DefaultConfig" to NewSupervised).
-	horizon, dt := cfg.MPC.Horizon, cfg.MPC.Dt
-	if horizon <= 0 {
-		horizon = core.DefaultConfig().Horizon
-	}
-	if dt <= 0 {
-		dt = core.DefaultConfig().Dt
-	}
-	if controlDt <= 0 {
-		controlDt = dt
-	}
-	steps := horizon * int(dt/controlDt+0.5)
-	if steps < horizon {
-		steps = horizon
-	}
+	// Default a copy, so that a zero cfg.MPC still means "use
+	// core.DefaultConfig" to NewSupervised.
+	mpc := cfg.MPC
+	controlDt, steps := preview(&mpc, controlDt)
 	return ControllerSpec{
 		Label:         "Supervised MPC",
 		Key:           fmt.Sprintf("%+v", cfg),
@@ -116,4 +92,23 @@ func SupervisedMPCSpec(cfg core.SupervisedConfig, controlDt float64) ControllerS
 			return core.NewSupervised(cfg)
 		},
 	}
+}
+
+// preview applies core.New's horizon and prediction-period defaults to
+// cfg, resolves a zero controlDt to that period, and returns it with the
+// preview length: the horizon in control steps, horizon ×
+// round(cfg.Dt/controlDt), never below the horizon, so the preview
+// window covers the MPC horizon even when the controller is called more
+// often than it predicts.
+func preview(cfg *core.Config, controlDt float64) (float64, int) {
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = core.DefaultConfig().Horizon
+	}
+	if cfg.Dt <= 0 {
+		cfg.Dt = core.DefaultConfig().Dt
+	}
+	if controlDt <= 0 {
+		controlDt = cfg.Dt
+	}
+	return controlDt, max(cfg.Horizon*int(cfg.Dt/controlDt+0.5), cfg.Horizon)
 }

@@ -73,7 +73,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 		if r.motor == nil {
 			r.motor = r.pt.PowerProfile(r.cfg.Profile)
 		}
-		n := r.stepCount()
+		n := r.steps
 		if n <= 0 {
 			return nil, laneErr(i, errors.New("sim: profile too short for one control step"))
 		}
@@ -281,16 +281,11 @@ type batchLane struct {
 	b    *bms.BMS
 	inj  *faults.Injector
 	res  *Result
+	acc  Accumulators
 
-	hvacJ, motorJ, totalJ              float64
-	comfortViol, comfortCount, trackSq float64
-
-	// Thermal-network plant state and accumulators (nil/zero when the
-	// lane has no thermal network).
-	th                *thermal.State
-	calPct            float64
-	hpSteps, ptcSteps int
-	copSum            float64
+	// th is the thermal-network plant state (nil when the lane has no
+	// thermal network).
+	th *thermal.State
 
 	telOn      bool
 	tel        telemetry.Sink
@@ -420,12 +415,11 @@ func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*
 		}
 	}
 
-	// Preallocate every lane's trace and SoC trace to the known step
-	// count (after any resume has restored its shorter prefix), so the
-	// per-step appends never regrow mid-run.
+	// Preallocate every lane's trace to the known step count (after any
+	// resume has restored its shorter prefix), so the per-step appends
+	// never regrow mid-run.
 	for i := range lanes {
 		growTrace(&lanes[i].res.Trace, br.n, lanes[i].th != nil)
-		lanes[i].b.Grow(br.n)
 	}
 
 	// Workspace for the fused batched RK4 (see integrateLanes).
@@ -559,6 +553,7 @@ func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*
 		for i := range lanes {
 			ln := &lanes[i]
 			cfg := &ln.r.cfg
+			acc := &ln.acc
 			total := ln.pe + ln.hvacW + cfg.Powertrain.AccessoryW
 			if ln.th != nil {
 				// Pack Joule self-heating at the pre-branch current feeds the
@@ -576,13 +571,13 @@ func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*
 				// the pack's running age.
 				age := cal
 				age.AgeDays += t / units.SecondsPerDay
-				ln.calPct += age.LossPercent(ln.th.PackC(), soc, cfg.ControlDt)
+				acc.CalendarPct += age.LossPercent(ln.th.PackC(), soc, cfg.ControlDt)
 				if ln.pw.HeaterW > 0 {
 					if ln.hpPTC {
-						ln.ptcSteps++
+						acc.PTCSteps++
 					} else {
-						ln.hpSteps++
-						ln.copSum += ln.hpEff
+						acc.HPSteps++
+						acc.COPSum += ln.hpEff
 					}
 				}
 			}
@@ -607,18 +602,18 @@ func (br *BatchRunner) RunWith(bc *control.LaneGroup, opts BatchRunOptions) ([]*
 			}
 			tr.Inputs = append(tr.Inputs, ln.in)
 
-			ln.hvacJ += ln.hvacW * cfg.ControlDt
-			ln.motorJ += ln.pe * cfg.ControlDt
-			ln.totalJ += total * cfg.ControlDt
+			acc.HVACJ += ln.hvacW * cfg.ControlDt
+			acc.MotorJ += ln.pe * cfg.ControlDt
+			acc.TotalJ += total * cfg.ControlDt
 
 			// Comfort statistics use the true pre-step temperature against
 			// the (possibly fault-widened) comfort band the controller saw.
 			if t >= cfg.SettleS {
-				ln.comfortCount++
+				acc.ComfortCount++
 				e := ln.prevTz - cfg.TargetC
-				ln.trackSq += e * e
+				acc.TrackSq += e * e
 				if ln.prevTz < ctxs[i].ComfortLowC || ln.prevTz > ctxs[i].ComfortHighC {
-					ln.comfortViol++
+					acc.ComfortViol++
 				}
 			}
 		}
@@ -701,12 +696,12 @@ func (ln *batchLane) recordStep(k int, t, soc float64, latency time.Duration) {
 // finish turns the lane's accumulators into its Result after n steps.
 func (ln *batchLane) finish(n int) (*Result, error) {
 	cfg := &ln.r.cfg
-	res := ln.res
+	res, acc := ln.res, &ln.acc
 	simT := float64(n) * cfg.ControlDt
-	res.AvgHVACW = ln.hvacJ / simT
-	res.AvgMotorW = ln.motorJ / simT
-	res.AvgTotalW = ln.totalJ / simT
-	res.HVACEnergyKWh = ln.hvacJ / 3.6e6
+	res.AvgHVACW = acc.HVACJ / simT
+	res.AvgMotorW = acc.MotorJ / simT
+	res.AvgTotalW = acc.TotalJ / simT
+	res.HVACEnergyKWh = acc.HVACJ / 3.6e6
 	res.FinalSoC = ln.b.SoC()
 	res.Events = ln.b.Events()
 	dev, avg, err := ln.b.CycleStats()
@@ -724,21 +719,21 @@ func (ln *batchLane) finish(n int) (*Result, error) {
 		// by the U-shaped pack-temperature stress factor, and report the
 		// calendar (storage) term alongside.
 		res.DeltaSoH = dsoh * battery.CycleStressFactor(th.MeanPackC())
-		res.CalendarDeltaSoH = ln.calPct
+		res.CalendarDeltaSoH = acc.CalendarPct
 		res.PackMeanC = th.MeanPackC()
 		res.PackMinC = th.MinPackC()
 		res.PackFinalC = th.PackC()
 		res.ThermalEnergyDefectJ = th.EnergyDefectJ()
-		if heatSteps := ln.hpSteps + ln.ptcSteps; heatSteps > 0 {
-			res.HeatPumpFrac = float64(ln.hpSteps) / float64(heatSteps)
+		if heatSteps := acc.HPSteps + acc.PTCSteps; heatSteps > 0 {
+			res.HeatPumpFrac = float64(acc.HPSteps) / float64(heatSteps)
 		}
-		if ln.hpSteps > 0 {
-			res.AvgCOP = ln.copSum / float64(ln.hpSteps)
+		if acc.HPSteps > 0 {
+			res.AvgCOP = acc.COPSum / float64(acc.HPSteps)
 		}
 	}
-	if ln.comfortCount > 0 {
-		res.ComfortViolationFrac = ln.comfortViol / ln.comfortCount
-		res.RMSTrackingErrC = math.Sqrt(ln.trackSq / ln.comfortCount)
+	if acc.ComfortCount > 0 {
+		res.ComfortViolationFrac = acc.ComfortViol / acc.ComfortCount
+		res.RMSTrackingErrC = math.Sqrt(acc.TrackSq / acc.ComfortCount)
 	}
 	return res, nil
 }

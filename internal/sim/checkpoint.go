@@ -17,8 +17,11 @@ import (
 // checkpoints written by a different schema. Version 2 carries the
 // trace in its packed wire form (Trace.MarshalText); version 3 adds the
 // MPC's BFGS blocks, which its next decide may start from, so a version 2
-// checkpoint would resume an MPC run inexactly.
-const CheckpointVersion = 3
+// checkpoint would resume an MPC run inexactly. Version 4 carries the
+// BMS's cycle statistics in place of its SoC trace, the lane
+// accumulators as one Accumulators value, and the MPC's solver counters
+// whole.
+const CheckpointVersion = 4
 
 // RunOptions are the durability controls of one run. The zero value
 // reproduces Run exactly.
@@ -48,7 +51,8 @@ type RunOptions struct {
 // Checkpoint is the complete serializable state of an in-flight run at a
 // control-step boundary: the next step index, the cabin temperature, the
 // metric accumulators, the trace so far, the BMS state, the fault
-// injector's hold-last buffer, and the controller's opaque state blob.
+// injector's hold-last buffer, the thermal network, and the controller's
+// opaque state blob.
 // encoding/json round-trips finite float64 values exactly, and the
 // trace travels as its packed float64 bits, so a checkpoint that passed
 // through disk resumes the same bits.
@@ -62,15 +66,8 @@ type Checkpoint struct {
 	Step int `json:"step"`
 	// CabinC is the cabin temperature at the start of Step.
 	CabinC float64 `json:"cabin_c"`
-	// HVACJ, MotorJ, TotalJ are the energy accumulators.
-	HVACJ  float64 `json:"hvac_j"`
-	MotorJ float64 `json:"motor_j"`
-	TotalJ float64 `json:"total_j"`
-	// ComfortViol, ComfortCount, TrackSq are the comfort-statistics
-	// accumulators.
-	ComfortViol  float64 `json:"comfort_viol"`
-	ComfortCount float64 `json:"comfort_count"`
-	TrackSq      float64 `json:"track_sq"`
+	// Acc are the lane's metric accumulators.
+	Acc Accumulators `json:"acc"`
 	// Trace is the trajectory recorded through step Step-1.
 	Trace Trace `json:"trace"`
 	// BMS is the battery-management state.
@@ -78,22 +75,33 @@ type Checkpoint struct {
 	// Faults is the injector's hold-last state; nil when the run injects
 	// no faults.
 	Faults *faults.InjectorState `json:"faults,omitempty"`
-	// Thermal is the thermal-network state plus the sim-side thermal
-	// accumulators; nil when the run has no thermal network.
-	Thermal *ThermalCheckpoint `json:"thermal,omitempty"`
+	// Thermal is the thermal-network state; nil when the run has no
+	// thermal network.
+	Thermal *thermal.Snapshot `json:"thermal,omitempty"`
 	// CtrlState is the controller's Snapshotter blob.
 	CtrlState json.RawMessage `json:"ctrl_state,omitempty"`
 }
 
-// ThermalCheckpoint is the serializable thermal-network slice of a
-// checkpoint: the network node state plus the sim-side accumulators
-// (calendar aging, heat-pump mode counters).
-type ThermalCheckpoint struct {
-	State       thermal.Snapshot `json:"state"`
-	CalendarPct float64          `json:"calendar_pct"`
-	HPSteps     int              `json:"hp_steps"`
-	PTCSteps    int              `json:"ptc_steps"`
-	COPSum      float64          `json:"cop_sum"`
+// Accumulators are a lane's running metric sums, which finish turns into
+// the Result. The thermal ones stay zero on a lane without a thermal
+// network.
+type Accumulators struct {
+	// HVACJ, MotorJ, TotalJ are the energy sums.
+	HVACJ  float64 `json:"hvac_j"`
+	MotorJ float64 `json:"motor_j"`
+	TotalJ float64 `json:"total_j"`
+	// ComfortViol, ComfortCount, TrackSq are the comfort statistics over
+	// the steps after the settle time.
+	ComfortViol  float64 `json:"comfort_viol"`
+	ComfortCount float64 `json:"comfort_count"`
+	TrackSq      float64 `json:"track_sq"`
+	// CalendarPct is the calendar aging so far, percent SoH.
+	CalendarPct float64 `json:"calendar_pct"`
+	// HPSteps and PTCSteps count the cabin-heating steps on the heat
+	// pump and on the PTC heater; COPSum sums the heat-pump COP.
+	HPSteps  int     `json:"hp_steps"`
+	PTCSteps int     `json:"ptc_steps"`
+	COPSum   float64 `json:"cop_sum"`
 }
 
 // checkpoint captures the lane's complete state at the step-k
@@ -110,32 +118,22 @@ func (ln *batchLane) checkpoint(k int, tz float64) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: controller snapshot: %w", err)
 	}
 	ck := &Checkpoint{
-		Version:      CheckpointVersion,
-		Controller:   ln.ctrl.Name(),
-		Step:         k,
-		CabinC:       tz,
-		HVACJ:        ln.hvacJ,
-		MotorJ:       ln.motorJ,
-		TotalJ:       ln.totalJ,
-		ComfortViol:  ln.comfortViol,
-		ComfortCount: ln.comfortCount,
-		TrackSq:      ln.trackSq,
-		Trace:        copyTrace(&ln.res.Trace),
-		BMS:          ln.b.State(),
-		CtrlState:    ctrlState,
+		Version:    CheckpointVersion,
+		Controller: ln.ctrl.Name(),
+		Step:       k,
+		CabinC:     tz,
+		Acc:        ln.acc,
+		Trace:      copyTrace(&ln.res.Trace),
+		BMS:        ln.b.State(),
+		CtrlState:  ctrlState,
 	}
 	if ln.inj != nil {
 		fs := ln.inj.State()
 		ck.Faults = &fs
 	}
 	if ln.th != nil {
-		ck.Thermal = &ThermalCheckpoint{
-			State:       ln.th.Snapshot(),
-			CalendarPct: ln.calPct,
-			HPSteps:     ln.hpSteps,
-			PTCSteps:    ln.ptcSteps,
-			COPSum:      ln.copSum,
-		}
+		ts := ln.th.Snapshot()
+		ck.Thermal = &ts
 	}
 	return ck, nil
 }
@@ -191,17 +189,13 @@ func (br *BatchRunner) restore(lanes []batchLane, x []float64, cks []*Checkpoint
 			ln.inj.SetState(*ck.Faults)
 		}
 		if ln.th != nil {
-			if err := ln.th.Restore(ck.Thermal.State); err != nil {
+			if err := ln.th.Restore(*ck.Thermal); err != nil {
 				return 0, err
 			}
-			ln.calPct = ck.Thermal.CalendarPct
-			ln.hpSteps, ln.ptcSteps = ck.Thermal.HPSteps, ck.Thermal.PTCSteps
-			ln.copSum = ck.Thermal.COPSum
 		}
 		ln.res.Trace = copyTrace(&ck.Trace)
 		x[i] = ck.CabinC
-		ln.hvacJ, ln.motorJ, ln.totalJ = ck.HVACJ, ck.MotorJ, ck.TotalJ
-		ln.comfortViol, ln.comfortCount, ln.trackSq = ck.ComfortViol, ck.ComfortCount, ck.TrackSq
+		ln.acc = ck.Acc
 	}
 	return cks[0].Step, nil
 }

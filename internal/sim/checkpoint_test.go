@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"evclimate/internal/control"
@@ -15,8 +17,9 @@ import (
 // randomly chosen control step, JSON round-tripping the checkpoint
 // through bytes (as the runner's checkpoint files do), and resuming on a
 // fresh Runner and fresh controller instance reproduces the remaining
-// trajectory bit for bit — and the resumed result still satisfies the
-// physical invariants.
+// trajectory bit for bit, ends with the same controller diagnostics (the
+// MPC's solver counters, the supervisor's ladder log) — and the resumed
+// result still satisfies the physical invariants.
 func TestCheckpointResumeBitExact(t *testing.T) {
 	cycles := []string{"ECE15", "UDDS", "US06"}
 	controllers := []struct {
@@ -31,8 +34,15 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 		{"Fuzzy-based", 1, 0, func(t *testing.T) control.Controller {
 			return control.NewFuzzy(hvacModel(t))
 		}},
-		{"MPC", 5, 0, func(t *testing.T) control.Controller {
+		{"MPC", 5, core.DefaultConfig().Horizon, func(t *testing.T) control.Controller {
 			c, err := core.New(core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"Supervised MPC", 5, core.DefaultConfig().Horizon, func(t *testing.T) control.Controller {
+			c, err := core.NewSupervised(core.SupervisedConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,9 +63,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 				prof := c.Profile(1).WithAmbient(35).WithSolar(400).Truncate(240)
 				cfg := DefaultConfig(prof)
 				cfg.ControlDt = ctor.controlDt
-				if ctor.name == "MPC" {
-					cfg.ForecastSteps = core.DefaultConfig().Horizon
-				}
+				cfg.ForecastSteps = ctor.forecast
 				steps := int(prof.Duration() / cfg.ControlDt)
 				at := 1 + rng.Intn(steps-1)
 
@@ -65,7 +73,8 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				var ckBytes []byte
-				ref, err := r.RunWith(ctor.make(t), RunOptions{
+				refCtrl := ctor.make(t)
+				ref, err := r.RunWith(refCtrl, RunOptions{
 					CheckpointEvery: at,
 					OnCheckpoint: func(ck *Checkpoint) error {
 						if ckBytes == nil {
@@ -94,7 +103,8 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := r2.RunWith(ctor.make(t), RunOptions{Resume: &ck})
+				resCtrl := ctor.make(t)
+				res, err := r2.RunWith(resCtrl, RunOptions{Resume: &ck})
 				if err != nil {
 					t.Fatalf("resume from step %d/%d: %v", at, steps, err)
 				}
@@ -109,6 +119,18 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 				}
 				if string(refJSON) != string(resJSON) {
 					t.Errorf("resume from step %d/%d diverges from uninterrupted run", at, steps)
+				}
+				switch c := refCtrl.(type) {
+				case *core.Controller:
+					if got, want := resCtrl.(*core.Controller).Stats(), c.Stats(); got != want {
+						t.Errorf("resumed MPC stats %+v, uninterrupted %+v", got, want)
+					}
+				case *control.Supervisor:
+					rs := resCtrl.(*control.Supervisor)
+					if rs.Level() != c.Level() || !reflect.DeepEqual(rs.Transitions(), c.Transitions()) {
+						t.Errorf("resumed ladder at level %d after %v, uninterrupted at %d after %v",
+							rs.Level(), rs.Transitions(), c.Level(), c.Transitions())
+					}
 				}
 				tol := DefaultTolerances()
 				if cyc == "US06" {
@@ -175,5 +197,12 @@ func TestRestorePrimesNextRun(t *testing.T) {
 	bad.Step++
 	if _, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: &bad}); err == nil {
 		t.Error("checkpoint with a short trace resumed")
+	}
+	// A checkpoint of the previous schema is refused by its version.
+	old := *ck
+	old.Version = 3
+	if _, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: &old}); err == nil ||
+		!strings.Contains(err.Error(), "checkpoint version 3, want 4") {
+		t.Errorf("version-3 checkpoint: got %v, want the version error", err)
 	}
 }

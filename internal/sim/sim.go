@@ -212,6 +212,7 @@ type Runner struct {
 	pt    *powertrain.Model
 	hvac  *cabin.Model
 	motor []float64 // precomputed P_e per profile sample
+	steps int       // control steps in the run (TimeGrid)
 
 	// Preview scratch, reused across control steps so forecast does not
 	// allocate three slices per step (see forecast for the aliasing
@@ -264,12 +265,8 @@ func buildRunner(cfg Config, validated map[*drivecycle.Profile]bool) (*Runner, e
 			return nil, fmt.Errorf("sim: %s must be finite, got %v", f.name, f.v)
 		}
 	}
-	if cfg.ControlDt <= 0 {
-		cfg.ControlDt = cfg.Profile.Dt
-	}
-	if cfg.PlantSubSteps <= 0 {
-		cfg.PlantSubSteps = 5
-	}
+	var steps int
+	cfg.ControlDt, cfg.PlantSubSteps, steps = TimeGrid(&cfg)
 	if cfg.ComfortBandC <= 0 {
 		cfg.ComfortBandC = 3
 	}
@@ -295,7 +292,22 @@ func buildRunner(cfg Config, validated map[*drivecycle.Profile]bool) (*Runner, e
 			return nil, err
 		}
 	}
-	return &Runner{cfg: cfg, pt: pt, hvac: hvac}, nil
+	return &Runner{cfg: cfg, pt: pt, hvac: hvac, steps: steps}, nil
+}
+
+// TimeGrid returns a run's time grid after defaulting: the control
+// period (ControlDt, else Profile.Dt), the plant sub-steps per control
+// step (PlantSubSteps, else 5), and the control-step count
+// ceil(duration/dt).
+func TimeGrid(cfg *Config) (dt float64, subSteps, steps int) {
+	dt, subSteps = cfg.ControlDt, cfg.PlantSubSteps
+	if dt <= 0 {
+		dt = cfg.Profile.Dt
+	}
+	if subSteps <= 0 {
+		subSteps = 5
+	}
+	return dt, subSteps, int(math.Ceil(cfg.Profile.Duration() / dt))
 }
 
 // MotorPower returns the precomputed P_e at time t (zero-order hold).
@@ -353,7 +365,7 @@ func (r *Runner) Run(ctrl control.Controller) (*Result, error) {
 // run's. The controller is Reset before the run (and then restored, when
 // resuming). The run is a 1-lane BatchRunner: there is one step loop.
 func (r *Runner) RunWith(ctrl control.Controller, opts RunOptions) (*Result, error) {
-	n := r.stepCount()
+	n := r.steps
 	if n <= 0 {
 		return nil, errors.New("sim: profile too short for one control step")
 	}
@@ -370,11 +382,6 @@ func (r *Runner) RunWith(ctrl control.Controller, opts RunOptions) (*Result, err
 		return nil, err
 	}
 	return rs[0], nil
-}
-
-// stepCount returns the run's control-step count, n = ceil(duration/dt).
-func (r *Runner) stepCount() int {
-	return int(math.Ceil(r.cfg.Profile.Duration() / r.cfg.ControlDt))
 }
 
 // defaultPowertrain is the shared Leaf parameter set DefaultConfig hands
