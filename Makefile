@@ -32,10 +32,14 @@ bench:
 # QPColdFixture times the pinned deep-cold MPC subproblem on the stage
 # recursion, the MPCSolveStep pair's qpiters/op and capped/op columns
 # carry the host-independent work of a decide (interior-point iterations
-# and QPs that ended at their iteration cap), KKTFactor and KKTSolve
-# (internal/qp) split one interior-point iteration's KKT work into the
-# factorization and one Newton-step solve at the cold fixture's final
-# iterate, and the -benchmem allocs/op column pins the allocation-free
+# and QPs that ended at their iteration cap). The pair times the two
+# kinds of decide: MPCSolveStep's hot steady state meets the comfort
+# band, so it times a carried decide (two SQP iterations from the
+# shifted plan and curvature), and MPCSolveStepThermal's deep-cold plan
+# leans on its comfort slack, so it times a seeded full solve. KKTFactor
+# and KKTSolve (internal/qp) split one interior-point iteration's KKT
+# work into the factorization and one Newton-step solve at the cold
+# fixture's final iterate, and the -benchmem allocs/op column pins the allocation-free
 # hot path. The solver benches run single-threaded (-cpu 1): the decide
 # path is, and the committed snapshot is taken at GOMAXPROCS=1.
 bench-json:

@@ -291,7 +291,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}{
 			{"MPC horizon length", func() ([]experiments.AblationRow, error) { return experiments.AblateHorizon(opts, nil) }},
 			{"SoC-deviation weight w2", func() ([]experiments.AblationRow, error) { return experiments.AblateSoCDevWeight(opts, nil) }},
-			{"SQP iteration budget", func() ([]experiments.AblationRow, error) { return experiments.AblateSQPBudget(opts, nil) }},
+			{"SQP budget K of seeded decides; carried decides take min(K, 2)", func() ([]experiments.AblationRow, error) { return experiments.AblateSQPBudget(opts, nil) }},
 			{"control period", func() ([]experiments.AblationRow, error) { return experiments.AblateControlPeriod(opts, nil) }},
 		} {
 			rows, err := a.fn()

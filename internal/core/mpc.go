@@ -348,9 +348,10 @@ func (c *Controller) Healthy() error { return c.lastErr }
 type Stats struct {
 	// Solves counts MPC steps.
 	Solves int `json:"solves"`
-	// Converged, Stalled, Failed count SQP termination kinds (the
+	// Converged, Stalled, Failed count SQP termination kinds. The
 	// remainder hit the iteration cap, which is normal for real-time
-	// MPC).
+	// MPC: most carried decides (WarmHessians) end there, after their
+	// two iterations.
 	Converged int `json:"converged"`
 	Stalled   int `json:"stalled"`
 	Failed    int `json:"failed"`
@@ -370,9 +371,11 @@ type Stats struct {
 	// correction, the forward simulation of the prediction model
 	// (sqp.Result.Corrections).
 	Corrections int `json:"corrections"`
-	// WarmHessians counts the decides whose SQP started from the
-	// previous plan's shifted BFGS blocks instead of the scaled-identity
-	// seed (comfortMet).
+	// WarmHessians counts the carried decides: those whose previous
+	// plan met the comfort band (comfortMet), so their SQP started from
+	// that plan's shifted BFGS blocks instead of the scaled-identity
+	// seed and took at most two iterations (carriedSQPIters). The other
+	// decides are full solves under Config.SQP.MaxIter.
 	WarmHessians int `json:"warm_hessians"`
 }
 
@@ -1004,11 +1007,21 @@ func (c *Controller) shiftWarmStart(prev []float64, h *horizonData, z []float64)
 	copy(z[last:], prev[last:])
 }
 
+// carriedSQPIters is the SQP budget of a carried decide, one whose
+// previous plan met the comfort band: a real-time iteration (Diehl,
+// Bock & Schlöder 2005) that corrects the shifted plan for two
+// iterations and leaves the rest to the next decide. A budget of one
+// would be cheaper still, but it is no tighter than the solver-brownout
+// fault's one-iteration budget, so that fault would stop starving a
+// carried decide.
+const carriedSQPIters = 2
+
 // comfortMet reports whether plan z meets the comfort band: every
 // stage's slack is at most the SQP tolerance, in kelvins. Only then does
-// the next decide start from z's shifted BFGS blocks. While a slack is
-// active its multipliers sit at the ρ scale of comfortSlackPerK, and
-// the curvature BFGS learns there misleads the next decide's solve.
+// the next decide start from z's shifted BFGS blocks and take the
+// carried budget, carriedSQPIters. While a slack is active its
+// multipliers sit at the ρ scale of comfortSlackPerK, and the curvature
+// BFGS learns there misleads the next decide's solve.
 func (c *Controller) comfortMet(z []float64) bool {
 	for k := 0; k < c.cfg.Horizon; k++ {
 		if z[c.idxE(k)]/comfortSlackPerK > c.cfg.SQP.Tol {
@@ -1024,10 +1037,16 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	h := c.buildHorizon(ctx)
 	prob := &c.prob
 
+	// A carried decide is a real-time iteration from the shifted plan
+	// and curvature; a seeded one, or one after a slack-active plan, is
+	// a full solve under Config.SQP.MaxIter.
+	opt := c.cfg.SQP
+	opt.Work = c.sqpWork
 	z0 := c.z0
 	if c.havePrev {
 		if c.comfortMet(c.prevZ) {
 			c.sqpWork.ShiftHessian()
+			opt.MaxIter = min(opt.MaxIter, carriedSQPIters)
 			c.stats.WarmHessians++
 			c.telWarm.Inc()
 		}
@@ -1038,8 +1057,6 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 
 	// A per-step budget (supervisor watchdog or injected solver-budget
 	// fault) tightens the configured solver options for this call only.
-	opt := c.cfg.SQP
-	opt.Work = c.sqpWork
 	if ctx.SolverIterBudget > 0 && (opt.HardIterCap <= 0 || ctx.SolverIterBudget < opt.HardIterCap) {
 		opt.HardIterCap = ctx.SolverIterBudget
 	}

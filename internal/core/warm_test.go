@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"evclimate/internal/cabin"
+	"evclimate/internal/control"
 	"evclimate/internal/sqp"
 )
 
@@ -32,20 +34,48 @@ func TestSlackActiveDecideStartsFromSeed(t *testing.T) {
 	}
 }
 
+// fullSolve is the reference a carried decide is judged against: the
+// decide's problem solved from the same shifted plan and curvature as
+// Decide starts from, but under the full Config.SQP budget a seeded
+// decide gets. It returns the plan and its Eq. 21 cost; c must not be
+// used for further decides.
+func fullSolve(t *testing.T, c *Controller, ctx control.StepContext) ([]float64, float64) {
+	t.Helper()
+	h := c.buildHorizon(ctx)
+	if c.havePrev {
+		if c.comfortMet(c.prevZ) {
+			c.sqpWork.ShiftHessian()
+		}
+		c.shiftWarmStart(c.prevZ, h, c.z0)
+	} else {
+		c.initialGuess(h, c.z0)
+	}
+	opt := c.cfg.SQP
+	opt.Work = c.sqpWork
+	res, err := sqp.Solve(&c.prob, c.z0, opt)
+	if err != nil {
+		t.Fatalf("full solve: %v", err)
+	}
+	return slices.Clone(res.X), c.objective(res.X, h)
+}
+
 // Once its plans meet the comfort band, every decide of a hot pull-down
-// starts from the previous plan's shifted BFGS blocks. Over the
-// closed-loop pull-down from 26.5 °C those decides take fewer SQP
-// iterations than the same decides from the fresh seed (99 against 160
-// over steps 5–19), and a controller restored from a snapshot makes each
-// of them bit for bit.
-func TestSteadyDecideCarriesCurvature(t *testing.T) {
+// is carried: a real-time iteration of at most carriedSQPIters SQP
+// iterations from the previous plan's shifted plan and BFGS blocks. Over
+// the closed-loop pull-down from 26.5 °C, a controller restored from a
+// snapshot makes each decide bit for bit, and each carried plan's Eq. 21
+// cost stays within costGapRel of a full solve from the same state. The
+// measured worst gap is 2.5e-2 relative (step 17, with the cabin just
+// above the 24 °C target); the first steps in the band stay below 1e-5.
+func TestCarriedDecidesNearFullSolve(t *testing.T) {
+	const costGapRel = 5e-2
 	m, err := cabin.New(cabin.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := newController(t, nil)
 	tz := 26.5
-	carried, seededIters := 0, 0
+	var worst float64
 	for i := 0; i < 20; i++ {
 		ctx := hotCtx(tz)
 		ctx.Time = float64(i) * ctx.Dt
@@ -53,32 +83,41 @@ func TestSteadyDecideCarriesCurvature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeded, restored := newController(t, nil), newController(t, nil)
-		for _, c := range []*Controller{seeded, restored} {
+		full, restored := newController(t, nil), newController(t, nil)
+		for _, c := range []*Controller{full, restored} {
 			if err := c.RestoreState(snap); err != nil {
 				t.Fatal(err)
 			}
 		}
-		seeded.sqpWork = sqp.NewWorkspace()
 
 		warm := a.Stats().WarmHessians
 		in := a.Decide(ctx)
-		if got, want := a.Stats().WarmHessians-warm, min(i, 1); got != want {
-			t.Fatalf("step %d: %d carried decides, want %d", i, got, want)
+		carried := a.Stats().WarmHessians - warm
+		if want := min(i, 1); carried != want {
+			t.Fatalf("step %d: %d carried decides, want %d", i, carried, want)
+		}
+		if it := a.LastSolve().Iterations; carried == 1 && it > carriedSQPIters {
+			t.Fatalf("step %d: carried decide took %d SQP iterations, budget %d", i, it, carriedSQPIters)
 		}
 		if got := restored.Decide(ctx); got != in || restored.LastSolve() != a.LastSolve() || !bitsEqual(restored.prevZ, a.prevZ) {
 			t.Fatalf("step %d: restored controller decided %+v %+v, original %+v %+v", i, got, restored.LastSolve(), in, a.LastSolve())
 		}
-		seeded.Decide(ctx)
-		if i >= 5 {
-			carried += a.LastSolve().Iterations
-			seededIters += seeded.LastSolve().Iterations
+		if carried == 1 {
+			_, ref := fullSolve(t, full, ctx)
+			// Price the plan's inputs through the prediction model: a
+			// plan that still violates its dynamics can look cheaper
+			// than the moves it would make.
+			z := slices.Clone(a.prevZ)
+			a.restore(z, &a.hor)
+			gap := (a.objective(z, &a.hor) - ref) / math.Abs(ref)
+			if gap > costGapRel {
+				t.Errorf("step %d: carried plan costs %.3g more than the full solve's (relative), bound %g", i, gap, costGapRel)
+			}
+			worst = max(worst, gap)
 		}
 		tz += m.CabinDerivative(tz, in, ctx.OutsideC, ctx.SolarW) * ctx.Dt
 	}
-	if carried >= seededIters {
-		t.Errorf("carried decides took %d SQP iterations over steps 5–19, the fresh seed %d: want fewer", carried, seededIters)
-	}
+	t.Logf("worst cost gap %.3g relative", worst)
 }
 
 func bitsEqual(a, b []float64) bool {

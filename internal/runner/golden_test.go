@@ -68,7 +68,13 @@ var goldens = []goldenRow{
 	// iterates within the solver tolerance. Observed: 4880.86454 W →
 	// 4857.375723 W (−0.5 %), ΔSoH 0.01165752941 → 0.01170002895 %,
 	// comfort violation unchanged at 0.3263.
-	{"Battery Lifetime-aware", 4857.375723, 0.01170002895, 0.3263157895},
+	// Regenerated again when those carried decides became real-time
+	// iterations of at most two SQP iterations instead of full solves:
+	// each emitted move comes from a plan corrected twice and left for
+	// the next decide to finish. Observed: 4857.375723 W → 4853.512699 W
+	// (−0.1 %), ΔSoH 0.01170002895 → 0.01164452634 %, comfort violation
+	// unchanged at 0.3263.
+	{"Battery Lifetime-aware", 4853.512699, 0.01164452634, 0.3263157895},
 }
 
 func TestGoldenRegression(t *testing.T) {
