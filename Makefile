@@ -55,7 +55,9 @@ bench-json:
 # counterpart BenchmarkMPCSolveStepThermal regresses more than 15 %
 # against the committed BENCH_solver.json — the backstop that keeps the
 # stage recursion's ≥10× win from eroding silently at either decision
-# stride. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1). On
+# stride — or when either bench's qpiters/op or capped/op rises above
+# the snapshot's: those work counts are exact on any host, so they
+# catch a solver change that does more work even where ns/op is noise. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1). On
 # pass, the snapshot is rewritten in place so `git diff
 # BENCH_solver.json` shows the drift; the KKT layer benches run too, so
 # the rewritten snapshot keeps them. The 3 s benchtime

@@ -61,7 +61,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	gate := flag.String("gate", "", "baseline snapshot to gate against: exit 1 when the gated benchmark's ns/op regresses beyond -gate-tol")
+	gate := flag.String("gate", "", "baseline snapshot to gate against: exit 1 when the gated benchmark's ns/op regresses beyond -gate-tol or a work count (qpiters/op, capped/op) rises")
 	gateBench := flag.String("gate-bench", "BenchmarkMPCSolveStep", "comma-separated benchmark names the -gate check compares")
 	gateTol := flag.Float64("gate-tol", 0.15, "allowed fractional ns/op regression for -gate")
 	flag.Parse()
@@ -202,11 +202,19 @@ func (r *Report) find(name string) *Benchmark {
 	return nil
 }
 
-// Gate compares the named benchmark's ns/op between a fresh report and a
+// workUnits are the host-independent work counts a benchmark may
+// report per op: the interior-point iterations of a decide and its QPs
+// that ended at their iteration cap. They are exact, so Gate allows no
+// rise in them, where ns/op gets a tolerance for host noise.
+var workUnits = []string{"qpiters/op", "capped/op"}
+
+// Gate compares the named benchmark between a fresh report and a
 // committed baseline. It returns an error when the benchmark is missing
-// from either report or when the fresh time exceeds baseline·(1+tol) —
-// the CI regression gate for the MPC solve path. On success it returns a
-// one-line summary of the comparison.
+// from either report, when a work count the baseline records (workUnits)
+// is missing from the fresh result or above the baseline's, or when the
+// fresh time exceeds baseline·(1+tol) — the CI regression gate for the
+// MPC solve path. On success it returns a one-line summary of the
+// comparison.
 func Gate(fresh, baseline *Report, name string, tol float64) (string, error) {
 	fb := fresh.find(name)
 	if fb == nil {
@@ -215,6 +223,19 @@ func Gate(fresh, baseline *Report, name string, tol float64) (string, error) {
 	bb := baseline.find(name)
 	if bb == nil {
 		return "", fmt.Errorf("gate: %s missing from baseline", name)
+	}
+	for _, u := range workUnits {
+		bv, ok := bb.Metrics[u]
+		if !ok {
+			continue
+		}
+		fv, ok := fb.Metrics[u]
+		if !ok {
+			return "", fmt.Errorf("gate: %s has no %s in fresh results", name, u)
+		}
+		if fv > bv {
+			return "", fmt.Errorf("gate: %s does more work: %g %s vs baseline %g", name, fv, u, bv)
+		}
 	}
 	fNS, ok := fb.Metrics["ns/op"]
 	if !ok || fNS <= 0 {

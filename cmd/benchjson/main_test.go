@@ -105,6 +105,42 @@ func TestGateRejectsMissingNsOp(t *testing.T) {
 	}
 }
 
+// A rise in an exact work count fails the gate even when ns/op is
+// within tolerance; a fall passes, and a benchmark whose baseline has no
+// work counts is gated on ns/op alone.
+func TestGateRejectsMoreWork(t *testing.T) {
+	withWork := func(qpIters, capped float64) *Report {
+		r := report("BenchmarkMPCSolveStep", 1000)
+		r.Benchmarks[0].Metrics["qpiters/op"] = qpIters
+		r.Benchmarks[0].Metrics["capped/op"] = capped
+		return r
+	}
+	base := withWork(16, 0)
+	cases := []struct {
+		name  string
+		fresh *Report
+		ok    bool
+	}{
+		{"same work", withWork(16, 0), true},
+		{"less work", withWork(15, 0), true},
+		{"more qp iterations", withWork(17, 0), false},
+		{"a capped QP", withWork(16, 1), false},
+		{"work counts missing", report("BenchmarkMPCSolveStep", 1000), false},
+	}
+	for _, tc := range cases {
+		msg, err := Gate(tc.fresh, base, "BenchmarkMPCSolveStep", 0.15)
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected gate failure: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: gate passed (%q), want failure", tc.name, msg)
+		}
+	}
+	if _, err := Gate(withWork(99, 9), report("BenchmarkMPCSolveStep", 1000), "BenchmarkMPCSolveStep", 0.15); err != nil {
+		t.Errorf("baseline without work counts: %v", err)
+	}
+}
+
 func TestParseIgnoresNoise(t *testing.T) {
 	rep, err := Parse(strings.NewReader("random line\nBenchmarkBroken abc\nPASS\n"))
 	if err != nil {

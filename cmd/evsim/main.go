@@ -203,31 +203,15 @@ func main() {
 	}
 }
 
-// writeCheckpoint persists a checkpoint atomically (temp file + fsync +
-// rename) so an interrupt during the write never corrupts the previous
-// checkpoint.
+// writeCheckpoint persists a checkpoint atomically
+// (runner.WriteFileAtomic) so an interrupt during the write never
+// corrupts the previous checkpoint.
 func writeCheckpoint(path string, ck *sim.Checkpoint) error {
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return runner.WriteFileAtomic(path, data)
 }
 
 func readCheckpoint(path string) (*sim.Checkpoint, error) {

@@ -113,9 +113,10 @@ type Config struct {
 	// AccessoryW is the constant accessory load added to the predicted
 	// total power.
 	AccessoryW float64
-	// SQP tunes the per-step optimizer (zero value → sensible MPC
-	// defaults: 30 iterations, 1e-4 tolerance).
-	SQP sqp.Options
+	// SQPMaxIter caps the SQP iterations of a seeded decide (default
+	// 30); a carried decide takes at most carriedSQPIters, and a
+	// StepContext.SolverIterBudget lowers either cap for one decide.
+	SQPMaxIter int
 	// Telemetry, when non-nil and active, receives per-solve counters and
 	// iteration histograms (mpc_solves_total{status}, mpc_sqp_iterations,
 	// mpc_qp_iterations, mpc_kkt_factorizations_total,
@@ -219,16 +220,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.BatteryCapacityAh <= 0 || cfg.BatteryVoltageV <= 0 {
 		return nil, fmt.Errorf("core: battery parameters (%v Ah, %v V) must be positive", cfg.BatteryCapacityAh, cfg.BatteryVoltageV)
 	}
-	if cfg.SQP.MaxIter == 0 {
-		cfg.SQP.MaxIter = 30
-	}
-	if cfg.SQP.Tol == 0 {
-		cfg.SQP.Tol = 1e-4
-	}
-	if cfg.SQP.MinMeritDecrease == 0 {
-		// Real-time budget: stop polishing once the merit stalls; the
-		// warm-started next step re-optimizes anyway.
-		cfg.SQP.MinMeritDecrease = 1e-4
+	if cfg.SQPMaxIter <= 0 {
+		cfg.SQPMaxIter = 30
 	}
 	if err := cfg.Thermal.validate(); err != nil {
 		return nil, err
@@ -287,9 +280,10 @@ func (c *Controller) bindInstruments() {
 		return
 	}
 	c.telSolves = make(map[string]*telemetry.Counter)
-	for _, st := range []sqp.Status{sqp.Converged, sqp.MaxIterations, sqp.Stalled, sqp.Failed, sqp.BudgetExceeded} {
+	for _, st := range []sqp.Status{sqp.Converged, sqp.MaxIterations, sqp.Stalled, sqp.Failed} {
 		c.telSolves[st.String()] = tel.Counter("mpc_solves_total", telemetry.L("status", st.String()))
 	}
+	c.telSolves[budgetExceeded] = tel.Counter("mpc_solves_total", telemetry.L("status", budgetExceeded))
 	c.telSolves["fallback"] = tel.Counter("mpc_solves_total", telemetry.L("status", "fallback"))
 	c.telIters = tel.Histogram("mpc_sqp_iterations", telemetry.IterationBuckets)
 	c.telQPIters = tel.Histogram("mpc_qp_iterations", telemetry.IterationBuckets)
@@ -355,9 +349,9 @@ type Stats struct {
 	Converged int `json:"converged"`
 	Stalled   int `json:"stalled"`
 	Failed    int `json:"failed"`
-	// BudgetExceeded counts solves cut short by the hard iteration
-	// budget (sqp.Options.HardIterCap, including injected solver-budget
-	// faults).
+	// BudgetExceeded counts solves cut short by a per-step budget
+	// (StepContext.SolverIterBudget: the supervisor's watchdog or an
+	// injected solver-budget fault) below the decide's own cap.
 	BudgetExceeded int `json:"budget"`
 	// SQPIters sums the SQP iterations of every solve.
 	SQPIters int `json:"sqp_iters"`
@@ -375,7 +369,7 @@ type Stats struct {
 	// plan met the comfort band (comfortMet), so their SQP started from
 	// that plan's shifted BFGS blocks instead of the scaled-identity
 	// seed and took at most two iterations (carriedSQPIters). The other
-	// decides are full solves under Config.SQP.MaxIter.
+	// decides are full solves under Config.SQPMaxIter.
 	WarmHessians int `json:"warm_hessians"`
 }
 
@@ -1016,6 +1010,25 @@ func (c *Controller) shiftWarmStart(prev []float64, h *horizonData, z []float64)
 // carried decide.
 const carriedSQPIters = 2
 
+// sqpTol is the SQP's KKT tolerance and, in kelvins of comfort
+// relaxation, the comfortMet gate. sqpMinMeritDecrease is the real-time
+// early exit: a solve stops polishing once its merit stalls, since the
+// warm-started next decide re-optimizes anyway.
+const (
+	sqpTol              = 1e-4
+	sqpMinMeritDecrease = 1e-4
+)
+
+// budgetExceeded labels a decide that a StepContext.SolverIterBudget
+// below its own cap cut short (SolveInfo.Status, mpc_solves_total).
+const budgetExceeded = "budget-exceeded"
+
+// sqpOptions are the solver options of a decide capped at maxIter
+// iterations, on the controller's workspace.
+func (c *Controller) sqpOptions(maxIter int) sqp.Options {
+	return sqp.Options{MaxIter: maxIter, Tol: sqpTol, MinMeritDecrease: sqpMinMeritDecrease, Work: c.sqpWork}
+}
+
 // comfortMet reports whether plan z meets the comfort band: every
 // stage's slack is at most the SQP tolerance, in kelvins. Only then does
 // the next decide start from z's shifted BFGS blocks and take the
@@ -1024,7 +1037,7 @@ const carriedSQPIters = 2
 // BFGS learns there misleads the next decide's solve.
 func (c *Controller) comfortMet(z []float64) bool {
 	for k := 0; k < c.cfg.Horizon; k++ {
-		if z[c.idxE(k)]/comfortSlackPerK > c.cfg.SQP.Tol {
+		if z[c.idxE(k)]/comfortSlackPerK > sqpTol {
 			return false
 		}
 	}
@@ -1039,14 +1052,13 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 
 	// A carried decide is a real-time iteration from the shifted plan
 	// and curvature; a seeded one, or one after a slack-active plan, is
-	// a full solve under Config.SQP.MaxIter.
-	opt := c.cfg.SQP
-	opt.Work = c.sqpWork
+	// a full solve under Config.SQPMaxIter.
+	maxIter := c.cfg.SQPMaxIter
 	z0 := c.z0
 	if c.havePrev {
 		if c.comfortMet(c.prevZ) {
 			c.sqpWork.ShiftHessian()
-			opt.MaxIter = min(opt.MaxIter, carriedSQPIters)
+			maxIter = min(maxIter, carriedSQPIters)
 			c.stats.WarmHessians++
 			c.telWarm.Inc()
 		}
@@ -1056,21 +1068,25 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 	}
 
 	// A per-step budget (supervisor watchdog or injected solver-budget
-	// fault) tightens the configured solver options for this call only.
-	if ctx.SolverIterBudget > 0 && (opt.HardIterCap <= 0 || ctx.SolverIterBudget < opt.HardIterCap) {
-		opt.HardIterCap = ctx.SolverIterBudget
+	// fault) below the decide's own cap lowers it for this call only; a
+	// solve that then runs out of iterations is labelled budgetExceeded
+	// and reported unhealthy.
+	budgeted := ctx.SolverIterBudget > 0 && ctx.SolverIterBudget < maxIter
+	if budgeted {
+		maxIter = ctx.SolverIterBudget
 	}
 
 	var t0 time.Time
 	if c.telRTF != nil {
 		t0 = time.Now()
 	}
-	res, err := sqp.Solve(prob, z0, opt)
+	res, err := sqp.Solve(prob, z0, c.sqpOptions(maxIter))
 	if c.telRTF != nil {
 		c.telRTF.Set(time.Since(t0).Seconds() / c.cfg.Dt)
 	}
 	c.stats.Solves++
 	c.lastSolve = control.SolveInfo{Status: "fallback"}
+	var budgetErr error
 	if res != nil {
 		c.lastSolve = control.SolveInfo{
 			Iterations:   res.Iterations,
@@ -1088,21 +1104,24 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		switch res.Status {
 		case sqp.Converged:
 			st.Converged++
+		case sqp.MaxIterations:
+			if budgeted {
+				st.BudgetExceeded++
+				c.lastSolve.Status = budgetExceeded
+				budgetErr = fmt.Errorf("core: SQP budget exceeded after %d iterations", res.Iterations)
+			}
 		case sqp.Stalled:
 			st.Stalled++
 		case sqp.Failed:
 			st.Failed++
-		case sqp.BudgetExceeded:
-			st.BudgetExceeded++
 		}
 	}
 
 	// A budget-truncated iterate is still usable when finite: it is the
 	// warm-started previous plan improved for as many iterations as the
 	// budget allowed. It is reported unhealthy either way.
-	budgeted := errors.Is(err, sqp.ErrBudgetExceeded)
 	var in cabin.Inputs
-	if (err != nil && !budgeted) || res == nil || !mat.AllFinite(res.X) {
+	if err != nil || res == nil || !mat.AllFinite(res.X) {
 		// Optimizer broke down: fall back to a safe ventilation move and
 		// drop the warm start. The termination-status switch above
 		// already counted solves that returned a result; only a nil
@@ -1132,10 +1151,7 @@ func (c *Controller) Decide(ctx control.StepContext) cabin.Inputs {
 		// so the warm start keeps its own copy.
 		copy(c.prevZ, res.X)
 		c.havePrev = true
-		c.lastErr = nil
-		if budgeted {
-			c.lastErr = err
-		}
+		c.lastErr = budgetErr
 		in = cabin.Inputs{
 			SupplyTempC: res.X[c.idxTs(0)],
 			CoilTempC:   res.X[c.idxTc(0)],

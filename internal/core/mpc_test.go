@@ -250,10 +250,8 @@ func TestPrecoolBehaviour(t *testing.T) {
 	c := newController(t, func(cfg *Config) {
 		cfg.Horizon = 8
 		cfg.Weights.SoCDev = 5e4 // emphasize peak shaving for the test
-		// This is a one-shot cold-start solve: disable the real-time
-		// merit-stagnation exit so the schedule is fully shaped.
-		cfg.SQP.MinMeritDecrease = -1
-		cfg.SQP.MaxIter = 60
+		// A one-shot seeded solve: room to shape the schedule fully.
+		cfg.SQPMaxIter = 60
 	})
 	m, _ := cabin.New(cabin.Default())
 

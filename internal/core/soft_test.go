@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"evclimate/internal/control"
-	"evclimate/internal/sqp"
 )
 
 // deepColdCtx is BenchmarkMPCSolveStepThermal's context: a −20 °C drive
@@ -73,7 +72,7 @@ func TestColdDecidesConverge(t *testing.T) {
 // full-solve reference from each decide's state. The decides themselves
 // are carried after the first, real-time iterations that stop before
 // the slack reaches zero; their relaxation is bounded by the comfortMet
-// gate, SQP.Tol, so every plan keeps the next decide carried.
+// gate, sqpTol, so every plan keeps the next decide carried.
 func TestComfortSlackExactWhenReachable(t *testing.T) {
 	c := newController(t, nil)
 	ctx := steadyCtx()
@@ -98,8 +97,8 @@ func TestComfortSlackExactWhenReachable(t *testing.T) {
 			if relaxFull > 1e-6 {
 				t.Fatalf("decide %d: full solve's stage %d slack relaxes C2 by %.3g K", i, k, relaxFull)
 			}
-			if relaxRTI > c.cfg.SQP.Tol {
-				t.Fatalf("decide %d: stage %d slack relaxes C2 by %.3g K, above the comfortMet gate %g K", i, k, relaxRTI, c.cfg.SQP.Tol)
+			if relaxRTI > sqpTol {
+				t.Fatalf("decide %d: stage %d slack relaxes C2 by %.3g K, above the comfortMet gate %g K", i, k, relaxRTI, sqpTol)
 			}
 			worstFull = max(worstFull, relaxFull)
 			worstRTI = max(worstRTI, relaxRTI)
@@ -110,7 +109,7 @@ func TestComfortSlackExactWhenReachable(t *testing.T) {
 
 // TestFaultBudgetBindsCarriedDecide: a per-step budget below the carried
 // budget still cuts a carried decide short. A budget of one iteration —
-// the solver-brownout fault's — ends it BudgetExceeded and unhealthy; a
+// the solver-brownout fault's — ends it budget-exceeded and unhealthy; a
 // budget of two or more lets it finish its real-time iteration. This is
 // why carriedSQPIters is 2 and not 1: at 1, a carried decide would need
 // no more than the brownout grants, and the fault would starve nothing.
@@ -138,16 +137,52 @@ func TestFaultBudgetBindsCarriedDecide(t *testing.T) {
 		}
 		st, herr := c.LastSolve().Status, c.Healthy()
 		if budget == 1 {
-			if st != sqp.BudgetExceeded.String() || herr == nil {
-				t.Errorf("budget %d: status %q, Healthy %v; want %q and an error", budget, st, herr, sqp.BudgetExceeded)
+			if st != budgetExceeded || herr == nil {
+				t.Errorf("budget %d: status %q, Healthy %v; want %q and an error", budget, st, herr, budgetExceeded)
 			}
 			continue
 		}
-		if st == sqp.BudgetExceeded.String() || herr != nil {
+		if st == budgetExceeded || herr != nil {
 			t.Errorf("budget %d: status %q, Healthy %v; want the carried budget to bind first", budget, st, herr)
 		}
 		if it := c.LastSolve().Iterations; it > carriedSQPIters {
 			t.Errorf("budget %d: %d SQP iterations, carried budget %d", budget, it, carriedSQPIters)
+		}
+	}
+}
+
+// TestBudgetIsOnlyACap: a per-step budget b runs the same solve as a
+// controller whose own cap is b. The seeded steady-state decide runs
+// to the default cap of 30 iterations, so budgets 1 and 29 bind it and
+// 30 does not. Inputs, plan, solver counts and the other counters are
+// bit-identical either way; a binding budget differs only in the
+// budget-exceeded label, Stats.BudgetExceeded and Healthy.
+func TestBudgetIsOnlyACap(t *testing.T) {
+	for _, b := range []int{1, 29, 30} {
+		budgeted := newController(t, nil)
+		capped := newController(t, func(cfg *Config) { cfg.SQPMaxIter = b })
+		ctx := steadyCtx()
+		capIn := capped.Decide(ctx)
+		ctx.SolverIterBudget = b
+		budIn := budgeted.Decide(ctx)
+
+		bs, cs := budgeted.Stats(), capped.Stats()
+		bi, ci := budgeted.LastSolve(), capped.LastSolve()
+		if budIn != capIn || !bitsEqual(budgeted.prevZ, capped.prevZ) ||
+			bi.Iterations != ci.Iterations || bi.QPIterations != ci.QPIterations {
+			t.Fatalf("budget %d: decided %+v %+v, cap %d decided %+v %+v", b, budIn, bi, b, capIn, ci)
+		}
+		if bi.Iterations != b || ci.Status != "max-iterations" || capped.Healthy() != nil || cs.BudgetExceeded != 0 {
+			t.Fatalf("budget %d: the seeded decide did not run to its cap: %+v, Healthy %v", b, ci, capped.Healthy())
+		}
+		binds := b < 30
+		if (bi.Status == budgetExceeded) != binds || (budgeted.Healthy() != nil) != binds || (bs.BudgetExceeded == 1) != binds {
+			t.Errorf("budget %d: status %q, Healthy %v, Stats.BudgetExceeded %d; want the budget to bind: %v",
+				b, bi.Status, budgeted.Healthy(), bs.BudgetExceeded, binds)
+		}
+		bs.BudgetExceeded = 0
+		if bs != cs {
+			t.Errorf("budget %d: counters %+v, cap %d's %+v", b, bs, b, cs)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // battery lifetime-aware MPC.
 type SupervisedConfig struct {
 	// MPC configures the top stage (zero value → DefaultConfig). The
-	// fallback MPC below it runs a horizon of max(4, N/3) steps and half
-	// the SQP iteration budget: it exists to keep optimizing when the
-	// full problem became too expensive or unstable, not to match the
-	// full controller's quality.
+	// fallback MPC below it runs a horizon of max(4, N/3) steps with the
+	// same SQP iteration cap: it exists to keep optimizing when the full
+	// problem became too expensive or unstable, not to match the full
+	// controller's quality.
 	MPC Config
 	// Supervisor tunes the watchdog; its Cabin parameter set defaults to
 	// the MPC's.
@@ -24,7 +24,7 @@ type SupervisedConfig struct {
 // degradation ladder:
 //
 //  0. full-horizon battery lifetime-aware MPC
-//  1. cold-restart MPC with a shortened horizon and halved SQP budget
+//  1. cold-restart MPC with a shortened horizon
 //  2. fuzzy controller (no optimizer to break)
 //  3. on/off thermostat safe mode (no model at all)
 //
@@ -51,9 +51,6 @@ func NewSupervised(cfg SupervisedConfig) (*control.Supervisor, error) {
 	shortCfg.Horizon = cfg.MPC.Horizon / 3
 	if shortCfg.Horizon < 4 {
 		shortCfg.Horizon = 4
-	}
-	if shortCfg.SQP.MaxIter > 1 {
-		shortCfg.SQP.MaxIter /= 2
 	}
 	short, err := New(shortCfg)
 	if err != nil {

@@ -205,9 +205,7 @@ func TestThermalStructuredEngages(t *testing.T) {
 // TestThermalFallbackThermostat pins the safe-ventilation fallback's
 // battery branch to the ladder thermostatic rule.
 func TestThermalFallbackThermostat(t *testing.T) {
-	cfg := thermalTestConfig()
-	cfg.SQP.HardIterCap = 0
-	c, err := New(cfg)
+	c, err := New(thermalTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

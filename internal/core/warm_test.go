@@ -36,7 +36,7 @@ func TestSlackActiveDecideStartsFromSeed(t *testing.T) {
 
 // fullSolve is the reference a carried decide is judged against: the
 // decide's problem solved from the same shifted plan and curvature as
-// Decide starts from, but under the full Config.SQP budget a seeded
+// Decide starts from, but under the full Config.SQPMaxIter cap a seeded
 // decide gets. It returns the plan and its Eq. 21 cost; c must not be
 // used for further decides.
 func fullSolve(t *testing.T, c *Controller, ctx control.StepContext) ([]float64, float64) {
@@ -50,9 +50,7 @@ func fullSolve(t *testing.T, c *Controller, ctx control.StepContext) ([]float64,
 	} else {
 		c.initialGuess(h, c.z0)
 	}
-	opt := c.cfg.SQP
-	opt.Work = c.sqpWork
-	res, err := sqp.Solve(&c.prob, c.z0, opt)
+	res, err := sqp.Solve(&c.prob, c.z0, c.sqpOptions(c.cfg.SQPMaxIter))
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}

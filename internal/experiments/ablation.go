@@ -6,7 +6,6 @@ import (
 
 	"evclimate/internal/core"
 	"evclimate/internal/runner"
-	"evclimate/internal/sqp"
 )
 
 // This file implements the ablation studies DESIGN.md §7 calls out for the
@@ -108,7 +107,7 @@ func AblateSoCDevWeight(opts Options, weights []float64) ([]AblationRow, error) 
 // caps the full solves: the first decide and those after a slack-active
 // plan. A carried decide, one whose previous plan met the comfort band,
 // already takes at most two iterations, so under sqp=K it takes
-// min(K, 2). MaxIter = 1 is the "single-QP" controller: one
+// min(K, 2). SQPMaxIter = 1 is the "single-QP" controller: one
 // linearization of the bilinear dynamics per decide, no outer
 // iterations.
 func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {
@@ -119,7 +118,7 @@ func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {
 	specs := make([]runner.ControllerSpec, 0, len(budgets))
 	for _, it := range budgets {
 		mcfg := opts.mpcConfig()
-		mcfg.SQP = sqp.Options{MaxIter: it, Tol: 1e-4}
+		mcfg.SQPMaxIter = it
 		specs = append(specs, opts.mpcSpec(fmt.Sprintf("sqp=%d", it), mcfg, mpcControlDt))
 	}
 	return opts.runMPCSpecs(specs)

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"evclimate/internal/core"
-	"evclimate/internal/sqp"
 )
 
 // ablationOpts: minimal MPC runs for the sweep tests.
 func ablationOpts() Options {
 	cfg := core.DefaultConfig()
-	cfg.SQP = sqp.Options{MaxIter: 10, Tol: 1e-4}
+	cfg.SQPMaxIter = 10
 	return Options{MaxProfileS: 120, MPC: &cfg}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"evclimate/internal/core"
-	"evclimate/internal/sqp"
 )
 
 // quickOpts keeps MPC runs short: truncated profiles and a reduced SQP
@@ -14,7 +13,7 @@ import (
 // in cmd/evbench and the repository benchmarks.
 func quickOpts() Options {
 	cfg := core.DefaultConfig()
-	cfg.SQP = sqp.Options{MaxIter: 12, Tol: 1e-4}
+	cfg.SQPMaxIter = 12
 	return Options{MaxProfileS: 300, MPC: &cfg}
 }
 
@@ -236,7 +235,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestRunFleetSmall(t *testing.T) {
 	mcfg := core.DefaultConfig()
-	mcfg.SQP = sqp.Options{MaxIter: 10, Tol: 1e-4}
+	mcfg.SQPMaxIter = 10
 	s, err := RunFleet(Options{MaxProfileS: 150, MPC: &mcfg}, FleetConfig{Trips: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

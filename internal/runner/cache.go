@@ -148,18 +148,14 @@ func (c *Cache) Load(r io.Reader) error {
 }
 
 // SaveFile persists the cache beside a sweep's journal, atomically
-// (temp file + rename). Entries survive process restarts; a later
-// LoadFile restores them.
+// (WriteFileAtomic). Entries survive process restarts; a later LoadFile
+// restores them.
 func (c *Cache) SaveFile(path string) error {
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFileAtomic(path, buf.Bytes())
 }
 
 // LoadFile merges a saved cache into this one. A missing file is not

@@ -6,7 +6,6 @@ import (
 
 	"evclimate/internal/core"
 	"evclimate/internal/sim"
-	"evclimate/internal/sqp"
 )
 
 // The conformance suite: every controller family must satisfy the
@@ -21,7 +20,7 @@ import (
 // the suite covers many cells.
 func conformanceControllers() []ControllerSpec {
 	mcfg := core.DefaultConfig()
-	mcfg.SQP = sqp.Options{MaxIter: 10, Tol: 1e-4}
+	mcfg.SQPMaxIter = 10
 	return []ControllerSpec{
 		OnOffSpec(1),
 		FuzzySpec(1),

@@ -263,19 +263,11 @@ type jobCheckpoint struct {
 	Metrics     telemetry.Snapshot   `json:"metrics,omitempty"`
 }
 
-// writeJobCheckpoint persists the checkpoint of the job with
-// fingerprint fp atomically (write to a temp file, fsync, rename) so a
-// crash never leaves a half-written checkpoint under the real name.
-func writeJobCheckpoint(path string, fp uint64, ck *sim.Checkpoint, spans []telemetry.StepSpan, metrics telemetry.Snapshot) error {
-	data, err := json.Marshal(jobCheckpoint{
-		Fingerprint: telemetry.FormatFingerprint(fp),
-		Checkpoint:  ck,
-		Spans:       spans,
-		Metrics:     metrics,
-	})
-	if err != nil {
-		return err
-	}
+// WriteFileAtomic replaces the file at path with data: it writes
+// path+".tmp", fsyncs and closes it, then renames it over path, so a
+// crash leaves either the old contents or the new ones under the real
+// name, never a half-written file.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -293,6 +285,21 @@ func writeJobCheckpoint(path string, fp uint64, ck *sim.Checkpoint, spans []tele
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// writeJobCheckpoint persists the checkpoint of the job with
+// fingerprint fp atomically (WriteFileAtomic).
+func writeJobCheckpoint(path string, fp uint64, ck *sim.Checkpoint, spans []telemetry.StepSpan, metrics telemetry.Snapshot) error {
+	data, err := json.Marshal(jobCheckpoint{
+		Fingerprint: telemetry.FormatFingerprint(fp),
+		Checkpoint:  ck,
+		Spans:       spans,
+		Metrics:     metrics,
+	})
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, data)
 }
 
 // readJobCheckpoint loads the mid-run checkpoint of the job with

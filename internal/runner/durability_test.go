@@ -497,3 +497,29 @@ func TestCacheDiskPersistence(t *testing.T) {
 		t.Errorf("missing cache file: %v", err)
 	}
 }
+
+// TestWriteFileAtomicReplaces: WriteFileAtomic creates the file, then
+// replaces its contents whole, and leaves no temp file beside it.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, want := range []string{"first, the longer contents", "second"} {
+		if err := WriteFileAtomic(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("contents %q, want %q", got, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "state.json" {
+		t.Fatalf("directory holds %v, want only state.json", entries)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"evclimate/internal/core"
 	"evclimate/internal/faults"
 	"evclimate/internal/sim"
-	"evclimate/internal/sqp"
 )
 
 // faultSweepSpec exercises every injector class on a short cycle: sensor
@@ -19,7 +18,7 @@ import (
 // the same sweep.
 func faultSweepSpec() Spec {
 	mcfg := core.DefaultConfig()
-	mcfg.SQP = sqp.Options{MaxIter: 8, Tol: 1e-4}
+	mcfg.SQPMaxIter = 8
 	return Spec{
 		Controllers: []ControllerSpec{
 			OnOffSpec(1),

@@ -11,7 +11,6 @@ import (
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/faults"
 	"evclimate/internal/sim"
-	"evclimate/internal/sqp"
 )
 
 // This file holds the closed-loop fault tests: the safety property of the
@@ -95,7 +94,7 @@ func randFaultSpec(r *rand.Rand, durS float64) faults.Spec {
 func shortMPCConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Horizon = 6
-	cfg.SQP = sqp.Options{MaxIter: 5, Tol: 1e-3}
+	cfg.SQPMaxIter = 5
 	return cfg
 }
 

