@@ -41,13 +41,15 @@ bench:
 # work into the factorization and one Newton-step solve at the cold
 # fixture's final iterate, and the -benchmem allocs/op column pins the allocation-free
 # hot path. The solver benches run single-threaded (-cpu 1): the decide
-# path is, and the committed snapshot is taken at GOMAXPROCS=1.
+# path is, and the committed snapshot is taken at GOMAXPROCS=1. They run
+# five times (-count 5), and benchjson keeps each metric's median, so one
+# slow run on a shared host does not land in the snapshot.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 . ; \
-	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -cpu 1 ./internal/qp ; } \
+	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 -count 5 . ; \
+	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -cpu 1 -count 5 ./internal/qp ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
@@ -57,7 +59,8 @@ bench-json:
 # stage recursion's ≥10× win from eroding silently at either decision
 # stride — or when either bench's qpiters/op or capped/op rises above
 # the snapshot's: those work counts are exact on any host, so they
-# catch a solver change that does more work even where ns/op is noise. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1). On
+# catch a solver change that does more work even where ns/op is noise. Like the snapshot, the gate runs at GOMAXPROCS=1 (-cpu 1)
+# and five times per bench (-count 5), and compares the median run. On
 # pass, the snapshot is rewritten in place so `git diff
 # BENCH_solver.json` shows the drift; the KKT layer benches run too, so
 # the rewritten snapshot keeps them. The 3 s benchtime
@@ -70,8 +73,8 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 . ; \
-	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -benchtime 3s -cpu 1 ./internal/qp ; } \
+	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 -count 5 . ; \
+	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -benchtime 3s -cpu 1 -count 5 ./internal/qp ; } \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
@@ -116,14 +119,14 @@ test-fabric:
 # Network-chaos suite under the race detector: the seeded fault
 # transport/proxy unit tests, the transport-hardening regressions (body
 # caps, payload checksums, idempotent completion, flap breaker, the
-# per-call deadline that unsticks black-holed workers), the spill-store
-# bounded-memory proof, and the chaos matrix — every seeded fault
+# per-call deadline that unsticks black-holed workers), the spilling
+# record store's bounded-memory proof and journal resume, and the chaos matrix — every seeded fault
 # schedule must stitch byte-identical artifacts to a single-process
 # run. The explicit -timeout leaves headroom over the injected delays
 # and black-hole windows on slow shared runners.
 test-netchaos:
 	$(GO) test -race -timeout 10m ./internal/netchaos/...
-	$(GO) test -race -timeout 10m -run 'NetChaos|Complete|FlapBreaker|CallDeadline|SpillStore|MemStore|DuplicateCompletion' ./internal/fabric/
+	$(GO) test -race -timeout 10m -run 'NetChaos|Complete|FlapBreaker|CallDeadline|SpillStore|SpillingCoordinator|MemStore|DuplicateCompletion' ./internal/fabric/
 
 # Cold-climate thermal suite: the battery thermal network and heat-pump
 # unit tests, depot preconditioning, the Arrhenius, cycle-stress and

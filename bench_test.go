@@ -661,7 +661,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			jnl = open()
 			b.StartTimer()
 		}
-		if err := jnl.Append(rec); err != nil {
+		if _, err := jnl.Append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,10 @@
 // -GOMAXPROCS suffix, iteration count, then (value, unit) pairs — and
 // keeps custom b.ReportMetric units alongside ns/op, B/op, and
 // allocs/op. Header lines (goos, goarch, pkg, cpu) are carried into the
-// snapshot; pkg scopes the benchmark names that follow it.
+// snapshot; pkg scopes the benchmark names that follow it. Repeated runs
+// of one benchmark (`go test -count N`) fold into one entry holding each
+// metric's median, so a snapshot or a gate reads the typical run, not
+// the last one.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -33,11 +37,11 @@ type Benchmark struct {
 	Name string `json:"name"`
 	// Procs is GOMAXPROCS while the benchmark ran (1 when unsuffixed).
 	Procs int `json:"procs"`
-	// Iterations is the measured b.N.
+	// Iterations is the measured b.N (the median over repeated runs).
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit → value: ns/op, B/op, allocs/op, and any custom
-	// b.ReportMetric units. encoding/json sorts the keys, keeping the
-	// snapshot diff-stable.
+	// b.ReportMetric units, each the median over repeated runs.
+	// encoding/json sorts the keys, keeping the snapshot diff-stable.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -117,12 +121,20 @@ func main() {
 
 // Parse reads `go test -bench` output and collects the report. Non-
 // benchmark lines (PASS, ok, test logs) are ignored, so the full test
-// output can be piped in unfiltered.
+// output can be piped in unfiltered. Lines of one benchmark (package,
+// name and GOMAXPROCS) fold into a single entry, at the position of its
+// first line, that holds the median of each metric.
 func Parse(r io.Reader) (*Report, error) {
 	// benchjson runs in the same pipeline (and on the same machine) as
 	// the benchmark process, so its own core count is the machine's; its
 	// GOMAXPROCS is not the benchmarks' when they ran with -cpu.
 	rep := &Report{NumCPU: runtime.NumCPU()}
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	var order []key
+	runs := make(map[key][]Benchmark)
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -143,11 +155,58 @@ func Parse(r io.Reader) (*Report, error) {
 				continue
 			}
 			b.Pkg = pkg
-			rep.Benchmarks = append(rep.Benchmarks, b)
+			k := key{b.Pkg, b.Name, b.Procs}
+			if runs[k] == nil {
+				order = append(order, k)
+			}
+			runs[k] = append(runs[k], b)
 			rep.MaxProcs = max(rep.MaxProcs, b.Procs)
 		}
 	}
+	for _, k := range order {
+		rep.Benchmarks = append(rep.Benchmarks, fold(runs[k]))
+	}
 	return rep, sc.Err()
+}
+
+// fold merges repeated runs of one benchmark into one entry: the median
+// iteration count and, per unit, the median over the runs that report
+// it.
+func fold(runs []Benchmark) Benchmark {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	b := runs[0]
+	b.Metrics = make(map[string]float64, len(runs[0].Metrics))
+	iters := make([]float64, len(runs))
+	for i := range runs {
+		iters[i] = float64(runs[i].Iterations)
+		for unit := range runs[i].Metrics {
+			if _, done := b.Metrics[unit]; done {
+				continue
+			}
+			var vs []float64
+			for j := range runs {
+				if v, ok := runs[j].Metrics[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			b.Metrics[unit] = median(vs)
+		}
+	}
+	b.Iterations = int64(median(iters))
+	return b
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count); it sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses one result line:

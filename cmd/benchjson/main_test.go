@@ -172,3 +172,48 @@ func TestMaxProcsFromCPUSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFoldsRepeatsToMedian: `go test -count N` prints one line per
+// run; Parse keeps one entry per benchmark, in first-seen order, holding
+// each metric's median, and keeps benchmarks of other packages or
+// GOMAXPROCS apart.
+func TestParseFoldsRepeatsToMedian(t *testing.T) {
+	const runs = `pkg: evclimate
+BenchmarkMPCSolveStep-2   	 500	 3750000 ns/op	 16.00 qpiters/op	 0 B/op
+BenchmarkMPCSolveStep-2   	 700	 2260000 ns/op	 16.00 qpiters/op	 0 B/op
+BenchmarkQPColdFixture-2  	 100	 9000 ns/op
+BenchmarkMPCSolveStep-2   	 600	 2500000 ns/op	 16.00 qpiters/op	 0 B/op
+BenchmarkMPCSolveStep-1   	 900	 2000000 ns/op
+BenchmarkQPColdFixture-2  	 300	 7000 ns/op
+pkg: evclimate/internal/qp
+BenchmarkQPColdFixture-2  	 50	 5000 ns/op
+`
+	rep, err := Parse(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		pkg, name string
+		procs     int
+		iters     int64
+		ns        float64
+	}
+	wants := []want{
+		{"evclimate", "BenchmarkMPCSolveStep", 2, 600, 2500000}, // odd count: the middle run
+		{"evclimate", "BenchmarkQPColdFixture", 2, 200, 8000},   // even count: the mean of the middle two
+		{"evclimate", "BenchmarkMPCSolveStep", 1, 900, 2000000},
+		{"evclimate/internal/qp", "BenchmarkQPColdFixture", 2, 50, 5000},
+	}
+	if len(rep.Benchmarks) != len(wants) {
+		t.Fatalf("parsed %d entries, want %d: %+v", len(rep.Benchmarks), len(wants), rep.Benchmarks)
+	}
+	for i, w := range wants {
+		b := rep.Benchmarks[i]
+		if b.Pkg != w.pkg || b.Name != w.name || b.Procs != w.procs || b.Iterations != w.iters || b.Metrics["ns/op"] != w.ns {
+			t.Errorf("entry %d = %+v, want %+v", i, b, w)
+		}
+	}
+	if m := rep.Benchmarks[0].Metrics; m["qpiters/op"] != 16 || m["B/op"] != 0 {
+		t.Errorf("folded work counts = %v, want 16 qpiters/op and 0 B/op", m)
+	}
+}

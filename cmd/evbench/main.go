@@ -30,8 +30,10 @@
 // All scenario grids execute on the internal/runner worker pool; results
 // are deterministic for any worker count. One result cache is shared
 // across the whole invocation, so experiments that evaluate the same
-// scenario (e.g. Fig. 5 and Fig. 6) simulate it once. With -journal the
-// cache also persists to disk beside the journal.
+// scenario (e.g. Fig. 5 and Fig. 6) simulate it once. With -journal
+// -resume, every result replayed from a journal warms that cache, so a
+// resumed invocation re-serves earlier sweeps' cells from their
+// build-checked journals.
 package main
 
 import (
@@ -41,7 +43,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -94,9 +95,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	join := fs.String("join", "", "join a fabric coordinator as a worker (e.g. http://host:7070)")
 	unitSize := fs.Int("unit", 0, "jobs per leased fabric work unit (0 = default)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "fabric lease heartbeat deadline (0 = default)")
-	spillDir := fs.String("spill", "", "spill the coordinator's collected records to segments in this directory (bounds coordinator memory; needs -serve)")
+	spill := fs.Bool("spill", false, "keep only the journal position of each collected record in the coordinator's memory and read the records back from the journal at stitch (bounds coordinator memory; needs -serve and -journal)")
 	callTimeout := fs.Duration("call-timeout", 0, "fabric worker per-request deadline (0 = derived from the lease TTL; needs -join)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "evbench: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	if *checkpointEvery > 0 && *journalDir == "" {
@@ -111,8 +116,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "evbench: -serve and -join are mutually exclusive")
 		return 2
 	}
-	if *spillDir != "" && *serve == "" {
+	if *spill && *serve == "" {
 		fmt.Fprintln(stderr, "evbench: -spill needs -serve")
+		return 2
+	}
+	if *spill && *journalDir == "" {
+		fmt.Fprintln(stderr, "evbench: -spill needs -journal")
 		return 2
 	}
 	if *callTimeout != 0 && *join == "" {
@@ -174,19 +183,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer dbg.Close()
 		fmt.Fprintf(stdout, "[debug server on http://%s — /debug/pprof, /debug/vars, /metrics]\n\n", dbg.Addr)
-	}
-
-	// The disk cache persists beside the journal, keyed by scenario
-	// fingerprint — any spec or code change fingerprints differently, so
-	// stale entries can never hit.
-	cachePath := ""
-	if cache != nil && *journalDir != "" {
-		cachePath = filepath.Join(*journalDir, "cache.json")
-		if *resume {
-			if err := cache.LoadFile(cachePath); err != nil {
-				fmt.Fprintf(stderr, "evbench: cache load: %v (starting cold)\n", err)
-			}
-		}
 	}
 
 	// Experiment failures are aggregated, not fatal: every selected
@@ -361,7 +357,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			name = "cold"
 		}
 		start := time.Now()
-		if err := serveFabric(ctx, name, *serve, *unitSize, *leaseTTL, *spillDir, cache, opts, stdout); err != nil && ctx.Err() == nil {
+		if err := serveFabric(ctx, name, *serve, *unitSize, *leaseTTL, *spill, cache, opts, stdout); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(stderr, "evbench: %s: %v\n", name, err)
 			failures = append(failures, name)
 		} else if err == nil {
@@ -373,11 +369,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if hits, misses, entries := cache.Stats(); hits > 0 {
 			fmt.Fprintf(stdout, "[sweep cache: %d hits, %d misses, %d scenarios — %s of simulation re-use]\n",
 				hits, misses, entries, cache.Saved().Truncate(time.Millisecond))
-		}
-	}
-	if cachePath != "" {
-		if err := cache.SaveFile(cachePath); err != nil {
-			fmt.Fprintf(stderr, "evbench: cache save: %v\n", err)
 		}
 	}
 
@@ -457,7 +448,7 @@ func renderCold(sw *runner.Sweep) (string, error) {
 // observability and journal wiring, so -trace/-metrics/-manifest/
 // -journal/-resume mean the same thing they do single-process. Workers
 // rebuild the spec by name from the shared FabricSpecs registry.
-func serveFabric(ctx context.Context, name, addr string, unitSize int, leaseTTL time.Duration, spillDir string, cache *runner.Cache, opts experiments.Options, stdout io.Writer) error {
+func serveFabric(ctx context.Context, name, addr string, unitSize int, leaseTTL time.Duration, spill bool, cache *runner.Cache, opts experiments.Options, stdout io.Writer) error {
 	var params map[string]string
 	var render func(*runner.Sweep) (string, error)
 	switch name {
@@ -473,10 +464,6 @@ func serveFabric(ctx context.Context, name, addr string, unitSize int, leaseTTL 
 	spec, err := experiments.FabricSpecs().Build(name, params)
 	if err != nil {
 		return err
-	}
-	var spill *fabric.SpillConfig
-	if spillDir != "" {
-		spill = &fabric.SpillConfig{Dir: spillDir}
 	}
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Spec:       spec,

@@ -30,11 +30,18 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-resume"},                           // needs -journal
 		{"-checkpoint-every", "50"},           // needs -journal
 		{"-serve", ":0", "-join", "http://x"}, // one role per process
+		{"-serve", ":0", "-spill"},            // needs -journal
+		{"-spill", "-journal", "j"},           // needs -serve
+		{"-serve", ":0", "-journal", "j", "-spill", "dir"}, // -spill takes no directory
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(context.Background(), args...); code != 2 {
 			t.Errorf("evbench %v: exit %d, want 2", args, code)
 		}
+	}
+	// A spilling coordinator reads its records back from the journal.
+	if _, _, errOut := runCLI(context.Background(), "-serve", ":0", "-spill"); !strings.Contains(errOut, "-spill needs -journal") {
+		t.Errorf("-serve -spill without -journal: stderr %q, want the -journal requirement", errOut)
 	}
 }
 
@@ -224,7 +231,8 @@ func TestServeJoinColdRoundTrip(t *testing.T) {
 
 // TestJournalResumeRoundTrip drives the full CLI surface: a journaled
 // run, the exists-without-resume refusal, and a -resume re-run that
-// replays from the journal (and the persisted disk cache) successfully.
+// replays from the journal successfully. The journal is the run's only
+// on-disk state: no cache file is written beside it.
 func TestJournalResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-exp", "fig5", "-quick", "-workers", "2", "-journal", dir}
@@ -235,8 +243,8 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	if m, _ := filepath.Glob(filepath.Join(dir, "*.journal")); len(m) == 0 {
 		t.Fatal("no journal written")
 	}
-	if m, _ := filepath.Glob(filepath.Join(dir, "cache.json")); len(m) == 0 {
-		t.Fatal("no disk cache written")
+	if m, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(m) != 0 {
+		t.Fatalf("files beside the journal: %v", m)
 	}
 
 	// Same command without -resume must refuse to clobber the journal.

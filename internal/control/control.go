@@ -161,3 +161,43 @@ func coolingNeeded(ctx *StepContext) bool {
 	// for mode selection here.
 	return ctx.OutsideC+ctx.SolarW/50 > ctx.TargetC
 }
+
+// The intensity map the fuzzy and PID baselines share: a normalized HVAC
+// intensity u ∈ [−1, 1] (negative = heating) sets the supply
+// temperature and the air flow at a fixed damper setting.
+const (
+	// intensityRecirc is the fixed damper setting.
+	intensityRecirc = 0.5
+	// maxCoolSupplyDropC is the supply-air drop below target at full
+	// cooling intensity (u = 1), °C.
+	maxCoolSupplyDropC = 16
+	// maxHeatSupplyRiseC is the supply-air rise above target at full
+	// heating intensity (u = −1), °C.
+	maxHeatSupplyRiseC = 28
+)
+
+// intensityInputs maps intensity u onto HVAC inputs clamped to the
+// actuator limits of m. Air flow scales with |u| above a ventilation
+// floor; inside a small dead band around 0 the HVAC only ventilates.
+func intensityInputs(m *cabin.Model, ctx *StepContext, u float64) cabin.Inputs {
+	p := m.Params()
+	mix := m.MixTemp(ctx.OutsideC, ctx.CabinTempC, intensityRecirc)
+	mag := u
+	if mag < 0 {
+		mag = -mag
+	}
+	mz := p.MinAirFlowKgS + mag*(p.MaxAirFlowKgS-p.MinAirFlowKgS)*0.85
+	var in cabin.Inputs
+	switch {
+	case u > 0.02: // cooling
+		ts := ctx.TargetC - u*maxCoolSupplyDropC
+		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: ts, Recirc: intensityRecirc, AirFlowKgS: mz}
+	case u < -0.02: // heating
+		ts := ctx.TargetC - u*maxHeatSupplyRiseC // u negative → rise
+		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: mix, Recirc: intensityRecirc, AirFlowKgS: mz}
+	default: // idle: ventilate
+		in = cabin.Inputs{SupplyTempC: mix, CoilTempC: mix, Recirc: intensityRecirc, AirFlowKgS: p.MinAirFlowKgS}
+	}
+	m.ClampInputsInPlace(&in, mix)
+	return in
+}

@@ -192,8 +192,8 @@ func TestPIDAntiWindup(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Decide(hotCtx(30))
 	}
-	if c.Ki*c.integral > 0.5+1e-9 {
-		t.Errorf("integral term %v exceeded anti-windup bound", c.Ki*c.integral)
+	if pidKi*c.integral > 0.5+1e-9 {
+		t.Errorf("integral term %v exceeded anti-windup bound", pidKi*c.integral)
 	}
 }
 

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"sync"
 
 	"evclimate/internal/cabin"
@@ -15,16 +16,7 @@ import (
 type Fuzzy struct {
 	// Model supplies actuator limits.
 	Model *cabin.Model
-	// Recirc is the fixed damper setting (default 0.5).
-	Recirc float64
-	// MaxCoolSupplyDropC is the supply-air drop below target at full
-	// cooling intensity (default 16 °C).
-	MaxCoolSupplyDropC float64
-	// MaxHeatSupplyRiseC is the supply-air rise above target at full
-	// heating intensity (default 28 °C).
-	MaxHeatSupplyRiseC float64
 
-	sys      *fuzzy.System
 	compiled *fuzzy.Compiled
 	evalIn   [2]float64
 	prevErr  float64
@@ -32,20 +24,17 @@ type Fuzzy struct {
 	batt     batteryThermostat
 }
 
-// The baseline rule base is fixed, so it compiles once per process; each
-// controller instance clones the compiled form (shared degree tables,
-// private scratch) instead of re-walking maps per step. A compile
-// failure — impossible for the static rule base, but handled — leaves
-// compiled nil and Decide falls back to the interpreter.
-var (
-	fuzzyCompileOnce          sync.Once
-	fuzzyCompiledBase         *fuzzy.Compiled
-	fuzzyErrIdx, fuzzyDerrIdx int
-)
+// fuzzyRuleBase is the baseline's fixed rule base, compiled once per
+// process; each controller clones the compiled form (shared degree
+// tables, private scratch). Its inputs arrive in sorted-name order:
+// fuzzyDerrIn, then fuzzyErrIn.
+var fuzzyRuleBase = sync.OnceValue(compileFuzzyRuleBase)
 
-// NewFuzzy builds the baseline with the rule base of [10]: 3×3 rules on
+const fuzzyDerrIn, fuzzyErrIn = 0, 1
+
+// compileFuzzyRuleBase builds the rule base of [10]: 3×3 rules on
 // (error, error rate) → intensity.
-func NewFuzzy(m *cabin.Model) *Fuzzy {
+func compileFuzzyRuleBase() *fuzzy.Compiled {
 	// Error: Tz − target, °C. Positive = too hot.
 	errV := fuzzy.NewVariable("err", -6, 6).
 		AddTerm("neg", fuzzy.Triangle{A: -6, B: -6, C: 0}).
@@ -70,7 +59,7 @@ func NewFuzzy(m *cabin.Model) *Fuzzy {
 			Then: fuzzy.Cond{Var: "u", Term: u},
 		}
 	}
-	sys := fuzzy.NewSystem(outV, errV, dErrV).
+	c, err := fuzzy.NewSystem(outV, errV, dErrV).
 		AddRule(rule("pos", "rising", "coolhard")).
 		AddRule(rule("pos", "steady", "coolhard")).
 		AddRule(rule("pos", "falling", "cool")).
@@ -79,34 +68,20 @@ func NewFuzzy(m *cabin.Model) *Fuzzy {
 		AddRule(rule("zero", "falling", "heat")).
 		AddRule(rule("neg", "rising", "heat")).
 		AddRule(rule("neg", "steady", "heathard")).
-		AddRule(rule("neg", "falling", "heathard"))
+		AddRule(rule("neg", "falling", "heathard")).
+		Compile()
+	if err != nil {
+		panic("control: fuzzy rule base: " + err.Error())
+	}
+	if names := c.InputNames(); names[fuzzyDerrIn] != "derr" || names[fuzzyErrIn] != "err" {
+		panic(fmt.Sprintf("control: fuzzy rule base inputs %v", names))
+	}
+	return c
+}
 
-	fuzzyCompileOnce.Do(func() {
-		c, err := sys.Compile()
-		if err != nil {
-			return
-		}
-		for i, name := range c.InputNames() {
-			switch name {
-			case "err":
-				fuzzyErrIdx = i
-			case "derr":
-				fuzzyDerrIdx = i
-			}
-		}
-		fuzzyCompiledBase = c
-	})
-	f := &Fuzzy{
-		Model:              m,
-		Recirc:             0.5,
-		MaxCoolSupplyDropC: 16,
-		MaxHeatSupplyRiseC: 28,
-		sys:                sys,
-	}
-	if fuzzyCompiledBase != nil {
-		f.compiled = fuzzyCompiledBase.Clone()
-	}
-	return f
+// NewFuzzy builds the baseline on the compiled rule base of [10].
+func NewFuzzy(m *cabin.Model) *Fuzzy {
+	return &Fuzzy{Model: m, compiled: fuzzyRuleBase().Clone()}
 }
 
 // Name implements Controller.
@@ -135,39 +110,13 @@ func (c *Fuzzy) decide(ctx *StepContext) cabin.Inputs {
 	c.prevErr = e
 	c.hasPrev = true
 
-	var u float64
-	var err error
-	if c.compiled != nil {
-		c.evalIn[fuzzyErrIdx] = e
-		c.evalIn[fuzzyDerrIdx] = de
-		u, err = c.compiled.Evaluate(c.evalIn[:])
-	} else {
-		u, err = c.sys.Evaluate(map[string]float64{"err": e, "derr": de})
-	}
+	c.evalIn[fuzzyErrIn] = e
+	c.evalIn[fuzzyDerrIn] = de
+	u, err := c.compiled.Evaluate(c.evalIn[:])
 	if err != nil {
 		u = 0 // rule base covers the universe; defensive fallback
 	}
-
-	p := c.Model.Params()
-	mix := c.Model.MixTemp(ctx.OutsideC, ctx.CabinTempC, c.Recirc)
-	mag := u
-	if mag < 0 {
-		mag = -mag
-	}
-	// Air flow scales with intensity; a small floor keeps ventilation.
-	mz := p.MinAirFlowKgS + mag*(p.MaxAirFlowKgS-p.MinAirFlowKgS)*0.85
-	var in cabin.Inputs
-	switch {
-	case u > 0.02: // cooling
-		ts := ctx.TargetC - u*c.MaxCoolSupplyDropC
-		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: ts, Recirc: c.Recirc, AirFlowKgS: mz}
-	case u < -0.02: // heating
-		ts := ctx.TargetC - u*c.MaxHeatSupplyRiseC // u negative → rise
-		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: mix, Recirc: c.Recirc, AirFlowKgS: mz}
-	default: // idle: ventilate
-		in = cabin.Inputs{SupplyTempC: mix, CoilTempC: mix, Recirc: c.Recirc, AirFlowKgS: p.MinAirFlowKgS}
-	}
-	c.Model.ClampInputsInPlace(&in, mix)
+	in := intensityInputs(c.Model, ctx, u)
 	// Thermostatic battery heating/cooling (no-op without the thermal
 	// network) keeps the ladder total in cold-climate simulations.
 	c.batt.apply(ctx, &in)

@@ -10,43 +10,35 @@ import "evclimate/internal/cabin"
 type OnOff struct {
 	// Model supplies actuator limits for clamping.
 	Model *cabin.Model
-	// CoolSupplyC is the supply temperature commanded when cooling
-	// (default 8 °C).
-	CoolSupplyC float64
-	// HeatSupplyC is the supply temperature commanded when heating
-	// (default 52 °C; the heater power cap reduces it at full fan).
-	HeatSupplyC float64
-	// OnAirFlowKgS is the fixed fan setting while active (default
-	// 0.22 kg/s).
-	OnAirFlowKgS float64
-	// Recirc is the damper setting in cooling mode (default 0: fresh
-	// air, the simple units' AC default).
-	Recirc float64
-	// HeatRecirc is the damper setting in heating mode (default 0.5:
-	// partial recirculation, without which the heater's power limit
-	// cannot hold comfort against a cold ambient).
-	HeatRecirc float64
-	// HysteresisC overrides the switching band half-width; when zero the
-	// comfort-zone half-width is used.
-	HysteresisC float64
 
 	on   bool
 	batt batteryThermostat
 }
 
-// NewOnOff returns the baseline with its default operating point: a
-// fixed compressor/heater setting at high fan speed, cycling across the
-// comfort band — the simple thermostat behaviour of the original units
-// [8][9].
+// The On/Off baseline's operating point: a fixed compressor/heater
+// setting at high fan speed, cycling across the comfort band — the
+// simple thermostat behaviour of the original units [8][9].
+const (
+	// onOffCoolSupplyC is the supply temperature commanded when
+	// cooling, °C.
+	onOffCoolSupplyC = 8
+	// onOffHeatSupplyC is the supply temperature commanded when
+	// heating, °C; the heater power cap reduces it at full fan.
+	onOffHeatSupplyC = 52
+	// onOffAirFlowKgS is the fixed fan setting while active.
+	onOffAirFlowKgS = 0.22
+	// onOffCoolRecirc is the damper setting in cooling mode: fresh air,
+	// the simple units' AC default.
+	onOffCoolRecirc = 0.0
+	// onOffHeatRecirc is the damper setting in heating mode: partial
+	// recirculation, without which the heater's power limit cannot hold
+	// comfort against a cold ambient.
+	onOffHeatRecirc = 0.5
+)
+
+// NewOnOff returns the baseline at its fixed operating point.
 func NewOnOff(m *cabin.Model) *OnOff {
-	return &OnOff{
-		Model:        m,
-		CoolSupplyC:  8,
-		HeatSupplyC:  52,
-		OnAirFlowKgS: 0.22,
-		Recirc:       0.0,
-		HeatRecirc:   0.5,
-	}
+	return &OnOff{Model: m}
 }
 
 // Name implements Controller.
@@ -63,12 +55,9 @@ func (c *OnOff) Decide(ctx StepContext) cabin.Inputs {
 // decide is Decide over a context pointer: LaneGroup calls it directly
 // so a lockstep step does not copy the StepContext per lane.
 func (c *OnOff) decide(ctx *StepContext) cabin.Inputs {
-	band := c.HysteresisC
+	band := (ctx.ComfortHighC - ctx.ComfortLowC) / 2
 	if band <= 0 {
-		band = (ctx.ComfortHighC - ctx.ComfortLowC) / 2
-		if band <= 0 {
-			band = 1.5
-		}
+		band = 1.5
 	}
 	cooling := coolingNeeded(ctx)
 	// Hysteresis latch swinging across most of the comfort band, with
@@ -89,9 +78,9 @@ func (c *OnOff) decide(ctx *StepContext) cabin.Inputs {
 		}
 	}
 
-	dr := c.Recirc
+	dr := onOffCoolRecirc
 	if !cooling {
-		dr = c.HeatRecirc
+		dr = onOffHeatRecirc
 	}
 	mix := c.Model.MixTemp(ctx.OutsideC, ctx.CabinTempC, dr)
 	var in cabin.Inputs
@@ -105,17 +94,17 @@ func (c *OnOff) decide(ctx *StepContext) cabin.Inputs {
 		}
 	} else if cooling {
 		in = cabin.Inputs{
-			SupplyTempC: c.CoolSupplyC,
-			CoilTempC:   c.CoolSupplyC,
+			SupplyTempC: onOffCoolSupplyC,
+			CoilTempC:   onOffCoolSupplyC,
 			Recirc:      dr,
-			AirFlowKgS:  c.OnAirFlowKgS,
+			AirFlowKgS:  onOffAirFlowKgS,
 		}
 	} else {
 		in = cabin.Inputs{
-			SupplyTempC: c.HeatSupplyC,
+			SupplyTempC: onOffHeatSupplyC,
 			CoilTempC:   mix, // heater only; no cooling coil action
 			Recirc:      dr,
-			AirFlowKgS:  c.OnAirFlowKgS,
+			AirFlowKgS:  onOffAirFlowKgS,
 		}
 	}
 	c.Model.ClampInputsInPlace(&in, mix)

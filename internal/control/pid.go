@@ -8,36 +8,30 @@ import (
 // PID is a plain proportional–integral–derivative climate controller, the
 // implementation substrate the paper notes conventional automotive climate
 // control runs on [8][9][10]. It maps the PID actuation u ∈ [−1, 1]
-// (negative = heating) onto supply temperature and air flow the same way
-// the fuzzy baseline does, providing an ablation point between On/Off and
-// fuzzy control.
+// (negative = heating) onto supply temperature and air flow through the
+// fuzzy baseline's intensity map, providing an ablation point between
+// On/Off and fuzzy control.
 type PID struct {
 	// Model supplies actuator limits.
 	Model *cabin.Model
-	// Kp, Ki, Kd are the gains on the temperature error in °C.
-	Kp, Ki, Kd float64
-	// Recirc is the fixed damper setting.
-	Recirc float64
-	// MaxCoolSupplyDropC / MaxHeatSupplyRiseC map |u| = 1 to supply
-	// temperatures, as in the fuzzy baseline.
-	MaxCoolSupplyDropC, MaxHeatSupplyRiseC float64
 
 	integral float64
 	prevErr  float64
 	hasPrev  bool
 }
 
-// NewPID returns a conservatively tuned PID baseline.
+// The PID baseline's conservative gains on the temperature error in °C.
+// They are typed so that the anti-windup bound 0.5/pidKi rounds exactly
+// as the same division at run time would.
+const (
+	pidKp float64 = 0.5
+	pidKi float64 = 0.002
+	pidKd float64 = 2.0
+)
+
+// NewPID returns the conservatively tuned PID baseline.
 func NewPID(m *cabin.Model) *PID {
-	return &PID{
-		Model:              m,
-		Kp:                 0.5,
-		Ki:                 0.002,
-		Kd:                 2.0,
-		Recirc:             0.5,
-		MaxCoolSupplyDropC: 16,
-		MaxHeatSupplyRiseC: 28,
-	}
+	return &PID{Model: m}
 }
 
 // Name implements Controller.
@@ -61,30 +55,9 @@ func (c *PID) Decide(ctx StepContext) cabin.Inputs {
 	c.hasPrev = true
 	c.integral += e * ctx.Dt
 	// Anti-windup: bound the integral contribution to ±0.5.
-	if c.Ki > 0 {
-		c.integral = units.Clamp(c.integral, -0.5/c.Ki, 0.5/c.Ki)
-	}
-	u := units.Clamp(c.Kp*e+c.Ki*c.integral+c.Kd*de, -1, 1)
-
-	p := c.Model.Params()
-	mix := c.Model.MixTemp(ctx.OutsideC, ctx.CabinTempC, c.Recirc)
-	mag := u
-	if mag < 0 {
-		mag = -mag
-	}
-	mz := p.MinAirFlowKgS + mag*(p.MaxAirFlowKgS-p.MinAirFlowKgS)*0.85
-	var in cabin.Inputs
-	switch {
-	case u > 0.02:
-		ts := ctx.TargetC - u*c.MaxCoolSupplyDropC
-		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: ts, Recirc: c.Recirc, AirFlowKgS: mz}
-	case u < -0.02:
-		ts := ctx.TargetC - u*c.MaxHeatSupplyRiseC
-		in = cabin.Inputs{SupplyTempC: ts, CoilTempC: mix, Recirc: c.Recirc, AirFlowKgS: mz}
-	default:
-		in = cabin.Inputs{SupplyTempC: mix, CoilTempC: mix, Recirc: c.Recirc, AirFlowKgS: p.MinAirFlowKgS}
-	}
-	return c.Model.ClampInputs(in, mix)
+	c.integral = units.Clamp(c.integral, -0.5/pidKi, 0.5/pidKi)
+	u := units.Clamp(pidKp*e+pidKi*c.integral+pidKd*de, -1, 1)
+	return intensityInputs(c.Model, &ctx, u)
 }
 
 // Constant applies fixed HVAC inputs every step — useful for plant tests

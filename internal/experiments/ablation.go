@@ -24,6 +24,12 @@ type AblationRow struct {
 	AvgHVACW, DeltaSoH, SoCDev, RMSTrackingErrC, ComfortViolationFrac float64
 	// SolveTimeMs is the mean wall-clock time per MPC step.
 	SolveTimeMs float64
+	// StageFactorsPerSolve is the deterministic work behind SolveTimeMs:
+	// the interior point's KKT factorizations per MPC step times the
+	// horizon, i.e. the per-stage factorizations of its Riccati
+	// recursion. Unlike wall-clock time it orders configurations the
+	// same on any host.
+	StageFactorsPerSolve float64
 }
 
 // solveCounter is the diagnostics surface the MPC exposes; the ablation
@@ -32,17 +38,30 @@ type solveCounter interface {
 	Stats() core.Stats
 }
 
-// runMPCSpecs simulates one MPC configuration per spec on the hot-day
-// ECE_EUDC profile — all configurations in parallel on the sweep engine —
-// and collects one ablation row per spec, in spec order.
-func (o *Options) runMPCSpecs(specs []runner.ControllerSpec) ([]AblationRow, error) {
+// mpcVariant is one labeled MPC configuration of an ablation sweep and
+// its control period.
+type mpcVariant struct {
+	label     string
+	cfg       core.Config
+	controlDt float64
+}
+
+// runMPCVariants simulates each MPC configuration on the hot-day
+// ECE_EUDC profile — all configurations in parallel on the sweep engine
+// — and collects one ablation row per configuration, in order.
+func (o *Options) runMPCVariants(vs []mpcVariant) ([]AblationRow, error) {
+	specs := make([]runner.ControllerSpec, len(vs))
+	for i, v := range vs {
+		specs[i] = runner.MPCSpec(v.cfg, v.controlDt)
+		specs[i].Label = v.label
+	}
 	sw, err := o.sweep(specs,
 		[]runner.CycleSpec{{Name: "ECE_EUDC"}},
 		[]runner.Env{{AmbientC: o.AmbientC, SolarW: o.SolarW}})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationRow, 0, len(specs))
+	rows := make([]AblationRow, 0, len(vs))
 	for i := range sw.Jobs {
 		jr := &sw.Jobs[i]
 		res := jr.Result
@@ -55,20 +74,14 @@ func (o *Options) runMPCSpecs(specs []runner.ControllerSpec) ([]AblationRow, err
 			ComfortViolationFrac: res.ComfortViolationFrac,
 		}
 		if mpc, ok := jr.Instance.(solveCounter); ok {
-			if solves := mpc.Stats().Solves; solves > 0 {
-				row.SolveTimeMs = float64(jr.Elapsed.Milliseconds()) / float64(solves)
+			if st := mpc.Stats(); st.Solves > 0 {
+				row.SolveTimeMs = float64(jr.Elapsed.Milliseconds()) / float64(st.Solves)
+				row.StageFactorsPerSolve = float64(st.KKTFactorizations*vs[i].cfg.Horizon) / float64(st.Solves)
 			}
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// mpcSpec labels one MPC configuration for the ablation sweep.
-func (o *Options) mpcSpec(label string, mcfg core.Config, controlDt float64) runner.ControllerSpec {
-	spec := runner.MPCSpec(mcfg, controlDt)
-	spec.Label = label
-	return spec
 }
 
 // AblateHorizon sweeps the MPC horizon length N.
@@ -77,13 +90,13 @@ func AblateHorizon(opts Options, horizons []int) ([]AblationRow, error) {
 	if len(horizons) == 0 {
 		horizons = []int{4, 8, 12, 20}
 	}
-	specs := make([]runner.ControllerSpec, 0, len(horizons))
+	vs := make([]mpcVariant, 0, len(horizons))
 	for _, n := range horizons {
 		mcfg := opts.mpcConfig()
 		mcfg.Horizon = n
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("N=%d", n), mcfg, mpcControlDt))
+		vs = append(vs, mpcVariant{fmt.Sprintf("N=%d", n), mcfg, mpcControlDt})
 	}
-	return opts.runMPCSpecs(specs)
+	return opts.runMPCVariants(vs)
 }
 
 // AblateSoCDevWeight sweeps w2. w2 = 0 reduces the controller to a plain
@@ -94,13 +107,13 @@ func AblateSoCDevWeight(opts Options, weights []float64) ([]AblationRow, error) 
 	if len(weights) == 0 {
 		weights = []float64{0, 10, 50, 200}
 	}
-	specs := make([]runner.ControllerSpec, 0, len(weights))
+	vs := make([]mpcVariant, 0, len(weights))
 	for _, w2 := range weights {
 		mcfg := opts.mpcConfig()
 		mcfg.Weights.SoCDev = w2
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("w2=%g", w2), mcfg, mpcControlDt))
+		vs = append(vs, mpcVariant{fmt.Sprintf("w2=%g", w2), mcfg, mpcControlDt})
 	}
-	return opts.runMPCSpecs(specs)
+	return opts.runMPCVariants(vs)
 }
 
 // AblateSQPBudget sweeps the per-step SQP iteration limit. The limit
@@ -115,13 +128,13 @@ func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {
 	if len(budgets) == 0 {
 		budgets = []int{1, 5, 15, 30}
 	}
-	specs := make([]runner.ControllerSpec, 0, len(budgets))
+	vs := make([]mpcVariant, 0, len(budgets))
 	for _, it := range budgets {
 		mcfg := opts.mpcConfig()
 		mcfg.SQPMaxIter = it
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("sqp=%d", it), mcfg, mpcControlDt))
+		vs = append(vs, mpcVariant{fmt.Sprintf("sqp=%d", it), mcfg, mpcControlDt})
 	}
-	return opts.runMPCSpecs(specs)
+	return opts.runMPCVariants(vs)
 }
 
 // AblateControlPeriod sweeps the controller period against the fixed
@@ -132,24 +145,24 @@ func AblateControlPeriod(opts Options, periods []float64) ([]AblationRow, error)
 	if len(periods) == 0 {
 		periods = []float64{2, 5, 10}
 	}
-	specs := make([]runner.ControllerSpec, 0, len(periods))
+	vs := make([]mpcVariant, 0, len(periods))
 	for _, dt := range periods {
 		mcfg := opts.mpcConfig()
 		mcfg.Dt = dt
-		specs = append(specs, opts.mpcSpec(fmt.Sprintf("dt=%gs", dt), mcfg, dt))
+		vs = append(vs, mpcVariant{fmt.Sprintf("dt=%gs", dt), mcfg, dt})
 	}
-	return opts.runMPCSpecs(specs)
+	return opts.runMPCVariants(vs)
 }
 
 // RenderAblation formats ablation rows under a title.
 func RenderAblation(title string, rows []AblationRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Ablation — %s (ECE_EUDC, hot day)\n", title)
-	sb.WriteString("config     HVAC kW    ΔSoH %   SoC dev   RMS °C  viol %  ms/solve\n")
+	sb.WriteString("config     HVAC kW    ΔSoH %   SoC dev   RMS °C  viol %  ms/solve  stage fact./solve\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %7.2f %9.5f %9.3f %8.2f %7.1f %9.1f\n",
+		fmt.Fprintf(&sb, "%-10s %7.2f %9.5f %9.3f %8.2f %7.1f %9.1f %18.1f\n",
 			r.Label, r.AvgHVACW/1000, r.DeltaSoH, r.SoCDev,
-			r.RMSTrackingErrC, 100*r.ComfortViolationFrac, r.SolveTimeMs)
+			r.RMSTrackingErrC, 100*r.ComfortViolationFrac, r.SolveTimeMs, r.StageFactorsPerSolve)
 	}
 	return sb.String()
 }

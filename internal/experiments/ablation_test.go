@@ -33,10 +33,13 @@ func TestAblateHorizon(t *testing.T) {
 			t.Errorf("%s: no solve-time measurement", r.Label)
 		}
 	}
-	// A longer horizon costs more per solve.
-	if rows[1].SolveTimeMs <= rows[0].SolveTimeMs {
-		t.Errorf("N=12 (%v ms) should cost more than N=4 (%v ms)",
-			rows[1].SolveTimeMs, rows[0].SolveTimeMs)
+	// A longer horizon costs more per solve. Wall-clock ms/solve swings
+	// with host load, so the order is checked on the deterministic work
+	// count behind it.
+	t.Logf("stage factorizations/solve: N=4 %.1f, N=12 %.1f", rows[0].StageFactorsPerSolve, rows[1].StageFactorsPerSolve)
+	if rows[1].StageFactorsPerSolve <= rows[0].StageFactorsPerSolve {
+		t.Errorf("N=12 (%v stage factorizations/solve) should cost more than N=4 (%v)",
+			rows[1].StageFactorsPerSolve, rows[0].StageFactorsPerSolve)
 	}
 }
 

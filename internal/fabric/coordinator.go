@@ -69,11 +69,12 @@ type CoordinatorConfig struct {
 	// are rejected with a typed 413 workers treat as terminal
 	// (0 = DefaultMaxCompleteBytes).
 	MaxCompleteBytes int64
-	// Spill, when non-nil, stores completed records in rotating disk
-	// segments with only a compact index in memory, bounding
-	// coordinator RSS on cluster-scale sweeps. Stitching streams the
-	// records back in expansion order.
-	Spill *SpillConfig
+	// Spill keeps only each completed record's position in the journal
+	// in memory, not the record, so the record store stays O(jobs) on
+	// cluster-scale sweeps; stitching reads the records back from the
+	// journal in expansion order. It requires Journal. Without it every
+	// record stays in memory until Stitch.
+	Spill bool
 	// Reclaim paces re-leasing of an expired unit: attempt n waits
 	// Reclaim.Delay(unitSeed, n) — the exact backoff policy job retry
 	// uses, so the two paths cannot drift.
@@ -152,7 +153,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	units    []*unit
 	byLease  map[uint64]*unit
-	store    recordStore
+	store    *recordStore
 	workers  map[string]time.Time // worker id -> last seen
 	flaps    map[string]int       // worker id -> mid-flight lease losses
 	benched  map[string]bool      // workers the flap breaker quarantined
@@ -195,15 +196,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.MaxCompleteBytes <= 0 {
 		cfg.MaxCompleteBytes = DefaultMaxCompleteBytes
 	}
+	if cfg.Spill && cfg.Journal == nil {
+		return nil, errors.New("fabric: Spill reads records back from the journal, so it needs Journal")
+	}
 	jobs, err := runner.Expand(cfg.Spec)
 	if err != nil {
 		return nil, err
-	}
-	var store recordStore = newMemStore()
-	if cfg.Spill != nil {
-		if store, err = newSpillStore(*cfg.Spill); err != nil {
-			return nil, err
-		}
 	}
 	keys := runner.Fingerprints(jobs)
 	c := &Coordinator{
@@ -214,7 +212,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		fp:       telemetry.FormatFingerprint(runner.SweepFingerprint(keys)),
 		git:      cfg.Git,
 		byLease:  make(map[uint64]*unit),
-		store:    store,
+		store:    newRecordStore(nil),
 		workers:  make(map[string]time.Time),
 		flaps:    make(map[string]int),
 		benched:  make(map[string]bool),
@@ -246,10 +244,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 		c.jnl = jnl
+		if cfg.Spill {
+			c.store = newRecordStore(jnl)
+		}
 		// Replay completions; failed records are re-run, mirroring the
 		// pool's resume semantics.
 		for i := range jobs {
-			rec := jnl.Replayed(i)
+			rec, at := jnl.Replayed(i)
 			if rec == nil || rec.Err != "" {
 				continue
 			}
@@ -258,10 +259,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 				return nil, fmt.Errorf("%w: journal record for job %d has fingerprint %s, this expansion has %s",
 					runner.ErrJournalMismatch, i, rec.Fingerprint, c.fps[i])
 			}
-			if err := c.store.Put(i, rec); err != nil {
-				jnl.Close()
-				return nil, err
-			}
+			c.store.Put(i, rec, at)
 			c.resumed++
 			c.publishCache(i, rec)
 		}
@@ -498,11 +496,6 @@ func (c *Coordinator) Close() error {
 		errs = append(errs, c.jnl.Close())
 		c.jnl = nil
 	}
-	if c.store != nil {
-		// The store stays set (Snapshot after Close must not panic);
-		// spill Close is idempotent and releases the segments.
-		errs = append(errs, c.store.Close())
-	}
 	return errors.Join(errs...)
 }
 
@@ -571,7 +564,8 @@ func (c *Coordinator) progressLocked() Progress {
 
 // StitchEach streams the stitched results in expansion order, one
 // record at a time: each job's record is loaded from the store (a
-// spill-backed store reads exactly one record into memory per call),
+// spilling store reads exactly one record back from the journal per
+// call, so StitchEach must run before Close),
 // rebuilt via the journal replay path, its metric snapshot merged into
 // the registry, its step spans appended to the trace log, and the
 // resulting JobResult handed to fn; the run is recorded in the manifest
@@ -872,22 +866,20 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.cDuplicates.Inc()
 			continue
 		}
-		if err := c.store.Put(rec.Index, rec); err != nil {
-			httpError(w, http.StatusInternalServerError, "fabric: store record: %v", err)
-			return
-		}
-		rep.Accepted++
-		c.cRecords.Inc()
-		c.publishCache(rec.Index, rec)
+		// Journal first, index second: a record the journal failed to
+		// take is never indexed, so a retry can land it.
+		var at runner.JournalPos
 		if c.jnl != nil {
-			if err := c.jnl.Append(rec); err != nil {
-				// Journal failure is fatal for crash-safety claims; back
-				// the record out so a retry can land it.
-				c.store.Delete(rec.Index)
+			var err error
+			if at, err = c.jnl.Append(rec); err != nil {
 				httpError(w, http.StatusInternalServerError, "fabric: journal append: %v", err)
 				return
 			}
 		}
+		c.store.Put(rec.Index, rec, at)
+		rep.Accepted++
+		c.cRecords.Inc()
+		c.publishCache(rec.Index, rec)
 	}
 	// Mark any units this completion finished (normally req.Unit, but a
 	// restarted coordinator may have resharded state, so recheck all

@@ -154,21 +154,21 @@ func collect(t *testing.T, reg *telemetry.Registry, tl *telemetry.TraceLog, man 
 // n in-process workers and returns the stitched artifacts.
 func runFabric(t *testing.T, label string, n int) artifacts {
 	t.Helper()
+	return runFabricWith(t, CoordinatorConfig{Label: label}, n)
+}
+
+// runFabricWith runs the grid sweep under cfg (the grid spec, unit
+// size, lease TTL, artifact sinks and build stamp filled in) with n
+// in-process workers, and returns the stitched artifacts.
+func runFabricWith(t *testing.T, cfg CoordinatorConfig, n int) artifacts {
+	t.Helper()
 	reg := telemetry.NewRegistry()
 	tl := &telemetry.TraceLog{}
 	man := telemetry.NewManifest("evbench")
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Spec:      mustSpec(t),
-		SpecName:  "grid",
-		Params:    gridParams,
-		Label:     label,
-		UnitSize:  2,
-		LeaseTTL:  2 * time.Second,
-		Telemetry: reg,
-		TraceLog:  tl,
-		Manifest:  man,
-		Git:       "test",
-	})
+	cfg.Spec, cfg.SpecName, cfg.Params = mustSpec(t), "grid", gridParams
+	cfg.UnitSize, cfg.LeaseTTL, cfg.Git = 2, 2*time.Second, "test"
+	cfg.Telemetry, cfg.TraceLog, cfg.Manifest = reg, tl, man
+	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

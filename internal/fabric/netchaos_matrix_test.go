@@ -21,7 +21,8 @@ type chaosScenario struct {
 	name string
 	// schedules faults worker w's transport (len = worker count).
 	schedules []netchaos.Schedule
-	// spill runs the coordinator on the disk-spilling record store.
+	// spill journals the coordinator and has it read its records back
+	// from the journal at stitch.
 	spill bool
 	// callTimeout overrides the workers' per-request deadline.
 	callTimeout time.Duration
@@ -86,7 +87,8 @@ func runChaosFabric(t *testing.T, label string, sc *chaosScenario) (artifacts, *
 		Git:       "test",
 	}
 	if sc.spill {
-		cfg.Spill = &SpillConfig{Dir: t.TempDir(), SegmentBytes: 8 << 10}
+		cfg.Journal = &runner.JournalConfig{Dir: t.TempDir()}
+		cfg.Spill = true
 	}
 	coord, err := NewCoordinator(cfg)
 	if err != nil {
@@ -193,8 +195,9 @@ func TestNetChaosMatrix(t *testing.T) {
 		{
 			// A flaky link: random latency on every path, plus a
 			// guaranteed connection reset on the first lease call. The
-			// spill store runs underneath to prove fault recovery
-			// composes with it.
+			// spilling coordinator runs underneath, reading its records
+			// back from the journal, to prove fault recovery composes
+			// with it.
 			name:  "flaky-link",
 			spill: true,
 			schedules: []netchaos.Schedule{
@@ -262,7 +265,7 @@ func TestNetChaosMatrix(t *testing.T) {
 			// A transient partition around worker w1: heartbeats and its
 			// first completion are black-holed. Per-call deadlines turn
 			// the holes into bounded timeouts and the retries land; the
-			// spill store again runs underneath.
+			// spilling coordinator again runs underneath.
 			name:        "partition-window",
 			spill:       true,
 			callTimeout: 300 * time.Millisecond,

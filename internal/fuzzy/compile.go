@@ -6,20 +6,18 @@ import (
 	"sort"
 )
 
-// Compiled is a validate-once, allocation-free evaluator for a System.
-// Evaluate on the interpreted System validates the rule base, builds an
-// activation map, and re-evaluates every output membership function at
-// every centroid sample on each call — fine for a demo, fatal in a
-// batched sweep that calls it millions of times. Compile hoists all of
-// that: validation happens once, inputs arrive as a slice in InputNames
-// order, rule antecedents are index-resolved, and the output terms'
-// degrees at the centroid samples are precomputed into a flat table.
+// Compiled is the validate-once, allocation-free evaluator of a
+// System, the form a batched sweep calls millions of times: validation
+// happens once, inputs arrive as a slice in InputNames order, rule
+// antecedents are index-resolved, and the output terms' degrees at the
+// centroid samples are precomputed into a flat table.
 //
-// The inference arithmetic is unchanged — same clamp, same min-AND, same
-// max aggregation, same Mamdani clip, same centroid accumulation order —
-// so Compiled.Evaluate returns bit-identical results to System.Evaluate
-// (max and min are order-independent, and only fired terms, which the map
-// path also restricts itself to, enter the aggregation).
+// The inference arithmetic is plain Mamdani inference — clamp, min-AND,
+// max aggregation, Mamdani clip, centroid accumulation in sample order —
+// so Compiled.Evaluate returns bit-identical results to the interpreted
+// inference the package's tests keep as an oracle (max and min are
+// order-independent, and only fired terms, which the interpreter also
+// restricts itself to, enter the aggregation).
 type Compiled struct {
 	names      []string
 	mins, maxs []float64
@@ -96,10 +94,7 @@ func (s *System) Compile() (*Compiled, error) {
 		c.rules[ri] = cr
 	}
 
-	n := s.Resolution
-	if n < 3 {
-		n = 201
-	}
+	n := resolution
 	c.xs = make([]float64, n)
 	c.deg = make([]float64, c.nOut*n)
 	for i := 0; i < n; i++ {
@@ -134,8 +129,7 @@ func (c *Compiled) Clone() *Compiled {
 func (c *Compiled) InputNames() []string { return c.names }
 
 // Evaluate runs Mamdani inference for crisp inputs given in InputNames
-// order and returns the centroid-defuzzified output, bit-identical to
-// System.Evaluate with the same values keyed by name. It allocates
+// order and returns the centroid-defuzzified output. It allocates
 // nothing.
 func (c *Compiled) Evaluate(in []float64) (float64, error) {
 	if len(in) != len(c.mins) {

@@ -8,7 +8,6 @@ package fuzzy
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -79,20 +78,22 @@ type Rule struct {
 	Then Cond
 }
 
-// System is a complete Mamdani controller with a single output.
+// System is a complete Mamdani controller with a single output. Compile
+// turns it into the evaluator.
 type System struct {
 	inputs map[string]*Variable
 	output *Variable
 	rules  []Rule
-	// Resolution is the number of output-universe samples for centroid
-	// defuzzification (default 201).
-	Resolution int
 }
+
+// resolution is the number of output-universe samples for centroid
+// defuzzification.
+const resolution = 201
 
 // NewSystem assembles a system from input variables and one output
 // variable.
 func NewSystem(output *Variable, inputs ...*Variable) *System {
-	s := &System{inputs: make(map[string]*Variable), output: output, Resolution: 201}
+	s := &System{inputs: make(map[string]*Variable), output: output}
 	for _, in := range inputs {
 		s.inputs[in.Name] = in
 	}
@@ -139,66 +140,6 @@ func (s *System) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Evaluate runs Mamdani inference for crisp inputs (clamped to each
-// variable's universe) and returns the centroid-defuzzified output.
-func (s *System) Evaluate(in map[string]float64) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	// Rule activations: min over antecedents.
-	activation := make(map[string]float64) // output term → max activation
-	anyFired := false
-	for _, r := range s.rules {
-		w := 1.0
-		for _, c := range r.If {
-			v := s.inputs[c.Var]
-			x, ok := in[c.Var]
-			if !ok {
-				return 0, fmt.Errorf("fuzzy: missing input %q", c.Var)
-			}
-			x = math.Max(v.Min, math.Min(v.Max, x))
-			d := v.Terms[c.Term].Degree(x)
-			if d < w {
-				w = d
-			}
-		}
-		if w > 0 {
-			anyFired = true
-			if w > activation[r.Then.Term] {
-				activation[r.Then.Term] = w
-			}
-		}
-	}
-	if !anyFired {
-		return 0, ErrNoActivation
-	}
-	// Aggregate (max of clipped output MFs) and take the centroid.
-	n := s.Resolution
-	if n < 3 {
-		n = 201
-	}
-	var num, den float64
-	for i := 0; i < n; i++ {
-		x := s.output.Min + (s.output.Max-s.output.Min)*float64(i)/float64(n-1)
-		var mu float64
-		for term, w := range activation {
-			d := s.output.Terms[term].Degree(x)
-			if d > w {
-				d = w // Mamdani clip
-			}
-			if d > mu {
-				mu = d
-			}
-		}
-		num += mu * x
-		den += mu
-	}
-	if den == 0 {
-		return 0, ErrNoActivation
-	}
-	return num / den, nil
 }
 
 // InputNames returns the registered input variable names, sorted.

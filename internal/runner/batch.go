@@ -299,7 +299,7 @@ func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) (err error) {
 	for k, ln := range live {
 		ln.jr.Result, ln.jr.Instance, ln.jr.Elapsed = rs[k], bc.Lane(k), share
 		if opts.Cache != nil {
-			opts.Cache.put(pe.fps[ln.i], rs[k], share)
+			opts.Cache.Put(pe.fps[ln.i], rs[k], share)
 		}
 	}
 	return nil

@@ -1,16 +1,12 @@
 package runner
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"math"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -23,8 +19,11 @@ import (
 // parameters including the fault seed, and profile contents), not of the
 // job's position in its sweep. Repeated sweeps — e.g. re-rendering
 // Table I after a weights change — skip unchanged cells, and so does a
-// sweep that repeats another's cell at a different index. Cached
-// results are shared pointers and must be treated as read-only.
+// sweep that repeats another's cell at a different index. The cache
+// lives in memory only: a journaled sweep puts every result it replays
+// into it, so a resumed invocation re-serves earlier sweeps' cells from
+// their build-checked journals. Cached results are shared pointers and
+// must be treated as read-only.
 type Cache struct {
 	mu           sync.Mutex
 	m            map[uint64]cacheEntry
@@ -57,20 +56,17 @@ func (c *Cache) get(key uint64) (*sim.Result, time.Duration, bool) {
 	return e.res, e.elapsed, ok
 }
 
-func (c *Cache) put(key uint64, res *sim.Result, elapsed time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = cacheEntry{res: res, elapsed: elapsed}
-}
-
 // Put inserts a result under its scenario fingerprint with the
-// wall-clock its simulation cost. The fabric coordinator publishes
-// every successful completion through here, so later hits on the same
-// fingerprint — a reassigned unit, a joining worker — skip the
+// wall-clock its simulation cost. The pool puts every result it
+// simulates or replays from a journal, and the fabric coordinator every
+// successful completion, so later hits on the same fingerprint — a
+// repeated cell, a reassigned unit, a joining worker — skip the
 // simulation entirely. Results are shared pointers; callers must treat
 // them as read-only after insertion.
 func (c *Cache) Put(key uint64, res *sim.Result, elapsed time.Duration) {
-	c.put(key, res, elapsed)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = cacheEntry{res: res, elapsed: elapsed}
 }
 
 // Stats returns the hit/miss counters and the number of cached cells.
@@ -88,12 +84,12 @@ func (c *Cache) Saved() time.Duration {
 	return c.saved
 }
 
-// cacheFileVersion is the on-disk cache schema; LoadFile discards
-// files written by a different schema. Version 2 carries each result's
-// trace in its packed wire form (sim.Trace.MarshalText).
+// cacheFileVersion is the cache wire schema; Load discards payloads
+// written by a different schema. Version 2 carries each result's trace
+// in its packed wire form (sim.Trace.MarshalText).
 const cacheFileVersion = 2
 
-// cacheFile is the serialized form of a Cache: results keyed by their
+// cacheFile is the wire form of a Cache: results keyed by their
 // scenario fingerprint in hex. Invalidation is inherent in the key —
 // any spec, seed, or profile change produces a new fingerprint, so
 // stale entries are simply never hit.
@@ -107,8 +103,8 @@ type cacheFileEntry struct {
 	ElapsedNs int64       `json:"elapsed_ns"`
 }
 
-// Save writes the cache's wire form — the same content-addressed JSON
-// the disk file holds — to w. It is the payload the fabric's /cache
+// Save writes the cache's content-addressed JSON wire form to w. It is
+// the payload the fabric's /cache
 // endpoint serves, so a worker joining a sweep inherits every result
 // the coordinator has already collected.
 func (c *Cache) Save(w io.Writer) error {
@@ -145,32 +141,6 @@ func (c *Cache) Load(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile persists the cache beside a sweep's journal, atomically
-// (WriteFileAtomic). Entries survive process restarts; a later LoadFile
-// restores them.
-func (c *Cache) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf.Bytes())
-}
-
-// LoadFile merges a saved cache into this one. A missing file is not
-// an error (a first run has nothing to load); see Load for the
-// invalidation policy.
-func (c *Cache) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	return c.Load(f)
 }
 
 // Fingerprint hashes everything that determines the job's outcome: the

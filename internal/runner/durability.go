@@ -209,7 +209,7 @@ func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
 			jrec.Result = nil
 		}
 		if pe.jnl != nil {
-			if err := pe.jnl.Append(jrec); err != nil && jr.Err == nil {
+			if _, err := pe.jnl.Append(jrec); err != nil && jr.Err == nil {
 				jr.Err = fmt.Errorf("runner: journal append: %w", err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -437,64 +438,83 @@ func TestCheckpointIgnoredOnFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestCacheDiskPersistence: the journal is the cache's disk copy. A
+// journaled sweep is resumed in a new invocation with a cold cache;
+// its replay warms the cache, so a second sweep that shares two of its
+// cells (and was never journaled, as if the first invocation stopped
+// before it) takes them from the cache, bit-identical, and simulates
+// only its own cell.
 func TestCacheDiskPersistence(t *testing.T) {
-	cache := NewCache()
-	first, err := Run(context.Background(), quickSpec(), Options{Workers: 2, Cache: cache})
+	dir := t.TempDir()
+	first, err := Run(context.Background(), quickSpec(), Options{Workers: 2, Cache: NewCache(),
+		ManifestLabel: "sweep-a", Journal: &JournalConfig{Dir: dir, Git: "test"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := first.JobErrors(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := cache.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
 
-	loaded := NewCache()
-	if err := loaded.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	sw, err := Run(context.Background(), quickSpec(), Options{Workers: 2, Cache: loaded})
+	cache := NewCache()
+	resume := &JournalConfig{Dir: dir, Resume: true, Git: "test"}
+	again, err := Run(context.Background(), quickSpec(), Options{Workers: 2, Cache: cache,
+		ManifestLabel: "sweep-a", Journal: resume})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sw.Jobs {
-		if !sw.Jobs[i].Cached {
-			t.Errorf("job %d missed the persisted cache", i)
+	for i := range again.Jobs {
+		if !again.Jobs[i].Replayed {
+			t.Fatalf("job %d of the resumed sweep was not replayed", i)
 		}
-		identicalResults(t, fmt.Sprintf("job %d", i), sw.Jobs[i].Result, first.Jobs[i].Result)
 	}
-
-	// Corruption invalidates silently: a cache is an accelerator, not a
-	// source of truth.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+	// The second sweep: ECE15 under On/Off in both of the first sweep's
+	// environments, and in one of its own.
+	spec := quickSpec()
+	spec.Controllers = spec.Controllers[:1]
+	spec.Cycles = spec.Cycles[:1]
+	spec.Envs = append(spec.Envs, Env{AmbientC: 20})
+	sw, err := Run(context.Background(), spec, Options{Workers: 2, Cache: cache,
+		ManifestLabel: "sweep-b", Journal: resume})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sw.JobErrors(); err != nil {
+		t.Fatal(err)
+	}
+	// Expansion order: sweep-b's jobs 0 and 1 are sweep-a's 0 and 2.
+	for k, i := range []int{0, 2} {
+		jr := &sw.Jobs[k]
+		if !jr.Cached || jr.Replayed {
+			t.Errorf("sweep-b job %d: cached %v, replayed %v — want a hit on the cache the replay warmed",
+				k, jr.Cached, jr.Replayed)
+		}
+		identicalResults(t, fmt.Sprintf("sweep-b job %d", k), jr.Result, first.Jobs[i].Result)
+	}
+	if sw.Jobs[2].Cached {
+		t.Error("sweep-b's own cell hit the cache")
+	}
+	if hits, _, _ := cache.Stats(); hits != 2 {
+		t.Errorf("cache hits = %d, want 2", hits)
+	}
+
+	// The wire form (the fabric's /cache payload) invalidates silently
+	// on corruption: a cache is an accelerator, not a source of truth.
 	cold := NewCache()
-	if err := cold.LoadFile(path); err != nil {
-		t.Fatalf("corrupt cache file: %v, want silent invalidation", err)
+	if err := cold.Load(strings.NewReader("not json")); err != nil {
+		t.Fatalf("corrupt cache payload: %v, want silent invalidation", err)
 	}
 	if _, _, entries := cold.Stats(); entries != 0 {
-		t.Errorf("corrupt cache loaded %d entries", entries)
+		t.Errorf("corrupt cache payload loaded %d entries", entries)
 	}
 
 	// A future schema version is ignored the same way.
 	vdata, _ := json.Marshal(map[string]any{"version": 99, "entries": map[string]any{}})
-	if err := os.WriteFile(path, vdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	versioned := NewCache()
-	if err := versioned.LoadFile(path); err != nil {
+	if err := versioned.Load(bytes.NewReader(vdata)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, entries := versioned.Stats(); entries != 0 {
-		t.Errorf("future-version cache loaded %d entries", entries)
-	}
-
-	// Missing file is a clean cold start.
-	if err := NewCache().LoadFile(filepath.Join(t.TempDir(), "missing.json")); err != nil {
-		t.Errorf("missing cache file: %v", err)
+		t.Errorf("future-version cache payload loaded %d entries", entries)
 	}
 }
 

@@ -136,11 +136,23 @@ type LeaseRecord struct {
 	Lease uint64 `json:"lease"`
 }
 
+// JournalPos locates one record's line in the journal file: its byte
+// offset and length, the newline included. Journal.Append reports it
+// for the record it wrote, ParseJournal for each record it replays, and
+// Journal.ReadRecord reads the record back from it.
+type JournalPos struct {
+	Off int64
+	Len int64
+}
+
 // JournalReplay is a parsed journal: the header, the latest record per
-// job index, and whether the final record was torn (a crash mid-write).
+// job index and where it sits, and whether the final record was torn (a
+// crash mid-write).
 type JournalReplay struct {
 	Header  JournalHeader
 	Records map[int]*JournalRecord
+	// At locates each of Records in the parsed bytes.
+	At map[int]JournalPos
 	// Leases are the fabric lease events, in append order.
 	Leases []LeaseRecord
 	// Torn reports that the final line failed to parse and was dropped.
@@ -183,10 +195,11 @@ type Journal struct {
 	mu         sync.Mutex
 	path       string
 	f          *os.File
+	size       int64 // bytes in the file: where the next record lands
 	header     JournalHeader
 	fsyncEvery int
 	sinceSync  int
-	replay     map[int]*JournalRecord
+	replay     *JournalReplay
 }
 
 // journalFileName derives the journal file name from the sweep label
@@ -279,13 +292,14 @@ func siblingJournals(dir, label string, path string) []string {
 
 // createJournal starts a fresh journal with the given header.
 func createJournal(path string, h JournalHeader, fsyncEvery int) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	j := &Journal{path: path, f: f, header: h, fsyncEvery: fsyncEvery}
-	if err := WriteJSONLine(h, func(line []byte) error {
-		_, err := f.Write(line)
+	if err := writeJSONLine(h, func(line []byte) error {
+		n, err := f.Write(line)
+		j.size = int64(n)
 		return err
 	}); err != nil {
 		f.Close()
@@ -331,7 +345,7 @@ func resumeJournal(path string, want JournalHeader, fsyncEvery int) (*Journal, e
 			"re-run the original spec, or remove the journal to start over",
 			ErrJournalMismatch, path, got.Jobs, want.Jobs)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -345,8 +359,8 @@ func resumeJournal(path string, want JournalHeader, fsyncEvery int) (*Journal, e
 		f.Close()
 		return nil, err
 	}
-	return &Journal{path: path, f: f, header: got, fsyncEvery: fsyncEvery,
-		replay: rep.Records}, nil
+	return &Journal{path: path, f: f, size: rep.ValidLen, header: got,
+		fsyncEvery: fsyncEvery, replay: rep}, nil
 }
 
 // ReadJournal parses a journal file. See ParseJournal.
@@ -363,11 +377,12 @@ func ReadJournal(path string) (*JournalReplay, error) {
 // corruption anywhere else is an error, because silently skipping
 // middle records would resurrect lost work as "finished". When the
 // same job index appears more than once (a failed job re-run by an
-// earlier resume), the last record wins. A journal written by another
-// schema version is refused with ErrJournalMismatch before any record
-// is decoded: its records do not parse under this schema.
+// earlier resume), the last record wins; At locates it. A journal
+// written by another schema version is refused with ErrJournalMismatch
+// before any record is decoded: its records do not parse under this
+// schema.
 func ParseJournal(data []byte) (*JournalReplay, error) {
-	rep := &JournalReplay{Records: make(map[int]*JournalRecord)}
+	rep := &JournalReplay{Records: make(map[int]*JournalRecord), At: make(map[int]JournalPos)}
 	pos := 0
 	lineNo := 0
 	sawHeader := false
@@ -429,6 +444,7 @@ func ParseJournal(data []byte) (*JournalReplay, error) {
 		} else {
 			rec := r
 			rep.Records[rec.Index] = &rec
+			rep.At[rec.Index] = JournalPos{Off: int64(pos), Len: int64(next - pos)}
 		}
 		pos = next
 		rep.ValidLen = int64(pos)
@@ -439,9 +455,10 @@ func ParseJournal(data []byte) (*JournalReplay, error) {
 	return rep, nil
 }
 
-// Append journals one completed job and fsyncs on the configured
-// cadence. Safe for concurrent workers.
-func (j *Journal) Append(rec *JournalRecord) error {
+// Append journals one completed job, fsyncs on the configured cadence,
+// and reports where the record landed (see ReadRecord). Safe for
+// concurrent workers.
+func (j *Journal) Append(rec *JournalRecord) (JournalPos, error) {
 	return j.appendLine(rec)
 }
 
@@ -449,16 +466,21 @@ func (j *Journal) Append(rec *JournalRecord) error {
 // cadence as job records.
 func (j *Journal) AppendLease(rec *LeaseRecord) error {
 	rec.Kind = "lease"
-	return j.appendLine(rec)
+	_, err := j.appendLine(rec)
+	return err
 }
 
 // appendLine encodes one record of any kind outside the lock and
 // appends it under the lock.
-func (j *Journal) appendLine(rec any) error {
-	return WriteJSONLine(rec, func(line []byte) error {
+func (j *Journal) appendLine(rec any) (JournalPos, error) {
+	var at JournalPos
+	err := writeJSONLine(rec, func(line []byte) error {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		if _, err := j.f.Write(line); err != nil {
+		n, err := j.f.Write(line)
+		at = JournalPos{Off: j.size, Len: int64(n)}
+		j.size += int64(n)
+		if err != nil {
 			return err
 		}
 		j.sinceSync++
@@ -468,18 +490,34 @@ func (j *Journal) appendLine(rec any) error {
 		}
 		return nil
 	})
+	return at, err
 }
 
-// linePool recycles WriteJSONLine's buffers.
+// ReadRecord reads back the job record at at, a position Append or
+// the replay reported for this journal. It does not take the append
+// lock: a record is never rewritten once its Append returned.
+func (j *Journal) ReadRecord(at JournalPos) (*JournalRecord, error) {
+	buf := make([]byte, at.Len)
+	if _, err := j.f.ReadAt(buf, at.Off); err != nil {
+		return nil, fmt.Errorf("runner: read journal record at %d: %w", at.Off, err)
+	}
+	rec := new(JournalRecord)
+	if err := json.Unmarshal(buf, rec); err != nil || rec.Kind != "job" {
+		return nil, fmt.Errorf("runner: journal record at %d does not decode: %v", at.Off, err)
+	}
+	return rec, nil
+}
+
+// linePool recycles writeJSONLine's buffers.
 var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// WriteJSONLine encodes v as one JSON line — json.Marshal's bytes plus
+// writeJSONLine encodes v as one JSON line — json.Marshal's bytes plus
 // a newline — into a pooled buffer and hands the line to write, which
 // must not retain it. The record is encoded before write runs, so a
 // write that takes a lock holds it for the copy alone, and the line is
-// never copied on its way out. The journal and the fabric's spill store
-// append their records through it.
-func WriteJSONLine(v any, write func(line []byte) error) error {
+// never copied on its way out. The journal appends its records through
+// it.
+func writeJSONLine(v any, write func(line []byte) error) error {
 	buf := linePool.Get().(*bytes.Buffer)
 	defer linePool.Put(buf)
 	buf.Reset()
@@ -489,8 +527,14 @@ func WriteJSONLine(v any, write func(line []byte) error) error {
 	return write(buf.Bytes())
 }
 
-// Replayed returns the journal's record for a job index, or nil.
-func (j *Journal) Replayed(index int) *JournalRecord { return j.replay[index] }
+// Replayed returns the record a resumed journal held for a job index,
+// and where it sits in the file, or nil.
+func (j *Journal) Replayed(index int) (*JournalRecord, JournalPos) {
+	if j.replay == nil {
+		return nil, JournalPos{}
+	}
+	return j.replay.Records[index], j.replay.At[index]
+}
 
 // Header returns the journal's header.
 func (j *Journal) Header() JournalHeader { return j.header }

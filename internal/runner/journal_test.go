@@ -370,7 +370,7 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		if rec := jnl2.Replayed(jobs[i].Index); rec != nil {
+		if rec, _ := jnl2.Replayed(jobs[i].Index); rec != nil {
 			t.Errorf("resume replayed job %d from a journal holding only lease events", jobs[i].Index)
 		}
 	}
@@ -389,7 +389,7 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := j.Append(&JournalRecord{Kind: "job", Index: i, Fingerprint: "00", Seed: int64(i)}); err != nil {
+		if _, err := j.Append(&JournalRecord{Kind: "job", Index: i, Fingerprint: "00", Seed: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,13 +421,29 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 		t.Errorf("ValidLen %d, want %d", rep.ValidLen, clean.Size())
 	}
 
-	// Resume truncates the torn tail; subsequent appends land cleanly.
+	// Resume truncates the torn tail; subsequent appends land cleanly,
+	// where the torn line began.
 	j2, err := resumeJournal(path, h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(&JournalRecord{Kind: "job", Index: 2, Fingerprint: "00", Seed: 2}); err != nil {
+	at, err := j2.Append(&JournalRecord{Kind: "job", Index: 2, Fingerprint: "00", Seed: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if at.Off != clean.Size() {
+		t.Errorf("appended record at offset %d, want %d", at.Off, clean.Size())
+	}
+	// Replayed and appended records read back from their positions.
+	for i := 0; i < 3; i++ {
+		pos := at
+		if i < 2 {
+			_, pos = j2.Replayed(i)
+		}
+		rec, err := j2.ReadRecord(pos)
+		if err != nil || rec.Index != i || rec.Seed != int64(i) {
+			t.Errorf("ReadRecord(%+v) = %+v, %v, want job %d", pos, rec, err, i)
+		}
 	}
 	j2.Close()
 	rep2, err := ReadJournal(path)

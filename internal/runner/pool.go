@@ -272,7 +272,10 @@ func runJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, []uint
 	pe.resolveCounters()
 
 	// Journal mode: open (or resume) the write-ahead log and replay the
-	// finished jobs before any worker starts.
+	// finished jobs before any worker starts. Each replayed result also
+	// warms the cache, so a later sweep of the same invocation that
+	// shares the cell takes it from there, as it would have in the run
+	// that journaled it.
 	if opts.Journal != nil {
 		jnl, err := OpenJournal(opts.Journal, opts.ManifestLabel, pe.fps)
 		if err != nil {
@@ -282,13 +285,16 @@ func runJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, []uint
 		pe.jnl = jnl
 		replayed := 0
 		for i := range jobs {
-			rec := jnl.Replayed(jobs[i].Index)
+			rec, _ := jnl.Replayed(jobs[i].Index)
 			if rec == nil || rec.Err != "" {
 				continue // never journaled, or failed: re-run it
 			}
 			jr, err := pe.replay(i, rec)
 			if err != nil {
 				return nil, nil, err
+			}
+			if opts.Cache != nil {
+				opts.Cache.Put(pe.fps[i], jr.Result, jr.Elapsed)
 			}
 			out[i] = jr
 			ran[i] = true
