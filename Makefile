@@ -23,9 +23,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Machine-readable benchmark snapshot: the sweep-engine scaling benches,
-# the co-simulation hot-path benches and JournalAppend (one fleet
-# commute's journal record, encoded and written), parsed into
-# BENCH_sweep.json so regressions diff across commits. The telemetry pair (RunOnOff vs
+# the co-simulation hot-path benches, JournalAppend (one fleet
+# commute's journal record, encoded and written) and FuzzyEvaluate (one
+# compiled inference of the fuzzy baseline's rule base on settled-cabin
+# inputs), parsed into BENCH_sweep.json so regressions diff across commits. The telemetry pair (RunOnOff vs
 # RunOnOffTelemetry) bounds the observability overhead. The second
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
 # pair (QPInteriorPoint vs ...Warm) bounds the workspace-reuse win,
@@ -44,13 +45,19 @@ bench:
 # path is, and the committed snapshot is taken at GOMAXPROCS=1. They run
 # five times (-count 5), and benchjson keeps each metric's median, so one
 # slow run on a shared host does not land in the snapshot.
+#
+# Both snapshots come from one bench set each, which bench-gate reruns
+# whole (with a longer -benchtime, the $(1) of the calls below), so a
+# gate run rewrites a snapshot with every entry bench-json writes.
+sweep_benches = { $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem $(1) . ; \
+	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem $(1) ./internal/sim ; \
+	  $(GO) test -run '^$$' -bench 'FuzzyEvaluate' -benchmem $(1) ./internal/fuzzy ; }
+solver_benches = { $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 -count 5 $(1) . ; \
+	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -cpu 1 -count 5 $(1) ./internal/qp ; }
+
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff|JournalAppend' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -cpu 1 -count 5 . ; \
-	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -cpu 1 -count 5 ./internal/qp ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
+	$(call sweep_benches,) | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
+	$(call solver_benches,) | $(GO) run ./cmd/benchjson -o BENCH_solver.json
 
 # Solver-path regression gate: rerun the solver benches and fail (exit 1)
 # when the ns/op of BenchmarkMPCSolveStep or its co-scheduling
@@ -73,12 +80,9 @@ bench-json:
 # than the solver tolerance because whole-sweep wall-clock on shared
 # runners swings far more than a single solve step.
 bench-gate:
-	{ $(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|QPColdFixture|SQPSolveWarm' -benchmem -benchtime 3s -cpu 1 -count 5 . ; \
-	  $(GO) test -run '^$$' -bench 'KKTFactor|KKTSolve' -benchmem -benchtime 3s -cpu 1 -count 5 ./internal/qp ; } \
-	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
+	$(call solver_benches,-benchtime 3s) | $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
-	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
-	| $(GO) run ./cmd/benchjson -gate BENCH_sweep.json \
+	$(call sweep_benches,-benchtime 3s) | $(GO) run ./cmd/benchjson -gate BENCH_sweep.json \
 	  -gate-bench 'BenchmarkSweepBatch' -gate-tol 0.35 -o BENCH_sweep.json
 
 # Fault-injection and observability conformance under the race detector:

@@ -258,3 +258,19 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		t.Fatalf("resumed run: exit %d, stderr: %s", code, errOut)
 	}
 }
+
+// TestResumeAfterOneExperiment resumes a whole run from the journal of
+// a single experiment: the sweeps that never ran (Fig. 6's, Table I's,
+// ...) must start fresh journals, not be refused as drifted copies of
+// Fig. 5's, which shares their drive profile.
+func TestResumeAfterOneExperiment(t *testing.T) {
+	dir := t.TempDir()
+	code, _, errOut := runCLI(context.Background(), "-quick", "-exp", "fig5", "-journal", dir)
+	if code != 0 {
+		t.Fatalf("fig5 run: exit %d, stderr: %s", code, errOut)
+	}
+	code, _, errOut = runCLI(context.Background(), "-quick", "-journal", dir, "-resume")
+	if code != 0 {
+		t.Fatalf("resumed run of every experiment: exit %d, stderr: %s", code, errOut)
+	}
+}

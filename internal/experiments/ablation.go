@@ -47,15 +47,16 @@ type mpcVariant struct {
 }
 
 // runMPCVariants simulates each MPC configuration on the hot-day
-// ECE_EUDC profile — all configurations in parallel on the sweep engine
-// — and collects one ablation row per configuration, in order.
-func (o *Options) runMPCVariants(vs []mpcVariant) ([]AblationRow, error) {
+// ECE_EUDC profile — all configurations in parallel on the sweep engine,
+// as the sweep label names — and collects one ablation row per
+// configuration, in order.
+func (o *Options) runMPCVariants(label string, vs []mpcVariant) ([]AblationRow, error) {
 	specs := make([]runner.ControllerSpec, len(vs))
 	for i, v := range vs {
 		specs[i] = runner.MPCSpec(v.cfg, v.controlDt)
 		specs[i].Label = v.label
 	}
-	sw, err := o.sweep(specs,
+	sw, err := o.sweep(label, specs,
 		[]runner.CycleSpec{{Name: "ECE_EUDC"}},
 		[]runner.Env{{AmbientC: o.AmbientC, SolarW: o.SolarW}})
 	if err != nil {
@@ -96,7 +97,7 @@ func AblateHorizon(opts Options, horizons []int) ([]AblationRow, error) {
 		mcfg.Horizon = n
 		vs = append(vs, mpcVariant{fmt.Sprintf("N=%d", n), mcfg, mpcControlDt})
 	}
-	return opts.runMPCVariants(vs)
+	return opts.runMPCVariants("ablate-horizon", vs)
 }
 
 // AblateSoCDevWeight sweeps w2. w2 = 0 reduces the controller to a plain
@@ -113,7 +114,7 @@ func AblateSoCDevWeight(opts Options, weights []float64) ([]AblationRow, error) 
 		mcfg.Weights.SoCDev = w2
 		vs = append(vs, mpcVariant{fmt.Sprintf("w2=%g", w2), mcfg, mpcControlDt})
 	}
-	return opts.runMPCVariants(vs)
+	return opts.runMPCVariants("ablate-socdev", vs)
 }
 
 // AblateSQPBudget sweeps the per-step SQP iteration limit. The limit
@@ -134,7 +135,7 @@ func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {
 		mcfg.SQPMaxIter = it
 		vs = append(vs, mpcVariant{fmt.Sprintf("sqp=%d", it), mcfg, mpcControlDt})
 	}
-	return opts.runMPCVariants(vs)
+	return opts.runMPCVariants("ablate-sqp", vs)
 }
 
 // AblateControlPeriod sweeps the controller period against the fixed
@@ -151,7 +152,7 @@ func AblateControlPeriod(opts Options, periods []float64) ([]AblationRow, error)
 		mcfg.Dt = dt
 		vs = append(vs, mpcVariant{fmt.Sprintf("dt=%gs", dt), mcfg, dt})
 	}
-	return opts.runMPCVariants(vs)
+	return opts.runMPCVariants("ablate-period", vs)
 }
 
 // RenderAblation formats ablation rows under a title.

@@ -110,8 +110,11 @@ func (o *Options) controllerSpecs() []runner.ControllerSpec {
 
 // sweep executes one scenario grid — the given cycles × environments
 // under the given controllers — on the options' worker pool and cache,
-// failing on the first job error.
-func (o *Options) sweep(controllers []runner.ControllerSpec, cycles []runner.CycleSpec, envs []runner.Env) (*runner.Sweep, error) {
+// failing on the first job error. The label names the sweep in its
+// manifest and journal file; each harness experiment passes its own, so
+// a -resume never takes one experiment's journal for another's drifted
+// spec.
+func (o *Options) sweep(label string, controllers []runner.ControllerSpec, cycles []runner.CycleSpec, envs []runner.Env) (*runner.Sweep, error) {
 	spec := runner.Spec{
 		Controllers:  controllers,
 		Cycles:       cycles,
@@ -119,14 +122,6 @@ func (o *Options) sweep(controllers []runner.ControllerSpec, cycles []runner.Cyc
 		Targets:      []float64{o.TargetC},
 		ComfortBandC: o.ComfortBandC,
 		MaxProfileS:  o.MaxProfileS,
-	}
-	label := "sweep"
-	if len(cycles) > 0 {
-		if cycles[0].Label != "" {
-			label = cycles[0].Label
-		} else if cycles[0].Name != "" {
-			label = cycles[0].Name
-		}
 	}
 	sw, err := runner.Run(o.ctx(), spec, o.runOptions(label))
 	if err != nil {
@@ -139,10 +134,10 @@ func (o *Options) sweep(controllers []runner.ControllerSpec, cycles []runner.Cyc
 }
 
 // runStandard runs the three controllers on one registry cycle at the
-// given ambient conditions and returns the results keyed by controller
-// name.
-func (o *Options) runStandard(cycleName string, ambientC, solarW float64) (map[string]*sim.Result, error) {
-	sw, err := o.sweep(o.controllerSpecs(),
+// given ambient conditions as the sweep label names, and returns the
+// results keyed by controller name.
+func (o *Options) runStandard(label, cycleName string, ambientC, solarW float64) (map[string]*sim.Result, error) {
+	sw, err := o.sweep(label, o.controllerSpecs(),
 		[]runner.CycleSpec{{Name: cycleName}},
 		[]runner.Env{{AmbientC: ambientC, SolarW: solarW}})
 	if err != nil {

@@ -29,7 +29,7 @@ type Trace struct {
 // flat, and the MPC shows small controlled modulation.
 func Fig5(opts Options) ([]Trace, error) {
 	opts.fill()
-	results, err := opts.runStandard("ECE_EUDC", opts.AmbientC, opts.SolarW)
+	results, err := opts.runStandard("fig5", "ECE_EUDC", opts.AmbientC, opts.SolarW)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ type Fig6Point struct {
 // (precooling) during valleys.
 func Fig6(opts Options) ([]Fig6Point, error) {
 	opts.fill()
-	results, err := opts.runStandard("ECE_EUDC", opts.AmbientC, opts.SolarW)
+	results, err := opts.runStandard("fig6", "ECE_EUDC", opts.AmbientC, opts.SolarW)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func RunCycles(opts Options) ([]CycleResult, error) {
 	for _, c := range drivecycle.EvaluationCycles() {
 		cycles = append(cycles, runner.CycleSpec{Name: c.Name})
 	}
-	sw, err := opts.sweep(opts.controllerSpecs(), cycles,
+	sw, err := opts.sweep("cycles", opts.controllerSpecs(), cycles,
 		[]runner.Env{{AmbientC: opts.AmbientC, SolarW: opts.SolarW}})
 	if err != nil {
 		return nil, err

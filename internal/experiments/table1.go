@@ -72,7 +72,7 @@ func Table1(opts Options, ambients []float64) ([]Table1Row, error) {
 			envs[i].SolarW = 0
 		}
 	}
-	sw, err := opts.sweep(opts.controllerSpecs(),
+	sw, err := opts.sweep("table1", opts.controllerSpecs(),
 		[]runner.CycleSpec{{Name: "ECE_EUDC"}}, envs)
 	if err != nil {
 		return nil, err

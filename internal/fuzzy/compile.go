@@ -9,48 +9,58 @@ import (
 // Compiled is the validate-once, allocation-free evaluator of a
 // System, the form a batched sweep calls millions of times: validation
 // happens once, inputs arrive as a slice in InputNames order, rule
-// antecedents are index-resolved, and the output terms' degrees at the
-// centroid samples are precomputed into a flat table.
+// antecedents are index-resolved onto the distinct (input, term) pairs,
+// and the output terms' degrees at the centroid samples are precomputed
+// into a flat table together with each term's support there.
 //
 // The inference arithmetic is plain Mamdani inference — clamp, min-AND,
 // max aggregation, Mamdani clip, centroid accumulation in sample order —
 // so Compiled.Evaluate returns bit-identical results to the interpreted
-// inference the package's tests keep as an oracle (max and min are
-// order-independent, and only fired terms, which the interpreter also
-// restricts itself to, enter the aggregation).
+// inference the package's tests keep as an oracle, although it touches
+// only the samples some fired term supports:
+//   - each input is clamped, and each (input, term) degree computed, once
+//     per call; the values are those every rule condition computed anew;
+//   - max and min are exact and order-independent, and outside a fired
+//     term's support its clipped degree min(0, w) cannot raise the
+//     aggregate, so folding each fired term over its own support gives
+//     the aggregate μ of every sample;
+//   - a sample outside every fired support has μ = +0, whose products
+//     ±0 leave the sums unchanged (they start at +0 and never become
+//     −0), and the remaining samples are summed in sample order.
 type Compiled struct {
 	names      []string
 	mins, maxs []float64
 
+	terms []compiledTerm // distinct antecedent (input, term) pairs
 	rules []compiledRule
 	nOut  int // number of output terms
 
 	// Centroid table: xs[i] is the i-th output sample, deg[j*len(xs)+i]
-	// the j-th output term's membership degree there.
-	xs  []float64
-	deg []float64
+	// the j-th output term's membership degree there, and support[j] the
+	// sample range [lo, hi) outside which that degree is zero. byLo lists
+	// the output terms by ascending support start.
+	xs      []float64
+	deg     []float64
+	support []sampleRange
+	byLo    []int
 
 	// Per-call scratch (not safe for concurrent use; Clone shares the
-	// tables above and refreshes only these).
-	act      []float64
-	firedIdx []int
-	firedW   []float64
+	// tables above and refreshes only these): clamped inputs, antecedent
+	// degrees, output-term activations and the aggregated μ per sample.
+	x, termDeg, act, mu []float64
+}
+
+type compiledTerm struct {
+	in int
+	mf func(x float64) float64
 }
 
 type compiledRule struct {
-	conds []compiledCond
+	conds []int // indices into Compiled.terms
 	out   int
 }
 
-type compiledCond struct {
-	in int
-	mf MFDegreeFunc
-}
-
-// MFDegreeFunc is a monomorphized membership function: calling through a
-// concrete func value instead of the MF interface lets rule evaluation
-// stay devirtualized in the hot loop while producing the same bits.
-type MFDegreeFunc func(x float64) float64
+type sampleRange struct{ lo, hi int }
 
 // Compile validates the system once and builds the allocation-free
 // evaluator. The compiled form is a snapshot: rules or terms added to
@@ -85,11 +95,18 @@ func (s *System) Compile() (*Compiled, error) {
 	}
 	c.nOut = len(outTerms)
 
+	termIdx := make(map[Cond]int)
 	c.rules = make([]compiledRule, len(s.rules))
 	for ri, r := range s.rules {
-		cr := compiledRule{out: outIdx[r.Then.Term], conds: make([]compiledCond, len(r.If))}
+		cr := compiledRule{out: outIdx[r.Then.Term], conds: make([]int, len(r.If))}
 		for ci, cond := range r.If {
-			cr.conds[ci] = compiledCond{in: idx[cond.Var], mf: s.inputs[cond.Var].Terms[cond.Term].Degree}
+			k, ok := termIdx[cond]
+			if !ok {
+				k = len(c.terms)
+				termIdx[cond] = k
+				c.terms = append(c.terms, compiledTerm{in: idx[cond.Var], mf: s.inputs[cond.Var].Terms[cond.Term].Degree})
+			}
+			cr.conds[ci] = k
 		}
 		c.rules[ri] = cr
 	}
@@ -97,20 +114,39 @@ func (s *System) Compile() (*Compiled, error) {
 	n := resolution
 	c.xs = make([]float64, n)
 	c.deg = make([]float64, c.nOut*n)
+	c.support = make([]sampleRange, c.nOut)
+	c.byLo = make([]int, c.nOut)
 	for i := 0; i < n; i++ {
 		c.xs[i] = s.output.Min + (s.output.Max-s.output.Min)*float64(i)/float64(n-1)
 	}
 	for j, name := range outTerms {
 		mf := s.output.Terms[name]
+		sup := sampleRange{lo: n}
 		for i := 0; i < n; i++ {
-			c.deg[j*n+i] = mf.Degree(c.xs[i])
+			d := mf.Degree(c.xs[i])
+			c.deg[j*n+i] = d
+			if d != 0 {
+				sup.lo = min(sup.lo, i)
+				sup.hi = i + 1
+			}
 		}
+		if sup.hi == 0 {
+			sup.lo = 0 // zero everywhere: an empty range
+		}
+		c.support[j] = sup
+		c.byLo[j] = j
 	}
+	sort.SliceStable(c.byLo, func(a, b int) bool { return c.support[c.byLo[a]].lo < c.support[c.byLo[b]].lo })
 
-	c.act = make([]float64, c.nOut)
-	c.firedIdx = make([]int, c.nOut)
-	c.firedW = make([]float64, c.nOut)
+	c.allocScratch()
 	return c, nil
+}
+
+func (c *Compiled) allocScratch() {
+	c.x = make([]float64, len(c.mins))
+	c.termDeg = make([]float64, len(c.terms))
+	c.act = make([]float64, c.nOut)
+	c.mu = make([]float64, len(c.xs))
 }
 
 // Clone returns an evaluator sharing the compiled tables but with its
@@ -118,9 +154,7 @@ func (s *System) Compile() (*Compiled, error) {
 // without recompiling.
 func (c *Compiled) Clone() *Compiled {
 	out := *c
-	out.act = make([]float64, c.nOut)
-	out.firedIdx = make([]int, c.nOut)
-	out.firedW = make([]float64, c.nOut)
+	out.allocScratch()
 	return &out
 }
 
@@ -135,20 +169,21 @@ func (c *Compiled) Evaluate(in []float64) (float64, error) {
 	if len(in) != len(c.mins) {
 		return 0, fmt.Errorf("fuzzy: %d inputs, want %d", len(in), len(c.mins))
 	}
-	act := c.act
-	for j := range act {
-		act[j] = 0
+	for i, v := range in {
+		c.x[i] = math.Max(c.mins[i], math.Min(c.maxs[i], v))
 	}
+	for k := range c.terms {
+		t := &c.terms[k]
+		c.termDeg[k] = t.mf(c.x[t.in])
+	}
+	act := c.act
+	clear(act)
 	anyFired := false
 	for ri := range c.rules {
 		r := &c.rules[ri]
 		w := 1.0
-		for ci := range r.conds {
-			cd := &r.conds[ci]
-			x := in[cd.in]
-			x = math.Max(c.mins[cd.in], math.Min(c.maxs[cd.in], x))
-			d := cd.mf(x)
-			if d < w {
+		for _, k := range r.conds {
+			if d := c.termDeg[k]; d < w {
 				w = d
 			}
 		}
@@ -162,32 +197,53 @@ func (c *Compiled) Evaluate(in []float64) (float64, error) {
 	if !anyFired {
 		return 0, ErrNoActivation
 	}
-	// Compact the fired terms: unfired terms contribute exactly 0 to the
-	// max aggregation, so skipping them changes no bits and keeps the
-	// centroid loop short (typically ≤ 4 of the output terms fire).
-	nf := 0
+
+	// Aggregate μ = max over fired terms of min(degree, w), each term
+	// folded over its own support only.
+	n := len(c.xs)
+	mu := c.mu
 	for j, w := range act {
 		if w > 0 {
-			c.firedIdx[nf] = j
-			c.firedW[nf] = w
-			nf++
+			clear(mu[c.support[j].lo:c.support[j].hi])
 		}
 	}
-	n := len(c.xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		var mu float64
-		for f := 0; f < nf; f++ {
-			d := c.deg[c.firedIdx[f]*n+i]
-			if w := c.firedW[f]; d > w {
+	for j, w := range act {
+		if w <= 0 {
+			continue
+		}
+		sup := c.support[j]
+		row := c.deg[j*n+sup.lo : j*n+sup.hi]
+		m := mu[sup.lo:sup.hi]
+		m = m[:len(row)]
+		for i, d := range row {
+			if d > w {
 				d = w // Mamdani clip
 			}
-			if d > mu {
-				mu = d
+			if d > m[i] {
+				m[i] = d
 			}
 		}
-		num += mu * c.xs[i]
-		den += mu
+	}
+	// Centroid over the union of fired supports in sample order: terms
+	// by ascending support start, each summing only past the samples
+	// already summed.
+	var num, den float64
+	end := 0
+	for _, j := range c.byLo {
+		if act[j] <= 0 {
+			continue
+		}
+		sup := c.support[j]
+		lo := max(sup.lo, end)
+		if lo < sup.hi {
+			xs, m := c.xs[lo:sup.hi], mu[lo:sup.hi]
+			m = m[:len(xs)]
+			for i, x := range xs {
+				num += m[i] * x
+				den += m[i]
+			}
+			end = sup.hi
+		}
 	}
 	if den == 0 {
 		return 0, ErrNoActivation

@@ -175,7 +175,10 @@ func (pe *poolEnv) runUnit(ctx context.Context, unit []int, out []JobResult) {
 		if err := pe.attempt(ctx, lanes); err == nil || ctx.Err() != nil {
 			for _, ln := range lanes {
 				ln.jr.Attempts = 1
-				out[ln.i] = pe.finish(ctx, ln)
+			}
+			pe.finish(ctx, lanes...)
+			for _, ln := range lanes {
+				out[ln.i] = ln.jr
 			}
 			return
 		}

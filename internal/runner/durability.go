@@ -162,17 +162,59 @@ func (pe *poolEnv) runJob(ctx context.Context, i int) JobResult {
 		}
 	}
 	ln.jr.AttemptErrs = attemptErrs
-	return pe.finish(ctx, ln)
+	pe.finish(ctx, ln)
+	return ln.jr
 }
 
-// finish books a lane's final attempt as its job's outcome: the trace
-// ring, the outcome counters on the job-private registry, the journal
-// record and OnRecord stream (except for a shutdown-in-progress abort,
-// which resumes from its checkpoint instead of replaying a partial
-// result), the merge of the job's metrics into the sweep registry, and
-// removal of the job's now-needless checkpoint.
-func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
-	jr := ln.jr
+// finish books each lane's final attempt as its job's outcome, in
+// ln.jr: the trace ring, the outcome counters on the job-private
+// registry, the journal records and OnRecord stream (except for a
+// shutdown-in-progress abort, which resumes from its checkpoint instead
+// of replaying a partial result), the merge of the job's metrics into
+// the sweep registry, and removal of the job's now-needless checkpoint.
+// The lanes' records append to the journal together, in one write and
+// fsync, and reach OnRecord only once that append returned, so no
+// record is streamed before it is durable.
+func (pe *poolEnv) finish(ctx context.Context, lanes ...*lane) {
+	metrics := make([]telemetry.Snapshot, len(lanes))
+	var recs []*JournalRecord
+	for k, ln := range lanes {
+		var rec *JournalRecord
+		if metrics[k], rec = pe.book(ctx, ln); rec != nil {
+			recs = append(recs, rec)
+		}
+	}
+	if pe.jnl != nil && len(recs) > 0 {
+		if _, err := pe.jnl.Append(recs...); err != nil {
+			for _, ln := range lanes {
+				if ln.jr.Err == nil {
+					ln.jr.Err = fmt.Errorf("runner: journal append: %w", err)
+				}
+			}
+		}
+	}
+	for _, rec := range recs {
+		if pe.opts.OnRecord != nil {
+			pe.opts.OnRecord(rec)
+		}
+		pe.telRecords.Inc()
+	}
+	for k, ln := range lanes {
+		if err := pe.opts.Telemetry.Merge(metrics[k]); err != nil && ln.jr.Err == nil {
+			ln.jr.Err = fmt.Errorf("runner: telemetry merge: %w", err)
+		}
+		if ln.ckPath != "" && ln.jr.Err == nil {
+			os.Remove(ln.ckPath)
+		}
+	}
+}
+
+// book stores a lane's trace ring, counts its outcome on the
+// job-private registry, and returns that registry's snapshot and the
+// job's journal record (nil when neither the journal nor OnRecord takes
+// one, or the sweep is shutting down).
+func (pe *poolEnv) book(ctx context.Context, ln *lane) (telemetry.Snapshot, *JournalRecord) {
+	jr := &ln.jr
 	job := &pe.jobs[ln.i]
 	if pe.traces != nil {
 		pe.traces[ln.i] = ln.rec
@@ -189,42 +231,28 @@ func (pe *poolEnv) finish(ctx context.Context, ln *lane) JobResult {
 	jc.seconds.Observe(jr.Elapsed.Seconds())
 	metrics := ln.priv.Snapshot(nil)
 
-	if (pe.jnl != nil || pe.opts.OnRecord != nil) && ctx.Err() == nil {
-		jrec := &JournalRecord{
-			Kind:        "job",
-			Index:       job.Index,
-			Fingerprint: telemetry.FormatFingerprint(pe.fps[ln.i]),
-			Seed:        job.Seed,
-			Attempts:    jr.Attempts,
-			Cached:      jr.Cached,
-			ElapsedNs:   jr.Elapsed.Nanoseconds(),
-			Result:      jr.Result,
-			Metrics:     metrics,
-		}
-		if ln.rec != nil {
-			jrec.Spans = ln.rec.Spans()
-		}
-		if jr.Err != nil {
-			jrec.Err = jr.Err.Error()
-			jrec.Result = nil
-		}
-		if pe.jnl != nil {
-			if _, err := pe.jnl.Append(jrec); err != nil && jr.Err == nil {
-				jr.Err = fmt.Errorf("runner: journal append: %w", err)
-			}
-		}
-		if pe.opts.OnRecord != nil {
-			pe.opts.OnRecord(jrec)
-		}
-		pe.telRecords.Inc()
+	if (pe.jnl == nil && pe.opts.OnRecord == nil) || ctx.Err() != nil {
+		return metrics, nil
 	}
-	if err := pe.opts.Telemetry.Merge(metrics); err != nil && jr.Err == nil {
-		jr.Err = fmt.Errorf("runner: telemetry merge: %w", err)
+	jrec := &JournalRecord{
+		Kind:        "job",
+		Index:       job.Index,
+		Fingerprint: telemetry.FormatFingerprint(pe.fps[ln.i]),
+		Seed:        job.Seed,
+		Attempts:    jr.Attempts,
+		Cached:      jr.Cached,
+		ElapsedNs:   jr.Elapsed.Nanoseconds(),
+		Result:      jr.Result,
+		Metrics:     metrics,
 	}
-	if ln.ckPath != "" && jr.Err == nil {
-		os.Remove(ln.ckPath)
+	if ln.rec != nil {
+		jrec.Spans = ln.rec.Spans()
 	}
-	return jr
+	if jr.Err != nil {
+		jrec.Err = jr.Err.Error()
+		jrec.Result = nil
+	}
+	return metrics, jrec
 }
 
 // resumeLane loads the lane's mid-job checkpoint, if it has a usable

@@ -43,9 +43,9 @@ type JournalConfig struct {
 	// pre-existing journal for the same sweep is an error — silently
 	// overwriting finished work is never the right default.
 	Resume bool
-	// FsyncEvery is the fsync cadence in records (≤ 0 = every record).
-	// Larger values trade the tail of the journal on a hard crash for
-	// less write amplification.
+	// FsyncEvery is the fsync cadence in records (≤ 0 = every append; a
+	// unit's lanes append together). Larger values trade the tail of the
+	// journal on a hard crash for less write amplification.
 	FsyncEvery int
 	// CheckpointEvery, when positive, checkpoints each in-flight job's
 	// simulation state every CheckpointEvery control steps so a resumed
@@ -138,8 +138,9 @@ type LeaseRecord struct {
 
 // JournalPos locates one record's line in the journal file: its byte
 // offset and length, the newline included. Journal.Append reports it
-// for the record it wrote, ParseJournal for each record it replays, and
-// Journal.ReadRecord reads the record back from it.
+// for the record it wrote (for several, it spans their lines),
+// ParseJournal for each record it replays, and Journal.ReadRecord reads
+// the record back from it.
 type JournalPos struct {
 	Off int64
 	Len int64
@@ -297,15 +298,14 @@ func createJournal(path string, h JournalHeader, fsyncEvery int) (*Journal, erro
 		return nil, err
 	}
 	j := &Journal{path: path, f: f, header: h, fsyncEvery: fsyncEvery}
-	if err := writeJSONLine(h, func(line []byte) error {
-		n, err := f.Write(line)
-		j.size = int64(n)
-		return err
-	}); err != nil {
-		f.Close()
-		return nil, err
+	line, err := json.Marshal(h)
+	if err == nil {
+		err = j.writeLine(append(line, '\n'))
 	}
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -455,42 +455,65 @@ func ParseJournal(data []byte) (*JournalReplay, error) {
 	return rep, nil
 }
 
-// Append journals one completed job, fsyncs on the configured cadence,
-// and reports where the record landed (see ReadRecord). Safe for
-// concurrent workers.
-func (j *Journal) Append(rec *JournalRecord) (JournalPos, error) {
-	return j.appendLine(rec)
+// Append journals completed jobs back to back, fsyncs once on the
+// configured cadence (each record counts toward it), and reports where
+// the lines landed — for a single record, its position (see
+// ReadRecord). A batch unit's lanes append together, so a unit costs at
+// most one fsync. The records are encoded and written one at a time
+// through a pooled line buffer, which so holds one record, not a unit.
+// Safe for concurrent workers.
+func (j *Journal) Append(recs ...*JournalRecord) (JournalPos, error) {
+	lb := linePool.Get().(*lineBuf)
+	defer linePool.Put(lb)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	start := j.size
+	for _, rec := range recs {
+		lb.line = lb.line[:0]
+		err := lb.appendRecord(rec)
+		if err == nil {
+			err = j.writeLine(lb.line)
+		}
+		if err != nil {
+			return JournalPos{Off: start, Len: j.size - start}, err
+		}
+	}
+	return JournalPos{Off: start, Len: j.size - start}, j.synced(len(recs))
 }
 
 // AppendLease journals one fabric lease event on the same fsync
 // cadence as job records.
 func (j *Journal) AppendLease(rec *LeaseRecord) error {
 	rec.Kind = "lease"
-	_, err := j.appendLine(rec)
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.writeLine(append(line, '\n')); err != nil {
+		return err
+	}
+	return j.synced(1)
+}
+
+// writeLine writes encoded lines at the end of the journal. The caller
+// holds j.mu (or owns a journal no one else sees yet).
+func (j *Journal) writeLine(line []byte) error {
+	n, err := j.f.Write(line)
+	j.size += int64(n)
 	return err
 }
 
-// appendLine encodes one record of any kind outside the lock and
-// appends it under the lock.
-func (j *Journal) appendLine(rec any) (JournalPos, error) {
-	var at JournalPos
-	err := writeJSONLine(rec, func(line []byte) error {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		n, err := j.f.Write(line)
-		at = JournalPos{Off: j.size, Len: int64(n)}
-		j.size += int64(n)
-		if err != nil {
-			return err
-		}
-		j.sinceSync++
-		if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
-			j.sinceSync = 0
-			return j.f.Sync()
-		}
-		return nil
-	})
-	return at, err
+// synced counts appended records toward the fsync cadence and fsyncs
+// when it is due. The caller holds j.mu.
+func (j *Journal) synced(records int) error {
+	j.sinceSync += records
+	if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
+		j.sinceSync = 0
+		return j.f.Sync()
+	}
+	return nil
 }
 
 // ReadRecord reads back the job record at at, a position Append or
@@ -508,23 +531,62 @@ func (j *Journal) ReadRecord(at JournalPos) (*JournalRecord, error) {
 	return rec, nil
 }
 
-// linePool recycles writeJSONLine's buffers.
-var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// lineBuf holds the encoding of one job record: line its journal line,
+// shell its JSON with an empty trace in place of its own.
+type lineBuf struct {
+	line  []byte
+	shell bytes.Buffer
+}
 
-// writeJSONLine encodes v as one JSON line — json.Marshal's bytes plus
-// a newline — into a pooled buffer and hands the line to write, which
-// must not retain it. The record is encoded before write runs, so a
-// write that takes a lock holds it for the copy alone, and the line is
-// never copied on its way out. The journal appends its records through
-// it.
-func writeJSONLine(v any, write func(line []byte) error) error {
-	buf := linePool.Get().(*bytes.Buffer)
-	defer linePool.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+// linePool recycles Append's buffers.
+var linePool = sync.Pool{New: func() any { return new(lineBuf) }}
+
+// traceKey opens a result's trace in a job record's JSON, and
+// emptyTrace is the text of sim.Trace{}, the trace a record's shell
+// carries.
+var (
+	traceKey      = []byte(`"Trace":"`)
+	emptyTrace, _ = sim.Trace{}.MarshalText()
+)
+
+// appendRecord appends rec's journal line — json.Marshal(rec) and a
+// newline, byte for byte — to lb.line. encoding/json would copy the
+// packed trace twice, once from MarshalText and once through its escape
+// scan; here encoding/json writes the record with an empty trace, and
+// sim.Trace.AppendText writes the real one straight into the line in
+// its place. Base64 needs no JSON escaping, so the bytes are the same.
+// The first traceKey of the shell is the result's: every field before
+// it is a number, a bool or a string, and inside a JSON string each
+// quote is escaped.
+func (lb *lineBuf) appendRecord(rec *JournalRecord) error {
+	shell := rec
+	if rec.Result != nil {
+		r, res := *rec, *rec.Result
+		res.Trace = sim.Trace{}
+		r.Result = &res
+		shell = &r
+	}
+	lb.shell.Reset()
+	if err := json.NewEncoder(&lb.shell).Encode(shell); err != nil {
 		return err
 	}
-	return write(buf.Bytes())
+	js := lb.shell.Bytes()
+	if rec.Result == nil {
+		lb.line = append(lb.line, js...)
+		return nil
+	}
+	i := bytes.Index(js, traceKey)
+	if i < 0 || !bytes.HasPrefix(js[i+len(traceKey):], emptyTrace) {
+		return errors.New("runner: journal record shell has no empty trace")
+	}
+	i += len(traceKey)
+	lb.line = append(lb.line, js[:i]...)
+	var err error
+	if lb.line, err = rec.Result.Trace.AppendText(lb.line); err != nil {
+		return err
+	}
+	lb.line = append(lb.line, js[i+len(emptyTrace):]...)
+	return nil
 }
 
 // Replayed returns the record a resumed journal held for a job index,

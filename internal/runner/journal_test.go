@@ -455,6 +455,58 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalLineIsJSONMarshal pins the journal's line encoding: for
+// records with and without a result, with an empty trace, and with
+// strings that hold a trace key, quotes and characters encoding/json
+// escapes, each line is json.Marshal's bytes and a newline, and one
+// Append of several records writes their lines back to back. A record
+// whose trace does not encode fails its Append and is not written.
+func TestJournalLineIsJSONMarshal(t *testing.T) {
+	tricky := `x","Trace":"<&>` + "\u2028"
+	recs := []*JournalRecord{
+		{Kind: "job", Index: 0, Fingerprint: "00", Err: tricky},
+		{Kind: "job", Index: 1, Fingerprint: "01", Seed: -3, Attempts: 2, ElapsedNs: 7, Err: tricky,
+			Result: &sim.Result{Controller: tricky, AvgHVACW: 1.5, Trace: sim.Trace{
+				Time: []float64{0, 1}, CabinC: []float64{24, math.Copysign(0, -1)},
+				Inputs: []cabin.Inputs{{Recirc: 0.5}, {AirFlowKgS: 1e-300}},
+			}}},
+		{Kind: "job", Index: 2, Fingerprint: "02", Cached: true, Result: &sim.Result{}},
+	}
+	var want []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, line...), '\n')
+	}
+
+	path := filepath.Join(t.TempDir(), "t.journal")
+	j, err := createJournal(path, JournalHeader{Kind: "header", Version: JournalVersion}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := j.Append(recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &JournalRecord{Kind: "job", Index: 3, Result: &sim.Result{Trace: sim.Trace{Time: []float64{math.NaN()}}}}
+	if _, err := j.Append(bad); err == nil {
+		t.Error("a record with a NaN in its trace was journaled")
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at.Off+at.Len != int64(len(data)) {
+		t.Errorf("failed Append wrote %d bytes", int64(len(data))-at.Off-at.Len)
+	}
+	if got := data[at.Off:]; !bytes.Equal(got, want) {
+		t.Errorf("journal lines differ from json.Marshal:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestJournalCorruptMiddleErrors(t *testing.T) {
 	header := fmt.Sprintf(`{"kind":"header","version":%d,"sweep_fingerprint":"00","git":"g","go_version":"go","jobs":2}`, JournalVersion)
 	rec := `{"kind":"job","index":0,"fingerprint":"00","seed":1,"elapsed_ns":5}`

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"evclimate/internal/cabin"
 )
@@ -58,7 +59,7 @@ func (t *Trace) columns() [len(traceColumnNames)]*[]float64 {
 // stream at once.
 type traceWriter struct {
 	out   []byte
-	n     int // bytes of out written
+	n     int // bytes of out filled
 	block [768]byte
 	nb    int // bytes of block filled
 }
@@ -91,12 +92,21 @@ func (w *traceWriter) flush() {
 // MarshalText implements encoding.TextMarshaler with the packed wire
 // form. It fails on a NaN or infinite value.
 func (t Trace) MarshalText() ([]byte, error) {
+	return t.AppendText(nil)
+}
+
+// AppendText implements encoding.TextAppender: it base64-encodes the
+// packed wire form straight onto the end of b and returns the extended
+// slice. It fails on a NaN or infinite value, returning b unextended.
+func (t Trace) AppendText(b []byte) ([]byte, error) {
 	cols := t.columns()
 	words := len(cols) + 1 + inputsWidth*len(t.Inputs)
 	for _, c := range cols {
 		words += len(*c)
 	}
-	w := traceWriter{out: make([]byte, traceEncoding.EncodedLen(8*words))}
+	n := len(b)
+	w := traceWriter{out: slices.Grow(b, traceEncoding.EncodedLen(8*words)), n: n}
+	w.out = w.out[:cap(w.out)]
 	for k, c := range cols {
 		if *c == nil {
 			w.word(nilColumn)
@@ -105,7 +115,7 @@ func (t Trace) MarshalText() ([]byte, error) {
 		w.word(uint64(len(*c)))
 		for i, v := range *c {
 			if err := w.float(v, traceColumnNames[k], i); err != nil {
-				return nil, err
+				return b[:n], err
 			}
 		}
 	}
@@ -118,7 +128,7 @@ func (t Trace) MarshalText() ([]byte, error) {
 			for _, v := range [inputsWidth]float64{in.SupplyTempC, in.CoilTempC, in.Recirc,
 				in.AirFlowKgS, in.BattHeatW, in.BattChillW} {
 				if err := w.float(v, "Inputs", i); err != nil {
-					return nil, err
+					return b[:n], err
 				}
 			}
 		}

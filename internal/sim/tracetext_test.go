@@ -111,7 +111,8 @@ func sameBits(a, b *Trace) bool {
 // TestTraceTextRoundTrip is the packed form's property: seeded traces
 // of 0–2000 steps — nil and empty columns, thermal PackC, signed zeros,
 // subnormals, ±MaxFloat64 — decode bit-exactly and deep-equal, both
-// directly and as a JSON field, and re-encode to the same text.
+// directly and as a JSON field, and re-encode to the same text;
+// AppendText onto a buffer adds exactly MarshalText's bytes.
 func TestTraceTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	lengths := []int{0, 1, 2, 3, 95, 96, 97, 1323, 2000}
@@ -136,6 +137,11 @@ func TestTraceTextRoundTrip(t *testing.T) {
 		if !bytes.Equal(again, text) {
 			t.Fatalf("trial %d (n=%d): re-encoding differs", trial, n)
 		}
+		prefix := []byte("prefix:")
+		appended, err := tr.AppendText(prefix[:len(prefix):len(prefix)])
+		if err != nil || !bytes.Equal(appended, append(prefix, text...)) {
+			t.Fatalf("trial %d (n=%d): AppendText differs from prefix + MarshalText (err %v)", trial, n, err)
+		}
 
 		res := Result{Controller: "x", Trace: tr, AvgHVACW: 1.5}
 		data, err := json.Marshal(&res)
@@ -153,7 +159,8 @@ func TestTraceTextRoundTrip(t *testing.T) {
 }
 
 // TestTraceTextRefusesNonFinite: NaN and ±Inf anywhere in a trace fail
-// the encoding, as json.Marshal of such a float does.
+// the encoding, as json.Marshal of such a float does, and AppendText
+// then hands back its buffer unextended.
 func TestTraceTextRefusesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cases := map[string]Trace{
@@ -164,6 +171,10 @@ func TestTraceTextRefusesNonFinite(t *testing.T) {
 		for col, tr := range cases {
 			if _, err := tr.MarshalText(); err == nil || !strings.Contains(err.Error(), col) {
 				t.Errorf("%v in %s: err = %v, want an error naming the column", bad, col, err)
+			}
+			b := []byte("kept")
+			if out, err := tr.AppendText(b); err == nil || string(out) != "kept" {
+				t.Errorf("%v in %s: AppendText = %q, %v; want the buffer unextended and an error", bad, col, out, err)
 			}
 			if _, err := json.Marshal(&Result{Trace: tr}); err == nil {
 				t.Errorf("%v in %s: json.Marshal succeeded", bad, col)
