@@ -101,15 +101,17 @@ test-faults:
 # watchdog/retry, mid-job checkpoint resume, the sim-level
 # checkpoint bit-exactness property, the state round trips of the MPC's
 # solver counters, the supervisor's ladder and the BMS's cycle
-# statistics, and the evbench exit-code contract — plus a short fuzz
-# smoke of the journal parser (the file a crashed process leaves behind
-# is untrusted input).
+# statistics, and the evbench exit-code contract — plus short fuzz
+# smokes of the journal parser and of the packed-trace decoder (the file
+# a crashed process leaves behind, a checkpoint and the fabric's wire
+# are untrusted input).
 test-resume:
 	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Kill' ./internal/runner/...
 	$(GO) test -run 'Checkpoint|Restore' ./internal/sim/...
 	$(GO) test -run 'StateRoundTrip' ./internal/core/... ./internal/control/... ./internal/bms/...
 	$(GO) test ./cmd/evbench/...
 	$(GO) test -fuzz=FuzzParseJournal -fuzztime=10s ./internal/runner/
+	$(GO) test -run '^$$' -fuzz='^FuzzTraceText$$' -fuzztime=10s ./internal/sim/
 
 # Distributed-fabric suite under the race detector: the sharding /
 # lease / quarantine unit tests, the topology byte-identity proof

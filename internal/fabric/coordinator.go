@@ -858,25 +858,32 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rep := CompleteReply{}
+	fresh := make([]*runner.JournalRecord, 0, len(req.Records))
+	taken := make(map[int]bool, len(req.Records))
 	for _, rec := range req.Records {
-		if c.store.Has(rec.Index) {
+		if c.store.Has(rec.Index) || taken[rec.Index] {
 			// A reassigned unit finishing twice: first completion wins,
 			// so stitching stays deterministic.
 			rep.Duplicates++
 			c.cDuplicates.Inc()
 			continue
 		}
-		// Journal first, index second: a record the journal failed to
-		// take is never indexed, so a retry can land it.
-		var at runner.JournalPos
-		if c.jnl != nil {
-			var err error
-			if at, err = c.jnl.Append(rec); err != nil {
-				httpError(w, http.StatusInternalServerError, "fabric: journal append: %v", err)
-				return
-			}
+		taken[rec.Index] = true
+		fresh = append(fresh, rec)
+	}
+	// Journal first, index second: records the journal failed to take
+	// are never indexed, so a retry can land them. The completion's
+	// records append together, in one write and fsync.
+	at := make([]runner.JournalPos, len(fresh))
+	if c.jnl != nil && len(fresh) > 0 {
+		var err error
+		if at, err = c.jnl.Append(fresh...); err != nil {
+			httpError(w, http.StatusInternalServerError, "fabric: journal append: %v", err)
+			return
 		}
-		c.store.Put(rec.Index, rec, at)
+	}
+	for k, rec := range fresh {
+		c.store.Put(rec.Index, rec, at[k])
 		rep.Accepted++
 		c.cRecords.Inc()
 		c.publishCache(rec.Index, rec)

@@ -355,3 +355,39 @@ func TestCallDeadlineUnsticksBlackHole(t *testing.T) {
 		t.Errorf("black-hole fired %d times, want 2 (every attempt)", got)
 	}
 }
+
+// TestCompletionOneFsync: a 16-record completion appends to the
+// journal in one call, so at the default FsyncEvery it costs one fsync,
+// not one per record; a record repeated within the completion counts as
+// a duplicate, and each accepted record reads back from its own journal
+// position.
+func TestCompletionOneFsync(t *testing.T) {
+	coord, _ := hardenedCoord(t, func(cfg *CoordinatorConfig) {
+		cfg.Spec.Targets = []float64{22, 24}
+		cfg.Journal = &runner.JournalConfig{Dir: t.TempDir(), Git: "test"}
+		cfg.Spill = true // the store reads each record back from its position
+	})
+	if len(coord.jobs) != 16 {
+		t.Fatalf("sweep has %d jobs, want 16", len(coord.jobs))
+	}
+	req := &CompleteRequest{Worker: "w", Lease: 1, Unit: 0, RequestID: 7}
+	for i := 0; i <= len(coord.jobs); i++ {
+		rec, sum := failedRecord(t, coord, i%len(coord.jobs), 1+i/len(coord.jobs))
+		req.Records = append(req.Records, rec)
+		req.Sums = append(req.Sums, sum)
+	}
+	before := coord.jnl.Syncs()
+	status, rep, msg := postComplete(t, coord.Addr, req)
+	if status != http.StatusOK || rep.Accepted != 16 || rep.Duplicates != 1 {
+		t.Fatalf("completion: status %d rep %+v (%s), want 16 accepted and 1 duplicate", status, rep, msg)
+	}
+	if got := coord.jnl.Syncs() - before; got != 1 {
+		t.Errorf("16-record completion cost %d fsyncs, want 1", got)
+	}
+	for i := range coord.jobs {
+		rec, err := coord.store.Get(i)
+		if err != nil || rec.Index != i || rec.Attempts != 1 {
+			t.Errorf("job %d reads back as %+v, %v", i, rec, err)
+		}
+	}
+}

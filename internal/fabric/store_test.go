@@ -57,14 +57,14 @@ func spillJournal(t *testing.T, n int) *runner.Journal {
 // store spills), index second.
 func put(t *testing.T, s *recordStore, rec *runner.JournalRecord) {
 	t.Helper()
-	var at runner.JournalPos
+	at := []runner.JournalPos{{}}
 	if s.jnl != nil {
 		var err error
 		if at, err = s.jnl.Append(rec); err != nil {
 			t.Fatalf("append %d: %v", rec.Index, err)
 		}
 	}
-	s.Put(rec.Index, rec, at)
+	s.Put(rec.Index, rec, at[0])
 }
 
 // storeOps exercises the recordStore contract in both modes: round-trip

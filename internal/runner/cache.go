@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"evclimate/internal/drivecycle"
 	"evclimate/internal/sim"
 )
 
@@ -86,8 +88,9 @@ func (c *Cache) Saved() time.Duration {
 
 // cacheFileVersion is the cache wire schema; Load discards payloads
 // written by a different schema. Version 2 carries each result's trace
-// in its packed wire form (sim.Trace.MarshalText).
-const cacheFileVersion = 2
+// in its packed wire form (sim.Trace.MarshalText); version 3 that form
+// with repeat flags.
+const cacheFileVersion = 3
 
 // cacheFile is the wire form of a Cache: results keyed by their
 // scenario fingerprint in hex. Invalidation is inherent in the key —
@@ -145,11 +148,51 @@ func (c *Cache) Load(r io.Reader) error {
 
 // Fingerprint hashes everything that determines the job's outcome: the
 // controller label/key, every scalar field of the sim configuration, and
-// the complete profile contents. Two jobs with equal fingerprints
-// simulate identical scenarios. Job.Seed is left out: it reaches the
-// outcome only as Config.FaultSeed, which the configuration covers, so
-// one scenario keeps one fingerprint wherever a sweep places it.
+// the complete profile contents, through their digest (see
+// profileDigest). Two jobs with equal fingerprints simulate identical
+// scenarios. Job.Seed is left out: it reaches the outcome only as
+// Config.FaultSeed, which the configuration covers, so one scenario
+// keeps one fingerprint wherever a sweep places it. A sweep keys its
+// jobs with Fingerprints, which digests each profile once.
 func (j *Job) Fingerprint() uint64 {
+	return j.fingerprint(profileDigest(j.Config.Profile))
+}
+
+// profileDigest is the FNV-1a hash of a profile's name, sample count,
+// sample period and every sample's fields, as float64 bits.
+func profileDigest(p *drivecycle.Profile) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%d\x00", p.Name, len(p.Samples))
+	w := wordHasher{h: h}
+	w.word(p.Dt)
+	for i := range p.Samples {
+		s := &p.Samples[i]
+		w.word(s.Time)
+		w.word(s.Speed)
+		w.word(s.Accel)
+		w.word(s.SlopePercent)
+		w.word(s.AmbientC)
+		w.word(s.SolarW)
+		w.word(s.WindMs)
+	}
+	return h.Sum64()
+}
+
+// wordHasher feeds float64 bits to a hash, little-endian.
+type wordHasher struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func (w *wordHasher) word(v float64) { w.bits(math.Float64bits(v)) }
+
+func (w *wordHasher) bits(b uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:], b)
+	w.h.Write(w.buf[:])
+}
+
+// fingerprint is Fingerprint given the digest of the job's profile.
+func (j *Job) fingerprint(profile uint64) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, j.Controller.Label)
 	io.WriteString(h, "\x00")
@@ -178,38 +221,21 @@ func (j *Job) Fingerprint() uint64 {
 		fmt.Fprintf(h, "\x00thermal:%+v", *th)
 	}
 
-	var buf [8]byte
-	word := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
+	w := wordHasher{h: h}
 	if eff != nil {
-		word(eff.RatedPowerW)
+		w.word(eff.RatedPowerW)
 		for _, v := range eff.SpeedsMs {
-			word(v)
+			w.word(v)
 		}
 		for _, v := range eff.LoadFracs {
-			word(v)
+			w.word(v)
 		}
 		for _, row := range eff.Eta {
 			for _, v := range row {
-				word(v)
+				w.word(v)
 			}
 		}
 	}
-
-	p := j.Config.Profile
-	fmt.Fprintf(h, "\x00%s\x00%d\x00", p.Name, len(p.Samples))
-	word(p.Dt)
-	for i := range p.Samples {
-		s := &p.Samples[i]
-		word(s.Time)
-		word(s.Speed)
-		word(s.Accel)
-		word(s.SlopePercent)
-		word(s.AmbientC)
-		word(s.SolarW)
-		word(s.WindMs)
-	}
+	w.bits(profile)
 	return h.Sum64()
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"evclimate/internal/drivecycle"
 	"evclimate/internal/sim"
 	"evclimate/internal/telemetry"
 )
@@ -21,8 +22,9 @@ import (
 // JournalVersion is the journal schema version; resuming refuses
 // journals written by a different schema. Version 2 carries each
 // result's trace in sim.Trace's packed wire form (float64 bits in
-// base64) instead of one JSON number per value.
-const JournalVersion = 2
+// base64) instead of one JSON number per value; version 3 packs it with
+// repeat flags, storing only the values that change from step to step.
+const JournalVersion = 3
 
 // ErrJournalMismatch reports a journal whose header does not describe
 // the sweep being resumed — a different spec, seed, schema, or build.
@@ -82,7 +84,8 @@ type JournalHeader struct {
 // Failed jobs are journaled too (Err set, Result nil) for diagnostics,
 // but resume re-runs them. The result's trace is one packed string (see
 // sim.Trace), so a record's size is dominated by 8 bytes per trace
-// value, base64-encoded.
+// value that differs from the step before it and one bit per value,
+// base64-encoded.
 type JournalRecord struct {
 	Kind        string               `json:"kind"` // "job"
 	Index       int                  `json:"index"`
@@ -138,9 +141,8 @@ type LeaseRecord struct {
 
 // JournalPos locates one record's line in the journal file: its byte
 // offset and length, the newline included. Journal.Append reports it
-// for the record it wrote (for several, it spans their lines),
-// ParseJournal for each record it replays, and Journal.ReadRecord reads
-// the record back from it.
+// for each record it wrote, ParseJournal for each record it replays,
+// and Journal.ReadRecord reads the record back from it.
 type JournalPos struct {
 	Off int64
 	Len int64
@@ -163,14 +165,23 @@ type JournalReplay struct {
 	ValidLen int64
 }
 
-// Fingerprints hashes each job's scenario once, in expansion order. The
-// result is the one per-job key list a sweep needs: SweepFingerprint,
+// Fingerprints hashes each job's scenario once, in expansion order,
+// digesting each distinct profile once: Expand gives the jobs of one
+// cycle and environment one profile. The result
+// is the one per-job key list a sweep needs: SweepFingerprint,
 // OpenJournal, ManifestRunInfo and the result cache all take it, so a
 // caller that holds it never hashes a profile twice.
 func Fingerprints(jobs []Job) []uint64 {
 	fps := make([]uint64, len(jobs))
+	digests := make(map[*drivecycle.Profile]uint64)
 	for i := range jobs {
-		fps[i] = jobs[i].Fingerprint()
+		p := jobs[i].Config.Profile
+		d, ok := digests[p]
+		if !ok {
+			d = profileDigest(p)
+			digests[p] = d
+		}
+		fps[i] = jobs[i].fingerprint(d)
 	}
 	return fps
 }
@@ -200,6 +211,7 @@ type Journal struct {
 	header     JournalHeader
 	fsyncEvery int
 	sinceSync  int
+	syncs      int // fsyncs issued by appends
 	replay     *JournalReplay
 }
 
@@ -457,28 +469,31 @@ func ParseJournal(data []byte) (*JournalReplay, error) {
 
 // Append journals completed jobs back to back, fsyncs once on the
 // configured cadence (each record counts toward it), and reports where
-// the lines landed — for a single record, its position (see
-// ReadRecord). A batch unit's lanes append together, so a unit costs at
-// most one fsync. The records are encoded and written one at a time
-// through a pooled line buffer, which so holds one record, not a unit.
-// Safe for concurrent workers.
-func (j *Journal) Append(recs ...*JournalRecord) (JournalPos, error) {
+// each record's line landed (see ReadRecord). A batch unit's lanes, and
+// a fabric completion's records, append together, so each costs at most
+// one fsync. The records are encoded and written one at a time through
+// a pooled line buffer, which so holds one record, not a unit. On an
+// error the positions are those of the records written before it, which
+// are not yet synced. Safe for concurrent workers.
+func (j *Journal) Append(recs ...*JournalRecord) ([]JournalPos, error) {
 	lb := linePool.Get().(*lineBuf)
 	defer linePool.Put(lb)
+	at := make([]JournalPos, 0, len(recs))
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	start := j.size
 	for _, rec := range recs {
 		lb.line = lb.line[:0]
 		err := lb.appendRecord(rec)
+		off := j.size
 		if err == nil {
 			err = j.writeLine(lb.line)
 		}
 		if err != nil {
-			return JournalPos{Off: start, Len: j.size - start}, err
+			return at, err
 		}
+		at = append(at, JournalPos{Off: off, Len: j.size - off})
 	}
-	return JournalPos{Off: start, Len: j.size - start}, j.synced(len(recs))
+	return at, j.synced(len(recs))
 }
 
 // AppendLease journals one fabric lease event on the same fsync
@@ -511,9 +526,19 @@ func (j *Journal) synced(records int) error {
 	j.sinceSync += records
 	if j.fsyncEvery <= 1 || j.sinceSync >= j.fsyncEvery {
 		j.sinceSync = 0
+		j.syncs++
 		return j.f.Sync()
 	}
 	return nil
+}
+
+// Syncs returns the number of fsyncs appends have issued. It depends on
+// how concurrent appends interleave, so it belongs in no deterministic
+// output.
+func (j *Journal) Syncs() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncs
 }
 
 // ReadRecord reads back the job record at at, a position Append or

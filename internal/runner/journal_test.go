@@ -427,10 +427,11 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := j2.Append(&JournalRecord{Kind: "job", Index: 2, Fingerprint: "00", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	ats, err := j2.Append(&JournalRecord{Kind: "job", Index: 2, Fingerprint: "00", Seed: 2})
+	if err != nil || len(ats) != 1 {
+		t.Fatalf("Append = %v, %v; want one position", ats, err)
 	}
+	at := ats[0]
 	if at.Off != clean.Size() {
 		t.Errorf("appended record at offset %d, want %d", at.Off, clean.Size())
 	}
@@ -459,8 +460,9 @@ func TestJournalTornTailToleratedAndTruncated(t *testing.T) {
 // records with and without a result, with an empty trace, and with
 // strings that hold a trace key, quotes and characters encoding/json
 // escapes, each line is json.Marshal's bytes and a newline, and one
-// Append of several records writes their lines back to back. A record
-// whose trace does not encode fails its Append and is not written.
+// Append of several records writes their lines back to back, reports
+// each line's position and fsyncs once. A record whose trace does not
+// encode fails its Append and is neither written nor synced.
 func TestJournalLineIsJSONMarshal(t *testing.T) {
 	tricky := `x","Trace":"<&>` + "\u2028"
 	recs := []*JournalRecord{
@@ -472,13 +474,13 @@ func TestJournalLineIsJSONMarshal(t *testing.T) {
 			}}},
 		{Kind: "job", Index: 2, Fingerprint: "02", Cached: true, Result: &sim.Result{}},
 	}
-	var want []byte
+	var want [][]byte
 	for _, rec := range recs {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(append(want, line...), '\n')
+		want = append(want, append(line, '\n'))
 	}
 
 	path := filepath.Join(t.TempDir(), "t.journal")
@@ -494,16 +496,29 @@ func TestJournalLineIsJSONMarshal(t *testing.T) {
 	if _, err := j.Append(bad); err == nil {
 		t.Error("a record with a NaN in its trace was journaled")
 	}
+	if got := j.Syncs(); got != 1 {
+		t.Errorf("%d fsyncs, want 1 for one Append of %d records and none for the failed one", got, len(recs))
+	}
 	j.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at.Off+at.Len != int64(len(data)) {
-		t.Errorf("failed Append wrote %d bytes", int64(len(data))-at.Off-at.Len)
+	if len(at) != len(recs) {
+		t.Fatalf("Append reported %d positions for %d records", len(at), len(recs))
 	}
-	if got := data[at.Off:]; !bytes.Equal(got, want) {
-		t.Errorf("journal lines differ from json.Marshal:\n got %s\nwant %s", got, want)
+	end := at[0].Off
+	for k, pos := range at {
+		if pos.Off != end {
+			t.Errorf("record %d at offset %d, want %d (back to back)", k, pos.Off, end)
+		}
+		end = pos.Off + pos.Len
+		if got := data[pos.Off:end]; !bytes.Equal(got, want[k]) {
+			t.Errorf("record %d line differs from json.Marshal:\n got %s\nwant %s", k, got, want[k])
+		}
+	}
+	if end != int64(len(data)) {
+		t.Errorf("failed Append wrote %d bytes", int64(len(data))-end)
 	}
 }
 

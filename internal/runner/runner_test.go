@@ -13,6 +13,7 @@ import (
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
 	"evclimate/internal/drivecycle"
+	"evclimate/internal/geodata"
 	"evclimate/internal/sim"
 )
 
@@ -357,5 +358,78 @@ func TestGenProfileSharedWithinCycle(t *testing.T) {
 	}
 	if len(genSeeds) != 1 {
 		t.Fatalf("Gen called %d times on replay", len(genSeeds))
+	}
+}
+
+// fleetLikeSpec is a small fleet grid: two generated commutes, three
+// climate cells, two targets and both baselines, so each profile is
+// shared by the four jobs of its cell.
+func fleetLikeSpec() Spec {
+	commute := func(name string, wps []geodata.Waypoint) CycleSpec {
+		return CycleSpec{Label: name, Gen: func(seed int64) (*drivecycle.Profile, error) {
+			planner := &geodata.Planner{Terrain: &geodata.Terrain{Seed: seed, ReliefM: 20}}
+			route, err := planner.Plan(name, wps, 7, 8)
+			if err != nil {
+				return nil, err
+			}
+			return route.Profile(1)
+		}}
+	}
+	return Spec{
+		Controllers: []ControllerSpec{OnOffSpec(1), FuzzySpec(1)},
+		Cycles: []CycleSpec{
+			commute("commute-0", []geodata.Waypoint{{LengthKm: 2, FreeFlowKmh: 60, Stop: true}, {LengthKm: 3, FreeFlowKmh: 80}}),
+			commute("commute-1", []geodata.Waypoint{{LengthKm: 4, FreeFlowKmh: 110}}),
+		},
+		Envs:        []Env{{AmbientC: -5}, {AmbientC: 21, SolarW: 200}, {AmbientC: 38, SolarW: 600}},
+		Targets:     []float64{22, 24},
+		MaxProfileS: 300,
+		BaseSeed:    5,
+	}
+}
+
+// TestFingerprintsMatchJob: Fingerprints, which digests each shared
+// profile once, keys every job of a fleet expansion exactly as
+// Job.Fingerprint does, and the key follows a profile's contents, not
+// its address: equal contents behind two pointers key alike, and one
+// changed SlopePercent sample changes the key.
+func TestFingerprintsMatchJob(t *testing.T) {
+	jobs, err := Expand(fleetLikeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 24 {
+		t.Fatalf("expanded to %d jobs, want 24", len(jobs))
+	}
+	fps := Fingerprints(jobs)
+	seen := map[uint64]bool{}
+	for i := range jobs {
+		if want := jobs[i].Fingerprint(); fps[i] != want {
+			t.Errorf("job %d: Fingerprints %016x, Fingerprint %016x", i, fps[i], want)
+		}
+		seen[fps[i]] = true
+	}
+	if len(seen) != len(jobs) {
+		t.Errorf("%d distinct fingerprints for %d distinct jobs", len(seen), len(jobs))
+	}
+
+	clone := func(p *drivecycle.Profile) *drivecycle.Profile {
+		q := *p
+		q.Samples = append([]drivecycle.Sample(nil), p.Samples...)
+		return &q
+	}
+	same, sloped := jobs[0], jobs[0]
+	same.Config.Profile = clone(jobs[0].Config.Profile)
+	sloped.Config.Profile = clone(jobs[0].Config.Profile)
+	sloped.Config.Profile.Samples[len(sloped.Config.Profile.Samples)/2].SlopePercent += 0.5
+	got := Fingerprints([]Job{jobs[0], same, sloped})
+	if got[1] != fps[0] || same.Fingerprint() != fps[0] {
+		t.Errorf("equal profile at another pointer: %016x, %016x; want %016x", got[1], same.Fingerprint(), fps[0])
+	}
+	if got[2] == fps[0] || sloped.Fingerprint() == fps[0] {
+		t.Error("a changed SlopePercent sample left the fingerprint unchanged")
+	}
+	if got[2] != sloped.Fingerprint() {
+		t.Errorf("changed profile: Fingerprints %016x, Fingerprint %016x", got[2], sloped.Fingerprint())
 	}
 }

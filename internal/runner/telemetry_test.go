@@ -161,6 +161,9 @@ func TestSweepTelemetryRace(t *testing.T) {
 // same commit that changes the scheme). The fingerprints were re-pinned
 // when Job.Seed left the hash (it reaches a result only through
 // Config.FaultSeed, which the hash covers); the seeds did not move.
+// They were re-pinned again when the job hash began to take the
+// profile's FNV-1a digest in place of its samples, so that a sweep
+// hashes each shared profile once; the seeds did not move.
 func TestGoldenManifest(t *testing.T) {
 	jobs, err := Expand(telemetrySpec(t))
 	if err != nil {
@@ -168,16 +171,16 @@ func TestGoldenManifest(t *testing.T) {
 	}
 	ri := ManifestRunInfo("golden", 20150601, jobs, Fingerprints(jobs))
 
-	const wantSweepFP = "c435a9f90a38c059"
+	const wantSweepFP = "ce0a3e8a6368c8cd"
 	want := []struct {
 		cycle, controller, scenario string
 		seed                        int64
 		fp                          string
 	}{
-		{"ECE_EUDC", "On/Off", "", -2711457506983803706, "74ae7ed6ea6c2596"},
-		{"ECE_EUDC", "Fuzzy-based", "", 5494506592831746107, "79b6f16a0854754d"},
-		{"ECE_EUDC", "On/Off", "stuck", -1735793612705131672, "5da1c767728b657d"},
-		{"ECE_EUDC", "Fuzzy-based", "stuck", -3557642015698659178, "eecee1d7b5927ec1"},
+		{"ECE_EUDC", "On/Off", "", -2711457506983803706, "cda2f49b66c0c425"},
+		{"ECE_EUDC", "Fuzzy-based", "", 5494506592831746107, "fb0f1c9501cdf89a"},
+		{"ECE_EUDC", "On/Off", "stuck", -1735793612705131672, "b719b63028cbe74a"},
+		{"ECE_EUDC", "Fuzzy-based", "stuck", -3557642015698659178, "226d8c3ffcb5efb6"},
 	}
 
 	if len(ri.Jobs) != len(want) {

@@ -20,8 +20,9 @@ import (
 // checkpoint would resume an MPC run inexactly. Version 4 carries the
 // BMS's cycle statistics in place of its SoC trace, the lane
 // accumulators as one Accumulators value, and the MPC's solver counters
-// whole.
-const CheckpointVersion = 4
+// whole. Version 5 packs the trace with repeat flags, storing only the
+// values that change from step to step.
+const CheckpointVersion = 5
 
 // RunOptions are the durability controls of one run. The zero value
 // reproduces Run exactly.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
@@ -204,9 +205,10 @@ func TestRestorePrimesNextRun(t *testing.T) {
 	}
 	// A checkpoint of the previous schema is refused by its version.
 	old := *ck
-	old.Version = 3
+	old.Version = CheckpointVersion - 1
+	want := fmt.Sprintf("checkpoint version %d, want %d", old.Version, CheckpointVersion)
 	if _, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: &old}); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint version 3, want 4") {
-		t.Errorf("version-3 checkpoint: got %v, want the version error", err)
+		!strings.Contains(err.Error(), want) {
+		t.Errorf("version-%d checkpoint: got %v, want the version error", old.Version, err)
 	}
 }

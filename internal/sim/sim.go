@@ -79,10 +79,11 @@ type Config struct {
 }
 
 // Trace records the closed-loop trajectories. In JSON it is one string,
-// the packed wire form of MarshalText: every value's float64 bits in
-// base64, so journals, fabric completions, the result cache and
-// checkpoints carry a trace bit-exactly without printing each value as
-// decimal text.
+// the packed wire form of MarshalText: in base64, per column, a flag bit
+// per value that repeats the one before it and the float64 bits of each
+// value that does not. Journals, fabric completions, the result cache
+// and checkpoints so carry a trace bit-exactly without printing each
+// value as decimal text, and a run of one value costs a bit a step.
 type Trace struct {
 	// Time holds the control-step timestamps.
 	Time []float64

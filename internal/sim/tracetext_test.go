@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,8 @@ import (
 	"testing"
 
 	"evclimate/internal/cabin"
+	"evclimate/internal/control"
+	"evclimate/internal/geodata"
 )
 
 // edgeFloats are the finite values the packed form must carry bit for
@@ -38,6 +41,19 @@ func randFloat(rng *rand.Rand) float64 {
 	}
 }
 
+// runFloat draws the next value of a column whose last value is prev:
+// in runs of one value as often as not, as trace columns hold them, and
+// sometimes the other signed zero.
+func runFloat(rng *rand.Rand, prev float64, i int) float64 {
+	switch {
+	case i > 0 && rng.Intn(2) == 0:
+		return prev
+	case i > 0 && prev == 0 && rng.Intn(4) == 0:
+		return -prev
+	}
+	return randFloat(rng)
+}
+
 // randColumn draws a column of n values; nil and empty columns are
 // drawn on purpose, since the two must stay distinct.
 func randColumn(rng *rand.Rand, n int) []float64 {
@@ -49,7 +65,7 @@ func randColumn(rng *rand.Rand, n int) []float64 {
 	}
 	c := make([]float64, n)
 	for i := range c {
-		c[i] = randFloat(rng)
+		c[i] = runFloat(rng, c[max(i-1, 0)], i)
 	}
 	return c
 }
@@ -70,9 +86,10 @@ func randTrace(rng *rand.Rand, n int) Trace {
 		tr.Inputs = []cabin.Inputs{}
 	default:
 		tr.Inputs = make([]cabin.Inputs, n)
-		for i := range tr.Inputs {
-			tr.Inputs[i] = cabin.Inputs{SupplyTempC: randFloat(rng), CoilTempC: randFloat(rng),
-				Recirc: randFloat(rng), AirFlowKgS: randFloat(rng), BattHeatW: randFloat(rng), BattChillW: randFloat(rng)}
+		for f := 0; f < inputsWidth; f++ {
+			for i := range tr.Inputs {
+				*inputsField(&tr.Inputs[i], f) = runFloat(rng, *inputsField(&tr.Inputs[max(i-1, 0)], f), i)
+			}
 		}
 	}
 	return tr
@@ -108,54 +125,108 @@ func sameBits(a, b *Trace) bool {
 	return true
 }
 
-// TestTraceTextRoundTrip is the packed form's property: seeded traces
-// of 0–2000 steps — nil and empty columns, thermal PackC, signed zeros,
-// subnormals, ±MaxFloat64 — decode bit-exactly and deep-equal, both
-// directly and as a JSON field, and re-encode to the same text;
-// AppendText onto a buffer adds exactly MarshalText's bytes.
+// roundTrip checks one trace against the packed form's property: it
+// decodes bit-exactly and deep-equal, both directly and as a JSON field,
+// and re-encodes to the same text; AppendText onto a buffer adds exactly
+// MarshalText's bytes.
+func roundTrip(t *testing.T, name string, tr Trace) {
+	t.Helper()
+	text, err := tr.MarshalText()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var back Trace
+	if err := back.UnmarshalText(text); err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if !sameBits(&tr, &back) || !reflect.DeepEqual(tr, back) {
+		t.Fatalf("%s: decoded trace differs", name)
+	}
+	again, _ := back.MarshalText()
+	if !bytes.Equal(again, text) {
+		t.Fatalf("%s: re-encoding differs", name)
+	}
+	prefix := []byte("prefix:")
+	appended, err := tr.AppendText(prefix[:len(prefix):len(prefix)])
+	if err != nil || !bytes.Equal(appended, append(prefix, text...)) {
+		t.Fatalf("%s: AppendText differs from prefix + MarshalText (err %v)", name, err)
+	}
+
+	res := Result{Controller: "x", Trace: tr, AvgHVACW: 1.5}
+	data, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rback Result
+	if err := json.Unmarshal(data, &rback); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(&res.Trace, &rback.Trace) || !reflect.DeepEqual(res, rback) {
+		t.Fatalf("%s: JSON round trip differs", name)
+	}
+}
+
+// TestTraceTextRoundTrip is the packed form's property over seeded
+// traces of 0–2000 steps — nil and empty columns, runs of one value,
+// thermal PackC, signed zeros, subnormals, ±MaxFloat64 — and over two
+// simulated ones: a fuzzy-controlled fleet commute and a soaked thermal
+// run at 40 °C under the co-scheduling MPC, whose PackC and battery
+// heater and chiller columns, nil or zero in a cabin-only run, all
+// change along the trace.
 func TestTraceTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	lengths := []int{0, 1, 2, 3, 95, 96, 97, 1323, 2000}
+	lengths := []int{0, 1, 2, 3, 7, 8, 9, 17, 95, 96, 97, 1323, 2000}
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(2001)
 		if trial < len(lengths) {
 			n = lengths[trial]
 		}
-		tr := randTrace(rng, n)
-		text, err := tr.MarshalText()
-		if err != nil {
-			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
-		}
-		var back Trace
-		if err := back.UnmarshalText(text); err != nil {
-			t.Fatalf("trial %d (n=%d): decode: %v", trial, n, err)
-		}
-		if !sameBits(&tr, &back) || !reflect.DeepEqual(tr, back) {
-			t.Fatalf("trial %d (n=%d): decoded trace differs", trial, n)
-		}
-		again, _ := back.MarshalText()
-		if !bytes.Equal(again, text) {
-			t.Fatalf("trial %d (n=%d): re-encoding differs", trial, n)
-		}
-		prefix := []byte("prefix:")
-		appended, err := tr.AppendText(prefix[:len(prefix):len(prefix)])
-		if err != nil || !bytes.Equal(appended, append(prefix, text...)) {
-			t.Fatalf("trial %d (n=%d): AppendText differs from prefix + MarshalText (err %v)", trial, n, err)
-		}
-
-		res := Result{Controller: "x", Trace: tr, AvgHVACW: 1.5}
-		data, err := json.Marshal(&res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rback Result
-		if err := json.Unmarshal(data, &rback); err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(&res.Trace, &rback.Trace) || !reflect.DeepEqual(res, rback) {
-			t.Fatalf("trial %d (n=%d): JSON round trip differs", trial, n)
-		}
+		roundTrip(t, fmt.Sprintf("trial %d (n=%d)", trial, n), randTrace(rng, n))
 	}
+	for _, n := range []int{7, 8, 9, 17} {
+		roundTrip(t, fmt.Sprintf("runs (n=%d)", n), runTrace(n))
+	}
+
+	planner := &geodata.Planner{
+		Terrain: &geodata.Terrain{Seed: 3, ReliefM: 40},
+		Climate: &geodata.Climate{Zone: geodata.Temperate},
+		Traffic: &geodata.Traffic{},
+	}
+	route, err := planner.Plan("commute", []geodata.Waypoint{
+		{LengthKm: 3, FreeFlowKmh: 60, Stop: true}, {LengthKm: 4, FreeFlowKmh: 110}}, 7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := route.Profile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := New(DefaultConfig(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Run(control.NewFuzzy(hvacModel(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, "fleet", res.Trace)
+
+	thermalRun, err := New(coldThermalConfig(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = thermalRun.Run(thermalMPC(t)); err != nil {
+		t.Fatal(err)
+	}
+	var heat, chill bool
+	for _, in := range res.Trace.Inputs {
+		heat, chill = heat || in.BattHeatW != 0, chill || in.BattChillW != 0
+	}
+	if len(res.Trace.PackC) == 0 || !heat || !chill {
+		t.Fatalf("thermal trace: %d PackC values, battery heat %v, chill %v; want all live",
+			len(res.Trace.PackC), heat, chill)
+	}
+	roundTrip(t, "thermal", res.Trace)
 }
 
 // TestTraceTextRefusesNonFinite: NaN and ±Inf anywhere in a trace fail
@@ -183,44 +254,75 @@ func TestTraceTextRefusesNonFinite(t *testing.T) {
 	}
 }
 
-// packWords encodes raw words the way MarshalText frames them, for
-// building malformed inputs.
-func packWords(words ...uint64) []byte {
-	raw := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(raw[8*i:], w)
+// packed builds a packed byte stream word by word and flag byte by flag
+// byte, for malformed inputs.
+type packed []byte
+
+func (p packed) words(vs ...uint64) packed {
+	for _, v := range vs {
+		p = binary.LittleEndian.AppendUint64(p, v)
 	}
-	return []byte(base64.StdEncoding.EncodeToString(raw))
+	return p
+}
+
+func (p packed) flags(c byte) packed { return append(p, c) }
+
+func (p packed) append(q packed) packed { return append(p, q...) }
+
+func (p packed) text() []byte { return []byte(base64.StdEncoding.EncodeToString(p)) }
+
+// nilWords is n nil-column length words.
+func nilWords(n int) packed {
+	var p packed
+	for i := 0; i < n; i++ {
+		p = p.words(nilColumn)
+	}
+	return p
 }
 
 // TestTraceTextRejectsMalformed: every malformed input is an error —
-// never a panic — and leaves the destination unchanged.
+// never a panic — and leaves the destination unchanged. Beside bad
+// base64 and bad lengths, each packing rule the decoder enforces has a
+// case: a column's first value marked as a repeat (in a float column
+// and in an Inputs field, which starts its own run), a stored repeat,
+// flag bits past a column's end and a non-finite value.
 func TestTraceTextRejectsMalformed(t *testing.T) {
 	good, err := (&Trace{Time: []float64{1, 2}, Inputs: []cabin.Inputs{{Recirc: 0.5}}}).MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nils := make([]uint64, len(traceColumnNames)+1)
-	for i := range nils {
-		nils[i] = nilColumn
-	}
+	cols := len(traceColumnNames)
 	withLen := func(k int, v uint64) []byte {
-		w := append([]uint64(nil), nils...)
-		w[k] = v
-		return packWords(w...)
+		return nilWords(k).words(v).append(nilWords(cols - k)).text()
 	}
-	nanBits := math.Float64bits(math.NaN())
+	// time1 is a Time column of n values in one group, with the given
+	// flag byte and stored words, then the other columns nil.
+	time1 := func(n uint64, flags byte, vs ...uint64) []byte {
+		return packed{}.words(n).flags(flags).words(vs...).append(nilWords(cols)).text()
+	}
+	one := math.Float64bits(1)
+	inputs := nilWords(cols).words(1)
+	for f := 0; f < inputsWidth-1; f++ {
+		inputs = inputs.flags(0).words(one)
+	}
 	cases := map[string][]byte{
-		"empty":            {},
-		"truncated base64": good[:len(good)-3],
-		"truncated words":  packWords(nils[:5]...),
-		"bad base64":       append([]byte("!"), good[1:]...),
-		"line break":       append(append([]byte(nil), good[:8]...), append([]byte("\n"), good[8:]...)...),
-		"length past end":  withLen(0, 1<<40),
-		"inputs past end":  withLen(len(traceColumnNames), 3),
-		"huge length":      withLen(4, 1<<62),
-		"trailing bytes":   packWords(append(append([]uint64(nil), nils...), 7)...),
-		"non-finite value": packWords(append([]uint64{1, nanBits}, nils[1:]...)...),
+		"empty":                {},
+		"truncated base64":     good[:len(good)-3],
+		"truncated words":      nilWords(5).text(),
+		"bad base64":           append([]byte("!"), good[1:]...),
+		"line break":           append(append([]byte(nil), good[:8]...), append([]byte("\n"), good[8:]...)...),
+		"length past end":      withLen(0, 1<<40),
+		"groups past end":      withLen(0, 700),
+		"inputs past end":      withLen(cols, 3),
+		"huge length":          withLen(4, 1<<62),
+		"truncated group":      packed{}.words(2).flags(0).words(one).text(),
+		"trailing bytes":       nilWords(cols + 1).words(7).text(),
+		"non-finite value":     time1(1, 0, math.Float64bits(math.NaN())),
+		"first value repeat":   time1(1, 1),
+		"stored repeat":        time1(2, 0, one, one),
+		"flag past end":        time1(2, 0x06, one),
+		"inputs field repeat":  inputs.flags(1).text(),
+		"inputs value missing": inputs.flags(0).text(),
 	}
 	for name, text := range cases {
 		tr := Trace{CabinC: []float64{42}}
@@ -232,9 +334,30 @@ func TestTraceTextRejectsMalformed(t *testing.T) {
 		}
 	}
 	var tr Trace
-	if err := tr.UnmarshalText(packWords(nils...)); err != nil || !reflect.DeepEqual(tr, Trace{}) {
+	if err := tr.UnmarshalText(nilWords(cols + 1).text()); err != nil || !reflect.DeepEqual(tr, Trace{}) {
 		t.Errorf("all-nil trace: %+v, %v", tr, err)
 	}
+	if err := tr.UnmarshalText(inputs.flags(0).words(one).text()); err != nil || tr.Inputs[0].BattChillW != 1 {
+		t.Errorf("one-step Inputs: %+v, %v", tr, err)
+	}
+}
+
+// runTrace is a trace of n steps made of runs: a constant column, runs
+// of five that cross the groups' boundaries, +0 followed by −0 and back,
+// and constant Inputs fields.
+func runTrace(n int) Trace {
+	tr := Trace{Time: make([]float64, n), CabinC: make([]float64, n), HeaterW: make([]float64, n),
+		CoolerW: make([]float64, n), Inputs: make([]cabin.Inputs, n)}
+	for i := 0; i < n; i++ {
+		tr.Time[i] = float64(i)
+		tr.CabinC[i] = 24
+		tr.HeaterW[i] = float64(i / 5)
+		if i%3 == 1 {
+			tr.CoolerW[i] = math.Copysign(0, -1)
+		}
+		tr.Inputs[i] = cabin.Inputs{SupplyTempC: 30, Recirc: float64(i / 9)}
+	}
+	return tr
 }
 
 // FuzzTraceText hardens decoding against arbitrary text — a crashed
@@ -251,6 +374,13 @@ func FuzzTraceText(f *testing.F) {
 		}
 		f.Add(text)
 		f.Add(text[:len(text)/2])
+	}
+	for _, n := range []int{7, 8, 9, 17} {
+		text, err := runTrace(n).MarshalText()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
 	}
 	f.Add([]byte(""))
 	f.Add([]byte("////////////////"))

@@ -46,6 +46,8 @@ var reachAllowed = map[string]string{
 	"internal/qp.(*Problem).OneStage":     oneStageUse,
 	"internal/qp.(*StageMatrix).oneStage": oneStageUse,
 	"internal/qp.NewWorkspaceFor":         "pre-sized workspaces of qp's TestNewWorkspaceForFirstSolveNoAllocs and TestStructuredWarmSolveNoAllocs and the root BenchmarkQP*/BenchmarkMPCSolveStepThermal",
+
+	"internal/runner.(*Journal).Syncs": "the fsync count runner's TestJournalLineIsJSONMarshal and fabric's TestCompletionOneFsync pin: one per Append, whatever its record count",
 }
 
 const (
