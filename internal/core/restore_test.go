@@ -63,3 +63,57 @@ func TestRestoreSimulatesModel(t *testing.T) {
 		})
 	}
 }
+
+// TestCarriedDecideStartsFromMeasurement: when the measured cabin
+// temperature jumps 2 K between two decides, the carried decide's
+// initial iterate — the shifted plan re-simulated from the measurement —
+// satisfies its first stage's equality rows to roundoff, for both stage
+// layouts. The shifted plan alone misses the cabin row by most of the
+// jump.
+func TestCarriedDecideStartsFromMeasurement(t *testing.T) {
+	temperate := func() control.StepContext {
+		ctx := thermColdCtx(0)
+		ctx.CabinTempC, ctx.OutsideC, ctx.PackTempC = 22, 15, 20
+		return ctx
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ctx  control.StepContext
+	}{
+		{"cabin-only", DefaultConfig(), steadyCtx()},
+		{"thermal", thermalTestConfig(), temperate()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := tc.ctx
+			c.Decide(ctx)
+			if !c.comfortMet(c.prevZ) {
+				t.Fatal("plan misses the comfort band; the next decide would not be carried")
+			}
+			prev := slices.Clone(c.prevZ)
+			ctx.Time += ctx.Dt
+			ctx.CabinTempC += 2
+			warm := c.Stats().WarmHessians
+			c.Decide(ctx)
+			if c.Stats().WarmHessians != warm+1 {
+				t.Fatal("decide after the jump was not carried")
+			}
+			ce := make([]float64, c.prob.MEq)
+			c.equalities(c.z0, &c.hor, ce)
+			for r, v := range ce[:c.ne] {
+				if math.Abs(v) > 1e-12 {
+					t.Errorf("initial iterate: stage 0 row %d residual %g", r, v)
+				}
+			}
+			shifted := make([]float64, c.nz())
+			c.shiftWarmStart(prev, &c.hor, shifted)
+			if rx, _ := c.dynamics(shifted, &c.hor, 0); math.Abs(rx) < 1 {
+				t.Errorf("shifted plan's cabin row residual %g K; the 2 K jump should show", rx)
+			}
+		})
+	}
+}

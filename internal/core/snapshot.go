@@ -13,8 +13,7 @@ import (
 // diagnostics. sqp.Solve refills every other workspace buffer on each
 // call, so the rest of the solver arena needs no capture. The blocks are
 // kept only with a usable warm start, row-major and stage after stage,
-// because the next Decide starts from them when that plan met the
-// comfort band (comfortMet). lastErr is carried as its message:
+// because the next Decide starts from them when it is carried. lastErr is carried as its message:
 // supervisory layers only use it as an opaque soft-fault reason, and the
 // next Decide overwrites it.
 type mpcState struct {

@@ -118,10 +118,9 @@ func AblateSoCDevWeight(opts Options, weights []float64) ([]AblationRow, error) 
 }
 
 // AblateSQPBudget sweeps the per-step SQP iteration limit. The limit
-// caps the full solves: the first decide and those after a slack-active
-// plan. A carried decide, one whose previous plan met the comfort band,
-// already takes at most two iterations, so under sqp=K it takes
-// min(K, 2). SQPMaxIter = 1 is the "single-QP" controller: one
+// caps the full solve of each run's first decide. Every later decide is
+// carried and already takes at most two iterations, so under sqp=K it
+// takes min(K, 2). SQPMaxIter = 1 is the "single-QP" controller: one
 // linearization of the bilinear dynamics per decide, no outer
 // iterations.
 func AblateSQPBudget(opts Options, budgets []int) ([]AblationRow, error) {

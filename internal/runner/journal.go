@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/sim"
@@ -167,23 +168,55 @@ type JournalReplay struct {
 
 // Fingerprints hashes each job's scenario once, in expansion order,
 // digesting each distinct profile once: Expand gives the jobs of one
-// cycle and environment one profile. The result
-// is the one per-job key list a sweep needs: SweepFingerprint,
-// OpenJournal, ManifestRunInfo and the result cache all take it, so a
-// caller that holds it never hashes a profile twice.
+// cycle and environment one profile. The digests, and then the per-job
+// hashes, run on GOMAXPROCS goroutines; each writes only its own slot,
+// so the result does not depend on the schedule. The result is the one
+// per-job key list a sweep needs: SweepFingerprint, OpenJournal,
+// ManifestRunInfo and the result cache all take it, so a caller that
+// holds it never hashes a profile twice.
 func Fingerprints(jobs []Job) []uint64 {
-	fps := make([]uint64, len(jobs))
-	digests := make(map[*drivecycle.Profile]uint64)
+	slot := make([]int, len(jobs))
+	index := make(map[*drivecycle.Profile]int)
+	var profiles []*drivecycle.Profile
 	for i := range jobs {
 		p := jobs[i].Config.Profile
-		d, ok := digests[p]
+		k, ok := index[p]
 		if !ok {
-			d = profileDigest(p)
-			digests[p] = d
+			k = len(profiles)
+			index[p] = k
+			profiles = append(profiles, p)
 		}
-		fps[i] = jobs[i].fingerprint(d)
+		slot[i] = k
 	}
+	digests := make([]uint64, len(profiles))
+	parallelFor(len(profiles), func(i int) { digests[i] = profileDigest(profiles[i]) })
+	fps := make([]uint64, len(jobs))
+	parallelFor(len(jobs), func(i int) { fps[i] = jobs[i].fingerprint(digests[slot[i]]) })
 	return fps
+}
+
+// parallelFor calls f(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, which take indices from a shared counter.
+func parallelFor(n int, f func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // SweepFingerprint hashes the job fingerprints fps (see Fingerprints) in

@@ -389,10 +389,11 @@ func fleetLikeSpec() Spec {
 }
 
 // TestFingerprintsMatchJob: Fingerprints, which digests each shared
-// profile once, keys every job of a fleet expansion exactly as
-// Job.Fingerprint does, and the key follows a profile's contents, not
-// its address: equal contents behind two pointers key alike, and one
-// changed SlopePercent sample changes the key.
+// profile once on GOMAXPROCS goroutines, keys every job of a fleet
+// expansion exactly as Job.Fingerprint does at any GOMAXPROCS, and the
+// key follows a profile's contents, not its address: equal contents
+// behind two pointers key alike, and one changed SlopePercent sample
+// changes the key.
 func TestFingerprintsMatchJob(t *testing.T) {
 	jobs, err := Expand(fleetLikeSpec())
 	if err != nil {
@@ -401,16 +402,21 @@ func TestFingerprintsMatchJob(t *testing.T) {
 	if len(jobs) != 24 {
 		t.Fatalf("expanded to %d jobs, want 24", len(jobs))
 	}
-	fps := Fingerprints(jobs)
-	seen := map[uint64]bool{}
-	for i := range jobs {
-		if want := jobs[i].Fingerprint(); fps[i] != want {
-			t.Errorf("job %d: Fingerprints %016x, Fingerprint %016x", i, fps[i], want)
+	var fps []uint64
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		fps = Fingerprints(jobs)
+		runtime.GOMAXPROCS(prev)
+		seen := map[uint64]bool{}
+		for i := range jobs {
+			if want := jobs[i].Fingerprint(); fps[i] != want {
+				t.Errorf("GOMAXPROCS %d, job %d: Fingerprints %016x, Fingerprint %016x", procs, i, fps[i], want)
+			}
+			seen[fps[i]] = true
 		}
-		seen[fps[i]] = true
-	}
-	if len(seen) != len(jobs) {
-		t.Errorf("%d distinct fingerprints for %d distinct jobs", len(seen), len(jobs))
+		if len(seen) != len(jobs) {
+			t.Errorf("GOMAXPROCS %d: %d distinct fingerprints for %d distinct jobs", procs, len(seen), len(jobs))
+		}
 	}
 
 	clone := func(p *drivecycle.Profile) *drivecycle.Profile {

@@ -76,7 +76,20 @@ func fnv1a64(h uint64, vals []float64) uint64 {
 // the capped first QPs of the saturated decides end at other iterates:
 // 37 decides converge and 1 stalls (was 34 and 4), KKT factorizations
 // 7123 → 7264, capped QPs 33 → 35.
-const mpcTrajectoryHash = 0xd0ed72c281217c01
+//
+// Re-pinned when the cabin-only MPC began to carry every decide after
+// its first, each a two-iteration real-time iteration from the shifted
+// plan re-simulated from the measured cabin temperature. This soaked
+// pull-down's plans lean on the comfort slack, so before, each of its
+// decides was a full solve from the scaled-identity seed; now 38 of the
+// 39 are carried. SQP iterations 464 → 106, KKT factorizations
+// 7264 → 1323, capped QPs 35 → 0; the first decide runs to its 30-
+// iteration cap and none converges or stalls (was 37 and 1). Observed:
+// supply/coil temperature by up to 7.8 K where the coil is idle,
+// recirculation by up to 0.26, flow by up to 0.049 kg/s, cabin
+// temperature by at most 0.0027 K; AvgHVACW 6145.67 → 6146.14 W,
+// ΔSoH 0.00489193 → 0.00489193 %.
+const mpcTrajectoryHash = 0x926ccce3c7fc6424
 
 // TestMPCTrajectoryBitwiseGolden pins the MPC/ECE15 trajectory bitwise.
 func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
@@ -113,7 +126,7 @@ func TestMPCTrajectoryBitwiseGolden(t *testing.T) {
 			h, uint64(mpcTrajectoryHash), len(tr.Inputs))
 	}
 	// The KKT counts are as deterministic as the trajectory.
-	if st := mpc.Stats(); st.KKTFactorizations != 7264 || st.CappedQPs != 35 {
-		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 7264 and 35", st.KKTFactorizations, st.CappedQPs)
+	if st := mpc.Stats(); st.KKTFactorizations != 1323 || st.CappedQPs != 0 {
+		t.Fatalf("KKT counts: %d factorizations, %d capped QPs; golden 1323 and 0", st.KKTFactorizations, st.CappedQPs)
 	}
 }
